@@ -1,83 +1,49 @@
-"""idsweep: find and analyze exposed Thai national ID numbers in documents."""
+"""idsweep: find and analyze exposed Thai national ID numbers in documents.
 
-from .domains import DomainInfo, classify_url
-from .geo import GeoRegistry, RegistryError, default_registry, load_registry, load_registry_file
-from .harvest import CrawlConfig, DownloadRecord, SearchHit, download_all, execute_plan
-from .pipeline import ScanSummary, run_scan, scan_document
-from .providers import FixtureProvider, HttpProvider, ProviderDisabled, ProviderError
-from .queries import QueryPlan, build_plan_from_templates, load_plan_file, render
-from .reports import (
-    AggregateTable,
-    ExposureRecord,
-    aggregate,
-    build_records,
-    emit_report,
-    exposure_listing,
-    geographic_report,
-    percent_of,
-    repeat_exposure,
-)
-from .store import ResultStore
-from .thai_id import (
-    NationalId,
-    PseudonymToken,
-    RawCandidate,
-    ValidationOutcome,
-    compute_checksum,
-    decode,
-    find_candidates,
-    generate_valid_id,
-    normalize_numerals,
-    pseudonymize,
-    validate,
-)
+The public names below are imported from their submodules on first access
+(PEP 562), so ``import idsweep`` -- and every ``python -m idsweep.<module>``
+subprocess -- pays only for the submodules it actually uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateTable",
-    "CrawlConfig",
-    "DomainInfo",
-    "DownloadRecord",
-    "ExposureRecord",
-    "FixtureProvider",
-    "GeoRegistry",
-    "HttpProvider",
-    "NationalId",
-    "ProviderDisabled",
-    "ProviderError",
-    "PseudonymToken",
-    "QueryPlan",
-    "RawCandidate",
-    "ResultStore",
-    "RegistryError",
-    "ScanSummary",
-    "SearchHit",
-    "ValidationOutcome",
-    "aggregate",
-    "build_plan_from_templates",
-    "build_records",
-    "classify_url",
-    "compute_checksum",
-    "decode",
-    "default_registry",
-    "download_all",
-    "emit_report",
-    "execute_plan",
-    "exposure_listing",
-    "find_candidates",
-    "generate_valid_id",
-    "geographic_report",
-    "load_plan_file",
-    "load_registry",
-    "load_registry_file",
-    "normalize_numerals",
-    "percent_of",
-    "pseudonymize",
-    "render",
-    "repeat_exposure",
-    "run_scan",
-    "scan_document",
-    "validate",
-    "__version__",
-]
+# public name -> submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "domains": ("DomainInfo", "classify_url"),
+        "geo": ("GeoRegistry", "RegistryError", "default_registry", "load_registry", "load_registry_file"),
+        "harvest": ("CrawlConfig", "DownloadRecord", "SearchHit", "download_all", "execute_plan"),
+        "pipeline": ("ScanSummary", "run_scan", "scan_document"),
+        "providers": ("FixtureProvider", "HttpProvider", "ProviderDisabled", "ProviderError"),
+        "queries": ("QueryPlan", "build_plan_from_templates", "load_plan_file", "render"),
+        "reports": (
+            "AggregateTable", "ExposureRecord", "aggregate", "build_records", "emit_report",
+            "exposure_listing", "geographic_report", "percent_of", "repeat_exposure",
+        ),
+        "store": ("ResultStore",),
+        "thai_id": (
+            "NationalId", "PseudonymToken", "RawCandidate", "ValidationOutcome", "compute_checksum",
+            "decode", "find_candidates", "generate_valid_id", "normalize_numerals", "pseudonymize",
+            "validate",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

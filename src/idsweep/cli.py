@@ -6,9 +6,10 @@
     idsweep report ...                  emit aggregate tables from a store
 
 Exit codes are uniform: 0 success, 1 domain-negative (ID rejected, nothing
-found), 2 operator or I/O error.  Every crawl knob is settable by flag or by
-IDSWEEP_* environment variable or by a JSON config file; flags win over the
-environment, which wins over the file.
+found), 2 operator or I/O error, including a scan that left documents
+unreadable.  Every crawl knob is settable by flag or by IDSWEEP_* environment
+variable or by a JSON config file; flags win over the environment, which wins
+over the file.
 """
 
 from __future__ import annotations
@@ -238,6 +239,8 @@ def cmd_scan_run(args) -> int:
     except RuntimeError as exc:
         return _fail(str(exc))
     print(summary.line())
+    if summary.unreadable:
+        return EXIT_USAGE  # a partial scan; the warnings above say which documents
     if summary.hits == 0:
         print("no results for any query", file=sys.stderr)
         return EXIT_NEGATIVE

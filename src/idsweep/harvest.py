@@ -25,7 +25,11 @@ DEFAULT_ACCEPTED_TYPES = frozenset({"pdf", "xls", "xlsx", "doc", "docx", "txt", 
 
 @dataclass
 class CrawlConfig:
-    """Operator-tunable crawl behaviour; every field has a CLI flag and env var."""
+    """Operator-tunable crawl behaviour; every field has a CLI flag and env var.
+
+    ``download_workers`` sizes the download pool and also bounds how many
+    documents ``run_scan`` extracts at once.
+    """
 
     search_delay: float = 1.0          # seconds between provider requests
     download_timeout: float = 30.0     # per-attempt bound

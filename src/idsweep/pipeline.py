@@ -3,10 +3,16 @@
 The stages are glued with at-least-once semantics everywhere the store is
 idempotent, so re-running a plan over the same store changes nothing and the
 summary comes out identical.
+
+``download_workers`` bounds two pools in turn: the downloads, then the
+extraction of distinct documents.  Extraction results are persisted on the
+calling thread in hit order, so the store's rows do not depend on how many
+workers ran or which finished first.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +24,7 @@ from .extract import (
     extract_text,
 )
 from .geo import GeoRegistry
-from .harvest import Clock, CrawlConfig, download_all, execute_plan
+from .harvest import Clock, CrawlConfig, DownloadRecord, download_all, execute_plan
 from .queries import QueryPlan
 from .store import ResultStore
 from .thai_id import find_candidates, validate
@@ -35,14 +41,16 @@ class ScanSummary:
     candidates: int
     unique_ids: int
     exposed_documents: int
+    unreadable: int  # distinct documents no extractor could read
 
     def line(self) -> str:
-        return (
+        line = (
             f"{self.queries} queries yielded {self.urls} result URLs; "
             f"{self.downloads_ok} fetched ({self.downloads_failed} failed); "
             f"{self.unique_ids} distinct IDs across {self.exposed_documents} "
             f"of {self.documents} documents"
         )
+        return f"{line}; {self.unreadable} unreadable" if self.unreadable else line
 
 
 def scan_document(
@@ -84,42 +92,48 @@ def run_scan(
     hits = execute_plan(plan, provider, config, store, clock=clock)
     records = download_all(hits, provider, config, store, clock=clock)
 
-    hit_by_id = {hit.hit_id: hit for hit in hits}
-    seen_digests: set[str] = set()
-    candidates_total = 0
+    # the first successful download of a digest, in hit order, picks the
+    # declared type and the provenance of that document
+    documents: dict[str, DownloadRecord] = {}
     failed = 0
     for record in records:
         if record.status != "success":
             failed += 1
-            continue
-        assert record.sha256 is not None and record.declared_type is not None
-        if record.sha256 in seen_digests:
-            continue
-        seen_digests.add(record.sha256)
-        data = store.read_object(record.sha256)
-        hit = hit_by_id.get(record.hit_id)
-        first_seen = hit.retrieved_at if hit else ""
+        else:
+            assert record.sha256 is not None and record.declared_type is not None
+            documents.setdefault(record.sha256, record)
+
+    def extract(record: DownloadRecord):
         try:
-            ids, n_candidates = scan_document(
-                data, record.declared_type, registry, extractors, digest=record.sha256
+            return scan_document(
+                store.read_object(record.sha256), record.declared_type, registry,
+                extractors, digest=record.sha256,
             )
-        except UnsupportedTypeError as exc:
-            store.add_diagnostic("unsupported_type", record.url, str(exc), first_seen)
-            continue
-        except ExtractionError as exc:
-            store.add_diagnostic("extraction_failed", record.sha256, str(exc), first_seen)
-            continue
-        candidates_total += n_candidates
-        for digits in ids:
-            store.add_exposure(
-                digits=digits,
-                sha256=record.sha256,
-                url=record.url,
-                query=hit.query if hit else "",
-                engine=hit.engine if hit else "",
-                file_type=record.declared_type,
-                first_seen=first_seen,
-            )
+        except (UnsupportedTypeError, ExtractionError) as exc:
+            return exc
+
+    hit_by_id = {hit.hit_id: hit for hit in hits}
+    candidates_total = 0
+    unreadable = 0
+    with ThreadPoolExecutor(max_workers=config.download_workers) as pool:
+        for record, outcome in zip(documents.values(), pool.map(extract, documents.values())):
+            hit = hit_by_id.get(record.hit_id)
+            first_seen = hit.retrieved_at if hit else ""
+            if isinstance(outcome, Exception):
+                unreadable += 1
+                if isinstance(outcome, UnsupportedTypeError):
+                    store.add_diagnostic("unsupported_type", record.url, str(outcome), first_seen)
+                else:
+                    store.add_diagnostic("extraction_failed", record.sha256, str(outcome), first_seen)
+                continue
+            ids, n_candidates = outcome
+            candidates_total += n_candidates
+            if ids:
+                query, engine = (hit.query, hit.engine) if hit else ("", "")
+                store.add_exposures(
+                    (digits, record.sha256, record.url, query, engine, record.declared_type, first_seen)
+                    for digits in ids
+                )
 
     return ScanSummary(
         queries=len(plan.queries),
@@ -127,8 +141,9 @@ def run_scan(
         urls=len({h.url for h in hits}),
         downloads_ok=len(records) - failed,
         downloads_failed=failed,
-        documents=len(seen_digests),
+        documents=len(documents),
         candidates=candidates_total,
         unique_ids=store.unique_id_count(),
         exposed_documents=store.exposed_document_count(),
+        unreadable=unreadable,
     )

@@ -301,13 +301,16 @@ def exposure_listing(
         raise ValueError("redacted listing needs a salt")
     rows = []
     salt_id = None
+    digits = shown = None
+    # sorted by digits, so each ID's token is computed once and reused
     for record in sorted(records, key=lambda r: (r.digits, r.sha256, r.url, r.query)):
-        if unredacted:
-            shown = record.digits
-        else:
-            token = pseudonymize(record.digits, salt)
-            shown = token.token
-            salt_id = token.salt_id
+        if record.digits != digits:
+            digits = record.digits
+            if unredacted:
+                shown = digits
+            else:
+                token = pseudonymize(digits, salt)
+                shown, salt_id = token.token, token.salt_id
         rows.append(
             (shown, record.domain.tld_class, record.domain.registered_domain or "",
              record.url, record.file_type, record.query)

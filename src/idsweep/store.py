@@ -18,7 +18,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS hits (
@@ -194,13 +194,20 @@ class ResultStore:
         file_type: str, first_seen: str,
     ) -> bool:
         """Record an (id, document) pair; returns False if already present."""
+        return self.add_exposures([(digits, sha256, url, query, engine, file_type, first_seen)]) > 0
+
+    def add_exposures(self, rows: Iterable[tuple[str, str, str, str, str, str, str]]) -> int:
+        """Record many (id, document) pairs in one commit; returns how many were new.
+
+        Each row is (digits, sha256, url, query, engine, file_type, first_seen).
+        """
         with self._lock, self._conn:
-            cur = self._conn.execute(
+            cur = self._conn.executemany(
                 "INSERT OR IGNORE INTO exposures (digits, sha256, url, query, engine, file_type, first_seen)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (digits, sha256, url, query, engine, file_type, first_seen),
+                rows,
             )
-        return cur.rowcount > 0
+        return cur.rowcount
 
     def unique_id_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(DISTINCT digits) FROM exposures").fetchone()[0])

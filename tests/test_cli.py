@@ -1,6 +1,7 @@
 """Command surface: exit codes, flag/env/config precedence, goldens, redaction."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,8 +124,24 @@ def test_scan_demo_summary(tmp_path, capsys):
     assert run_cli(*scan_args(store_dir)) == 0
     out = capsys.readouterr().out
     assert "40 distinct IDs" in out and "3 queries" in out
+    assert "unreadable" not in out
     with ResultStore(store_dir) as store:
         assert store.unique_id_count() == 40
+
+
+def test_scan_with_unreadable_documents_is_exit_2(tmp_path, capsys):
+    config = json.loads((DEMO / "extractors.json").read_text("utf-8"))
+    for spec in config["extractors"]:
+        if spec["kind"] == "external":
+            spec["command"] = f'"{sys.executable}" -c "raise SystemExit(3)" {{input}}'
+    failing = tmp_path / "extractors.json"
+    failing.write_text(json.dumps(config), "utf-8")
+    # the later --extractors flag overrides the demo config in scan_args
+    assert run_cli(*scan_args(tmp_path / "store", "--extractors", str(failing))) == 2
+    captured = capsys.readouterr()
+    assert "distinct IDs across" in captured.out
+    assert captured.out.rstrip().endswith("; 6 unreadable")
+    assert captured.err.count("warning: extraction_failed") == 6
 
 
 def test_scan_rerun_identical_and_lock_released(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Whole-pipeline runs over generated corpora: recall, idempotence, provenance."""
 
 import json
+import sqlite3
+import sys
 
-from idsweep import reports, synth
+from idsweep import reports, synth, thai_id
 from idsweep.extract import ExtractorSpec, load_extractor_config
 from idsweep.harvest import CrawlConfig
 from idsweep.pipeline import run_scan, scan_document
 from idsweep.providers import FixtureProvider
-from idsweep.queries import load_plan_file
+from idsweep.queries import QueryPlan, load_plan_file
 from idsweep.store import ResultStore
 
 from conftest import VirtualClock, write_doc, write_index
@@ -94,8 +96,6 @@ def test_unextractable_document_lands_in_diagnostics(tmp_path, registry):
         {"q": [{"url": "http://a.go.th/data.csv", "page": 1, "rank": 1}]},
         {"http://a.go.th/data.csv": {"path": doc}},
     )
-    from idsweep.queries import QueryPlan
-
     store = ResultStore(tmp_path / "store")
     summary = run_scan(
         QueryPlan(queries=("q",)),
@@ -127,3 +127,73 @@ def test_corpus_manifest_matches_docs_on_disk(tmp_path, registry):
     assert len(recorded["docs"]) == 12
     for name in recorded["docs"]:
         assert (manifest.root / "docs" / name).exists()
+
+
+# External extractor for the determinism test: sleeps for the seconds on the
+# document's first line, so earlier documents finish later; "fail" exits 1.
+SLOW_CAT = """\
+import sys, time
+text = open(sys.argv[1], encoding="utf-8").read()
+first = text.splitlines()[0]
+if first == "fail":
+    sys.exit(1)
+time.sleep(float(first))
+sys.stdout.write(text)
+"""
+
+
+def test_concurrent_extraction_matches_sequential(tmp_path, registry):
+    script = tmp_path / "slow_cat.py"
+    script.write_text(SLOW_CAT, "utf-8")
+    extractors = [
+        ExtractorSpec("plain", "plain", frozenset({"txt"})),
+        ExtractorSpec("slow", "external", frozenset({"pdf"}),
+                      command=f'"{sys.executable}" "{script}" {{input}}'),
+    ]
+    shared = thai_id.generate_valid_id("11001", "0000099", registry)
+    objects, q1, q2 = {}, [], []
+    for i, delay in enumerate(("0.4", "0.3", "0.2", "0.1", "0", "fail")):
+        own = thai_id.generate_valid_id("11001", f"{i + 1:07d}", registry)
+        rel = write_doc(tmp_path, f"doc{i}.pdf", f"{delay}\n{own}\n{shared}\n")
+        url = f"http://s{i}.go.th/doc{i}.pdf"
+        objects[url] = {"path": rel}
+        (q1 if i < 3 else q2).append(url)
+    # one digest behind two URLs; the earlier hit declares pdf, the later txt
+    mirror = thai_id.generate_valid_id("32007", "0000077", registry)
+    rel = write_doc(tmp_path, "mirror.bin", f"0.2\n{mirror}\n")
+    objects["http://a.go.th/mirror.pdf"] = {"path": rel}
+    objects["http://b.ac.th/mirror.txt"] = {"path": rel}
+    objects["http://c.go.th/table.xls"] = {"path": write_doc(tmp_path, "table.xls", shared)}
+    q1.append("http://a.go.th/mirror.pdf")
+    q2 += ["http://b.ac.th/mirror.txt", "http://c.go.th/table.xls", q1[0]]
+    index = write_index(
+        tmp_path,
+        {q: [{"url": u, "page": 1, "rank": r} for r, u in enumerate(urls, 1)]
+         for q, urls in (("q1", q1), ("q2", q2))},
+        objects,
+    )
+
+    def scan(workers):
+        store = ResultStore(tmp_path / f"store{workers}")
+        summary = run_scan(
+            QueryPlan(queries=("q1", "q2")), FixtureProvider(index),
+            CrawlConfig(search_delay=0.0, download_workers=workers),
+            store, registry, extractors, clock=VirtualClock(),
+        )
+        diagnostics = store.diagnostics()
+        store.close()
+        conn = sqlite3.connect(store.db_path)
+        rows = conn.execute(  # all columns but first_seen, which is wall-clock time
+            "SELECT digits, sha256, url, query, engine, file_type FROM exposures ORDER BY rowid"
+        ).fetchall()
+        conn.close()
+        return summary, rows, diagnostics
+
+    sequential, concurrent = scan(1), scan(4)
+    assert concurrent == sequential
+    summary, rows, diagnostics = sequential
+    assert (summary.documents, summary.unreadable, summary.unique_ids) == (8, 2, 7)
+    assert [r[2] for r in rows if r[0] == mirror] == ["http://a.go.th/mirror.pdf"]
+    assert [r[5] for r in rows if r[0] == mirror] == ["pdf"]
+    assert [r[3] for r in rows if r[2] == q1[0]] == ["q1", "q1"]
+    assert [kind for kind, _, _ in diagnostics] == ["extraction_failed", "unsupported_type"]

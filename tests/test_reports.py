@@ -369,3 +369,24 @@ def test_listing_order_is_stable():
     listing = reports.exposure_listing(recs, salt=b"pepper")
     again = reports.exposure_listing(list(reversed(recs)), salt=b"pepper")
     assert listing.rows == again.rows
+
+
+def test_listing_pseudonymizes_each_id_once(monkeypatch):
+    calls = []
+
+    def counting(digits, salt):
+        calls.append(digits)
+        return thai_id.pseudonymize(digits, salt)
+
+    monkeypatch.setattr(reports, "pseudonymize", counting)
+    recs = records_of(
+        occ(ID_A, "s1", "http://a.go.th/1.pdf"),
+        occ(ID_B, "s2", "http://b.go.th/2.pdf"),
+        occ(ID_A, "s3", "http://c.ac.th/3.pdf"),
+    )
+    listing = reports.exposure_listing(recs, salt=b"pepper")
+    assert sorted(calls) == sorted([ID_A, ID_B])
+    assert [row[0] for row in listing.rows] == [
+        thai_id.pseudonymize(d, b"pepper").token for d in sorted([ID_A, ID_A, ID_B])
+    ]
+    assert listing.salt_id == thai_id.pseudonymize(ID_A, b"pepper").salt_id
