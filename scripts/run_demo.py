@@ -1,74 +1,52 @@
 #!/usr/bin/env python3
 """Scan the bundled demo corpus and emit every report table.
 
-Equivalent CLI session::
+Runs this CLI session, with OUT the --out directory::
 
     idsweep scan run --provider fixture --fixture data/demo \
         --plan data/demo/plan.json --extractors data/demo/extractors.json \
-        --store /tmp/idsweep-demo/store
-    idsweep report --store /tmp/idsweep-demo/store --salt-file tests/data/demo_salt.txt \
+        --store OUT/store --search-delay 0
+    idsweep report --store OUT/store --salt-file tests/data/demo_salt.txt \
         --tables filetype,tld,domain,query,category,geo,repeat,exposures \
-        --format markdown --out /tmp/idsweep-demo/report
+        --format markdown --out OUT/report
 
 Everything is offline: the fixture provider replays data/demo/index.json.
+The exit code is that of the first command that does not succeed.
 """
 
 import argparse
+import sys
 import tempfile
 from pathlib import Path
 
-from idsweep import reports
-from idsweep.extract import load_extractor_config
-from idsweep.geo import default_registry
-from idsweep.harvest import CrawlConfig
-from idsweep.pipeline import run_scan
-from idsweep.providers import FixtureProvider
-from idsweep.queries import load_plan_file
-from idsweep.store import ResultStore
+from idsweep import cli, reports
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (default: a fresh temp dir)")
-    parser.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
+    parser.add_argument("--format", choices=tuple(reports.FORMATS), default="markdown")
     args = parser.parse_args()
 
     out = args.out or Path(tempfile.mkdtemp(prefix="idsweep-demo-"))
     demo = REPO / "data" / "demo"
-    registry = default_registry()
-
-    store = ResultStore(out / "store")
-    summary = run_scan(
-        load_plan_file(demo / "plan.json"),
-        FixtureProvider(demo / "index.json"),
-        CrawlConfig(search_delay=0.0),
-        store,
-        registry,
-        load_extractor_config(demo / "extractors.json"),
-    )
-    print(summary.line())
-
-    records, skipped = reports.build_records(store.load_occurrences())
-    if skipped:
-        print(f"note: {skipped} occurrences skipped (unusable URLs)")
-    tables = {
-        "filetype": reports.aggregate(records, "file_type"),
-        "tld": reports.aggregate(records, "tld"),
-        "domain": reports.aggregate(records, "registered_domain"),
-        "query": reports.aggregate(records, "query"),
-        "category": reports.aggregate(records, "category_digit"),
-        "repeat": reports.repeat_exposure(records),
-    }
-    tables["geo_province"], tables["geo_district"] = reports.geographic_report(records, registry)
-    listing = reports.exposure_listing(
-        records, salt=(REPO / "tests" / "data" / "demo_salt.txt").read_bytes().strip()
-    )
-    for path in reports.emit_report(tables, out / "report", fmt=args.format, listing=listing):
-        print(f"wrote {path}")
+    store = str(out / "store")
+    code = cli.entry([
+        "scan", "run", "--provider", "fixture", "--fixture", str(demo),
+        "--plan", str(demo / "plan.json"), "--extractors", str(demo / "extractors.json"),
+        "--store", store, "--search-delay", "0",
+    ])
+    if code != cli.EXIT_OK:
+        return code
+    return cli.entry([
+        "report", "--store", store, "--salt-file", str(REPO / "tests" / "data" / "demo_salt.txt"),
+        "--tables", "filetype,tld,domain,query,category,geo,repeat,exposures",
+        "--format", args.format, "--out", str(out / "report"),
+    ])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

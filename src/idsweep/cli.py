@@ -7,19 +7,24 @@
 
 Exit codes are uniform: 0 success, 1 domain-negative (ID rejected, nothing
 found), 2 operator or I/O error, including a scan that left documents
-unreadable.  Every crawl knob is settable by flag or by IDSWEEP_* environment
-variable or by a JSON config file; flags win over the environment, which wins
-over the file.
+unreadable.
+
+Every CrawlConfig field is a crawl knob: field ``x_y`` is set by the flag
+``--x-y``, the environment variable ``IDSWEEP_X_Y`` or the key ``x_y`` of a
+JSON config file, and flags win over the environment, which wins over the
+file.  A value is read as the type of the field's default (a set field takes
+comma-separated names); an unknown config key or a value of the wrong type
+exits 2 naming the flag, variable or key.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -47,17 +52,11 @@ EXIT_USAGE = 2
 
 ENV_PREFIX = "IDSWEEP_"
 
-_CRAWL_FIELDS = {
-    "search_delay": float,
-    "download_timeout": float,
-    "download_max_retry": int,
-    "max_pages": int,
-    "download_workers": int,
-    "max_object_bytes": int,
-    "accepted_types": lambda s: frozenset(t.strip() for t in s.split(",") if t.strip()),
-}
-
-TABLE_NAMES = ("filetype", "tld", "domain", "owner", "query", "category", "geo", "repeat", "exposures")
+# (config key, --flag, environment variable) for every CrawlConfig field
+CRAWL_KNOBS = tuple(
+    (f.name, "--" + f.name.replace("_", "-"), ENV_PREFIX + f.name.upper())
+    for f in dataclasses.fields(CrawlConfig)
+)
 
 
 def _fail(message: str) -> int:
@@ -69,26 +68,44 @@ def _load_registry(path: Optional[str]) -> GeoRegistry:
     return load_registry_file(path) if path else default_registry()
 
 
+def _knob_value(value, default):
+    """A flag, env var or config value as the type of the knob's default.
+
+    Text is parsed (a set knob takes comma-separated names); any other JSON
+    value must already have the default's type.
+    """
+    if isinstance(default, frozenset):
+        if isinstance(value, str):
+            return frozenset(t.strip() for t in value.split(",") if t.strip())
+        if isinstance(value, list) and all(isinstance(t, str) for t in value):
+            return value  # CrawlConfig makes it a frozenset
+        raise ValueError(f"expected a list of names, got {json.dumps(value)}")
+    if isinstance(value, str):
+        return type(default)(value)
+    if isinstance(value, (int, type(default))) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected {type(default).__name__}, got {json.dumps(value)}")
+
+
 def _resolve_crawl_config(args, file_config: dict) -> CrawlConfig:
     """flag > environment > config file > dataclass default, per field."""
+    keys = [key for key, _, _ in CRAWL_KNOBS]
+    unknown = sorted(set(file_config) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}; valid keys: {', '.join(keys)}")
+    defaults = CrawlConfig()
     chosen = {}
-    for name, parse in _CRAWL_FIELDS.items():
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            chosen[name] = parse(flag_value) if isinstance(flag_value, str) else flag_value
-            continue
-        env_value = os.environ.get(ENV_PREFIX + name.upper())
-        if env_value is not None:
-            chosen[name] = parse(env_value)
-            continue
-        if name in file_config:
-            raw = file_config[name]
-            chosen[name] = parse(raw) if isinstance(raw, str) else raw
-    defaults = {f.name: getattr(CrawlConfig(), f.name) for f in dataclass_fields(CrawlConfig)}
-    defaults.update(chosen)
-    if isinstance(defaults["accepted_types"], (list, tuple)):
-        defaults["accepted_types"] = frozenset(defaults["accepted_types"])
-    return CrawlConfig(**defaults)
+    for key, flag, env in CRAWL_KNOBS:
+        for source, value in ((flag, getattr(args, key)), (env, os.environ.get(env)),
+                              (f"config key {key}", file_config.get(key))):
+            if value is None:
+                continue
+            try:
+                chosen[key] = _knob_value(value, getattr(defaults, key))
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from None
+            break
+    return dataclasses.replace(defaults, **chosen)
 
 
 def _load_file_config(path: Optional[str]) -> dict:
@@ -252,39 +269,12 @@ def cmd_scan_run(args) -> int:
 
 # --- report ------------------------------------------------------------------------------
 
-def _build_tables(store: ResultStore, registry: GeoRegistry, names: list[str], geo_sort: str,
-                  owner_tags: Optional[dict[str, str]]):
-    occurrences = store.load_occurrences()
-    records, skipped = reports.build_records(occurrences, owner_tags=owner_tags)
-    tables: dict[str, reports.AggregateTable] = {}
-    for name in names:
-        if name == "filetype":
-            tables["filetype"] = reports.aggregate(records, "file_type")
-        elif name == "tld":
-            tables["tld"] = reports.aggregate(records, "tld")
-        elif name == "domain":
-            tables["domain"] = reports.aggregate(records, "registered_domain")
-        elif name == "owner":
-            tables["owner"] = reports.aggregate(records, "owner_tag")
-        elif name == "query":
-            tables["query"] = reports.aggregate(records, "query")
-        elif name == "category":
-            tables["category"] = reports.aggregate(records, "category_digit")
-        elif name == "geo":
-            province, district = reports.geographic_report(records, registry, sort=geo_sort)
-            tables["geo_province"] = province
-            tables["geo_district"] = district
-        elif name == "repeat":
-            tables["repeat"] = reports.repeat_exposure(records)
-    return records, tables, skipped
-
-
 def cmd_report(args) -> int:
     names = [n.strip() for n in args.tables.split(",") if n.strip()]
-    unknown = [n for n in names if n not in TABLE_NAMES]
+    unknown = [n for n in names if n not in reports.TABLES]
     if unknown:
         return _fail(
-            f"unknown table(s) {', '.join(unknown)}; valid names: {', '.join(TABLE_NAMES)}"
+            f"unknown table(s) {', '.join(unknown)}; valid names: {', '.join(reports.TABLES)}"
         )
     if not names:
         return _fail("no tables requested")
@@ -309,9 +299,10 @@ def cmd_report(args) -> int:
     if not (store_dir / "store.db").exists():
         return _fail(f"no store at {store_dir}")
     with ResultStore(store_dir) as store:
-        records, tables, skipped = _build_tables(
-            store, registry, names, args.geo_sort, owner_tags
-        )
+        records, skipped = reports.build_records(store.load_occurrences(), owner_tags=owner_tags)
+    tables: dict[str, reports.AggregateTable] = {}
+    for name in names:
+        tables.update(reports.TABLES[name](records, registry, args.geo_sort))
     for url, reason in skipped:
         print(f"warning: unclassifiable url skipped: {url}: {reason}", file=sys.stderr)
     listing = None
@@ -330,19 +321,6 @@ def cmd_report(args) -> int:
 
 
 # --- parser -----------------------------------------------------------------------------
-
-def _add_crawl_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--search-delay", dest="search_delay", type=float, default=None)
-    parser.add_argument("--download-timeout", dest="download_timeout", type=float, default=None)
-    parser.add_argument("--download-max-retry", dest="download_max_retry", type=int, default=None)
-    parser.add_argument("--max-pages", dest="max_pages", type=int, default=None)
-    parser.add_argument("--download-workers", dest="download_workers", type=int, default=None)
-    parser.add_argument("--max-object-bytes", dest="max_object_bytes", type=int, default=None)
-    parser.add_argument(
-        "--accepted-types", dest="accepted_types", default=None,
-        help="comma-separated extensions to keep (default: pdf,xls,xlsx,doc,docx,txt,csv,html)",
-    )
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="idsweep", description=__doc__)
@@ -381,14 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--http-key", default=None)
     p_run.add_argument("--i-accept-risk", action="store_true",
                        help="required to let the http provider touch the network")
-    _add_crawl_flags(p_run)
+    defaults = CrawlConfig()
+    for key, flag, env in CRAWL_KNOBS:
+        default = getattr(defaults, key)
+        shown = ",".join(sorted(default)) if isinstance(default, frozenset) else default
+        p_run.add_argument(flag, dest=key, default=None,
+                           help=f"default {shown}; also {env} or config key {key}")
     p_run.set_defaults(func=cmd_scan_run)
 
     p_report = sub.add_parser("report", help="emit aggregate tables from a store")
     p_report.add_argument("--store", required=True)
     p_report.add_argument("--tables", default="filetype,tld,geo,repeat",
-                          help=f"comma-separated from: {', '.join(TABLE_NAMES)}")
-    p_report.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
+                          help=f"comma-separated from: {', '.join(reports.TABLES)}")
+    p_report.add_argument("--format", choices=tuple(reports.FORMATS), default="markdown")
     p_report.add_argument("--out", required=True, help="output directory")
     p_report.add_argument("--registry", default=None)
     p_report.add_argument("--geo-sort", dest="geo_sort", choices=("count", "percent"), default="count")

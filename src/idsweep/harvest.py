@@ -192,8 +192,7 @@ def download(
     """
     host = urlsplit(hit.url).hostname or ""
     attempts = 0
-    reason = "network"
-    record: Optional[DownloadRecord] = None
+    outcome: dict = {"status": "failed", "reason": "network"}
 
     while attempts < 1 + config.download_max_retry:
         attempts += 1
@@ -202,38 +201,26 @@ def download(
         try:
             result = provider.fetch(hit.url, timeout=config.download_timeout)
         except TimeoutError:
-            reason = "timeout"
+            outcome["reason"] = "timeout"
             continue
         except Exception as exc:
-            reason = f"network: {exc}" if str(exc) else "network"
+            outcome["reason"] = f"network: {exc}" if str(exc) else "network"
             continue
 
-        if len(result.data) > config.max_object_bytes:
-            record = DownloadRecord(
-                url=hit.url, status="failed", attempts=attempts,
-                reason="too_large", size_bytes=len(result.data), hit_id=hit.hit_id,
-            )
-            break
+        outcome = {"size_bytes": len(result.data)}
         declared = declared_type_of(hit.url, result.content_disposition)
-        if declared not in config.accepted_types:
-            record = DownloadRecord(
-                url=hit.url, status="type_mismatch", attempts=attempts,
-                reason=declared or "no-extension", declared_type=declared or None,
-                size_bytes=len(result.data), hit_id=hit.hit_id,
-            )
-            break
-        digest, path = store.put_object(result.data, _utcnow())
-        record = DownloadRecord(
-            url=hit.url, status="success", attempts=attempts, sha256=digest,
-            declared_type=declared, stored_path=path, size_bytes=len(result.data),
-            hit_id=hit.hit_id,
-        )
+        if len(result.data) > config.max_object_bytes:
+            outcome.update(status="failed", reason="too_large")
+        elif declared not in config.accepted_types:
+            outcome.update(status="type_mismatch", reason=declared or "no-extension",
+                           declared_type=declared or None)
+        else:
+            digest, path = store.put_object(result.data, _utcnow())
+            outcome.update(status="success", sha256=digest, declared_type=declared,
+                           stored_path=path)
         break
 
-    if record is None:
-        record = DownloadRecord(
-            url=hit.url, status="failed", attempts=attempts, reason=reason, hit_id=hit.hit_id
-        )
+    record = DownloadRecord(url=hit.url, attempts=attempts, hit_id=hit.hit_id, **outcome)
     if hit.hit_id is not None:
         store.record_download(
             hit.hit_id, record.status, _utcnow(), reason=record.reason,

@@ -4,6 +4,11 @@ Every table is a fold over exposure records -- one record per
 (id, document, source URL) co-occurrence -- so row counts stay consistent
 across dimensions.  Percent arithmetic is decimal with round-half-up at a
 fixed number of places, which keeps emission byte-deterministic.
+
+``TABLES`` maps each report table name to the builder of its table(s), and
+``FORMATS`` maps each output format to its renderers.  Markdown and CSV
+render an aggregate table and the exposure listing alike, from their
+columns and string cells; JSON has one payload shape for each.
 """
 
 from __future__ import annotations
@@ -11,17 +16,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 from .domains import ClassificationError, DomainInfo, PublicSuffixList, classify_url
 from .geo import GeoRegistry
 from .store import ExposureOccurrence
 from .thai_id import pseudonymize
-
-DIMENSIONS = ("file_type", "tld", "registered_domain", "owner_tag", "query", "category_digit")
 
 BASE_COLUMNS = ("key", "urls", "files", "fqdns", "registered_domains", "unique_ids")
 GEO_COLUMNS = ("key", "name", "unique_ids", "population", "percent")
@@ -41,6 +44,19 @@ class ExposureRecord:
     domain: DomainInfo
 
 
+# dimension -> the key a record is grouped under in that dimension
+_KEY_OF: dict[str, Callable[[ExposureRecord], str]] = {
+    "file_type": lambda r: r.file_type,
+    "tld": lambda r: r.domain.tld_class,
+    # IP literals have no registered domain; they rank by their literal
+    "registered_domain": lambda r: r.domain.registered_domain or r.domain.fqdn,
+    "owner_tag": lambda r: r.domain.owner_tag or "(untagged)",
+    "query": lambda r: r.query,
+    "category_digit": lambda r: r.digits[0],
+}
+DIMENSIONS = tuple(_KEY_OF)
+
+
 @dataclass(frozen=True)
 class AggregateRow:
     key: str
@@ -54,11 +70,19 @@ class AggregateRow:
     percent: Optional[Decimal] = None
 
 
+def _cell(value) -> str:
+    return "" if value is None else str(value)
+
+
 @dataclass(frozen=True)
 class AggregateTable:
     dimension: str
     rows: tuple[AggregateRow, ...]
     columns: tuple[str, ...] = BASE_COLUMNS
+
+    def cells(self) -> Iterable[list[str]]:
+        """Each row as the strings it prints as, in column order."""
+        return ([_cell(getattr(row, c)) for c in self.columns] for row in self.rows)
 
 
 def percent_of(part: int, whole: int, places: int) -> Decimal:
@@ -98,23 +122,6 @@ def build_records(
     return records, skipped
 
 
-def _key_fn(dimension: str) -> Callable[[ExposureRecord], str]:
-    if dimension == "file_type":
-        return lambda r: r.file_type
-    if dimension == "tld":
-        return lambda r: r.domain.tld_class
-    if dimension == "registered_domain":
-        # IP literals have no registered domain; they rank by their literal
-        return lambda r: r.domain.registered_domain or r.domain.fqdn
-    if dimension == "owner_tag":
-        return lambda r: r.domain.owner_tag or "(untagged)"
-    if dimension == "query":
-        return lambda r: r.query
-    if dimension == "category_digit":
-        return lambda r: r.digits[0]
-    raise ValueError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
-
-
 def _distinct_counts(records: Sequence[ExposureRecord]) -> dict[str, int]:
     return {
         "urls": len({r.url for r in records}),
@@ -129,7 +136,9 @@ def _distinct_counts(records: Sequence[ExposureRecord]) -> dict[str, int]:
 
 def aggregate(records: Sequence[ExposureRecord], dimension: str) -> AggregateTable:
     """Distinct-count table grouped by the dimension, most-exposed rows first."""
-    key_of = _key_fn(dimension)
+    key_of = _KEY_OF.get(dimension)
+    if key_of is None:
+        raise ValueError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
     groups: dict[str, list[ExposureRecord]] = {}
     for record in records:
         groups.setdefault(key_of(record), []).append(record)
@@ -220,63 +229,34 @@ def repeat_exposure(records: Sequence[ExposureRecord]) -> AggregateTable:
     return AggregateTable(dimension="source_multiplicity", rows=tuple(rows), columns=REPEAT_COLUMNS)
 
 
-# --- emission -----------------------------------------------------------------
+# --- report tables ------------------------------------------------------------
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
+TableBuilder = Callable[[Sequence[ExposureRecord], GeoRegistry, str], dict[str, AggregateTable]]
 
 
-def render_markdown(table: AggregateTable) -> str:
-    cols = table.columns
-    lines = [
-        "| " + " | ".join(cols) + " |",
-        "| " + " | ".join("---" for _ in cols) + " |",
-    ]
-    for row in table.rows:
-        lines.append("| " + " | ".join(_cell(getattr(row, c)) for c in cols) + " |")
-    return "\n".join(lines) + "\n"
+def _aggregate_by(name: str, dimension: str) -> TableBuilder:
+    return lambda records, registry, geo_sort: {name: aggregate(records, dimension)}
 
 
-def render_csv(table: AggregateTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_cell(getattr(row, c)) for c in table.columns])
-    return buf.getvalue()
+def _geo_tables(records, registry, geo_sort) -> dict[str, AggregateTable]:
+    province, district = geographic_report(records, registry, sort=geo_sort)
+    return {"geo_province": province, "geo_district": district}
 
 
-def table_to_json(table: AggregateTable) -> str:
-    payload = {
-        "dimension": table.dimension,
-        "columns": list(table.columns),
-        "rows": [
-            {
-                "key": r.key, "urls": r.urls, "files": r.files, "fqdns": r.fqdns,
-                "registered_domains": r.registered_domains, "unique_ids": r.unique_ids,
-                "name": r.name, "population": r.population,
-                "percent": None if r.percent is None else str(r.percent),
-            }
-            for r in table.rows
-        ],
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-
-
-def table_from_json(text: str) -> AggregateTable:
-    data = json.loads(text)
-    rows = tuple(
-        AggregateRow(
-            key=r["key"], urls=r["urls"], files=r["files"], fqdns=r["fqdns"],
-            registered_domains=r["registered_domains"], unique_ids=r["unique_ids"],
-            name=r.get("name"), population=r.get("population"),
-            percent=None if r.get("percent") is None else Decimal(r["percent"]),
-        )
-        for r in data["rows"]
-    )
-    return AggregateTable(dimension=data["dimension"], rows=rows, columns=tuple(data["columns"]))
+# report table name -> builder(records, registry, geo_sort) of the tables it
+# writes, keyed by file stem.  "exposures" writes no table: it names the
+# per-ID listing, which exposure_listing builds because it needs the salt.
+TABLES: dict[str, TableBuilder] = {
+    "filetype": _aggregate_by("filetype", "file_type"),
+    "tld": _aggregate_by("tld", "tld"),
+    "domain": _aggregate_by("domain", "registered_domain"),
+    "owner": _aggregate_by("owner", "owner_tag"),
+    "query": _aggregate_by("query", "query"),
+    "category": _aggregate_by("category", "category_digit"),
+    "geo": _geo_tables,
+    "repeat": lambda records, registry, geo_sort: {"repeat": repeat_exposure(records)},
+    "exposures": lambda records, registry, geo_sort: {},
+}
 
 
 LISTING_COLUMNS = ("id", "tld_class", "registered_domain", "url", "file_type", "query")
@@ -289,6 +269,10 @@ class ExposureListing:
     rows: tuple[tuple[str, ...], ...]
     redacted: bool
     salt_id: Optional[str] = None
+    columns: ClassVar[tuple[str, ...]] = LISTING_COLUMNS
+
+    def cells(self) -> Iterable[tuple[str, ...]]:
+        return self.rows
 
 
 def exposure_listing(
@@ -318,32 +302,59 @@ def exposure_listing(
     return ExposureListing(rows=tuple(rows), redacted=not unredacted, salt_id=salt_id)
 
 
-def render_listing_csv(listing: ExposureListing) -> str:
+# --- emission -----------------------------------------------------------------
+
+def render_markdown(grid: AggregateTable | ExposureListing) -> str:
+    """Pipe table of ``grid.columns`` over ``grid.cells()``."""
+    lines = [grid.columns, ["---"] * len(grid.columns), *grid.cells()]
+    return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
+
+
+def render_csv(grid: AggregateTable | ExposureListing) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LISTING_COLUMNS)
-    writer.writerows(listing.rows)
+    writer.writerow(grid.columns)
+    writer.writerows(grid.cells())
     return buf.getvalue()
 
 
-def render_listing_markdown(listing: ExposureListing) -> str:
-    lines = [
-        "| " + " | ".join(LISTING_COLUMNS) + " |",
-        "| " + " | ".join("---" for _ in LISTING_COLUMNS) + " |",
-    ]
-    for row in listing.rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+def table_to_json(table: AggregateTable) -> str:
+    payload = {
+        "dimension": table.dimension,
+        "columns": list(table.columns),
+        "rows": [{f.name: getattr(r, f.name) for f in fields(AggregateRow)} for r in table.rows],
+    }
+    # default=str writes each Decimal percent as its exact string
+    return json.dumps(payload, ensure_ascii=False, indent=2, default=str) + "\n"
+
+
+def table_from_json(text: str) -> AggregateTable:
+    data = json.loads(text)
+    rows = []
+    for r in data["rows"]:
+        row = {f.name: r[f.name] for f in fields(AggregateRow) if f.name in r}
+        if row.get("percent") is not None:
+            row["percent"] = Decimal(row["percent"])
+        rows.append(AggregateRow(**row))
+    return AggregateTable(dimension=data["dimension"], rows=tuple(rows), columns=tuple(data["columns"]))
 
 
 def render_listing_json(listing: ExposureListing) -> str:
     payload = {
         "redacted": listing.redacted,
         "salt_id": listing.salt_id,
-        "columns": list(LISTING_COLUMNS),
+        "columns": list(listing.columns),
         "rows": [list(r) for r in listing.rows],
     }
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+# format -> (file extension, table renderer, listing renderer)
+FORMATS = {
+    "markdown": ("md", render_markdown, render_markdown),
+    "csv": ("csv", render_csv, render_csv),
+    "json": ("json", table_to_json, render_listing_json),
+}
 
 
 def emit_report(
@@ -353,14 +364,9 @@ def emit_report(
     listing: Optional[ExposureListing] = None,
 ) -> list[Path]:
     """Write one file per table (plus optional detail listing); deterministic bytes."""
-    renderers = {
-        "markdown": (render_markdown, render_listing_markdown, "md"),
-        "csv": (render_csv, render_listing_csv, "csv"),
-        "json": (table_to_json, render_listing_json, "json"),
-    }
-    if fmt not in renderers:
-        raise ValueError(f"format must be one of {sorted(renderers)}")
-    render_table, render_listing, ext = renderers[fmt]
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {sorted(FORMATS)}")
+    ext, render_table, render_listing = FORMATS[fmt]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

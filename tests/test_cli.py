@@ -1,6 +1,10 @@
 """Command surface: exit codes, flag/env/config precedence, goldens, redaction."""
 
+import dataclasses
 import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +12,8 @@ import pytest
 
 from idsweep import cli, thai_id
 from idsweep.geo import default_registry
+from idsweep.harvest import CrawlConfig
+from idsweep.pipeline import ScanSummary
 from idsweep.queries import plan_from_json
 from idsweep.store import ResultStore
 
@@ -21,11 +27,7 @@ REG = default_registry()
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    for key in (
-        "IDSWEEP_SEARCH_DELAY", "IDSWEEP_DOWNLOAD_TIMEOUT", "IDSWEEP_DOWNLOAD_MAX_RETRY",
-        "IDSWEEP_MAX_PAGES", "IDSWEEP_DOWNLOAD_WORKERS", "IDSWEEP_MAX_OBJECT_BYTES",
-        "IDSWEEP_ACCEPTED_TYPES", "IDSWEEP_SALT", "IDSWEEP_HTTP_KEY",
-    ):
+    for key in [env for _, _, env in cli.CRAWL_KNOBS] + ["IDSWEEP_SALT", "IDSWEEP_HTTP_KEY"]:
         monkeypatch.delenv(key, raising=False)
 
 
@@ -212,6 +214,73 @@ def test_env_alone_overrides_default(tmp_path, monkeypatch, capsys):
     assert "7 distinct IDs" in capsys.readouterr().out
 
 
+def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    for bad, named in (
+        ({"max_pages": [1]}, "max_pages"),
+        ({"download_worker": 1}, "download_worker"),
+        ({"accepted_types": [1]}, "accepted_types"),
+        ({"max_object_bytes": True}, "max_object_bytes"),
+        ({"max_pages": "many"}, "max_pages"),
+    ):
+        config.write_text(json.dumps(bad), "utf-8")
+        assert run_cli(*scan_args(tmp_path / "s", "--config", str(config))) == 2, bad
+        assert named in capsys.readouterr().err, bad
+
+
+def test_bad_env_or_flag_value_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("IDSWEEP_MAX_PAGES", "abc")
+    assert run_cli(*scan_args(tmp_path / "s")) == 2
+    assert "IDSWEEP_MAX_PAGES" in capsys.readouterr().err
+    assert run_cli(*scan_args(tmp_path / "s", "--max-pages", "1.5")) == 2
+    assert "--max-pages" in capsys.readouterr().err
+
+
+def _knob_settings(default):
+    """Three settings of a knob, none its default: (text, JSON value, parsed)."""
+    if isinstance(default, frozenset):
+        return [(t, t.split(","), frozenset(t.split(","))) for t in ("pdf", "csv,txt", "html")]
+    kind = type(default)
+    return [(str(kind(n)), kind(n), kind(n)) for n in (7, 8, 9)]
+
+
+README_KNOBS = set(re.findall(
+    r"^\| `(--[a-z-]+)` \| `(IDSWEEP_[A-Z_]+)` \| `([a-z_]+)` \|",
+    (REPO / "README.md").read_text("utf-8"), re.M,
+))
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(CrawlConfig), ids=lambda f: f.name)
+def test_each_crawl_knob_by_flag_env_and_config(field, tmp_path, monkeypatch, capsys):
+    key = field.name
+    flag, env = "--" + key.replace("_", "-"), "IDSWEEP_" + key.upper()
+    assert (key, flag, env) in cli.CRAWL_KNOBS
+    assert (flag, env, key) in README_KNOBS and len(README_KNOBS) == len(cli.CRAWL_KNOBS)
+
+    seen = []
+
+    def fake_run_scan(plan, provider, config, store, registry, extractors):
+        seen.append(getattr(config, key))
+        return ScanSummary(1, 1, 1, 1, 0, 1, 0, 0, 0, 0)
+
+    monkeypatch.setattr(cli, "run_scan", fake_run_scan)
+    (flag_text, _, by_flag), (env_text, _, by_env), (_, file_json, by_file) = _knob_settings(
+        getattr(CrawlConfig(), key)
+    )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: file_json}), "utf-8")
+    base = ("scan", "run", "--plan", str(DEMO / "plan.json"), "--fixture", str(DEMO),
+            "--store", str(tmp_path / "s"))
+    with_file = (*base, "--config", str(config))
+    assert run_cli(*with_file) == 0
+    assert run_cli(*base, flag, flag_text) == 0
+    monkeypatch.setenv(env, env_text)
+    assert run_cli(*base) == 0
+    assert run_cli(*with_file) == 0
+    assert run_cli(*with_file, flag, flag_text) == 0
+    assert seen == [by_file, by_flag, by_env, by_env, by_flag]
+
+
 # --- report --------------------------------------------------------------------------
 
 def test_report_matches_goldens(demo_store, tmp_path, capsys):
@@ -222,6 +291,23 @@ def test_report_matches_goldens(demo_store, tmp_path, capsys):
     ) == 0
     produced = sorted(p.name for p in out_dir.iterdir())
     assert produced == ["filetype.md", "geo_district.md", "geo_province.md", "repeat.md", "tld.md"]
+    for name in produced:
+        assert (out_dir / name).read_bytes() == (GOLDENS / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_report_every_format_matches_goldens(demo_store, tmp_path, fmt):
+    out_dir = tmp_path / "report"
+    assert run_cli(
+        "report", "--store", str(demo_store), "--tables", "filetype,tld,geo,repeat,exposures",
+        "--format", fmt, "--out", str(out_dir), "--salt-file", str(SALT_FILE),
+    ) == 0
+    ext = {"markdown": "md", "csv": "csv", "json": "json"}[fmt]
+    produced = sorted(p.name for p in out_dir.iterdir())
+    assert produced == sorted(
+        f"{stem}.{ext}"
+        for stem in ("exposures", "filetype", "geo_district", "geo_province", "repeat", "tld")
+    )
     for name in produced:
         assert (out_dir / name).read_bytes() == (GOLDENS / name).read_bytes(), name
 
@@ -314,3 +400,18 @@ def test_committed_demo_matches_generator(tmp_path):
     assert (tmp_path / "demo" / "manifest.json").read_bytes() == (DEMO / "manifest.json").read_bytes()
     for doc in sorted((tmp_path / "demo" / "docs").iterdir()):
         assert doc.read_bytes() == (DEMO / "docs" / doc.name).read_bytes(), doc.name
+
+
+def test_run_demo_script_writes_every_report(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_demo.py"), "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "40 distinct IDs" in proc.stdout
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == sorted(
+        f"{stem}.md" for stem in (
+            "category", "domain", "exposures", "filetype", "geo_district", "geo_province",
+            "query", "repeat", "tld",
+        )
+    )

@@ -345,8 +345,8 @@ def test_listing_redacts_by_default():
     shown = listing.rows[0][0]
     assert shown != ID_A and len(shown) == 64
     for fmt in (
-        reports.render_listing_csv,
-        reports.render_listing_markdown,
+        reports.render_csv,
+        reports.render_markdown,
         reports.render_listing_json,
     ):
         assert ID_A not in fmt(listing)
