@@ -182,23 +182,17 @@ def cmd_id_validate(args) -> int:
 # --- plan build ---------------------------------------------------------------------
 
 def cmd_plan_build(args) -> int:
+    intent = {
+        "engines": tuple(args.engines.split(",")),
+        "max_pages": args.max_pages,
+        "tags": tuple(t for t in args.tags.split(",") if t),
+    }
     try:
         if args.queries:
-            plan = QueryPlan(
-                queries=tuple(args.queries),
-                engines=tuple(args.engines.split(",")),
-                max_pages=args.max_pages,
-                tags=tuple(t for t in args.tags.split(",") if t) if args.tags else (),
-            )
+            plan = QueryPlan(queries=tuple(args.queries), **intent)
         elif args.templates:
             bindings = load_bindings(args.bindings) if args.bindings else None
-            plan = build_plan_from_templates(
-                load_templates(args.templates),
-                bindings,
-                engines=tuple(args.engines.split(",")),
-                max_pages=args.max_pages,
-                tags=tuple(t for t in args.tags.split(",") if t) if args.tags else (),
-            )
+            plan = build_plan_from_templates(load_templates(args.templates), bindings, **intent)
         else:
             return _fail("plan build needs --queries or --templates")
     except (OSError, QueryError, ValueError) as exc:

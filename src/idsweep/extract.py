@@ -60,7 +60,6 @@ class ExtractorSpec:
 
 @dataclass
 class ExtractedText:
-    object_digest: str
     segments: list[tuple[str, str]] = field(default_factory=list)  # (extractor, text)
     failures: list[tuple[str, str]] = field(default_factory=list)  # (extractor, error)
     merged: str = ""
@@ -207,7 +206,6 @@ def extract_text(
     data: bytes,
     declared_type: str,
     extractors: Sequence[ExtractorSpec],
-    object_digest: str = "",
 ) -> ExtractedText:
     """Run every extractor applicable to the type; merge what succeeded.
 
@@ -218,7 +216,7 @@ def extract_text(
     applicable = [spec for spec in extractors if declared in spec.applicable_types]
     if not applicable:
         raise UnsupportedTypeError(f"no extractor configured for type {declared_type!r}")
-    result = ExtractedText(object_digest=object_digest)
+    result = ExtractedText()
     for spec in applicable:
         try:
             if spec.kind == "external":

@@ -7,6 +7,7 @@ downloads) is testable without real sleeping.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,8 +41,9 @@ class CrawlConfig:
     max_object_bytes: int = 64 * 1024 * 1024
 
     def __post_init__(self):
-        if self.search_delay < 0 or self.download_timeout <= 0:
-            raise ValueError("delays must be non-negative and timeout positive")
+        # chained comparisons are false for NaN, so NaN fails like infinity
+        if not (0 <= self.search_delay < math.inf and 0 < self.download_timeout < math.inf):
+            raise ValueError("search_delay must be finite and >= 0, download_timeout finite and > 0")
         if self.download_max_retry < 0:
             raise ValueError("download_max_retry must be >= 0")
         if self.max_pages < 1 or self.download_workers < 1:
@@ -82,7 +84,6 @@ class DownloadRecord:
     reason: Optional[str] = None     # timeout|network|too_large, or the odd type
     sha256: Optional[str] = None
     declared_type: Optional[str] = None
-    stored_path: Optional[str] = None
     size_bytes: Optional[int] = None
     hit_id: Optional[int] = None
 
@@ -215,9 +216,8 @@ def download(
             outcome.update(status="type_mismatch", reason=declared or "no-extension",
                            declared_type=declared or None)
         else:
-            digest, path = store.put_object(result.data, _utcnow())
-            outcome.update(status="success", sha256=digest, declared_type=declared,
-                           stored_path=path)
+            digest = store.put_object(result.data, _utcnow())
+            outcome.update(status="success", sha256=digest, declared_type=declared)
         break
 
     record = DownloadRecord(url=hit.url, attempts=attempts, hit_id=hit.hit_id, **outcome)
@@ -225,7 +225,7 @@ def download(
         store.record_download(
             hit.hit_id, record.status, _utcnow(), reason=record.reason,
             sha256=record.sha256, declared_type=record.declared_type,
-            stored_path=record.stored_path, size_bytes=record.size_bytes,
+            size_bytes=record.size_bytes,
         )
     return record
 
@@ -237,10 +237,7 @@ def download_all(
     store: ResultStore,
     clock: Optional[Clock] = None,
 ) -> list[DownloadRecord]:
-    """Download every hit through a bounded pool with per-host pacing."""
-    clock = clock or Clock()
-    pacer = _Pacer(config.search_delay, clock)
-    if config.download_workers == 1 or len(hits) <= 1:
-        return [download(h, provider, config, store, pacer) for h in hits]
+    """Download every hit through a bounded pool with per-host pacing; hit order kept."""
+    pacer = _Pacer(config.search_delay, clock or Clock())
     with ThreadPoolExecutor(max_workers=config.download_workers) as pool:
         return list(pool.map(lambda h: download(h, provider, config, store, pacer), hits))

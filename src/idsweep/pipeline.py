@@ -58,10 +58,9 @@ def scan_document(
     declared_type: str,
     registry: GeoRegistry,
     extractors: Sequence[ExtractorSpec],
-    digest: str = "",
 ) -> tuple[list[str], int]:
     """Extract text and return (accepted ID digits in reading order, candidate count)."""
-    result = extract_text(data, declared_type, extractors, object_digest=digest)
+    result = extract_text(data, declared_type, extractors)
     accepted: list[str] = []
     candidates = find_candidates(result.merged)
     for candidate in candidates:
@@ -106,8 +105,7 @@ def run_scan(
     def extract(record: DownloadRecord):
         try:
             return scan_document(
-                store.read_object(record.sha256), record.declared_type, registry,
-                extractors, digest=record.sha256,
+                store.read_object(record.sha256), record.declared_type, registry, extractors
             )
         except (UnsupportedTypeError, ExtractionError) as exc:
             return exc

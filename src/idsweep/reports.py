@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
@@ -122,16 +123,24 @@ def build_records(
     return records, skipped
 
 
-def _distinct_counts(records: Sequence[ExposureRecord]) -> dict[str, int]:
-    return {
-        "urls": len({r.url for r in records}),
-        "files": len({r.sha256 for r in records}),
-        "fqdns": len({r.domain.fqdn for r in records}),
-        "registered_domains": len(
-            {r.domain.registered_domain or r.domain.fqdn for r in records}
-        ),
-        "unique_ids": len({r.digits for r in records}),
-    }
+def _count_groups(
+    records: Sequence[ExposureRecord], key_of: Callable[[ExposureRecord], str]
+) -> list[AggregateRow]:
+    """One row of distinct counts per key, for the records grouped under it."""
+    groups: dict[str, list[ExposureRecord]] = {}
+    for record in records:
+        groups.setdefault(key_of(record), []).append(record)
+    return [
+        AggregateRow(
+            key=key,
+            urls=len({r.url for r in group}),
+            files=len({r.sha256 for r in group}),
+            fqdns=len({r.domain.fqdn for r in group}),
+            registered_domains=len({r.domain.registered_domain or r.domain.fqdn for r in group}),
+            unique_ids=len({r.digits for r in group}),
+        )
+        for key, group in groups.items()
+    ]
 
 
 def aggregate(records: Sequence[ExposureRecord], dimension: str) -> AggregateTable:
@@ -139,14 +148,7 @@ def aggregate(records: Sequence[ExposureRecord], dimension: str) -> AggregateTab
     key_of = _KEY_OF.get(dimension)
     if key_of is None:
         raise ValueError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
-    groups: dict[str, list[ExposureRecord]] = {}
-    for record in records:
-        groups.setdefault(key_of(record), []).append(record)
-    rows = [
-        AggregateRow(key=key, **_distinct_counts(group))
-        for key, group in groups.items()
-    ]
-    rows.sort(key=lambda r: (-r.unique_ids, r.key))
+    rows = sorted(_count_groups(records, key_of), key=lambda r: (-r.unique_ids, r.key))
     return AggregateTable(dimension=dimension, rows=tuple(rows))
 
 
@@ -165,22 +167,14 @@ def geographic_report(
     if sort not in ("count", "percent"):
         raise ValueError("sort must be 'count' or 'percent'")
 
-    def table(code_of: Callable[[str], str], name_of: Callable[[str], Optional[str]], dim: str) -> AggregateTable:
-        groups: dict[str, list[ExposureRecord]] = {}
-        for record in records:
-            groups.setdefault(code_of(record.digits), []).append(record)
+    def table(
+        key_of: Callable[[ExposureRecord], str], name_of: Callable[[str], Optional[str]], dim: str
+    ) -> AggregateTable:
         rows = []
-        for code, group in groups.items():
-            population = registry.population.get(code)
-            counts = _distinct_counts(group)
-            percent = (
-                percent_of(counts["unique_ids"], population, 2) if population else None
-            )
-            rows.append(
-                AggregateRow(
-                    key=code, name=name_of(code), population=population, percent=percent, **counts
-                )
-            )
+        for row in _count_groups(records, key_of):
+            population = registry.population.get(row.key)
+            percent = percent_of(row.unique_ids, population, 2) if population else None
+            rows.append(replace(row, name=name_of(row.key), population=population, percent=percent))
         if sort == "count":
             rows.sort(key=lambda r: (-r.unique_ids, r.key))
         else:
@@ -188,12 +182,12 @@ def geographic_report(
         return AggregateTable(dimension=dim, rows=tuple(rows), columns=GEO_COLUMNS)
 
     province = table(
-        lambda d: d[1:3],
+        lambda r: r.digits[1:3],
         lambda c: p.name if (p := registry.lookup_province(c)) else None,
         "province",
     )
     district = table(
-        lambda d: d[1:5],
+        lambda r: r.digits[1:5],
         lambda c: x.name if (x := registry.lookup_district(c)) else None,
         "district",
     )
@@ -208,24 +202,12 @@ def repeat_exposure(records: Sequence[ExposureRecord]) -> AggregateTable:
     urls_per_id: dict[str, set[str]] = {}
     for record in records:
         urls_per_id.setdefault(record.digits, set()).add(record.url)
-    total_ids = len(urls_per_id)
-    by_multiplicity: dict[int, list[ExposureRecord]] = {}
-    ids_by_multiplicity: dict[int, int] = {}
-    for urls in urls_per_id.values():
-        ids_by_multiplicity[len(urls)] = ids_by_multiplicity.get(len(urls), 0) + 1
-    for record in records:
-        by_multiplicity.setdefault(len(urls_per_id[record.digits]), []).append(record)
-    rows = []
-    for multiplicity in sorted(ids_by_multiplicity, reverse=True):
-        counts = _distinct_counts(by_multiplicity[multiplicity])
-        counts["unique_ids"] = ids_by_multiplicity[multiplicity]
-        rows.append(
-            AggregateRow(
-                key=str(multiplicity),
-                percent=percent_of(ids_by_multiplicity[multiplicity], total_ids, 4),
-                **counts,
-            )
-        )
+    # the group for m holds exactly the IDs with m URLs, so its unique_ids
+    # is how many IDs have m URLs
+    rows = sorted(
+        _count_groups(records, lambda r: str(len(urls_per_id[r.digits]))), key=lambda r: -int(r.key)
+    )
+    rows = [replace(row, percent=percent_of(row.unique_ids, len(urls_per_id), 4)) for row in rows]
     return AggregateTable(dimension="source_multiplicity", rows=tuple(rows), columns=REPEAT_COLUMNS)
 
 
@@ -304,10 +286,22 @@ def exposure_listing(
 
 # --- emission -----------------------------------------------------------------
 
+def _markdown_cell(text: str) -> str:
+    return re.sub(r"\r\n?|\n", " ", text.replace("|", "\\|"))
+
+
 def render_markdown(grid: AggregateTable | ExposureListing) -> str:
-    """Pipe table of ``grid.columns`` over ``grid.cells()``."""
+    """Pipe table of ``grid.columns`` over ``grid.cells()``.
+
+    A pipe in a cell is written ``\\|`` and a line break as a space, so no
+    cell can split its row.
+    """
     lines = [grid.columns, ["---"] * len(grid.columns), *grid.cells()]
-    return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
+    text = "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
+    pipes = len(lines) * (len(grid.columns) + 1)
+    if text.count("|") == pipes and text.count("\n") == len(lines) and "\r" not in text:
+        return text  # no cell holds a pipe or a line break
+    return "".join("| " + " | ".join(map(_markdown_cell, cells)) + " |\n" for cells in lines)
 
 
 def render_csv(grid: AggregateTable | ExposureListing) -> str:

@@ -6,6 +6,10 @@ Layout under the store directory::
                        diagnostics)
     objects/<sha256>   raw document bytes, filename = digest
 
+An object's path is derived from its digest and is never stored.  Opening a
+store drops the columns that older versions wrote and this schema no longer
+declares (``ALTER TABLE ... DROP COLUMN``, SQLite >= 3.35).
+
 Writes are serialized with a process-local lock so the bounded download pool
 can share one store; cross-process exclusivity is the CLI's lock file.
 """
@@ -39,14 +43,12 @@ CREATE TABLE IF NOT EXISTS downloads (
     reason       TEXT,                   -- timeout | network | too_large | <ext>
     sha256       TEXT,
     declared_type TEXT,
-    stored_path  TEXT,
     size_bytes   INTEGER,
     completed_at TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS objects (
     sha256      TEXT PRIMARY KEY,
     size_bytes  INTEGER NOT NULL,
-    stored_path TEXT NOT NULL,
     first_seen  TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS exposures (
@@ -69,15 +71,16 @@ CREATE TABLE IF NOT EXISTS diagnostics (
 """
 
 
-@dataclass(frozen=True)
-class StoredExposure:
-    digits: str
-    sha256: str
-    url: str
-    query: str
-    engine: str
-    file_type: str
-    first_seen: str
+def _drop_undeclared_columns(conn: sqlite3.Connection) -> None:
+    """Drop the columns an older store has and ``_SCHEMA`` no longer declares."""
+    declared = sqlite3.connect(":memory:")
+    declared.executescript(_SCHEMA)
+    for (table,) in declared.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchall():
+        keep = {row[1] for row in declared.execute(f"PRAGMA table_info({table})")}
+        for row in conn.execute(f"PRAGMA table_info({table})").fetchall():
+            if row[1] not in keep:
+                conn.execute(f"ALTER TABLE {table} DROP COLUMN {row[1]}")
+    declared.close()
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,7 @@ class ResultStore:
         self._lock = threading.Lock()
         with self._lock, self._conn:
             self._conn.executescript(_SCHEMA)
+            _drop_undeclared_columns(self._conn)
 
     def close(self) -> None:
         self._conn.close()
@@ -140,13 +144,10 @@ class ResultStore:
     def hit_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(*) FROM hits").fetchone()[0])
 
-    def distinct_urls(self) -> int:
-        return int(self._conn.execute("SELECT COUNT(DISTINCT url) FROM hits").fetchone()[0])
-
     # --- objects --------------------------------------------------------------
 
-    def put_object(self, data: bytes, first_seen: str) -> tuple[str, str]:
-        """Content-address the bytes; returns (sha256, stored_path)."""
+    def put_object(self, data: bytes, first_seen: str) -> str:
+        """Content-address the bytes under objects/<sha256>; returns the digest."""
         digest = hashlib.sha256(data).hexdigest()
         path = self.objects_dir / digest
         if not path.exists():
@@ -155,11 +156,10 @@ class ResultStore:
             os.replace(tmp, path)  # atomic; concurrent writers race benignly
         with self._lock, self._conn:
             self._conn.execute(
-                "INSERT OR IGNORE INTO objects (sha256, size_bytes, stored_path, first_seen)"
-                " VALUES (?, ?, ?, ?)",
-                (digest, len(data), str(path), first_seen),
+                "INSERT OR IGNORE INTO objects (sha256, size_bytes, first_seen) VALUES (?, ?, ?)",
+                (digest, len(data), first_seen),
             )
-        return digest, str(path)
+        return digest
 
     def read_object(self, sha256: str) -> bytes:
         return (self.objects_dir / sha256).read_bytes()
@@ -172,15 +172,14 @@ class ResultStore:
     def record_download(
         self, hit_id: int, status: str, completed_at: str,
         reason: Optional[str] = None, sha256: Optional[str] = None,
-        declared_type: Optional[str] = None, stored_path: Optional[str] = None,
-        size_bytes: Optional[int] = None,
+        declared_type: Optional[str] = None, size_bytes: Optional[int] = None,
     ) -> None:
         with self._lock, self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO downloads"
-                " (hit_id, status, reason, sha256, declared_type, stored_path, size_bytes, completed_at)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (hit_id, status, reason, sha256, declared_type, stored_path, size_bytes, completed_at),
+                " (hit_id, status, reason, sha256, declared_type, size_bytes, completed_at)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (hit_id, status, reason, sha256, declared_type, size_bytes, completed_at),
             )
 
     def download_counts(self) -> dict[str, int]:
@@ -214,13 +213,6 @@ class ResultStore:
 
     def exposed_document_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(DISTINCT sha256) FROM exposures").fetchone()[0])
-
-    def load_exposures(self) -> list[StoredExposure]:
-        rows = self._conn.execute(
-            "SELECT digits, sha256, url, query, engine, file_type, first_seen"
-            " FROM exposures ORDER BY digits, sha256"
-        ).fetchall()
-        return [StoredExposure(*row) for row in rows]
 
     def load_occurrences(self) -> list[ExposureOccurrence]:
         """Expand (id, document) pairs across every URL the document came from."""

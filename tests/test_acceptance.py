@@ -79,7 +79,7 @@ def test_criterion_3_end_to_end_recall(tmp_path):
         load_extractor_config(manifest.extractor_config_path),
         clock=VirtualClock(),
     )
-    found = {e.digits for e in store.load_exposures()}
+    found = {o.digits for o in store.load_occurrences()}
     planted = set(manifest.planted)
     elapsed = time.perf_counter() - started
     precision = len(found & planted) / len(found) if found else 0.0

@@ -1,9 +1,11 @@
 """Command surface: exit codes, flag/env/config precedence, goldens, redaction."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from idsweep.geo import default_registry
 from idsweep.harvest import CrawlConfig
 from idsweep.pipeline import ScanSummary
 from idsweep.queries import plan_from_json
+from idsweep.reports import TABLES
 from idsweep.store import ResultStore
 
 REPO = Path(__file__).resolve().parent.parent
@@ -161,6 +164,14 @@ def test_scan_respects_existing_lock(tmp_path, capsys):
     (store_dir / ".lock").write_text("1234")
     assert run_cli(*scan_args(store_dir)) == 2
     assert "locked" in capsys.readouterr().err
+
+
+def test_non_finite_delays_exit_2(tmp_path, monkeypatch, capsys):
+    assert run_cli(*scan_args(tmp_path / "s", "--search-delay", "nan")) == 2
+    assert "search_delay" in capsys.readouterr().err
+    monkeypatch.setenv("IDSWEEP_DOWNLOAD_TIMEOUT", "inf")
+    assert run_cli(*scan_args(tmp_path / "t")) == 2
+    assert "download_timeout" in capsys.readouterr().err
 
 
 def test_scan_empty_plan_is_usage_error(tmp_path, capsys):
@@ -380,6 +391,68 @@ def test_report_exposures_unredacted_with_interlock(demo_store, tmp_path):
     text = (out_dir / "exposures.csv").read_text("utf-8")
     manifest = json.loads((DEMO / "manifest.json").read_text("utf-8"))
     assert all(digits in text for digits in manifest["planted"])
+
+
+# The tables as an older idsweep created them, when both object tables stored
+# the object's path; objects.stored_path is NOT NULL.
+OLD_SCHEMA = """
+CREATE TABLE hits (
+    id INTEGER PRIMARY KEY, query TEXT NOT NULL, engine TEXT NOT NULL,
+    page INTEGER NOT NULL, rank INTEGER NOT NULL, url TEXT NOT NULL,
+    retrieved_at TEXT NOT NULL, is_repeat INTEGER NOT NULL DEFAULT 0,
+    UNIQUE (query, engine, page, rank, url)
+);
+CREATE TABLE downloads (
+    id INTEGER PRIMARY KEY, hit_id INTEGER NOT NULL UNIQUE REFERENCES hits(id),
+    status TEXT NOT NULL, reason TEXT, sha256 TEXT, declared_type TEXT,
+    stored_path TEXT, size_bytes INTEGER, completed_at TEXT NOT NULL
+);
+CREATE TABLE objects (
+    sha256 TEXT PRIMARY KEY, size_bytes INTEGER NOT NULL,
+    stored_path TEXT NOT NULL, first_seen TEXT NOT NULL
+);
+CREATE TABLE exposures (
+    digits TEXT NOT NULL, sha256 TEXT NOT NULL, url TEXT NOT NULL,
+    query TEXT NOT NULL, engine TEXT NOT NULL, file_type TEXT NOT NULL,
+    first_seen TEXT NOT NULL, PRIMARY KEY (digits, sha256)
+);
+CREATE TABLE diagnostics (
+    id INTEGER PRIMARY KEY, kind TEXT NOT NULL, subject TEXT NOT NULL,
+    detail TEXT NOT NULL, created_at TEXT NOT NULL
+);
+"""
+
+
+def _report_bytes(store_dir, out_dir):
+    assert run_cli(
+        "report", "--store", str(store_dir), "--tables", ",".join(TABLES),
+        "--out", str(out_dir), "--salt-file", str(SALT_FILE),
+    ) == 0
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_older_store_is_migrated_on_open(demo_store, tmp_path):
+    store_dir = tmp_path / "store"
+    (store_dir / "objects").mkdir(parents=True)
+    old = b"a document stored by an older idsweep"
+    digest = hashlib.sha256(old).hexdigest()
+    (store_dir / "objects" / digest).write_bytes(old)
+    conn = sqlite3.connect(store_dir / "store.db")
+    conn.executescript(OLD_SCHEMA)
+    with conn:
+        conn.execute("INSERT INTO objects VALUES (?, ?, ?, ?)",
+                     (digest, len(old), str(store_dir / "objects" / digest), "t"))
+    conn.close()
+
+    assert run_cli(*scan_args(store_dir)) == 0
+    with ResultStore(store_dir) as store:
+        assert store.object_count() == len(list((store_dir / "objects").iterdir())) > 1
+    conn = sqlite3.connect(store_dir / "store.db")
+    for table in ("downloads", "objects"):
+        columns = {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+        assert "stored_path" not in columns, table
+    conn.close()
+    assert _report_bytes(store_dir, tmp_path / "old") == _report_bytes(demo_store, tmp_path / "new")
 
 
 def test_report_missing_store(tmp_path, capsys):

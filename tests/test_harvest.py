@@ -183,7 +183,7 @@ def test_download_success_stores_by_digest(tmp_path, store):
     assert record.status == "success" and record.attempts == 1
     assert record.declared_type == "txt"
     assert store.read_object(record.sha256).decode() == "hello 1234567891011"
-    assert record.stored_path.endswith(record.sha256)
+    assert (store.root / "objects" / record.sha256).is_file()
 
 
 def test_same_bytes_two_urls_one_object(tmp_path, store):

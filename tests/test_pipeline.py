@@ -46,7 +46,7 @@ def test_corpus_generation_is_deterministic(tmp_path, registry):
 def test_scan_recovers_exactly_the_planted_ids(tmp_path, registry):
     manifest = build_corpus(tmp_path, registry)
     store, summary = scan_corpus(tmp_path, registry, manifest)
-    found = {e.digits for e in store.load_exposures()}
+    found = {o.digits for o in store.load_occurrences()}
     assert found == set(manifest.planted)  # no decoy accepted, none missed
     assert summary.unique_ids == len(manifest.planted) == 40
     assert summary.queries == 3

@@ -1,5 +1,6 @@
 """Aggregation tables: distinct counts, per-capita rates, repeat exposure, emission."""
 
+import re
 from decimal import Decimal
 
 import pytest
@@ -390,3 +391,17 @@ def test_listing_pseudonymizes_each_id_once(monkeypatch):
         thai_id.pseudonymize(d, b"pepper").token for d in sorted([ID_A, ID_A, ID_B])
     ]
     assert listing.salt_id == thai_id.pseudonymize(ID_A, b"pepper").salt_id
+
+
+def test_markdown_escapes_pipes_and_line_breaks_in_cells():
+    recs = records_of(
+        occ(ID_A, "s1", "http://a.go.th/a|b.pdf", query='"x" | "y"'),
+        occ(ID_B, "s2", "http://b.go.th/2.pdf", query="one\r\ntwo\nthree"),
+    )
+    text = reports.render_markdown(reports.exposure_listing(recs, salt=b"pepper"))
+    lines = text.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        assert len(re.findall(r"(?<!\\)\|", line)) == len(reports.LISTING_COLUMNS) + 1, line
+    assert "| http://a.go.th/a\\|b.pdf | pdf | \"x\" \\| \"y\" |" in lines[2]
+    assert lines[3].endswith("| one two three |")
