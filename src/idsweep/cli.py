@@ -24,6 +24,7 @@ import dataclasses
 import json
 import os
 import re
+import sqlite3
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -249,6 +250,8 @@ def cmd_scan_run(args) -> int:
                     print(f"warning: {kind}: {subject}: {detail}", file=sys.stderr)
     except RuntimeError as exc:
         return _fail(str(exc))
+    except sqlite3.Error as exc:
+        return _fail(f"store {store_dir}: {exc}")
     print(summary.line())
     if summary.unreadable:
         return EXIT_USAGE  # a partial scan; the warnings above say which documents
@@ -292,8 +295,11 @@ def cmd_report(args) -> int:
     store_dir = Path(args.store)
     if not (store_dir / "store.db").exists():
         return _fail(f"no store at {store_dir}")
-    with ResultStore(store_dir) as store:
-        records, skipped = reports.build_records(store.load_occurrences(), owner_tags=owner_tags)
+    try:
+        with ResultStore(store_dir) as store:
+            records, skipped = reports.build_records(store.load_occurrences(), owner_tags=owner_tags)
+    except sqlite3.Error as exc:
+        return _fail(f"store {store_dir}: {exc}")
     tables: dict[str, reports.AggregateTable] = {}
     for name in names:
         tables.update(reports.TABLES[name](records, registry, args.geo_sort))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
@@ -287,20 +286,17 @@ def exposure_listing(
 # --- emission -----------------------------------------------------------------
 
 def _markdown_cell(text: str) -> str:
-    return re.sub(r"\r\n?|\n", " ", text.replace("|", "\\|"))
+    text = text.replace("\\", "\\\\").replace("|", "\\|")
+    return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
 
 
 def render_markdown(grid: AggregateTable | ExposureListing) -> str:
     """Pipe table of ``grid.columns`` over ``grid.cells()``.
 
-    A pipe in a cell is written ``\\|`` and a line break as a space, so no
-    cell can split its row.
+    A backslash in a cell is written ``\\\\``, a pipe ``\\|`` and a line
+    break a space, so no cell can split its row.
     """
     lines = [grid.columns, ["---"] * len(grid.columns), *grid.cells()]
-    text = "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
-    pipes = len(lines) * (len(grid.columns) + 1)
-    if text.count("|") == pipes and text.count("\n") == len(lines) and "\r" not in text:
-        return text  # no cell holds a pipe or a line break
     return "".join("| " + " | ".join(map(_markdown_cell, cells)) + " |\n" for cells in lines)
 
 

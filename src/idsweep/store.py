@@ -7,8 +7,9 @@ Layout under the store directory::
     objects/<sha256>   raw document bytes, filename = digest
 
 An object's path is derived from its digest and is never stored.  Opening a
-store drops the columns that older versions wrote and this schema no longer
-declares (``ALTER TABLE ... DROP COLUMN``, SQLite >= 3.35).
+store whose ``downloads`` or ``objects`` table still has the ``stored_path``
+column that older versions wrote drops it (``ALTER TABLE ... DROP COLUMN``,
+SQLite >= 3.35).
 
 Writes are serialized with a process-local lock so the bounded download pool
 can share one store; cross-process exclusivity is the CLI's lock file.
@@ -71,16 +72,15 @@ CREATE TABLE IF NOT EXISTS diagnostics (
 """
 
 
-def _drop_undeclared_columns(conn: sqlite3.Connection) -> None:
-    """Drop the columns an older store has and ``_SCHEMA`` no longer declares."""
-    declared = sqlite3.connect(":memory:")
-    declared.executescript(_SCHEMA)
-    for (table,) in declared.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchall():
-        keep = {row[1] for row in declared.execute(f"PRAGMA table_info({table})")}
-        for row in conn.execute(f"PRAGMA table_info({table})").fetchall():
-            if row[1] not in keep:
-                conn.execute(f"ALTER TABLE {table} DROP COLUMN {row[1]}")
-    declared.close()
+def _drop_stored_path(conn: sqlite3.Connection) -> None:
+    """Drop ``stored_path`` from a store written before the path was derived.
+
+    Its ``objects.stored_path NOT NULL`` would make ``INSERT OR IGNORE`` skip
+    every new object.
+    """
+    for table in ("downloads", "objects"):
+        if any(row[1] == "stored_path" for row in conn.execute(f"PRAGMA table_info({table})")):
+            conn.execute(f"ALTER TABLE {table} DROP COLUMN stored_path")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class ResultStore:
         self._lock = threading.Lock()
         with self._lock, self._conn:
             self._conn.executescript(_SCHEMA)
-            _drop_undeclared_columns(self._conn)
+            _drop_stored_path(self._conn)
 
     def close(self) -> None:
         self._conn.close()

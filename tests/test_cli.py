@@ -455,6 +455,27 @@ def test_older_store_is_migrated_on_open(demo_store, tmp_path):
     assert _report_bytes(store_dir, tmp_path / "old") == _report_bytes(demo_store, tmp_path / "new")
 
 
+def test_open_keeps_columns_it_does_not_declare(tmp_path):
+    ResultStore(tmp_path).close()
+    conn = sqlite3.connect(tmp_path / "store.db")
+    conn.execute("ALTER TABLE objects ADD COLUMN added_later TEXT")
+    conn.close()
+    ResultStore(tmp_path).close()
+    conn = sqlite3.connect(tmp_path / "store.db")
+    assert "added_later" in {row[1] for row in conn.execute("PRAGMA table_info(objects)")}
+    conn.close()
+
+
+def test_report_unreadable_store_is_exit_2(tmp_path, capsys):
+    (tmp_path / "store").mkdir()
+    (tmp_path / "store" / "store.db").write_bytes(b"not a sqlite database " * 8)
+    assert run_cli(
+        "report", "--store", str(tmp_path / "store"), "--tables", "filetype",
+        "--out", str(tmp_path / "r"), "--salt-file", str(SALT_FILE),
+    ) == 2
+    assert "store" in capsys.readouterr().err
+
+
 def test_report_missing_store(tmp_path, capsys):
     assert run_cli(
         "report", "--store", str(tmp_path / "void"), "--tables", "filetype",

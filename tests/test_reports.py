@@ -1,6 +1,5 @@
 """Aggregation tables: distinct counts, per-capita rates, repeat exposure, emission."""
 
-import re
 from decimal import Decimal
 
 import pytest
@@ -393,15 +392,30 @@ def test_listing_pseudonymizes_each_id_once(monkeypatch):
     assert listing.salt_id == thai_id.pseudonymize(ID_A, b"pepper").salt_id
 
 
+def _gfm_cell_separators(line):
+    """Pipes that split a GFM table row: a backslash escapes the next character."""
+    count, escaped = 0, False
+    for ch in line:
+        if escaped:
+            escaped = False
+        elif ch == "\\":
+            escaped = True
+        elif ch == "|":
+            count += 1
+    return count
+
+
 def test_markdown_escapes_pipes_and_line_breaks_in_cells():
     recs = records_of(
         occ(ID_A, "s1", "http://a.go.th/a|b.pdf", query='"x" | "y"'),
         occ(ID_B, "s2", "http://b.go.th/2.pdf", query="one\r\ntwo\nthree"),
+        occ(ID_C, "s3", "http://c.go.th/c\\|d.pdf", query="back\\"),
     )
     text = reports.render_markdown(reports.exposure_listing(recs, salt=b"pepper"))
     lines = text.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     for line in lines:
-        assert len(re.findall(r"(?<!\\)\|", line)) == len(reports.LISTING_COLUMNS) + 1, line
+        assert _gfm_cell_separators(line) == len(reports.LISTING_COLUMNS) + 1, line
     assert "| http://a.go.th/a\\|b.pdf | pdf | \"x\" \\| \"y\" |" in lines[2]
     assert lines[3].endswith("| one two three |")
+    assert lines[4].endswith("| http://c.go.th/c\\\\\\|d.pdf | pdf | back\\\\ |")
