@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import json
 import os
 import re
@@ -131,7 +132,12 @@ def _read_salt(args) -> Optional[bytes]:
 
 
 class _StoreLock:
-    """Exclusive ownership of a store directory for one CLI invocation."""
+    """Exclusive ownership of a store directory for one CLI invocation.
+
+    An ``flock`` on ``.lock``, which the kernel releases when the process
+    ends, however it ends: a file left behind by a run that died blocks
+    nothing.
+    """
 
     def __init__(self, store_dir: Path):
         self.path = store_dir / ".lock"
@@ -139,19 +145,30 @@ class _StoreLock:
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"store is locked by another run (remove {self.path} if stale)"
-            ) from None
-        os.write(self._fd, str(os.getpid()).encode())
+        while self._fd is None:
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise RuntimeError(f"store is locked by another run ({self.path})") from None
+            # a holder that was releasing may have unlinked the file we locked;
+            # the lock counts only on the file that is still at the path
+            try:
+                same = os.path.samestat(os.fstat(fd), os.stat(self.path))
+            except FileNotFoundError:
+                same = False
+            if same:
+                self._fd = fd
+            else:
+                os.close(fd)
         return self
 
     def __exit__(self, *exc):
         if self._fd is not None:
-            os.close(self._fd)
             self.path.unlink(missing_ok=True)
+            os.close(self._fd)
+            self._fd = None
 
 
 # --- id validate -----------------------------------------------------------------
@@ -208,7 +225,7 @@ def cmd_plan_build(args) -> int:
 
 # --- scan run -------------------------------------------------------------------------
 
-def _make_provider(args):
+def _make_provider(args, config: CrawlConfig):
     if args.provider == "fixture":
         if not args.fixture:
             raise ValueError("fixture provider needs --fixture <corpus dir or index.json>")
@@ -222,6 +239,7 @@ def _make_provider(args):
             endpoint=args.http_endpoint or "",
             api_key=key,
             acknowledge_live_traffic=args.i_accept_risk,
+            max_bytes=config.max_object_bytes,
         )
     raise ValueError(f"unknown provider {args.provider!r}")
 
@@ -235,7 +253,7 @@ def cmd_scan_run(args) -> int:
             load_extractor_config(args.extractors) if args.extractors else default_extractors()
         )
         plan = load_plan_file(args.plan)
-        provider = _make_provider(args)
+        provider = _make_provider(args, config)
     except (OSError, RegistryError, QueryError, ValueError) as exc:
         return _fail(str(exc))
     except ProviderDisabled as exc:
@@ -297,24 +315,19 @@ def cmd_report(args) -> int:
         return _fail(f"no store at {store_dir}")
     try:
         with ResultStore(store_dir) as store:
-            records, skipped = reports.build_records(store.load_occurrences(), owner_tags=owner_tags)
+            written, skipped, ids = reports.report(
+                store.occurrences(), names, registry, args.out, fmt=args.format,
+                geo_sort=args.geo_sort, salt=salt, unredacted=args.unredacted, owner_tags=owner_tags,
+            )
     except sqlite3.Error as exc:
         return _fail(f"store {store_dir}: {exc}")
-    tables: dict[str, reports.AggregateTable] = {}
-    for name in names:
-        tables.update(reports.TABLES[name](records, registry, args.geo_sort))
-    for url, reason in skipped:
-        print(f"warning: unclassifiable url skipped: {url}: {reason}", file=sys.stderr)
-    listing = None
-    if "exposures" in names:
-        listing = reports.exposure_listing(records, salt, unredacted=args.unredacted)
-    try:
-        written = reports.emit_report(tables, args.out, fmt=args.format, listing=listing)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    for url, reason in skipped:
+        print(f"warning: unclassifiable url skipped: {url}: {reason}", file=sys.stderr)
     for path in written:
         print(path)
-    if not records:
+    if not ids:
         print("store holds no exposures", file=sys.stderr)
         return EXIT_NEGATIVE
     return EXIT_OK

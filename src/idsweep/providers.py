@@ -13,6 +13,7 @@ disabled unless explicitly armed.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.parse
@@ -97,6 +98,9 @@ class HttpProvider:
     unless an operator has decided to, twice.  The bridge endpoint must
     answer ``GET <endpoint>?q=...&page=N`` with
     ``{"hits": [{"url","page","rank"}...], "total_pages": N}``.
+
+    ``fetch`` reads at most ``max_bytes + 1`` bytes of a body, so a document
+    over the limit is known to be too large without reading all of it.
     """
 
     def __init__(
@@ -105,6 +109,7 @@ class HttpProvider:
         api_key: str | None = None,
         acknowledge_live_traffic: bool = False,
         name: str = "http",
+        max_bytes: Optional[int] = None,
     ):
         if not api_key or not acknowledge_live_traffic:
             raise ProviderDisabled(
@@ -113,6 +118,7 @@ class HttpProvider:
         self.name = name
         self._endpoint = endpoint
         self._api_key = api_key
+        self._max_bytes = max_bytes
 
     def search(self, query: str, page: int) -> tuple[list[ProviderHit], int]:
         params = urllib.parse.urlencode({"q": query, "page": page, "key": self._api_key})
@@ -127,7 +133,15 @@ class HttpProvider:
     def fetch(self, url: str, timeout: float) -> FetchResult:
         try:
             with urllib.request.urlopen(url, timeout=timeout) as resp:
-                data = resp.read()
+                if self._max_bytes is None:
+                    data = resp.read()
+                else:
+                    limit = self._max_bytes + 1
+                    data = resp.read(limit)
+                    if len(data) < limit and resp.length:
+                        # the body ended short of its Content-Length; read()
+                        # without a limit raises this too
+                        raise http.client.IncompleteRead(data, resp.length)
                 disposition = resp.headers.get("Content-Disposition")
         except (urllib.error.URLError, TimeoutError) as exc:
             raise ProviderError(f"fetch failed for {url}: {exc}") from exc

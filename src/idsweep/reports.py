@@ -2,13 +2,17 @@
 
 Every table is a fold over exposure records -- one record per
 (id, document, source URL) co-occurrence -- so row counts stay consistent
-across dimensions.  Percent arithmetic is decimal with round-half-up at a
-fixed number of places, which keeps emission byte-deterministic.
+across dimensions.  ``report`` makes one pass over a store's occurrences in
+key order: each ID's run of records goes into one fold, which builds every
+table, and into the listing, which is written as the pass goes.  Percent
+arithmetic is decimal with round-half-up at a fixed number of places, which
+keeps emission byte-deterministic.
 
-``TABLES`` maps each report table name to the builder of its table(s), and
-``FORMATS`` maps each output format to its renderers.  Markdown and CSV
-render an aggregate table and the exposure listing alike, from their
-columns and string cells; JSON has one payload shape for each.
+``TABLES`` maps each report table name to the dimension of each table it
+writes, and ``FORMATS`` maps each output format to the functions that make
+its lines.  Markdown and CSV write an aggregate table and the exposure
+listing alike, from their columns and string cells; JSON has one payload
+shape for each.
 """
 
 from __future__ import annotations
@@ -18,20 +22,22 @@ import io
 import json
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
+from itertools import chain, groupby, islice
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
-from .domains import ClassificationError, DomainInfo, PublicSuffixList, classify_url
+from .domains import ClassificationError, DomainInfo, PublicSuffixList, classify_url, default_suffix_list
 from .geo import GeoRegistry
 from .store import ExposureOccurrence
-from .thai_id import pseudonymize
+from .thai_id import pseudonymize, salt_id
 
 BASE_COLUMNS = ("key", "urls", "files", "fqdns", "registered_domains", "unique_ids")
 GEO_COLUMNS = ("key", "name", "unique_ids", "population", "percent")
 REPEAT_COLUMNS = ("key", "unique_ids", "percent")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs 3x, once per occurrence
 class ExposureRecord:
     """One (id, document, URL) co-occurrence with its source classified."""
 
@@ -44,17 +50,25 @@ class ExposureRecord:
     domain: DomainInfo
 
 
-# dimension -> the key a record is grouped under in that dimension
-_KEY_OF: dict[str, Callable[[ExposureRecord], str]] = {
+# dimension -> the key of a record's source (document, URL, query, type, host)
+_SOURCE_KEY_OF: dict[str, Callable[[ExposureRecord], str]] = {
     "file_type": lambda r: r.file_type,
     "tld": lambda r: r.domain.tld_class,
     # IP literals have no registered domain; they rank by their literal
     "registered_domain": lambda r: r.domain.registered_domain or r.domain.fqdn,
     "owner_tag": lambda r: r.domain.owner_tag or "(untagged)",
     "query": lambda r: r.query,
-    "category_digit": lambda r: r.digits[0],
 }
-DIMENSIONS = tuple(_KEY_OF)
+# dimension -> the key of an ID, from its digits and how many distinct URLs
+# carry it
+_ID_KEY_OF: dict[str, Callable[[str, int], str]] = {
+    "category_digit": lambda digits, urls: digits[0],
+    "province": lambda digits, urls: digits[1:3],
+    "district": lambda digits, urls: digits[1:5],
+    "source_multiplicity": lambda digits, urls: str(urls),
+}
+# the dimensions aggregate() groups by
+DIMENSIONS = (*_SOURCE_KEY_OF, "category_digit")
 
 
 @dataclass(frozen=True)
@@ -95,64 +109,199 @@ def percent_of(part: int, whole: int, places: int) -> Decimal:
         return value.quantize(Decimal(10) ** -places, rounding=ROUND_HALF_UP)
 
 
+def _classify(
+    occurrences: Iterable[ExposureOccurrence],
+    psl: Optional[PublicSuffixList],
+    owner_tags: Optional[dict[str, str]],
+    skipped: list[tuple[str, str]],
+) -> Iterator[ExposureRecord]:
+    """Each occurrence as a record, each distinct URL classified once.
+
+    Occurrences of an unusable URL are left out and added to ``skipped``.
+    """
+    if psl is None:
+        psl = default_suffix_list()
+    domains: dict[str, DomainInfo | str] = {}  # url -> its domain, or why it has none
+    for occ in occurrences:
+        info = domains.get(occ.url)
+        if info is None:
+            try:
+                info = classify_url(occ.url, psl=psl, owner_tags=owner_tags)
+            except ClassificationError as exc:
+                info = str(exc)
+            domains[occ.url] = info
+        if isinstance(info, str):
+            skipped.append((occ.url, info))
+        else:
+            yield ExposureRecord(
+                occ.digits, occ.sha256, occ.url, occ.query, occ.engine, occ.file_type, info
+            )
+
+
 def build_records(
     occurrences: Iterable[ExposureOccurrence],
     psl: Optional[PublicSuffixList] = None,
     owner_tags: Optional[dict[str, str]] = None,
 ) -> tuple[list[ExposureRecord], list[tuple[str, str]]]:
-    """Classify every occurrence's URL; unusable URLs are skipped and reported."""
-    records: list[ExposureRecord] = []
+    """Classify each distinct URL once; occurrences of unusable URLs are skipped and reported."""
     skipped: list[tuple[str, str]] = []
-    cache: dict[str, DomainInfo] = {}
-    for occ in occurrences:
-        info = cache.get(occ.url)
-        if info is None:
-            try:
-                info = classify_url(occ.url, psl=psl, owner_tags=owner_tags)
-            except ClassificationError as exc:
-                skipped.append((occ.url, str(exc)))
-                continue
-            cache[occ.url] = info
-        records.append(
-            ExposureRecord(
-                digits=occ.digits, sha256=occ.sha256, url=occ.url, query=occ.query,
-                engine=occ.engine, file_type=occ.file_type, domain=info,
-            )
-        )
-    return records, skipped
+    return list(_classify(occurrences, psl, owner_tags, skipped)), skipped
 
 
-def _count_groups(
-    records: Sequence[ExposureRecord], key_of: Callable[[ExposureRecord], str]
-) -> list[AggregateRow]:
-    """One row of distinct counts per key, for the records grouped under it."""
-    groups: dict[str, list[ExposureRecord]] = {}
-    for record in records:
-        groups.setdefault(key_of(record), []).append(record)
-    return [
-        AggregateRow(
-            key=key,
-            urls=len({r.url for r in group}),
-            files=len({r.sha256 for r in group}),
-            fqdns=len({r.domain.fqdn for r in group}),
-            registered_domains=len({r.domain.registered_domain or r.domain.fqdn for r in group}),
-            unique_ids=len({r.digits for r in group}),
-        )
-        for key, group in groups.items()
-    ]
+_DIGITS = attrgetter("digits")
+# the listing's order, which is also the order ResultStore.occurrences() yields
+_LISTING_ORDER = attrgetter("digits", "sha256", "url", "query")
 
 
-def aggregate(records: Sequence[ExposureRecord], dimension: str) -> AggregateTable:
-    """Distinct-count table grouped by the dimension, most-exposed rows first."""
-    key_of = _KEY_OF.get(dimension)
-    if key_of is None:
-        raise ValueError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
-    rows = sorted(_count_groups(records, key_of), key=lambda r: (-r.unique_ids, r.key))
+_Run = tuple[str, list[ExposureRecord]]  # an ID and its records
+
+
+def _runs(records: Iterable[ExposureRecord]) -> Iterator[_Run]:
+    """Each ID with its records, from records sorted by ID."""
+    last = None
+    for digits, run in groupby(records, key=_DIGITS):
+        if last is not None and digits <= last:
+            raise ValueError("records are not sorted by ID")
+        last = digits
+        yield digits, list(run)
+
+
+def _row(key: str, sources: Iterable[ExposureRecord], unique_ids: int) -> AggregateRow:
+    sources = list(sources)
+    return AggregateRow(
+        key=key,
+        urls=len({s.url for s in sources}),
+        files=len({s.sha256 for s in sources}),
+        fqdns=len({s.domain.fqdn for s in sources}),
+        registered_domains=len({s.domain.registered_domain or s.domain.fqdn for s in sources}),
+        unique_ids=unique_ids,
+    )
+
+
+class _Fold:
+    """Distinct counts for every dimension, from ID runs added one at a time.
+
+    It keeps the first record of each distinct source (document, URL,
+    query, type, host) with its key in each source dimension, per source
+    the IDs found only there, per source-dimension key the IDs found at
+    several sources, and per ID-dimension key the IDs and the sources they
+    reach: state bounded by sources and keys, not by IDs.  A key's URL,
+    file, FQDN and registered-domain counts come from the distinct sources
+    under it, and its unique_ids counts each ID that reaches it once.
+    """
+
+    def __init__(self) -> None:
+        self.ids = 0
+        self._sources: list[ExposureRecord] = []
+        self._keys: list[tuple[str, ...]] = []  # per source, its key in each _SOURCE_KEY_OF dimension
+        self._index: dict[tuple, int] = {}  # source -> its position in _sources
+        self._alone: list[int] = []  # per source, the IDs found at no other source
+        self._shared: list[dict[str, int]] = [{} for _ in _SOURCE_KEY_OF]  # key -> IDs at several sources
+        # ID dimension -> key -> [IDs, the sources they reach]
+        self._by_id: dict[str, dict[str, list]] = {dimension: {} for dimension in _ID_KEY_OF}
+
+    def add(self, digits: str, run: list[ExposureRecord]) -> None:
+        sources, index = self._sources, self._index
+        reach = set()
+        for r in run:
+            # the domain by identity, which the source's first record keeps
+            # alive: equal domains built apart only split a source in two,
+            # which counts the same
+            source = (r.sha256, r.url, r.query, r.file_type, id(r.domain))
+            i = index.get(source)
+            if i is None:
+                i = index[source] = len(sources)
+                sources.append(r)
+                self._keys.append(tuple(key_of(r) for key_of in _SOURCE_KEY_OF.values()))
+                self._alone.append(0)
+            reach.add(i)
+        if len(reach) == 1:
+            self._alone[i] += 1
+            urls = 1
+        else:
+            for d, shared in enumerate(self._shared):
+                for key in {self._keys[i][d] for i in reach}:
+                    shared[key] = shared.get(key, 0) + 1
+            urls = len({sources[i].url for i in reach})
+        for key_of, groups in zip(_ID_KEY_OF.values(), self._by_id.values()):
+            key = key_of(digits, urls)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = [0, set()]
+            group[0] += 1
+            group[1] |= reach
+        self.ids += 1
+
+    def feed(self, runs: Iterable[_Run]) -> Iterator[_Run]:
+        """The runs, each added to the fold as it passes."""
+        for digits, run in runs:
+            self.add(digits, run)
+            yield digits, run
+
+    def rows(self, dimension: str) -> list[AggregateRow]:
+        """One row of distinct counts per key of the dimension, unsorted."""
+        groups = self._by_id.get(dimension)  # key -> [IDs, the sources they reach]
+        if groups is None:
+            groups = {}
+            d = list(_SOURCE_KEY_OF).index(dimension)
+            for i, keys in enumerate(self._keys):
+                group = groups.setdefault(keys[d], [self._shared[d].get(keys[d], 0), set()])
+                group[0] += self._alone[i]
+                group[1].add(i)
+        return [_row(key, (self._sources[i] for i in reached), ids)
+                for key, (ids, reached) in groups.items()]
+
+
+def _folded(records: Iterable[ExposureRecord]) -> _Fold:
+    """The fold of records in any order: sorted stably by ID, linear when they already are."""
+    fold = _Fold()
+    for digits, run in _runs(sorted(records, key=_DIGITS)):
+        fold.add(digits, run)
+    return fold
+
+
+def _finish(
+    dimension: str,
+    rows: list[AggregateRow],
+    registry: Optional[GeoRegistry] = None,
+    geo_sort: str = "count",
+) -> AggregateTable:
+    """The table of a dimension's rows: sorted, and with names and percents where it has them."""
+    if dimension == "source_multiplicity":
+        # each ID has one multiplicity, so the rows' IDs are all the IDs
+        total = sum(row.unique_ids for row in rows)
+        rows = [replace(row, percent=percent_of(row.unique_ids, total, 4))
+                for row in sorted(rows, key=lambda r: -int(r.key))]
+        return AggregateTable(dimension=dimension, rows=tuple(rows), columns=REPEAT_COLUMNS)
+    if dimension in ("province", "district"):
+        if geo_sort not in ("count", "percent"):
+            raise ValueError("sort must be 'count' or 'percent'")
+        lookup = registry.lookup_province if dimension == "province" else registry.lookup_district
+        named = []
+        for row in rows:
+            population = registry.population.get(row.key)
+            percent = percent_of(row.unique_ids, population, 2) if population else None
+            area = lookup(row.key)
+            named.append(replace(row, name=area.name if area else None, population=population,
+                                 percent=percent))
+        if geo_sort == "count":
+            named.sort(key=lambda r: (-r.unique_ids, r.key))
+        else:
+            named.sort(key=lambda r: (r.percent is None, -(r.percent or 0), r.key))
+        return AggregateTable(dimension=dimension, rows=tuple(named), columns=GEO_COLUMNS)
+    rows = sorted(rows, key=lambda r: (-r.unique_ids, r.key))
     return AggregateTable(dimension=dimension, rows=tuple(rows))
 
 
+def aggregate(records: Iterable[ExposureRecord], dimension: str) -> AggregateTable:
+    """Distinct-count table grouped by the dimension, most-exposed rows first."""
+    if dimension not in DIMENSIONS:
+        raise ValueError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
+    return _finish(dimension, _folded(records).rows(dimension))
+
+
 def geographic_report(
-    records: Sequence[ExposureRecord],
+    records: Iterable[ExposureRecord],
     registry: GeoRegistry,
     sort: str = "count",
 ) -> tuple[AggregateTable, AggregateTable]:
@@ -163,80 +312,34 @@ def geographic_report(
     resident count, half-up at 2 decimals; areas with no exposed IDs have no
     row.  ``sort`` is "count" or "percent".
     """
-    if sort not in ("count", "percent"):
-        raise ValueError("sort must be 'count' or 'percent'")
-
-    def table(
-        key_of: Callable[[ExposureRecord], str], name_of: Callable[[str], Optional[str]], dim: str
-    ) -> AggregateTable:
-        rows = []
-        for row in _count_groups(records, key_of):
-            population = registry.population.get(row.key)
-            percent = percent_of(row.unique_ids, population, 2) if population else None
-            rows.append(replace(row, name=name_of(row.key), population=population, percent=percent))
-        if sort == "count":
-            rows.sort(key=lambda r: (-r.unique_ids, r.key))
-        else:
-            rows.sort(key=lambda r: (r.percent is None, -(r.percent or 0), r.key))
-        return AggregateTable(dimension=dim, rows=tuple(rows), columns=GEO_COLUMNS)
-
-    province = table(
-        lambda r: r.digits[1:3],
-        lambda c: p.name if (p := registry.lookup_province(c)) else None,
-        "province",
-    )
-    district = table(
-        lambda r: r.digits[1:5],
-        lambda c: x.name if (x := registry.lookup_district(c)) else None,
-        "district",
-    )
+    fold = _folded(records)
+    province, district = (_finish(dim, fold.rows(dim), registry, sort) for dim in ("province", "district"))
     return province, district
 
 
-def repeat_exposure(records: Sequence[ExposureRecord]) -> AggregateTable:
+def repeat_exposure(records: Iterable[ExposureRecord]) -> AggregateTable:
     """IDs grouped by how many distinct URLs carry them, highest first.
 
     Percent is of all unique IDs, half-up at 4 decimals.
     """
-    urls_per_id: dict[str, set[str]] = {}
-    for record in records:
-        urls_per_id.setdefault(record.digits, set()).add(record.url)
-    # the group for m holds exactly the IDs with m URLs, so its unique_ids
-    # is how many IDs have m URLs
-    rows = sorted(
-        _count_groups(records, lambda r: str(len(urls_per_id[r.digits]))), key=lambda r: -int(r.key)
-    )
-    rows = [replace(row, percent=percent_of(row.unique_ids, len(urls_per_id), 4)) for row in rows]
-    return AggregateTable(dimension="source_multiplicity", rows=tuple(rows), columns=REPEAT_COLUMNS)
+    return _finish("source_multiplicity", _folded(records).rows("source_multiplicity"))
 
 
 # --- report tables ------------------------------------------------------------
 
-TableBuilder = Callable[[Sequence[ExposureRecord], GeoRegistry, str], dict[str, AggregateTable]]
-
-
-def _aggregate_by(name: str, dimension: str) -> TableBuilder:
-    return lambda records, registry, geo_sort: {name: aggregate(records, dimension)}
-
-
-def _geo_tables(records, registry, geo_sort) -> dict[str, AggregateTable]:
-    province, district = geographic_report(records, registry, sort=geo_sort)
-    return {"geo_province": province, "geo_district": district}
-
-
-# report table name -> builder(records, registry, geo_sort) of the tables it
-# writes, keyed by file stem.  "exposures" writes no table: it names the
-# per-ID listing, which exposure_listing builds because it needs the salt.
-TABLES: dict[str, TableBuilder] = {
-    "filetype": _aggregate_by("filetype", "file_type"),
-    "tld": _aggregate_by("tld", "tld"),
-    "domain": _aggregate_by("domain", "registered_domain"),
-    "owner": _aggregate_by("owner", "owner_tag"),
-    "query": _aggregate_by("query", "query"),
-    "category": _aggregate_by("category", "category_digit"),
-    "geo": _geo_tables,
-    "repeat": lambda records, registry, geo_sort: {"repeat": repeat_exposure(records)},
-    "exposures": lambda records, registry, geo_sort: {},
+# report table name -> {file stem: dimension} of the tables it writes.
+# "exposures" writes no table: it names the per-ID listing, which needs the
+# salt.
+TABLES: dict[str, dict[str, str]] = {
+    "filetype": {"filetype": "file_type"},
+    "tld": {"tld": "tld"},
+    "domain": {"domain": "registered_domain"},
+    "owner": {"owner": "owner_tag"},
+    "query": {"query": "query"},
+    "category": {"category": "category_digit"},
+    "geo": {"geo_province": "province", "geo_district": "district"},
+    "repeat": {"repeat": "source_multiplicity"},
+    "exposures": {},
 }
 
 
@@ -245,9 +348,13 @@ LISTING_COLUMNS = ("id", "tld_class", "registered_domain", "url", "file_type", "
 
 @dataclass(frozen=True)
 class ExposureListing:
-    """Per-occurrence detail rows; the id column is tokens unless unredacted."""
+    """Per-occurrence detail rows; the id column is tokens unless unredacted.
 
-    rows: tuple[tuple[str, ...], ...]
+    ``rows`` is a tuple, except inside ``report``, where it is a stream that
+    is written once, as it is made.
+    """
+
+    rows: Iterable[tuple[str, ...]]
     redacted: bool
     salt_id: Optional[str] = None
     columns: ClassVar[tuple[str, ...]] = LISTING_COLUMNS
@@ -256,31 +363,35 @@ class ExposureListing:
         return self.rows
 
 
+def _listing(runs: Iterable[_Run], salt: Optional[bytes], unredacted: bool) -> ExposureListing:
+    """The listing of runs sorted by (digits, sha256, url, query), its rows a stream."""
+    if not unredacted and not salt:
+        raise ValueError("redacted listing needs a salt")
+
+    def rows() -> Iterator[tuple[str, ...]]:
+        for digits, run in runs:
+            # each ID's token is computed once for all its rows
+            shown = digits if unredacted else pseudonymize(digits, salt).token
+            for r in run:
+                yield (shown, r.domain.tld_class, r.domain.registered_domain or "",
+                       r.url, r.file_type, r.query)
+
+    stream = rows()
+    first = next(stream, None)
+    if first is None:
+        return ExposureListing(rows=(), redacted=not unredacted)
+    return ExposureListing(rows=chain((first,), stream), redacted=not unredacted,
+                           salt_id=None if unredacted else salt_id(salt))
+
+
 def exposure_listing(
-    records: Sequence[ExposureRecord],
+    records: Iterable[ExposureRecord],
     salt: Optional[bytes],
     unredacted: bool = False,
 ) -> ExposureListing:
     """Detail listing; IDs become keyed-hash tokens unless explicitly unredacted."""
-    if not unredacted and not salt:
-        raise ValueError("redacted listing needs a salt")
-    rows = []
-    salt_id = None
-    digits = shown = None
-    # sorted by digits, so each ID's token is computed once and reused
-    for record in sorted(records, key=lambda r: (r.digits, r.sha256, r.url, r.query)):
-        if record.digits != digits:
-            digits = record.digits
-            if unredacted:
-                shown = digits
-            else:
-                token = pseudonymize(digits, salt)
-                shown, salt_id = token.token, token.salt_id
-        rows.append(
-            (shown, record.domain.tld_class, record.domain.registered_domain or "",
-             record.url, record.file_type, record.query)
-        )
-    return ExposureListing(rows=tuple(rows), redacted=not unredacted, salt_id=salt_id)
+    listing = _listing(_runs(sorted(records, key=_LISTING_ORDER)), salt, unredacted)
+    return replace(listing, rows=tuple(listing.rows))
 
 
 # --- emission -----------------------------------------------------------------
@@ -290,22 +401,52 @@ def _markdown_cell(text: str) -> str:
     return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
 
 
-def render_markdown(grid: AggregateTable | ExposureListing) -> str:
+def _csv_cell(text: str) -> str:
+    """A cell as ``csv.writer`` writes it in a row of more than one cell."""
+    if text.isalnum():
+        return text  # nothing in it to quote
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _lines(
+    rows: Iterable[Sequence[str]], cell: Callable[[str], str], start: str, sep: str, end: str
+) -> Iterator[str]:
+    """Each row as ``start``, its cells written by ``cell`` and joined by ``sep``, then ``end``.
+
+    The cells after a row's first are written once for all rows that repeat
+    them, as a listing's rows from one source do.
+    """
+    tails: dict[tuple[str, ...], str] = {}
+    for cells in rows:
+        tail = tuple(cells[1:])
+        text = tails.get(tail)
+        if text is None:
+            text = tails[tail] = "".join(sep + cell(c) for c in tail)
+        yield start + cell(cells[0]) + text + end
+
+
+def _markdown_lines(grid: AggregateTable | ExposureListing) -> Iterator[str]:
     """Pipe table of ``grid.columns`` over ``grid.cells()``.
 
     A backslash in a cell is written ``\\\\``, a pipe ``\\|`` and a line
     break a space, so no cell can split its row.
     """
-    lines = [grid.columns, ["---"] * len(grid.columns), *grid.cells()]
-    return "".join("| " + " | ".join(map(_markdown_cell, cells)) + " |\n" for cells in lines)
+    header = (grid.columns, ("---",) * len(grid.columns))
+    return _lines(chain(header, grid.cells()), _markdown_cell, "| ", " | ", " |\n")
+
+
+def _csv_lines(grid: AggregateTable | ExposureListing) -> Iterator[str]:
+    return _lines(chain((grid.columns,), grid.cells()), _csv_cell, "", ",", "\n")
+
+
+def render_markdown(grid: AggregateTable | ExposureListing) -> str:
+    return "".join(_markdown_lines(grid))
 
 
 def render_csv(grid: AggregateTable | ExposureListing) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(grid.columns)
-    writer.writerows(grid.cells())
-    return buf.getvalue()
+    return "".join(_csv_lines(grid))
 
 
 def table_to_json(table: AggregateTable) -> str:
@@ -329,21 +470,28 @@ def table_from_json(text: str) -> AggregateTable:
     return AggregateTable(dimension=data["dimension"], rows=tuple(rows), columns=tuple(data["columns"]))
 
 
+def _json_listing_lines(listing: ExposureListing) -> Iterator[str]:
+    """The listing as ``json.dumps(..., ensure_ascii=False, indent=2)`` writes it, a row at a time."""
+    text = json.dumps({"redacted": listing.redacted, "salt_id": listing.salt_id,
+                       "columns": list(listing.columns), "rows": []}, ensure_ascii=False, indent=2) + "\n"
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    # the rows go inside the '[]' that text ends with, each two levels deep
+    sep = text[:-len("]\n}\n")] + "\n"
+    for row in listing.cells():
+        yield sep + "    [\n      " + ",\n      ".join(map(encode, row)) + "\n    ]"
+        sep = ",\n"
+    yield text if sep != ",\n" else "\n  ]\n}\n"
+
+
 def render_listing_json(listing: ExposureListing) -> str:
-    payload = {
-        "redacted": listing.redacted,
-        "salt_id": listing.salt_id,
-        "columns": list(listing.columns),
-        "rows": [list(r) for r in listing.rows],
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    return "".join(_json_listing_lines(listing))
 
 
-# format -> (file extension, table renderer, listing renderer)
-FORMATS = {
-    "markdown": ("md", render_markdown, render_markdown),
-    "csv": ("csv", render_csv, render_csv),
-    "json": ("json", table_to_json, render_listing_json),
+# format -> (file extension, table lines, listing lines)
+FORMATS: dict[str, tuple[str, Callable, Callable]] = {
+    "markdown": ("md", _markdown_lines, _markdown_lines),
+    "csv": ("csv", _csv_lines, _csv_lines),
+    "json": ("json", lambda table: [table_to_json(table)], _json_listing_lines),
 }
 
 
@@ -356,16 +504,54 @@ def emit_report(
     """Write one file per table (plus optional detail listing); deterministic bytes."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
-    ext, render_table, render_listing = FORMATS[fmt]
+    ext, table_lines, listing_lines = FORMATS[fmt]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for name in sorted(tables):
-        path = out / f"{name}.{ext}"
-        path.write_text(render_table(tables[name]), encoding="utf-8")
-        written.append(path)
+    jobs = [(out / f"{name}.{ext}", table_lines(tables[name])) for name in sorted(tables)]
     if listing is not None:
-        path = out / f"exposures.{ext}"
-        path.write_text(render_listing(listing), encoding="utf-8")
-        written.append(path)
-    return written
+        jobs.append((out / f"exposures.{ext}", listing_lines(listing)))
+    for path, lines in jobs:
+        lines = iter(lines)
+        with path.open("w", encoding="utf-8") as fh:
+            # a few thousand lines per write: one write per line costs more
+            # than making the lines, and the whole text at once costs memory
+            while text := "".join(islice(lines, 4096)):
+                fh.write(text)
+    return [path for path, _ in jobs]
+
+
+def report(
+    occurrences: Iterable[ExposureOccurrence],
+    names: Iterable[str],
+    registry: GeoRegistry,
+    out_dir: str | Path,
+    fmt: str = "markdown",
+    geo_sort: str = "count",
+    salt: Optional[bytes] = None,
+    unredacted: bool = False,
+    owner_tags: Optional[dict[str, str]] = None,
+) -> tuple[list[Path], list[tuple[str, str]], int]:
+    """Write the named report tables from one pass over the occurrences.
+
+    The occurrences must come sorted by (digits, sha256, url, query), as
+    ``ResultStore.occurrences()`` yields them.  Each ID's run of records goes
+    into one fold that builds every table, and into the listing, which is
+    written as the pass goes; no list of occurrences or records is kept.
+    Returns the files written, the skipped (url, reason) pairs and the
+    number of IDs.
+    """
+    names = list(names)
+    skipped: list[tuple[str, str]] = []
+    fold = _Fold()
+    runs = fold.feed(_runs(_classify(occurrences, None, owner_tags, skipped)))
+    written = []
+    if "exposures" in names:
+        written = emit_report({}, out_dir, fmt, listing=_listing(runs, salt, unredacted))
+    else:
+        for _ in runs:
+            pass
+    tables = {
+        stem: _finish(dim, fold.rows(dim), registry, geo_sort)
+        for name in names for stem, dim in TABLES[name].items()
+    }
+    return emit_report(tables, out_dir, fmt) + written, skipped, fold.ids

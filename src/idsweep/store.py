@@ -11,8 +11,14 @@ store whose ``downloads`` or ``objects`` table still has the ``stored_path``
 column that older versions wrote drops it (``ALTER TABLE ... DROP COLUMN``,
 SQLite >= 3.35).
 
+Reports read the store in one pass and add no index: ``occurrences()``
+holds the successful sources of each digest (bounded by documents), then
+streams ``exposures`` in primary-key order, a scan of its covering index,
+and expands each row across its digest's sources.
+
 Writes are serialized with a process-local lock so the bounded download pool
-can share one store; cross-process exclusivity is the CLI's lock file.
+can share one store; cross-process exclusivity is the CLI's ``flock`` on
+``.lock``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS hits (
@@ -83,7 +89,7 @@ def _drop_stored_path(conn: sqlite3.Connection) -> None:
             conn.execute(f"ALTER TABLE {table} DROP COLUMN stored_path")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs 3x, once per row
 class ExposureOccurrence:
     """One (id, document, url) co-occurrence, expanded across mirrors.
 
@@ -214,18 +220,34 @@ class ResultStore:
     def exposed_document_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(DISTINCT sha256) FROM exposures").fetchone()[0])
 
+    def occurrences(self) -> Iterator[ExposureOccurrence]:
+        """Expand (id, document) pairs across every URL the document came from.
+
+        Rows are distinct and streamed sorted by (digits, sha256, url, query).
+        """
+        found: dict[str, set[tuple]] = {}
+        for sha256, *source in self._conn.execute(
+            "SELECT d.sha256, h.url, h.query, h.engine, d.declared_type"
+            " FROM downloads d JOIN hits h ON h.id = d.hit_id WHERE d.status = 'success'"
+        ):
+            found.setdefault(sha256, set()).add(tuple(source))
+        # digest -> its distinct (digest, url, query, engine, declared type),
+        # sorted with a missing type first as SQL orders NULL; every row of a
+        # digest shares these strings
+        sources = {
+            sha256: [(sha256, *s) for s in sorted(
+                found[sha256], key=lambda s: (*s[:3], s[3] is not None, s[3] or ""))]
+            for sha256 in found
+        }
+        for digits, sha256 in self._conn.execute(
+            "SELECT digits, sha256 FROM exposures ORDER BY digits, sha256"
+        ):
+            for source in sources.get(sha256, ()):
+                yield ExposureOccurrence(digits, *source)
+
     def load_occurrences(self) -> list[ExposureOccurrence]:
-        """Expand (id, document) pairs across every URL the document came from."""
-        rows = self._conn.execute(
-            """
-            SELECT DISTINCT e.digits, e.sha256, h.url, h.query, h.engine, d.declared_type
-            FROM exposures e
-            JOIN downloads d ON d.sha256 = e.sha256 AND d.status = 'success'
-            JOIN hits h ON h.id = d.hit_id
-            ORDER BY e.digits, e.sha256, h.url, h.query
-            """
-        ).fetchall()
-        return [ExposureOccurrence(*row) for row in rows]
+        """``occurrences()`` as a list."""
+        return list(self.occurrences())
 
     # --- diagnostics ---------------------------------------------------------------
 

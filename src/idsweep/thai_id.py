@@ -9,6 +9,7 @@ grouped 1-4-5-2-1 with hyphens or spaces, in ASCII or Thai numerals.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import re
@@ -34,6 +35,7 @@ __all__ = [
     "decode",
     "generate_valid_id",
     "pseudonymize",
+    "salt_id",
 ]
 
 THAI_DIGITS = "๐๑๒๓๔๕๖๗๘๙"  # U+0E50..U+0E59
@@ -221,10 +223,22 @@ def generate_valid_id(prefix5: str, sequence7: str, registry: "GeoRegistry") -> 
     return body + str(compute_checksum(body))
 
 
+def salt_id(salt: bytes) -> str:
+    """A short public name for a salt, which pseudonyms carry."""
+    return hashlib.sha256(b"idsweep-salt:" + salt).hexdigest()[:12]
+
+
+@functools.lru_cache(maxsize=8)
+def _keyed(salt: bytes) -> tuple[hmac.HMAC, str]:
+    """An HMAC keyed with the salt, and the salt's id, made once per salt."""
+    return hmac.new(salt, digestmod=hashlib.sha256), salt_id(salt)
+
+
 def pseudonymize(digits: str, salt: bytes) -> PseudonymToken:
     """Deterministic keyed hash of an ID; unlinkable across distinct salts."""
     if not salt:
         raise ValueError("empty salt")
-    token = hmac.new(salt, digits.encode("ascii"), hashlib.sha256).hexdigest()
-    salt_id = hashlib.sha256(b"idsweep-salt:" + salt).hexdigest()[:12]
-    return PseudonymToken(token=token, salt_id=salt_id)
+    keyed, name = _keyed(salt)
+    mac = keyed.copy()
+    mac.update(digits.encode("ascii"))
+    return PseudonymToken(token=mac.hexdigest(), salt_id=name)

@@ -1,6 +1,7 @@
 """Command surface: exit codes, flag/env/config precedence, goldens, redaction."""
 
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -159,11 +160,45 @@ def test_scan_rerun_identical_and_lock_released(tmp_path, capsys):
 
 
 def test_scan_respects_existing_lock(tmp_path, capsys):
+    # held through an open file description of its own, as another run holds it
     store_dir = tmp_path / "store"
     store_dir.mkdir()
-    (store_dir / ".lock").write_text("1234")
-    assert run_cli(*scan_args(store_dir)) == 2
-    assert "locked" in capsys.readouterr().err
+    fd = os.open(store_dir / ".lock", os.O_CREAT | os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert run_cli(*scan_args(store_dir)) == 2
+        assert "locked" in capsys.readouterr().err
+        assert not (store_dir / "store.db").exists()
+    finally:
+        os.close(fd)
+    assert run_cli(*scan_args(store_dir)) == 0
+
+
+def test_scan_ignores_lock_file_of_dead_run(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    holder = subprocess.Popen(
+        [sys.executable, "-c",
+         "import fcntl, os, sys, time\n"
+         "fd = os.open(sys.argv[1], os.O_CREAT | os.O_RDWR)\n"
+         "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+         "os.write(fd, str(os.getpid()).encode())\n"
+         "print('held', flush=True)\n"
+         "time.sleep(60)\n",
+         str(store_dir / ".lock")],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert holder.stdout.readline() == "held\n"
+        assert run_cli(*scan_args(store_dir)) == 2
+        capsys.readouterr()
+    finally:
+        holder.kill()
+        holder.wait(timeout=10)
+        holder.stdout.close()
+    assert (store_dir / ".lock").read_text() == str(holder.pid)  # left behind
+    assert run_cli(*scan_args(store_dir)) == 0
+    assert not (store_dir / ".lock").exists()
 
 
 def test_non_finite_delays_exit_2(tmp_path, monkeypatch, capsys):

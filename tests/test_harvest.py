@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import http.client
+import http.server
+import json
+import sqlite3
+import threading
+
 import pytest
 
+from idsweep import cli
 from idsweep.harvest import (
     CrawlConfig,
     DownloadRecord,
@@ -13,8 +20,8 @@ from idsweep.harvest import (
     download_all,
     execute_plan,
 )
-from idsweep.providers import FetchResult, FixtureProvider, ProviderError
-from idsweep.queries import QueryPlan
+from idsweep.providers import FetchResult, FixtureProvider, HttpProvider, ProviderError
+from idsweep.queries import QueryPlan, plan_to_json
 from idsweep.store import ResultStore
 
 from conftest import VirtualClock, write_doc, write_index
@@ -304,3 +311,104 @@ def test_crawl_config_validation():
     with pytest.raises(ValueError):
         CrawlConfig(max_pages=0)
     assert "pdf" in CrawlConfig(accepted_types={"PDF"}).accepted_types
+
+
+# --- live provider against a local server ------------------------------------------
+
+BIG = 8 * 1024 * 1024  # body size the oversized document claims and sends
+
+
+class _Origin(http.server.BaseHTTPRequestHandler):
+    """Serves a search page and three documents: small, oversized, truncated."""
+
+    def do_GET(self):
+        path = self.path.split("?")[0]
+        if path == "/search":
+            base = f"http://127.0.0.1:{self.server.server_port}"
+            body = json.dumps({"hits": [{"url": f"{base}/{name}", "page": 1, "rank": rank}
+                                        for rank, name in enumerate(("ok.txt", "big.txt"), start=1)],
+                               "total_pages": 1}).encode()
+        elif path == "/ok.txt":
+            body = b"small document"
+        elif path == "/short.txt":
+            self.send_response(200)
+            self.send_header("Content-Length", "1000")
+            self.end_headers()
+            self.wfile.write(b"only ten b")
+            return
+        elif path == "/big.txt":
+            self.send_response(200)
+            self.end_headers()  # no length: the body runs until the connection closes
+            self.close_connection = True
+            try:
+                for _ in range(BIG // 65536):
+                    self.wfile.write(b"x" * 65536)
+            except OSError:
+                pass  # the client stopped reading
+            return
+        else:
+            self.send_error(404)
+            return
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def origin():
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Origin)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def live(max_bytes=None) -> HttpProvider:
+    return HttpProvider(endpoint="", api_key="k", acknowledge_live_traffic=True, max_bytes=max_bytes)
+
+
+def test_http_fetch_reads_at_most_one_byte_over_the_limit(origin, store):
+    assert len(live(max_bytes=1000).fetch(f"{origin}/big.txt", timeout=5).data) == 1001
+    assert live(max_bytes=1000).fetch(f"{origin}/ok.txt", timeout=5).data == b"small document"
+    record = download(make_hit(store, f"{origin}/big.txt"), live(max_bytes=1000),
+                      quick_config(max_object_bytes=1000), store)
+    assert (record.status, record.reason, record.size_bytes) == ("failed", "too_large", 1001)
+    assert store.object_count() == 0
+
+
+def test_http_fetch_truncated_body_fails(origin, store):
+    for max_bytes in (None, 1000, 10):
+        with pytest.raises(http.client.IncompleteRead):
+            live(max_bytes).fetch(f"{origin}/short.txt", timeout=5)
+    record = download(make_hit(store, f"{origin}/short.txt"), live(1000), quick_config(), store)
+    assert record.status == "failed" and record.reason.startswith("network")
+
+
+def test_scan_passes_max_object_bytes_to_http_provider(origin, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(plan_to_json(QueryPlan(("q",))), "utf-8")
+    store_dir = tmp_path / "store"
+    code = cli.entry([
+        "scan", "run", "--plan", str(plan), "--store", str(store_dir), "--provider", "http",
+        "--http-endpoint", f"{origin}/search", "--http-key", "k", "--i-accept-risk",
+        "--search-delay", "0", "--max-object-bytes", "1000", "--accepted-types", "txt",
+    ])
+    capsys.readouterr()
+    assert code == 0
+    conn = sqlite3.connect(store_dir / "store.db")
+    rows = conn.execute(
+        "SELECT h.url, d.status, d.reason, d.size_bytes FROM downloads d"
+        " JOIN hits h ON h.id = d.hit_id ORDER BY h.rank"
+    ).fetchall()
+    conn.close()
+    assert rows == [(f"{origin}/ok.txt", "success", None, 14),
+                    (f"{origin}/big.txt", "failed", "too_large", 1001)]

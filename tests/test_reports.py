@@ -1,9 +1,12 @@
 """Aggregation tables: distinct counts, per-capita rates, repeat exposure, emission."""
 
+import dataclasses
+import json
+import tempfile
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from idsweep import domains, reports, thai_id
 from idsweep.geo import default_registry, load_registry
@@ -191,6 +194,142 @@ def test_partition_law(raw):
         # every ID appears under at least one key, so no dimension loses IDs
         assert len({r.digits for r in recs}) == total_ids
         assert max(row.unique_ids for row in table.rows) <= total_ids
+
+
+# --- one fold against per-table reference definitions -------------------------------
+
+# The tables as separate group-and-count passes, one per table, kept here as
+# the definition the one-pass fold must reproduce.
+NAIVE_KEY_OF = {
+    "file_type": lambda r: r.file_type,
+    "tld": lambda r: r.domain.tld_class,
+    "registered_domain": lambda r: r.domain.registered_domain or r.domain.fqdn,
+    "owner_tag": lambda r: r.domain.owner_tag or "(untagged)",
+    "query": lambda r: r.query,
+    "category_digit": lambda r: r.digits[0],
+}
+
+
+def naive_count_groups(records, key_of):
+    groups = {}
+    for record in records:
+        groups.setdefault(key_of(record), []).append(record)
+    return [
+        AggregateRow(
+            key=key,
+            urls=len({r.url for r in group}),
+            files=len({r.sha256 for r in group}),
+            fqdns=len({r.domain.fqdn for r in group}),
+            registered_domains=len({r.domain.registered_domain or r.domain.fqdn for r in group}),
+            unique_ids=len({r.digits for r in group}),
+        )
+        for key, group in groups.items()
+    ]
+
+
+def naive_aggregate(records, dimension):
+    rows = sorted(naive_count_groups(records, NAIVE_KEY_OF[dimension]), key=lambda r: (-r.unique_ids, r.key))
+    return AggregateTable(dimension=dimension, rows=tuple(rows))
+
+
+def naive_geographic_report(records, registry, sort):
+    def table(key_of, name_of, dim):
+        rows = []
+        for row in naive_count_groups(records, key_of):
+            population = registry.population.get(row.key)
+            percent = reports.percent_of(row.unique_ids, population, 2) if population else None
+            rows.append(dataclasses.replace(row, name=name_of(row.key), population=population,
+                                            percent=percent))
+        if sort == "count":
+            rows.sort(key=lambda r: (-r.unique_ids, r.key))
+        else:
+            rows.sort(key=lambda r: (r.percent is None, -(r.percent or 0), r.key))
+        return AggregateTable(dimension=dim, rows=tuple(rows), columns=reports.GEO_COLUMNS)
+
+    province = table(lambda r: r.digits[1:3],
+                     lambda c: p.name if (p := registry.lookup_province(c)) else None, "province")
+    district = table(lambda r: r.digits[1:5],
+                     lambda c: x.name if (x := registry.lookup_district(c)) else None, "district")
+    return province, district
+
+
+def naive_repeat_exposure(records):
+    urls_per_id = {}
+    for record in records:
+        urls_per_id.setdefault(record.digits, set()).add(record.url)
+    rows = sorted(naive_count_groups(records, lambda r: str(len(urls_per_id[r.digits]))),
+                  key=lambda r: -int(r.key))
+    rows = [dataclasses.replace(row, percent=reports.percent_of(row.unique_ids, len(urls_per_id), 4))
+            for row in rows]
+    return AggregateTable(dimension="source_multiplicity", rows=tuple(rows), columns=reports.REPEAT_COLUMNS)
+
+
+FOLD_URLS = (
+    "http://www.nfe.go.th/a.pdf",
+    "http://nfe.go.th/a.pdf",
+    "https://mirror.nfe.go.th/a.pdf",
+    "http://school.ac.th/b.xls",
+    "http://chpao.org/d.xlsx",
+    "http://122.154.253.83/e.pdf",
+    "http://[2001:db8::1]/f.pdf",
+    "http://thai.ac/g.doc",
+    "not a url",
+)
+FOLD_OWNERS = {"nfe.go.th": "education", "chpao.org": "province", "school.ac.th": "education"}
+# IDs from areas the bundled registry knows and from one it does not
+FOLD_IDS = tuple(
+    thai_id.generate_valid_id(prefix, f"30000{i:02d}", REG)
+    for i, prefix in enumerate(["11001", "11001", "32481", "39395", "88401", "12007"])
+) + ("5999900000011",)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(FOLD_IDS),
+            st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
+            st.sampled_from(FOLD_URLS),
+            st.sampled_from(["q1", "q2", "q3"]),
+            st.sampled_from(["pdf", "xls", "doc"]),
+        ),
+        max_size=40,
+    ),
+    st.sampled_from(["count", "percent"]),
+)
+def test_one_fold_matches_per_table_definitions(raw, geo_sort):
+    occs = [occ(d, sha, url, query=q, file_type=ft) for d, sha, url, q, ft in raw]
+    recs, _ = reports.build_records(occs, owner_tags=FOLD_OWNERS)
+    expected = {dim: naive_aggregate(recs, dim) for dim in reports.DIMENSIONS}
+    expected["province"], expected["district"] = naive_geographic_report(recs, REG, geo_sort)
+    expected["source_multiplicity"] = naive_repeat_exposure(recs)
+
+    got = {dim: reports.aggregate(recs, dim) for dim in reports.DIMENSIONS}
+    got["province"], got["district"] = reports.geographic_report(recs, REG, sort=geo_sort)
+    got["source_multiplicity"] = reports.repeat_exposure(recs)
+    for dim, table in expected.items():
+        assert reports.table_to_json(got[dim]) == reports.table_to_json(table), dim
+
+    # a whole report, every table from one pass over the occurrences in store order
+    occs.sort(key=lambda o: (o.digits, o.sha256, o.url, o.query))
+    with tempfile.TemporaryDirectory() as out:
+        written, _, ids = reports.report(occs, list(reports.TABLES), REG, out, fmt="json",
+                                         geo_sort=geo_sort, salt=b"pepper", owner_tags=FOLD_OWNERS)
+        files = {path.stem: path.read_text("utf-8") for path in written}
+    assert ids == len({r.digits for r in recs})
+    assert files.pop("exposures") == reports.render_listing_json(reports.exposure_listing(recs, b"pepper"))
+    assert len(files) == len(expected)
+    for text in files.values():
+        dimension = json.loads(text)["dimension"]
+        assert text == reports.table_to_json(expected[dimension]), dimension
+
+
+def test_report_needs_occurrences_in_id_order(tmp_path):
+    occs = [occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")]
+    with pytest.raises(ValueError, match="not sorted"):
+        reports.report(occs, ["filetype"], REG, tmp_path)
+    written, skipped, ids = reports.report(occs[::-1], ["filetype"], REG, tmp_path)
+    assert [p.name for p in written] == ["filetype.md"] and skipped == [] and ids == 2
 
 
 # --- geography --------------------------------------------------------------------
