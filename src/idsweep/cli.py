@@ -20,6 +20,7 @@ exits 2 naming the flag, variable or key.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import fcntl
 import json
@@ -314,9 +315,10 @@ def cmd_report(args) -> int:
     if not (store_dir / "store.db").exists():
         return _fail(f"no store at {store_dir}")
     try:
-        with ResultStore(store_dir) as store:
+        # the stream is closed, ending its read transaction, before the store
+        with ResultStore(store_dir) as store, contextlib.closing(store.occurrences()) as occurrences:
             written, skipped, ids = reports.report(
-                store.occurrences(), names, registry, args.out, fmt=args.format,
+                occurrences, names, registry, args.out, fmt=args.format,
                 geo_sort=args.geo_sort, salt=salt, unredacted=args.unredacted, owner_tags=owner_tags,
             )
     except sqlite3.Error as exc:

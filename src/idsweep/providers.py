@@ -109,7 +109,8 @@ class HttpProvider:
         api_key: str | None = None,
         acknowledge_live_traffic: bool = False,
         name: str = "http",
-        max_bytes: Optional[int] = None,
+        *,
+        max_bytes: int,
     ):
         if not api_key or not acknowledge_live_traffic:
             raise ProviderDisabled(
@@ -133,15 +134,12 @@ class HttpProvider:
     def fetch(self, url: str, timeout: float) -> FetchResult:
         try:
             with urllib.request.urlopen(url, timeout=timeout) as resp:
-                if self._max_bytes is None:
-                    data = resp.read()
-                else:
-                    limit = self._max_bytes + 1
-                    data = resp.read(limit)
-                    if len(data) < limit and resp.length:
-                        # the body ended short of its Content-Length; read()
-                        # without a limit raises this too
-                        raise http.client.IncompleteRead(data, resp.length)
+                limit = self._max_bytes + 1
+                data = resp.read(limit)
+                if len(data) < limit and resp.length:
+                    # the body ended short of its Content-Length, which an
+                    # unbounded read() also reports this way
+                    raise http.client.IncompleteRead(data, resp.length)
                 disposition = resp.headers.get("Content-Disposition")
         except (urllib.error.URLError, TimeoutError) as exc:
             raise ProviderError(f"fetch failed for {url}: {exc}") from exc

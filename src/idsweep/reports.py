@@ -20,12 +20,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import chain, groupby, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, TextIO
 
 from .domains import ClassificationError, DomainInfo, PublicSuffixList, classify_url, default_suffix_list
 from .geo import GeoRegistry
@@ -181,55 +182,44 @@ def _row(key: str, sources: Iterable[ExposureRecord], unique_ids: int) -> Aggreg
 class _Fold:
     """Distinct counts for every dimension, from ID runs added one at a time.
 
-    It keeps the first record of each distinct source (document, URL,
-    query, type, host) with its key in each source dimension, per source
-    the IDs found only there, per source-dimension key the IDs found at
-    several sources, and per ID-dimension key the IDs and the sources they
-    reach: state bounded by sources and keys, not by IDs.  A key's URL,
-    file, FQDN and registered-domain counts come from the distinct sources
-    under it, and its unique_ids counts each ID that reaches it once.
+    It keeps the first record of each distinct source (document, URL, query,
+    type), per key of each dimension the number of IDs that reach the key,
+    and per key of an ID dimension the sources those IDs reach: state
+    bounded by sources and keys, not by IDs.  A key's URL, file, FQDN and
+    registered-domain counts come from its distinct sources, and its
+    unique_ids counts each ID that reaches it once.
     """
 
     def __init__(self) -> None:
         self.ids = 0
         self._sources: list[ExposureRecord] = []
-        self._keys: list[tuple[str, ...]] = []  # per source, its key in each _SOURCE_KEY_OF dimension
-        self._index: dict[tuple, int] = {}  # source -> its position in _sources
-        self._alone: list[int] = []  # per source, the IDs found at no other source
-        self._shared: list[dict[str, int]] = [{} for _ in _SOURCE_KEY_OF]  # key -> IDs at several sources
-        # ID dimension -> key -> [IDs, the sources they reach]
-        self._by_id: dict[str, dict[str, list]] = {dimension: {} for dimension in _ID_KEY_OF}
+        self._index: dict[tuple[str, ...], int] = {}  # source -> its position in _sources
+        self._ids: dict[str, dict[str, int]] = {d: {} for d in (*_SOURCE_KEY_OF, *_ID_KEY_OF)}
+        self._reached: dict[str, dict[str, set[int]]] = {d: {} for d in _ID_KEY_OF}
 
     def add(self, digits: str, run: list[ExposureRecord]) -> None:
         sources, index = self._sources, self._index
         reach = set()
         for r in run:
-            # the domain by identity, which the source's first record keeps
-            # alive: equal domains built apart only split a source in two,
-            # which counts the same
-            source = (r.sha256, r.url, r.query, r.file_type, id(r.domain))
+            source = (r.sha256, r.url, r.query, r.file_type)
             i = index.get(source)
             if i is None:
                 i = index[source] = len(sources)
                 sources.append(r)
-                self._keys.append(tuple(key_of(r) for key_of in _SOURCE_KEY_OF.values()))
-                self._alone.append(0)
             reach.add(i)
-        if len(reach) == 1:
-            self._alone[i] += 1
-            urls = 1
-        else:
-            for d, shared in enumerate(self._shared):
-                for key in {self._keys[i][d] for i in reach}:
-                    shared[key] = shared.get(key, 0) + 1
-            urls = len({sources[i].url for i in reach})
-        for key_of, groups in zip(_ID_KEY_OF.values(), self._by_id.values()):
+        for dimension, key_of in _SOURCE_KEY_OF.items():
+            ids = self._ids[dimension]
+            for key in {key_of(r) for r in run}:
+                ids[key] = ids.get(key, 0) + 1
+        urls = len({r.url for r in run})
+        for dimension, key_of in _ID_KEY_OF.items():
             key = key_of(digits, urls)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = [0, set()]
-            group[0] += 1
-            group[1] |= reach
+            ids, reached = self._ids[dimension], self._reached[dimension]
+            ids[key] = ids.get(key, 0) + 1
+            if key in reached:
+                reached[key] |= reach
+            else:
+                reached[key] = set(reach)
         self.ids += 1
 
     def feed(self, runs: Iterable[_Run]) -> Iterator[_Run]:
@@ -240,16 +230,16 @@ class _Fold:
 
     def rows(self, dimension: str) -> list[AggregateRow]:
         """One row of distinct counts per key of the dimension, unsorted."""
-        groups = self._by_id.get(dimension)  # key -> [IDs, the sources they reach]
-        if groups is None:
-            groups = {}
-            d = list(_SOURCE_KEY_OF).index(dimension)
-            for i, keys in enumerate(self._keys):
-                group = groups.setdefault(keys[d], [self._shared[d].get(keys[d], 0), set()])
-                group[0] += self._alone[i]
-                group[1].add(i)
-        return [_row(key, (self._sources[i] for i in reached), ids)
-                for key, (ids, reached) in groups.items()]
+        reached = self._reached.get(dimension)
+        if reached is None:
+            # every source is reached by an ID, so a key of a source
+            # dimension reaches every source under it
+            reached = {}
+            key_of = _SOURCE_KEY_OF[dimension]
+            for i, source in enumerate(self._sources):
+                reached.setdefault(key_of(source), set()).add(i)
+        return [_row(key, (self._sources[i] for i in reached[key]), ids)
+                for key, ids in self._ids[dimension].items()]
 
 
 def _folded(records: Iterable[ExposureRecord]) -> _Fold:
@@ -401,44 +391,37 @@ def _markdown_cell(text: str) -> str:
     return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
 
 
-def _csv_cell(text: str) -> str:
-    """A cell as ``csv.writer`` writes it in a row of more than one cell."""
-    if text.isalnum():
-        return text  # nothing in it to quote
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text, ""))
-    return buf.getvalue()[:-2]
-
-
-def _lines(
-    rows: Iterable[Sequence[str]], cell: Callable[[str], str], start: str, sep: str, end: str
-) -> Iterator[str]:
-    """Each row as ``start``, its cells written by ``cell`` and joined by ``sep``, then ``end``.
-
-    The cells after a row's first are written once for all rows that repeat
-    them, as a listing's rows from one source do.
-    """
-    tails: dict[tuple[str, ...], str] = {}
-    for cells in rows:
-        tail = tuple(cells[1:])
-        text = tails.get(tail)
-        if text is None:
-            text = tails[tail] = "".join(sep + cell(c) for c in tail)
-        yield start + cell(cells[0]) + text + end
-
-
 def _markdown_lines(grid: AggregateTable | ExposureListing) -> Iterator[str]:
     """Pipe table of ``grid.columns`` over ``grid.cells()``.
 
     A backslash in a cell is written ``\\\\``, a pipe ``\\|`` and a line
-    break a space, so no cell can split its row.
+    break a space, so no cell can split its row.  The cells after a row's
+    first are escaped once for all rows that repeat them, as a listing's
+    rows from one source do.
     """
-    header = (grid.columns, ("---",) * len(grid.columns))
-    return _lines(chain(header, grid.cells()), _markdown_cell, "| ", " | ", " |\n")
+    tails: dict[tuple[str, ...], str] = {}
+    for cells in chain((grid.columns, ("---",) * len(grid.columns)), grid.cells()):
+        tail = tuple(cells[1:])
+        text = tails.get(tail)
+        if text is None:
+            text = tails[tail] = "".join(" | " + _markdown_cell(c) for c in tail)
+        yield "| " + _markdown_cell(cells[0]) + text + " |\n"
 
 
-def _csv_lines(grid: AggregateTable | ExposureListing) -> Iterator[str]:
-    return _lines(chain((grid.columns,), grid.cells()), _csv_cell, "", ",", "\n")
+def _write_lines(lines: Iterable[str], fh: TextIO) -> None:
+    # a few thousand lines per write: one write per line costs more than
+    # making the lines, and the whole text at once costs memory
+    lines = iter(lines)
+    while text := "".join(islice(lines, 4096)):
+        fh.write(text)
+
+
+def _write_markdown(grid: AggregateTable | ExposureListing, fh: TextIO) -> None:
+    _write_lines(_markdown_lines(grid), fh)
+
+
+def _write_csv(grid: AggregateTable | ExposureListing, fh: TextIO) -> None:
+    csv.writer(fh, lineterminator="\n").writerows(chain((grid.columns,), grid.cells()))
 
 
 def render_markdown(grid: AggregateTable | ExposureListing) -> str:
@@ -446,7 +429,9 @@ def render_markdown(grid: AggregateTable | ExposureListing) -> str:
 
 
 def render_csv(grid: AggregateTable | ExposureListing) -> str:
-    return "".join(_csv_lines(grid))
+    buf = io.StringIO()
+    _write_csv(grid, buf)
+    return buf.getvalue()
 
 
 def table_to_json(table: AggregateTable) -> str:
@@ -487,11 +472,13 @@ def render_listing_json(listing: ExposureListing) -> str:
     return "".join(_json_listing_lines(listing))
 
 
-# format -> (file extension, table lines, listing lines)
+# format -> (file extension, table writer, listing writer); a writer writes
+# its table or listing to an open text file
 FORMATS: dict[str, tuple[str, Callable, Callable]] = {
-    "markdown": ("md", _markdown_lines, _markdown_lines),
-    "csv": ("csv", _csv_lines, _csv_lines),
-    "json": ("json", lambda table: [table_to_json(table)], _json_listing_lines),
+    "markdown": ("md", _write_markdown, _write_markdown),
+    "csv": ("csv", _write_csv, _write_csv),
+    "json": ("json", lambda table, fh: fh.write(table_to_json(table)),
+             lambda listing, fh: _write_lines(_json_listing_lines(listing), fh)),
 }
 
 
@@ -501,23 +488,28 @@ def emit_report(
     fmt: str = "markdown",
     listing: Optional[ExposureListing] = None,
 ) -> list[Path]:
-    """Write one file per table (plus optional detail listing); deterministic bytes."""
+    """Write one file per table (plus optional detail listing); deterministic bytes.
+
+    Each file is written under a temporary name and renamed into place when
+    it is whole, so a write that fails part-way leaves no partial file.
+    """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
-    ext, table_lines, listing_lines = FORMATS[fmt]
+    ext, write_table, write_listing = FORMATS[fmt]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(out / f"{name}.{ext}", table_lines(tables[name])) for name in sorted(tables)]
+    jobs = [(out / f"{name}.{ext}", write_table, tables[name]) for name in sorted(tables)]
     if listing is not None:
-        jobs.append((out / f"exposures.{ext}", listing_lines(listing)))
-    for path, lines in jobs:
-        lines = iter(lines)
-        with path.open("w", encoding="utf-8") as fh:
-            # a few thousand lines per write: one write per line costs more
-            # than making the lines, and the whole text at once costs memory
-            while text := "".join(islice(lines, 4096)):
-                fh.write(text)
-    return [path for path, _ in jobs]
+        jobs.append((out / f"exposures.{ext}", write_listing, listing))
+    for path, write, grid in jobs:
+        part = path.with_name(path.name + ".part")
+        try:
+            with part.open("w", encoding="utf-8") as fh:
+                write(grid, fh)
+            os.replace(part, path)
+        finally:
+            part.unlink(missing_ok=True)
+    return [path for path, _, _ in jobs]
 
 
 def report(

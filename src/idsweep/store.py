@@ -224,26 +224,35 @@ class ResultStore:
         """Expand (id, document) pairs across every URL the document came from.
 
         Rows are distinct and streamed sorted by (digits, sha256, url, query).
+        Both reads run in one read transaction, so a scan that commits
+        meanwhile cannot leave an exposure without its sources.
         """
-        found: dict[str, set[tuple]] = {}
-        for sha256, *source in self._conn.execute(
-            "SELECT d.sha256, h.url, h.query, h.engine, d.declared_type"
-            " FROM downloads d JOIN hits h ON h.id = d.hit_id WHERE d.status = 'success'"
-        ):
-            found.setdefault(sha256, set()).add(tuple(source))
-        # digest -> its distinct (digest, url, query, engine, declared type),
-        # sorted with a missing type first as SQL orders NULL; every row of a
-        # digest shares these strings
-        sources = {
-            sha256: [(sha256, *s) for s in sorted(
-                found[sha256], key=lambda s: (*s[:3], s[3] is not None, s[3] or ""))]
-            for sha256 in found
-        }
-        for digits, sha256 in self._conn.execute(
-            "SELECT digits, sha256 FROM exposures ORDER BY digits, sha256"
-        ):
-            for source in sources.get(sha256, ()):
-                yield ExposureOccurrence(digits, *source)
+        own = not self._conn.in_transaction
+        if own:
+            self._conn.execute("BEGIN")
+        try:
+            found: dict[str, set[tuple]] = {}
+            for sha256, *source in self._conn.execute(
+                "SELECT d.sha256, h.url, h.query, h.engine, d.declared_type"
+                " FROM downloads d JOIN hits h ON h.id = d.hit_id WHERE d.status = 'success'"
+            ):
+                found.setdefault(sha256, set()).add(tuple(source))
+            # digest -> its distinct (digest, url, query, engine, declared type),
+            # sorted with a missing type first as SQL orders NULL; every row of a
+            # digest shares these strings
+            sources = {
+                sha256: [(sha256, *s) for s in sorted(
+                    found[sha256], key=lambda s: (*s[:3], s[3] is not None, s[3] or ""))]
+                for sha256 in found
+            }
+            for digits, sha256 in self._conn.execute(
+                "SELECT digits, sha256 FROM exposures ORDER BY digits, sha256"
+            ):
+                for source in sources.get(sha256, ()):
+                    yield ExposureOccurrence(digits, *source)
+        finally:
+            if own and self._conn.in_transaction:
+                self._conn.execute("ROLLBACK")
 
     def load_occurrences(self) -> list[ExposureOccurrence]:
         """``occurrences()`` as a list."""

@@ -372,7 +372,7 @@ def origin():
         assert not thread.is_alive()
 
 
-def live(max_bytes=None) -> HttpProvider:
+def live(max_bytes: int) -> HttpProvider:
     return HttpProvider(endpoint="", api_key="k", acknowledge_live_traffic=True, max_bytes=max_bytes)
 
 
@@ -386,7 +386,7 @@ def test_http_fetch_reads_at_most_one_byte_over_the_limit(origin, store):
 
 
 def test_http_fetch_truncated_body_fails(origin, store):
-    for max_bytes in (None, 1000, 10):
+    for max_bytes in (1000, 10):
         with pytest.raises(http.client.IncompleteRead):
             live(max_bytes).fetch(f"{origin}/short.txt", timeout=5)
     record = download(make_hit(store, f"{origin}/short.txt"), live(1000), quick_config(), store)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sqlite3
 import tempfile
 from decimal import Decimal
 
@@ -330,6 +331,31 @@ def test_report_needs_occurrences_in_id_order(tmp_path):
         reports.report(occs, ["filetype"], REG, tmp_path)
     written, skipped, ids = reports.report(occs[::-1], ["filetype"], REG, tmp_path)
     assert [p.name for p in written] == ["filetype.md"] and skipped == [] and ids == 2
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_report_that_fails_part_way_leaves_no_listing(tmp_path, fmt):
+    def store_read_fails_part_way():
+        # more rows than one write of the listing holds, then a store error
+        for i in range(5000):
+            yield occ(f"11001{i:08d}", "s1", "http://a.go.th/1.pdf")
+        raise sqlite3.OperationalError("disk I/O error")
+
+    out = tmp_path / "fresh"
+    with pytest.raises(sqlite3.OperationalError):
+        reports.report(store_read_fails_part_way(), list(reports.TABLES), REG, out, fmt=fmt, salt=b"pepper")
+    assert sorted(out.iterdir()) == []
+
+    # a listing from an earlier run is left as it was
+    out = tmp_path / "earlier"
+    out.mkdir()
+    earlier = out / f"exposures.{reports.FORMATS[fmt][0]}"
+    earlier.write_text("earlier listing\n", "utf-8")
+    occs = [occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")]
+    with pytest.raises(ValueError, match="not sorted"):
+        reports.report(occs, ["exposures"], REG, out, fmt=fmt, salt=b"pepper")
+    assert sorted(out.iterdir()) == [earlier]
+    assert earlier.read_text("utf-8") == "earlier listing\n"
 
 
 # --- geography --------------------------------------------------------------------

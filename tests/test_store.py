@@ -43,3 +43,56 @@ def test_load_occurrences_matches_reference_join(tmp_path):
     assert got == expected
     assert len(got) == 7  # 3 sources of d1 for each of two IDs, 1 of d2
     assert not any(row[0] == "2100000000003" or "failed" in row[2] for row in got)
+
+
+class _WriteBeforeExposures:
+    """A store connection that lets another writer try to commit between the
+    store's read of its sources and its read of ``exposures``."""
+
+    def __init__(self, conn, write):
+        self._conn, self._write = conn, write
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def execute(self, sql, *args):
+        if "FROM exposures" in sql:
+            self._write()
+        return self._conn.execute(sql, *args)
+
+
+def test_occurrences_read_one_snapshot(tmp_path):
+    db = tmp_path / "store" / "store.db"
+    rows = lambda store: [(o.digits, o.sha256, o.url) for o in store.load_occurrences()]  # noqa: E731
+
+    def scan_commits_a_mirror_and_its_exposure():
+        other = sqlite3.connect(db, timeout=0)
+        try:
+            with other:
+                hit_id = other.execute(
+                    "INSERT INTO hits (query, engine, page, rank, url, retrieved_at)"
+                    " VALUES ('q', 'fixture', 1, 2, 'http://b.go.th/mirror.pdf', 't')"
+                ).lastrowid
+                other.execute("INSERT INTO downloads (hit_id, status, sha256, declared_type, completed_at)"
+                              " VALUES (?, 'success', 'd1', 'pdf', 't')", (hit_id,))
+                other.execute("INSERT INTO exposures VALUES ('1100000000001', 'd1', '-', '-', '-', '-', 't')")
+        except sqlite3.OperationalError:
+            pass  # held off by the reader's transaction
+        finally:
+            other.close()
+
+    with ResultStore(tmp_path / "store") as store:
+        hit_id = store.add_hit("q", "fixture", 1, 1, "http://a.go.th/doc.pdf", "t", False)
+        store.record_download(hit_id, "success", "t", sha256="d1", declared_type="pdf")
+        before = rows(store)
+        real = store._conn
+        store._conn = _WriteBeforeExposures(real, scan_commits_a_mirror_and_its_exposure)
+        got = rows(store)
+        store._conn = real
+        assert not real.in_transaction
+    with ResultStore(tmp_path / "store") as store:
+        after = rows(store)
+    # the rows of the store before the write or after it, never a mix: the
+    # exposure with only the source that was there before the write
+    assert before == []
+    assert got in (before, after)
