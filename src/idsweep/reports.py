@@ -9,8 +9,8 @@ arithmetic is decimal with round-half-up at a fixed number of places, which
 keeps emission byte-deterministic.
 
 ``TABLES`` maps each report table name to the dimension of each table it
-writes, and ``FORMATS`` maps each output format to the functions that make
-its lines.  Markdown and CSV write an aggregate table and the exposure
+writes, and ``FORMATS`` maps each output format to the functions that write
+its files.  Markdown and CSV write an aggregate table and the exposure
 listing alike, from their columns and string cells; JSON has one payload
 shape for each.
 """
