@@ -358,6 +358,67 @@ def test_report_every_format_matches_goldens(demo_store, tmp_path, fmt):
         assert (out_dir / name).read_bytes() == (GOLDENS / name).read_bytes(), name
 
 
+MIRROR_GOLDENS = GOLDENS / "mirrors"
+MIRROR_OWNERS = "nfe.go.th,education\nchpao.org,provincial office\n"
+MIRROR_QUERY = 'site:go.th "เลขประจำตัว, ประชาชน" | filetype:pdf'
+
+
+def mirror_store(store_dir):
+    """A store whose documents sit at several URLs, reached by several queries and engines.
+
+    Document d1 is at three URLs (one an IP literal), d2 at one, d3 only at
+    an unusable URL and d4 at two, one of them reached by two engines.  An ID
+    sits in d1 and d2, one only in d3, and one comes from an area the
+    registry does not know.
+    """
+    ids = [thai_id.generate_valid_id(prefix, f"40000{i:02d}", REG)
+           for i, prefix in enumerate(["11001", "32481", "11001", "39395", "12007"])] + ["5999900000011"]
+    docs = {
+        "d1": ("pdf", [("http://www.nfe.go.th/a.pdf", MIRROR_QUERY, "google"),
+                       ("https://mirror.nfe.go.th/a.pdf", "q2", "bing"),
+                       ("http://122.154.253.83/a.pdf", MIRROR_QUERY, "google")]),
+        "d2": ("xls", [("http://school.ac.th/b|c.xls", "q2", "google")]),
+        "d3": ("doc", [("not a url", "q3", "google")]),
+        "d4": ("xlsx", [("http://chpao.org/d.xlsx", "q2", "google"), ("http://chpao.org/d.xlsx", "q2", "bing"),
+                        ("http://[2001:db8::1]/d.xlsx", "q3", "bing")]),
+    }
+    placements = {ids[0]: ["d1"], ids[1]: ["d1", "d2"], ids[2]: ["d2", "d3"], ids[3]: ["d3"],
+                  ids[4]: ["d4"], ids[5]: ["d4", "d1"]}
+    with ResultStore(store_dir) as store:
+        digests = {}
+        for rank, (name, (file_type, urls)) in enumerate(docs.items(), start=1):
+            digests[name] = store.put_object(name.encode(), "2026-01-01T00:00:00Z")
+            for url, query, engine in urls:
+                hit = store.add_hit(query, engine, 1, rank, url, "2026-01-01T00:00:00Z", False)
+                store.record_download(hit, "success", "2026-01-01T00:00:00Z", sha256=digests[name],
+                                      declared_type=file_type, size_bytes=2)
+        store.add_exposures(
+            (digits, digests[name], docs[name][1][0][0], docs[name][1][0][1], "google", docs[name][0],
+             "2026-01-01T00:00:00Z")
+            for digits, names in placements.items() for name in names
+        )
+    return store_dir
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_report_mirror_store_matches_goldens(tmp_path, fmt):
+    # recorded before reports resolved each source once, and unchanged since
+    owners = tmp_path / "owners.csv"
+    owners.write_text(MIRROR_OWNERS, "utf-8")
+    out_dir = tmp_path / "report"
+    assert run_cli(
+        "report", "--store", str(mirror_store(tmp_path / "store")), "--tables", ",".join(TABLES),
+        "--format", fmt, "--out", str(out_dir), "--salt-file", str(SALT_FILE), "--owner-tags", str(owners),
+    ) == 0
+    ext = {"markdown": "md", "csv": "csv", "json": "json"}[fmt]
+    produced = sorted(p.name for p in out_dir.iterdir())
+    assert produced == sorted(f"{stem}.{ext}" for stem in (
+        "category", "domain", "exposures", "filetype", "geo_district", "geo_province", "owner", "query",
+        "repeat", "tld"))
+    for name in produced:
+        assert (out_dir / name).read_bytes() == (MIRROR_GOLDENS / name).read_bytes(), name
+
+
 def test_report_json_round_trips(demo_store, tmp_path):
     from idsweep.reports import table_from_json
 
