@@ -1,29 +1,29 @@
 """Exposure analytics: aggregation tables, per-capita rates, emission.
 
-Every table is a fold over exposure records -- one record per
-(id, document, source URL) co-occurrence -- so row counts stay consistent
-across dimensions.  ``report`` makes one pass over a store's occurrences in
-key order: each ID's run of records goes into one fold, which builds every
-table, and into the listing, which is written as the pass goes.  Percent
-arithmetic is decimal with round-half-up at a fixed number of places, which
-keeps emission byte-deterministic.
-
-``TABLES`` maps each report table name to the dimension of each table it
-writes, and ``FORMATS`` maps each output format to the functions that write
-its files.  Markdown and CSV write an aggregate table and the exposure
-listing alike, from their columns and string cells; JSON has one payload
-shape for each.
+Every table is a fold over exposure occurrences -- one per (id, document,
+source URL) co-occurrence -- so row counts stay consistent across
+dimensions.  ``report`` makes one pass over a store's occurrences in key
+order.  It resolves each distinct source (document, URL, query, type) once:
+its domain, or why its URL is unusable (reported once per URL); its key in
+each source dimension; and its listing cells after the ID, written in the
+output format.  Each ID's run of sources then costs the fold a few counter
+bumps and the listing one token.  Percent arithmetic is decimal with
+round-half-up at a fixed number of places, which keeps emission
+byte-deterministic.  ``TABLES`` maps each report table name to the
+dimension of each table it writes, and ``FORMATS`` maps each output format
+to how it writes a row.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
-from itertools import chain, groupby, islice
+from itertools import chain, compress, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, TextIO
@@ -38,7 +38,7 @@ GEO_COLUMNS = ("key", "name", "unique_ids", "population", "percent")
 REPEAT_COLUMNS = ("key", "unique_ids", "percent")
 
 
-@dataclass(slots=True)  # not frozen: a frozen __init__ costs 3x, once per occurrence
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs 3x, once per record
 class ExposureRecord:
     """One (id, document, URL) co-occurrence with its source classified."""
 
@@ -51,17 +51,32 @@ class ExposureRecord:
     domain: DomainInfo
 
 
-# dimension -> the key of a record's source (document, URL, query, type, host)
-_SOURCE_KEY_OF: dict[str, Callable[[ExposureRecord], str]] = {
-    "file_type": lambda r: r.file_type,
-    "tld": lambda r: r.domain.tld_class,
+@dataclass(slots=True, eq=False)
+class _Source:
+    """A distinct (document, URL, query, type) and what a report needs of it, resolved once."""
+
+    index: int  # its place among the fold's sources
+    sha256: str
+    url: str
+    query: str
+    file_type: str
+    domain: DomainInfo
+    keys: tuple[tuple[str, str], ...] = ()  # (source dimension, key) pairs
+    tail: object = None  # its listing cells after the ID, as written
+    alone: int = 0  # IDs of the fold found here only
+
+
+# dimension -> the key of a source (document, URL, query, type, host)
+_SOURCE_KEY_OF: dict[str, Callable[[_Source], str]] = {
+    "file_type": lambda s: s.file_type,
+    "tld": lambda s: s.domain.tld_class,
     # IP literals have no registered domain; they rank by their literal
-    "registered_domain": lambda r: r.domain.registered_domain or r.domain.fqdn,
-    "owner_tag": lambda r: r.domain.owner_tag or "(untagged)",
-    "query": lambda r: r.query,
+    "registered_domain": lambda s: s.domain.registered_domain or s.domain.fqdn,
+    "owner_tag": lambda s: s.domain.owner_tag or "(untagged)",
+    "query": lambda s: s.query,
 }
-# dimension -> the key of an ID, from its digits and how many distinct URLs
-# carry it
+# dimension -> the key of an ID, from its first five digits (its area) and
+# how many distinct URLs carry it
 _ID_KEY_OF: dict[str, Callable[[str, int], str]] = {
     "category_digit": lambda digits, urls: digits[0],
     "province": lambda digits, urls: digits[1:3],
@@ -110,33 +125,18 @@ def percent_of(part: int, whole: int, places: int) -> Decimal:
         return value.quantize(Decimal(10) ** -places, rounding=ROUND_HALF_UP)
 
 
-def _classify(
-    occurrences: Iterable[ExposureOccurrence],
-    psl: Optional[PublicSuffixList],
-    owner_tags: Optional[dict[str, str]],
-    skipped: list[tuple[str, str]],
-) -> Iterator[ExposureRecord]:
-    """Each occurrence as a record, each distinct URL classified once.
+def _domains(psl: PublicSuffixList, owner_tags: Optional[dict[str, str]],
+             skipped: list[tuple[str, str]]) -> Callable[[str], Optional[DomainInfo]]:
+    """The domain of a URL, classified once; an unusable URL has none and goes into ``skipped`` once."""
+    @functools.cache
+    def domain_of(url: str) -> Optional[DomainInfo]:
+        try:
+            return classify_url(url, psl=psl, owner_tags=owner_tags)
+        except ClassificationError as exc:
+            skipped.append((url, str(exc)))
+            return None
 
-    Occurrences of an unusable URL are left out and added to ``skipped``.
-    """
-    if psl is None:
-        psl = default_suffix_list()
-    domains: dict[str, DomainInfo | str] = {}  # url -> its domain, or why it has none
-    for occ in occurrences:
-        info = domains.get(occ.url)
-        if info is None:
-            try:
-                info = classify_url(occ.url, psl=psl, owner_tags=owner_tags)
-            except ClassificationError as exc:
-                info = str(exc)
-            domains[occ.url] = info
-        if isinstance(info, str):
-            skipped.append((occ.url, info))
-        else:
-            yield ExposureRecord(
-                occ.digits, occ.sha256, occ.url, occ.query, occ.engine, occ.file_type, info
-            )
+    return domain_of
 
 
 def build_records(
@@ -144,31 +144,17 @@ def build_records(
     psl: Optional[PublicSuffixList] = None,
     owner_tags: Optional[dict[str, str]] = None,
 ) -> tuple[list[ExposureRecord], list[tuple[str, str]]]:
-    """Classify each distinct URL once; occurrences of unusable URLs are skipped and reported."""
+    """Classify each distinct URL once; occurrences of unusable URLs are left out, each URL reported once."""
     skipped: list[tuple[str, str]] = []
-    return list(_classify(occurrences, psl, owner_tags, skipped)), skipped
+    domain_of = _domains(psl or default_suffix_list(), owner_tags, skipped)
+    records = [
+        ExposureRecord(occ.digits, occ.sha256, occ.url, occ.query, occ.engine, occ.file_type, domain)
+        for occ in occurrences if (domain := domain_of(occ.url)) is not None
+    ]
+    return records, skipped
 
 
-_DIGITS = attrgetter("digits")
-# the listing's order, which is also the order ResultStore.occurrences() yields
-_LISTING_ORDER = attrgetter("digits", "sha256", "url", "query")
-
-
-_Run = tuple[str, list[ExposureRecord]]  # an ID and its records
-
-
-def _runs(records: Iterable[ExposureRecord]) -> Iterator[_Run]:
-    """Each ID with its records, from records sorted by ID."""
-    last = None
-    for digits, run in groupby(records, key=_DIGITS):
-        if last is not None and digits <= last:
-            raise ValueError("records are not sorted by ID")
-        last = digits
-        yield digits, list(run)
-
-
-def _row(key: str, sources: Iterable[ExposureRecord], unique_ids: int) -> AggregateRow:
-    sources = list(sources)
+def _row(key: str, sources: list[_Source], unique_ids: int) -> AggregateRow:
     return AggregateRow(
         key=key,
         urls=len({s.url for s in sources}),
@@ -182,71 +168,99 @@ def _row(key: str, sources: Iterable[ExposureRecord], unique_ids: int) -> Aggreg
 class _Fold:
     """Distinct counts for every dimension, from ID runs added one at a time.
 
-    It keeps the first record of each distinct source (document, URL, query,
-    type), per key of each dimension the number of IDs that reach the key,
-    and per key of an ID dimension the sources those IDs reach: state
-    bounded by sources and keys, not by IDs.  A key's URL, file, FQDN and
-    registered-domain counts come from its distinct sources, and its
-    unique_ids counts each ID that reaches it once.
+    Its state is bounded by sources and keys, not by IDs: per source, the
+    IDs found there only (given to its keys when rows are read); per key of
+    a source dimension, the IDs of wider runs that reach it; per key of an
+    ID dimension, its IDs and a flag per source they reach.
     """
 
     def __init__(self) -> None:
         self.ids = 0
-        self._sources: list[ExposureRecord] = []
-        self._index: dict[tuple[str, ...], int] = {}  # source -> its position in _sources
-        self._ids: dict[str, dict[str, int]] = {d: {} for d in (*_SOURCE_KEY_OF, *_ID_KEY_OF)}
-        self._reached: dict[str, dict[str, set[int]]] = {d: {} for d in _ID_KEY_OF}
+        self.sources: list[_Source] = []
+        self._shared: dict[tuple[str, str], int] = {}
+        self._by_id_key: list[dict[str, list]] = [{} for _ in _ID_KEY_OF]
+        # sorted IDs come area (digits 1-5) by area: an area's IDs and the
+        # sources they reach are kept by URL count until the area ends
+        self._area, self._pending = "", {}
 
-    def add(self, digits: str, run: list[ExposureRecord]) -> None:
-        sources, index = self._sources, self._index
-        reach = set()
-        for r in run:
-            source = (r.sha256, r.url, r.query, r.file_type)
-            i = index.get(source)
-            if i is None:
-                i = index[source] = len(sources)
-                sources.append(r)
-            reach.add(i)
-        for dimension, key_of in _SOURCE_KEY_OF.items():
-            ids = self._ids[dimension]
-            for key in {key_of(r) for r in run}:
-                ids[key] = ids.get(key, 0) + 1
-        urls = len({r.url for r in run})
-        for dimension, key_of in _ID_KEY_OF.items():
-            key = key_of(digits, urls)
-            ids, reached = self._ids[dimension], self._reached[dimension]
-            ids[key] = ids.get(key, 0) + 1
-            if key in reached:
-                reached[key] |= reach
-            else:
-                reached[key] = set(reach)
+    def runs(self, items: Iterable, domain_of: Callable,
+             tail: Callable = tuple) -> Iterator[tuple[str, list[_Source]]]:
+        """Each ID with its sources, from items sorted by ID, added to the fold as it passes."""
+        interned: dict[tuple[str, str, str, str], Optional[_Source]] = {}
+        last, run = None, []
+        for item in items:
+            key = (item.sha256, item.url, item.query, item.file_type)
+            source = interned.get(key, False)
+            if source is False:  # first met: resolve it, or None if its URL is unusable
+                domain = domain_of(item)
+                source = interned[key] = domain and _Source(len(self.sources), *key, domain)
+                if source:
+                    source.keys = tuple((dim, key_of(source)) for dim, key_of in _SOURCE_KEY_OF.items())
+                    source.tail = tail((domain.tld_class, domain.registered_domain or "", source.url,
+                                        source.file_type, source.query))
+                    self.sources.append(source)
+            if item.digits != last:
+                if run:
+                    self.add(last, run)
+                    yield last, run
+                if last is not None and item.digits < last:
+                    raise ValueError("occurrences are not sorted by ID")
+                last, run = item.digits, []
+            if source is not None:
+                run.append(source)
+        if run:
+            self.add(last, run)
+            yield last, run
+
+    def add(self, digits: str, run: list[_Source]) -> None:
+        if len(run) == 1 or len(reach := {s.index for s in run}) == 1:
+            run[0].alone += 1
+            reach, urls = (run[0].index,), 1
+        else:
+            for key in {key for s in run for key in s.keys}:
+                self._shared[key] = self._shared.get(key, 0) + 1
+            urls = len({s.url for s in run})
+        if digits[:5] != self._area:
+            self._flush()
+            self._area = digits[:5]
+        entry = self._pending.get(urls)
+        if entry is None:
+            entry = self._pending[urls] = [0, set()]
+        entry[0] += 1
+        entry[1].update(reach)
         self.ids += 1
 
-    def feed(self, runs: Iterable[_Run]) -> Iterator[_Run]:
-        """The runs, each added to the fold as it passes."""
-        for digits, run in runs:
-            self.add(digits, run)
-            yield digits, run
+    def _flush(self) -> None:
+        for urls, (ids, reach) in self._pending.items():
+            for key_of, by_key in zip(_ID_KEY_OF.values(), self._by_id_key):
+                entry = by_key.setdefault(key_of(self._area, urls), [0, bytearray()])
+                entry[0] += ids
+                entry[1].extend(bytes(len(self.sources) - len(entry[1])))
+                for index in reach:
+                    entry[1][index] = 1
+        self._pending = {}
 
     def rows(self, dimension: str) -> list[AggregateRow]:
         """One row of distinct counts per key of the dimension, unsorted."""
-        reached = self._reached.get(dimension)
-        if reached is None:
-            # every source is reached by an ID, so a key of a source
-            # dimension reaches every source under it
-            reached = {}
-            key_of = _SOURCE_KEY_OF[dimension]
-            for i, source in enumerate(self._sources):
-                reached.setdefault(key_of(source), set()).add(i)
-        return [_row(key, (self._sources[i] for i in reached[key]), ids)
-                for key, ids in self._ids[dimension].items()]
+        self._flush()
+        if dimension in _ID_KEY_OF:
+            by_key = {key: (ids, list(compress(self.sources, reached)))
+                      for key, (ids, reached) in self._by_id_key[list(_ID_KEY_OF).index(dimension)].items()}
+        else:
+            by_key = {}
+            for source in self.sources:
+                key = _SOURCE_KEY_OF[dimension](source)
+                entry = by_key.setdefault(key, [self._shared.get((dimension, key), 0), []])
+                entry[0] += source.alone
+                entry[1].append(source)
+        return [_row(key, sources, ids) for key, (ids, sources) in by_key.items()]
 
 
 def _folded(records: Iterable[ExposureRecord]) -> _Fold:
     """The fold of records in any order: sorted stably by ID, linear when they already are."""
     fold = _Fold()
-    for digits, run in _runs(sorted(records, key=_DIGITS)):
-        fold.add(digits, run)
+    for _ in fold.runs(sorted(records, key=attrgetter("digits")), attrgetter("domain")):
+        pass
     return fold
 
 
@@ -340,38 +354,38 @@ LISTING_COLUMNS = ("id", "tld_class", "registered_domain", "url", "file_type", "
 class ExposureListing:
     """Per-occurrence detail rows; the id column is tokens unless unredacted.
 
-    ``rows`` is a tuple, except inside ``report``, where it is a stream that
-    is written once, as it is made.
+    ``rows`` is a tuple of cell tuples, except inside ``report``: there it is
+    a stream of rows already written in the format ``written_in``.
     """
 
     rows: Iterable[tuple[str, ...]]
     redacted: bool
     salt_id: Optional[str] = None
+    written_in: Optional[str] = None
     columns: ClassVar[tuple[str, ...]] = LISTING_COLUMNS
 
     def cells(self) -> Iterable[tuple[str, ...]]:
         return self.rows
 
 
-def _listing(runs: Iterable[_Run], salt: Optional[bytes], unredacted: bool) -> ExposureListing:
-    """The listing of runs sorted by (digits, sha256, url, query), its rows a stream."""
+def _listing(runs: Iterable[tuple[str, list[_Source]]], salt: Optional[bytes], unredacted: bool,
+             head: Callable = lambda cell: (cell,), written_in: Optional[str] = None) -> ExposureListing:
+    """The listing of sorted runs, its rows a stream: ``head`` of the ID as shown, then each source's tail."""
     if not unredacted and not salt:
         raise ValueError("redacted listing needs a salt")
 
-    def rows() -> Iterator[tuple[str, ...]]:
+    def rows() -> Iterator:
         for digits, run in runs:
             # each ID's token is computed once for all its rows
-            shown = digits if unredacted else pseudonymize(digits, salt).token
-            for r in run:
-                yield (shown, r.domain.tld_class, r.domain.registered_domain or "",
-                       r.url, r.file_type, r.query)
+            shown = head(digits if unredacted else pseudonymize(digits, salt).token)
+            for source in run:
+                yield shown + source.tail
 
     stream = rows()
     first = next(stream, None)
-    if first is None:
-        return ExposureListing(rows=(), redacted=not unredacted)
-    return ExposureListing(rows=chain((first,), stream), redacted=not unredacted,
-                           salt_id=None if unredacted else salt_id(salt))
+    named = first is not None and not unredacted  # an empty listing names no salt
+    return ExposureListing(rows=() if first is None else chain((first,), stream), redacted=not unredacted,
+                           salt_id=salt_id(salt) if named else None, written_in=written_in)
 
 
 def exposure_listing(
@@ -380,32 +394,66 @@ def exposure_listing(
     unredacted: bool = False,
 ) -> ExposureListing:
     """Detail listing; IDs become keyed-hash tokens unless explicitly unredacted."""
-    listing = _listing(_runs(sorted(records, key=_LISTING_ORDER)), salt, unredacted)
+    order = attrgetter("digits", "sha256", "url", "query")  # as ResultStore.occurrences() yields them
+    listing = _listing(_Fold().runs(sorted(records, key=order), attrgetter("domain")), salt, unredacted)
     return replace(listing, rows=tuple(listing.rows))
 
 
 # --- emission -----------------------------------------------------------------
 
 def _markdown_cell(text: str) -> str:
+    if text.isalnum():  # as every ID and token is
+        return text
     text = text.replace("\\", "\\\\").replace("|", "\\|")
     return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
 
 
-def _markdown_lines(grid: AggregateTable | ExposureListing) -> Iterator[str]:
-    """Pipe table of ``grid.columns`` over ``grid.cells()``.
+def _csv_row(cells: Iterable[str]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
-    A backslash in a cell is written ``\\\\``, a pipe ``\\|`` and a line
-    break a space, so no cell can split its row.  The cells after a row's
-    first are escaped once for all rows that repeat them, as a listing's
-    rows from one source do.
-    """
-    tails: dict[tuple[str, ...], str] = {}
-    for cells in chain((grid.columns, ("---",) * len(grid.columns)), grid.cells()):
-        tail = tuple(cells[1:])
-        text = tails.get(tail)
-        if text is None:
-            text = tails[tail] = "".join(" | " + _markdown_cell(c) for c in tail)
-        yield "| " + _markdown_cell(cells[0]) + text + " |\n"
+
+_json_cell = json.JSONEncoder(ensure_ascii=False).encode
+
+# format -> (file extension, a row's first cell as written, the rest of the
+# row as written).  A row is the two joined, so a listing writes each
+# source's rest of row once.  Markdown writes \ as \\, | as \| and a line
+# break as a space, so no cell can split its row; csv.writer quotes each
+# cell on its own, and never an alphanumeric one.
+FORMATS: dict[str, tuple[str, Callable[[str], str], Callable[[Iterable[str]], str]]] = {
+    "markdown": ("md", lambda cell: "| " + _markdown_cell(cell),
+                 lambda cells: "".join(" | " + _markdown_cell(c) for c in cells) + " |\n"),
+    "csv": ("csv", lambda cell: cell if cell.isalnum() else _csv_row((cell, ""))[:-2],
+            lambda cells: _csv_row(("", *cells))),
+    "json": ("json", lambda cell: "    [\n      " + _json_cell(cell),
+             lambda cells: "".join(",\n      " + _json_cell(c) for c in cells) + "\n    ]"),
+}
+
+
+def _text(grid: AggregateTable | ExposureListing, fmt: str) -> Iterator[str]:
+    """The file a table or listing is written as, in pieces."""
+    _, head, tail = FORMATS[fmt]
+    if fmt == "json" and isinstance(grid, AggregateTable):
+        return iter((table_to_json(grid),))
+    written = getattr(grid, "written_in", None) == fmt
+    rows = grid.rows if written else (head(row[0]) + tail(row[1:]) for row in grid.cells())
+    if fmt == "json":
+        return _json_listing(grid, rows)
+    header = (grid.columns, ("---",) * len(grid.columns)) if fmt == "markdown" else (grid.columns,)
+    return chain((head(row[0]) + tail(row[1:]) for row in header), rows)
+
+
+def _json_listing(listing: ExposureListing, rows: Iterable[str]) -> Iterator[str]:
+    """The listing as ``json.dumps(..., ensure_ascii=False, indent=2)`` writes it, a row at a time."""
+    text = json.dumps({"redacted": listing.redacted, "salt_id": listing.salt_id,
+                       "columns": list(listing.columns), "rows": []}, ensure_ascii=False, indent=2) + "\n"
+    # the rows go inside the '[]' that text ends with, each two levels deep
+    sep = text[:-len("]\n}\n")] + "\n"
+    for row in rows:
+        yield sep + row
+        sep = ",\n"
+    yield text if sep != ",\n" else "\n  ]\n}\n"
 
 
 def _write_lines(lines: Iterable[str], fh: TextIO) -> None:
@@ -416,22 +464,12 @@ def _write_lines(lines: Iterable[str], fh: TextIO) -> None:
         fh.write(text)
 
 
-def _write_markdown(grid: AggregateTable | ExposureListing, fh: TextIO) -> None:
-    _write_lines(_markdown_lines(grid), fh)
-
-
-def _write_csv(grid: AggregateTable | ExposureListing, fh: TextIO) -> None:
-    csv.writer(fh, lineterminator="\n").writerows(chain((grid.columns,), grid.cells()))
-
-
 def render_markdown(grid: AggregateTable | ExposureListing) -> str:
-    return "".join(_markdown_lines(grid))
+    return "".join(_text(grid, "markdown"))
 
 
 def render_csv(grid: AggregateTable | ExposureListing) -> str:
-    buf = io.StringIO()
-    _write_csv(grid, buf)
-    return buf.getvalue()
+    return "".join(_text(grid, "csv"))
 
 
 def table_to_json(table: AggregateTable) -> str:
@@ -455,31 +493,8 @@ def table_from_json(text: str) -> AggregateTable:
     return AggregateTable(dimension=data["dimension"], rows=tuple(rows), columns=tuple(data["columns"]))
 
 
-def _json_listing_lines(listing: ExposureListing) -> Iterator[str]:
-    """The listing as ``json.dumps(..., ensure_ascii=False, indent=2)`` writes it, a row at a time."""
-    text = json.dumps({"redacted": listing.redacted, "salt_id": listing.salt_id,
-                       "columns": list(listing.columns), "rows": []}, ensure_ascii=False, indent=2) + "\n"
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    # the rows go inside the '[]' that text ends with, each two levels deep
-    sep = text[:-len("]\n}\n")] + "\n"
-    for row in listing.cells():
-        yield sep + "    [\n      " + ",\n      ".join(map(encode, row)) + "\n    ]"
-        sep = ",\n"
-    yield text if sep != ",\n" else "\n  ]\n}\n"
-
-
 def render_listing_json(listing: ExposureListing) -> str:
-    return "".join(_json_listing_lines(listing))
-
-
-# format -> (file extension, table writer, listing writer); a writer writes
-# its table or listing to an open text file
-FORMATS: dict[str, tuple[str, Callable, Callable]] = {
-    "markdown": ("md", _write_markdown, _write_markdown),
-    "csv": ("csv", _write_csv, _write_csv),
-    "json": ("json", lambda table, fh: fh.write(table_to_json(table)),
-             lambda listing, fh: _write_lines(_json_listing_lines(listing), fh)),
-}
+    return "".join(_text(listing, "json"))
 
 
 def emit_report(
@@ -495,21 +510,21 @@ def emit_report(
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
-    ext, write_table, write_listing = FORMATS[fmt]
+    ext = FORMATS[fmt][0]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(out / f"{name}.{ext}", write_table, tables[name]) for name in sorted(tables)]
+    jobs = [(out / f"{name}.{ext}", tables[name]) for name in sorted(tables)]
     if listing is not None:
-        jobs.append((out / f"exposures.{ext}", write_listing, listing))
-    for path, write, grid in jobs:
+        jobs.append((out / f"exposures.{ext}", listing))
+    for path, grid in jobs:
         part = path.with_name(path.name + ".part")
         try:
             with part.open("w", encoding="utf-8") as fh:
-                write(grid, fh)
+                _write_lines(_text(grid, fmt), fh)
             os.replace(part, path)
         finally:
             part.unlink(missing_ok=True)
-    return [path for path, _, _ in jobs]
+    return [path for path, _ in jobs]
 
 
 def report(
@@ -526,22 +541,23 @@ def report(
     """Write the named report tables from one pass over the occurrences.
 
     The occurrences must come sorted by (digits, sha256, url, query), as
-    ``ResultStore.occurrences()`` yields them.  Each ID's run of records goes
+    ``ResultStore.occurrences()`` yields them.  Each ID's run of sources goes
     into one fold that builds every table, and into the listing, which is
-    written as the pass goes; no list of occurrences or records is kept.
-    Returns the files written, the skipped (url, reason) pairs and the
-    number of IDs.
+    written as the pass goes.  Returns the files written, each unusable URL
+    once with why (in the order first seen), and the number of IDs.
     """
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {sorted(FORMATS)}")
+    _, head, tail = FORMATS[fmt]
     names = list(names)
     skipped: list[tuple[str, str]] = []
+    domain_of = _domains(default_suffix_list(), owner_tags, skipped)
     fold = _Fold()
-    runs = fold.feed(_runs(_classify(occurrences, None, owner_tags, skipped)))
-    written = []
-    if "exposures" in names:
-        written = emit_report({}, out_dir, fmt, listing=_listing(runs, salt, unredacted))
-    else:
-        for _ in runs:
-            pass
+    runs = fold.runs(occurrences, lambda occ: domain_of(occ.url), tail)
+    listing = _listing(runs, salt, unredacted, head, fmt) if "exposures" in names else None
+    written = emit_report({}, out_dir, fmt, listing=listing) if listing else []
+    for _ in runs:  # what the listing did not take
+        pass
     tables = {
         stem: _finish(dim, fold.rows(dim), registry, geo_sort)
         for name in names for stem, dim in TABLES[name].items()

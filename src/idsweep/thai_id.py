@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import hmac
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -229,16 +228,19 @@ def salt_id(salt: bytes) -> str:
 
 
 @functools.lru_cache(maxsize=8)
-def _keyed(salt: bytes) -> tuple[hmac.HMAC, str]:
-    """An HMAC keyed with the salt, and the salt's id, made once per salt."""
-    return hmac.new(salt, digestmod=hashlib.sha256), salt_id(salt)
+def _keyed(salt: bytes) -> tuple["hashlib._Hash", "hashlib._Hash", str]:
+    """HMAC-SHA-256's inner and outer hashes keyed with the salt (RFC 2104), and the salt's id."""
+    key = (hashlib.sha256(salt).digest() if len(salt) > 64 else salt).ljust(64, b"\0")
+    inner, outer = (hashlib.sha256(bytes(b ^ pad for b in key)) for pad in (0x36, 0x5C))
+    return inner, outer, salt_id(salt)
 
 
 def pseudonymize(digits: str, salt: bytes) -> PseudonymToken:
-    """Deterministic keyed hash of an ID; unlinkable across distinct salts."""
+    """Deterministic keyed hash of an ID (HMAC-SHA-256); unlinkable across distinct salts."""
     if not salt:
         raise ValueError("empty salt")
-    keyed, name = _keyed(salt)
-    mac = keyed.copy()
-    mac.update(digits.encode("ascii"))
-    return PseudonymToken(token=mac.hexdigest(), salt_id=name)
+    inner, outer, name = _keyed(salt)  # copied per ID, not keyed again
+    inner, outer = inner.copy(), outer.copy()
+    inner.update(digits.encode("ascii"))
+    outer.update(inner.digest())
+    return PseudonymToken(token=outer.hexdigest(), salt_id=name)

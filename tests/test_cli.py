@@ -419,6 +419,27 @@ def test_report_mirror_store_matches_goldens(tmp_path, fmt):
         assert (out_dir / name).read_bytes() == (MIRROR_GOLDENS / name).read_bytes(), name
 
 
+def test_report_warns_once_per_unusable_url(tmp_path, capsys):
+    # three IDs in one document whose only URL is unusable, one elsewhere
+    ids = [thai_id.generate_valid_id("11001", f"50000{i:02d}", REG) for i in range(4)]
+    stamp = "2026-01-01T00:00:00Z"
+    with ResultStore(tmp_path / "store") as store:
+        for rank, (url, holders) in enumerate((("not a url", ids[:3]), ("http://www.nfe.go.th/a.pdf", ids[3:])), 1):
+            digest = store.put_object(url.encode(), stamp)
+            hit = store.add_hit("q1", "google", 1, rank, url, stamp, False)
+            store.record_download(hit, "success", stamp, sha256=digest, declared_type="pdf", size_bytes=1)
+            store.add_exposures((digits, digest, url, "q1", "google", "pdf", stamp) for digits in holders)
+    assert run_cli(
+        "report", "--store", str(tmp_path / "store"), "--tables", "filetype,exposures",
+        "--out", str(tmp_path / "r"), "--salt-file", str(SALT_FILE),
+    ) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("warning:")] == [
+        "warning: unclassifiable url skipped: not a url: unsupported scheme in 'not a url'"
+    ]
+    assert (tmp_path / "r" / "exposures.md").read_text("utf-8").count("\n") == 3  # header, rule, one row
+
+
 def test_report_json_round_trips(demo_store, tmp_path):
     from idsweep.reports import table_from_json
 

@@ -284,6 +284,12 @@ FOLD_IDS = tuple(
 ) + ("5999900000011",)
 
 
+# an ID found only at an unusable URL, which no table or listing may count
+FOLD_UNUSABLE_ID = thai_id.generate_valid_id("11001", "3000099", REG)
+RENDERERS = {"markdown": reports.render_markdown, "csv": reports.render_csv, "json": reports.table_to_json}
+LISTING_RENDERERS = {**RENDERERS, "json": reports.render_listing_json}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(
@@ -292,6 +298,8 @@ FOLD_IDS = tuple(
             st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
             st.sampled_from(FOLD_URLS),
             st.sampled_from(["q1", "q2", "q3"]),
+            # two engines put one source (document, URL, query, type) under two listing rows
+            st.sampled_from(["google", "bing"]),
             st.sampled_from(["pdf", "xls", "doc"]),
         ),
         max_size=40,
@@ -299,7 +307,8 @@ FOLD_IDS = tuple(
     st.sampled_from(["count", "percent"]),
 )
 def test_one_fold_matches_per_table_definitions(raw, geo_sort):
-    occs = [occ(d, sha, url, query=q, file_type=ft) for d, sha, url, q, ft in raw]
+    occs = [occ(d, sha, url, query=q, engine=e, file_type=ft) for d, sha, url, q, e, ft in raw]
+    occs += [occ(FOLD_UNUSABLE_ID, "d9", "not a url", engine=e) for e in ("google", "bing")]
     recs, _ = reports.build_records(occs, owner_tags=FOLD_OWNERS)
     expected = {dim: naive_aggregate(recs, dim) for dim in reports.DIMENSIONS}
     expected["province"], expected["district"] = naive_geographic_report(recs, REG, geo_sort)
@@ -310,19 +319,25 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
     got["source_multiplicity"] = reports.repeat_exposure(recs)
     for dim, table in expected.items():
         assert reports.table_to_json(got[dim]) == reports.table_to_json(table), dim
+    # the fold's sources are the distinct (document, URL, query, type): no engine
+    assert len(reports._folded(recs).sources) == len({(r.sha256, r.url, r.query, r.file_type) for r in recs})
 
-    # a whole report, every table from one pass over the occurrences in store order
+    # a whole report in every format, every table from one pass over the
+    # occurrences in store order, against the list path rendered whole
     occs.sort(key=lambda o: (o.digits, o.sha256, o.url, o.query))
-    with tempfile.TemporaryDirectory() as out:
-        written, _, ids = reports.report(occs, list(reports.TABLES), REG, out, fmt="json",
-                                         geo_sort=geo_sort, salt=b"pepper", owner_tags=FOLD_OWNERS)
-        files = {path.stem: path.read_text("utf-8") for path in written}
-    assert ids == len({r.digits for r in recs})
-    assert files.pop("exposures") == reports.render_listing_json(reports.exposure_listing(recs, b"pepper"))
-    assert len(files) == len(expected)
-    for text in files.values():
-        dimension = json.loads(text)["dimension"]
-        assert text == reports.table_to_json(expected[dimension]), dimension
+    listing = reports.exposure_listing(recs, b"pepper")
+    for fmt, render in RENDERERS.items():
+        with tempfile.TemporaryDirectory() as out:
+            written, skipped, ids = reports.report(occs, list(reports.TABLES), REG, out, fmt=fmt,
+                                                   geo_sort=geo_sort, salt=b"pepper", owner_tags=FOLD_OWNERS)
+            files = {path.stem: path.read_text("utf-8") for path in written}
+        assert ids == len({r.digits for r in recs}), fmt
+        assert skipped == [("not a url", "unsupported scheme in 'not a url'")], fmt
+        assert files.pop("exposures") == LISTING_RENDERERS[fmt](listing), fmt
+        dimensions = {stem: dim for name in reports.TABLES for stem, dim in reports.TABLES[name].items()}
+        assert files.keys() == dimensions.keys(), fmt
+        for stem, text in files.items():
+            assert text == render(expected[dimensions[stem]]), (fmt, stem)
 
 
 def test_report_needs_occurrences_in_id_order(tmp_path):
@@ -331,6 +346,15 @@ def test_report_needs_occurrences_in_id_order(tmp_path):
         reports.report(occs, ["filetype"], REG, tmp_path)
     written, skipped, ids = reports.report(occs[::-1], ["filetype"], REG, tmp_path)
     assert [p.name for p in written] == ["filetype.md"] and skipped == [] and ids == 2
+
+
+def test_report_names_each_unusable_url_once(tmp_path):
+    occs = [occ(ID_A, "s1", "http://a.go.th/1.pdf")] + [occ(d, "s9", "not a url") for d in (ID_B, ID_C, ID_D)]
+    occs.sort(key=lambda o: o.digits)
+    written, skipped, ids = reports.report(occs, ["filetype"], REG, tmp_path)
+    assert skipped == [("not a url", "unsupported scheme in 'not a url'")] and ids == 1
+    recs, skipped = reports.build_records(occs)
+    assert skipped == [("not a url", "unsupported scheme in 'not a url'")] and len(recs) == 1
 
 
 @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])

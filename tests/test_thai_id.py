@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import random
 
 import hypothesis
@@ -349,3 +351,14 @@ def test_pseudonymize_distinct_ids():
 def test_pseudonymize_empty_salt():
     with pytest.raises(ValueError):
         thai_id.pseudonymize("1100123456786", b"")
+
+
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 200])
+def test_pseudonymize_is_hmac_sha256(length):
+    # salts shorter than, as long as and longer than SHA-256's 64-byte block,
+    # which HMAC hashes first
+    salt = bytes((7 * i + length) % 256 for i in range(length))
+    for digits in ("1100123456786", "3100145678908"):
+        expected = hmac.new(salt, digits.encode("ascii"), hashlib.sha256).hexdigest()
+        assert thai_id.pseudonymize(digits, salt).token == expected
+        assert thai_id.pseudonymize(digits, salt).salt_id == thai_id.salt_id(salt)
