@@ -352,16 +352,11 @@ LISTING_COLUMNS = ("id", "tld_class", "registered_domain", "url", "file_type", "
 
 @dataclass(frozen=True)
 class ExposureListing:
-    """Per-occurrence detail rows; the id column is tokens unless unredacted.
+    """Per-occurrence detail rows; the id column is tokens unless unredacted."""
 
-    ``rows`` is a tuple of cell tuples, except inside ``report``: there it is
-    a stream of rows already written in the format ``written_in``.
-    """
-
-    rows: Iterable[tuple[str, ...]]
+    rows: tuple[tuple[str, ...], ...]
     redacted: bool
     salt_id: Optional[str] = None
-    written_in: Optional[str] = None
     columns: ClassVar[tuple[str, ...]] = LISTING_COLUMNS
 
     def cells(self) -> Iterable[tuple[str, ...]]:
@@ -369,8 +364,8 @@ class ExposureListing:
 
 
 def _listing(runs: Iterable[tuple[str, list[_Source]]], salt: Optional[bytes], unredacted: bool,
-             head: Callable = lambda cell: (cell,), written_in: Optional[str] = None) -> ExposureListing:
-    """The listing of sorted runs, its rows a stream: ``head`` of the ID as shown, then each source's tail."""
+             head: Callable = lambda cell: (cell,)) -> tuple[ExposureListing, Iterator]:
+    """A listing of sorted runs with no rows, and its rows as a stream: ``head`` of the shown ID + each tail."""
     if not unredacted and not salt:
         raise ValueError("redacted listing needs a salt")
 
@@ -384,8 +379,8 @@ def _listing(runs: Iterable[tuple[str, list[_Source]]], salt: Optional[bytes], u
     stream = rows()
     first = next(stream, None)
     named = first is not None and not unredacted  # an empty listing names no salt
-    return ExposureListing(rows=() if first is None else chain((first,), stream), redacted=not unredacted,
-                           salt_id=salt_id(salt) if named else None, written_in=written_in)
+    listing = ExposureListing(rows=(), redacted=not unredacted, salt_id=salt_id(salt) if named else None)
+    return listing, iter(()) if first is None else chain((first,), stream)
 
 
 def exposure_listing(
@@ -395,8 +390,8 @@ def exposure_listing(
 ) -> ExposureListing:
     """Detail listing; IDs become keyed-hash tokens unless explicitly unredacted."""
     order = attrgetter("digits", "sha256", "url", "query")  # as ResultStore.occurrences() yields them
-    listing = _listing(_Fold().runs(sorted(records, key=order), attrgetter("domain")), salt, unredacted)
-    return replace(listing, rows=tuple(listing.rows))
+    listing, rows = _listing(_Fold().runs(sorted(records, key=order), attrgetter("domain")), salt, unredacted)
+    return replace(listing, rows=tuple(rows))
 
 
 # --- emission -----------------------------------------------------------------
@@ -420,24 +415,24 @@ _json_cell = json.JSONEncoder(ensure_ascii=False).encode
 # row as written).  A row is the two joined, so a listing writes each
 # source's rest of row once.  Markdown writes \ as \\, | as \| and a line
 # break as a space, so no cell can split its row; csv.writer quotes each
-# cell on its own, and never an alphanumeric one.
+# cell on its own.
 FORMATS: dict[str, tuple[str, Callable[[str], str], Callable[[Iterable[str]], str]]] = {
     "markdown": ("md", lambda cell: "| " + _markdown_cell(cell),
                  lambda cells: "".join(" | " + _markdown_cell(c) for c in cells) + " |\n"),
-    "csv": ("csv", lambda cell: cell if cell.isalnum() else _csv_row((cell, ""))[:-2],
+    "csv": ("csv", lambda cell: _csv_row((cell, ""))[:-2],
             lambda cells: _csv_row(("", *cells))),
     "json": ("json", lambda cell: "    [\n      " + _json_cell(cell),
              lambda cells: "".join(",\n      " + _json_cell(c) for c in cells) + "\n    ]"),
 }
 
 
-def _text(grid: AggregateTable | ExposureListing, fmt: str) -> Iterator[str]:
-    """The file a table or listing is written as, in pieces."""
+def _text(grid: AggregateTable | ExposureListing, fmt: str, rows: Optional[Iterator[str]] = None) -> Iterator[str]:
+    """The file a table or listing is written as, in pieces; ``rows``, if given, are its rows as written."""
     _, head, tail = FORMATS[fmt]
     if fmt == "json" and isinstance(grid, AggregateTable):
         return iter((table_to_json(grid),))
-    written = getattr(grid, "written_in", None) == fmt
-    rows = grid.rows if written else (head(row[0]) + tail(row[1:]) for row in grid.cells())
+    if rows is None:
+        rows = (head(row[0]) + tail(row[1:]) for row in grid.cells())
     if fmt == "json":
         return _json_listing(grid, rows)
     header = (grid.columns, ("---",) * len(grid.columns)) if fmt == "markdown" else (grid.columns,)
@@ -503,28 +498,31 @@ def emit_report(
     fmt: str = "markdown",
     listing: Optional[ExposureListing] = None,
 ) -> list[Path]:
-    """Write one file per table (plus optional detail listing); deterministic bytes.
-
-    Each file is written under a temporary name and renamed into place when
-    it is whole, so a write that fails part-way leaves no partial file.
-    """
+    """Write one file per table (plus optional detail listing); deterministic bytes, each file whole or not at all."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
-    ext = FORMATS[fmt][0]
+    grids = [(name, tables[name]) for name in sorted(tables)]
+    if listing is not None:
+        grids.append(("exposures", listing))
+    return _write_files(out_dir, FORMATS[fmt][0], ((name, _text(grid, fmt)) for name, grid in grids))
+
+
+def _write_files(out_dir: str | Path, ext: str, texts: Iterable[tuple[str, Iterable[str]]]) -> list[Path]:
+    """Write each (file stem, text in pieces) under a temporary name, renamed into place when it is whole."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(out / f"{name}.{ext}", tables[name]) for name in sorted(tables)]
-    if listing is not None:
-        jobs.append((out / f"exposures.{ext}", listing))
-    for path, grid in jobs:
+    paths = []
+    for stem, text in texts:
+        path = out / f"{stem}.{ext}"
         part = path.with_name(path.name + ".part")
         try:
             with part.open("w", encoding="utf-8") as fh:
-                _write_lines(_text(grid, fmt), fh)
+                _write_lines(text, fh)
             os.replace(part, path)
         finally:
             part.unlink(missing_ok=True)
-    return [path for path, _ in jobs]
+        paths.append(path)
+    return paths
 
 
 def report(
@@ -548,14 +546,16 @@ def report(
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
-    _, head, tail = FORMATS[fmt]
+    ext, head, tail = FORMATS[fmt]
     names = list(names)
     skipped: list[tuple[str, str]] = []
     domain_of = _domains(default_suffix_list(), owner_tags, skipped)
     fold = _Fold()
     runs = fold.runs(occurrences, lambda occ: domain_of(occ.url), tail)
-    listing = _listing(runs, salt, unredacted, head, fmt) if "exposures" in names else None
-    written = emit_report({}, out_dir, fmt, listing=listing) if listing else []
+    written = []
+    if "exposures" in names:
+        listing, rows = _listing(runs, salt, unredacted, head)
+        written = _write_files(out_dir, ext, [("exposures", _text(listing, fmt, rows))])
     for _ in runs:  # what the listing did not take
         pass
     tables = {

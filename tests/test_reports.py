@@ -308,6 +308,8 @@ LISTING_RENDERERS = {**RENDERERS, "json": reports.render_listing_json}
 )
 def test_one_fold_matches_per_table_definitions(raw, geo_sort):
     occs = [occ(d, sha, url, query=q, engine=e, file_type=ft) for d, sha, url, q, e, ft in raw]
+    # always one source found by both engines, and one ID found only at an unusable URL
+    occs += [occ(FOLD_IDS[0], "d1", FOLD_URLS[0], engine=e) for e in ("google", "bing")]
     occs += [occ(FOLD_UNUSABLE_ID, "d9", "not a url", engine=e) for e in ("google", "bing")]
     recs, _ = reports.build_records(occs, owner_tags=FOLD_OWNERS)
     expected = {dim: naive_aggregate(recs, dim) for dim in reports.DIMENSIONS}
