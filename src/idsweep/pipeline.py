@@ -81,8 +81,9 @@ def run_scan(
     """Execute the plan and persist every accepted ID, once per document.
 
     Extraction runs once per distinct object digest no matter how many URLs
-    delivered it; the exposure row keeps the first delivering URL as its
-    provenance, and per-URL multiplicity is recovered from the hits table.
+    delivered it, as the first delivering hit declared its type; an exposure
+    row is (id, digest, first seen), and every URL, query and type of the
+    digest is recovered from the downloads and hits tables.
     Documents that cannot be extracted land in diagnostics, never silently.
     """
     clock = clock or Clock()
@@ -92,7 +93,7 @@ def run_scan(
     records = download_all(hits, provider, config, store, clock=clock)
 
     # the first successful download of a digest, in hit order, picks the
-    # declared type and the provenance of that document
+    # declared type and the first-seen time of that document
     documents: dict[str, DownloadRecord] = {}
     failed = 0
     for record in records:
@@ -127,11 +128,7 @@ def run_scan(
             ids, n_candidates = outcome
             candidates_total += n_candidates
             if ids:
-                query, engine = (hit.query, hit.engine) if hit else ("", "")
-                store.add_exposures(
-                    (digits, record.sha256, record.url, query, engine, record.declared_type, first_seen)
-                    for digits in ids
-                )
+                store.add_exposures((digits, record.sha256, first_seen) for digits in ids)
 
     return ScanSummary(
         queries=len(plan.queries),

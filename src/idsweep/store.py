@@ -6,15 +6,16 @@ Layout under the store directory::
                        diagnostics)
     objects/<sha256>   raw document bytes, filename = digest
 
-An object's path is derived from its digest and is never stored.  Opening a
-store whose ``downloads`` or ``objects`` table still has the ``stored_path``
-column that older versions wrote drops it (``ALTER TABLE ... DROP COLUMN``,
-SQLite >= 3.35).
+An object's path is derived from its digest and is never stored.  An
+exposure is only (digits, sha256, first_seen): its URLs, queries, engines and
+types are the successful ``downloads`` of its digest joined to their ``hits``.
+Opening a store that older versions wrote retires the columns they kept and
+nothing reads (``_RETIRED``), in one transaction.
 
 Reports read the store in one pass and add no index: ``occurrences()``
 holds the successful sources of each digest (bounded by documents), then
-streams ``exposures`` in primary-key order, a scan of its covering index,
-and expands each row across its digest's sources.
+streams ``exposures`` in its own key order (a WITHOUT ROWID table is its
+primary-key B-tree) and expands each row across its digest's sources.
 
 Writes are serialized with a process-local lock so the bounded download pool
 can share one store; cross-process exclusivity is the CLI's ``flock`` on
@@ -61,13 +62,9 @@ CREATE TABLE IF NOT EXISTS objects (
 CREATE TABLE IF NOT EXISTS exposures (
     digits     TEXT NOT NULL,
     sha256     TEXT NOT NULL,
-    url        TEXT NOT NULL,
-    query      TEXT NOT NULL,
-    engine     TEXT NOT NULL,
-    file_type  TEXT NOT NULL,
     first_seen TEXT NOT NULL,
     PRIMARY KEY (digits, sha256)
-);
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS diagnostics (
     id         INTEGER PRIMARY KEY,
     kind       TEXT NOT NULL,
@@ -78,15 +75,31 @@ CREATE TABLE IF NOT EXISTS diagnostics (
 """
 
 
-def _drop_stored_path(conn: sqlite3.Connection) -> None:
-    """Drop ``stored_path`` from a store written before the path was derived.
+# Columns that older stores hold and nothing reads.  One left behind can make
+# inserts fail: objects.stored_path is NOT NULL.
+_RETIRED = {"downloads": ("stored_path",), "objects": ("stored_path",),
+            "exposures": ("url", "query", "engine", "file_type")}
 
-    Its ``objects.stored_path NOT NULL`` would make ``INSERT OR IGNORE`` skip
-    every new object.
+
+def _schema_script(conn: sqlite3.Connection) -> str:
+    """``_SCHEMA`` as one transaction that also retires any ``_RETIRED`` column.
+
+    Columns are dropped in place, so a table keeps those it does not declare
+    (``DROP COLUMN``, SQLite >= 3.35).  SQLite cannot make a table WITHOUT
+    ROWID in place, so an older ``exposures`` is renamed, copied into the
+    table ``_SCHEMA`` creates in key order, which fills its pages, and dropped.
     """
-    for table in ("downloads", "objects"):
-        if any(row[1] == "stored_path" for row in conn.execute(f"PRAGMA table_info({table})")):
-            conn.execute(f"ALTER TABLE {table} DROP COLUMN stored_path")
+    before, after = [], []
+    for table, retired in _RETIRED.items():
+        have = {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+        gone = [column for column in retired if column in have]
+        if gone and table == "exposures":
+            before.append("ALTER TABLE exposures RENAME TO retired_exposures;")
+            after.append("INSERT INTO exposures SELECT digits, sha256, first_seen"
+                         " FROM retired_exposures ORDER BY digits, sha256; DROP TABLE retired_exposures;")
+        else:
+            before += [f"ALTER TABLE {table} DROP COLUMN {column};" for column in gone]
+    return "\n".join(["BEGIN;", *before, _SCHEMA, *after, "COMMIT;"])
 
 
 @dataclass(slots=True)  # not frozen: a frozen __init__ costs 3x, once per row
@@ -116,9 +129,8 @@ class ResultStore:
         self._conn = sqlite3.connect(self.db_path, check_same_thread=False)
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._lock = threading.Lock()
-        with self._lock, self._conn:
-            self._conn.executescript(_SCHEMA)
-            _drop_stored_path(self._conn)
+        with self._lock, self._conn:  # a migration that fails rolls back whole
+            self._conn.executescript(_schema_script(self._conn))
 
     def close(self) -> None:
         self._conn.close()
@@ -198,19 +210,18 @@ class ResultStore:
         self, digits: str, sha256: str, url: str, query: str, engine: str,
         file_type: str, first_seen: str,
     ) -> bool:
-        """Record an (id, document) pair; returns False if already present."""
-        return self.add_exposures([(digits, sha256, url, query, engine, file_type, first_seen)]) > 0
+        """Record an (id, document) pair; returns False if already present.
 
-    def add_exposures(self, rows: Iterable[tuple[str, str, str, str, str, str, str]]) -> int:
-        """Record many (id, document) pairs in one commit; returns how many were new.
-
-        Each row is (digits, sha256, url, query, engine, file_type, first_seen).
+        ``url``, ``query``, ``engine`` and ``file_type`` are accepted but not
+        stored: an exposure's sources are its digest's downloads and hits.
         """
+        return self.add_exposures([(digits, sha256, first_seen)]) > 0
+
+    def add_exposures(self, rows: Iterable[tuple[str, str, str]]) -> int:
+        """Record many (digits, sha256, first_seen) rows in one commit; returns how many were new."""
         with self._lock, self._conn:
             cur = self._conn.executemany(
-                "INSERT OR IGNORE INTO exposures (digits, sha256, url, query, engine, file_type, first_seen)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                rows,
+                "INSERT OR IGNORE INTO exposures (digits, sha256, first_seen) VALUES (?, ?, ?)", rows
             )
         return cur.rowcount
 

@@ -129,7 +129,7 @@ class NationalId:
         return CATEGORY_DESCRIPTIONS.get(self.category, "unassigned")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PseudonymToken:
     """Keyed-hash stand-in for an ID in emitted reports."""
 

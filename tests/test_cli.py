@@ -392,11 +392,8 @@ def mirror_store(store_dir):
                 hit = store.add_hit(query, engine, 1, rank, url, "2026-01-01T00:00:00Z", False)
                 store.record_download(hit, "success", "2026-01-01T00:00:00Z", sha256=digests[name],
                                       declared_type=file_type, size_bytes=2)
-        store.add_exposures(
-            (digits, digests[name], docs[name][1][0][0], docs[name][1][0][1], "google", docs[name][0],
-             "2026-01-01T00:00:00Z")
-            for digits, names in placements.items() for name in names
-        )
+        store.add_exposures((digits, digests[name], "2026-01-01T00:00:00Z")
+                            for digits, names in placements.items() for name in names)
     return store_dir
 
 
@@ -428,7 +425,7 @@ def test_report_warns_once_per_unusable_url(tmp_path, capsys):
             digest = store.put_object(url.encode(), stamp)
             hit = store.add_hit("q1", "google", 1, rank, url, stamp, False)
             store.record_download(hit, "success", stamp, sha256=digest, declared_type="pdf", size_bytes=1)
-            store.add_exposures((digits, digest, url, "q1", "google", "pdf", stamp) for digits in holders)
+            store.add_exposures((digits, digest, stamp) for digits in holders)
     assert run_cli(
         "report", "--store", str(tmp_path / "store"), "--tables", "filetype,exposures",
         "--out", str(tmp_path / "r"), "--salt-file", str(SALT_FILE),
@@ -540,10 +537,10 @@ CREATE TABLE diagnostics (
 """
 
 
-def _report_bytes(store_dir, out_dir):
+def _report_bytes(store_dir, out_dir, *extra):
     assert run_cli(
         "report", "--store", str(store_dir), "--tables", ",".join(TABLES),
-        "--out", str(out_dir), "--salt-file", str(SALT_FILE),
+        "--out", str(out_dir), "--salt-file", str(SALT_FILE), *extra,
     ) == 0
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
@@ -570,6 +567,81 @@ def test_older_store_is_migrated_on_open(demo_store, tmp_path):
         assert "stored_path" not in columns, table
     conn.close()
     assert _report_bytes(store_dir, tmp_path / "old") == _report_bytes(demo_store, tmp_path / "new")
+
+
+def old_layout_copy(store_dir, old_dir, schema=OLD_SCHEMA):
+    """The rows of a store in the tables an older idsweep wrote; returns its
+    exposures as (digits, sha256, first_seen), each with its own first_seen."""
+    (old_dir / "objects").mkdir(parents=True)
+    conn = sqlite3.connect(old_dir / "store.db")
+    conn.executescript(schema)
+    conn.execute("ATTACH ? AS new", (str(store_dir / "store.db"),))
+    exposures = [(digits, sha256, f"2025-12-31T00:00:{i:02d}Z") for i, (digits, sha256) in enumerate(
+        conn.execute("SELECT digits, sha256 FROM new.exposures ORDER BY digits DESC, sha256"))]
+    with conn:
+        conn.execute("INSERT INTO hits SELECT * FROM new.hits")
+        conn.execute("INSERT INTO downloads SELECT id, hit_id, status, reason, sha256, declared_type,"
+                     " 'objects/' || sha256, size_bytes, completed_at FROM new.downloads")
+        conn.execute("INSERT INTO objects SELECT sha256, size_bytes, 'objects/' || sha256, first_seen"
+                     " FROM new.objects")
+        # out of key order, with the source columns nothing reads
+        conn.executemany("INSERT INTO exposures VALUES (?, ?, '-', '-', '-', '-', ?)", exposures)
+    conn.close()
+    return exposures
+
+
+def exposures_layout(db):
+    conn = sqlite3.connect(db)
+    columns = [row[1] for row in conn.execute("PRAGMA table_info(exposures)")]
+    without_rowid = conn.execute("SELECT wr FROM pragma_table_list WHERE name = 'exposures'").fetchone()[0]
+    tables = sorted(row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'"))
+    rows = conn.execute("SELECT digits, sha256, first_seen FROM exposures").fetchall()
+    conn.close()
+    return columns, without_rowid, tables, rows
+
+
+def test_older_store_with_exposures_is_migrated_on_open(tmp_path):
+    new = mirror_store(tmp_path / "new")
+    old = tmp_path / "old"
+    exposures = old_layout_copy(new, old)
+    assert exposures_layout(old / "store.db")[:2] == (
+        ["digits", "sha256", "url", "query", "engine", "file_type", "first_seen"], 0)
+
+    ResultStore(old).close()
+    migrated = old.joinpath("store.db").read_bytes()
+    columns, without_rowid, tables, rows = exposures_layout(old / "store.db")
+    assert (columns, without_rowid) == (["digits", "sha256", "first_seen"], 1)
+    assert exposures_layout(new / "store.db")[:3] == (columns, 1, tables)  # a fresh store is the same
+    assert sorted(rows) == rows == sorted(exposures) and len(rows) == 9  # in key order, as stored
+    ResultStore(old).close()
+    assert old.joinpath("store.db").read_bytes() == migrated  # a second open changes nothing
+    for fmt in ("markdown", "csv", "json"):
+        assert _report_bytes(old, tmp_path / f"old-{fmt}", "--format", fmt) == _report_bytes(
+            new, tmp_path / f"new-{fmt}", "--format", fmt), fmt
+
+
+@pytest.mark.parametrize("failure", ["read-only file", "row the new table refuses"])
+def test_failed_migration_leaves_the_older_store(tmp_path, monkeypatch, capsys, failure):
+    new = mirror_store(tmp_path / "new")
+    old = tmp_path / "old"
+    if failure == "read-only file":
+        old_layout_copy(new, old)
+        connect = sqlite3.connect  # file modes do not stop root writing, so open it read-only
+        monkeypatch.setattr(sqlite3, "connect", lambda db, **kw: connect(f"file:{db}?mode=ro", uri=True, **kw))
+    else:  # the copy into the new exposures fails after the other columns were dropped
+        old_layout_copy(new, old, OLD_SCHEMA.replace("first_seen TEXT NOT NULL, PRIMARY", "first_seen TEXT, PRIMARY"))
+        conn = sqlite3.connect(old / "store.db")
+        with conn:
+            conn.execute("UPDATE exposures SET first_seen = NULL WHERE rowid = 9")
+        conn.close()
+    before = old.joinpath("store.db").read_bytes()
+    assert run_cli(
+        "report", "--store", str(old), "--tables", "filetype",
+        "--out", str(tmp_path / "r"), "--salt-file", str(SALT_FILE),
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"store {old}: " in err and "Traceback" not in err
+    assert old.joinpath("store.db").read_bytes() == before
 
 
 def test_open_keeps_columns_it_does_not_declare(tmp_path):

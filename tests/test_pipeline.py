@@ -158,14 +158,15 @@ def test_concurrent_extraction_matches_sequential(tmp_path, registry):
         url = f"http://s{i}.go.th/doc{i}.pdf"
         objects[url] = {"path": rel}
         (q1 if i < 3 else q2).append(url)
-    # one digest behind two URLs; the earlier hit declares pdf, the later txt
+    # one digest behind two URLs; the earlier hit declares pdf, the later a
+    # type no extractor reads, so taking the later hit's type loses the ID
     mirror = thai_id.generate_valid_id("32007", "0000077", registry)
     rel = write_doc(tmp_path, "mirror.bin", f"0.2\n{mirror}\n")
     objects["http://a.go.th/mirror.pdf"] = {"path": rel}
-    objects["http://b.ac.th/mirror.txt"] = {"path": rel}
+    objects["http://b.ac.th/mirror.xls"] = {"path": rel}
     objects["http://c.go.th/table.xls"] = {"path": write_doc(tmp_path, "table.xls", shared)}
     q1.append("http://a.go.th/mirror.pdf")
-    q2 += ["http://b.ac.th/mirror.txt", "http://c.go.th/table.xls", q1[0]]
+    q2 += ["http://b.ac.th/mirror.xls", "http://c.go.th/table.xls", q1[0]]
     index = write_index(
         tmp_path,
         {q: [{"url": u, "page": 1, "rank": r} for r, u in enumerate(urls, 1)]
@@ -174,26 +175,30 @@ def test_concurrent_extraction_matches_sequential(tmp_path, registry):
     )
 
     def scan(workers):
-        store = ResultStore(tmp_path / f"store{workers}")
-        summary = run_scan(
-            QueryPlan(queries=("q1", "q2")), FixtureProvider(index),
-            CrawlConfig(search_delay=0.0, download_workers=workers),
-            store, registry, extractors, clock=VirtualClock(),
-        )
-        diagnostics = store.diagnostics()
-        store.close()
+        with ResultStore(tmp_path / f"store{workers}") as store:
+            summary = run_scan(
+                QueryPlan(queries=("q1", "q2")), FixtureProvider(index),
+                CrawlConfig(search_delay=0.0, download_workers=workers),
+                store, registry, extractors, clock=VirtualClock(),
+            )
+            occurrences = store.load_occurrences()
+            diagnostics = store.diagnostics()
         conn = sqlite3.connect(store.db_path)
-        rows = conn.execute(  # all columns but first_seen, which is wall-clock time
-            "SELECT digits, sha256, url, query, engine, file_type FROM exposures ORDER BY rowid"
+        exposures = conn.execute(  # first_seen left out: it is wall-clock time
+            "SELECT digits, sha256 FROM exposures ORDER BY digits, sha256"
         ).fetchall()
         conn.close()
-        return summary, rows, diagnostics
+        return summary, occurrences, exposures, diagnostics
 
     sequential, concurrent = scan(1), scan(4)
     assert concurrent == sequential
-    summary, rows, diagnostics = sequential
+    summary, occurrences, exposures, diagnostics = sequential
     assert (summary.documents, summary.unreadable, summary.unique_ids) == (8, 2, 7)
-    assert [r[2] for r in rows if r[0] == mirror] == ["http://a.go.th/mirror.pdf"]
-    assert [r[5] for r in rows if r[0] == mirror] == ["pdf"]
-    assert [r[3] for r in rows if r[2] == q1[0]] == ["q1", "q1"]
+    # extracted once, as its first hit declared it, and found at both URLs
+    assert [(o.url, o.query, o.file_type) for o in occurrences if o.digits == mirror] == [
+        ("http://a.go.th/mirror.pdf", "q1", "pdf"), ("http://b.ac.th/mirror.xls", "q2", "xls")]
+    assert [o.query for o in occurrences if o.url == q1[0]] == ["q1", "q2"] * 2  # its own ID and shared
+    assert exposures == sorted({(o.digits, o.sha256) for o in occurrences})
+    assert len(exposures) == 11  # own IDs of five read documents, shared in each, the mirror's
     assert [kind for kind, _, _ in diagnostics] == ["extraction_failed", "unsupported_type"]
+    assert diagnostics[1][1] == "http://c.go.th/table.xls"  # none for the mirror's later URL

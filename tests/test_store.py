@@ -28,10 +28,10 @@ def test_load_occurrences_matches_reference_join(tmp_path):
         fetched("q1", 1, 4, "http://d.ac.th/failed.pdf", "d2", status="failed")  # no row
         fetched("q1", 1, 5, "http://e.ac.th/other.pdf", "d3", status="failed")  # d3 never succeeded
         store.add_exposures([
-            ("3100000000002", "d2", "-", "-", "-", "-", "t"),
-            ("1100000000001", "d1", "-", "-", "-", "-", "t"),
-            ("3100000000002", "d1", "-", "-", "-", "-", "t"),
-            ("2100000000003", "d3", "-", "-", "-", "-", "t"),  # no successful download: no row
+            ("3100000000002", "d2", "t"),
+            ("1100000000001", "d1", "t"),
+            ("3100000000002", "d1", "t"),
+            ("2100000000003", "d3", "t"),  # no successful download: no row
         ])
 
         got = [(o.digits, o.sha256, o.url, o.query, o.engine, o.file_type)
@@ -75,9 +75,9 @@ def test_occurrences_read_one_snapshot(tmp_path):
                 ).lastrowid
                 other.execute("INSERT INTO downloads (hit_id, status, sha256, declared_type, completed_at)"
                               " VALUES (?, 'success', 'd1', 'pdf', 't')", (hit_id,))
-                other.execute("INSERT INTO exposures VALUES ('1100000000001', 'd1', '-', '-', '-', '-', 't')")
-        except sqlite3.OperationalError:
-            pass  # held off by the reader's transaction
+                other.execute("INSERT INTO exposures VALUES ('1100000000001', 'd1', 't')")
+        except sqlite3.OperationalError as exc:  # held off by the reader's transaction, and only so
+            assert "locked" in str(exc), exc
         finally:
             other.close()
 
