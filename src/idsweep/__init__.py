@@ -19,10 +19,7 @@ _EXPORTS = {
         "pipeline": ("ScanSummary", "run_scan", "scan_document"),
         "providers": ("FixtureProvider", "HttpProvider", "ProviderDisabled", "ProviderError"),
         "queries": ("QueryPlan", "build_plan_from_templates", "load_plan_file", "render"),
-        "reports": (
-            "AggregateTable", "ExposureRecord", "aggregate", "build_records", "emit_report",
-            "exposure_listing", "geographic_report", "percent_of", "repeat_exposure",
-        ),
+        "reports": ("AggregateTable", "emit_report", "percent_of", "tables"),
         "store": ("ResultStore",),
         "thai_id": (
             "NationalId", "PseudonymToken", "RawCandidate", "ValidationOutcome", "compute_checksum",

@@ -2,12 +2,15 @@
 
 Every table is a fold over exposure occurrences -- one per (id, document,
 source URL) co-occurrence -- so row counts stay consistent across
-dimensions.  ``report`` makes one pass over a store's occurrences in key
-order.  It resolves each distinct source (document, URL, query, type) once:
-its domain, or why its URL is unusable (reported once per URL); its key in
-each source dimension; and its listing cells after the ID, written in the
-output format.  Each ID's run of sources then costs the fold a few counter
-bumps and the listing one token.  Percent arithmetic is decimal with
+dimensions.  There are two ways in, and both make the same one pass over
+occurrences in a store's key order, as ``ResultStore.occurrences()`` yields
+them: ``report`` writes the named tables and the per-ID listing to files,
+and ``tables`` returns every dimension's table in memory.  The pass
+resolves each distinct source (document, URL, query, type) once: its
+domain, or why its URL is unusable (reported once per URL); its key in each
+source dimension; and its listing cells after the ID, written in the output
+format.  Each ID's run of sources then costs the fold a few counter bumps
+and the listing one token.  Percent arithmetic is decimal with
 round-half-up at a fixed number of places, which keeps emission
 byte-deterministic.  ``TABLES`` maps each report table name to the
 dimension of each table it writes, and ``FORMATS`` maps each output format
@@ -24,11 +27,10 @@ import os
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import chain, compress, islice
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, TextIO
 
-from .domains import ClassificationError, DomainInfo, PublicSuffixList, classify_url, default_suffix_list
+from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list
 from .geo import GeoRegistry
 from .store import ExposureOccurrence
 from .thai_id import pseudonymize, salt_id
@@ -36,19 +38,6 @@ from .thai_id import pseudonymize, salt_id
 BASE_COLUMNS = ("key", "urls", "files", "fqdns", "registered_domains", "unique_ids")
 GEO_COLUMNS = ("key", "name", "unique_ids", "population", "percent")
 REPEAT_COLUMNS = ("key", "unique_ids", "percent")
-
-
-@dataclass(slots=True)  # not frozen: a frozen __init__ costs 3x, once per record
-class ExposureRecord:
-    """One (id, document, URL) co-occurrence with its source classified."""
-
-    digits: str
-    sha256: str
-    url: str
-    query: str
-    engine: str
-    file_type: str
-    domain: DomainInfo
 
 
 @dataclass(slots=True, eq=False)
@@ -83,8 +72,8 @@ _ID_KEY_OF: dict[str, Callable[[str, int], str]] = {
     "district": lambda digits, urls: digits[1:5],
     "source_multiplicity": lambda digits, urls: str(urls),
 }
-# the dimensions aggregate() groups by
-DIMENSIONS = (*_SOURCE_KEY_OF, "category_digit")
+# the dimensions tables() returns, one table each
+DIMENSIONS = (*_SOURCE_KEY_OF, *_ID_KEY_OF)
 
 
 @dataclass(frozen=True)
@@ -125,35 +114,6 @@ def percent_of(part: int, whole: int, places: int) -> Decimal:
         return value.quantize(Decimal(10) ** -places, rounding=ROUND_HALF_UP)
 
 
-def _domains(psl: PublicSuffixList, owner_tags: Optional[dict[str, str]],
-             skipped: list[tuple[str, str]]) -> Callable[[str], Optional[DomainInfo]]:
-    """The domain of a URL, classified once; an unusable URL has none and goes into ``skipped`` once."""
-    @functools.cache
-    def domain_of(url: str) -> Optional[DomainInfo]:
-        try:
-            return classify_url(url, psl=psl, owner_tags=owner_tags)
-        except ClassificationError as exc:
-            skipped.append((url, str(exc)))
-            return None
-
-    return domain_of
-
-
-def build_records(
-    occurrences: Iterable[ExposureOccurrence],
-    psl: Optional[PublicSuffixList] = None,
-    owner_tags: Optional[dict[str, str]] = None,
-) -> tuple[list[ExposureRecord], list[tuple[str, str]]]:
-    """Classify each distinct URL once; occurrences of unusable URLs are left out, each URL reported once."""
-    skipped: list[tuple[str, str]] = []
-    domain_of = _domains(psl or default_suffix_list(), owner_tags, skipped)
-    records = [
-        ExposureRecord(occ.digits, occ.sha256, occ.url, occ.query, occ.engine, occ.file_type, domain)
-        for occ in occurrences if (domain := domain_of(occ.url)) is not None
-    ]
-    return records, skipped
-
-
 def _row(key: str, sources: list[_Source], unique_ids: int) -> AggregateRow:
     return AggregateRow(
         key=key,
@@ -183,16 +143,16 @@ class _Fold:
         # sources they reach are kept by URL count until the area ends
         self._area, self._pending = "", {}
 
-    def runs(self, items: Iterable, domain_of: Callable,
-             tail: Callable = tuple) -> Iterator[tuple[str, list[_Source]]]:
-        """Each ID with its sources, from items sorted by ID, added to the fold as it passes."""
+    def runs(self, occurrences: Iterable[ExposureOccurrence], domain_of: Callable[[str], Optional[DomainInfo]],
+             tail: Callable) -> Iterator[tuple[str, list[_Source]]]:
+        """Each ID with its sources, from occurrences sorted by ID, added to the fold as it passes."""
         interned: dict[tuple[str, str, str, str], Optional[_Source]] = {}
         last, run = None, []
-        for item in items:
+        for item in occurrences:
             key = (item.sha256, item.url, item.query, item.file_type)
             source = interned.get(key, False)
             if source is False:  # first met: resolve it, or None if its URL is unusable
-                domain = domain_of(item)
+                domain = domain_of(item.url)
                 source = interned[key] = domain and _Source(len(self.sources), *key, domain)
                 if source:
                     source.keys = tuple((dim, key_of(source)) for dim, key_of in _SOURCE_KEY_OF.items())
@@ -256,20 +216,24 @@ class _Fold:
         return [_row(key, sources, ids) for key, (ids, sources) in by_key.items()]
 
 
-def _folded(records: Iterable[ExposureRecord]) -> _Fold:
-    """The fold of records in any order: sorted stably by ID, linear when they already are."""
+def _pass(occurrences: Iterable[ExposureOccurrence], owner_tags: Optional[dict[str, str]],
+          tail: Callable) -> tuple[_Fold, Iterator[tuple[str, list[_Source]]], list[tuple[str, str]]]:
+    """A fold, the runs that fill it as they pass, and the unusable URLs they meet, each once with why."""
+    psl, skipped = default_suffix_list(), []
+
+    @functools.cache  # each URL is classified once
+    def domain_of(url: str) -> Optional[DomainInfo]:
+        try:
+            return classify_url(url, psl=psl, owner_tags=owner_tags)
+        except ClassificationError as exc:
+            skipped.append((url, str(exc)))
+            return None
+
     fold = _Fold()
-    for _ in fold.runs(sorted(records, key=attrgetter("digits")), attrgetter("domain")):
-        pass
-    return fold
+    return fold, fold.runs(occurrences, domain_of, tail), skipped
 
 
-def _finish(
-    dimension: str,
-    rows: list[AggregateRow],
-    registry: Optional[GeoRegistry] = None,
-    geo_sort: str = "count",
-) -> AggregateTable:
+def _finish(dimension: str, rows: list[AggregateRow], registry: GeoRegistry, geo_sort: str) -> AggregateTable:
     """The table of a dimension's rows: sorted, and with names and percents where it has them."""
     if dimension == "source_multiplicity":
         # each ID has one multiplicity, so the rows' IDs are all the IDs
@@ -297,38 +261,6 @@ def _finish(
     return AggregateTable(dimension=dimension, rows=tuple(rows))
 
 
-def aggregate(records: Iterable[ExposureRecord], dimension: str) -> AggregateTable:
-    """Distinct-count table grouped by the dimension, most-exposed rows first."""
-    if dimension not in DIMENSIONS:
-        raise ValueError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
-    return _finish(dimension, _folded(records).rows(dimension))
-
-
-def geographic_report(
-    records: Iterable[ExposureRecord],
-    registry: GeoRegistry,
-    sort: str = "count",
-) -> tuple[AggregateTable, AggregateTable]:
-    """(province, district) tables with per-capita percents where known.
-
-    The area key comes from the ID itself (digits 2-3 province, 2-5 district),
-    not from where the document was hosted.  Percent = 100 x unique IDs /
-    resident count, half-up at 2 decimals; areas with no exposed IDs have no
-    row.  ``sort`` is "count" or "percent".
-    """
-    fold = _folded(records)
-    province, district = (_finish(dim, fold.rows(dim), registry, sort) for dim in ("province", "district"))
-    return province, district
-
-
-def repeat_exposure(records: Iterable[ExposureRecord]) -> AggregateTable:
-    """IDs grouped by how many distinct URLs carry them, highest first.
-
-    Percent is of all unique IDs, half-up at 4 decimals.
-    """
-    return _finish("source_multiplicity", _folded(records).rows("source_multiplicity"))
-
-
 # --- report tables ------------------------------------------------------------
 
 # report table name -> {file stem: dimension} of the tables it writes.
@@ -352,20 +284,16 @@ LISTING_COLUMNS = ("id", "tld_class", "registered_domain", "url", "file_type", "
 
 @dataclass(frozen=True)
 class ExposureListing:
-    """Per-occurrence detail rows; the id column is tokens unless unredacted."""
+    """What a per-occurrence listing's file says about it; its rows are only ever streamed."""
 
-    rows: tuple[tuple[str, ...], ...]
     redacted: bool
     salt_id: Optional[str] = None
     columns: ClassVar[tuple[str, ...]] = LISTING_COLUMNS
 
-    def cells(self) -> Iterable[tuple[str, ...]]:
-        return self.rows
-
 
 def _listing(runs: Iterable[tuple[str, list[_Source]]], salt: Optional[bytes], unredacted: bool,
-             head: Callable = lambda cell: (cell,)) -> tuple[ExposureListing, Iterator]:
-    """A listing of sorted runs with no rows, and its rows as a stream: ``head`` of the shown ID + each tail."""
+             head: Callable) -> tuple[ExposureListing, Iterator]:
+    """A listing of sorted runs, and its rows as a stream: ``head`` of the shown ID + each tail."""
     if not unredacted and not salt:
         raise ValueError("redacted listing needs a salt")
 
@@ -379,19 +307,8 @@ def _listing(runs: Iterable[tuple[str, list[_Source]]], salt: Optional[bytes], u
     stream = rows()
     first = next(stream, None)
     named = first is not None and not unredacted  # an empty listing names no salt
-    listing = ExposureListing(rows=(), redacted=not unredacted, salt_id=salt_id(salt) if named else None)
+    listing = ExposureListing(redacted=not unredacted, salt_id=salt_id(salt) if named else None)
     return listing, iter(()) if first is None else chain((first,), stream)
-
-
-def exposure_listing(
-    records: Iterable[ExposureRecord],
-    salt: Optional[bytes],
-    unredacted: bool = False,
-) -> ExposureListing:
-    """Detail listing; IDs become keyed-hash tokens unless explicitly unredacted."""
-    order = attrgetter("digits", "sha256", "url", "query")  # as ResultStore.occurrences() yields them
-    listing, rows = _listing(_Fold().runs(sorted(records, key=order), attrgetter("domain")), salt, unredacted)
-    return replace(listing, rows=tuple(rows))
 
 
 # --- emission -----------------------------------------------------------------
@@ -427,7 +344,7 @@ FORMATS: dict[str, tuple[str, Callable[[str], str], Callable[[Iterable[str]], st
 
 
 def _text(grid: AggregateTable | ExposureListing, fmt: str, rows: Optional[Iterator[str]] = None) -> Iterator[str]:
-    """The file a table or listing is written as, in pieces; ``rows``, if given, are its rows as written."""
+    """The file a table or listing is written as, in pieces; a listing's ``rows`` come as written."""
     _, head, tail = FORMATS[fmt]
     if fmt == "json" and isinstance(grid, AggregateTable):
         return iter((table_to_json(grid),))
@@ -459,12 +376,12 @@ def _write_lines(lines: Iterable[str], fh: TextIO) -> None:
         fh.write(text)
 
 
-def render_markdown(grid: AggregateTable | ExposureListing) -> str:
-    return "".join(_text(grid, "markdown"))
+def render_markdown(table: AggregateTable) -> str:
+    return "".join(_text(table, "markdown"))
 
 
-def render_csv(grid: AggregateTable | ExposureListing) -> str:
-    return "".join(_text(grid, "csv"))
+def render_csv(table: AggregateTable) -> str:
+    return "".join(_text(table, "csv"))
 
 
 def table_to_json(table: AggregateTable) -> str:
@@ -488,23 +405,11 @@ def table_from_json(text: str) -> AggregateTable:
     return AggregateTable(dimension=data["dimension"], rows=tuple(rows), columns=tuple(data["columns"]))
 
 
-def render_listing_json(listing: ExposureListing) -> str:
-    return "".join(_text(listing, "json"))
-
-
-def emit_report(
-    tables: dict[str, AggregateTable],
-    out_dir: str | Path,
-    fmt: str = "markdown",
-    listing: Optional[ExposureListing] = None,
-) -> list[Path]:
-    """Write one file per table (plus optional detail listing); deterministic bytes, each file whole or not at all."""
+def emit_report(tables: dict[str, AggregateTable], out_dir: str | Path, fmt: str = "markdown") -> list[Path]:
+    """Write one file per table; deterministic bytes, each file whole or not at all."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
-    grids = [(name, tables[name]) for name in sorted(tables)]
-    if listing is not None:
-        grids.append(("exposures", listing))
-    return _write_files(out_dir, FORMATS[fmt][0], ((name, _text(grid, fmt)) for name, grid in grids))
+    return _write_files(out_dir, FORMATS[fmt][0], ((name, _text(tables[name], fmt)) for name in sorted(tables)))
 
 
 def _write_files(out_dir: str | Path, ext: str, texts: Iterable[tuple[str, Iterable[str]]]) -> list[Path]:
@@ -539,27 +444,47 @@ def report(
     """Write the named report tables from one pass over the occurrences.
 
     The occurrences must come sorted by (digits, sha256, url, query), as
-    ``ResultStore.occurrences()`` yields them.  Each ID's run of sources goes
-    into one fold that builds every table, and into the listing, which is
-    written as the pass goes.  Returns the files written, each unusable URL
-    once with why (in the order first seen), and the number of IDs.
+    ``ResultStore.occurrences()`` yields them; an ID out of order is a
+    ``ValueError``.  Each ID's run of sources goes into one fold that builds
+    every table, and into the listing, which is written as the pass goes.
+    Returns the files written, each unusable URL once with why (in the order
+    first seen), and the number of IDs.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
     ext, head, tail = FORMATS[fmt]
     names = list(names)
-    skipped: list[tuple[str, str]] = []
-    domain_of = _domains(default_suffix_list(), owner_tags, skipped)
-    fold = _Fold()
-    runs = fold.runs(occurrences, lambda occ: domain_of(occ.url), tail)
+    fold, runs, skipped = _pass(occurrences, owner_tags, tail)
     written = []
     if "exposures" in names:
         listing, rows = _listing(runs, salt, unredacted, head)
         written = _write_files(out_dir, ext, [("exposures", _text(listing, fmt, rows))])
     for _ in runs:  # what the listing did not take
         pass
-    tables = {
+    by_stem = {
         stem: _finish(dim, fold.rows(dim), registry, geo_sort)
         for name in names for stem, dim in TABLES[name].items()
     }
-    return emit_report(tables, out_dir, fmt) + written, skipped, fold.ids
+    return emit_report(by_stem, out_dir, fmt) + written, skipped, fold.ids
+
+
+def tables(
+    occurrences: Iterable[ExposureOccurrence],
+    registry: GeoRegistry,
+    geo_sort: str = "count",
+    owner_tags: Optional[dict[str, str]] = None,
+) -> tuple[dict[str, AggregateTable], list[tuple[str, str]], int]:
+    """Every dimension's table from the same one pass as ``report``, in memory.
+
+    The occurrences must come in the order ``report`` needs.  Province and
+    district come from the ID itself (digits 2-3 and 2-5), with percent =
+    100 x IDs / residents, half-up at 2 places, where the registry has a
+    population; ``source_multiplicity`` counts IDs by how many distinct URLs
+    carry them, percent of all IDs at 4 places.  Returns each dimension of
+    ``DIMENSIONS`` with its table, each unusable URL once with why, and the
+    number of IDs.
+    """
+    fold, runs, skipped = _pass(occurrences, owner_tags, tuple)  # no listing: tails stay cells
+    for _ in runs:
+        pass
+    return {dim: _finish(dim, fold.rows(dim), registry, geo_sort) for dim in DIMENSIONS}, skipped, fold.ids

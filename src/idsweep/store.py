@@ -10,7 +10,8 @@ An object's path is derived from its digest and is never stored.  An
 exposure is only (digits, sha256, first_seen): its URLs, queries, engines and
 types are the successful ``downloads`` of its digest joined to their ``hits``.
 Opening a store that older versions wrote retires the columns they kept and
-nothing reads (``_RETIRED``), in one transaction.
+nothing reads (``_RETIRED``), in one transaction, then ``VACUUM``s once if it
+copied ``exposures``.
 
 Reports read the store in one pass and add no index: ``occurrences()``
 holds the successful sources of each digest (bounded by documents), then
@@ -81,8 +82,9 @@ _RETIRED = {"downloads": ("stored_path",), "objects": ("stored_path",),
             "exposures": ("url", "query", "engine", "file_type")}
 
 
-def _schema_script(conn: sqlite3.Connection) -> str:
-    """``_SCHEMA`` as one transaction that also retires any ``_RETIRED`` column.
+def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
+    """``_SCHEMA`` as one transaction that also retires any ``_RETIRED`` column,
+    and whether it copies ``exposures``.
 
     Columns are dropped in place, so a table keeps those it does not declare
     (``DROP COLUMN``, SQLite >= 3.35).  SQLite cannot make a table WITHOUT
@@ -99,7 +101,7 @@ def _schema_script(conn: sqlite3.Connection) -> str:
                          " FROM retired_exposures ORDER BY digits, sha256; DROP TABLE retired_exposures;")
         else:
             before += [f"ALTER TABLE {table} DROP COLUMN {column};" for column in gone]
-    return "\n".join(["BEGIN;", *before, _SCHEMA, *after, "COMMIT;"])
+    return "\n".join(["BEGIN;", *before, _SCHEMA, *after, "COMMIT;"]), bool(after)
 
 
 @dataclass(slots=True)  # not frozen: a frozen __init__ costs 3x, once per row
@@ -129,8 +131,15 @@ class ResultStore:
         self._conn = sqlite3.connect(self.db_path, check_same_thread=False)
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._lock = threading.Lock()
-        with self._lock, self._conn:  # a migration that fails rolls back whole
-            self._conn.executescript(_schema_script(self._conn))
+        try:
+            with self._lock, self._conn:  # a migration that fails rolls back whole
+                script, copied = _schema_script(self._conn)
+                self._conn.executescript(script)
+            if copied:  # the older exposures' pages are free now: give them back to the disk
+                self._conn.execute("VACUUM")
+        except sqlite3.Error:
+            self._conn.close()
+            raise
 
     def close(self) -> None:
         self._conn.close()

@@ -11,6 +11,7 @@ import random
 import time
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 from idsweep import domains, reports, thai_id
@@ -20,7 +21,7 @@ from idsweep.harvest import CrawlConfig, SearchHit, download, execute_plan
 from idsweep.pipeline import run_scan
 from idsweep.providers import FetchResult, FixtureProvider, ProviderError
 from idsweep.queries import QueryPlan, load_plan_file, render
-from idsweep.store import ResultStore
+from idsweep.store import ExposureOccurrence, ResultStore
 from idsweep.synth import make_corpus
 
 from conftest import VirtualClock, write_doc, write_index
@@ -93,27 +94,26 @@ def test_criterion_3_end_to_end_recall(tmp_path):
 
 # 4 -------------------------------------------------------------------------------
 
-def _records_in_areas(district_codes: list[str], count: int) -> list[reports.ExposureRecord]:
-    info = domains.classify_url("http://a.go.th/x.pdf")
+def _occurrences_in_areas(district_codes: list[str], count: int) -> list[ExposureOccurrence]:
     out = []
     for i in range(count):
         district = district_codes[i % len(district_codes)]
         digits = thai_id.generate_valid_id(f"{1 + i % 8}{district}", f"{i:07d}", REG)
         out.append(
-            reports.ExposureRecord(
-                digits=digits, sha256="s", url=info.url, query="q", engine="g",
-                file_type="pdf", domain=info,
+            ExposureOccurrence(
+                digits=digits, sha256="s", url="http://a.go.th/x.pdf", query="q", engine="g",
+                file_type="pdf",
             )
         )
-    return out
+    return sorted(out, key=attrgetter("digits"))  # in store order
 
 
 def test_criterion_4_per_capita_arithmetic():
-    province_tbl, _ = reports.geographic_report(
-        _records_in_areas(["9101", "9102", "9105"], 48_057), REG
-    )
+    province_tbl = reports.tables(
+        _occurrences_in_areas(["9101", "9102", "9105"], 48_057), REG
+    )[0]["province"]
     row_91 = next(r for r in province_tbl.rows if r.key == "91")
-    _, district_tbl = reports.geographic_report(_records_in_areas(["2481"], 6_983), REG)
+    district_tbl = reports.tables(_occurrences_in_areas(["2481"], 6_983), REG)[0]["district"]
     row_2481 = next(r for r in district_tbl.rows if r.key == "2481")
     verdict(
         4,
@@ -140,21 +140,21 @@ TOP_ROWS_FULL = {  # multiplicity -> (unique ids, printed percent), denominator 
 
 
 def _repeat_fixture(multiplicity_counts: dict[int, int]) -> reports.AggregateTable:
-    info = domains.classify_url("http://a.go.th/x.pdf")
-    records = []
+    occurrences = []
     serial = 0
     for multiplicity, n_ids in multiplicity_counts.items():
         for _ in range(n_ids):
             digits = thai_id.generate_valid_id("11001", f"{serial:07d}", REG)
             serial += 1
             for j in range(multiplicity):
-                records.append(
-                    reports.ExposureRecord(
+                occurrences.append(
+                    ExposureOccurrence(
                         digits=digits, sha256=f"s{serial}", url=f"http://h{j}.go.th/{serial}.pdf",
-                        query="q", engine="g", file_type="pdf", domain=info,
+                        query="q", engine="g", file_type="pdf",
                     )
                 )
-    return reports.repeat_exposure(records)
+    occurrences.sort(key=attrgetter("digits", "sha256", "url", "query"))  # in store order
+    return reports.tables(occurrences, REG)[0]["source_multiplicity"]
 
 
 def test_criterion_5_repeat_distribution_scaled():
@@ -287,22 +287,12 @@ def test_criterion_8_redaction_completeness(tmp_path):
         load_extractor_config(manifest.extractor_config_path),
         clock=VirtualClock(),
     )
-    records, _ = reports.build_records(store.load_occurrences())
-    tables = {
-        "filetype": reports.aggregate(records, "file_type"),
-        "tld": reports.aggregate(records, "tld"),
-        "domain": reports.aggregate(records, "registered_domain"),
-        "query": reports.aggregate(records, "query"),
-        "category": reports.aggregate(records, "category_digit"),
-        "repeat": reports.repeat_exposure(records),
-    }
-    province, district = reports.geographic_report(records, REG)
-    tables["geo_province"], tables["geo_district"] = province, district
-    listing = reports.exposure_listing(records, salt=b"acceptance")
     leaked = 0
     for fmt in ("markdown", "csv", "json"):
         out_dir = tmp_path / f"report_{fmt}"
-        for path in reports.emit_report(tables, out_dir, fmt=fmt, listing=listing):
+        written, _, _ = reports.report(store.occurrences(), list(reports.TABLES), REG, out_dir, fmt=fmt,
+                                       salt=b"acceptance")
+        for path in written:
             text = path.read_text("utf-8")
             for candidate in thai_id.find_candidates(text):
                 if thai_id.validate(candidate.normalized, REG).accepted:

@@ -609,6 +609,9 @@ def test_older_store_with_exposures_is_migrated_on_open(tmp_path):
 
     ResultStore(old).close()
     migrated = old.joinpath("store.db").read_bytes()
+    conn = sqlite3.connect(old / "store.db")
+    assert conn.execute("PRAGMA freelist_count").fetchone()[0] == 0  # the pages the copy freed are gone
+    conn.close()
     columns, without_rowid, tables, rows = exposures_layout(old / "store.db")
     assert (columns, without_rowid) == (["digits", "sha256", "first_seen"], 1)
     assert exposures_layout(new / "store.db")[:3] == (columns, 1, tables)  # a fresh store is the same
@@ -618,6 +621,30 @@ def test_older_store_with_exposures_is_migrated_on_open(tmp_path):
     for fmt in ("markdown", "csv", "json"):
         assert _report_bytes(old, tmp_path / f"old-{fmt}", "--format", fmt) == _report_bytes(
             new, tmp_path / f"new-{fmt}", "--format", fmt), fmt
+
+
+def test_failed_vacuum_leaves_the_migrated_store(tmp_path, monkeypatch, capsys):
+    new = mirror_store(tmp_path / "new")
+    old = tmp_path / "old"
+    old_layout_copy(new, old)
+
+    class NoVacuum(sqlite3.Connection):
+        def execute(self, sql, *args):
+            if sql == "VACUUM":
+                raise sqlite3.OperationalError("database or disk is full")
+            return super().execute(sql, *args)
+
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect", lambda db, **kw: connect(db, factory=NoVacuum, **kw))
+    assert run_cli(
+        "report", "--store", str(old), "--tables", "filetype",
+        "--out", str(tmp_path / "r"), "--salt-file", str(SALT_FILE),
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"store {old}: database or disk is full" in err and "Traceback" not in err
+    monkeypatch.undo()
+    assert exposures_layout(old / "store.db")[:3] == exposures_layout(new / "store.db")[:3]
+    assert _report_bytes(old, tmp_path / "old-report") == _report_bytes(new, tmp_path / "new-report")
 
 
 @pytest.mark.parametrize("failure", ["read-only file", "row the new table refuses"])

@@ -27,7 +27,7 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from idsweep import *", namespace)
     assert set(idsweep.__all__) <= set(namespace)
-    assert len(idsweep.__all__) == 45  # 44 names plus __version__
+    assert len(idsweep.__all__) == 40  # 39 names plus __version__
 
 
 def test_public_names_are_the_submodule_objects():

@@ -76,9 +76,9 @@ def test_mirrored_document_yields_multi_url_occurrences(tmp_path, registry):
         urls_by_id.setdefault(occ.digits, set()).add(occ.url)
     multiplicities = {len(urls) for urls in urls_by_id.values()}
     assert max(multiplicities) >= 2  # the mirrored doc and the repeated ID
-    records, skipped = reports.build_records(occurrences)
+    by_dim, skipped, _ = reports.tables(occurrences, registry)
     assert skipped == []
-    table = reports.repeat_exposure(records)
+    table = by_dim["source_multiplicity"]
     assert int(table.rows[0].key) >= 2
 
 

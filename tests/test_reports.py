@@ -1,17 +1,21 @@
 """Aggregation tables: distinct counts, per-capita rates, repeat exposure, emission."""
 
+import csv
 import dataclasses
+import io
 import json
 import sqlite3
 import tempfile
+from collections import namedtuple
 from decimal import Decimal
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from idsweep import domains, reports, thai_id
 from idsweep.geo import default_registry, load_registry
-from idsweep.reports import AggregateRow, AggregateTable, ExposureRecord
+from idsweep.reports import AggregateRow, AggregateTable
 from idsweep.store import ExposureOccurrence
 
 
@@ -21,13 +25,17 @@ def occ(digits, sha, url, query="q1", engine="google", file_type="pdf"):
     )
 
 
-def records_of(*occs):
-    recs, skipped = reports.build_records(occs)
-    assert skipped == []
-    return recs
-
-
 REG = default_registry()
+# the order ResultStore.occurrences() yields occurrences in
+STORE_ORDER = attrgetter("digits", "sha256", "url", "query")
+
+
+def tables_of(*occs, registry=REG, geo_sort="count"):
+    """Every dimension's table of the occurrences put in store order; none may be at an unusable URL."""
+    by_dim, skipped, _ = reports.tables(sorted(occs, key=STORE_ORDER), registry, geo_sort)
+    assert skipped == []
+    return by_dim
+
 
 ID_A = thai_id.generate_valid_id("11001", "0000001", REG)
 ID_B = thai_id.generate_valid_id("32007", "0000002", REG)
@@ -54,35 +62,15 @@ def test_percent_requires_positive_whole():
         reports.percent_of(1, 0, 2)
 
 
-# --- record building ----------------------------------------------------------
-
-def test_build_records_classifies_and_skips():
-    occs = [
-        occ(ID_A, "s1", "http://www.nfe.go.th/a.pdf"),
-        occ(ID_A, "s1", "not a url"),
-        occ(ID_B, "s2", "http://chpao.org/b.xls", file_type="xls"),
-    ]
-    recs, skipped = reports.build_records(occs)
-    assert [r.domain.tld_class for r in recs] == ["go.th", "org"]
-    assert len(skipped) == 1 and skipped[0][0] == "not a url"
-
-
-def test_build_records_caches_per_url():
-    occs = [occ(ID_A, "s1", "http://x.go.th/a.pdf"), occ(ID_B, "s2", "http://x.go.th/a.pdf")]
-    recs, _ = reports.build_records(occs)
-    assert recs[0].domain is recs[1].domain
-
-
 # --- aggregate ------------------------------------------------------------------
 
 def test_aggregate_file_type_hand_counted():
     # two xlsx docs share one ID; one pdf doc carries another
-    recs = records_of(
+    table = tables_of(
         occ(ID_A, "sa", "http://a.go.th/1.xlsx", file_type="xlsx"),
         occ(ID_A, "sb", "http://b.go.th/2.xlsx", file_type="xlsx"),
         occ(ID_B, "sc", "http://c.go.th/3.pdf", file_type="pdf"),
-    )
-    table = reports.aggregate(recs, "file_type")
+    )["file_type"]
     rows = {r.key: r for r in table.rows}
     assert rows["xlsx"].files == 2 and rows["xlsx"].unique_ids == 1
     assert rows["pdf"].files == 1 and rows["pdf"].unique_ids == 1
@@ -93,38 +81,36 @@ def test_aggregate_category_digit():
     a = "3" + ID_A[1:12]
     b = "3" + ID_B[1:12]
     c = "1" + ID_C[1:12]
-    recs = records_of(
+    table = tables_of(
         occ(a + str(thai_id.compute_checksum(a)), "s1", "http://x.go.th/1.pdf"),
         occ(b + str(thai_id.compute_checksum(b)), "s2", "http://x.go.th/2.pdf"),
         occ(c + str(thai_id.compute_checksum(c)), "s3", "http://x.go.th/3.pdf"),
-    )
-    table = reports.aggregate(recs, "category_digit")
+    )["category_digit"]
     assert [(r.key, r.unique_ids) for r in table.rows] == [("3", 2), ("1", 1)]
 
 
 def test_aggregate_sorts_by_ids_then_key():
-    recs = records_of(
+    table = tables_of(
         occ(ID_A, "s1", "http://a.go.th/1.pdf", file_type="pdf"),
         occ(ID_B, "s2", "http://a.go.th/2.xls", file_type="xls"),
         occ(ID_C, "s3", "http://a.go.th/3.xls", file_type="xls"),
         occ(ID_D, "s4", "http://a.go.th/4.doc", file_type="doc"),
-    )
-    table = reports.aggregate(recs, "file_type")
+    )["file_type"]
     assert [r.key for r in table.rows] == ["xls", "doc", "pdf"]
 
 
 def test_aggregate_tld_and_domain_dimensions():
-    recs = records_of(
+    by_dim = tables_of(
         occ(ID_A, "s1", "http://www.nfe.go.th/a.pdf"),
         occ(ID_B, "s2", "http://cdd.go.th/b.pdf"),
         occ(ID_C, "s3", "http://chpao.org/c.pdf"),
         occ(ID_D, "s4", "http://122.154.253.83/d.pdf"),
     )
-    tld = reports.aggregate(recs, "tld")
+    tld = by_dim["tld"]
     assert {r.key: r.unique_ids for r in tld.rows} == {
         "go.th": 2, "org": 1, domains.IP_CLASS: 1,
     }
-    reg = reports.aggregate(recs, "registered_domain")
+    reg = by_dim["registered_domain"]
     # the IP literal ranks by its literal since nothing was registered
     assert {r.key for r in reg.rows} == {
         "nfe.go.th", "cdd.go.th", "chpao.org", "122.154.253.83",
@@ -141,15 +127,10 @@ def test_aggregate_spreadsheets_can_lead_ids_while_pdf_leads_urls():
         occ(ids[0], f"s-pdf{n}", f"http://pdf{n}.go.th/doc.pdf", file_type="pdf")
         for n in range(4)
     ]
-    table = reports.aggregate(records_of(*occs), "file_type")
+    table = tables_of(*occs)["file_type"]
     assert table.rows[0].key == "xlsx"          # most unique IDs
     by_key = {r.key: r for r in table.rows}
     assert by_key["pdf"].urls > by_key["xlsx"].urls  # but PDFs span more URLs
-
-
-def test_aggregate_unknown_dimension():
-    with pytest.raises(ValueError, match="dimension"):
-        reports.aggregate([], "colour")
 
 
 # --- partition law ---------------------------------------------------------------
@@ -180,27 +161,40 @@ ID_POOL = tuple(thai_id.generate_valid_id("11001", f"100000{i}", REG) for i in r
     )
 )
 def test_partition_law(raw):
-    recs = records_of(
-        *[occ(d, sha, url, file_type=ft) for d, sha, url, ft in raw]
-    )
-    total_ids = len({r.digits for r in recs})
+    occs = [occ(d, sha, url, file_type=ft) for d, sha, url, ft in raw]
+    by_dim, _, ids = reports.tables(sorted(occs, key=STORE_ORDER), REG)
+    total_ids = len({o.digits for o in occs})
+    assert ids == total_ids
     for dimension, key_of in (
-        ("file_type", lambda r: r.file_type),
-        ("tld", lambda r: r.domain.tld_class),
-        ("category_digit", lambda r: r.digits[0]),
+        ("file_type", lambda o: o.file_type),
+        ("tld", lambda o: domains.classify_url(o.url).tld_class),
+        ("category_digit", lambda o: o.digits[0]),
     ):
-        table = reports.aggregate(recs, dimension)
-        pair_count = len({(key_of(r), r.digits) for r in recs})
+        table = by_dim[dimension]
+        pair_count = len({(key_of(o), o.digits) for o in occs})
         assert sum(row.unique_ids for row in table.rows) == pair_count
-        # every ID appears under at least one key, so no dimension loses IDs
-        assert len({r.digits for r in recs}) == total_ids
         assert max(row.unique_ids for row in table.rows) <= total_ids
 
 
 # --- one fold against per-table reference definitions -------------------------------
 
-# The tables as separate group-and-count passes, one per table, kept here as
-# the definition the one-pass fold must reproduce.
+# The tables and the listing as separate passes, one per table, kept here as
+# the definition the one-pass fold must reproduce.  A record is an
+# occurrence at a usable URL with its domain.
+Record = namedtuple("Record", "digits sha256 url query file_type domain")
+
+
+def naive_records(occurrences, owner_tags):
+    records = []
+    for o in occurrences:
+        try:
+            domain = domains.classify_url(o.url, owner_tags=owner_tags)
+        except domains.ClassificationError:
+            continue
+        records.append(Record(o.digits, o.sha256, o.url, o.query, o.file_type, domain))
+    return records
+
+
 NAIVE_KEY_OF = {
     "file_type": lambda r: r.file_type,
     "tld": lambda r: r.domain.tld_class,
@@ -233,7 +227,7 @@ def naive_aggregate(records, dimension):
     return AggregateTable(dimension=dimension, rows=tuple(rows))
 
 
-def naive_geographic_report(records, registry, sort):
+def naive_geo_tables(records, registry, sort):
     def table(key_of, name_of, dim):
         rows = []
         for row in naive_count_groups(records, key_of):
@@ -254,7 +248,7 @@ def naive_geographic_report(records, registry, sort):
     return province, district
 
 
-def naive_repeat_exposure(records):
+def naive_repeat_table(records):
     urls_per_id = {}
     for record in records:
         urls_per_id.setdefault(record.digits, set()).add(record.url)
@@ -263,6 +257,12 @@ def naive_repeat_exposure(records):
     rows = [dataclasses.replace(row, percent=reports.percent_of(row.unique_ids, len(urls_per_id), 4))
             for row in rows]
     return AggregateTable(dimension="source_multiplicity", rows=tuple(rows), columns=reports.REPEAT_COLUMNS)
+
+
+def naive_listing(records, salt):
+    """The listing's rows: one per record, in the records' order, the ID as its token."""
+    return [[thai_id.pseudonymize(r.digits, salt).token, r.domain.tld_class, r.domain.registered_domain or "",
+             r.url, r.file_type, r.query] for r in records]
 
 
 FOLD_URLS = (
@@ -287,7 +287,6 @@ FOLD_IDS = tuple(
 # an ID found only at an unusable URL, which no table or listing may count
 FOLD_UNUSABLE_ID = thai_id.generate_valid_id("11001", "3000099", REG)
 RENDERERS = {"markdown": reports.render_markdown, "csv": reports.render_csv, "json": reports.table_to_json}
-LISTING_RENDERERS = {**RENDERERS, "json": reports.render_listing_json}
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,52 +310,84 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
     # always one source found by both engines, and one ID found only at an unusable URL
     occs += [occ(FOLD_IDS[0], "d1", FOLD_URLS[0], engine=e) for e in ("google", "bing")]
     occs += [occ(FOLD_UNUSABLE_ID, "d9", "not a url", engine=e) for e in ("google", "bing")]
-    recs, _ = reports.build_records(occs, owner_tags=FOLD_OWNERS)
-    expected = {dim: naive_aggregate(recs, dim) for dim in reports.DIMENSIONS}
-    expected["province"], expected["district"] = naive_geographic_report(recs, REG, geo_sort)
-    expected["source_multiplicity"] = naive_repeat_exposure(recs)
+    occs.sort(key=STORE_ORDER)
+    recs = naive_records(occs, FOLD_OWNERS)
+    expected = {dim: naive_aggregate(recs, dim) for dim in NAIVE_KEY_OF}
+    expected["province"], expected["district"] = naive_geo_tables(recs, REG, geo_sort)
+    expected["source_multiplicity"] = naive_repeat_table(recs)
+    unusable = [("not a url", "unsupported scheme in 'not a url'")]
 
-    got = {dim: reports.aggregate(recs, dim) for dim in reports.DIMENSIONS}
-    got["province"], got["district"] = reports.geographic_report(recs, REG, sort=geo_sort)
-    got["source_multiplicity"] = reports.repeat_exposure(recs)
+    got, skipped, ids = reports.tables(occs, REG, geo_sort, FOLD_OWNERS)
+    assert (skipped, ids) == (unusable, len({r.digits for r in recs}))
+    assert got.keys() == expected.keys() == set(reports.DIMENSIONS)
     for dim, table in expected.items():
         assert reports.table_to_json(got[dim]) == reports.table_to_json(table), dim
     # the fold's sources are the distinct (document, URL, query, type): no engine
-    assert len(reports._folded(recs).sources) == len({(r.sha256, r.url, r.query, r.file_type) for r in recs})
+    fold, runs, _ = reports._pass(occs, FOLD_OWNERS, tuple)
+    for _ in runs:
+        pass
+    assert len(fold.sources) == len({(r.sha256, r.url, r.query, r.file_type) for r in recs})
 
-    # a whole report in every format, every table from one pass over the
-    # occurrences in store order, against the list path rendered whole
-    occs.sort(key=lambda o: (o.digits, o.sha256, o.url, o.query))
-    listing = reports.exposure_listing(recs, b"pepper")
+    # a whole report in every format from one pass over the occurrences,
+    # against the reference tables rendered and the reference listing read back
+    listing = [list(reports.LISTING_COLUMNS), *naive_listing(recs, b"pepper")]
     for fmt, render in RENDERERS.items():
         with tempfile.TemporaryDirectory() as out:
             written, skipped, ids = reports.report(occs, list(reports.TABLES), REG, out, fmt=fmt,
                                                    geo_sort=geo_sort, salt=b"pepper", owner_tags=FOLD_OWNERS)
             files = {path.stem: path.read_text("utf-8") for path in written}
-        assert ids == len({r.digits for r in recs}), fmt
-        assert skipped == [("not a url", "unsupported scheme in 'not a url'")], fmt
-        assert files.pop("exposures") == LISTING_RENDERERS[fmt](listing), fmt
+        assert (skipped, ids) == (unusable, len({r.digits for r in recs})), fmt
+        text = files.pop("exposures")
+        if fmt == "csv":
+            assert list(csv.reader(io.StringIO(text))) == listing
+        elif fmt == "json":
+            assert json.loads(text) == {"redacted": True, "salt_id": thai_id.salt_id(b"pepper"),
+                                        "columns": listing[0], "rows": listing[1:]}
+        else:  # no cell of these occurrences needs a markdown escape
+            rows = [listing[0], ["---"] * len(listing[0]), *listing[1:]]
+            assert text == "".join("| " + " | ".join(row) + " |\n" for row in rows)
         dimensions = {stem: dim for name in reports.TABLES for stem, dim in reports.TABLES[name].items()}
         assert files.keys() == dimensions.keys(), fmt
         for stem, text in files.items():
             assert text == render(expected[dimensions[stem]]), (fmt, stem)
 
 
+# each way into the fold, as (unusable URLs, IDs) of a report of the filetype table
+ENTRIES = {
+    "report": lambda occs, out: reports.report(occs, ["filetype"], REG, out)[1:],
+    "tables": lambda occs, out: reports.tables(occs, REG)[1:],
+}
+
+
 def test_report_needs_occurrences_in_id_order(tmp_path):
     occs = [occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")]
-    with pytest.raises(ValueError, match="not sorted"):
-        reports.report(occs, ["filetype"], REG, tmp_path)
-    written, skipped, ids = reports.report(occs[::-1], ["filetype"], REG, tmp_path)
-    assert [p.name for p in written] == ["filetype.md"] and skipped == [] and ids == 2
+    for name, entry in ENTRIES.items():
+        with pytest.raises(ValueError, match="not sorted"):
+            entry(occs, tmp_path)
+        assert entry(occs[::-1], tmp_path) == ([], 2), name
+    assert [p.name for p in tmp_path.iterdir()] == ["filetype.md"]
 
 
-def test_report_names_each_unusable_url_once(tmp_path):
-    occs = [occ(ID_A, "s1", "http://a.go.th/1.pdf")] + [occ(d, "s9", "not a url") for d in (ID_B, ID_C, ID_D)]
-    occs.sort(key=lambda o: o.digits)
-    written, skipped, ids = reports.report(occs, ["filetype"], REG, tmp_path)
-    assert skipped == [("not a url", "unsupported scheme in 'not a url'")] and ids == 1
-    recs, skipped = reports.build_records(occs)
-    assert skipped == [("not a url", "unsupported scheme in 'not a url'")] and len(recs) == 1
+def test_report_names_each_unusable_url_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(url, **kwargs):
+        calls.append(url)
+        return domains.classify_url(url, **kwargs)
+
+    monkeypatch.setattr(reports, "classify_url", counting)
+    # two IDs at one usable URL, and three at one unusable URL, two of them found nowhere else
+    occs = [occ(ID_A, "s1", "http://x.go.th/a.pdf"), occ(ID_B, "s2", "http://x.go.th/a.pdf"),
+            occ(ID_B, "s3", "http://chpao.org/b.xls", file_type="xls")]
+    occs += [occ(d, "s9", "not a url") for d in (ID_B, ID_C, ID_D)]
+    occs.sort(key=STORE_ORDER)
+    for name, entry in ENTRIES.items():
+        calls.clear()
+        assert entry(occs, tmp_path) == ([("not a url", "unsupported scheme in 'not a url'")], 2), name
+        # each distinct URL is classified once
+        assert sorted(calls) == ["http://chpao.org/b.xls", "http://x.go.th/a.pdf", "not a url"], name
+    tld = reports.tables(occs, REG)[0]["tld"]
+    assert [(r.key, r.unique_ids) for r in tld.rows] == [("go.th", 2), ("org", 1)]
 
 
 @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
@@ -399,18 +430,23 @@ TINY_REGISTRY = load_registry(
 )
 
 
-def geo_records():
+def geo_occurrences():
     # 12 distinct IDs issued by district 1001, one by 2007
     occs = [
         occ(thai_id.generate_valid_id("11001", f"00000{i:02d}", REG), f"s{i}", "http://a.go.th/x.pdf")
         for i in range(12)
     ]
     occs.append(occ(thai_id.generate_valid_id("12007", "0000099", REG), "s99", "http://b.go.th/y.pdf"))
-    return records_of(*occs)
+    return occs
+
+
+def geo_tables(*occs, sort="count"):
+    by_dim = tables_of(*occs, registry=TINY_REGISTRY, geo_sort=sort)
+    return by_dim["province"], by_dim["district"]
 
 
 def test_geographic_counts_and_percent():
-    province, district = reports.geographic_report(geo_records(), TINY_REGISTRY)
+    province, district = geo_tables(*geo_occurrences())
     prow = {r.key: r for r in province.rows}
     assert prow["10"].unique_ids == 12
     assert prow["10"].population == 81
@@ -425,57 +461,53 @@ def test_geographic_counts_and_percent():
 
 
 def test_geographic_sort_orders():
-    province_c, _ = reports.geographic_report(geo_records(), TINY_REGISTRY, sort="count")
+    province_c, _ = geo_tables(*geo_occurrences(), sort="count")
     assert [r.key for r in province_c.rows] == ["10", "20"]
-    province_p, _ = reports.geographic_report(geo_records(), TINY_REGISTRY, sort="percent")
+    province_p, _ = geo_tables(*geo_occurrences(), sort="percent")
     # percent-less rows sink to the bottom
     assert [r.key for r in province_p.rows] == ["10", "20"]
     with pytest.raises(ValueError):
-        reports.geographic_report([], TINY_REGISTRY, sort="alphabetical")
+        reports.tables([], TINY_REGISTRY, geo_sort="alphabetical")
 
 
 def test_geographic_unknown_area_has_no_name():
-    recs = records_of(occ(thai_id.generate_valid_id("19395", "0000001", REG), "s1", "http://a.go.th/x.pdf"))
-    province, district = reports.geographic_report(recs, TINY_REGISTRY)
+    province, district = geo_tables(occ(thai_id.generate_valid_id("19395", "0000001", REG), "s1", "http://a.go.th/x.pdf"))
     assert province.rows[0].key == "93" and province.rows[0].name is None
     assert district.rows[0].key == "9395" and district.rows[0].name is None
 
 
 # --- repeat exposure -----------------------------------------------------------------
 
-def test_repeat_exposure_two_ids():
-    recs = records_of(
+def test_repeat_table_two_ids():
+    table = tables_of(
         occ(ID_A, "s1", "http://a.go.th/1.pdf"),
         occ(ID_A, "s2", "http://b.go.th/2.pdf"),
         occ(ID_A, "s3", "http://c.go.th/3.pdf"),
         occ(ID_B, "s4", "http://d.go.th/4.pdf"),
-    )
-    table = reports.repeat_exposure(recs)
+    )["source_multiplicity"]
     assert [(r.key, r.unique_ids, r.percent) for r in table.rows] == [
         ("3", 1, Decimal("50.0000")),
         ("1", 1, Decimal("50.0000")),
     ]
 
 
-def test_repeat_exposure_single_document():
-    recs = records_of(
+def test_repeat_table_single_document():
+    table = tables_of(
         occ(ID_A, "s1", "http://a.go.th/1.pdf"),
         occ(ID_B, "s1", "http://a.go.th/1.pdf"),
-    )
-    table = reports.repeat_exposure(recs)
+    )["source_multiplicity"]
     assert [(r.key, r.unique_ids, r.percent) for r in table.rows] == [
         ("1", 2, Decimal("100.0000"))
     ]
 
 
-def test_repeat_exposure_four_decimal_places():
-    recs = records_of(
+def test_repeat_table_four_decimal_places():
+    table = tables_of(
         occ(ID_A, "s1", "http://a.go.th/1.pdf"),
         occ(ID_A, "s2", "http://b.go.th/2.pdf"),
         occ(ID_B, "s3", "http://c.go.th/3.pdf"),
         occ(ID_C, "s4", "http://d.go.th/4.pdf"),
-    )
-    table = reports.repeat_exposure(recs)
+    )["source_multiplicity"]
     by_key = {r.key: r.percent for r in table.rows}
     assert by_key == {"2": Decimal("33.3333"), "1": Decimal("66.6667")}
 
@@ -500,25 +532,19 @@ def test_render_markdown_repeat_golden():
 
 
 def test_render_csv_parses_back():
-    import csv as _csv
-    import io as _io
-
-    table = reports.aggregate(
-        records_of(occ(ID_A, "s1", "http://a.go.th/1.pdf")), "file_type"
-    )
-    rows = list(_csv.reader(_io.StringIO(reports.render_csv(table))))
+    table = tables_of(occ(ID_A, "s1", "http://a.go.th/1.pdf"))["file_type"]
+    rows = list(csv.reader(io.StringIO(reports.render_csv(table))))
     assert rows[0] == list(reports.BASE_COLUMNS)
     assert rows[1][0] == "pdf"
 
 
 def test_json_round_trip():
-    province, district = reports.geographic_report(geo_records(), TINY_REGISTRY)
-    for table in (province, district, reports.repeat_exposure(geo_records())):
+    for table in tables_of(*geo_occurrences(), registry=TINY_REGISTRY).values():
         assert reports.table_from_json(reports.table_to_json(table)) == table
 
 
 def test_emit_report_deterministic(tmp_path):
-    tables = {"filetype": reports.aggregate(geo_records(), "file_type")}
+    tables = {"filetype": tables_of(*geo_occurrences())["file_type"]}
     first = reports.emit_report(tables, tmp_path / "a", fmt="csv")
     second = reports.emit_report(tables, tmp_path / "b", fmt="csv")
     assert [p.name for p in first] == [p.name for p in second] == ["filetype.csv"]
@@ -529,40 +555,41 @@ def test_emit_report_deterministic(tmp_path):
 
 # --- detail listing / redaction -----------------------------------------------------
 
-def test_listing_redacts_by_default():
-    recs = records_of(occ(ID_A, "s1", "http://a.go.th/1.pdf"))
-    listing = reports.exposure_listing(recs, salt=b"pepper")
-    assert listing.redacted and listing.salt_id
-    shown = listing.rows[0][0]
+def listing_of(out, *occs, fmt="json", salt=b"pepper", unredacted=False):
+    """The listing ``report`` writes of the occurrences put in store order, as text."""
+    occs = sorted(occs, key=STORE_ORDER)
+    (path,), _, _ = reports.report(occs, ["exposures"], REG, out, fmt=fmt, salt=salt, unredacted=unredacted)
+    return path.read_text("utf-8")
+
+
+def test_listing_redacts_by_default(tmp_path):
+    one = occ(ID_A, "s1", "http://a.go.th/1.pdf")
+    listing = json.loads(listing_of(tmp_path, one))
+    assert listing["redacted"] and listing["salt_id"]
+    shown = listing["rows"][0][0]
     assert shown != ID_A and len(shown) == 64
-    for fmt in (
-        reports.render_csv,
-        reports.render_markdown,
-        reports.render_listing_json,
-    ):
-        assert ID_A not in fmt(listing)
+    for fmt in reports.FORMATS:
+        assert ID_A not in listing_of(tmp_path, one, fmt=fmt), fmt
 
 
-def test_listing_unredacted_needs_explicit_flag():
-    recs = records_of(occ(ID_A, "s1", "http://a.go.th/1.pdf"))
+def test_listing_unredacted_needs_explicit_flag(tmp_path):
+    one = occ(ID_A, "s1", "http://a.go.th/1.pdf")
     with pytest.raises(ValueError):
-        reports.exposure_listing(recs, salt=None)
-    listing = reports.exposure_listing(recs, salt=None, unredacted=True)
-    assert not listing.redacted
-    assert listing.rows[0][0] == ID_A
+        listing_of(tmp_path, one, salt=None)
+    listing = json.loads(listing_of(tmp_path, one, salt=None, unredacted=True))
+    assert not listing["redacted"]
+    assert listing["rows"][0][0] == ID_A
 
 
-def test_listing_order_is_stable():
-    recs = records_of(
-        occ(ID_B, "s2", "http://b.go.th/2.pdf"),
-        occ(ID_A, "s1", "http://a.go.th/1.pdf"),
-    )
-    listing = reports.exposure_listing(recs, salt=b"pepper")
-    again = reports.exposure_listing(list(reversed(recs)), salt=b"pepper")
-    assert listing.rows == again.rows
+def test_listing_order_is_stable(tmp_path):
+    occs = [occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")]
+    listing = listing_of(tmp_path / "a", *occs)
+    assert listing_of(tmp_path / "b", *occs) == listing
+    rows = json.loads(listing_of(tmp_path / "c", *occs, salt=None, unredacted=True))["rows"]
+    assert [row[0] for row in rows] == [ID_A, ID_B]  # in store order
 
 
-def test_listing_pseudonymizes_each_id_once(monkeypatch):
+def test_listing_pseudonymizes_each_id_once(tmp_path, monkeypatch):
     calls = []
 
     def counting(digits, salt):
@@ -570,17 +597,17 @@ def test_listing_pseudonymizes_each_id_once(monkeypatch):
         return thai_id.pseudonymize(digits, salt)
 
     monkeypatch.setattr(reports, "pseudonymize", counting)
-    recs = records_of(
+    listing = json.loads(listing_of(
+        tmp_path,
         occ(ID_A, "s1", "http://a.go.th/1.pdf"),
         occ(ID_B, "s2", "http://b.go.th/2.pdf"),
         occ(ID_A, "s3", "http://c.ac.th/3.pdf"),
-    )
-    listing = reports.exposure_listing(recs, salt=b"pepper")
+    ))
     assert sorted(calls) == sorted([ID_A, ID_B])
-    assert [row[0] for row in listing.rows] == [
+    assert [row[0] for row in listing["rows"]] == [
         thai_id.pseudonymize(d, b"pepper").token for d in sorted([ID_A, ID_A, ID_B])
     ]
-    assert listing.salt_id == thai_id.pseudonymize(ID_A, b"pepper").salt_id
+    assert listing["salt_id"] == thai_id.pseudonymize(ID_A, b"pepper").salt_id
 
 
 def _gfm_cell_separators(line):
@@ -596,13 +623,14 @@ def _gfm_cell_separators(line):
     return count
 
 
-def test_markdown_escapes_pipes_and_line_breaks_in_cells():
-    recs = records_of(
+def test_markdown_escapes_pipes_and_line_breaks_in_cells(tmp_path):
+    text = listing_of(
+        tmp_path,
         occ(ID_A, "s1", "http://a.go.th/a|b.pdf", query='"x" | "y"'),
         occ(ID_B, "s2", "http://b.go.th/2.pdf", query="one\r\ntwo\nthree"),
         occ(ID_C, "s3", "http://c.go.th/c\\|d.pdf", query="back\\"),
+        fmt="markdown",
     )
-    text = reports.render_markdown(reports.exposure_listing(recs, salt=b"pepper"))
     lines = text.splitlines()
     assert len(lines) == 5
     for line in lines:
