@@ -62,6 +62,34 @@ def test_percent_requires_positive_whole():
         reports.percent_of(1, 0, 2)
 
 
+# --- classifying sources ----------------------------------------------------------
+
+def test_build_records_classifies_and_skips():
+    occs = [
+        occ(ID_A, "s1", "http://www.nfe.go.th/a.pdf"),
+        occ(ID_A, "s1", "not a url"),
+        occ(ID_B, "s2", "http://chpao.org/b.xls", file_type="xls"),
+    ]
+    by_dim, skipped, ids = reports.tables(sorted(occs, key=STORE_ORDER), REG)
+    assert [(r.key, r.unique_ids) for r in by_dim["tld"].rows] == [("go.th", 1), ("org", 1)]
+    assert len(skipped) == 1 and skipped[0][0] == "not a url"
+    assert ids == 2
+
+
+def test_build_records_caches_per_url(monkeypatch):
+    calls = []
+
+    def counting(url, **kwargs):
+        calls.append(url)
+        return domains.classify_url(url, **kwargs)
+
+    monkeypatch.setattr(reports, "classify_url", counting)
+    occs = [occ(ID_A, "s1", "http://x.go.th/a.pdf"), occ(ID_B, "s2", "http://x.go.th/a.pdf")]
+    by_dim = tables_of(*occs)
+    assert calls == ["http://x.go.th/a.pdf"]
+    assert [(r.key, r.urls, r.unique_ids) for r in by_dim["registered_domain"].rows] == [("x.go.th", 1, 2)]
+
+
 # --- aggregate ------------------------------------------------------------------
 
 def test_aggregate_file_type_hand_counted():
