@@ -2,7 +2,8 @@
 """Regenerate the committed demo corpus under data/demo.
 
 The corpus is fully determined by the seed, so running this twice produces
-identical bytes; CI guards that the checked-in copy matches the generator.
+identical bytes; tests/test_cli.py::test_committed_demo_matches_generator
+checks that the checked-in copy matches the generator.
 """
 
 from pathlib import Path
@@ -14,8 +15,7 @@ REPO = Path(__file__).resolve().parent.parent
 DEMO_SEED = 20250601
 
 
-def main() -> None:
-    out = REPO / "data" / "demo"
+def main(out: Path = REPO / "data" / "demo") -> None:
     manifest = make_corpus(
         out,
         default_registry(),

@@ -135,41 +135,27 @@ def _read_salt(args) -> Optional[bytes]:
 class _StoreLock:
     """Exclusive ownership of a store directory for one CLI invocation.
 
-    An ``flock`` on ``.lock``, which the kernel releases when the process
-    ends, however it ends: a file left behind by a run that died blocks
-    nothing.
+    An ``flock`` on ``.lock``, released when the run closes the file or its
+    process ends, however it ends.  The file itself stays: it blocks nothing
+    once no process holds the lock.
     """
 
     def __init__(self, store_dir: Path):
         self.path = store_dir / ".lock"
-        self._fd: Optional[int] = None
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        while self._fd is None:
-            fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except BlockingIOError:
-                os.close(fd)
-                raise RuntimeError(f"store is locked by another run ({self.path})") from None
-            # a holder that was releasing may have unlinked the file we locked;
-            # the lock counts only on the file that is still at the path
-            try:
-                same = os.path.samestat(os.fstat(fd), os.stat(self.path))
-            except FileNotFoundError:
-                same = False
-            if same:
-                self._fd = fd
-            else:
-                os.close(fd)
+        fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise RuntimeError(f"store is locked by another run ({self.path})") from None
+        self._fd = fd
         return self
 
     def __exit__(self, *exc):
-        if self._fd is not None:
-            self.path.unlink(missing_ok=True)
-            os.close(self._fd)
-            self._fd = None
+        os.close(self._fd)
 
 
 # --- id validate -----------------------------------------------------------------
@@ -201,17 +187,12 @@ def cmd_id_validate(args) -> int:
 # --- plan build ---------------------------------------------------------------------
 
 def cmd_plan_build(args) -> int:
-    intent = {
-        "engines": tuple(args.engines.split(",")),
-        "max_pages": args.max_pages,
-        "tags": tuple(t for t in args.tags.split(",") if t),
-    }
     try:
         if args.queries:
-            plan = QueryPlan(queries=tuple(args.queries), **intent)
+            plan = QueryPlan(tuple(args.queries))
         elif args.templates:
             bindings = load_bindings(args.bindings) if args.bindings else None
-            plan = build_plan_from_templates(load_templates(args.templates), bindings, **intent)
+            plan = build_plan_from_templates(load_templates(args.templates), bindings)
         else:
             return _fail("plan build needs --queries or --templates")
     except (OSError, QueryError, ValueError) as exc:
@@ -287,11 +268,10 @@ def cmd_scan_run(args) -> int:
 
 def cmd_report(args) -> int:
     names = [n.strip() for n in args.tables.split(",") if n.strip()]
-    unknown = [n for n in names if n not in reports.TABLES]
-    if unknown:
-        return _fail(
-            f"unknown table(s) {', '.join(unknown)}; valid names: {', '.join(reports.TABLES)}"
-        )
+    try:
+        reports.check_arguments(names, args.geo_sort)
+    except ValueError as exc:
+        return _fail(str(exc))
     if not names:
         return _fail("no tables requested")
     if args.unredacted and not args.i_accept_risk:
@@ -354,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--queries", nargs="+", default=None, help="literal query strings")
     p_build.add_argument("--templates", default=None, help="template file, one query template per line")
     p_build.add_argument("--bindings", default=None, help="delimited binding table for template slots")
-    p_build.add_argument("--engines", default="google")
-    p_build.add_argument("--max-pages", dest="max_pages", type=int, default=10)
-    p_build.add_argument("--tags", default="")
     p_build.add_argument("--out", default=None)
     p_build.set_defaults(func=cmd_plan_build)
 
@@ -389,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--format", choices=tuple(reports.FORMATS), default="markdown")
     p_report.add_argument("--out", required=True, help="output directory")
     p_report.add_argument("--registry", default=None)
-    p_report.add_argument("--geo-sort", dest="geo_sort", choices=("count", "percent"), default="count")
+    p_report.add_argument("--geo-sort", dest="geo_sort", choices=reports.GEO_SORTS, default="count")
     p_report.add_argument("--owner-tags", dest="owner_tags", default=None,
                           help="domain,tag file for the owner dimension")
     p_report.add_argument("--salt-file", dest="salt_file", default=None,

@@ -118,7 +118,7 @@ def execute_plan(
 ) -> list[SearchHit]:
     """Run every query page by page; returns hits in retrieval order.
 
-    Pages 1..min(plan pages, provider pages) are fetched with a search_delay
+    Pages 1..min(config.max_pages, provider pages) are fetched with a search_delay
     gap between provider requests.  A provider error abandons the remaining
     pages of that query only.  URLs already seen earlier in the plan are
     recorded but flagged as repeats; an exact duplicate within one page is
@@ -126,14 +126,13 @@ def execute_plan(
     """
     clock = clock or Clock()
     pacer = _Pacer(config.search_delay, clock)
-    max_pages = min(plan.max_pages, config.max_pages)
     hits: list[SearchHit] = []
     seen_urls: set[str] = set()
 
     for query in plan.queries:
         total_pages: Optional[int] = None
         page = 1
-        while page <= max_pages and (total_pages is None or page <= total_pages):
+        while page <= config.max_pages and (total_pages is None or page <= total_pages):
             pacer.wait_turn("search")
             try:
                 page_hits, total_pages = provider.search(query, page)

@@ -1,6 +1,7 @@
 """Search/result providers behind a minimal duck-typed interface.
 
-A provider exposes two methods:
+A provider exposes a ``name``, recorded as the engine of every hit it
+serves, and two methods:
 
     search(query, page) -> (list[ProviderHit], total_pages)
     fetch(url, timeout) -> FetchResult
@@ -58,8 +59,9 @@ class FixtureProvider:
     Object paths resolve relative to the index file's directory.
     """
 
-    def __init__(self, index_path: str | Path, name: str = "fixture"):
-        self.name = name
+    name = "fixture"
+
+    def __init__(self, index_path: str | Path):
         self._root = Path(index_path).resolve().parent
         try:
             raw = json.loads(Path(index_path).read_text("utf-8"))
@@ -103,12 +105,13 @@ class HttpProvider:
     over the limit is known to be too large without reading all of it.
     """
 
+    name = "http"
+
     def __init__(
         self,
         endpoint: str,
         api_key: str | None = None,
         acknowledge_live_traffic: bool = False,
-        name: str = "http",
         *,
         max_bytes: int,
     ):
@@ -116,7 +119,6 @@ class HttpProvider:
             raise ProviderDisabled(
                 "live provider needs an API key and an explicit live-traffic acknowledgement"
             )
-        self.name = name
         self._endpoint = endpoint
         self._api_key = api_key
         self._max_bytes = max_bytes

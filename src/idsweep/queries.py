@@ -5,13 +5,17 @@ syntax the big engines share: ``site:``/``filetype:`` prefixes, quoted
 phrases, ``-`` exclusion, ``OR``/``AND`` tokens and parenthesized groups.
 Adjacent terms are an implicit conjunction and render with a plain space;
 an explicit ``And`` renders the token.
+
+A plan (``QueryPlan``, JSON ``{"queries": [...]}``) is the rendered queries
+alone.  Which engine answers is the provider's business, and how many result
+pages are read is the crawl knob ``max_pages``.
 """
 
 from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
@@ -19,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .geo import GeoRegistry
 
 ALLOWED_FILETYPES = ("pdf", "xls", "xlsx", "doc", "docx")
-KNOWN_ENGINES = ("google", "bing")
 
 QueryExpr = Union[
     "Phrase", "Exclude", "FileType", "Site", "Raw", "Placeholder", "And", "Or", "Group"
@@ -195,38 +198,21 @@ def prefix_dorks(registry: "GeoRegistry", categories: Iterable[int]) -> list[str
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """An executable batch of rendered queries plus crawl intent."""
+    """The rendered queries to run, in order: the whole of a plan."""
 
     queries: tuple[str, ...]
-    engines: tuple[str, ...] = ("google",)
-    max_pages: int = 10
-    tags: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "queries", tuple(self.queries))
-        object.__setattr__(self, "engines", tuple(self.engines))
-        object.__setattr__(self, "tags", tuple(self.tags))
         if not self.queries or any(not q.strip() for q in self.queries):
             raise QueryError("plan needs at least one non-empty query")
-        if self.max_pages < 1:
-            raise QueryError("max_pages must be >= 1")
-        bad = [e for e in self.engines if e not in KNOWN_ENGINES]
-        if bad or not self.engines:
-            raise QueryError(f"engines must be a non-empty subset of {KNOWN_ENGINES}, got {self.engines}")
 
 
-def build_plan(
-    template: QueryExpr,
-    bindings: Sequence[Mapping[str, str]],
-    engines: Iterable[str] = ("google",),
-    max_pages: int = 10,
-    tags: Iterable[str] = (),
-) -> QueryPlan:
+def build_plan(template: QueryExpr, bindings: Sequence[Mapping[str, str]]) -> QueryPlan:
     """One rendered query per binding map, in binding order."""
     if not bindings:
         raise QueryError("no bindings given")
-    queries = [render(substitute(template, b)) for b in bindings]
-    return QueryPlan(tuple(queries), tuple(engines), max_pages, tuple(tags))
+    return QueryPlan(tuple(render(substitute(template, b)) for b in bindings))
 
 
 # --- text-file interfaces ----------------------------------------------------
@@ -275,46 +261,39 @@ def load_bindings(path: str | Path) -> list[dict[str, str]]:
 
 
 def build_plan_from_templates(
-    templates: Sequence[str],
-    bindings: Sequence[Mapping[str, str]] | None = None,
-    engines: Iterable[str] = ("google",),
-    max_pages: int = 10,
-    tags: Iterable[str] = (),
+    templates: Sequence[str], bindings: Sequence[Mapping[str, str]] | None = None
 ) -> QueryPlan:
     """Cross every textual template with every binding map (template-major)."""
     if not templates:
         raise QueryError("no templates given")
     maps = list(bindings) if bindings else [{}]
-    queries = [expand_template(t, b) for t in templates for b in maps]
-    return QueryPlan(tuple(queries), tuple(engines), max_pages, tuple(tags))
+    return QueryPlan(tuple(expand_template(t, b) for t in templates for b in maps))
 
 
 def plan_to_json(plan: QueryPlan) -> str:
-    return json.dumps(
-        {
-            "queries": list(plan.queries),
-            "engines": list(plan.engines),
-            "max_pages": plan.max_pages,
-            "tags": list(plan.tags),
-        },
-        ensure_ascii=False,
-        indent=2,
-    )
+    return json.dumps({"queries": list(plan.queries)}, ensure_ascii=False, indent=2)
 
 
 def plan_from_json(text: str) -> QueryPlan:
+    """A plan from its JSON object, whose only key is ``queries``.
+
+    Any other key is refused rather than ignored: a plan that asks for, say,
+    3 pages must not be crawled to 10 without a word.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise QueryError(f"plan is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "queries" not in data:
         raise QueryError("plan JSON must be an object with a 'queries' list")
-    return QueryPlan(
-        queries=tuple(data["queries"]),
-        engines=tuple(data.get("engines", ("google",))),
-        max_pages=int(data.get("max_pages", 10)),
-        tags=tuple(data.get("tags", ())),
-    )
+    extra = sorted(set(data) - {"queries"})
+    if extra:
+        raise QueryError(
+            f"unknown plan key(s) {', '.join(map(repr, extra))}: a plan holds only 'queries';"
+            " pages are capped by the crawl knob max_pages"
+            " (--max-pages, IDSWEEP_MAX_PAGES or config key max_pages)"
+        )
+    return QueryPlan(tuple(data["queries"]))
 
 
 def load_plan_file(path: str | Path) -> QueryPlan:

@@ -242,8 +242,6 @@ def _finish(dimension: str, rows: list[AggregateRow], registry: GeoRegistry, geo
                 for row in sorted(rows, key=lambda r: -int(r.key))]
         return AggregateTable(dimension=dimension, rows=tuple(rows), columns=REPEAT_COLUMNS)
     if dimension in ("province", "district"):
-        if geo_sort not in ("count", "percent"):
-            raise ValueError("sort must be 'count' or 'percent'")
         lookup = registry.lookup_province if dimension == "province" else registry.lookup_district
         named = []
         for row in rows:
@@ -277,6 +275,19 @@ TABLES: dict[str, dict[str, str]] = {
     "repeat": {"repeat": "source_multiplicity"},
     "exposures": {},
 }
+
+
+# how the province and district tables may be ordered
+GEO_SORTS = ("count", "percent")
+
+
+def check_arguments(names: Iterable[str], geo_sort: str) -> None:
+    """Refuse unknown table names or geography sort before any pass is made or file written."""
+    unknown = [n for n in names if n not in TABLES]
+    if unknown:
+        raise ValueError(f"unknown table(s) {', '.join(unknown)}; valid names: {', '.join(TABLES)}")
+    if geo_sort not in GEO_SORTS:
+        raise ValueError(f"geo sort must be one of {GEO_SORTS}, not {geo_sort!r}")
 
 
 LISTING_COLUMNS = ("id", "tld_class", "registered_domain", "url", "file_type", "query")
@@ -452,8 +463,9 @@ def report(
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
-    ext, head, tail = FORMATS[fmt]
     names = list(names)
+    check_arguments(names, geo_sort)
+    ext, head, tail = FORMATS[fmt]
     fold, runs, skipped = _pass(occurrences, owner_tags, tail)
     written = []
     if "exposures" in names:
@@ -484,6 +496,7 @@ def tables(
     ``DIMENSIONS`` with its table, each unusable URL once with why, and the
     number of IDs.
     """
+    check_arguments((), geo_sort)
     fold, runs, skipped = _pass(occurrences, owner_tags, tuple)  # no listing: tails stay cells
     for _ in runs:
         pass

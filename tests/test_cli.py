@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import sqlite3
 import subprocess
 import sys
@@ -97,9 +98,17 @@ def test_validate_registry_error_is_exit_2(tmp_path, capsys):
 # --- plan build ------------------------------------------------------------------
 
 def test_plan_build_queries_to_stdout(capsys):
-    assert run_cli("plan", "build", "--queries", "site:go.th \"x\"", "--max-pages", "3") == 0
+    assert run_cli("plan", "build", "--queries", "site:go.th \"x\"") == 0
     plan = plan_from_json(capsys.readouterr().out)
-    assert plan.queries == ('site:go.th "x"',) and plan.max_pages == 3
+    assert plan.queries == ('site:go.th "x"',)
+
+
+def test_plan_build_has_no_page_cap(capsys):
+    # pages are capped by the crawl knob max_pages at scan time, not by the plan
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("plan", "build", "--queries", "x", "--max-pages", "3")
+    assert exit_info.value.code == 2
+    assert "--max-pages" in capsys.readouterr().err
 
 
 def test_plan_build_templates_and_bindings(tmp_path, capsys):
@@ -150,11 +159,20 @@ def test_scan_with_unreadable_documents_is_exit_2(tmp_path, capsys):
     assert captured.err.count("warning: extraction_failed") == 6
 
 
+def assert_lock_free(store_dir):
+    """The store's lock can be taken at once: the file may stay, no process holds it."""
+    fd = os.open(store_dir / ".lock", os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    finally:
+        os.close(fd)
+
+
 def test_scan_rerun_identical_and_lock_released(tmp_path, capsys):
     store_dir = tmp_path / "store"
     assert run_cli(*scan_args(store_dir)) == 0
     first = capsys.readouterr().out
-    assert not (store_dir / ".lock").exists()
+    assert_lock_free(store_dir)
     assert run_cli(*scan_args(store_dir)) == 0
     assert capsys.readouterr().out == first
 
@@ -198,7 +216,7 @@ def test_scan_ignores_lock_file_of_dead_run(tmp_path, capsys):
         holder.stdout.close()
     assert (store_dir / ".lock").read_text() == str(holder.pid)  # left behind
     assert run_cli(*scan_args(store_dir)) == 0
-    assert not (store_dir / ".lock").exists()
+    assert_lock_free(store_dir)
 
 
 def test_non_finite_delays_exit_2(tmp_path, monkeypatch, capsys):
@@ -216,6 +234,16 @@ def test_scan_empty_plan_is_usage_error(tmp_path, capsys):
         "scan", "run", "--plan", str(plan), "--fixture", str(DEMO),
         "--store", str(tmp_path / "s"),
     ) == 2
+
+
+def test_scan_plan_with_page_cap_is_usage_error(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"queries": ["q"], "max_pages": 3}', "utf-8")
+    store_dir = tmp_path / "store"
+    assert run_cli(*scan_args(store_dir), "--plan", str(plan)) == 2
+    err = capsys.readouterr().err
+    assert "'max_pages'" in err and "--max-pages" in err
+    assert not (store_dir / "store.db").exists()
 
 
 def test_scan_no_results_is_domain_negative(tmp_path, capsys):
@@ -700,16 +728,11 @@ def test_report_missing_store(tmp_path, capsys):
 
 
 def test_committed_demo_matches_generator(tmp_path):
-    from idsweep.synth import make_corpus
-
-    regen = make_corpus(
-        tmp_path / "demo", REG, n_ids=40, n_decoys=10, n_docs=12, n_queries=3,
-        seed=20250601, python_command="python3",
-    )
-    assert (tmp_path / "demo" / "index.json").read_bytes() == (DEMO / "index.json").read_bytes()
-    assert (tmp_path / "demo" / "manifest.json").read_bytes() == (DEMO / "manifest.json").read_bytes()
-    for doc in sorted((tmp_path / "demo" / "docs").iterdir()):
-        assert doc.read_bytes() == (DEMO / "docs" / doc.name).read_bytes(), doc.name
+    runpy.run_path(str(REPO / "scripts" / "make_demo_corpus.py"))["main"](tmp_path)
+    files = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(DEMO) for p in DEMO.rglob("*") if p.is_file())
+    for rel in files:
+        assert (tmp_path / rel).read_bytes() == (DEMO / rel).read_bytes(), rel
 
 
 def test_run_demo_script_writes_every_report(tmp_path):

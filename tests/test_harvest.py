@@ -62,7 +62,7 @@ def test_pagination_respects_cap(tmp_path, store, virtual_clock):
     urls = [f"https://a.go.th/f{i}.pdf" for i in range(200)]
     index = write_index(tmp_path, {"q": paged(urls)}, {})
     provider = FixtureProvider(index)
-    hits = execute_plan(QueryPlan(("q",), max_pages=10), provider, quick_config(), store, virtual_clock)
+    hits = execute_plan(QueryPlan(("q",)), provider, quick_config(), store, virtual_clock)
     assert len(hits) == 100
     assert max(h.page for h in hits) == 10
 
@@ -71,9 +71,7 @@ def test_plan_cap_and_config_cap_combine(tmp_path, store, virtual_clock):
     urls = [f"https://a.go.th/f{i}.pdf" for i in range(50)]
     index = write_index(tmp_path, {"q": paged(urls)}, {})
     provider = FixtureProvider(index)
-    hits = execute_plan(
-        QueryPlan(("q",), max_pages=10), provider, quick_config(max_pages=2), store, virtual_clock
-    )
+    hits = execute_plan(QueryPlan(("q",)), provider, quick_config(max_pages=2), store, virtual_clock)
     assert len(hits) == 20
 
 

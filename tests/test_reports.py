@@ -443,6 +443,16 @@ def test_report_that_fails_part_way_leaves_no_listing(tmp_path, fmt):
     assert earlier.read_text("utf-8") == "earlier listing\n"
 
 
+def test_report_refuses_bad_arguments_before_writing(tmp_path):
+    occs = [occ(ID_A, "s1", "http://a.go.th/1.pdf")]
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="colour"):
+        reports.report(occs, ["exposures", "colour"], REG, out, salt=b"pepper")
+    with pytest.raises(ValueError, match="alpha"):
+        reports.report(occs, ["exposures", "geo"], REG, out, geo_sort="alpha", salt=b"pepper")
+    assert not out.exists() or sorted(out.iterdir()) == []
+
+
 # --- geography --------------------------------------------------------------------
 
 TINY_REGISTRY = load_registry(
