@@ -275,7 +275,7 @@ def plan_to_json(plan: QueryPlan) -> str:
 
 
 def plan_from_json(text: str) -> QueryPlan:
-    """A plan from its JSON object, whose only key is ``queries``.
+    """A plan from its JSON object, whose only key is ``queries``, a list of strings.
 
     Any other key is refused rather than ignored: a plan that asks for, say,
     3 pages must not be crawled to 10 without a word.
@@ -293,7 +293,10 @@ def plan_from_json(text: str) -> QueryPlan:
             " pages are capped by the crawl knob max_pages"
             " (--max-pages, IDSWEEP_MAX_PAGES or config key max_pages)"
         )
-    return QueryPlan(tuple(data["queries"]))
+    queries = data["queries"]
+    if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):
+        raise QueryError("plan 'queries' must be a list of strings")
+    return QueryPlan(tuple(queries))
 
 
 def load_plan_file(path: str | Path) -> QueryPlan:

@@ -2,17 +2,18 @@
 
 Every table is a fold over exposure occurrences -- one per (id, document,
 source URL) co-occurrence -- so row counts stay consistent across
-dimensions.  There are two ways in, and both make the same one pass over
-occurrences in a store's key order, as ``ResultStore.occurrences()`` yields
-them: ``report`` writes the named tables and the per-ID listing to files,
-and ``tables`` returns every dimension's table in memory.  The pass
-resolves each distinct source (document, URL, query, type) once: its
+dimensions.  There are two ways in, and both make the same one pass over a
+store's exposures in key order, each with its document's sources, as
+``ResultStore.occurrences()`` yields them: ``report`` writes the named
+tables and the per-ID listing to files, and ``tables`` returns every
+dimension's table in memory.  The pass resolves a document's sources at its
+first exposure, each distinct source (document, URL, query, type) once: its
 domain, or why its URL is unusable (reported once per URL); its key in each
 source dimension; and its listing cells after the ID, written in the output
-format.  Each ID's run of sources then costs the fold a few counter bumps
-and the listing one token.  Percent arithmetic is decimal with
-round-half-up at a fixed number of places, which keeps emission
-byte-deterministic.  ``TABLES`` maps each report table name to the
+format.  Each later exposure then costs one lookup, each ID's run of
+sources a few counter bumps, and the listing one token.  Percent arithmetic
+is decimal with round-half-up at a fixed number of places, which keeps
+emission byte-deterministic.  ``TABLES`` maps each report table name to the
 dimension of each table it writes, and ``FORMATS`` maps each output format
 to how it writes a row.
 """
@@ -32,8 +33,10 @@ from typing import Callable, ClassVar, Iterable, Iterator, Optional, TextIO
 
 from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list
 from .geo import GeoRegistry
-from .store import ExposureOccurrence
 from .thai_id import pseudonymize, salt_id
+
+# (digits, sha256, each (url, query, file_type) of the document), as ResultStore.occurrences() yields it
+Occurrence = tuple[str, str, tuple[tuple[str, str, str], ...]]
 
 BASE_COLUMNS = ("key", "urls", "files", "fqdns", "registered_domains", "unique_ids")
 GEO_COLUMNS = ("key", "name", "unique_ids", "population", "percent")
@@ -143,34 +146,41 @@ class _Fold:
         # sources they reach are kept by URL count until the area ends
         self._area, self._pending = "", {}
 
-    def runs(self, occurrences: Iterable[ExposureOccurrence], domain_of: Callable[[str], Optional[DomainInfo]],
+    def runs(self, occurrences: Iterable[Occurrence], domain_of: Callable[[str], Optional[DomainInfo]],
              tail: Callable) -> Iterator[tuple[str, list[_Source]]]:
-        """Each ID with its sources, from occurrences sorted by ID, added to the fold as it passes."""
-        interned: dict[tuple[str, str, str, str], Optional[_Source]] = {}
+        """Each ID with its sources, from exposures sorted by ID, added to the fold as it passes."""
+        by_digest: dict[str, list[_Source]] = {}  # a digest's sources are resolved at its first row
         last, run = None, []
-        for item in occurrences:
-            key = (item.sha256, item.url, item.query, item.file_type)
-            source = interned.get(key, False)
-            if source is False:  # first met: resolve it, or None if its URL is unusable
-                domain = domain_of(item.url)
-                source = interned[key] = domain and _Source(len(self.sources), *key, domain)
+        for digits, sha256, sources in occurrences:
+            if digits != last:
+                if run:
+                    self.add(last, run)
+                    yield last, run
+                if last is not None and digits < last:
+                    raise ValueError("occurrences are not sorted by ID")
+                last, run = digits, []
+            resolved = by_digest.get(sha256)
+            if resolved is None:
+                resolved = by_digest[sha256] = self._resolve(sha256, sources, domain_of, tail)
+            run.extend(resolved)
+        if run:
+            self.add(last, run)
+            yield last, run
+
+    def _resolve(self, sha256: str, sources: Iterable[tuple[str, str, str]],
+                 domain_of: Callable[[str], Optional[DomainInfo]], tail: Callable) -> list[_Source]:
+        """A digest's sources, each distinct one resolved once and kept if its URL is usable."""
+        interned: dict[tuple[str, str, str], Optional[_Source]] = {}
+        for entry in sources:
+            if entry not in interned:
+                domain = domain_of(entry[0])
+                source = interned[entry] = domain and _Source(len(self.sources), sha256, *entry, domain)
                 if source:
                     source.keys = tuple((dim, key_of(source)) for dim, key_of in _SOURCE_KEY_OF.items())
                     source.tail = tail((domain.tld_class, domain.registered_domain or "", source.url,
                                         source.file_type, source.query))
                     self.sources.append(source)
-            if item.digits != last:
-                if run:
-                    self.add(last, run)
-                    yield last, run
-                if last is not None and item.digits < last:
-                    raise ValueError("occurrences are not sorted by ID")
-                last, run = item.digits, []
-            if source is not None:
-                run.append(source)
-        if run:
-            self.add(last, run)
-            yield last, run
+        return [interned[entry] for entry in sources if interned[entry]]
 
     def add(self, digits: str, run: list[_Source]) -> None:
         if len(run) == 1 or len(reach := {s.index for s in run}) == 1:
@@ -216,7 +226,7 @@ class _Fold:
         return [_row(key, sources, ids) for key, (ids, sources) in by_key.items()]
 
 
-def _pass(occurrences: Iterable[ExposureOccurrence], owner_tags: Optional[dict[str, str]],
+def _pass(occurrences: Iterable[Occurrence], owner_tags: Optional[dict[str, str]],
           tail: Callable) -> tuple[_Fold, Iterator[tuple[str, list[_Source]]], list[tuple[str, str]]]:
     """A fold, the runs that fill it as they pass, and the unusable URLs they meet, each once with why."""
     psl, skipped = default_suffix_list(), []
@@ -442,7 +452,7 @@ def _write_files(out_dir: str | Path, ext: str, texts: Iterable[tuple[str, Itera
 
 
 def report(
-    occurrences: Iterable[ExposureOccurrence],
+    occurrences: Iterable[Occurrence],
     names: Iterable[str],
     registry: GeoRegistry,
     out_dir: str | Path,
@@ -454,10 +464,11 @@ def report(
 ) -> tuple[list[Path], list[tuple[str, str]], int]:
     """Write the named report tables from one pass over the occurrences.
 
-    The occurrences must come sorted by (digits, sha256, url, query), as
-    ``ResultStore.occurrences()`` yields them; an ID out of order is a
-    ``ValueError``.  Each ID's run of sources goes into one fold that builds
-    every table, and into the listing, which is written as the pass goes.
+    The occurrences must come sorted by ID, as ``ResultStore.occurrences()``
+    yields them; an ID out of order is a ``ValueError``.  A document's
+    sources are read from its first row.  Each ID's run of sources goes into
+    one fold that builds every table, and into the listing, which is written
+    as the pass goes.
     Returns the files written, each unusable URL once with why (in the order
     first seen), and the number of IDs.
     """
@@ -481,7 +492,7 @@ def report(
 
 
 def tables(
-    occurrences: Iterable[ExposureOccurrence],
+    occurrences: Iterable[Occurrence],
     registry: GeoRegistry,
     geo_sort: str = "count",
     owner_tags: Optional[dict[str, str]] = None,

@@ -16,7 +16,8 @@ copied ``exposures``.
 Reports read the store in one pass and add no index: ``occurrences()``
 holds the successful sources of each digest (bounded by documents), then
 streams ``exposures`` in its own key order (a WITHOUT ROWID table is its
-primary-key B-tree) and expands each row across its digest's sources.
+primary-key B-tree), each row with its digest's sources: one tuple per
+digest, which every row of that digest carries.
 
 Writes are serialized with a process-local lock so the bounded download pool
 can share one store; cross-process exclusivity is the CLI's ``flock`` on
@@ -29,7 +30,6 @@ import hashlib
 import os
 import sqlite3
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -102,23 +102,6 @@ def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
         else:
             before += [f"ALTER TABLE {table} DROP COLUMN {column};" for column in gone]
     return "\n".join(["BEGIN;", *before, _SCHEMA, *after, "COMMIT;"]), bool(after)
-
-
-@dataclass(slots=True)  # not frozen: a frozen __init__ costs 3x, once per row
-class ExposureOccurrence:
-    """One (id, document, url) co-occurrence, expanded across mirrors.
-
-    An ID is recorded once per document (digest), but a document reachable
-    from several URLs yields one occurrence per URL/query so that source
-    multiplicity and per-query effectiveness can be counted.
-    """
-
-    digits: str
-    sha256: str
-    url: str
-    query: str
-    engine: str
-    file_type: str
 
 
 class ResultStore:
@@ -240,12 +223,16 @@ class ResultStore:
     def exposed_document_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(DISTINCT sha256) FROM exposures").fetchone()[0])
 
-    def occurrences(self) -> Iterator[ExposureOccurrence]:
-        """Expand (id, document) pairs across every URL the document came from.
+    def occurrences(self) -> Iterator[tuple[str, str, tuple[tuple[str, str, str], ...]]]:
+        """Each exposure with the sources of its document, as (digits, sha256, sources).
 
-        Rows are distinct and streamed sorted by (digits, sha256, url, query).
-        Both reads run in one read transaction, so a scan that commits
-        meanwhile cannot leave an exposure without its sources.
+        Rows are streamed sorted by (digits, sha256), and an exposure with no
+        successful download yields none.  ``sources`` holds a (url, query,
+        file_type) per distinct (url, query, engine, declared type) of the
+        digest, in that order with a missing type first as SQL orders NULL;
+        every row of a digest carries the same tuple.  Both reads run in one
+        read transaction, so a scan that commits meanwhile cannot leave an
+        exposure without its sources.
         """
         own = not self._conn.in_transaction
         if own:
@@ -257,24 +244,21 @@ class ResultStore:
                 " FROM downloads d JOIN hits h ON h.id = d.hit_id WHERE d.status = 'success'"
             ):
                 found.setdefault(sha256, set()).add(tuple(source))
-            # digest -> its distinct (digest, url, query, engine, declared type),
-            # sorted with a missing type first as SQL orders NULL; every row of a
-            # digest shares these strings
             sources = {
-                sha256: [(sha256, *s) for s in sorted(
-                    found[sha256], key=lambda s: (*s[:3], s[3] is not None, s[3] or ""))]
+                sha256: tuple((url, query, file_type) for url, query, _, file_type in sorted(
+                    found[sha256], key=lambda s: (*s[:3], s[3] is not None, s[3] or "")))
                 for sha256 in found
             }
             for digits, sha256 in self._conn.execute(
                 "SELECT digits, sha256 FROM exposures ORDER BY digits, sha256"
             ):
-                for source in sources.get(sha256, ()):
-                    yield ExposureOccurrence(digits, *source)
+                if sha256 in sources:
+                    yield digits, sha256, sources[sha256]
         finally:
             if own and self._conn.in_transaction:
                 self._conn.execute("ROLLBACK")
 
-    def load_occurrences(self) -> list[ExposureOccurrence]:
+    def load_occurrences(self) -> list[tuple[str, str, tuple[tuple[str, str, str], ...]]]:
         """``occurrences()`` as a list."""
         return list(self.occurrences())
 

@@ -1,14 +1,17 @@
-"""Shared fixtures: virtual clock, fixture-corpus helpers, registries."""
+"""Shared fixtures: virtual clock, fixture-corpus helpers, registries, occurrence streams."""
 
 from __future__ import annotations
 
 import json
+import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
 from idsweep.geo import default_registry
 from idsweep.harvest import Clock
+from idsweep.store import ResultStore
 
 
 class VirtualClock(Clock):
@@ -54,3 +57,29 @@ def write_doc(root: Path, name: str, text: str) -> str:
     docs.mkdir(exist_ok=True)
     (docs / name).write_text(text, encoding="utf-8")
     return f"docs/{name}"
+
+
+def occurrences_of(rows) -> list[tuple[str, str, tuple]]:
+    """``ResultStore.occurrences()`` of a fresh store holding the rows.
+
+    Each (digits, sha256, url, query, engine, file_type) row is an exposure
+    of ``digits`` in document ``sha256``, successfully downloaded from
+    ``url`` as found by ``query`` on ``engine``.  The store gives each
+    document every source any row names for it.
+    """
+    rows = list(rows)
+    with tempfile.TemporaryDirectory() as root, ResultStore(root) as store:
+        for rank, (sha256, *source) in enumerate(dict.fromkeys(row[1:] for row in rows), 1):
+            url, query, engine, file_type = source
+            hit_id = store.add_hit(query, engine, 1, rank, url, "t", False)
+            store.record_download(hit_id, "success", "t", sha256=sha256, declared_type=file_type)
+        store.add_exposures((digits, sha256, "t") for digits, sha256, *_ in rows)
+        return list(store.occurrences())
+
+
+Occurrence = namedtuple("Occurrence", "digits sha256 url query file_type")
+
+
+def expand(occurrences) -> list[Occurrence]:
+    """Each occurrence of a stream, one per source of each row, in stream order."""
+    return [Occurrence(digits, sha256, *source) for digits, sha256, sources in occurrences for source in sources]

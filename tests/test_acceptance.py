@@ -11,7 +11,6 @@ import random
 import time
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from operator import attrgetter
 from pathlib import Path
 
 from idsweep import domains, reports, thai_id
@@ -21,10 +20,10 @@ from idsweep.harvest import CrawlConfig, SearchHit, download, execute_plan
 from idsweep.pipeline import run_scan
 from idsweep.providers import FetchResult, FixtureProvider, ProviderError
 from idsweep.queries import QueryPlan, load_plan_file, render
-from idsweep.store import ExposureOccurrence, ResultStore
+from idsweep.store import ResultStore
 from idsweep.synth import make_corpus
 
-from conftest import VirtualClock, write_doc, write_index
+from conftest import VirtualClock, occurrences_of, write_doc, write_index
 from test_queries import golden_constructions
 from test_thai_id import oracle_checksum
 
@@ -80,7 +79,7 @@ def test_criterion_3_end_to_end_recall(tmp_path):
         load_extractor_config(manifest.extractor_config_path),
         clock=VirtualClock(),
     )
-    found = {o.digits for o in store.load_occurrences()}
+    found = {digits for digits, _, _ in store.load_occurrences()}
     planted = set(manifest.planted)
     elapsed = time.perf_counter() - started
     precision = len(found & planted) / len(found) if found else 0.0
@@ -94,18 +93,13 @@ def test_criterion_3_end_to_end_recall(tmp_path):
 
 # 4 -------------------------------------------------------------------------------
 
-def _occurrences_in_areas(district_codes: list[str], count: int) -> list[ExposureOccurrence]:
-    out = []
+def _occurrences_in_areas(district_codes: list[str], count: int) -> list[tuple]:
+    rows = []
     for i in range(count):
         district = district_codes[i % len(district_codes)]
         digits = thai_id.generate_valid_id(f"{1 + i % 8}{district}", f"{i:07d}", REG)
-        out.append(
-            ExposureOccurrence(
-                digits=digits, sha256="s", url="http://a.go.th/x.pdf", query="q", engine="g",
-                file_type="pdf",
-            )
-        )
-    return sorted(out, key=attrgetter("digits"))  # in store order
+        rows.append((digits, "s", "http://a.go.th/x.pdf", "q", "g", "pdf"))
+    return occurrences_of(rows)
 
 
 def test_criterion_4_per_capita_arithmetic():
@@ -140,21 +134,15 @@ TOP_ROWS_FULL = {  # multiplicity -> (unique ids, printed percent), denominator 
 
 
 def _repeat_fixture(multiplicity_counts: dict[int, int]) -> reports.AggregateTable:
-    occurrences = []
+    rows = []
     serial = 0
     for multiplicity, n_ids in multiplicity_counts.items():
         for _ in range(n_ids):
             digits = thai_id.generate_valid_id("11001", f"{serial:07d}", REG)
             serial += 1
-            for j in range(multiplicity):
-                occurrences.append(
-                    ExposureOccurrence(
-                        digits=digits, sha256=f"s{serial}", url=f"http://h{j}.go.th/{serial}.pdf",
-                        query="q", engine="g", file_type="pdf",
-                    )
-                )
-    occurrences.sort(key=attrgetter("digits", "sha256", "url", "query"))  # in store order
-    return reports.tables(occurrences, REG)[0]["source_multiplicity"]
+            rows += [(digits, f"s{serial}", f"http://h{j}.go.th/{serial}.pdf", "q", "g", "pdf")
+                     for j in range(multiplicity)]
+    return reports.tables(occurrences_of(rows), REG)[0]["source_multiplicity"]
 
 
 def test_criterion_5_repeat_distribution_scaled():

@@ -246,6 +246,15 @@ def test_scan_plan_with_page_cap_is_usage_error(tmp_path, capsys):
     assert not (store_dir / "store.db").exists()
 
 
+def test_scan_plan_with_a_query_not_a_string_is_usage_error(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"queries": [1]}', "utf-8")
+    store_dir = tmp_path / "store"
+    assert run_cli(*scan_args(store_dir), "--plan", str(plan)) == 2
+    assert "'queries' must be a list of strings" in capsys.readouterr().err
+    assert not (store_dir / "store.db").exists()
+
+
 def test_scan_no_results_is_domain_negative(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text('{"queries": ["no such query"]}', "utf-8")

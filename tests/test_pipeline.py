@@ -12,7 +12,7 @@ from idsweep.providers import FixtureProvider
 from idsweep.queries import QueryPlan, load_plan_file
 from idsweep.store import ResultStore
 
-from conftest import VirtualClock, write_doc, write_index
+from conftest import VirtualClock, expand, write_doc, write_index
 
 
 def build_corpus(tmp_path, registry, **kwargs):
@@ -46,7 +46,7 @@ def test_corpus_generation_is_deterministic(tmp_path, registry):
 def test_scan_recovers_exactly_the_planted_ids(tmp_path, registry):
     manifest = build_corpus(tmp_path, registry)
     store, summary = scan_corpus(tmp_path, registry, manifest)
-    found = {o.digits for o in store.load_occurrences()}
+    found = {digits for digits, _, _ in store.load_occurrences()}
     assert found == set(manifest.planted)  # no decoy accepted, none missed
     assert summary.unique_ids == len(manifest.planted) == 40
     assert summary.queries == 3
@@ -72,8 +72,8 @@ def test_mirrored_document_yields_multi_url_occurrences(tmp_path, registry):
     store, _ = scan_corpus(tmp_path, registry, manifest)
     occurrences = store.load_occurrences()
     urls_by_id = {}
-    for occ in occurrences:
-        urls_by_id.setdefault(occ.digits, set()).add(occ.url)
+    for digits, _, sources in occurrences:
+        urls_by_id.setdefault(digits, set()).update(url for url, _, _ in sources)
     multiplicities = {len(urls) for urls in urls_by_id.values()}
     assert max(multiplicities) >= 2  # the mirrored doc and the repeated ID
     by_dim, skipped, _ = reports.tables(occurrences, registry)
@@ -181,7 +181,7 @@ def test_concurrent_extraction_matches_sequential(tmp_path, registry):
                 CrawlConfig(search_delay=0.0, download_workers=workers),
                 store, registry, extractors, clock=VirtualClock(),
             )
-            occurrences = store.load_occurrences()
+            occurrences = expand(store.load_occurrences())
             diagnostics = store.diagnostics()
         conn = sqlite3.connect(store.db_path)
         exposures = conn.execute(  # first_seen left out: it is wall-clock time

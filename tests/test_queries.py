@@ -225,6 +225,10 @@ def test_plan_from_bad_json():
     for key, value in (("engines", ["google"]), ("max_pages", 3), ("tags", ["t"]), ("foo", 1)):
         with pytest.raises(q.QueryError, match=f"'{key}'.*max_pages"):
             q.plan_from_json(json.dumps({"queries": ["a"], key: value}))
+    # queries are a list of strings: not a string split into letters, nor a number
+    for queries in ("abc", [1], ["a", None], {"a": 1}):
+        with pytest.raises(q.QueryError, match="list of strings"):
+            q.plan_from_json(json.dumps({"queries": queries}))
 
 
 # --- text templates -------------------------------------------------------------

@@ -8,7 +8,6 @@ import sqlite3
 import tempfile
 from collections import namedtuple
 from decimal import Decimal
-from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,23 +15,21 @@ from hypothesis import given, settings, strategies as st
 from idsweep import domains, reports, thai_id
 from idsweep.geo import default_registry, load_registry
 from idsweep.reports import AggregateRow, AggregateTable
-from idsweep.store import ExposureOccurrence
+
+from conftest import expand, occurrences_of
 
 
 def occ(digits, sha, url, query="q1", engine="google", file_type="pdf"):
-    return ExposureOccurrence(
-        digits=digits, sha256=sha, url=url, query=query, engine=engine, file_type=file_type
-    )
+    """A row for ``occurrences_of``: ``digits`` in document ``sha``, fetched from ``url``."""
+    return digits, sha, url, query, engine, file_type
 
 
 REG = default_registry()
-# the order ResultStore.occurrences() yields occurrences in
-STORE_ORDER = attrgetter("digits", "sha256", "url", "query")
 
 
 def tables_of(*occs, registry=REG, geo_sort="count"):
-    """Every dimension's table of the occurrences put in store order; none may be at an unusable URL."""
-    by_dim, skipped, _ = reports.tables(sorted(occs, key=STORE_ORDER), registry, geo_sort)
+    """Every dimension's table of a store holding the rows; none may be at an unusable URL."""
+    by_dim, skipped, _ = reports.tables(occurrences_of(occs), registry, geo_sort)
     assert skipped == []
     return by_dim
 
@@ -70,7 +67,7 @@ def test_build_records_classifies_and_skips():
         occ(ID_A, "s1", "not a url"),
         occ(ID_B, "s2", "http://chpao.org/b.xls", file_type="xls"),
     ]
-    by_dim, skipped, ids = reports.tables(sorted(occs, key=STORE_ORDER), REG)
+    by_dim, skipped, ids = reports.tables(occurrences_of(occs), REG)
     assert [(r.key, r.unique_ids) for r in by_dim["tld"].rows] == [("go.th", 1), ("org", 1)]
     assert len(skipped) == 1 and skipped[0][0] == "not a url"
     assert ids == 2
@@ -189,8 +186,9 @@ ID_POOL = tuple(thai_id.generate_valid_id("11001", f"100000{i}", REG) for i in r
     )
 )
 def test_partition_law(raw):
-    occs = [occ(d, sha, url, file_type=ft) for d, sha, url, ft in raw]
-    by_dim, _, ids = reports.tables(sorted(occs, key=STORE_ORDER), REG)
+    stream = occurrences_of(occ(d, sha, url, file_type=ft) for d, sha, url, ft in raw)
+    by_dim, _, ids = reports.tables(stream, REG)
+    occs = expand(stream)  # each document at every URL any row gave it
     total_ids = len({o.digits for o in occs})
     assert ids == total_ids
     for dimension, key_of in (
@@ -334,12 +332,12 @@ RENDERERS = {"markdown": reports.render_markdown, "csv": reports.render_csv, "js
     st.sampled_from(["count", "percent"]),
 )
 def test_one_fold_matches_per_table_definitions(raw, geo_sort):
-    occs = [occ(d, sha, url, query=q, engine=e, file_type=ft) for d, sha, url, q, e, ft in raw]
+    rows = [occ(d, sha, url, query=q, engine=e, file_type=ft) for d, sha, url, q, e, ft in raw]
     # always one source found by both engines, and one ID found only at an unusable URL
-    occs += [occ(FOLD_IDS[0], "d1", FOLD_URLS[0], engine=e) for e in ("google", "bing")]
-    occs += [occ(FOLD_UNUSABLE_ID, "d9", "not a url", engine=e) for e in ("google", "bing")]
-    occs.sort(key=STORE_ORDER)
-    recs = naive_records(occs, FOLD_OWNERS)
+    rows += [occ(FOLD_IDS[0], "d1", FOLD_URLS[0], engine=e) for e in ("google", "bing")]
+    rows += [occ(FOLD_UNUSABLE_ID, "d9", "not a url", engine=e) for e in ("google", "bing")]
+    occs = occurrences_of(rows)
+    recs = naive_records(expand(occs), FOLD_OWNERS)
     expected = {dim: naive_aggregate(recs, dim) for dim in NAIVE_KEY_OF}
     expected["province"], expected["district"] = naive_geo_tables(recs, REG, geo_sort)
     expected["source_multiplicity"] = naive_repeat_table(recs)
@@ -388,11 +386,11 @@ ENTRIES = {
 
 
 def test_report_needs_occurrences_in_id_order(tmp_path):
-    occs = [occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")]
+    occs = occurrences_of([occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")])
     for name, entry in ENTRIES.items():
         with pytest.raises(ValueError, match="not sorted"):
-            entry(occs, tmp_path)
-        assert entry(occs[::-1], tmp_path) == ([], 2), name
+            entry(occs[::-1], tmp_path)
+        assert entry(occs, tmp_path) == ([], 2), name
     assert [p.name for p in tmp_path.iterdir()] == ["filetype.md"]
 
 
@@ -407,8 +405,7 @@ def test_report_names_each_unusable_url_once(tmp_path, monkeypatch):
     # two IDs at one usable URL, and three at one unusable URL, two of them found nowhere else
     occs = [occ(ID_A, "s1", "http://x.go.th/a.pdf"), occ(ID_B, "s2", "http://x.go.th/a.pdf"),
             occ(ID_B, "s3", "http://chpao.org/b.xls", file_type="xls")]
-    occs += [occ(d, "s9", "not a url") for d in (ID_B, ID_C, ID_D)]
-    occs.sort(key=STORE_ORDER)
+    occs = occurrences_of(occs + [occ(d, "s9", "not a url") for d in (ID_B, ID_C, ID_D)])
     for name, entry in ENTRIES.items():
         calls.clear()
         assert entry(occs, tmp_path) == ([("not a url", "unsupported scheme in 'not a url'")], 2), name
@@ -420,10 +417,12 @@ def test_report_names_each_unusable_url_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
 def test_report_that_fails_part_way_leaves_no_listing(tmp_path, fmt):
+    ((_, sha256, sources),) = occurrences_of([occ(ID_A, "s1", "http://a.go.th/1.pdf")])
+
     def store_read_fails_part_way():
         # more rows than one write of the listing holds, then a store error
         for i in range(5000):
-            yield occ(f"11001{i:08d}", "s1", "http://a.go.th/1.pdf")
+            yield f"11001{i:08d}", sha256, sources
         raise sqlite3.OperationalError("disk I/O error")
 
     out = tmp_path / "fresh"
@@ -436,15 +435,15 @@ def test_report_that_fails_part_way_leaves_no_listing(tmp_path, fmt):
     out.mkdir()
     earlier = out / f"exposures.{reports.FORMATS[fmt][0]}"
     earlier.write_text("earlier listing\n", "utf-8")
-    occs = [occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")]
+    occs = occurrences_of([occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")])
     with pytest.raises(ValueError, match="not sorted"):
-        reports.report(occs, ["exposures"], REG, out, fmt=fmt, salt=b"pepper")
+        reports.report(occs[::-1], ["exposures"], REG, out, fmt=fmt, salt=b"pepper")
     assert sorted(out.iterdir()) == [earlier]
     assert earlier.read_text("utf-8") == "earlier listing\n"
 
 
 def test_report_refuses_bad_arguments_before_writing(tmp_path):
-    occs = [occ(ID_A, "s1", "http://a.go.th/1.pdf")]
+    occs = occurrences_of([occ(ID_A, "s1", "http://a.go.th/1.pdf")])
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="colour"):
         reports.report(occs, ["exposures", "colour"], REG, out, salt=b"pepper")
@@ -594,8 +593,8 @@ def test_emit_report_deterministic(tmp_path):
 # --- detail listing / redaction -----------------------------------------------------
 
 def listing_of(out, *occs, fmt="json", salt=b"pepper", unredacted=False):
-    """The listing ``report`` writes of the occurrences put in store order, as text."""
-    occs = sorted(occs, key=STORE_ORDER)
+    """The listing ``report`` writes of a store holding the rows, as text."""
+    occs = occurrences_of(occs)
     (path,), _, _ = reports.report(occs, ["exposures"], REG, out, fmt=fmt, salt=salt, unredacted=unredacted)
     return path.read_text("utf-8")
 

@@ -245,6 +245,69 @@ def test_candidate_soundness(text):
         assert len(cand.normalized) == 13
 
 
+# every digit the scan reads, with its value
+_DIGIT_VALUE = {d: str(i % 10) for i, d in enumerate("0123456789" + thai_id.THAI_DIGITS)}
+# a written ID: 13 digits in a row, or grouped 1-4-5-2-1 with a - or space between groups
+_LAYOUTS = ("#" * 13, "#-####-#####-##-#")
+
+
+def _written_at(text, i, layout):
+    """Whether ``layout`` is written at ``i`` of ``text`` with no digit right after it."""
+    end = i + len(layout)
+    window = text[i:end]
+    return (len(window) == len(layout) and text[end:end + 1] not in _DIGIT_VALUE
+            and all(ch in _DIGIT_VALUE if slot == "#" else ch in "- " for ch, slot in zip(window, layout)))
+
+
+def reference_candidates(text):
+    """Candidates by a slow left-to-right scan, as (start, end, normalized).
+
+    A layout written at a place with no digit before it is a candidate, and
+    the scan goes on after it; otherwise it moves one character on.
+    """
+    found, i = [], 0
+    while i < len(text):
+        layout = next((layout for layout in _LAYOUTS if _written_at(text, i, layout)), None)
+        if layout and (i == 0 or text[i - 1] not in _DIGIT_VALUE):
+            end = i + len(layout)
+            found.append((i, end, "".join(_DIGIT_VALUE[ch] for ch in text[i:end] if ch in _DIGIT_VALUE)))
+            i = end
+        else:
+            i += 1
+    return found
+
+
+_noise = st.text(alphabet="0123456789๐๑๒๓๔๕๖๗๘๙- abxดสก.,\n", max_size=16)
+
+
+@st.composite
+def near_id(draw):
+    """An ID grouped 1-4-5-2-1, or with one group a digit off or one separator doubled or missing."""
+    sizes, seps = [1, 4, 5, 2, 1], [draw(_sep) for _ in range(4)]
+    flaw, at = draw(st.sampled_from(["none", "longer", "shorter", "doubled", "missing"])), draw(st.integers(0, 3))
+    if flaw in ("longer", "shorter"):
+        sizes[at] += 1 if flaw == "longer" else -1
+    elif flaw != "none":
+        seps[at] = seps[at] + draw(_sep) if flaw == "doubled" else ""
+    groups = [draw(st.text(alphabet="0123456789๐๑๒๓๔๕๖๗๘๙", min_size=n, max_size=n)) for n in sizes]
+    return groups[0] + "".join(sep + group for sep, group in zip(seps, groups[1:]))
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(st.lists(st.one_of(near_id(), rendered_id().map(lambda r: r[1]), _noise), max_size=8))
+# near misses that random text rarely spells out: a doubled, missing or extra separator, a group a digit off
+@hypothesis.example(["1--1001-23456-78-9 1-1001 23456-78 9 x1-1001-2345-78-9 1100123456789-1 1 1001 23456 789"])
+def test_find_candidates_matches_reference_scanner(pieces):
+    text = "".join(pieces)
+    got = [(c.start, c.end, c.normalized) for c in thai_id.find_candidates(text)]
+    assert got == reference_candidates(text)
+
+
+def test_reference_scanner_examples():
+    text = "1234567891011 x12345678910112 ๓-๑๐๐๑-๒๓๔๕๖-๗๘-๙ 1-1001 23456-78-90"
+    assert reference_candidates(text) == [(0, 13, "1234567891011"), (30, 47, "3100123456789")]
+
+
 # --- validation and decoding -------------------------------------------------
 
 def test_validate_accepts_generated():
