@@ -20,7 +20,6 @@ exits 2 naming the flag, variable or key.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import fcntl
 import json
@@ -46,7 +45,7 @@ from .queries import (
     load_templates,
     plan_to_json,
 )
-from .store import ResultStore
+from .store import ExposureRange, ResultStore
 from .thai_id import decode, normalize_numerals, validate
 
 EXIT_OK = 0
@@ -133,21 +132,24 @@ def _read_salt(args) -> Optional[bytes]:
 
 
 class _StoreLock:
-    """Exclusive ownership of a store directory for one CLI invocation.
+    """Ownership of a store directory for one CLI invocation: exclusive to
+    write it (``scan run``), shared to read it (``report``).
 
     An ``flock`` on ``.lock``, released when the run closes the file or its
-    process ends, however it ends.  The file itself stays: it blocks nothing
-    once no process holds the lock.
+    process ends, however it ends.  A run that cannot take it at once fails:
+    a scan while anything holds it, a report while a scan does.  The file
+    itself stays: it blocks nothing once no process holds the lock.
     """
 
-    def __init__(self, store_dir: Path):
+    def __init__(self, store_dir: Path, shared: bool = False):
         self.path = store_dir / ".lock"
+        self.mode = fcntl.LOCK_SH if shared else fcntl.LOCK_EX
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(fd, self.mode | fcntl.LOCK_NB)
         except BlockingIOError:
             os.close(fd)
             raise RuntimeError(f"store is locked by another run ({self.path})") from None
@@ -266,6 +268,25 @@ def cmd_scan_run(args) -> int:
 
 # --- report ------------------------------------------------------------------------------
 
+def _id_ranges(store: ResultStore) -> list[ExposureRange]:
+    """The ranges of IDs a report reads, at most one per CPU this process may run on."""
+    return store.id_ranges(len(os.sched_getaffinity(0)))
+
+
+def _in_processes(fn, ranges, *rest) -> list:
+    """``map`` of each range in a forked process of its own; returns once every process has ended.
+
+    Forked, the workers start with the program already imported.  Forking is
+    safe here: the report's process runs no other thread when the pool
+    starts its processes, and holds no store connection open.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(len(ranges), mp_context=get_context("fork")) as pool:
+        return list(pool.map(fn, ranges, *rest))
+
+
 def cmd_report(args) -> int:
     names = [n.strip() for n in args.tables.split(",") if n.strip()]
     try:
@@ -295,15 +316,18 @@ def cmd_report(args) -> int:
     if not (store_dir / "store.db").exists():
         return _fail(f"no store at {store_dir}")
     try:
-        # the stream is closed, ending its read transaction, before the store
-        with ResultStore(store_dir) as store, contextlib.closing(store.occurrences()) as occurrences:
+        # the lock keeps every range reading the same committed store
+        with _StoreLock(store_dir, shared=True):
+            # migrates an older store; closed before any process is forked
+            with ResultStore(store_dir) as store:
+                ranges = _id_ranges(store)
             written, skipped, ids = reports.report(
-                occurrences, names, registry, args.out, fmt=args.format,
-                geo_sort=args.geo_sort, salt=salt, unredacted=args.unredacted, owner_tags=owner_tags,
+                ranges, names, registry, args.out, fmt=args.format, geo_sort=args.geo_sort, salt=salt,
+                unredacted=args.unredacted, owner_tags=owner_tags, run=_in_processes if len(ranges) > 1 else map,
             )
     except sqlite3.Error as exc:
         return _fail(f"store {store_dir}: {exc}")
-    except (OSError, ValueError) as exc:
+    except (OSError, RuntimeError, ValueError) as exc:
         return _fail(str(exc))
     for url, reason in skipped:
         print(f"warning: unclassifiable url skipped: {url}: {reason}", file=sys.stderr)

@@ -9,12 +9,16 @@ union so one flaky tool cannot hide another's finding.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
+import os
+import selectors
 import shlex
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from pathlib import Path
@@ -156,32 +160,79 @@ _BUILTINS = {"plain": _extract_plain, "csv": _extract_csv, "html": _extract_html
 
 # --- external protocol ------------------------------------------------------------
 
+# the most bytes of text an external extractor may print: past it, the
+# command is stopped and the text up to there is used, with a warning
+MAX_EXTERNAL_OUTPUT = 64 * 1024 * 1024
+
+
+def _read_output(proc: subprocess.Popen, deadline: float, cap: int) -> tuple[bytes, bytes]:
+    """What a command prints, read as it comes until its pipes close or its
+    standard output passes ``cap`` bytes, keeping no more of either than
+    that plus one read.  Raises TimeoutExpired at ``deadline``."""
+    out, err = bytearray(), bytearray()
+    with selectors.DefaultSelector() as pipes:
+        pipes.register(proc.stdout, selectors.EVENT_READ, out)
+        pipes.register(proc.stderr, selectors.EVENT_READ, err)
+        while pipes.get_map() and len(out) <= cap:
+            left = deadline - time.monotonic()
+            ready = pipes.select(left) if left > 0 else []  # a command that keeps printing still times out
+            if not ready:
+                raise subprocess.TimeoutExpired(proc.args, deadline)
+            for key, _ in ready:
+                chunk = os.read(key.fd, 1 << 16)
+                if not chunk:
+                    pipes.unregister(key.fileobj)
+                elif len(key.data) <= cap:
+                    key.data.extend(chunk)
+    return bytes(out), bytes(err)
+
+
 def run_external(spec: ExtractorSpec, data: bytes) -> tuple[str, Optional[str]]:
     """Run an external extractor; returns (text, soft_warning_or_None).
 
     Raises RuntimeError on spawn failure, nonzero exit, or timeout.  Invalid
     UTF-8 on stdout is replaced and reported as a warning rather than a
-    failure, since partial text still carries findings.
+    failure, since partial text still carries findings.  So is output past
+    ``MAX_EXTERNAL_OUTPUT`` bytes: the command is stopped there and the text
+    before it kept.
     """
     with tempfile.NamedTemporaryFile(prefix="idsweep-", delete=False) as staged:
         staged.write(data)
         staged_path = staged.name
     argv = [token.replace("{input}", staged_path) for token in shlex.split(spec.command)]
+    deadline = time.monotonic() + spec.timeout
     try:
-        proc = subprocess.run(argv, capture_output=True, timeout=spec.timeout)
-    except subprocess.TimeoutExpired:
-        raise RuntimeError(f"timeout after {spec.timeout}s")
-    except OSError as exc:
-        raise RuntimeError(f"spawn failed: {exc}")
+        try:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        except OSError as exc:
+            raise RuntimeError(f"spawn failed: {exc}")
+        with proc:  # closes the pipes and waits for the command, however this ends
+            try:
+                stdout, stderr = _read_output(proc, deadline, MAX_EXTERNAL_OUTPUT)
+                truncated = len(stdout) > MAX_EXTERNAL_OUTPUT
+                if not truncated:
+                    proc.wait(max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                raise RuntimeError(f"timeout after {spec.timeout}s")
+            finally:
+                if proc.returncode is None:
+                    proc.kill()
     finally:
         Path(staged_path).unlink(missing_ok=True)
-    if proc.returncode != 0:
-        stderr = proc.stderr.decode("utf-8", errors="replace").strip()
-        raise RuntimeError(f"exit {proc.returncode}: {stderr[:500]}")
+    warnings = []
+    if truncated:
+        stdout = stdout[:MAX_EXTERNAL_OUTPUT]
+        warnings.append(f"output truncated at {MAX_EXTERNAL_OUTPUT} bytes")
+    elif proc.returncode != 0:
+        message = stderr.decode("utf-8", errors="replace").strip()
+        raise RuntimeError(f"exit {proc.returncode}: {message[:500]}")
     try:
-        return proc.stdout.decode("utf-8"), None
+        # a character the cap cut in two is dropped, not replaced
+        text = codecs.getincrementaldecoder("utf-8")().decode(stdout, final=not truncated)
     except UnicodeDecodeError:
-        return proc.stdout.decode("utf-8", errors="replace"), "invalid utf-8 replaced"
+        text = stdout.decode("utf-8", errors="replace")
+        warnings.append("invalid utf-8 replaced")
+    return text, "; ".join(warnings) or None
 
 
 # --- orchestration -----------------------------------------------------------------

@@ -16,6 +16,18 @@ is decimal with round-half-up at a fixed number of places, which keeps
 emission byte-deterministic.  ``TABLES`` maps each report table name to the
 dimension of each table it writes, and ``FORMATS`` maps each output format
 to how it writes a row.
+
+``report`` takes the exposures as one or more ranges of IDs, in ID order,
+and makes that pass over each range on its own (``_range``), in as many
+processes as the caller maps it in; ``tables`` is one range, in process.  A
+range's fold is bounded by sources and keys, not IDs, so the folds merge
+cheaply: per-source and shared counts add, the keys of an ID dimension add
+their counts and join the sources they reach, sources are matched by
+(document, URL, query, type), and unusable URLs keep the order one pass
+would meet them in.  Each range writes its listing rows, with no header or
+trailer, to a part file of its own; the listing is then the header, the
+parts in range order and the trailer, in one file.  Memory is per process:
+a range's fold and its documents' sources, not its IDs.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import chain, compress, islice
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list
 from .geo import GeoRegistry
@@ -56,6 +68,12 @@ class _Source:
     keys: tuple[tuple[str, str], ...] = ()  # (source dimension, key) pairs
     tail: object = None  # its listing cells after the ID, as written
     alone: int = 0  # IDs of the fold found here only
+
+    def __reduce__(self):
+        # what a merge reads of a source sent from another process: its keys
+        # and tail serve only the pass that resolved it
+        return _Source, (self.index, self.sha256, self.url, self.query, self.file_type, self.domain, (), None,
+                         self.alone)
 
 
 # dimension -> the key of a source (document, URL, query, type, host)
@@ -210,6 +228,37 @@ class _Fold:
                     entry[1][index] = 1
         self._pending = {}
 
+    def merge(self, other: "_Fold") -> None:
+        """Add the IDs of a fold made over a later range of IDs.
+
+        A source is the same source in both if it has the same (document,
+        URL, query, type); the other fold's new sources join this one's in
+        their order, so merging ranges in ID order keeps the first-seen order
+        of one pass over them all.
+        """
+        self._flush()
+        other._flush()
+        mine = {(s.sha256, s.url, s.query, s.file_type): s for s in self.sources}
+        index = []  # the other fold's source index -> this fold's
+        for source in other.sources:
+            same = mine.get((source.sha256, source.url, source.query, source.file_type))
+            if same is None:
+                same, source.index = source, len(self.sources)
+                self.sources.append(source)
+            else:
+                same.alone += source.alone
+            index.append(same.index)
+        for key, ids in other._shared.items():
+            self._shared[key] = self._shared.get(key, 0) + ids
+        for by_key, theirs in zip(self._by_id_key, other._by_id_key):
+            for key, (ids, reached) in theirs.items():
+                entry = by_key.setdefault(key, [0, bytearray()])
+                entry[0] += ids
+                entry[1].extend(bytes(len(self.sources) - len(entry[1])))
+                for i in compress(range(len(reached)), reached):
+                    entry[1][index[i]] = 1
+        self.ids += other.ids
+
     def rows(self, dimension: str) -> list[AggregateRow]:
         """One row of distinct counts per key of the dimension, unsorted."""
         self._flush()
@@ -303,33 +352,14 @@ def check_arguments(names: Iterable[str], geo_sort: str) -> None:
 LISTING_COLUMNS = ("id", "tld_class", "registered_domain", "url", "file_type", "query")
 
 
-@dataclass(frozen=True)
-class ExposureListing:
-    """What a per-occurrence listing's file says about it; its rows are only ever streamed."""
-
-    redacted: bool
-    salt_id: Optional[str] = None
-    columns: ClassVar[tuple[str, ...]] = LISTING_COLUMNS
-
-
-def _listing(runs: Iterable[tuple[str, list[_Source]]], salt: Optional[bytes], unredacted: bool,
-             head: Callable) -> tuple[ExposureListing, Iterator]:
-    """A listing of sorted runs, and its rows as a stream: ``head`` of the shown ID + each tail."""
-    if not unredacted and not salt:
-        raise ValueError("redacted listing needs a salt")
-
-    def rows() -> Iterator:
-        for digits, run in runs:
-            # each ID's token is computed once for all its rows
-            shown = head(digits if unredacted else pseudonymize(digits, salt).token)
-            for source in run:
-                yield shown + source.tail
-
-    stream = rows()
-    first = next(stream, None)
-    named = first is not None and not unredacted  # an empty listing names no salt
-    listing = ExposureListing(redacted=not unredacted, salt_id=salt_id(salt) if named else None)
-    return listing, iter(()) if first is None else chain((first,), stream)
+def _listing_rows(runs: Iterable[tuple[str, list[_Source]]], salt: Optional[bytes], unredacted: bool,
+                  head: Callable[[str], str]) -> Iterator[str]:
+    """The listing rows of sorted runs, as written: ``head`` of the shown ID + each source's tail."""
+    for digits, run in runs:
+        # each ID's token is computed once for all its rows
+        shown = head(digits if unredacted else pseudonymize(digits, salt).token)
+        for source in run:
+            yield shown + source.tail
 
 
 # --- emission -----------------------------------------------------------------
@@ -353,40 +383,47 @@ _json_cell = json.JSONEncoder(ensure_ascii=False).encode
 # row as written).  A row is the two joined, so a listing writes each
 # source's rest of row once.  Markdown writes \ as \\, | as \| and a line
 # break as a space, so no cell can split its row; csv.writer quotes each
-# cell on its own.
+# cell on its own.  A JSON row (only the listing writes rows one by one)
+# starts with the comma before it, which the listing drops from its first.
 FORMATS: dict[str, tuple[str, Callable[[str], str], Callable[[Iterable[str]], str]]] = {
     "markdown": ("md", lambda cell: "| " + _markdown_cell(cell),
                  lambda cells: "".join(" | " + _markdown_cell(c) for c in cells) + " |\n"),
     "csv": ("csv", lambda cell: _csv_row((cell, ""))[:-2],
             lambda cells: _csv_row(("", *cells))),
-    "json": ("json", lambda cell: "    [\n      " + _json_cell(cell),
+    "json": ("json", lambda cell: ",\n    [\n      " + _json_cell(cell),
              lambda cells: "".join(",\n      " + _json_cell(c) for c in cells) + "\n    ]"),
 }
 
 
-def _text(grid: AggregateTable | ExposureListing, fmt: str, rows: Optional[Iterator[str]] = None) -> Iterator[str]:
-    """The file a table or listing is written as, in pieces; a listing's ``rows`` come as written."""
+def _lines(rows: Iterable[tuple[str, ...]], fmt: str) -> Iterator[str]:
+    """Markdown or CSV rows of cells, as written."""
     _, head, tail = FORMATS[fmt]
-    if fmt == "json" and isinstance(grid, AggregateTable):
-        return iter((table_to_json(grid),))
-    if rows is None:
-        rows = (head(row[0]) + tail(row[1:]) for row in grid.cells())
+    return (head(row[0]) + tail(row[1:]) for row in rows)
+
+
+def _header(columns: tuple[str, ...], fmt: str) -> tuple[tuple[str, ...], ...]:
+    """The rows a markdown or CSV file starts with."""
+    return (columns, ("---",) * len(columns)) if fmt == "markdown" else (columns,)
+
+
+def _text(table: AggregateTable, fmt: str) -> Iterator[str]:
+    """The file a table is written as, in pieces."""
     if fmt == "json":
-        return _json_listing(grid, rows)
-    header = (grid.columns, ("---",) * len(grid.columns)) if fmt == "markdown" else (grid.columns,)
-    return chain((head(row[0]) + tail(row[1:]) for row in header), rows)
+        return iter((table_to_json(table),))
+    return _lines(chain(_header(table.columns, fmt), table.cells()), fmt)
 
 
-def _json_listing(listing: ExposureListing, rows: Iterable[str]) -> Iterator[str]:
-    """The listing as ``json.dumps(..., ensure_ascii=False, indent=2)`` writes it, a row at a time."""
-    text = json.dumps({"redacted": listing.redacted, "salt_id": listing.salt_id,
-                       "columns": list(listing.columns), "rows": []}, ensure_ascii=False, indent=2) + "\n"
-    # the rows go inside the '[]' that text ends with, each two levels deep
-    sep = text[:-len("]\n}\n")] + "\n"
-    for row in rows:
-        yield sep + row
-        sep = ",\n"
-    yield text if sep != ",\n" else "\n  ]\n}\n"
+def _listing_frame(fmt: str, redacted: bool, salt_id: Optional[str], rows: bool) -> tuple[str, str]:
+    """The text of a listing file before its rows and after them.
+
+    The JSON listing is what ``json.dumps(..., ensure_ascii=False,
+    indent=2)`` writes, its rows inside the '[]' that the text ends with.
+    """
+    if fmt != "json":
+        return "".join(_lines(_header(LISTING_COLUMNS, fmt), fmt)), ""
+    text = json.dumps({"redacted": redacted, "salt_id": salt_id, "columns": list(LISTING_COLUMNS),
+                       "rows": []}, ensure_ascii=False, indent=2) + "\n"
+    return (text[:-len("]\n}\n")], "\n  ]\n}\n") if rows else (text, "")
 
 
 def _write_lines(lines: Iterable[str], fh: TextIO) -> None:
@@ -451,8 +488,72 @@ def _write_files(out_dir: str | Path, ext: str, texts: Iterable[tuple[str, Itera
     return paths
 
 
+def _join_listing(path: Path, fmt: str, salt: Optional[bytes], unredacted: bool, parts: list[Path]) -> Path:
+    """Write the listing at ``path`` from the rows of its ranges, in order, as one file.
+
+    The header, each range's rows and the trailer go to a temporary name,
+    renamed into place when it is whole.  The rows are copied file to file
+    inside the kernel.  A JSON listing drops the comma before its first row,
+    and a redacted listing names its salt only if it has rows.
+    """
+    filled = [part for part in parts if part.stat().st_size]
+    named = bool(filled) and not unredacted
+    header, trailer = _listing_frame(fmt, not unredacted, salt_id(salt) if named else None, bool(filled))
+    whole = path.with_name(path.name + ".part")
+    try:
+        with whole.open("wb") as out:
+            out.write(header.encode("utf-8"))
+            out.flush()
+            skip = int(fmt == "json")  # the comma before the first row
+            for part in filled:
+                with part.open("rb") as rows:
+                    offset, size, skip = skip, os.fstat(rows.fileno()).st_size, 0
+                    while offset < size:
+                        offset += os.sendfile(out.fileno(), rows.fileno(), offset, size - offset)
+            out.write(trailer.encode("utf-8"))
+        os.replace(whole, path)
+    finally:
+        whole.unlink(missing_ok=True)
+    return path
+
+
+def _range(occurrences: Iterable[Occurrence], part: Optional[Path], fmt: Optional[str],
+           owner_tags: Optional[dict[str, str]], salt: Optional[bytes] = None,
+           unredacted: bool = False) -> tuple[_Fold, list[tuple[str, str]]]:
+    """One range of IDs through a fold, and its listing rows into ``part`` if one is named.
+
+    The rows are written in ``fmt`` with no header or trailer; with no
+    ``fmt`` (``tables``), each source's listing cells stay a tuple.  The
+    occurrences are closed when the range ends, however it ends.  Returns
+    the fold and the unusable URLs met, each once with why.
+    """
+    occurrences = iter(occurrences)
+    try:
+        fold, runs, skipped = _pass(occurrences, owner_tags, FORMATS[fmt][2] if fmt else tuple)
+        if part is not None:
+            with part.open("w", encoding="utf-8") as fh:
+                _write_lines(_listing_rows(runs, salt, unredacted, FORMATS[fmt][1]), fh)
+        for _ in runs:  # what the listing did not take
+            pass
+    finally:
+        getattr(occurrences, "close", lambda: None)()
+    fold._flush()  # what is left of the last area
+    return fold, skipped
+
+
+def _merged(ranges: Iterable[tuple[_Fold, list[tuple[str, str]]]]) -> tuple[_Fold, list[tuple[str, str]]]:
+    """The first range's fold with the later ones merged in, and their unusable URLs, each once in the order first seen."""
+    ranges = iter(ranges)
+    fold, skipped = next(ranges)
+    skipped = dict.fromkeys(skipped)
+    for other, met in ranges:
+        fold.merge(other)
+        skipped.update(dict.fromkeys(met))
+    return fold, list(skipped)
+
+
 def report(
-    occurrences: Iterable[Occurrence],
+    ranges: Sequence[Iterable[Occurrence]],
     names: Iterable[str],
     registry: GeoRegistry,
     out_dir: str | Path,
@@ -461,14 +562,20 @@ def report(
     salt: Optional[bytes] = None,
     unredacted: bool = False,
     owner_tags: Optional[dict[str, str]] = None,
+    run: Callable = map,
 ) -> tuple[list[Path], list[tuple[str, str]], int]:
-    """Write the named report tables from one pass over the occurrences.
+    """Write the named report tables from one pass over one or more ranges of the occurrences.
 
-    The occurrences must come sorted by ID, as ``ResultStore.occurrences()``
-    yields them; an ID out of order is a ``ValueError``.  A document's
-    sources are read from its first row.  Each ID's run of sources goes into
-    one fold that builds every table, and into the listing, which is written
-    as the pass goes.
+    Each range's occurrences must come sorted by ID, as
+    ``ResultStore.occurrences()`` yields them, and after every ID of the
+    ranges before it; an ID out of order within a range is a ``ValueError``.
+    A document's sources are read from its first row.  ``run`` maps the
+    range function over the ranges and their listing parts as ``map`` does:
+    each range goes through a fold of its own, which builds every table, and
+    writes its part of the listing as it goes.  ``run`` may map in other
+    processes, when the ranges and the function's arguments pickle; it must
+    return once no range is still running.  The folds are then merged, the
+    tables written, and the parts joined into one listing.
     Returns the files written, each unusable URL once with why (in the order
     first seen), and the number of IDs.
     """
@@ -476,14 +583,22 @@ def report(
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
     names = list(names)
     check_arguments(names, geo_sort)
-    ext, head, tail = FORMATS[fmt]
-    fold, runs, skipped = _pass(occurrences, owner_tags, tail)
+    listed = "exposures" in names
+    if listed and not unredacted and not salt:
+        raise ValueError("redacted listing needs a salt")
+    listing = Path(out_dir) / f"exposures.{FORMATS[fmt][0]}"
+    parts = [listing.with_name(f"{listing.name}.part{i}") if listed else None for i in range(len(ranges))]
+    if listed:
+        listing.parent.mkdir(parents=True, exist_ok=True)
     written = []
-    if "exposures" in names:
-        listing, rows = _listing(runs, salt, unredacted, head)
-        written = _write_files(out_dir, ext, [("exposures", _text(listing, fmt, rows))])
-    for _ in runs:  # what the listing did not take
-        pass
+    try:
+        fold, skipped = _merged(run(functools.partial(_range, fmt=fmt, owner_tags=owner_tags, salt=salt,
+                                                      unredacted=unredacted), ranges, parts))
+        if listed:
+            written = [_join_listing(listing, fmt, salt, unredacted, parts)]
+    finally:
+        for part in filter(None, parts):
+            part.unlink(missing_ok=True)
     by_stem = {
         stem: _finish(dim, fold.rows(dim), registry, geo_sort)
         for name in names for stem, dim in TABLES[name].items()
@@ -499,16 +614,14 @@ def tables(
 ) -> tuple[dict[str, AggregateTable], list[tuple[str, str]], int]:
     """Every dimension's table from the same one pass as ``report``, in memory.
 
-    The occurrences must come in the order ``report`` needs.  Province and
-    district come from the ID itself (digits 2-3 and 2-5), with percent =
-    100 x IDs / residents, half-up at 2 places, where the registry has a
+    The occurrences are one range, in the order ``report`` needs.  Province
+    and district come from the ID itself (digits 2-3 and 2-5), with percent
+    = 100 x IDs / residents, half-up at 2 places, where the registry has a
     population; ``source_multiplicity`` counts IDs by how many distinct URLs
     carry them, percent of all IDs at 4 places.  Returns each dimension of
     ``DIMENSIONS`` with its table, each unusable URL once with why, and the
     number of IDs.
     """
     check_arguments((), geo_sort)
-    fold, runs, skipped = _pass(occurrences, owner_tags, tuple)  # no listing: tails stay cells
-    for _ in runs:
-        pass
+    fold, skipped = _range(occurrences, None, None, owner_tags)
     return {dim: _finish(dim, fold.rows(dim), registry, geo_sort) for dim in DIMENSIONS}, skipped, fold.ids

@@ -17,11 +17,18 @@ Reports read the store in one pass and add no index: ``occurrences()``
 holds the successful sources of each digest (bounded by documents), then
 streams ``exposures`` in its own key order (a WITHOUT ROWID table is its
 primary-key B-tree), each row with its digest's sources: one tuple per
-digest, which every row of that digest carries.
+digest, which every row of that digest carries.  ``id_ranges()`` cuts that
+stream into ranges of IDs for a report to read in several processes: as many
+as give each range ``MIN_ROWS_PER_RANGE`` rows, up to the number asked for.
+Its boundaries are the IDs at equal shares of the rows, each range starting
+at its ID's first row, so no ID is split; an ``ExposureRange`` reads its
+range through a read-only connection of its own, and pickles.
 
 Writes are serialized with a process-local lock so the bounded download pool
-can share one store; cross-process exclusivity is the CLI's ``flock`` on
-``.lock``.
+can share one store.  Across processes, the CLI holds an ``flock`` on
+``.lock``: exclusive for a scan, shared for a report, so reports may run
+together but never beside a scan, and every range of a report reads the
+same committed store.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import hashlib
 import os
 import sqlite3
 import threading
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -102,6 +110,65 @@ def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
         else:
             before += [f"ALTER TABLE {table} DROP COLUMN {column};" for column in gone]
     return "\n".join(["BEGIN;", *before, _SCHEMA, *after, "COMMIT;"]), bool(after)
+
+
+# (digits, sha256, each (url, query, file_type) of the document), as occurrences() yields it
+Occurrence = tuple[str, str, tuple[tuple[str, str, str], ...]]
+
+# the fewest exposures a report reads in a process of its own: below about
+# this many, starting the process costs more than the rows it takes over
+MIN_ROWS_PER_RANGE = 50_000
+
+
+def _occurrences(conn: sqlite3.Connection, lo: Optional[str] = None, hi: Optional[str] = None) -> Iterator[Occurrence]:
+    """``ResultStore.occurrences()`` of the exposures with ``lo <= digits < hi``, a missing bound left open."""
+    own = not conn.in_transaction
+    if own:
+        conn.execute("BEGIN")
+    try:
+        found: dict[str, set[tuple]] = {}
+        for sha256, *source in conn.execute(
+            "SELECT d.sha256, h.url, h.query, h.engine, d.declared_type"
+            " FROM downloads d JOIN hits h ON h.id = d.hit_id WHERE d.status = 'success'"
+        ):
+            found.setdefault(sha256, set()).add(tuple(source))
+        sources = {
+            sha256: tuple((url, query, file_type) for url, query, _, file_type in sorted(
+                found[sha256], key=lambda s: (*s[:3], s[3] is not None, s[3] or "")))
+            for sha256 in found
+        }
+        tests = [test for test, bound in (("digits >= :lo", lo), ("digits < :hi", hi)) if bound is not None]
+        where = f"WHERE {' AND '.join(tests)}" if tests else ""
+        for digits, sha256 in conn.execute(
+            f"SELECT digits, sha256 FROM exposures {where} ORDER BY digits, sha256", {"lo": lo, "hi": hi}
+        ):
+            if sha256 in sources:
+                yield digits, sha256, sources[sha256]
+    finally:
+        if own and conn.in_transaction:
+            conn.execute("ROLLBACK")
+
+
+@dataclass(frozen=True)
+class ExposureRange:
+    """The occurrences of the IDs in ``[lo, hi)`` of a store, a missing bound left open.
+
+    Iterating it opens a read-only connection of its own and streams the
+    rows as ``ResultStore.occurrences()`` does, closing the connection when
+    the stream ends or is closed.  It is a path and two IDs, so it pickles:
+    another process can read its range.
+    """
+
+    db_path: Path
+    lo: Optional[str] = None
+    hi: Optional[str] = None
+
+    def __iter__(self) -> Iterator[Occurrence]:
+        conn = sqlite3.connect(self.db_path.resolve().as_uri() + "?mode=ro", uri=True)
+        try:
+            yield from _occurrences(conn, self.lo, self.hi)
+        finally:
+            conn.close()
 
 
 class ResultStore:
@@ -223,7 +290,7 @@ class ResultStore:
     def exposed_document_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(DISTINCT sha256) FROM exposures").fetchone()[0])
 
-    def occurrences(self) -> Iterator[tuple[str, str, tuple[tuple[str, str, str], ...]]]:
+    def occurrences(self) -> Iterator[Occurrence]:
         """Each exposure with the sources of its document, as (digits, sha256, sources).
 
         Rows are streamed sorted by (digits, sha256), and an exposure with no
@@ -234,31 +301,26 @@ class ResultStore:
         read transaction, so a scan that commits meanwhile cannot leave an
         exposure without its sources.
         """
-        own = not self._conn.in_transaction
-        if own:
-            self._conn.execute("BEGIN")
-        try:
-            found: dict[str, set[tuple]] = {}
-            for sha256, *source in self._conn.execute(
-                "SELECT d.sha256, h.url, h.query, h.engine, d.declared_type"
-                " FROM downloads d JOIN hits h ON h.id = d.hit_id WHERE d.status = 'success'"
-            ):
-                found.setdefault(sha256, set()).add(tuple(source))
-            sources = {
-                sha256: tuple((url, query, file_type) for url, query, _, file_type in sorted(
-                    found[sha256], key=lambda s: (*s[:3], s[3] is not None, s[3] or "")))
-                for sha256 in found
-            }
-            for digits, sha256 in self._conn.execute(
-                "SELECT digits, sha256 FROM exposures ORDER BY digits, sha256"
-            ):
-                if sha256 in sources:
-                    yield digits, sha256, sources[sha256]
-        finally:
-            if own and self._conn.in_transaction:
-                self._conn.execute("ROLLBACK")
+        return _occurrences(self._conn)
 
-    def load_occurrences(self) -> list[tuple[str, str, tuple[tuple[str, str, str], ...]]]:
+    def id_ranges(self, most: int, min_rows: int = MIN_ROWS_PER_RANGE) -> list[ExposureRange]:
+        """``exposures`` cut into at most ``most`` ranges of IDs, in ID order, none empty.
+
+        There are as many ranges as give each at least ``min_rows`` rows, and
+        at least one.  A range starts at the first row of the ID at its equal
+        share of the rows, so ranges hold near-equal row counts and no ID is
+        split; an ID that spans more than a share starts one range only.
+        """
+        rows = self._conn.execute("SELECT COUNT(*) FROM exposures").fetchone()[0]
+        n = max(1, min(most, rows // min_rows))
+        offsets = [rows * i // n for i in range(n)] if rows else []
+        starts = dict.fromkeys(self._conn.execute(
+            "SELECT digits FROM exposures ORDER BY digits, sha256 LIMIT 1 OFFSET ?", (offset,)).fetchone()[0]
+            for offset in offsets)
+        edges = [None, *list(starts)[1:], None]  # the first range starts with the store
+        return [ExposureRange(self.db_path, lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+    def load_occurrences(self) -> list[Occurrence]:
         """``occurrences()`` as a list."""
         return list(self.occurrences())
 

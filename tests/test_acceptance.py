@@ -278,7 +278,7 @@ def test_criterion_8_redaction_completeness(tmp_path):
     leaked = 0
     for fmt in ("markdown", "csv", "json"):
         out_dir = tmp_path / f"report_{fmt}"
-        written, _, _ = reports.report(store.occurrences(), list(reports.TABLES), REG, out_dir, fmt=fmt,
+        written, _, _ = reports.report([store.occurrences()], list(reports.TABLES), REG, out_dir, fmt=fmt,
                                        salt=b"acceptance")
         for path in written:
             text = path.read_text("utf-8")

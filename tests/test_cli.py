@@ -10,6 +10,7 @@ import runpy
 import sqlite3
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from idsweep.harvest import CrawlConfig
 from idsweep.pipeline import ScanSummary
 from idsweep.queries import plan_from_json
 from idsweep.reports import TABLES
-from idsweep.store import ResultStore
+from idsweep.store import ExposureRange, ResultStore
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
@@ -219,6 +220,50 @@ def test_scan_ignores_lock_file_of_dead_run(tmp_path, capsys):
     assert_lock_free(store_dir)
 
 
+def hold_lock(store_dir, mode):
+    """The store's lock, held through an open file description of its own, as another run holds it."""
+    fd = os.open(store_dir / ".lock", os.O_CREAT | os.O_RDWR)
+    fcntl.flock(fd, mode | fcntl.LOCK_NB)
+    return fd
+
+
+def report_args(store_dir, out_dir, *extra):
+    return ("report", "--store", str(store_dir), "--tables", "filetype,exposures", "--out", str(out_dir),
+            "--salt-file", str(SALT_FILE), *extra)
+
+
+def test_report_and_scan_exclude_each_other_at_once(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    assert run_cli(*scan_args(store_dir)) == 0
+    before = (store_dir / "store.db").read_bytes()
+    # a scan holds the lock exclusively, and a report shares it; either fails
+    # at once, where SQLite would have waited out its 5 s busy timeout
+    for held, command in ((fcntl.LOCK_EX, report_args(store_dir, tmp_path / "r")),
+                          (fcntl.LOCK_SH, scan_args(store_dir))):
+        capsys.readouterr()
+        fd = hold_lock(store_dir, held)
+        try:
+            started = time.monotonic()
+            assert run_cli(*command) == 2
+            assert time.monotonic() - started < 2.5
+            assert "store is locked" in capsys.readouterr().err
+        finally:
+            os.close(fd)
+    assert not (tmp_path / "r").exists()
+    assert (store_dir / "store.db").read_bytes() == before
+
+
+def test_reports_share_the_store(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    assert run_cli(*scan_args(store_dir)) == 0
+    fd = hold_lock(store_dir, fcntl.LOCK_SH)  # another report
+    try:
+        assert run_cli(*report_args(store_dir, tmp_path / "r")) == 0
+    finally:
+        os.close(fd)
+    assert_lock_free(store_dir)
+
+
 def test_non_finite_delays_exit_2(tmp_path, monkeypatch, capsys):
     assert run_cli(*scan_args(tmp_path / "s", "--search-delay", "nan")) == 2
     assert "search_delay" in capsys.readouterr().err
@@ -393,6 +438,81 @@ def test_report_every_format_matches_goldens(demo_store, tmp_path, fmt):
     )
     for name in produced:
         assert (out_dir / name).read_bytes() == (GOLDENS / name).read_bytes(), name
+
+
+def forced_ranges(n):
+    """``cli._id_ranges`` made to cut the store into ``n`` ranges, whatever its size and the CPUs."""
+    def id_ranges(store):
+        ranges = store.id_ranges(n, min_rows=1)
+        assert len(ranges) == n
+        return ranges
+    return id_ranges
+
+
+def child_pids():
+    """The processes this one has started and not yet reaped."""
+    return {int(pid) for task in Path("/proc/self/task").iterdir()
+            for pid in (task / "children").read_text().split()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_report_in_forced_ranges_matches_goldens(demo_store, tmp_path, monkeypatch, fmt, n):
+    monkeypatch.setattr(cli, "_id_ranges", forced_ranges(n))
+    children = child_pids()
+    test_report_every_format_matches_goldens(demo_store, tmp_path, fmt)
+    assert child_pids() == children
+
+
+@pytest.mark.parametrize("failure", ["store error", "worker killed"])
+def test_report_with_a_failing_range_leaves_nothing(demo_store, tmp_path, monkeypatch, capsys, failure):
+    monkeypatch.setattr(cli, "_id_ranges", forced_ranges(2))
+    read = ExposureRange.__iter__
+
+    def second_range_fails(self):
+        rows = read(self)
+        yield next(rows)  # a listing row, then the failure
+        if self.lo is not None:
+            if failure == "worker killed":
+                os._exit(1)
+            raise sqlite3.OperationalError("disk I/O error")
+        yield from rows
+
+    monkeypatch.setattr(ExposureRange, "__iter__", second_range_fails)
+    children = child_pids()
+    out_dir = tmp_path / "r"
+    assert run_cli(*report_args(demo_store, out_dir, "--format", "json")) == 2
+    err = capsys.readouterr().err
+    assert ("disk I/O error" if failure == "store error" else "terminated abruptly") in err
+    assert "Traceback" not in err
+    assert sorted(out_dir.iterdir()) == []  # no listing, whole or part
+    assert child_pids() == children
+
+
+def test_report_forks_with_no_store_connection_open(demo_store, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_id_ranges", forced_ranges(2))
+    connect, opened, open_at_fork, forks = sqlite3.connect, [], [], []
+    monkeypatch.setattr(sqlite3, "connect", lambda *a, **kw: opened.append(connect(*a, **kw)) or opened[-1])
+
+    def count_open():
+        for conn in opened:
+            try:
+                conn.total_changes
+            except sqlite3.ProgrammingError:  # closed
+                continue
+            open_at_fork.append(conn)
+
+    monkeypatch.setattr(os, "fork", lambda fork=os.fork: forks.append(count_open()) or fork())
+    assert run_cli(*report_args(demo_store, tmp_path / "r")) == 0
+    assert len(forks) == 2 and opened and open_at_fork == []
+
+
+def test_report_of_a_store_with_no_exposures_is_exit_1(tmp_path, monkeypatch, capsys):
+    ResultStore(tmp_path / "store").close()
+    for n in (1, 2):
+        monkeypatch.setattr(cli, "_id_ranges", lambda store: store.id_ranges(n, min_rows=1))
+        assert run_cli(*report_args(tmp_path / "store", tmp_path / f"r{n}")) == 1
+        assert "store holds no exposures" in capsys.readouterr().err
 
 
 MIRROR_GOLDENS = GOLDENS / "mirrors"

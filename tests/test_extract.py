@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 
 import hypothesis
 import hypothesis.strategies as st
@@ -78,6 +79,35 @@ def test_external_timeout():
     slow = spec_external(f'"{PY}" -c "import time; time.sleep(5)" {{input}}', timeout=0.3)
     with pytest.raises(extract.ExtractionError, match="timeout"):
         extract_text(b"x", "pdf", [slow])
+
+
+def test_external_timeout_after_closing_its_output():
+    quiet = spec_external(f'"{PY}" -c "import os, time; os.close(1); os.close(2); time.sleep(5)" {{input}}',
+                          timeout=0.3)
+    started = time.monotonic()
+    with pytest.raises(extract.ExtractionError, match="timeout"):
+        extract_text(b"x", "pdf", [quiet])
+    assert time.monotonic() - started < 3
+
+
+@pytest.mark.parametrize("forever", [False, True])
+def test_external_output_past_the_cap_is_truncated(monkeypatch, forever):
+    monkeypatch.setattr(extract, "MAX_EXTERNAL_OUTPUT", 100)
+    # a Thai digit is 3 bytes in UTF-8: the cap cuts the 34th in two
+    loop = "while True: " if forever else ""
+    spec = spec_external(f'"{PY}" -c "import sys\n{loop}sys.stdout.buffer.write(\'๑\'.encode() * 4000)" {{input}}', timeout=10)
+    started = time.monotonic()
+    out = extract_text(b"x", "pdf", [spec])
+    assert time.monotonic() - started < 5  # stopped at the cap, not at the timeout
+    assert out.segments == [("ext", "๑" * 33)]
+    assert out.failures == [("ext", "output truncated at 100 bytes")]
+
+
+def test_external_output_at_the_cap_is_whole(monkeypatch):
+    monkeypatch.setattr(extract, "MAX_EXTERNAL_OUTPUT", 100)
+    spec = spec_external(f'"{PY}" -c "print(\'1\' * 99)" {{input}}')
+    out = extract_text(b"x", "pdf", [spec])
+    assert out.segments == [("ext", "1" * 99 + "\n")] and out.failures == []
 
 
 def test_external_spawn_failure():

@@ -20,6 +20,15 @@ def test_import_loads_no_submodule():
     assert json.loads(proc.stdout) == []
 
 
+def test_cli_import_loads_no_process_pool():
+    # only a report large enough to split forks workers, and it imports them then
+    code = ("import json, sys, idsweep.cli; print(json.dumps(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout) == []
+
+
 def test_every_public_name_resolves():
     for name in idsweep.__all__:
         assert getattr(idsweep, name) is not None, name

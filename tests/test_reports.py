@@ -8,6 +8,7 @@ import sqlite3
 import tempfile
 from collections import namedtuple
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -359,7 +360,7 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
     listing = [list(reports.LISTING_COLUMNS), *naive_listing(recs, b"pepper")]
     for fmt, render in RENDERERS.items():
         with tempfile.TemporaryDirectory() as out:
-            written, skipped, ids = reports.report(occs, list(reports.TABLES), REG, out, fmt=fmt,
+            written, skipped, ids = reports.report([occs], list(reports.TABLES), REG, out, fmt=fmt,
                                                    geo_sort=geo_sort, salt=b"pepper", owner_tags=FOLD_OWNERS)
             files = {path.stem: path.read_text("utf-8") for path in written}
         assert (skipped, ids) == (unusable, len({r.digits for r in recs})), fmt
@@ -378,9 +379,72 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
             assert text == render(expected[dimensions[stem]]), (fmt, stem)
 
 
+# --- ranges of IDs ----------------------------------------------------------------
+
+def report_files(ranges, fmt, unredacted=False):
+    """Every file a full report of the ranges writes, by name, with its unusable URLs and IDs."""
+    with tempfile.TemporaryDirectory() as out:
+        written, skipped, ids = reports.report(ranges, list(reports.TABLES), REG, out, fmt=fmt, salt=b"pepper",
+                                               unredacted=unredacted, owner_tags=FOLD_OWNERS)
+        assert sorted(p.name for p in Path(out).iterdir()) == sorted(p.name for p in written)  # no part left
+        return {p.name: p.read_bytes() for p in written}, skipped, ids
+
+
+def cut_at_ids(occs, picks):
+    """The stream cut into ranges at IDs' first rows, one cut per pick; a repeated cut makes an empty range."""
+    starts = [i for i in range(len(occs) + 1) if i in (0, len(occs)) or occs[i][0] != occs[i - 1][0]]
+    cuts = [0, *sorted(starts[pick % len(starts)] for pick in picks), len(occs)]
+    return [occs[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(FOLD_IDS + (FOLD_UNUSABLE_ID,)),
+            st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
+            st.sampled_from(FOLD_URLS),
+            st.sampled_from(["q1", "q2"]),
+            st.sampled_from(["google", "bing"]),
+            st.sampled_from(["pdf", "xls"]),
+        ),
+        max_size=40,
+    ),
+    st.lists(st.integers(0, 40), max_size=4),
+    st.sampled_from(["markdown", "csv", "json"]),
+    st.booleans(),
+)
+def test_ranges_report_what_one_pass_reports(raw, picks, fmt, unredacted):
+    occs = occurrences_of(occ(d, sha, url, query=q, engine=e, file_type=ft) for d, sha, url, q, e, ft in raw)
+    ranges = cut_at_ids(occs, picks)
+    assert [row for part in ranges for row in part] == occs
+    assert report_files(ranges, fmt, unredacted) == report_files([occs], fmt, unredacted)
+
+
+def test_ranges_name_an_unusable_url_once_in_first_seen_order():
+    # "not a url" is met in both ranges, "bad://" only in the second, before it
+    occs = occurrences_of([occ(ID_A, "s1", "not a url"), occ(ID_A, "s2", "http://a.go.th/1.pdf"),
+                           occ(ID_B, "s3", "bad://"), occ(ID_C, "s1", "not a url")])
+    ranges = [occs[:2], [], occs[2:]]  # an empty range between them
+    assert [row[0] for row in occs] == [ID_A, ID_A, ID_B, ID_C]
+    for fmt in reports.FORMATS:
+        files, skipped, ids = report_files(ranges, fmt)
+        assert (files, skipped, ids) == report_files([occs], fmt), fmt
+        assert [url for url, _ in skipped] == ["not a url", "bad://"] and ids == 1
+
+
+def test_empty_ranges_report_no_ids():
+    for fmt in reports.FORMATS:
+        files, skipped, ids = report_files([[], []], fmt)
+        assert (files, skipped, ids) == report_files([[]], fmt)
+        assert (skipped, ids) == ([], 0)
+    listing = json.loads(files["exposures.json"])
+    assert listing == {"redacted": True, "salt_id": None, "columns": list(reports.LISTING_COLUMNS), "rows": []}
+
+
 # each way into the fold, as (unusable URLs, IDs) of a report of the filetype table
 ENTRIES = {
-    "report": lambda occs, out: reports.report(occs, ["filetype"], REG, out)[1:],
+    "report": lambda occs, out: reports.report([occs], ["filetype"], REG, out)[1:],
     "tables": lambda occs, out: reports.tables(occs, REG)[1:],
 }
 
@@ -427,7 +491,7 @@ def test_report_that_fails_part_way_leaves_no_listing(tmp_path, fmt):
 
     out = tmp_path / "fresh"
     with pytest.raises(sqlite3.OperationalError):
-        reports.report(store_read_fails_part_way(), list(reports.TABLES), REG, out, fmt=fmt, salt=b"pepper")
+        reports.report([store_read_fails_part_way()], list(reports.TABLES), REG, out, fmt=fmt, salt=b"pepper")
     assert sorted(out.iterdir()) == []
 
     # a listing from an earlier run is left as it was
@@ -437,7 +501,7 @@ def test_report_that_fails_part_way_leaves_no_listing(tmp_path, fmt):
     earlier.write_text("earlier listing\n", "utf-8")
     occs = occurrences_of([occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")])
     with pytest.raises(ValueError, match="not sorted"):
-        reports.report(occs[::-1], ["exposures"], REG, out, fmt=fmt, salt=b"pepper")
+        reports.report([occs[::-1]], ["exposures"], REG, out, fmt=fmt, salt=b"pepper")
     assert sorted(out.iterdir()) == [earlier]
     assert earlier.read_text("utf-8") == "earlier listing\n"
 
@@ -446,9 +510,9 @@ def test_report_refuses_bad_arguments_before_writing(tmp_path):
     occs = occurrences_of([occ(ID_A, "s1", "http://a.go.th/1.pdf")])
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="colour"):
-        reports.report(occs, ["exposures", "colour"], REG, out, salt=b"pepper")
+        reports.report([occs], ["exposures", "colour"], REG, out, salt=b"pepper")
     with pytest.raises(ValueError, match="alpha"):
-        reports.report(occs, ["exposures", "geo"], REG, out, geo_sort="alpha", salt=b"pepper")
+        reports.report([occs], ["exposures", "geo"], REG, out, geo_sort="alpha", salt=b"pepper")
     assert not out.exists() or sorted(out.iterdir()) == []
 
 
@@ -595,7 +659,7 @@ def test_emit_report_deterministic(tmp_path):
 def listing_of(out, *occs, fmt="json", salt=b"pepper", unredacted=False):
     """The listing ``report`` writes of a store holding the rows, as text."""
     occs = occurrences_of(occs)
-    (path,), _, _ = reports.report(occs, ["exposures"], REG, out, fmt=fmt, salt=salt, unredacted=unredacted)
+    (path,), _, _ = reports.report([occs], ["exposures"], REG, out, fmt=fmt, salt=salt, unredacted=unredacted)
     return path.read_text("utf-8")
 
 

@@ -1,8 +1,10 @@
-"""Store reads: the occurrence stream against the SQL join it replaced."""
+"""Store reads: the occurrence stream against the SQL join it replaced, and its ID ranges."""
 
+import pickle
 import sqlite3
 
-from idsweep.store import ResultStore
+from idsweep import store as store_module
+from idsweep.store import ExposureRange, ResultStore
 
 from conftest import expand
 
@@ -123,3 +125,58 @@ def test_occurrences_read_one_snapshot(tmp_path):
     # exposure with only the source that was there before the write
     assert before == []
     assert got in (before, after)
+
+
+def ranged_store(root, multiplicities):
+    """A store whose i-th ID sits in ``multiplicities[i]`` of its documents, each at one URL."""
+    store = ResultStore(root)
+    docs = [f"d{j}" for j in range(max(multiplicities, default=0))]
+    for rank, sha256 in enumerate(docs, 1):
+        hit_id = store.add_hit("q", "fixture", 1, rank, f"http://a.go.th/{sha256}.pdf", "t", False)
+        store.record_download(hit_id, "success", "t", sha256=sha256, declared_type="pdf")
+    store.add_exposures((f"1{i:012d}", sha256, "t") for i, k in enumerate(multiplicities) for sha256 in docs[:k])
+    return store
+
+
+def test_id_ranges_split_the_stream_at_id_boundaries(tmp_path):
+    multiplicities = [1, 3, 1, 1, 2, 5, 1, 1, 1, 2, 1, 4, 1, 1, 3, 1, 1, 1, 2, 1]
+    with ranged_store(tmp_path / "store", multiplicities) as store:
+        whole = store.load_occurrences()
+        assert len(whole) == sum(multiplicities) == 34
+        for n in range(1, 8):
+            ranges = store.id_ranges(n, min_rows=1)
+            parts = [list(r) for r in ranges]
+            assert len(ranges) == n and all(parts), n
+            assert [row for part in parts for row in part] == whole, n  # in order, each row once
+            for r, part in zip(ranges, parts):
+                assert r.lo is None or r.lo == part[0][0]  # a range starts at its ID's first row
+                assert r.hi is None or part[-1][0] < r.hi
+            ids = [{row[0] for row in part} for part in parts]
+            assert sum(map(len, ids)) == len(set().union(*ids)), n  # no ID in two ranges
+            # each range is within one ID's rows of an equal share
+            assert all(abs(len(part) - len(whole) / n) <= max(multiplicities) for part in parts), n
+        assert len(store.id_ranges(4, min_rows=12)) == 2  # as many as hold the fewest rows each
+        assert len(store.id_ranges(4)) == 1 == len(store.id_ranges(1, min_rows=1))
+        assert store_module.MIN_ROWS_PER_RANGE > len(whole)
+
+
+def test_an_id_wider_than_a_share_starts_one_range(tmp_path):
+    # the shares start at rows 0, 2, 4 and 6: the second ID starts three of them
+    with ranged_store(tmp_path / "store", [1, 6, 1]) as store:
+        assert [len(list(r)) for r in store.id_ranges(4, min_rows=1)] == [1, 7]
+    with ranged_store(tmp_path / "empty", []) as store:
+        assert [list(r) for r in store.id_ranges(4, min_rows=1)] == [[]]
+
+
+def test_exposure_range_pickles_and_reads_on_its_own(tmp_path, monkeypatch):
+    with ranged_store(tmp_path / "store", [1, 2, 1, 3]) as store:
+        ranges = store.id_ranges(2, min_rows=1)
+        expected = [list(r) for r in ranges]
+    connect, uris = sqlite3.connect, []
+    monkeypatch.setattr(sqlite3, "connect", lambda db, **kw: uris.append(db) or connect(db, **kw))
+    copies = pickle.loads(pickle.dumps(ranges))
+    assert copies == ranges and [list(r) for r in copies] == expected
+    assert uris == [(tmp_path / "store" / "store.db").as_uri() + "?mode=ro"] * 2  # read-only
+    rows = iter(copies[0])
+    next(rows)
+    rows.close()  # a range read part-way closes its connection
