@@ -188,7 +188,8 @@ def download(
     At most ``1 + download_max_retry`` attempts are made, each bounded by
     ``download_timeout``.  Bytes whose declared type is not accepted are
     discarded (status ``type_mismatch``); oversize payloads fail without
-    retry (``too_large``).
+    retry (``too_large``).  The download's row is left to the caller
+    (``download_all`` records it).
     """
     host = urlsplit(hit.url).hostname or ""
     attempts = 0
@@ -219,14 +220,7 @@ def download(
             outcome.update(status="success", sha256=digest, declared_type=declared)
         break
 
-    record = DownloadRecord(url=hit.url, attempts=attempts, hit_id=hit.hit_id, **outcome)
-    if hit.hit_id is not None:
-        store.record_download(
-            hit.hit_id, record.status, _utcnow(), reason=record.reason,
-            sha256=record.sha256, declared_type=record.declared_type,
-            size_bytes=record.size_bytes,
-        )
-    return record
+    return DownloadRecord(url=hit.url, attempts=attempts, hit_id=hit.hit_id, **outcome)
 
 
 def download_all(
@@ -236,7 +230,20 @@ def download_all(
     store: ResultStore,
     clock: Optional[Clock] = None,
 ) -> list[DownloadRecord]:
-    """Download every hit through a bounded pool with per-host pacing; hit order kept."""
+    """Download every hit through a bounded pool with per-host pacing; hit order kept.
+
+    Each download's row is recorded on this thread as its turn comes, in
+    hit order, so the rows are the same whatever ``download_workers`` is.
+    """
     pacer = _Pacer(config.search_delay, clock or Clock())
+    records = []
     with ThreadPoolExecutor(max_workers=config.download_workers) as pool:
-        return list(pool.map(lambda h: download(h, provider, config, store, pacer), hits))
+        for record in pool.map(lambda h: download(h, provider, config, store, pacer), hits):
+            if record.hit_id is not None:
+                store.record_download(
+                    record.hit_id, record.status, _utcnow(), reason=record.reason,
+                    sha256=record.sha256, declared_type=record.declared_type,
+                    size_bytes=record.size_bytes,
+                )
+            records.append(record)
+    return records

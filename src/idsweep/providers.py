@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -102,7 +103,11 @@ class HttpProvider:
     ``{"hits": [{"url","page","rank"}...], "total_pages": N}``.
 
     ``fetch`` reads at most ``max_bytes + 1`` bytes of a body, so a document
-    over the limit is known to be too large without reading all of it.
+    over the limit is known to be too large without reading all of it.  It
+    reads the body as it comes, and raises ``TimeoutError`` at the first read
+    that ends ``timeout`` seconds or more after the request began, so a body
+    that trickles in cannot outlast the timeout by more than one read; a
+    read that gets nothing is bounded by ``timeout`` on its own.
     """
 
     name = "http"
@@ -134,15 +139,19 @@ class HttpProvider:
         return hits, int(payload.get("total_pages", 0))
 
     def fetch(self, url: str, timeout: float) -> FetchResult:
+        deadline = time.monotonic() + timeout
         try:
             with urllib.request.urlopen(url, timeout=timeout) as resp:
-                limit = self._max_bytes + 1
-                data = resp.read(limit)
+                limit, data = self._max_bytes + 1, bytearray()
+                while len(data) < limit and (chunk := resp.read1(min(limit - len(data), 1 << 16))):
+                    data += chunk
+                    if time.monotonic() >= deadline:
+                        raise TimeoutError(f"fetch of {url} took over {timeout} s")
                 if len(data) < limit and resp.length:
                     # the body ended short of its Content-Length, which an
                     # unbounded read() also reports this way
-                    raise http.client.IncompleteRead(data, resp.length)
+                    raise http.client.IncompleteRead(bytes(data), resp.length)
                 disposition = resp.headers.get("Content-Disposition")
-        except (urllib.error.URLError, TimeoutError) as exc:
+        except urllib.error.URLError as exc:
             raise ProviderError(f"fetch failed for {url}: {exc}") from exc
-        return FetchResult(data=data, content_disposition=disposition)
+        return FetchResult(data=bytes(data), content_disposition=disposition)

@@ -3,17 +3,20 @@
 Every table is a fold over exposure occurrences -- one per (id, document,
 source URL) co-occurrence -- so row counts stay consistent across
 dimensions.  There are two ways in, and both make the same one pass over a
-store's exposures in key order, each with its document's sources, as
-``ResultStore.occurrences()`` yields them: ``report`` writes the named
-tables and the per-ID listing to files, and ``tables`` returns every
-dimension's table in memory.  The pass resolves a document's sources at its
-first exposure, each distinct source (document, URL, query, type) once: its
-domain, or why its URL is unusable (reported once per URL); its key in each
-source dimension; and its listing cells after the ID, written in the output
-format.  Each later exposure then costs one lookup, each ID's run of
-sources a few counter bumps, and the listing one token.  Percent arithmetic
-is decimal with round-half-up at a fixed number of places, which keeps
-emission byte-deterministic.  ``TABLES`` maps each report table name to the
+store's exposures in key order: ``report`` writes the named tables and the
+per-ID listing to files, and ``tables`` returns every dimension's table in
+memory.  The pass is one flat loop over the (ID, document) rows of a store
+range's cursor (``ExposureRange.read()``) or of occurrences.  It resolves a
+document's sources at its first row, each distinct source (document, URL,
+query, type) once: its domain, or why its URL is unusable (reported once
+per URL); its key in each source dimension; and its listing cells after the
+ID, written in the output format.  When an ID's rows end, the same loop
+body counts it and writes its listing rows: its cell is fixed text around
+the ID or its token (one keyed HMAC), which no format escapes.  An ID at one
+source only, as most are, costs a count on that source, a count and an
+index for its area, and one line.  Percent arithmetic is decimal with
+round-half-up at a fixed number of places, which keeps emission
+byte-deterministic.  ``TABLES`` maps each report table name to the
 dimension of each table it writes, and ``FORMATS`` maps each output format
 to how it writes a row.
 
@@ -37,15 +40,17 @@ import functools
 import io
 import json
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list
 from .geo import GeoRegistry
-from .thai_id import pseudonymize, salt_id
+# pseudonymize is token_function one ID at a time; bench/tracing.py wraps it where it is bound here
+from .thai_id import pseudonymize, salt_id, token_function  # noqa: F401
 
 # (digits, sha256, each (url, query, file_type) of the document), as ResultStore.occurrences() yields it
 Occurrence = tuple[str, str, tuple[tuple[str, str, str], ...]]
@@ -66,7 +71,7 @@ class _Source:
     file_type: str
     domain: DomainInfo
     keys: tuple[tuple[str, str], ...] = ()  # (source dimension, key) pairs
-    tail: object = None  # its listing cells after the ID, as written
+    tail: object = None  # what its listing row writes after the ID
     alone: int = 0  # IDs of the fold found here only
 
     def __reduce__(self):
@@ -147,12 +152,14 @@ def _row(key: str, sources: list[_Source], unique_ids: int) -> AggregateRow:
 
 
 class _Fold:
-    """Distinct counts for every dimension, from ID runs added one at a time.
+    """Distinct counts for every dimension, from IDs added one at a time in ID order.
 
     Its state is bounded by sources and keys, not by IDs: per source, the
     IDs found there only (given to its keys when rows are read); per key of
     a source dimension, the IDs of wider runs that reach it; per key of an
-    ID dimension, its IDs and a flag per source they reach.
+    ID dimension, its IDs and a flag per source they reach.  IDs in order
+    come area (digits 1-5) by area: an area's IDs and the sources they reach
+    are kept by URL count until the area ends.
     """
 
     def __init__(self) -> None:
@@ -160,33 +167,10 @@ class _Fold:
         self.sources: list[_Source] = []
         self._shared: dict[tuple[str, str], int] = {}
         self._by_id_key: list[dict[str, list]] = [{} for _ in _ID_KEY_OF]
-        # sorted IDs come area (digits 1-5) by area: an area's IDs and the
-        # sources they reach are kept by URL count until the area ends
-        self._area, self._pending = "", {}
+        self._area, self._pending = "", {}  # an area's [IDs, reach] by URL count
 
-    def runs(self, occurrences: Iterable[Occurrence], domain_of: Callable[[str], Optional[DomainInfo]],
-             tail: Callable) -> Iterator[tuple[str, list[_Source]]]:
-        """Each ID with its sources, from exposures sorted by ID, added to the fold as it passes."""
-        by_digest: dict[str, list[_Source]] = {}  # a digest's sources are resolved at its first row
-        last, run = None, []
-        for digits, sha256, sources in occurrences:
-            if digits != last:
-                if run:
-                    self.add(last, run)
-                    yield last, run
-                if last is not None and digits < last:
-                    raise ValueError("occurrences are not sorted by ID")
-                last, run = digits, []
-            resolved = by_digest.get(sha256)
-            if resolved is None:
-                resolved = by_digest[sha256] = self._resolve(sha256, sources, domain_of, tail)
-            run.extend(resolved)
-        if run:
-            self.add(last, run)
-            yield last, run
-
-    def _resolve(self, sha256: str, sources: Iterable[tuple[str, str, str]],
-                 domain_of: Callable[[str], Optional[DomainInfo]], tail: Callable) -> list[_Source]:
+    def resolve(self, sha256: str, sources: Iterable[tuple[str, str, str]],
+                domain_of: Callable[[str], Optional[DomainInfo]], tail: Callable) -> tuple[_Source, ...]:
         """A digest's sources, each distinct one resolved once and kept if its URL is usable."""
         interned: dict[tuple[str, str, str], Optional[_Source]] = {}
         for entry in sources:
@@ -198,35 +182,36 @@ class _Fold:
                     source.tail = tail((domain.tld_class, domain.registered_domain or "", source.url,
                                         source.file_type, source.query))
                     self.sources.append(source)
-        return [interned[entry] for entry in sources if interned[entry]]
+        return tuple(interned[entry] for entry in sources if interned[entry])
 
-    def add(self, digits: str, run: list[_Source]) -> None:
-        if len(run) == 1 or len(reach := {s.index for s in run}) == 1:
+    def add(self, run: tuple[_Source, ...]) -> None:
+        """An ID of the current area with more sources than one: its run, a source per listing row."""
+        reach = {s.index for s in run}
+        if len(reach) == 1:  # one source, found under two engines
             run[0].alone += 1
-            reach, urls = (run[0].index,), 1
+            urls = 1
         else:
             for key in {key for s in run for key in s.keys}:
                 self._shared[key] = self._shared.get(key, 0) + 1
             urls = len({s.url for s in run})
-        if digits[:5] != self._area:
-            self._flush()
-            self._area = digits[:5]
-        entry = self._pending.get(urls)
-        if entry is None:
-            entry = self._pending[urls] = [0, set()]
+        entry = self._pending.setdefault(urls, [0, set()])
         entry[0] += 1
         entry[1].update(reach)
-        self.ids += 1
 
-    def _flush(self) -> None:
+    def _flush(self, area: str = "") -> list:
+        """Count the pending area's IDs and start ``area``; returns its [IDs, reach] of IDs at one URL."""
         for urls, (ids, reach) in self._pending.items():
+            if not ids:  # no ID of the area at one URL
+                continue
+            self.ids += ids
             for key_of, by_key in zip(_ID_KEY_OF.values(), self._by_id_key):
                 entry = by_key.setdefault(key_of(self._area, urls), [0, bytearray()])
                 entry[0] += ids
                 entry[1].extend(bytes(len(self.sources) - len(entry[1])))
                 for index in reach:
                     entry[1][index] = 1
-        self._pending = {}
+        self._area, self._pending = area, {1: [0, set()]}
+        return self._pending[1]
 
     def merge(self, other: "_Fold") -> None:
         """Add the IDs of a fold made over a later range of IDs.
@@ -273,23 +258,6 @@ class _Fold:
                 entry[0] += source.alone
                 entry[1].append(source)
         return [_row(key, sources, ids) for key, (ids, sources) in by_key.items()]
-
-
-def _pass(occurrences: Iterable[Occurrence], owner_tags: Optional[dict[str, str]],
-          tail: Callable) -> tuple[_Fold, Iterator[tuple[str, list[_Source]]], list[tuple[str, str]]]:
-    """A fold, the runs that fill it as they pass, and the unusable URLs they meet, each once with why."""
-    psl, skipped = default_suffix_list(), []
-
-    @functools.cache  # each URL is classified once
-    def domain_of(url: str) -> Optional[DomainInfo]:
-        try:
-            return classify_url(url, psl=psl, owner_tags=owner_tags)
-        except ClassificationError as exc:
-            skipped.append((url, str(exc)))
-            return None
-
-    fold = _Fold()
-    return fold, fold.runs(occurrences, domain_of, tail), skipped
 
 
 def _finish(dimension: str, rows: list[AggregateRow], registry: GeoRegistry, geo_sort: str) -> AggregateTable:
@@ -352,21 +320,9 @@ def check_arguments(names: Iterable[str], geo_sort: str) -> None:
 LISTING_COLUMNS = ("id", "tld_class", "registered_domain", "url", "file_type", "query")
 
 
-def _listing_rows(runs: Iterable[tuple[str, list[_Source]]], salt: Optional[bytes], unredacted: bool,
-                  head: Callable[[str], str]) -> Iterator[str]:
-    """The listing rows of sorted runs, as written: ``head`` of the shown ID + each source's tail."""
-    for digits, run in runs:
-        # each ID's token is computed once for all its rows
-        shown = head(digits if unredacted else pseudonymize(digits, salt).token)
-        for source in run:
-            yield shown + source.tail
-
-
 # --- emission -----------------------------------------------------------------
 
 def _markdown_cell(text: str) -> str:
-    if text.isalnum():  # as every ID and token is
-        return text
     text = text.replace("\\", "\\\\").replace("|", "\\|")
     return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
 
@@ -426,14 +382,6 @@ def _listing_frame(fmt: str, redacted: bool, salt_id: Optional[str], rows: bool)
     return (text[:-len("]\n}\n")], "\n  ]\n}\n") if rows else (text, "")
 
 
-def _write_lines(lines: Iterable[str], fh: TextIO) -> None:
-    # a few thousand lines per write: one write per line costs more than
-    # making the lines, and the whole text at once costs memory
-    lines = iter(lines)
-    while text := "".join(islice(lines, 4096)):
-        fh.write(text)
-
-
 def render_markdown(table: AggregateTable) -> str:
     return "".join(_text(table, "markdown"))
 
@@ -480,7 +428,7 @@ def _write_files(out_dir: str | Path, ext: str, texts: Iterable[tuple[str, Itera
         part = path.with_name(path.name + ".part")
         try:
             with part.open("w", encoding="utf-8") as fh:
-                _write_lines(text, fh)
+                fh.writelines(text)
             os.replace(part, path)
         finally:
             part.unlink(missing_ok=True)
@@ -517,26 +465,97 @@ def _join_listing(path: Path, fmt: str, salt: Optional[bytes], unredacted: bool,
     return path
 
 
+@contextmanager
+def _read(occurrences: Iterable[Occurrence]) -> Iterator[tuple[dict, Iterator[tuple[str, str]]]]:
+    """A range as (each digest's sources, its (digits, sha256) rows sorted by ID).
+
+    A store range with ``read()`` (``ExposureRange``) gives its own; other
+    occurrences give each digest's sources as its first row passes.  The
+    occurrences are closed when the read ends, however it ends.
+    """
+    if hasattr(occurrences, "read"):
+        with occurrences.read() as read:
+            yield read
+        return
+    occurrences, sources = iter(occurrences), {}
+
+    def rows() -> Iterator[tuple[str, str]]:
+        for digits, sha256, found in occurrences:
+            sources.setdefault(sha256, found)
+            yield digits, sha256
+
+    try:
+        yield sources, rows()
+    finally:
+        getattr(occurrences, "close", lambda: None)()
+
+
+# a row after every ID's rows: it ends the last ID's run, and no digest has it
+_END = (("~", None),)
+
+
 def _range(occurrences: Iterable[Occurrence], part: Optional[Path], fmt: Optional[str],
            owner_tags: Optional[dict[str, str]], salt: Optional[bytes] = None,
            unredacted: bool = False) -> tuple[_Fold, list[tuple[str, str]]]:
     """One range of IDs through a fold, and its listing rows into ``part`` if one is named.
 
-    The rows are written in ``fmt`` with no header or trailer; with no
-    ``fmt`` (``tables``), each source's listing cells stay a tuple.  The
-    occurrences are closed when the range ends, however it ends.  Returns
-    the fold and the unusable URLs met, each once with why.
+    One loop reads the range's rows: it resolves a digest's sources at its
+    first row, and when an ID's rows end, adds the ID to the fold and writes
+    its listing rows in ``fmt``, with no header or trailer.  An ID found at
+    one source only, as most are, is counted in place.  Returns the fold and
+    the unusable URLs met, each once with why.
     """
-    occurrences = iter(occurrences)
-    try:
-        fold, runs, skipped = _pass(occurrences, owner_tags, FORMATS[fmt][2] if fmt else tuple)
-        if part is not None:
-            with part.open("w", encoding="utf-8") as fh:
-                _write_lines(_listing_rows(runs, salt, unredacted, FORMATS[fmt][1]), fh)
-        for _ in runs:  # what the listing did not take
-            pass
-    finally:
-        getattr(occurrences, "close", lambda: None)()
+    psl, skipped = default_suffix_list(), []
+
+    @functools.cache  # each URL is classified once
+    def domain_of(url: str) -> Optional[DomainInfo]:
+        try:
+            return classify_url(url, psl=psl, owner_tags=owner_tags)
+        except ClassificationError as exc:
+            skipped.append((url, str(exc)))
+            return None
+
+    listed, tail = part is not None, tuple  # with no listing, a source's cells stay a tuple
+    if listed:
+        # an ID or token is [0-9a-f], which no format escapes or quotes: its
+        # cell is what the format writes around it, and a source's tail
+        # starts with what follows it
+        before, _, after = FORMATS[fmt][1]("0").partition("0")
+        shown = str if unredacted else token_function(salt)  # the ID as the listing shows it
+        tail = lambda cells: after + FORMATS[fmt][2](cells)  # noqa: E731
+    fold, by_digest = _Fold(), {}
+    area, last, run = "", "", ()
+    with (_read(occurrences) as (sources_of, rows),
+          part.open("w", encoding="utf-8") if listed else nullcontext() as fh):
+        write = fh and fh.write
+        for digits, sha256 in chain(rows, _END):
+            if digits != last:
+                if run:  # the last ID's rows have ended
+                    if last[:5] != area:
+                        area = last[:5]
+                        one = fold._flush(area)
+                    if len(run) == 1:  # what fold.add(run) does for one source
+                        source = run[0]
+                        source.alone += 1
+                        one[0] += 1
+                        one[1].add(source.index)
+                        if listed:
+                            write(before + shown(last) + source.tail)
+                    else:
+                        fold.add(run)
+                        if listed:
+                            head = before + shown(last)
+                            write("".join([head + s.tail for s in run]))
+                if digits < last:
+                    raise ValueError("occurrences are not sorted by ID")
+                last, run = digits, ()
+            resolved = by_digest.get(sha256)
+            if resolved is None:
+                found = sources_of.get(sha256)
+                if found is None:  # no successful download, or the end
+                    continue
+                resolved = by_digest[sha256] = fold.resolve(sha256, found, domain_of, tail)
+            run = run + resolved if run else resolved
     fold._flush()  # what is left of the last area
     return fold, skipped
 
@@ -566,17 +585,17 @@ def report(
 ) -> tuple[list[Path], list[tuple[str, str]], int]:
     """Write the named report tables from one pass over one or more ranges of the occurrences.
 
-    Each range's occurrences must come sorted by ID, as
-    ``ResultStore.occurrences()`` yields them, and after every ID of the
-    ranges before it; an ID out of order within a range is a ``ValueError``.
-    A document's sources are read from its first row.  ``run`` maps the
-    range function over the ranges and their listing parts as ``map`` does:
-    each range goes through a fold of its own, which builds every table, and
-    writes its part of the listing as it goes.  ``run`` may map in other
-    processes, when the ranges and the function's arguments pickle; it must
-    return once no range is still running.  The folds are then merged, the
-    tables written, and the parts joined into one listing.
-    Returns the files written, each unusable URL once with why (in the order
+    A range is an ``ExposureRange`` or occurrences.  Each range's rows must
+    come sorted by ID, as ``ResultStore.occurrences()`` yields them, and
+    after every ID of the ranges before it; an ID out of order within a
+    range is a ``ValueError``.  A document's sources are read from its first
+    row.  ``run`` maps the range function over the ranges and their listing
+    parts as ``map`` does: each range goes through a fold of its own, which
+    builds every table, and writes its part of the listing as it goes.
+    ``run`` may map in other processes, when the ranges and the function's
+    arguments pickle; it must return once no range is still running.  The
+    folds are then merged, the tables written, and the parts joined into one
+    listing.  Returns the files written, each unusable URL once with why (in the order
     first seen), and the number of IDs.
     """
     if fmt not in FORMATS:

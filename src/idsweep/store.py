@@ -13,16 +13,17 @@ Opening a store that older versions wrote retires the columns they kept and
 nothing reads (``_RETIRED``), in one transaction, then ``VACUUM``s once if it
 copied ``exposures``.
 
-Reports read the store in one pass and add no index: ``occurrences()``
-holds the successful sources of each digest (bounded by documents), then
-streams ``exposures`` in its own key order (a WITHOUT ROWID table is its
-primary-key B-tree), each row with its digest's sources: one tuple per
-digest, which every row of that digest carries.  ``id_ranges()`` cuts that
-stream into ranges of IDs for a report to read in several processes: as many
-as give each range ``MIN_ROWS_PER_RANGE`` rows, up to the number asked for.
-Its boundaries are the IDs at equal shares of the rows, each range starting
-at its ID's first row, so no ID is split; an ``ExposureRange`` reads its
-range through a read-only connection of its own, and pickles.
+Reports read the store in one pass and add no index.  One read transaction
+holds the successful sources of each digest (bounded by documents) and a
+cursor over ``exposures`` in its own key order (a WITHOUT ROWID table is its
+primary-key B-tree).  A report's loop takes the two as they are
+(``ExposureRange.read()``); ``occurrences()`` streams each row with its
+digest's sources, one tuple per digest.  ``id_ranges()`` cuts the rows into
+ranges of IDs for a report to read in several processes: as many as give
+each range ``MIN_ROWS_PER_RANGE`` rows, up to the number asked for.  Its
+boundaries are the IDs at equal shares of the rows, each range starting at
+its ID's first row, so no ID is split; an ``ExposureRange`` reads its range
+through a read-only connection of its own, and pickles.
 
 Writes are serialized with a process-local lock so the bounded download pool
 can share one store.  Across processes, the CLI holds an ``flock`` on
@@ -37,6 +38,7 @@ import hashlib
 import os
 import sqlite3
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -120,8 +122,12 @@ Occurrence = tuple[str, str, tuple[tuple[str, str, str], ...]]
 MIN_ROWS_PER_RANGE = 50_000
 
 
-def _occurrences(conn: sqlite3.Connection, lo: Optional[str] = None, hi: Optional[str] = None) -> Iterator[Occurrence]:
-    """``ResultStore.occurrences()`` of the exposures with ``lo <= digits < hi``, a missing bound left open."""
+@contextmanager
+def _reading(conn: sqlite3.Connection, lo: Optional[str] = None,
+             hi: Optional[str] = None) -> Iterator[tuple[dict, sqlite3.Cursor]]:
+    """In one read transaction: each successfully downloaded digest's sources, as
+    ``occurrences()`` gives them, and a cursor over the sorted ``(digits, sha256)``
+    of the exposures with ``lo <= digits < hi``, a missing bound left open."""
     own = not conn.in_transaction
     if own:
         conn.execute("BEGIN")
@@ -139,24 +145,26 @@ def _occurrences(conn: sqlite3.Connection, lo: Optional[str] = None, hi: Optiona
         }
         tests = [test for test, bound in (("digits >= :lo", lo), ("digits < :hi", hi)) if bound is not None]
         where = f"WHERE {' AND '.join(tests)}" if tests else ""
-        for digits, sha256 in conn.execute(
-            f"SELECT digits, sha256 FROM exposures {where} ORDER BY digits, sha256", {"lo": lo, "hi": hi}
-        ):
-            if sha256 in sources:
-                yield digits, sha256, sources[sha256]
+        yield sources, conn.execute(
+            f"SELECT digits, sha256 FROM exposures {where} ORDER BY digits, sha256", {"lo": lo, "hi": hi})
     finally:
         if own and conn.in_transaction:
             conn.execute("ROLLBACK")
+
+
+def _joined(sources: dict, rows: Iterable[tuple[str, str]]) -> Iterator[Occurrence]:
+    """Each row with its digest's sources; a row whose digest has none (no successful download) is skipped."""
+    return ((digits, sha256, sources[sha256]) for digits, sha256 in rows if sha256 in sources)
 
 
 @dataclass(frozen=True)
 class ExposureRange:
     """The occurrences of the IDs in ``[lo, hi)`` of a store, a missing bound left open.
 
-    Iterating it opens a read-only connection of its own and streams the
-    rows as ``ResultStore.occurrences()`` does, closing the connection when
-    the stream ends or is closed.  It is a path and two IDs, so it pickles:
-    another process can read its range.
+    It reads through a read-only connection of its own, closed when the read
+    ends.  Iterating it streams the rows as ``ResultStore.occurrences()``
+    does; ``read()`` gives them as a report's loop takes them.  It is a path
+    and two IDs, so it pickles: another process can read its range.
     """
 
     db_path: Path
@@ -164,9 +172,16 @@ class ExposureRange:
     hi: Optional[str] = None
 
     def __iter__(self) -> Iterator[Occurrence]:
+        with self.read() as read:
+            yield from _joined(*read)
+
+    @contextmanager
+    def read(self) -> Iterator[tuple[dict, sqlite3.Cursor]]:
+        """The range as (each digest's sources, a cursor over its sorted (digits, sha256) rows)."""
         conn = sqlite3.connect(self.db_path.resolve().as_uri() + "?mode=ro", uri=True)
         try:
-            yield from _occurrences(conn, self.lo, self.hi)
+            with _reading(conn, self.lo, self.hi) as read:
+                yield read
         finally:
             conn.close()
 
@@ -301,7 +316,8 @@ class ResultStore:
         read transaction, so a scan that commits meanwhile cannot leave an
         exposure without its sources.
         """
-        return _occurrences(self._conn)
+        with _reading(self._conn) as read:
+            yield from _joined(*read)
 
     def id_ranges(self, most: int, min_rows: int = MIN_ROWS_PER_RANGE) -> list[ExposureRange]:
         """``exposures`` cut into at most ``most`` ranges of IDs, in ID order, none empty.

@@ -13,7 +13,7 @@ import functools
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .geo import GeoRegistry
@@ -35,6 +35,7 @@ __all__ = [
     "generate_valid_id",
     "pseudonymize",
     "salt_id",
+    "token_function",
 ]
 
 THAI_DIGITS = "๐๑๒๓๔๕๖๗๘๙"  # U+0E50..U+0E59
@@ -228,19 +229,23 @@ def salt_id(salt: bytes) -> str:
 
 
 @functools.lru_cache(maxsize=8)
-def _keyed(salt: bytes) -> tuple["hashlib._Hash", "hashlib._Hash", str]:
-    """HMAC-SHA-256's inner and outer hashes keyed with the salt (RFC 2104), and the salt's id."""
+def token_function(salt: bytes) -> Callable[[str], str]:
+    """The HMAC-SHA-256 (RFC 2104) of an ID keyed with the salt, in hex, as a function of
+    the ID.  The salt is keyed once: each ID costs a copy of the keyed inner and outer hashes."""
+    if not salt:
+        raise ValueError("empty salt")
     key = (hashlib.sha256(salt).digest() if len(salt) > 64 else salt).ljust(64, b"\0")
     inner, outer = (hashlib.sha256(bytes(b ^ pad for b in key)) for pad in (0x36, 0x5C))
-    return inner, outer, salt_id(salt)
+
+    def token(digits: str) -> str:
+        first, second = inner.copy(), outer.copy()
+        first.update(digits.encode("ascii"))
+        second.update(first.digest())
+        return second.hexdigest()
+
+    return token
 
 
 def pseudonymize(digits: str, salt: bytes) -> PseudonymToken:
     """Deterministic keyed hash of an ID (HMAC-SHA-256); unlinkable across distinct salts."""
-    if not salt:
-        raise ValueError("empty salt")
-    inner, outer, name = _keyed(salt)  # copied per ID, not keyed again
-    inner, outer = inner.copy(), outer.copy()
-    inner.update(digits.encode("ascii"))
-    outer.update(inner.digest())
-    return PseudonymToken(token=outer.hexdigest(), salt_id=name)
+    return PseudonymToken(token=token_function(salt)(digits), salt_id=salt_id(salt))

@@ -1,5 +1,6 @@
 """Command surface: exit codes, flag/env/config precedence, goldens, redaction."""
 
+import contextlib
 import dataclasses
 import fcntl
 import hashlib
@@ -467,18 +468,22 @@ def test_report_in_forced_ranges_matches_goldens(demo_store, tmp_path, monkeypat
 @pytest.mark.parametrize("failure", ["store error", "worker killed"])
 def test_report_with_a_failing_range_leaves_nothing(demo_store, tmp_path, monkeypatch, capsys, failure):
     monkeypatch.setattr(cli, "_id_ranges", forced_ranges(2))
-    read = ExposureRange.__iter__
+    read = ExposureRange.read
 
+    @contextlib.contextmanager
     def second_range_fails(self):
-        rows = read(self)
-        yield next(rows)  # a listing row, then the failure
-        if self.lo is not None:
-            if failure == "worker killed":
-                os._exit(1)
-            raise sqlite3.OperationalError("disk I/O error")
-        yield from rows
+        def failing(rows):
+            yield next(rows)  # a listing row, then the failure
+            if self.lo is not None:
+                if failure == "worker killed":
+                    os._exit(1)
+                raise sqlite3.OperationalError("disk I/O error")
+            yield from rows
 
-    monkeypatch.setattr(ExposureRange, "__iter__", second_range_fails)
+        with read(self) as (sources, rows):
+            yield sources, failing(rows)
+
+    monkeypatch.setattr(ExposureRange, "read", second_range_fails)
     children = child_pids()
     out_dir = tmp_path / "r"
     assert run_cli(*report_args(demo_store, out_dir, "--format", "json")) == 2

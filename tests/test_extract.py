@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import html
+import io
 import json
 import sys
 import time
@@ -12,6 +15,8 @@ import pytest
 
 from idsweep import extract, thai_id
 from idsweep.extract import ExtractorSpec, default_extractors, extract_text, merge_lines
+
+from test_thai_id import reference_candidates, rendered_id
 
 PY = sys.executable
 
@@ -52,6 +57,53 @@ def test_html_adjacent_cells_stay_separate():
     assert out.merged.splitlines() == ["1100123456786", "7"]
     found = thai_id.find_candidates(out.merged)
     assert [c.normalized for c in found] == ["1100123456786"]
+
+
+_cell_noise = st.text(alphabet="0123456789๐๑๒๓๔๕๖๗๘๙- abxดสก.,", max_size=12)  # too short to hold an ID
+
+
+@st.composite
+def table_with_ids(draw):
+    """Rows of cells, each noise, a written ID, or one part of an ID split across two adjacent cells;
+    and the digits of the IDs written whole."""
+    rows, whole = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        row = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["noise", "whole", "split"]))
+            if kind == "noise":
+                row.append(draw(_cell_noise))
+                continue
+            digits, shown = draw(rendered_id())
+            if kind == "whole":
+                row.append(shown)
+                whole.append(digits)
+            else:
+                cut = draw(st.integers(1, len(shown) - 1))
+                row += [shown[:cut], shown[cut:]]
+        rows.append(row)
+    return rows, whole
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(table_with_ids())
+def test_scanner_over_extracted_cells_matches_reference(table):
+    rows, whole = table
+    cells = [cell for row in rows for cell in row]
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    page = "<table>" + "".join(
+        "<tr>" + "".join(f"<td>{html.escape(cell)}</td>" for cell in row) + "</tr>" for row in rows
+    ) + "</table>"
+    for extracted, lines in (
+        (extract._extract_csv(text.getvalue().encode()), cells),  # a line per cell
+        (extract._extract_html(page.encode()), [c.strip() for c in cells if c.strip()]),  # one per non-blank cell
+    ):
+        expected = "\n".join(lines)
+        assert extracted == expected
+        got = [(c.start, c.end, c.normalized) for c in thai_id.find_candidates(extracted)]
+        assert got == reference_candidates(expected)
+        assert sorted(c[2] for c in got) == sorted(whole)  # an ID split across cells is never found
 
 
 def test_unsupported_type():

@@ -7,6 +7,7 @@ import http.server
 import json
 import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -196,7 +197,7 @@ def test_same_bytes_two_urls_one_object(tmp_path, store):
     urls = ["https://a.go.th/one.txt", "https://b.ac.th/two.txt"]
     index = write_index(tmp_path, {}, {u: {"path": rel} for u in urls})
     provider = FixtureProvider(index)
-    records = [download(make_hit(store, u), provider, quick_config(), store) for u in urls]
+    records = download_all([make_hit(store, u) for u in urls], provider, quick_config(), store)
     assert {r.status for r in records} == {"success"}
     assert records[0].sha256 == records[1].sha256
     assert store.object_count() == 1
@@ -273,6 +274,25 @@ def test_oversize_fails_without_retry(store):
     assert record.attempts == 1 and fetcher.calls == 1
 
 
+class SlowFirstFetcher:
+    """Serves every URL at once, except the first hit's, which comes last."""
+
+    name = "slow-first"
+
+    def fetch(self, url, timeout):
+        if url.endswith("/0.txt"):
+            time.sleep(0.3)
+        return FetchResult(data=url.encode())
+
+
+def test_download_rows_follow_hit_order_not_completion_order(store):
+    hits = [make_hit(store, f"https://h{i}.go.th/{i}.txt") for i in range(4)]
+    records = download_all(hits, SlowFirstFetcher(), quick_config(download_workers=4), store)
+    assert [r.hit_id for r in records] == [h.hit_id for h in hits]
+    rows = store._conn.execute("SELECT id, hit_id FROM downloads ORDER BY id").fetchall()
+    assert rows == [(i, hit.hit_id) for i, hit in enumerate(hits, 1)]
+
+
 def test_download_all_paces_per_host(tmp_path, store, virtual_clock):
     rel = write_doc(tmp_path, "d.txt", "data")
     urls = [
@@ -317,7 +337,7 @@ BIG = 8 * 1024 * 1024  # body size the oversized document claims and sends
 
 
 class _Origin(http.server.BaseHTTPRequestHandler):
-    """Serves a search page and three documents: small, oversized, truncated."""
+    """Serves a search page and four documents: small, oversized, truncated, dripping."""
 
     def do_GET(self):
         path = self.path.split("?")[0]
@@ -333,6 +353,18 @@ class _Origin(http.server.BaseHTTPRequestHandler):
             self.send_header("Content-Length", "1000")
             self.end_headers()
             self.wfile.write(b"only ten b")
+            return
+        elif path == "/drip.txt":
+            self.send_response(200)
+            self.send_header("Content-Length", str(DRIP_BYTES))
+            self.end_headers()
+            try:
+                for _ in range(DRIP_BYTES):  # every byte well within any socket timeout
+                    self.wfile.write(b"x")
+                    self.wfile.flush()
+                    time.sleep(DRIP_GAP)
+            except OSError:
+                pass  # the client gave up
             return
         elif path == "/big.txt":
             self.send_response(200)
@@ -381,6 +413,18 @@ def test_http_fetch_reads_at_most_one_byte_over_the_limit(origin, store):
                       quick_config(max_object_bytes=1000), store)
     assert (record.status, record.reason, record.size_bytes) == ("failed", "too_large", 1001)
     assert store.object_count() == 0
+
+
+DRIP_BYTES, DRIP_GAP = 100, 0.05  # a 5 s body, one byte at a time
+
+
+def test_http_fetch_gives_up_on_a_dripping_body_at_its_deadline(origin, store):
+    started = time.monotonic()
+    with pytest.raises(TimeoutError):
+        live(max_bytes=1000).fetch(f"{origin}/drip.txt", timeout=0.5)
+    assert 0.5 <= time.monotonic() - started < DRIP_BYTES * DRIP_GAP / 2  # near the deadline, not the whole body
+    record = download(make_hit(store, f"{origin}/drip.txt"), live(1000), quick_config(download_timeout=0.5), store)
+    assert (record.status, record.reason, record.attempts) == ("failed", "timeout", 1)
 
 
 def test_http_fetch_truncated_body_fails(origin, store):

@@ -187,12 +187,16 @@ def test_concurrent_extraction_matches_sequential(tmp_path, registry):
         exposures = conn.execute(  # first_seen left out: it is wall-clock time
             "SELECT digits, sha256 FROM exposures ORDER BY digits, sha256"
         ).fetchall()
+        downloads = conn.execute(  # completed_at left out too, and rows in id order
+            "SELECT id, hit_id, status, reason, sha256 FROM downloads ORDER BY id"
+        ).fetchall()
         conn.close()
-        return summary, occurrences, exposures, diagnostics
+        return summary, occurrences, exposures, diagnostics, downloads
 
     sequential, concurrent = scan(1), scan(4)
     assert concurrent == sequential
-    summary, occurrences, exposures, diagnostics = sequential
+    summary, occurrences, exposures, diagnostics, downloads = sequential
+    assert [hit_id for _, hit_id, *_ in downloads] == sorted(hit_id for _, hit_id, *_ in downloads)
     assert (summary.documents, summary.unreadable, summary.unique_ids) == (8, 2, 7)
     # extracted once, as its first hit declared it, and found at both URLs
     assert [(o.url, o.query, o.file_type) for o in occurrences if o.digits == mirror] == [

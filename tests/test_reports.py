@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import hashlib
+import hmac
 import io
 import json
 import sqlite3
@@ -350,9 +352,7 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
     for dim, table in expected.items():
         assert reports.table_to_json(got[dim]) == reports.table_to_json(table), dim
     # the fold's sources are the distinct (document, URL, query, type): no engine
-    fold, runs, _ = reports._pass(occs, FOLD_OWNERS, tuple)
-    for _ in runs:
-        pass
+    fold, _ = reports._range(occs, None, None, FOLD_OWNERS)
     assert len(fold.sources) == len({(r.sha256, r.url, r.query, r.file_type) for r in recs})
 
     # a whole report in every format from one pass over the occurrences,
@@ -693,11 +693,11 @@ def test_listing_order_is_stable(tmp_path):
 def test_listing_pseudonymizes_each_id_once(tmp_path, monkeypatch):
     calls = []
 
-    def counting(digits, salt):
-        calls.append(digits)
-        return thai_id.pseudonymize(digits, salt)
+    def counting(salt):
+        token = thai_id.token_function(salt)
+        return lambda digits: calls.append(digits) or token(digits)
 
-    monkeypatch.setattr(reports, "pseudonymize", counting)
+    monkeypatch.setattr(reports, "token_function", counting)
     listing = json.loads(listing_of(
         tmp_path,
         occ(ID_A, "s1", "http://a.go.th/1.pdf"),
@@ -709,6 +709,30 @@ def test_listing_pseudonymizes_each_id_once(tmp_path, monkeypatch):
         thai_id.pseudonymize(d, b"pepper").token for d in sorted([ID_A, ID_A, ID_B])
     ]
     assert listing["salt_id"] == thai_id.pseudonymize(ID_A, b"pepper").salt_id
+
+
+def listing_ids(text, fmt):
+    """The first cell of each row of a listing, read back from its format."""
+    if fmt == "json":
+        return [row[0] for row in json.loads(text)["rows"]]
+    if fmt == "csv":
+        return [row[0] for row in list(csv.reader(io.StringIO(text)))[1:]]
+    return [line.split(" | ")[0].removeprefix("| ") for line in text.splitlines()[2:]]
+
+
+@pytest.mark.parametrize("length", [1, 64, 65, 200])
+def test_listing_tokens_are_stdlib_hmac_in_every_format(tmp_path, length):
+    # salts shorter than, as long as and longer than SHA-256's 64-byte block,
+    # which HMAC hashes first
+    salt = bytes((7 * i + length) % 256 for i in range(length))
+    occs = [occ(ID_A, "s1", "http://a.go.th/1.pdf"), occ(ID_B, "s2", "http://b.go.th/2.pdf"),
+            occ(ID_A, "s3", "http://c.ac.th/3.pdf"), occ(ID_C, "s1", "http://a.go.th/1.pdf")]
+    expected = [hmac.new(salt, d.encode("ascii"), hashlib.sha256).hexdigest()
+                for d in sorted([ID_A, ID_A, ID_B, ID_C])]
+    for fmt in reports.FORMATS:
+        assert listing_ids(listing_of(tmp_path / fmt, *occs, fmt=fmt, salt=salt), fmt) == expected, fmt
+    listing = json.loads(listing_of(tmp_path / "named", *occs, salt=salt))
+    assert listing["salt_id"] == hashlib.sha256(b"idsweep-salt:" + salt).hexdigest()[:12]
 
 
 def _gfm_cell_separators(line):
