@@ -128,7 +128,7 @@ def run_scan(
             ids, n_candidates = outcome
             candidates_total += n_candidates
             if ids:
-                store.add_exposures((digits, record.sha256, first_seen) for digits in ids)
+                store.add_exposures((digits, record.sha256) for digits in ids)
 
     return ScanSummary(
         queries=len(plan.queries),

@@ -107,7 +107,8 @@ class HttpProvider:
     reads the body as it comes, and raises ``TimeoutError`` at the first read
     that ends ``timeout`` seconds or more after the request began, so a body
     that trickles in cannot outlast the timeout by more than one read; a
-    read that gets nothing is bounded by ``timeout`` on its own.
+    read that gets nothing is bounded by ``timeout`` on its own, and so is
+    connecting, which also raises ``TimeoutError`` when it runs out.
     """
 
     name = "http"
@@ -153,5 +154,7 @@ class HttpProvider:
                     raise http.client.IncompleteRead(bytes(data), resp.length)
                 disposition = resp.headers.get("Content-Disposition")
         except urllib.error.URLError as exc:
+            if isinstance(exc.reason, TimeoutError):  # what urllib makes of a connect that timed out
+                raise TimeoutError(f"fetch of {url} timed out connecting: {exc.reason}") from exc
             raise ProviderError(f"fetch failed for {url}: {exc}") from exc
         return FetchResult(data=bytes(data), content_disposition=disposition)

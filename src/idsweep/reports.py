@@ -6,15 +6,19 @@ dimensions.  There are two ways in, and both make the same one pass over a
 store's exposures in key order: ``report`` writes the named tables and the
 per-ID listing to files, and ``tables`` returns every dimension's table in
 memory.  The pass is one flat loop over the (ID, document) rows of a store
-range's cursor (``ExposureRange.read()``) or of occurrences.  It resolves a
-document's sources at its first row, each distinct source (document, URL,
-query, type) once: its domain, or why its URL is unusable (reported once
-per URL); its key in each source dimension; and its listing cells after the
-ID, written in the output format.  When an ID's rows end, the same loop
-body counts it and writes its listing rows: its cell is fixed text around
-the ID or its token (one keyed HMAC), which no format escapes.  An ID at one
-source only, as most are, costs a count on that source, a count and an
-index for its area, and one line.  Percent arithmetic is decimal with
+range's cursor (``ExposureRange.read()``), where a document is the store's
+number for it, or of occurrences, where it is the digest.  When an ID's
+rows end, the loop puts an ID in several documents in digest order, so the
+listing and the order URLs are first met do not depend on how the store
+numbered them.  It resolves a document's sources at its first use, each
+distinct source (document, URL, query, type) once: its domain, or why its
+URL is unusable (reported once per URL); its key in each source dimension;
+and its listing cells after the ID, written in the output format.  Then the
+same loop body counts the ID and writes its listing rows: its cell is fixed
+text around the ID or its token (one keyed HMAC), which no format escapes.
+An ID at one document and source only, as most are, costs a lookup of its
+document, a count on that source, a count and an index for its area, and
+one line.  Percent arithmetic is decimal with
 round-half-up at a fixed number of places, which keeps emission
 byte-deterministic.  ``TABLES`` maps each report table name to the
 dimension of each table it writes, and ``FORMATS`` maps each output format
@@ -40,6 +44,7 @@ import functools
 import io
 import json
 import os
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -165,7 +170,7 @@ class _Fold:
     def __init__(self) -> None:
         self.ids = 0
         self.sources: list[_Source] = []
-        self._shared: dict[tuple[str, str], int] = {}
+        self._shared: Counter[tuple[str, str]] = Counter()
         self._by_id_key: list[dict[str, list]] = [{} for _ in _ID_KEY_OF]
         self._area, self._pending = "", {}  # an area's [IDs, reach] by URL count
 
@@ -191,8 +196,7 @@ class _Fold:
             run[0].alone += 1
             urls = 1
         else:
-            for key in {key for s in run for key in s.keys}:
-                self._shared[key] = self._shared.get(key, 0) + 1
+            self._shared.update(set().union(*[s.keys for s in run]))
             urls = len({s.url for s in run})
         entry = self._pending.setdefault(urls, [0, set()])
         entry[0] += 1
@@ -233,8 +237,7 @@ class _Fold:
             else:
                 same.alone += source.alone
             index.append(same.index)
-        for key, ids in other._shared.items():
-            self._shared[key] = self._shared.get(key, 0) + ids
+        self._shared.update(other._shared)
         for by_key, theirs in zip(self._by_id_key, other._by_id_key):
             for key, (ids, reached) in theirs.items():
                 entry = by_key.setdefault(key, [0, bytearray()])
@@ -254,7 +257,7 @@ class _Fold:
             by_key = {}
             for source in self.sources:
                 key = _SOURCE_KEY_OF[dimension](source)
-                entry = by_key.setdefault(key, [self._shared.get((dimension, key), 0), []])
+                entry = by_key.setdefault(key, [self._shared[dimension, key], []])
                 entry[0] += source.alone
                 entry[1].append(source)
         return [_row(key, sources, ids) for key, (ids, sources) in by_key.items()]
@@ -466,32 +469,45 @@ def _join_listing(path: Path, fmt: str, salt: Optional[bytes], unredacted: bool,
 
 
 @contextmanager
-def _read(occurrences: Iterable[Occurrence]) -> Iterator[tuple[dict, Iterator[tuple[str, str]]]]:
-    """A range as (each digest's sources, its (digits, sha256) rows sorted by ID).
+def _read(occurrences: Iterable[Occurrence]) -> Iterator[tuple[dict, Iterator[tuple]]]:
+    """A range as (each document's (sha256, sources), its (digits, document) rows sorted by ID).
 
-    A store range with ``read()`` (``ExposureRange``) gives its own; other
-    occurrences give each digest's sources as its first row passes.  The
-    occurrences are closed when the read ends, however it ends.
+    A store range with ``read()`` (``ExposureRange``) gives its own, its
+    documents keyed by number; other occurrences are keyed by digest, each
+    document's sources taken as its first row passes.  The occurrences are
+    closed when the read ends, however it ends.
     """
     if hasattr(occurrences, "read"):
         with occurrences.read() as read:
             yield read
         return
-    occurrences, sources = iter(occurrences), {}
+    occurrences, documents = iter(occurrences), {}
 
     def rows() -> Iterator[tuple[str, str]]:
         for digits, sha256, found in occurrences:
-            sources.setdefault(sha256, found)
+            documents.setdefault(sha256, (sha256, found))
             yield digits, sha256
 
     try:
-        yield sources, rows()
+        yield documents, rows()
     finally:
         getattr(occurrences, "close", lambda: None)()
 
 
-# a row after every ID's rows: it ends the last ID's run, and no digest has it
+# a row after every ID's rows: it ends the last ID's run
 _END = (("~", None),)
+
+
+class _Runs(dict):
+    """document -> its usable sources, resolved by ``resolve`` at the document's first lookup."""
+
+    def __init__(self, resolve: Callable[[object], tuple[_Source, ...]]) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, document) -> tuple[_Source, ...]:
+        run = self[document] = self._resolve(document)
+        return run
 
 
 def _range(occurrences: Iterable[Occurrence], part: Optional[Path], fmt: Optional[str],
@@ -499,11 +515,13 @@ def _range(occurrences: Iterable[Occurrence], part: Optional[Path], fmt: Optiona
            unredacted: bool = False) -> tuple[_Fold, list[tuple[str, str]]]:
     """One range of IDs through a fold, and its listing rows into ``part`` if one is named.
 
-    One loop reads the range's rows: it resolves a digest's sources at its
-    first row, and when an ID's rows end, adds the ID to the fold and writes
-    its listing rows in ``fmt``, with no header or trailer.  An ID found at
-    one source only, as most are, is counted in place.  Returns the fold and
-    the unusable URLs met, each once with why.
+    One loop reads the range's rows.  When an ID's rows end, it puts the
+    ID's documents in digest order, resolves each document's sources at its
+    first use, adds the ID to the fold and writes its listing rows in
+    ``fmt``, with no header or trailer.  An ID found at one source only, as
+    most are, is counted in place.  Returns the fold and the unusable URLs
+    met, each once with why, in the order a pass over (digits, sha256) meets
+    them.
     """
     psl, skipped = default_suffix_list(), []
 
@@ -523,39 +541,43 @@ def _range(occurrences: Iterable[Occurrence], part: Optional[Path], fmt: Optiona
         before, _, after = FORMATS[fmt][1]("0").partition("0")
         shown = str if unredacted else token_function(salt)  # the ID as the listing shows it
         tail = lambda cells: after + FORMATS[fmt][2](cells)  # noqa: E731
-    fold, by_digest = _Fold(), {}
-    area, last, run = "", "", ()
-    with (_read(occurrences) as (sources_of, rows),
+    fold = _Fold()
+    area, last, first, more = "", "", None, []  # the ID's first document, and any more
+    with (_read(occurrences) as (documents, rows),
           part.open("w", encoding="utf-8") if listed else nullcontext() as fh):
+        runs = _Runs(lambda document: fold.resolve(*documents[document], domain_of, tail))
+        digest = lambda document: documents[document][0]  # noqa: E731
         write = fh and fh.write
-        for digits, sha256 in chain(rows, _END):
+        for digits, document in chain(rows, _END):
             if digits != last:
-                if run:  # the last ID's rows have ended
-                    if last[:5] != area:
-                        area = last[:5]
-                        one = fold._flush(area)
-                    if len(run) == 1:  # what fold.add(run) does for one source
-                        source = run[0]
-                        source.alone += 1
-                        one[0] += 1
-                        one[1].add(source.index)
-                        if listed:
-                            write(before + shown(last) + source.tail)
+                if first is not None:  # the last ID's rows have ended
+                    if more:  # listed, and first met, in digest order
+                        more.append(first)
+                        run = tuple(chain.from_iterable(map(runs.__getitem__, sorted(more, key=digest))))
+                        more = []
                     else:
-                        fold.add(run)
-                        if listed:
-                            head = before + shown(last)
-                            write("".join([head + s.tail for s in run]))
+                        run = runs[first]
+                    if run:
+                        if last[:5] != area:
+                            area = last[:5]
+                            one = fold._flush(area)
+                        if len(run) == 1:  # what fold.add(run) does for one source
+                            source = run[0]
+                            source.alone += 1
+                            one[0] += 1
+                            one[1].add(source.index)
+                            if listed:
+                                write(before + shown(last) + source.tail)
+                        else:
+                            fold.add(run)
+                            if listed:
+                                head = before + shown(last)
+                                write("".join([head + s.tail for s in run]))
                 if digits < last:
                     raise ValueError("occurrences are not sorted by ID")
-                last, run = digits, ()
-            resolved = by_digest.get(sha256)
-            if resolved is None:
-                found = sources_of.get(sha256)
-                if found is None:  # no successful download, or the end
-                    continue
-                resolved = by_digest[sha256] = fold.resolve(sha256, found, domain_of, tail)
-            run = run + resolved if run else resolved
+                last, first = digits, document
+            else:
+                more.append(document)
     fold._flush()  # what is left of the last area
     return fold, skipped
 

@@ -2,28 +2,32 @@
 
 Layout under the store directory::
 
-    store.db           relational state (hits, downloads, objects, exposures,
-                       diagnostics)
+    store.db           relational state (hits, downloads, objects, documents,
+                       exposures, diagnostics)
     objects/<sha256>   raw document bytes, filename = digest
 
 An object's path is derived from its digest and is never stored.  An
-exposure is only (digits, sha256, first_seen): its URLs, queries, engines and
-types are the successful ``downloads`` of its digest joined to their ``hits``.
-Opening a store that older versions wrote retires the columns they kept and
-nothing reads (``_RETIRED``), in one transaction, then ``VACUUM``s once if it
-copied ``exposures``.
+exposure is only (digits, document): ``document`` is the number that
+``documents`` gives the digest of a document with exposures, numbered as
+first met, and its URLs, queries, engines and types are the successful
+``downloads`` of that digest joined to their ``hits``.  Opening a store that
+older versions wrote retires the columns they kept and nothing reads
+(``_RETIRED``), in one transaction, then ``VACUUM``s once if it copied
+``exposures``.
 
 Reports read the store in one pass and add no index.  One read transaction
-holds the successful sources of each digest (bounded by documents) and a
-cursor over ``exposures`` in its own key order (a WITHOUT ROWID table is its
-primary-key B-tree).  A report's loop takes the two as they are
-(``ExposureRange.read()``); ``occurrences()`` streams each row with its
-digest's sources, one tuple per digest.  ``id_ranges()`` cuts the rows into
-ranges of IDs for a report to read in several processes: as many as give
-each range ``MIN_ROWS_PER_RANGE`` rows, up to the number asked for.  Its
-boundaries are the IDs at equal shares of the rows, each range starting at
-its ID's first row, so no ID is split; an ``ExposureRange`` reads its range
-through a read-only connection of its own, and pickles.
+holds each document number's digest and the successful sources of that
+digest (bounded by documents), and a cursor over ``exposures`` in its own
+key order, (digits, document) (a WITHOUT ROWID table is its primary-key
+B-tree).  A report's loop takes the two as they are (``ExposureRange.read()``)
+and puts an ID's documents in digest order itself; ``occurrences()`` streams
+each row with its digest's sources, one tuple per digest, sorted by
+(digits, sha256).  ``id_ranges()`` cuts the rows into ranges of IDs for a
+report to read in several processes: as many as give each range
+``MIN_ROWS_PER_RANGE`` rows, up to the number asked for.  Its boundaries
+are the IDs at equal shares of the rows, each range starting at its ID's
+first row, so no ID is split; an ``ExposureRange`` reads its range through a
+read-only connection of its own, and pickles.
 
 Writes are serialized with a process-local lock so the bounded download pool
 can share one store.  Across processes, the CLI holds an ``flock`` on
@@ -40,6 +44,8 @@ import sqlite3
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -70,11 +76,15 @@ CREATE TABLE IF NOT EXISTS objects (
     size_bytes  INTEGER NOT NULL,
     first_seen  TEXT NOT NULL
 );
+-- an explicit INTEGER PRIMARY KEY: VACUUM may renumber an implicit rowid
+CREATE TABLE IF NOT EXISTS documents (
+    id     INTEGER PRIMARY KEY,
+    sha256 TEXT NOT NULL UNIQUE
+);
 CREATE TABLE IF NOT EXISTS exposures (
-    digits     TEXT NOT NULL,
-    sha256     TEXT NOT NULL,
-    first_seen TEXT NOT NULL,
-    PRIMARY KEY (digits, sha256)
+    digits   TEXT NOT NULL,
+    document INTEGER NOT NULL,           -- documents.id
+    PRIMARY KEY (digits, document)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS diagnostics (
     id         INTEGER PRIMARY KEY,
@@ -89,7 +99,7 @@ CREATE TABLE IF NOT EXISTS diagnostics (
 # Columns that older stores hold and nothing reads.  One left behind can make
 # inserts fail: objects.stored_path is NOT NULL.
 _RETIRED = {"downloads": ("stored_path",), "objects": ("stored_path",),
-            "exposures": ("url", "query", "engine", "file_type")}
+            "exposures": ("sha256", "first_seen", "url", "query", "engine", "file_type")}
 
 
 def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
@@ -98,8 +108,9 @@ def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
 
     Columns are dropped in place, so a table keeps those it does not declare
     (``DROP COLUMN``, SQLite >= 3.35).  SQLite cannot make a table WITHOUT
-    ROWID in place, so an older ``exposures`` is renamed, copied into the
-    table ``_SCHEMA`` creates in key order, which fills its pages, and dropped.
+    ROWID in place, so an older ``exposures`` is renamed, its digests are
+    numbered in digest order, its rows are copied into the table ``_SCHEMA``
+    creates in key order, which fills its pages, and it is dropped.
     """
     before, after = [], []
     for table, retired in _RETIRED.items():
@@ -107,8 +118,11 @@ def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
         gone = [column for column in retired if column in have]
         if gone and table == "exposures":
             before.append("ALTER TABLE exposures RENAME TO retired_exposures;")
-            after.append("INSERT INTO exposures SELECT digits, sha256, first_seen"
-                         " FROM retired_exposures ORDER BY digits, sha256; DROP TABLE retired_exposures;")
+            after.append("INSERT INTO documents (sha256) SELECT DISTINCT sha256 FROM retired_exposures"
+                         " ORDER BY sha256;"
+                         " INSERT INTO exposures SELECT e.digits, d.id FROM retired_exposures e"
+                         " JOIN documents d ON d.sha256 = e.sha256 ORDER BY e.digits, d.id;"
+                         " DROP TABLE retired_exposures;")
         else:
             before += [f"ALTER TABLE {table} DROP COLUMN {column};" for column in gone]
     return "\n".join(["BEGIN;", *before, _SCHEMA, *after, "COMMIT;"]), bool(after)
@@ -125,8 +139,9 @@ MIN_ROWS_PER_RANGE = 50_000
 @contextmanager
 def _reading(conn: sqlite3.Connection, lo: Optional[str] = None,
              hi: Optional[str] = None) -> Iterator[tuple[dict, sqlite3.Cursor]]:
-    """In one read transaction: each successfully downloaded digest's sources, as
-    ``occurrences()`` gives them, and a cursor over the sorted ``(digits, sha256)``
+    """In one read transaction: each document number's (sha256, sources), its
+    sources as ``occurrences()`` gives them and () for a digest never
+    successfully downloaded, and a cursor over the sorted ``(digits, document)``
     of the exposures with ``lo <= digits < hi``, a missing bound left open."""
     own = not conn.in_transaction
     if own:
@@ -138,23 +153,33 @@ def _reading(conn: sqlite3.Connection, lo: Optional[str] = None,
             " FROM downloads d JOIN hits h ON h.id = d.hit_id WHERE d.status = 'success'"
         ):
             found.setdefault(sha256, set()).add(tuple(source))
-        sources = {
-            sha256: tuple((url, query, file_type) for url, query, _, file_type in sorted(
-                found[sha256], key=lambda s: (*s[:3], s[3] is not None, s[3] or "")))
-            for sha256 in found
+        documents = {
+            number: (sha256, tuple((url, query, file_type) for url, query, _, file_type in sorted(
+                found.get(sha256, ()), key=lambda s: (*s[:3], s[3] is not None, s[3] or ""))))
+            for number, sha256 in conn.execute("SELECT id, sha256 FROM documents")
         }
         tests = [test for test, bound in (("digits >= :lo", lo), ("digits < :hi", hi)) if bound is not None]
         where = f"WHERE {' AND '.join(tests)}" if tests else ""
-        yield sources, conn.execute(
-            f"SELECT digits, sha256 FROM exposures {where} ORDER BY digits, sha256", {"lo": lo, "hi": hi})
+        yield documents, conn.execute(
+            f"SELECT digits, document FROM exposures {where} ORDER BY digits, document", {"lo": lo, "hi": hi})
     finally:
         if own and conn.in_transaction:
             conn.execute("ROLLBACK")
 
 
-def _joined(sources: dict, rows: Iterable[tuple[str, str]]) -> Iterator[Occurrence]:
-    """Each row with its digest's sources; a row whose digest has none (no successful download) is skipped."""
-    return ((digits, sha256, sources[sha256]) for digits, sha256 in rows if sha256 in sources)
+def _joined(documents: dict, rows: Iterable[tuple[str, int]]) -> Iterator[Occurrence]:
+    """Each row as (digits, sha256, sources), an ID's rows in digest order; a row
+    whose digest has no sources (no successful download) is skipped."""
+    last, found = None, []  # the current ID's (sha256, sources)
+    for digits, document in chain(rows, [(None, None)]):
+        if digits != last:
+            if len(found) > 1:
+                found.sort(key=itemgetter(0))
+            for sha256, sources in found:
+                if sources:
+                    yield last, sha256, sources
+            last, found = digits, []
+        found.append(documents.get(document))
 
 
 @dataclass(frozen=True)
@@ -177,7 +202,7 @@ class ExposureRange:
 
     @contextmanager
     def read(self) -> Iterator[tuple[dict, sqlite3.Cursor]]:
-        """The range as (each digest's sources, a cursor over its sorted (digits, sha256) rows)."""
+        """The range as (each document number's (sha256, sources), a cursor over its sorted (digits, document) rows)."""
         conn = sqlite3.connect(self.db_path.resolve().as_uri() + "?mode=ro", uri=True)
         try:
             with _reading(conn, self.lo, self.hi) as read:
@@ -286,24 +311,30 @@ class ResultStore:
     ) -> bool:
         """Record an (id, document) pair; returns False if already present.
 
-        ``url``, ``query``, ``engine`` and ``file_type`` are accepted but not
-        stored: an exposure's sources are its digest's downloads and hits.
+        Only ``digits`` and ``sha256`` are stored: an exposure's sources are
+        its digest's downloads and hits.
         """
-        return self.add_exposures([(digits, sha256, first_seen)]) > 0
+        return self.add_exposures([(digits, sha256)]) > 0
 
-    def add_exposures(self, rows: Iterable[tuple[str, str, str]]) -> int:
-        """Record many (digits, sha256, first_seen) rows in one commit; returns how many were new."""
+    def add_exposures(self, rows: Iterable[tuple[str, str]]) -> int:
+        """Record many (digits, sha256) pairs in one commit; returns how many were new.
+
+        A digest not yet in ``documents`` is numbered there first.
+        """
+        rows = list(rows)
         with self._lock, self._conn:
+            self._conn.executemany("INSERT OR IGNORE INTO documents (sha256) VALUES (?)",
+                                   ((sha256,) for sha256 in dict.fromkeys(sha256 for _, sha256 in rows)))
             cur = self._conn.executemany(
-                "INSERT OR IGNORE INTO exposures (digits, sha256, first_seen) VALUES (?, ?, ?)", rows
-            )
+                "INSERT OR IGNORE INTO exposures (digits, document) SELECT ?, id FROM documents WHERE sha256 = ?",
+                rows)
         return cur.rowcount
 
     def unique_id_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(DISTINCT digits) FROM exposures").fetchone()[0])
 
     def exposed_document_count(self) -> int:
-        return int(self._conn.execute("SELECT COUNT(DISTINCT sha256) FROM exposures").fetchone()[0])
+        return int(self._conn.execute("SELECT COUNT(DISTINCT document) FROM exposures").fetchone()[0])
 
     def occurrences(self) -> Iterator[Occurrence]:
         """Each exposure with the sources of its document, as (digits, sha256, sources).
@@ -331,7 +362,7 @@ class ResultStore:
         n = max(1, min(most, rows // min_rows))
         offsets = [rows * i // n for i in range(n)] if rows else []
         starts = dict.fromkeys(self._conn.execute(
-            "SELECT digits FROM exposures ORDER BY digits, sha256 LIMIT 1 OFFSET ?", (offset,)).fetchone()[0]
+            "SELECT digits FROM exposures ORDER BY digits, document LIMIT 1 OFFSET ?", (offset,)).fetchone()[0]
             for offset in offsets)
         edges = [None, *list(starts)[1:], None]  # the first range starts with the store
         return [ExposureRange(self.db_path, lo, hi) for lo, hi in zip(edges, edges[1:])]

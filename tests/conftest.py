@@ -73,7 +73,7 @@ def occurrences_of(rows) -> list[tuple[str, str, tuple]]:
             url, query, engine, file_type = source
             hit_id = store.add_hit(query, engine, 1, rank, url, "t", False)
             store.record_download(hit_id, "success", "t", sha256=sha256, declared_type=file_type)
-        store.add_exposures((digits, sha256, "t") for digits, sha256, *_ in rows)
+        store.add_exposures((digits, sha256) for digits, sha256, *_ in rows)
         return list(store.occurrences())
 
 

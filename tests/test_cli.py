@@ -452,8 +452,13 @@ def forced_ranges(n):
 
 def child_pids():
     """The processes this one has started and not yet reaped."""
-    return {int(pid) for task in Path("/proc/self/task").iterdir()
-            for pid in (task / "children").read_text().split()}
+    pids = set()
+    for task in Path("/proc/self/task").iterdir():
+        try:
+            pids.update(map(int, (task / "children").read_text().split()))
+        except FileNotFoundError:  # the thread ended after the listing
+            continue
+    return pids
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -554,8 +559,7 @@ def mirror_store(store_dir):
                 hit = store.add_hit(query, engine, 1, rank, url, "2026-01-01T00:00:00Z", False)
                 store.record_download(hit, "success", "2026-01-01T00:00:00Z", sha256=digests[name],
                                       declared_type=file_type, size_bytes=2)
-        store.add_exposures((digits, digests[name], "2026-01-01T00:00:00Z")
-                            for digits, names in placements.items() for name in names)
+        store.add_exposures((digits, digests[name]) for digits, names in placements.items() for name in names)
     return store_dir
 
 
@@ -587,7 +591,7 @@ def test_report_warns_once_per_unusable_url(tmp_path, capsys):
             digest = store.put_object(url.encode(), stamp)
             hit = store.add_hit("q1", "google", 1, rank, url, stamp, False)
             store.record_download(hit, "success", stamp, sha256=digest, declared_type="pdf", size_bytes=1)
-            store.add_exposures((digits, digest, stamp) for digits in holders)
+            store.add_exposures((digits, digest) for digits in holders)
     assert run_cli(
         "report", "--store", str(tmp_path / "store"), "--tables", "filetype,exposures",
         "--out", str(tmp_path / "r"), "--salt-file", str(SALT_FILE),
@@ -669,6 +673,54 @@ def test_report_exposures_unredacted_with_interlock(demo_store, tmp_path):
     assert all(digits in text for digits in manifest["planted"])
 
 
+def numbered_store(store_dir, descending):
+    """Five documents, numbered in the store in digest order or its reverse.
+
+    Two of them are only at an unusable URL, and four IDs sit in two or
+    more documents.  A document is numbered when its exposures are first
+    written, so writing them in the chosen order of digests numbers them so.
+    """
+    ids = [thai_id.generate_valid_id(prefix, f"60000{i:02d}", REG)
+           for i, prefix in enumerate(["11001", "32481", "11001", "39395", "12007"])]
+    urls = ["http://www.nfe.go.th/0.pdf", "not a url", "http://school.ac.th/2.xls", "bad://3.pdf",
+            "http://chpao.org/4.doc"]
+    holders = {0: [0, 1], 1: [0, 1, 3], 2: [0, 2, 3, 4], 3: [1, 3, 4], 4: [2, 4]}  # document -> IDs
+    stamp = "2026-01-01T00:00:00Z"
+    with ResultStore(store_dir) as store:
+        digests = {}
+        for j, url in enumerate(urls):
+            digests[j] = store.put_object(f"document {j}".encode(), stamp)
+            hit = store.add_hit("q", "google", 1, j + 1, url, stamp, False)
+            store.record_download(hit, "success", stamp, sha256=digests[j], declared_type="pdf", size_bytes=10)
+        for j in sorted(digests, key=digests.get, reverse=descending):
+            store.add_exposures((ids[i], digests[j]) for i in holders[j])
+        occurrences = [(digits, sha256) for digits, sha256, _ in store.occurrences()]
+    conn = sqlite3.connect(store_dir / "store.db")
+    numbered = [sha256 for (sha256,) in conn.execute("SELECT sha256 FROM documents ORDER BY id")]
+    conn.close()
+    assert numbered == sorted(digests.values(), reverse=descending)
+    return occurrences
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_listing_order_within_an_id_follows_the_digest(tmp_path, monkeypatch, capsys, n):
+    monkeypatch.setattr(cli, "_id_ranges", forced_ranges(n))
+    occurrences = {descending: numbered_store(tmp_path / f"store-{descending}", descending)
+                   for descending in (False, True)}
+    assert occurrences[True] == occurrences[False] == sorted(occurrences[False]) and len(occurrences[True]) == 14
+    capsys.readouterr()
+    for fmt in ("markdown", "csv", "json"):
+        reports, warnings = {}, {}
+        for descending in (False, True):
+            reports[descending] = _report_bytes(tmp_path / f"store-{descending}",
+                                                tmp_path / f"r-{fmt}-{descending}", "--format", fmt)
+            warnings[descending] = [line for line in capsys.readouterr().err.splitlines()
+                                    if line.startswith("warning:")]
+        assert reports[True] == reports[False], fmt
+        # each unusable URL once, in the order a pass over (digits, sha256) meets it
+        assert warnings[True] == warnings[False] and len(warnings[True]) == 2, fmt
+
+
 # The tables as an older idsweep created them, when both object tables stored
 # the object's path; objects.stored_path is NOT NULL.
 OLD_SCHEMA = """
@@ -731,6 +783,23 @@ def test_older_store_is_migrated_on_open(demo_store, tmp_path):
     assert _report_bytes(store_dir, tmp_path / "old") == _report_bytes(demo_store, tmp_path / "new")
 
 
+# exposures as idsweep kept them before documents were numbered: each row
+# spelled out its digest, and a first_seen stamp nothing read
+DIGEST_KEYED_EXPOSURES = """
+CREATE TABLE exposures (
+    digits TEXT NOT NULL, sha256 TEXT NOT NULL, first_seen TEXT NOT NULL,
+    PRIMARY KEY (digits, sha256)
+) WITHOUT ROWID;
+"""
+# the older layouts a store is migrated from: exposures with the source
+# columns, and exposures keyed by digest
+OLD_LAYOUTS = {
+    "source columns": OLD_SCHEMA,
+    "digest keyed": OLD_SCHEMA[:OLD_SCHEMA.index("CREATE TABLE exposures")] + DIGEST_KEYED_EXPOSURES
+    + OLD_SCHEMA[OLD_SCHEMA.index("CREATE TABLE diagnostics"):],
+}
+
+
 def old_layout_copy(store_dir, old_dir, schema=OLD_SCHEMA):
     """The rows of a store in the tables an older idsweep wrote; returns its
     exposures as (digits, sha256, first_seen), each with its own first_seen."""
@@ -739,35 +808,55 @@ def old_layout_copy(store_dir, old_dir, schema=OLD_SCHEMA):
     conn.executescript(schema)
     conn.execute("ATTACH ? AS new", (str(store_dir / "store.db"),))
     exposures = [(digits, sha256, f"2025-12-31T00:00:{i:02d}Z") for i, (digits, sha256) in enumerate(
-        conn.execute("SELECT digits, sha256 FROM new.exposures ORDER BY digits DESC, sha256"))]
+        conn.execute("SELECT e.digits, d.sha256 FROM new.exposures e JOIN new.documents d ON d.id = e.document"
+                     " ORDER BY e.digits DESC, d.sha256"))]
+    # the source columns, where the layout has them, hold what nothing reads
+    unread = "'-', " * (len(conn.execute("PRAGMA table_info(exposures)").fetchall()) - 3)
     with conn:
         conn.execute("INSERT INTO hits SELECT * FROM new.hits")
         conn.execute("INSERT INTO downloads SELECT id, hit_id, status, reason, sha256, declared_type,"
                      " 'objects/' || sha256, size_bytes, completed_at FROM new.downloads")
         conn.execute("INSERT INTO objects SELECT sha256, size_bytes, 'objects/' || sha256, first_seen"
                      " FROM new.objects")
-        # out of key order, with the source columns nothing reads
-        conn.executemany("INSERT INTO exposures VALUES (?, ?, '-', '-', '-', '-', ?)", exposures)
+        # out of key order
+        conn.executemany(f"INSERT INTO exposures VALUES (?, ?, {unread}?)", exposures)
     conn.close()
     return exposures
 
 
 def exposures_layout(db):
+    """The columns of ``exposures``, whether it is WITHOUT ROWID, the tables, and
+    its rows as (digits, sha256) in the order the table holds them."""
     conn = sqlite3.connect(db)
     columns = [row[1] for row in conn.execute("PRAGMA table_info(exposures)")]
     without_rowid = conn.execute("SELECT wr FROM pragma_table_list WHERE name = 'exposures'").fetchone()[0]
     tables = sorted(row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'"))
-    rows = conn.execute("SELECT digits, sha256, first_seen FROM exposures").fetchall()
+    if "documents" in tables:
+        digest_of = dict(conn.execute("SELECT id, sha256 FROM documents"))
+        rows = [(digits, digest_of[document]) for digits, document in
+                conn.execute("SELECT digits, document FROM exposures")]
+    else:
+        rows = conn.execute("SELECT digits, sha256 FROM exposures").fetchall()
     conn.close()
     return columns, without_rowid, tables, rows
 
 
 def test_older_store_with_exposures_is_migrated_on_open(tmp_path):
+    migrated_on_open(tmp_path, "source columns",
+                     ["digits", "sha256", "url", "query", "engine", "file_type", "first_seen"], 0)
+
+
+def test_store_with_digest_keyed_exposures_is_migrated_on_open(tmp_path):
+    migrated_on_open(tmp_path, "digest keyed", ["digits", "sha256", "first_seen"], 1)
+
+
+def migrated_on_open(tmp_path, layout, columns, without_rowid):
+    """A store in an older layout, whose exposures have ``columns``, opened:
+    it is migrated whole and vacuumed, and reports what a fresh store does."""
     new = mirror_store(tmp_path / "new")
     old = tmp_path / "old"
-    exposures = old_layout_copy(new, old)
-    assert exposures_layout(old / "store.db")[:2] == (
-        ["digits", "sha256", "url", "query", "engine", "file_type", "first_seen"], 0)
+    exposures = old_layout_copy(new, old, OLD_LAYOUTS[layout])
+    assert exposures_layout(old / "store.db")[:2] == (columns, without_rowid)
 
     ResultStore(old).close()
     migrated = old.joinpath("store.db").read_bytes()
@@ -775,9 +864,10 @@ def test_older_store_with_exposures_is_migrated_on_open(tmp_path):
     assert conn.execute("PRAGMA freelist_count").fetchone()[0] == 0  # the pages the copy freed are gone
     conn.close()
     columns, without_rowid, tables, rows = exposures_layout(old / "store.db")
-    assert (columns, without_rowid) == (["digits", "sha256", "first_seen"], 1)
+    assert (columns, without_rowid) == (["digits", "document"], 1)
     assert exposures_layout(new / "store.db")[:3] == (columns, 1, tables)  # a fresh store is the same
-    assert sorted(rows) == rows == sorted(exposures) and len(rows) == 9  # in key order, as stored
+    # in key order, as stored: the documents are numbered in digest order
+    assert sorted(rows) == rows == [row[:2] for row in sorted(exposures)] and len(rows) == 9
     ResultStore(old).close()
     assert old.joinpath("store.db").read_bytes() == migrated  # a second open changes nothing
     for fmt in ("markdown", "csv", "json"):
@@ -818,10 +908,10 @@ def test_failed_migration_leaves_the_older_store(tmp_path, monkeypatch, capsys, 
         connect = sqlite3.connect  # file modes do not stop root writing, so open it read-only
         monkeypatch.setattr(sqlite3, "connect", lambda db, **kw: connect(f"file:{db}?mode=ro", uri=True, **kw))
     else:  # the copy into the new exposures fails after the other columns were dropped
-        old_layout_copy(new, old, OLD_SCHEMA.replace("first_seen TEXT NOT NULL, PRIMARY", "first_seen TEXT, PRIMARY"))
+        old_layout_copy(new, old, OLD_SCHEMA.replace("digits TEXT NOT NULL, sha256", "digits TEXT, sha256"))
         conn = sqlite3.connect(old / "store.db")
         with conn:
-            conn.execute("UPDATE exposures SET first_seen = NULL WHERE rowid = 9")
+            conn.execute("UPDATE exposures SET digits = NULL WHERE rowid = 9")
         conn.close()
     before = old.joinpath("store.db").read_bytes()
     assert run_cli(

@@ -427,6 +427,18 @@ def test_http_fetch_gives_up_on_a_dripping_body_at_its_deadline(origin, store):
     assert (record.status, record.reason, record.attempts) == ("failed", "timeout", 1)
 
 
+def test_http_connect_timeout_is_a_timeout(store, monkeypatch):
+    def connect_times_out(self):
+        raise TimeoutError("timed out")  # what a socket gives when connecting outlasts its timeout
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect_times_out)
+    url = "http://127.0.0.1:9/never.pdf"  # never connected to: connect is replaced
+    with pytest.raises(TimeoutError, match="timed out connecting"):
+        live(max_bytes=1000).fetch(url, timeout=0.5)
+    record = download(make_hit(store, url), live(1000), quick_config(download_timeout=0.5), store)
+    assert (record.status, record.reason, record.attempts) == ("failed", "timeout", 1)
+
+
 def test_http_fetch_truncated_body_fails(origin, store):
     for max_bytes in (1000, 10):
         with pytest.raises(http.client.IncompleteRead):

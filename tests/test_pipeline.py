@@ -184,8 +184,9 @@ def test_concurrent_extraction_matches_sequential(tmp_path, registry):
             occurrences = expand(store.load_occurrences())
             diagnostics = store.diagnostics()
         conn = sqlite3.connect(store.db_path)
-        exposures = conn.execute(  # first_seen left out: it is wall-clock time
-            "SELECT digits, sha256 FROM exposures ORDER BY digits, sha256"
+        exposures = conn.execute(  # read through documents: their numbers follow the order of writes
+            "SELECT e.digits, d.sha256 FROM exposures e JOIN documents d ON d.id = e.document"
+            " ORDER BY e.digits, d.sha256"
         ).fetchall()
         downloads = conn.execute(  # completed_at left out too, and rows in id order
             "SELECT id, hit_id, status, reason, sha256 FROM downloads ORDER BY id"

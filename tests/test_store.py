@@ -1,6 +1,8 @@
 """Store reads: the occurrence stream against the SQL join it replaced, and its ID ranges."""
 
+import hashlib
 import pickle
+import random
 import sqlite3
 
 from idsweep import store as store_module
@@ -13,9 +15,10 @@ from conftest import expand
 # across each row's sources, must be exactly its rows.
 REFERENCE_SQL = """
     SELECT digits, sha256, url, query, declared_type FROM (
-        SELECT DISTINCT e.digits, e.sha256, h.url, h.query, h.engine, d.declared_type
+        SELECT DISTINCT e.digits, doc.sha256, h.url, h.query, h.engine, d.declared_type
         FROM exposures e
-        JOIN downloads d ON d.sha256 = e.sha256 AND d.status = 'success'
+        JOIN documents doc ON doc.id = e.document
+        JOIN downloads d ON d.sha256 = doc.sha256 AND d.status = 'success'
         JOIN hits h ON h.id = d.hit_id
     ) ORDER BY digits, sha256, url, query, engine, declared_type
 """
@@ -37,10 +40,10 @@ def test_load_occurrences_matches_reference_join(tmp_path):
         fetched("q1", 1, 4, "http://d.ac.th/failed.pdf", "d2", status="failed")  # no row
         fetched("q1", 1, 5, "http://e.ac.th/other.pdf", "d3", status="failed")  # d3 never succeeded
         store.add_exposures([
-            ("3100000000002", "d2", "t"),
-            ("1100000000001", "d1", "t"),
-            ("3100000000002", "d1", "t"),
-            ("2100000000003", "d3", "t"),  # no successful download: no row
+            ("3100000000002", "d2"),
+            ("1100000000001", "d1"),
+            ("3100000000002", "d1"),
+            ("2100000000003", "d3"),  # no successful download: no row
         ])
 
         got = expand(store.load_occurrences())
@@ -64,7 +67,7 @@ def test_rows_of_a_digest_share_its_sources(tmp_path):
                                                ("http://c.go.th/2.pdf", "d2")], 1):
             hit_id = store.add_hit("q", "fixture", 1, rank, url, "t", False)
             store.record_download(hit_id, "success", "t", sha256=sha256, declared_type="pdf")
-        store.add_exposures([(f"110000000000{i}", sha256, "t") for i in range(3) for sha256 in ("d1", "d2")])
+        store.add_exposures([(f"110000000000{i}", sha256) for i in range(3) for sha256 in ("d1", "d2")])
         rows = store.load_occurrences()
     by_digest = {}
     for digits, sha256, sources in rows:
@@ -104,7 +107,8 @@ def test_occurrences_read_one_snapshot(tmp_path):
                 ).lastrowid
                 other.execute("INSERT INTO downloads (hit_id, status, sha256, declared_type, completed_at)"
                               " VALUES (?, 'success', 'd1', 'pdf', 't')", (hit_id,))
-                other.execute("INSERT INTO exposures VALUES ('1100000000001', 'd1', 't')")
+                other.execute("INSERT OR IGNORE INTO documents (sha256) VALUES ('d1')")
+                other.execute("INSERT INTO exposures SELECT '1100000000001', id FROM documents WHERE sha256 = 'd1'")
         except sqlite3.OperationalError as exc:  # held off by the reader's transaction, and only so
             assert "locked" in str(exc), exc
         finally:
@@ -134,7 +138,7 @@ def ranged_store(root, multiplicities):
     for rank, sha256 in enumerate(docs, 1):
         hit_id = store.add_hit("q", "fixture", 1, rank, f"http://a.go.th/{sha256}.pdf", "t", False)
         store.record_download(hit_id, "success", "t", sha256=sha256, declared_type="pdf")
-    store.add_exposures((f"1{i:012d}", sha256, "t") for i, k in enumerate(multiplicities) for sha256 in docs[:k])
+    store.add_exposures((f"1{i:012d}", sha256) for i, k in enumerate(multiplicities) for sha256 in docs[:k])
     return store
 
 
@@ -180,3 +184,19 @@ def test_exposure_range_pickles_and_reads_on_its_own(tmp_path, monkeypatch):
     rows = iter(copies[0])
     next(rows)
     rows.close()  # a range read part-way closes its connection
+
+
+def test_a_store_holds_an_exposure_in_under_40_bytes(tmp_path):
+    # as a scan writes them: one call per document, its IDs in the order found,
+    # some IDs in several documents
+    rng = random.Random(14)
+    ids = [f"{rng.randrange(10**12, 10**13)}" for _ in range(15_000)]
+    with ResultStore(tmp_path / "store") as store:
+        written = sum(store.add_exposures((digits, hashlib.sha256(str(j).encode()).hexdigest())
+                                          for digits in rng.sample(ids, 100)) for j in range(200))
+    conn = sqlite3.connect(tmp_path / "store" / "store.db")
+    size = conn.execute("PRAGMA page_count").fetchone()[0] * conn.execute("PRAGMA page_size").fetchone()[0]
+    conn.close()
+    assert written == 20_000
+    # a row spelling out its digest, as exposures once did, takes over 100
+    assert size / written < 40, size / written
