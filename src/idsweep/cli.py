@@ -22,31 +22,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import fcntl
+import functools
 import json
 import os
 import re
-import sqlite3
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import reports
-from .extract import default_extractors, load_extractor_config
-from .geo import GeoRegistry, RegistryError, default_registry, load_registry_file
-from .harvest import CrawlConfig
-from .pipeline import run_scan
-from .providers import FixtureProvider, HttpProvider, ProviderDisabled
-from .queries import (
-    QueryError,
-    QueryPlan,
-    build_plan_from_templates,
-    load_bindings,
-    load_plan_file,
-    load_templates,
-    plan_to_json,
-)
-from .store import ExposureRange, ResultStore
-from .thai_id import decode, normalize_numerals, validate
+if TYPE_CHECKING:
+    from .geo import GeoRegistry
+    from .harvest import CrawlConfig
+    from .store import ExposureRange, ResultStore
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -54,11 +41,16 @@ EXIT_USAGE = 2
 
 ENV_PREFIX = "IDSWEEP_"
 
-# (config key, --flag, environment variable) for every CrawlConfig field
-CRAWL_KNOBS = tuple(
-    (f.name, "--" + f.name.replace("_", "-"), ENV_PREFIX + f.name.upper())
-    for f in dataclasses.fields(CrawlConfig)
-)
+
+@functools.cache
+def crawl_knobs() -> tuple[tuple[str, str, str], ...]:
+    """(config key, --flag, environment variable) for every CrawlConfig field."""
+    from .harvest import CrawlConfig
+
+    return tuple(
+        (f.name, "--" + f.name.replace("_", "-"), ENV_PREFIX + f.name.upper())
+        for f in dataclasses.fields(CrawlConfig)
+    )
 
 
 def _fail(message: str) -> int:
@@ -67,6 +59,8 @@ def _fail(message: str) -> int:
 
 
 def _load_registry(path: Optional[str]) -> GeoRegistry:
+    from .geo import default_registry, load_registry_file
+
     return load_registry_file(path) if path else default_registry()
 
 
@@ -91,13 +85,15 @@ def _knob_value(value, default):
 
 def _resolve_crawl_config(args, file_config: dict) -> CrawlConfig:
     """flag > environment > config file > dataclass default, per field."""
-    keys = [key for key, _, _ in CRAWL_KNOBS]
+    from .harvest import CrawlConfig
+
+    keys = [key for key, _, _ in crawl_knobs()]
     unknown = sorted(set(file_config) - set(keys))
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(unknown)}; valid keys: {', '.join(keys)}")
     defaults = CrawlConfig()
     chosen = {}
-    for key, flag, env in CRAWL_KNOBS:
+    for key, flag, env in crawl_knobs():
         for source, value in ((flag, getattr(args, key)), (env, os.environ.get(env)),
                               (f"config key {key}", file_config.get(key))):
             if value is None:
@@ -163,6 +159,9 @@ class _StoreLock:
 # --- id validate -----------------------------------------------------------------
 
 def cmd_id_validate(args) -> int:
+    from .geo import RegistryError
+    from .thai_id import decode, normalize_numerals, validate
+
     try:
         registry = _load_registry(args.registry)
     except (OSError, RegistryError) as exc:
@@ -189,6 +188,15 @@ def cmd_id_validate(args) -> int:
 # --- plan build ---------------------------------------------------------------------
 
 def cmd_plan_build(args) -> int:
+    from .queries import (
+        QueryError,
+        QueryPlan,
+        build_plan_from_templates,
+        load_bindings,
+        load_templates,
+        plan_to_json,
+    )
+
     try:
         if args.queries:
             plan = QueryPlan(tuple(args.queries))
@@ -210,6 +218,8 @@ def cmd_plan_build(args) -> int:
 # --- scan run -------------------------------------------------------------------------
 
 def _make_provider(args, config: CrawlConfig):
+    from .providers import FixtureProvider, HttpProvider
+
     if args.provider == "fixture":
         if not args.fixture:
             raise ValueError("fixture provider needs --fixture <corpus dir or index.json>")
@@ -229,6 +239,15 @@ def _make_provider(args, config: CrawlConfig):
 
 
 def cmd_scan_run(args) -> int:
+    import sqlite3
+
+    from .extract import default_extractors, load_extractor_config
+    from .geo import RegistryError
+    from .pipeline import run_scan
+    from .providers import ProviderDisabled
+    from .queries import QueryError, load_plan_file
+    from .store import ResultStore
+
     try:
         file_config = _load_file_config(args.config)
         config = _resolve_crawl_config(args, file_config)
@@ -288,6 +307,12 @@ def _in_processes(fn, ranges, *rest) -> list:
 
 
 def cmd_report(args) -> int:
+    import sqlite3
+
+    from . import reports
+    from .geo import RegistryError
+    from .store import ResultStore
+
     names = [n.strip() for n in args.tables.split(",") if n.strip()]
     try:
         reports.check_arguments(names, args.geo_sort)
@@ -342,6 +367,9 @@ def cmd_report(args) -> int:
 # --- parser -----------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import reports
+    from .harvest import CrawlConfig
+
     parser = argparse.ArgumentParser(prog="idsweep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -376,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--i-accept-risk", action="store_true",
                        help="required to let the http provider touch the network")
     defaults = CrawlConfig()
-    for key, flag, env in CRAWL_KNOBS:
+    for key, flag, env in crawl_knobs():
         default = getattr(defaults, key)
         shown = ",".join(sorted(default)) if isinstance(default, frozenset) else default
         p_run.add_argument(flag, dest=key, default=None,
@@ -404,6 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def entry(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the command ``argv`` names.
+
+    Each ``cmd_*`` imports the modules it runs at its top, so ``import
+    idsweep.cli`` loads none of them.
+    """
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -13,13 +13,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from email.message import Message
 from pathlib import PurePosixPath
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 from urllib.parse import urlsplit
 
-from .queries import QueryPlan
-from .store import ResultStore
+if TYPE_CHECKING:
+    from .queries import QueryPlan
+    from .store import ResultStore
 
 DEFAULT_ACCEPTED_TYPES = frozenset({"pdf", "xls", "xlsx", "doc", "docx", "txt", "csv", "html"})
 
@@ -166,6 +166,8 @@ def execute_plan(
 def declared_type_of(url: str, content_disposition: Optional[str]) -> str:
     """File type from the Content-Disposition filename, else the URL path."""
     if content_disposition:
+        from email.message import Message
+
         msg = Message()
         msg["content-disposition"] = content_disposition
         filename = msg.get_filename()

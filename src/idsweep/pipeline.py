@@ -82,8 +82,9 @@ def run_scan(
 
     Extraction runs once per distinct object digest no matter how many URLs
     delivered it, as the first delivering hit declared its type; an exposure
-    row is (id, digest, first seen), and every URL, query and type of the
-    digest is recovered from the downloads and hits tables.
+    row is (digits, document number), the store numbering each digest, and
+    every URL, query and type of the digest is recovered from the downloads
+    and hits tables.
     Documents that cannot be extracted land in diagnostics, never silently.
     """
     clock = clock or Clock()
@@ -93,7 +94,7 @@ def run_scan(
     records = download_all(hits, provider, config, store, clock=clock)
 
     # the first successful download of a digest, in hit order, picks the
-    # declared type and the first-seen time of that document
+    # declared type of that document
     documents: dict[str, DownloadRecord] = {}
     failed = 0
     for record in records:

@@ -9,17 +9,14 @@ serves, and two methods:
 The default is the deterministic FixtureProvider, which serves results and
 document bytes out of a JSON corpus index so whole crawls replay offline.
 A live HTTP provider exists for operators with an engine-API bridge but is
-disabled unless explicitly armed.
+disabled unless explicitly armed; it imports the HTTP stack when it first
+searches or fetches, so a fixture scan never loads it.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -130,6 +127,10 @@ class HttpProvider:
         self._max_bytes = max_bytes
 
     def search(self, query: str, page: int) -> tuple[list[ProviderHit], int]:
+        import urllib.error
+        import urllib.parse
+        import urllib.request
+
         params = urllib.parse.urlencode({"q": query, "page": page, "key": self._api_key})
         try:
             with urllib.request.urlopen(f"{self._endpoint}?{params}", timeout=30) as resp:
@@ -140,6 +141,10 @@ class HttpProvider:
         return hits, int(payload.get("total_pages", 0))
 
     def fetch(self, url: str, timeout: float) -> FetchResult:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         deadline = time.monotonic() + timeout
         try:
             with urllib.request.urlopen(url, timeout=timeout) as resp:

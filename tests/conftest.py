@@ -65,10 +65,12 @@ def occurrences_of(rows) -> list[tuple[str, str, tuple]]:
     Each (digits, sha256, url, query, engine, file_type) row is an exposure
     of ``digits`` in document ``sha256``, successfully downloaded from
     ``url`` as found by ``query`` on ``engine``.  The store gives each
-    document every source any row names for it.
+    document every source any row names for it.  The throwaway store skips
+    syncing its commits, which would otherwise take most of the time.
     """
     rows = list(rows)
     with tempfile.TemporaryDirectory() as root, ResultStore(root) as store:
+        store._conn.execute("PRAGMA synchronous = OFF")
         for rank, (sha256, *source) in enumerate(dict.fromkeys(row[1:] for row in rows), 1):
             url, query, engine, file_type = source
             hit_id = store.add_hit(query, engine, 1, rank, url, "t", False)

@@ -34,7 +34,7 @@ REG = default_registry()
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    for key in [env for _, _, env in cli.CRAWL_KNOBS] + ["IDSWEEP_SALT", "IDSWEEP_HTTP_KEY"]:
+    for key in [env for _, _, env in cli.crawl_knobs()] + ["IDSWEEP_SALT", "IDSWEEP_HTTP_KEY"]:
         monkeypatch.delenv(key, raising=False)
 
 
@@ -383,8 +383,8 @@ README_KNOBS = set(re.findall(
 def test_each_crawl_knob_by_flag_env_and_config(field, tmp_path, monkeypatch, capsys):
     key = field.name
     flag, env = "--" + key.replace("_", "-"), "IDSWEEP_" + key.upper()
-    assert (key, flag, env) in cli.CRAWL_KNOBS
-    assert (flag, env, key) in README_KNOBS and len(README_KNOBS) == len(cli.CRAWL_KNOBS)
+    assert (key, flag, env) in cli.crawl_knobs()
+    assert (flag, env, key) in README_KNOBS and len(README_KNOBS) == len(cli.crawl_knobs())
 
     seen = []
 
@@ -392,7 +392,7 @@ def test_each_crawl_knob_by_flag_env_and_config(field, tmp_path, monkeypatch, ca
         seen.append(getattr(config, key))
         return ScanSummary(1, 1, 1, 1, 0, 1, 0, 0, 0, 0)
 
-    monkeypatch.setattr(cli, "run_scan", fake_run_scan)
+    monkeypatch.setattr("idsweep.pipeline.run_scan", fake_run_scan)
     (flag_text, _, by_flag), (env_text, _, by_env), (_, file_json, by_file) = _knob_settings(
         getattr(CrawlConfig(), key)
     )

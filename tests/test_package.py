@@ -1,4 +1,8 @@
-"""The package root: every public name importable, none of them paid for up front."""
+"""The package root: every public name importable, none of them paid for up front.
+
+Each command of the CLI loads only the modules it runs; the import tests run
+a fresh interpreter and list what it loaded.
+"""
 
 import json
 import os
@@ -9,24 +13,69 @@ from pathlib import Path
 import pytest
 
 import idsweep
+from idsweep.geo import default_registry
+from idsweep.store import ResultStore
+from idsweep.thai_id import generate_valid_id
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+DEMO = TESTS.parent / "data" / "demo"
+
+HTTP_STACK = {"http.client", "ssl", "urllib.request"}
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def cli_run(*argv: str) -> str:
+    """Code that runs ``idsweep`` with ``argv`` and fails unless it exits 0."""
+    return f"import idsweep.cli\nassert idsweep.cli.entry({list(argv)!r}) == 0"
 
 
 def test_import_loads_no_submodule():
-    code = "import json, sys, idsweep; print(json.dumps([m for m in sys.modules if m.startswith('idsweep.')]))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert json.loads(proc.stdout) == []
+    assert {m for m in loaded_modules("import idsweep") if m.startswith("idsweep.")} == set()
 
 
 def test_cli_import_loads_no_process_pool():
     # only a report large enough to split forks workers, and it imports them then
-    code = ("import json, sys, idsweep.cli; print(json.dumps(sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process')))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert json.loads(proc.stdout) == []
+    loaded = loaded_modules("import idsweep.cli")
+    assert {m for m in loaded if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process"} == set()
+
+
+def test_cli_import_loads_no_command_module():
+    commands = {f"idsweep.{m}" for m in
+                ("pipeline", "extract", "providers", "queries", "reports", "store", "domains", "thai_id")}
+    assert loaded_modules("import idsweep.cli") & commands == set()
+
+
+def test_report_loads_neither_scan_nor_http(tmp_path):
+    sha256 = "ab" * 32
+    with ResultStore(tmp_path / "store") as store:
+        hit_id = store.add_hit("q", "fixture", 1, 1, "http://a.go.th/x.pdf", "t", False)
+        store.record_download(hit_id, "success", "t", sha256=sha256, declared_type="pdf")
+        store.add_exposures([(generate_valid_id("11001", "2345678", default_registry()), sha256)])
+    loaded = loaded_modules(cli_run(
+        "report", "--store", str(tmp_path / "store"), "--out", str(tmp_path / "out"),
+        "--salt-file", str(TESTS / "data" / "demo_salt.txt"),
+    ))
+    scan = {f"idsweep.{m}" for m in ("pipeline", "extract", "providers", "queries")}
+    assert "idsweep.reports" in loaded
+    assert loaded & (scan | HTTP_STACK | {"email.message"}) == set()
+
+
+def test_fixture_scan_loads_no_http_stack(tmp_path):
+    loaded = loaded_modules(cli_run(
+        "scan", "run", "--plan", str(DEMO / "plan.json"), "--fixture", str(DEMO),
+        "--extractors", str(DEMO / "extractors.json"), "--store", str(tmp_path / "store"),
+        "--search-delay", "0",
+    ))
+    assert "idsweep.pipeline" in loaded
+    assert loaded & HTTP_STACK == set()
 
 
 def test_every_public_name_resolves():
