@@ -5,13 +5,12 @@ source URL) co-occurrence -- so row counts stay consistent across
 dimensions.  There are two ways in, and both make the same one pass over a
 store's exposures in key order: ``report`` writes the named tables and the
 per-ID listing to files, and ``tables`` returns every dimension's table in
-memory.  The pass is one flat loop over the (ID, document) rows of a store
-range's cursor (``ExposureRange.read()``), where a document is the store's
-number for it, or of occurrences, where it is the digest.  When an ID's
-rows end, the loop puts an ID in several documents in digest order, so the
-listing and the order URLs are first met do not depend on how the store
-numbered them.  It resolves a document's sources at its first use, each
-distinct source (document, URL, query, type) once: its domain, or why its
+memory.  The pass is one flat loop over the (ID, document number) rows of a
+store range's cursor (``ExposureRange.read()``).  When an ID's rows end, the
+loop puts an ID in several documents in digest order, so the listing and
+the order URLs are first met do not depend on how the store numbered them.
+It resolves a document's sources at its first use, each distinct source
+(document, URL, query, type) once: its domain, or why its
 URL is unusable (reported once per URL); its key in each source dimension;
 and its listing cells after the ID, written in the output format.  Then the
 same loop body counts the ID and writes its listing rows: its cell is fixed
@@ -24,17 +23,17 @@ byte-deterministic.  ``TABLES`` maps each report table name to the
 dimension of each table it writes, and ``FORMATS`` maps each output format
 to how it writes a row.
 
-``report`` takes the exposures as one or more ranges of IDs, in ID order,
-and makes that pass over each range on its own (``_range``), in as many
-processes as the caller maps it in; ``tables`` is one range, in process.  A
-range's fold is bounded by sources and keys, not IDs, so the folds merge
-cheaply: per-source and shared counts add, the keys of an ID dimension add
-their counts and join the sources they reach, sources are matched by
-(document, URL, query, type), and unusable URLs keep the order one pass
-would meet them in.  Each range writes its listing rows, with no header or
-trailer, to a part file of its own; the listing is then the header, the
-parts in range order and the trailer, in one file.  Memory is per process:
-a range's fold and its documents' sources, not its IDs.
+``report`` takes the store as one or more ranges of IDs, in ID order, and
+makes that pass over each range on its own (``_range``), in as many
+processes as the caller maps it in; ``tables`` reads the whole store as one
+range, in process.  A range's fold is bounded by sources and keys, not IDs,
+so the folds merge cheaply: per-source and shared counts add, the keys of an
+ID dimension add their counts and join the sources they reach, sources are
+matched by (document, URL, query, type), and unusable URLs keep the order
+one pass would meet them in.  Each range writes its listing rows, with no
+header or trailer, to a part file of its own; the listing is then the
+header, the parts in range order and the trailer, in one file.  Memory is
+per process: a range's fold and its documents' sources, not its IDs.
 """
 
 from __future__ import annotations
@@ -45,20 +44,20 @@ import io
 import json
 import os
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import chain, compress
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list
 from .geo import GeoRegistry
 # pseudonymize is token_function one ID at a time; bench/tracing.py wraps it where it is bound here
 from .thai_id import pseudonymize, salt_id, token_function  # noqa: F401
 
-# (digits, sha256, each (url, query, file_type) of the document), as ResultStore.occurrences() yields it
-Occurrence = tuple[str, str, tuple[tuple[str, str, str], ...]]
+if TYPE_CHECKING:
+    from .store import ExposureRange, ResultStore
 
 BASE_COLUMNS = ("key", "urls", "files", "fqdns", "registered_domains", "unique_ids")
 GEO_COLUMNS = ("key", "name", "unique_ids", "population", "percent")
@@ -385,14 +384,6 @@ def _listing_frame(fmt: str, redacted: bool, salt_id: Optional[str], rows: bool)
     return (text[:-len("]\n}\n")], "\n  ]\n}\n") if rows else (text, "")
 
 
-def render_markdown(table: AggregateTable) -> str:
-    return "".join(_text(table, "markdown"))
-
-
-def render_csv(table: AggregateTable) -> str:
-    return "".join(_text(table, "csv"))
-
-
 def table_to_json(table: AggregateTable) -> str:
     payload = {
         "dimension": table.dimension,
@@ -468,32 +459,6 @@ def _join_listing(path: Path, fmt: str, salt: Optional[bytes], unredacted: bool,
     return path
 
 
-@contextmanager
-def _read(occurrences: Iterable[Occurrence]) -> Iterator[tuple[dict, Iterator[tuple]]]:
-    """A range as (each document's (sha256, sources), its (digits, document) rows sorted by ID).
-
-    A store range with ``read()`` (``ExposureRange``) gives its own, its
-    documents keyed by number; other occurrences are keyed by digest, each
-    document's sources taken as its first row passes.  The occurrences are
-    closed when the read ends, however it ends.
-    """
-    if hasattr(occurrences, "read"):
-        with occurrences.read() as read:
-            yield read
-        return
-    occurrences, documents = iter(occurrences), {}
-
-    def rows() -> Iterator[tuple[str, str]]:
-        for digits, sha256, found in occurrences:
-            documents.setdefault(sha256, (sha256, found))
-            yield digits, sha256
-
-    try:
-        yield documents, rows()
-    finally:
-        getattr(occurrences, "close", lambda: None)()
-
-
 # a row after every ID's rows: it ends the last ID's run
 _END = (("~", None),)
 
@@ -510,7 +475,7 @@ class _Runs(dict):
         return run
 
 
-def _range(occurrences: Iterable[Occurrence], part: Optional[Path], fmt: Optional[str],
+def _range(exposures: ExposureRange, part: Optional[Path], fmt: Optional[str],
            owner_tags: Optional[dict[str, str]], salt: Optional[bytes] = None,
            unredacted: bool = False) -> tuple[_Fold, list[tuple[str, str]]]:
     """One range of IDs through a fold, and its listing rows into ``part`` if one is named.
@@ -543,7 +508,7 @@ def _range(occurrences: Iterable[Occurrence], part: Optional[Path], fmt: Optiona
         tail = lambda cells: after + FORMATS[fmt][2](cells)  # noqa: E731
     fold = _Fold()
     area, last, first, more = "", "", None, []  # the ID's first document, and any more
-    with (_read(occurrences) as (documents, rows),
+    with (exposures.read() as (documents, rows),
           part.open("w", encoding="utf-8") if listed else nullcontext() as fh):
         runs = _Runs(lambda document: fold.resolve(*documents[document], domain_of, tail))
         digest = lambda document: documents[document][0]  # noqa: E731
@@ -573,8 +538,6 @@ def _range(occurrences: Iterable[Occurrence], part: Optional[Path], fmt: Optiona
                             if listed:
                                 head = before + shown(last)
                                 write("".join([head + s.tail for s in run]))
-                if digits < last:
-                    raise ValueError("occurrences are not sorted by ID")
                 last, first = digits, document
             else:
                 more.append(document)
@@ -594,7 +557,7 @@ def _merged(ranges: Iterable[tuple[_Fold, list[tuple[str, str]]]]) -> tuple[_Fol
 
 
 def report(
-    ranges: Sequence[Iterable[Occurrence]],
+    ranges: Sequence[ExposureRange],
     names: Iterable[str],
     registry: GeoRegistry,
     out_dir: str | Path,
@@ -605,15 +568,13 @@ def report(
     owner_tags: Optional[dict[str, str]] = None,
     run: Callable = map,
 ) -> tuple[list[Path], list[tuple[str, str]], int]:
-    """Write the named report tables from one pass over one or more ranges of the occurrences.
+    """Write the named report tables from one pass over one or more ranges of a store.
 
-    A range is an ``ExposureRange`` or occurrences.  Each range's rows must
-    come sorted by ID, as ``ResultStore.occurrences()`` yields them, and
-    after every ID of the ranges before it; an ID out of order within a
-    range is a ``ValueError``.  A document's sources are read from its first
-    row.  ``run`` maps the range function over the ranges and their listing
-    parts as ``map`` does: each range goes through a fold of its own, which
-    builds every table, and writes its part of the listing as it goes.
+    The ranges are ``ExposureRange``s in ID order, as
+    ``ResultStore.id_ranges()`` cuts them.  ``run`` maps the range function
+    over the ranges and their listing parts as ``map`` does: each range goes
+    through a fold of its own, which builds every table, and writes its part
+    of the listing as it goes.
     ``run`` may map in other processes, when the ranges and the function's
     arguments pickle; it must return once no range is still running.  The
     folds are then merged, the tables written, and the parts joined into one
@@ -648,21 +609,23 @@ def report(
 
 
 def tables(
-    occurrences: Iterable[Occurrence],
+    store: ResultStore,
     registry: GeoRegistry,
     geo_sort: str = "count",
     owner_tags: Optional[dict[str, str]] = None,
 ) -> tuple[dict[str, AggregateTable], list[tuple[str, str]], int]:
     """Every dimension's table from the same one pass as ``report``, in memory.
 
-    The occurrences are one range, in the order ``report`` needs.  Province
-    and district come from the ID itself (digits 2-3 and 2-5), with percent
+    It reads the whole store as one range.  Province and district come
+    from the ID itself (digits 2-3 and 2-5), with percent
     = 100 x IDs / residents, half-up at 2 places, where the registry has a
     population; ``source_multiplicity`` counts IDs by how many distinct URLs
     carry them, percent of all IDs at 4 places.  Returns each dimension of
     ``DIMENSIONS`` with its table, each unusable URL once with why, and the
     number of IDs.
     """
+    from .store import ExposureRange  # loaded with the store it reads
+
     check_arguments((), geo_sort)
-    fold, skipped = _range(occurrences, None, None, owner_tags)
+    fold, skipped = _range(ExposureRange(store.db_path), None, None, owner_tags)
     return {dim: _finish(dim, fold.rows(dim), registry, geo_sort) for dim in DIMENSIONS}, skipped, fold.ids

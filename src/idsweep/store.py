@@ -20,14 +20,14 @@ holds each document number's digest and the successful sources of that
 digest (bounded by documents), and a cursor over ``exposures`` in its own
 key order, (digits, document) (a WITHOUT ROWID table is its primary-key
 B-tree).  A report's loop takes the two as they are (``ExposureRange.read()``)
-and puts an ID's documents in digest order itself; ``occurrences()`` streams
-each row with its digest's sources, one tuple per digest, sorted by
-(digits, sha256).  ``id_ranges()`` cuts the rows into ranges of IDs for a
-report to read in several processes: as many as give each range
-``MIN_ROWS_PER_RANGE`` rows, up to the number asked for.  Its boundaries
-are the IDs at equal shares of the rows, each range starting at its ID's
-first row, so no ID is split; an ``ExposureRange`` reads its range through a
-read-only connection of its own, and pickles.
+and puts an ID's documents in digest order itself.  ``id_ranges()`` cuts the
+rows into ranges of IDs for a report to read in several processes: as many
+as give each range ``MIN_ROWS_PER_RANGE`` rows, up to the number asked for.
+Its boundaries are the IDs at equal shares of the rows, each range starting
+at its ID's first row, so no ID is split; an ``ExposureRange`` reads its
+range through a read-only connection of its own, and pickles.
+``load_occurrences()`` joins the same two reads into one (digits, sha256,
+sources) row per exposure: a reference for tests, which no report reads.
 
 Writes are serialized with a process-local lock so the bounded download pool
 can share one store.  Across processes, the CLI holds an ``flock`` on
@@ -128,7 +128,7 @@ def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
     return "\n".join(["BEGIN;", *before, _SCHEMA, *after, "COMMIT;"]), bool(after)
 
 
-# (digits, sha256, each (url, query, file_type) of the document), as occurrences() yields it
+# (digits, sha256, each (url, query, file_type) of the document), as load_occurrences() gives it
 Occurrence = tuple[str, str, tuple[tuple[str, str, str], ...]]
 
 # the fewest exposures a report reads in a process of its own: below about
@@ -140,7 +140,7 @@ MIN_ROWS_PER_RANGE = 50_000
 def _reading(conn: sqlite3.Connection, lo: Optional[str] = None,
              hi: Optional[str] = None) -> Iterator[tuple[dict, sqlite3.Cursor]]:
     """In one read transaction: each document number's (sha256, sources), its
-    sources as ``occurrences()`` gives them and () for a digest never
+    sources as ``load_occurrences()`` gives them and () for a digest never
     successfully downloaded, and a cursor over the sorted ``(digits, document)``
     of the exposures with ``lo <= digits < hi``, a missing bound left open."""
     own = not conn.in_transaction
@@ -184,21 +184,16 @@ def _joined(documents: dict, rows: Iterable[tuple[str, int]]) -> Iterator[Occurr
 
 @dataclass(frozen=True)
 class ExposureRange:
-    """The occurrences of the IDs in ``[lo, hi)`` of a store, a missing bound left open.
+    """The exposures of the IDs in ``[lo, hi)`` of a store, a missing bound left open.
 
-    It reads through a read-only connection of its own, closed when the read
-    ends.  Iterating it streams the rows as ``ResultStore.occurrences()``
-    does; ``read()`` gives them as a report's loop takes them.  It is a path
-    and two IDs, so it pickles: another process can read its range.
+    ``read()`` gives them as a report's loop takes them, through a read-only
+    connection of its own, closed when the read ends.  It is a path and two
+    IDs, so it pickles: another process can read its range.
     """
 
     db_path: Path
     lo: Optional[str] = None
     hi: Optional[str] = None
-
-    def __iter__(self) -> Iterator[Occurrence]:
-        with self.read() as read:
-            yield from _joined(*read)
 
     @contextmanager
     def read(self) -> Iterator[tuple[dict, sqlite3.Cursor]]:
@@ -336,20 +331,6 @@ class ResultStore:
     def exposed_document_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(DISTINCT document) FROM exposures").fetchone()[0])
 
-    def occurrences(self) -> Iterator[Occurrence]:
-        """Each exposure with the sources of its document, as (digits, sha256, sources).
-
-        Rows are streamed sorted by (digits, sha256), and an exposure with no
-        successful download yields none.  ``sources`` holds a (url, query,
-        file_type) per distinct (url, query, engine, declared type) of the
-        digest, in that order with a missing type first as SQL orders NULL;
-        every row of a digest carries the same tuple.  Both reads run in one
-        read transaction, so a scan that commits meanwhile cannot leave an
-        exposure without its sources.
-        """
-        with _reading(self._conn) as read:
-            yield from _joined(*read)
-
     def id_ranges(self, most: int, min_rows: int = MIN_ROWS_PER_RANGE) -> list[ExposureRange]:
         """``exposures`` cut into at most ``most`` ranges of IDs, in ID order, none empty.
 
@@ -368,8 +349,19 @@ class ResultStore:
         return [ExposureRange(self.db_path, lo, hi) for lo, hi in zip(edges, edges[1:])]
 
     def load_occurrences(self) -> list[Occurrence]:
-        """``occurrences()`` as a list."""
-        return list(self.occurrences())
+        """Each exposure with the sources of its document, as (digits, sha256, sources).
+
+        Rows are sorted by (digits, sha256), and an exposure with no
+        successful download has none.  ``sources`` holds a (url, query,
+        file_type) per distinct (url, query, engine, declared type) of the
+        digest, in that order with a missing type first as SQL orders NULL;
+        every row of a digest carries the same tuple.  Both reads run in one
+        read transaction, so a scan that commits meanwhile cannot leave an
+        exposure without its sources.  Reports read ``ExposureRange``s
+        instead; this is the reference they are checked against.
+        """
+        with _reading(self._conn) as read:
+            return list(_joined(*read))
 
     # --- diagnostics ---------------------------------------------------------------
 

@@ -1,11 +1,13 @@
-"""Shared fixtures: virtual clock, fixture-corpus helpers, registries, occurrence streams."""
+"""Shared fixtures: virtual clock, fixture-corpus helpers, registries, throwaway stores."""
 
 from __future__ import annotations
 
 import json
 import tempfile
 from collections import namedtuple
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -59,8 +61,9 @@ def write_doc(root: Path, name: str, text: str) -> str:
     return f"docs/{name}"
 
 
-def occurrences_of(rows) -> list[tuple[str, str, tuple]]:
-    """``ResultStore.occurrences()`` of a fresh store holding the rows.
+@contextmanager
+def store_of(rows) -> Iterator[ResultStore]:
+    """A fresh store holding the rows, for the block's length.
 
     Each (digits, sha256, url, query, engine, file_type) row is an exposure
     of ``digits`` in document ``sha256``, successfully downloaded from
@@ -76,12 +79,12 @@ def occurrences_of(rows) -> list[tuple[str, str, tuple]]:
             hit_id = store.add_hit(query, engine, 1, rank, url, "t", False)
             store.record_download(hit_id, "success", "t", sha256=sha256, declared_type=file_type)
         store.add_exposures((digits, sha256) for digits, sha256, *_ in rows)
-        return list(store.occurrences())
+        yield store
 
 
 Occurrence = namedtuple("Occurrence", "digits sha256 url query file_type")
 
 
 def expand(occurrences) -> list[Occurrence]:
-    """Each occurrence of a stream, one per source of each row, in stream order."""
+    """Each occurrence of ``load_occurrences()``, one per source of each row, in its order."""
     return [Occurrence(digits, sha256, *source) for digits, sha256, sources in occurrences for source in sources]

@@ -23,7 +23,7 @@ from idsweep.queries import QueryPlan, load_plan_file, render
 from idsweep.store import ResultStore
 from idsweep.synth import make_corpus
 
-from conftest import VirtualClock, occurrences_of, write_doc, write_index
+from conftest import VirtualClock, store_of, write_doc, write_index
 from test_queries import golden_constructions
 from test_thai_id import oracle_checksum
 
@@ -93,21 +93,20 @@ def test_criterion_3_end_to_end_recall(tmp_path):
 
 # 4 -------------------------------------------------------------------------------
 
-def _occurrences_in_areas(district_codes: list[str], count: int) -> list[tuple]:
+def _tables_in_areas(district_codes: list[str], count: int) -> dict[str, reports.AggregateTable]:
     rows = []
     for i in range(count):
         district = district_codes[i % len(district_codes)]
         digits = thai_id.generate_valid_id(f"{1 + i % 8}{district}", f"{i:07d}", REG)
         rows.append((digits, "s", "http://a.go.th/x.pdf", "q", "g", "pdf"))
-    return occurrences_of(rows)
+    with store_of(rows) as store:
+        return reports.tables(store, REG)[0]
 
 
 def test_criterion_4_per_capita_arithmetic():
-    province_tbl = reports.tables(
-        _occurrences_in_areas(["9101", "9102", "9105"], 48_057), REG
-    )[0]["province"]
+    province_tbl = _tables_in_areas(["9101", "9102", "9105"], 48_057)["province"]
     row_91 = next(r for r in province_tbl.rows if r.key == "91")
-    district_tbl = reports.tables(_occurrences_in_areas(["2481"], 6_983), REG)[0]["district"]
+    district_tbl = _tables_in_areas(["2481"], 6_983)["district"]
     row_2481 = next(r for r in district_tbl.rows if r.key == "2481")
     verdict(
         4,
@@ -142,7 +141,8 @@ def _repeat_fixture(multiplicity_counts: dict[int, int]) -> reports.AggregateTab
             serial += 1
             rows += [(digits, f"s{serial}", f"http://h{j}.go.th/{serial}.pdf", "q", "g", "pdf")
                      for j in range(multiplicity)]
-    return reports.tables(occurrences_of(rows), REG)[0]["source_multiplicity"]
+    with store_of(rows) as store:
+        return reports.tables(store, REG)[0]["source_multiplicity"]
 
 
 def test_criterion_5_repeat_distribution_scaled():
@@ -278,7 +278,7 @@ def test_criterion_8_redaction_completeness(tmp_path):
     leaked = 0
     for fmt in ("markdown", "csv", "json"):
         out_dir = tmp_path / f"report_{fmt}"
-        written, _, _ = reports.report([store.occurrences()], list(reports.TABLES), REG, out_dir, fmt=fmt,
+        written, _, _ = reports.report(store.id_ranges(1), list(reports.TABLES), REG, out_dir, fmt=fmt,
                                        salt=b"acceptance")
         for path in written:
             text = path.read_text("utf-8")

@@ -694,7 +694,7 @@ def numbered_store(store_dir, descending):
             store.record_download(hit, "success", stamp, sha256=digests[j], declared_type="pdf", size_bytes=10)
         for j in sorted(digests, key=digests.get, reverse=descending):
             store.add_exposures((ids[i], digests[j]) for i in holders[j])
-        occurrences = [(digits, sha256) for digits, sha256, _ in store.occurrences()]
+        occurrences = [(digits, sha256) for digits, sha256, _ in store.load_occurrences()]
     conn = sqlite3.connect(store_dir / "store.db")
     numbered = [sha256 for (sha256,) in conn.execute("SELECT sha256 FROM documents ORDER BY id")]
     conn.close()

@@ -337,7 +337,7 @@ BIG = 8 * 1024 * 1024  # body size the oversized document claims and sends
 
 
 class _Origin(http.server.BaseHTTPRequestHandler):
-    """Serves a search page and four documents: small, oversized, truncated, dripping."""
+    """Serves a search page and five documents: small, oversized, truncated, dripping, stalled."""
 
     def do_GET(self):
         path = self.path.split("?")[0]
@@ -365,6 +365,13 @@ class _Origin(http.server.BaseHTTPRequestHandler):
                     time.sleep(DRIP_GAP)
             except OSError:
                 pass  # the client gave up
+            return
+        elif path == "/stall.txt":
+            self.send_response(200)
+            self.send_header("Content-Length", "10")
+            self.end_headers()
+            self.wfile.flush()
+            time.sleep(STALL_S)  # no body byte, for longer than the client waits
             return
         elif path == "/big.txt":
             self.send_response(200)
@@ -424,6 +431,18 @@ def test_http_fetch_gives_up_on_a_dripping_body_at_its_deadline(origin, store):
         live(max_bytes=1000).fetch(f"{origin}/drip.txt", timeout=0.5)
     assert 0.5 <= time.monotonic() - started < DRIP_BYTES * DRIP_GAP / 2  # near the deadline, not the whole body
     record = download(make_hit(store, f"{origin}/drip.txt"), live(1000), quick_config(download_timeout=0.5), store)
+    assert (record.status, record.reason, record.attempts) == ("failed", "timeout", 1)
+
+
+STALL_S = 2.0  # how long a stalled body sends nothing, well within the origin fixture's join
+
+
+def test_http_fetch_gives_up_on_a_stalled_body_at_its_timeout(origin, store):
+    started = time.monotonic()
+    with pytest.raises(TimeoutError):
+        live(max_bytes=1000).fetch(f"{origin}/stall.txt", timeout=0.5)
+    assert 0.5 <= time.monotonic() - started < 1.0  # one read that gets nothing, bounded by the timeout
+    record = download(make_hit(store, f"{origin}/stall.txt"), live(1000), quick_config(download_timeout=0.5), store)
     assert (record.status, record.reason, record.attempts) == ("failed", "timeout", 1)
 
 

@@ -6,6 +6,8 @@ a fresh interpreter and list what it loaded.
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import idsweep
+from idsweep import reports
 from idsweep.geo import default_registry
 from idsweep.store import ResultStore
 from idsweep.thai_id import generate_valid_id
@@ -24,12 +27,18 @@ DEMO = TESTS.parent / "data" / "demo"
 HTTP_STACK = {"http.client", "ssl", "urllib.request"}
 
 
+def run_python(code: str, cwd: Path | None = None) -> str:
+    """What a fresh interpreter that imports this checkout's ``idsweep`` prints running ``code``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd,
+                          check=True)
+    return proc.stdout
+
+
 def loaded_modules(code: str) -> set[str]:
     """The modules a fresh interpreter holds after running ``code``."""
     code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(json.loads(run_python(code).splitlines()[-1]))
 
 
 def cli_run(*argv: str) -> str:
@@ -100,3 +109,14 @@ def test_unknown_name_is_attribute_error():
         idsweep.no_such_name
     with pytest.raises(ImportError):
         exec("from idsweep import no_such_name", {})
+
+
+def test_readme_library_example_runs(tmp_path):
+    (example,) = re.findall(r"^```python\n(.*?)^```", (TESTS.parent / "README.md").read_text("utf-8"),
+                            re.DOTALL | re.MULTILINE)
+    shutil.copytree(DEMO, tmp_path / "data" / "demo")  # at the paths the example names
+    printed = run_python(example, cwd=tmp_path)
+    with ResultStore(tmp_path / "out" / "store") as store:
+        table = reports.tables(store, default_registry())[0]["file_type"]
+    assert table.dimension == "file_type" and table.rows
+    assert printed == f"{table!r}\n"

@@ -76,7 +76,7 @@ def test_mirrored_document_yields_multi_url_occurrences(tmp_path, registry):
         urls_by_id.setdefault(digits, set()).update(url for url, _, _ in sources)
     multiplicities = {len(urls) for urls in urls_by_id.values()}
     assert max(multiplicities) >= 2  # the mirrored doc and the repeated ID
-    by_dim, skipped, _ = reports.tables(occurrences, registry)
+    by_dim, skipped, _ = reports.tables(store, registry)
     assert skipped == []
     table = by_dim["source_multiplicity"]
     assert int(table.rows[0].key) >= 2

@@ -1,5 +1,6 @@
 """Aggregation tables: distinct counts, per-capita rates, repeat exposure, emission."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -18,23 +19,36 @@ from hypothesis import given, settings, strategies as st
 from idsweep import domains, reports, thai_id
 from idsweep.geo import default_registry, load_registry
 from idsweep.reports import AggregateRow, AggregateTable
+from idsweep.store import ExposureRange
 
-from conftest import expand, occurrences_of
+from conftest import expand, store_of
 
 
 def occ(digits, sha, url, query="q1", engine="google", file_type="pdf"):
-    """A row for ``occurrences_of``: ``digits`` in document ``sha``, fetched from ``url``."""
+    """A row for ``store_of``: ``digits`` in document ``sha``, fetched from ``url``."""
     return digits, sha, url, query, engine, file_type
 
 
 REG = default_registry()
 
 
+def whole(store):
+    """The store as the one range ``tables`` reads."""
+    return [ExposureRange(store.db_path)]
+
+
 def tables_of(*occs, registry=REG, geo_sort="count"):
     """Every dimension's table of a store holding the rows; none may be at an unusable URL."""
-    by_dim, skipped, _ = reports.tables(occurrences_of(occs), registry, geo_sort)
+    with store_of(occs) as store:
+        by_dim, skipped, _ = reports.tables(store, registry, geo_sort)
     assert skipped == []
     return by_dim
+
+
+def rendered(tables, fmt):
+    """Each table as ``emit_report`` writes it in ``fmt``, by file stem."""
+    with tempfile.TemporaryDirectory() as out:
+        return {path.stem: path.read_text("utf-8") for path in reports.emit_report(tables, out, fmt)}
 
 
 ID_A = thai_id.generate_valid_id("11001", "0000001", REG)
@@ -70,7 +84,8 @@ def test_build_records_classifies_and_skips():
         occ(ID_A, "s1", "not a url"),
         occ(ID_B, "s2", "http://chpao.org/b.xls", file_type="xls"),
     ]
-    by_dim, skipped, ids = reports.tables(occurrences_of(occs), REG)
+    with store_of(occs) as store:
+        by_dim, skipped, ids = reports.tables(store, REG)
     assert [(r.key, r.unique_ids) for r in by_dim["tld"].rows] == [("go.th", 1), ("org", 1)]
     assert len(skipped) == 1 and skipped[0][0] == "not a url"
     assert ids == 2
@@ -189,9 +204,9 @@ ID_POOL = tuple(thai_id.generate_valid_id("11001", f"100000{i}", REG) for i in r
     )
 )
 def test_partition_law(raw):
-    stream = occurrences_of(occ(d, sha, url, file_type=ft) for d, sha, url, ft in raw)
-    by_dim, _, ids = reports.tables(stream, REG)
-    occs = expand(stream)  # each document at every URL any row gave it
+    with store_of(occ(d, sha, url, file_type=ft) for d, sha, url, ft in raw) as store:
+        by_dim, _, ids = reports.tables(store, REG)
+        occs = expand(store.load_occurrences())  # each document at every URL any row gave it
     total_ids = len({o.digits for o in occs})
     assert ids == total_ids
     for dimension, key_of in (
@@ -315,7 +330,6 @@ FOLD_IDS = tuple(
 
 # an ID found only at an unusable URL, which no table or listing may count
 FOLD_UNUSABLE_ID = thai_id.generate_valid_id("11001", "3000099", REG)
-RENDERERS = {"markdown": reports.render_markdown, "csv": reports.render_csv, "json": reports.table_to_json}
 
 
 @settings(max_examples=150, deadline=None)
@@ -339,32 +353,30 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
     # always one source found by both engines, and one ID found only at an unusable URL
     rows += [occ(FOLD_IDS[0], "d1", FOLD_URLS[0], engine=e) for e in ("google", "bing")]
     rows += [occ(FOLD_UNUSABLE_ID, "d9", "not a url", engine=e) for e in ("google", "bing")]
-    occs = occurrences_of(rows)
-    recs = naive_records(expand(occs), FOLD_OWNERS)
+    with store_of(rows) as store:
+        recs = naive_records(expand(store.load_occurrences()), FOLD_OWNERS)
+        got, skipped, ids = reports.tables(store, REG, geo_sort, FOLD_OWNERS)
+        # the fold's sources are the distinct (document, URL, query, type): no engine
+        fold, _ = reports._range(whole(store)[0], None, None, FOLD_OWNERS)
+        files = {fmt: report_files(whole(store), fmt, geo_sort=geo_sort) for fmt in reports.FORMATS}
     expected = {dim: naive_aggregate(recs, dim) for dim in NAIVE_KEY_OF}
     expected["province"], expected["district"] = naive_geo_tables(recs, REG, geo_sort)
     expected["source_multiplicity"] = naive_repeat_table(recs)
     unusable = [("not a url", "unsupported scheme in 'not a url'")]
 
-    got, skipped, ids = reports.tables(occs, REG, geo_sort, FOLD_OWNERS)
     assert (skipped, ids) == (unusable, len({r.digits for r in recs}))
     assert got.keys() == expected.keys() == set(reports.DIMENSIONS)
     for dim, table in expected.items():
         assert reports.table_to_json(got[dim]) == reports.table_to_json(table), dim
-    # the fold's sources are the distinct (document, URL, query, type): no engine
-    fold, _ = reports._range(occs, None, None, FOLD_OWNERS)
     assert len(fold.sources) == len({(r.sha256, r.url, r.query, r.file_type) for r in recs})
 
-    # a whole report in every format from one pass over the occurrences,
-    # against the reference tables rendered and the reference listing read back
+    # a whole report in every format from one pass over the store, against
+    # the reference tables rendered and the reference listing read back
     listing = [list(reports.LISTING_COLUMNS), *naive_listing(recs, b"pepper")]
-    for fmt, render in RENDERERS.items():
-        with tempfile.TemporaryDirectory() as out:
-            written, skipped, ids = reports.report([occs], list(reports.TABLES), REG, out, fmt=fmt,
-                                                   geo_sort=geo_sort, salt=b"pepper", owner_tags=FOLD_OWNERS)
-            files = {path.stem: path.read_text("utf-8") for path in written}
+    dimensions = {stem: dim for name in reports.TABLES for stem, dim in reports.TABLES[name].items()}
+    for fmt, (written, skipped, ids) in files.items():
         assert (skipped, ids) == (unusable, len({r.digits for r in recs})), fmt
-        text = files.pop("exposures")
+        text = written.pop(f"exposures.{reports.FORMATS[fmt][0]}").decode("utf-8")
         if fmt == "csv":
             assert list(csv.reader(io.StringIO(text))) == listing
         elif fmt == "json":
@@ -373,28 +385,31 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
         else:  # no cell of these occurrences needs a markdown escape
             rows = [listing[0], ["---"] * len(listing[0]), *listing[1:]]
             assert text == "".join("| " + " | ".join(row) + " |\n" for row in rows)
-        dimensions = {stem: dim for name in reports.TABLES for stem, dim in reports.TABLES[name].items()}
-        assert files.keys() == dimensions.keys(), fmt
-        for stem, text in files.items():
-            assert text == render(expected[dimensions[stem]]), (fmt, stem)
+        want = rendered({stem: expected[dim] for stem, dim in dimensions.items()}, fmt)
+        assert {Path(name).stem for name in written} == want.keys(), fmt
+        for name, text in written.items():
+            assert text.decode("utf-8") == want[Path(name).stem], (fmt, name)
 
 
 # --- ranges of IDs ----------------------------------------------------------------
 
-def report_files(ranges, fmt, unredacted=False):
+def report_files(ranges, fmt, unredacted=False, geo_sort="count"):
     """Every file a full report of the ranges writes, by name, with its unusable URLs and IDs."""
     with tempfile.TemporaryDirectory() as out:
-        written, skipped, ids = reports.report(ranges, list(reports.TABLES), REG, out, fmt=fmt, salt=b"pepper",
-                                               unredacted=unredacted, owner_tags=FOLD_OWNERS)
+        written, skipped, ids = reports.report(ranges, list(reports.TABLES), REG, out, fmt=fmt, geo_sort=geo_sort,
+                                               salt=b"pepper", unredacted=unredacted, owner_tags=FOLD_OWNERS)
         assert sorted(p.name for p in Path(out).iterdir()) == sorted(p.name for p in written)  # no part left
         return {p.name: p.read_bytes() for p in written}, skipped, ids
 
 
-def cut_at_ids(occs, picks):
-    """The stream cut into ranges at IDs' first rows, one cut per pick; a repeated cut makes an empty range."""
-    starts = [i for i in range(len(occs) + 1) if i in (0, len(occs)) or occs[i][0] != occs[i - 1][0]]
-    cuts = [0, *sorted(starts[pick % len(starts)] for pick in picks), len(occs)]
-    return [occs[a:b] for a, b in zip(cuts, cuts[1:])]
+def cut_at_ids(store, picks):
+    """The store cut into ranges at its IDs, one cut per pick.
+
+    A repeated cut, or one at the first ID, makes an empty range.
+    """
+    ids = sorted({digits for digits, _, _ in store.load_occurrences()})
+    edges = [None, *sorted(ids[pick % len(ids)] for pick in picks if ids), None]
+    return [ExposureRange(store.db_path, lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 @settings(max_examples=100, deadline=None)
@@ -415,47 +430,41 @@ def cut_at_ids(occs, picks):
     st.booleans(),
 )
 def test_ranges_report_what_one_pass_reports(raw, picks, fmt, unredacted):
-    occs = occurrences_of(occ(d, sha, url, query=q, engine=e, file_type=ft) for d, sha, url, q, e, ft in raw)
-    ranges = cut_at_ids(occs, picks)
-    assert [row for part in ranges for row in part] == occs
-    assert report_files(ranges, fmt, unredacted) == report_files([occs], fmt, unredacted)
+    with store_of(occ(d, sha, url, query=q, engine=e, file_type=ft) for d, sha, url, q, e, ft in raw) as store:
+        ranges = cut_at_ids(store, picks)
+        assert len(ranges) == (len(picks) + 1 if store.unique_id_count() else 1)
+        assert report_files(ranges, fmt, unredacted) == report_files(whole(store), fmt, unredacted)
 
 
 def test_ranges_name_an_unusable_url_once_in_first_seen_order():
     # "not a url" is met in both ranges, "bad://" only in the second, before it
-    occs = occurrences_of([occ(ID_A, "s1", "not a url"), occ(ID_A, "s2", "http://a.go.th/1.pdf"),
-                           occ(ID_B, "s3", "bad://"), occ(ID_C, "s1", "not a url")])
-    ranges = [occs[:2], [], occs[2:]]  # an empty range between them
-    assert [row[0] for row in occs] == [ID_A, ID_A, ID_B, ID_C]
-    for fmt in reports.FORMATS:
-        files, skipped, ids = report_files(ranges, fmt)
-        assert (files, skipped, ids) == report_files([occs], fmt), fmt
-        assert [url for url, _ in skipped] == ["not a url", "bad://"] and ids == 1
+    with store_of([occ(ID_A, "s1", "not a url"), occ(ID_A, "s2", "http://a.go.th/1.pdf"),
+                   occ(ID_B, "s3", "bad://"), occ(ID_C, "s1", "not a url")]) as store:
+        assert [row[0] for row in store.load_occurrences()] == [ID_A, ID_A, ID_B, ID_C]
+        db = store.db_path
+        # an empty range between them
+        ranges = [ExposureRange(db, None, ID_B), ExposureRange(db, ID_B, ID_B), ExposureRange(db, ID_B)]
+        for fmt in reports.FORMATS:
+            files, skipped, ids = report_files(ranges, fmt)
+            assert (files, skipped, ids) == report_files(whole(store), fmt), fmt
+            assert [url for url, _ in skipped] == ["not a url", "bad://"] and ids == 1
 
 
 def test_empty_ranges_report_no_ids():
-    for fmt in reports.FORMATS:
-        files, skipped, ids = report_files([[], []], fmt)
-        assert (files, skipped, ids) == report_files([[]], fmt)
-        assert (skipped, ids) == ([], 0)
+    with store_of([]) as store:
+        for fmt in reports.FORMATS:
+            files, skipped, ids = report_files(whole(store) * 2, fmt)
+            assert (files, skipped, ids) == report_files(whole(store), fmt)
+            assert (skipped, ids) == ([], 0)
     listing = json.loads(files["exposures.json"])
     assert listing == {"redacted": True, "salt_id": None, "columns": list(reports.LISTING_COLUMNS), "rows": []}
 
 
 # each way into the fold, as (unusable URLs, IDs) of a report of the filetype table
 ENTRIES = {
-    "report": lambda occs, out: reports.report([occs], ["filetype"], REG, out)[1:],
-    "tables": lambda occs, out: reports.tables(occs, REG)[1:],
+    "report": lambda store, out: reports.report(whole(store), ["filetype"], REG, out)[1:],
+    "tables": lambda store, out: reports.tables(store, REG)[1:],
 }
-
-
-def test_report_needs_occurrences_in_id_order(tmp_path):
-    occs = occurrences_of([occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")])
-    for name, entry in ENTRIES.items():
-        with pytest.raises(ValueError, match="not sorted"):
-            entry(occs[::-1], tmp_path)
-        assert entry(occs, tmp_path) == ([], 2), name
-    assert [p.name for p in tmp_path.iterdir()] == ["filetype.md"]
 
 
 def test_report_names_each_unusable_url_once(tmp_path, monkeypatch):
@@ -469,50 +478,56 @@ def test_report_names_each_unusable_url_once(tmp_path, monkeypatch):
     # two IDs at one usable URL, and three at one unusable URL, two of them found nowhere else
     occs = [occ(ID_A, "s1", "http://x.go.th/a.pdf"), occ(ID_B, "s2", "http://x.go.th/a.pdf"),
             occ(ID_B, "s3", "http://chpao.org/b.xls", file_type="xls")]
-    occs = occurrences_of(occs + [occ(d, "s9", "not a url") for d in (ID_B, ID_C, ID_D)])
-    for name, entry in ENTRIES.items():
-        calls.clear()
-        assert entry(occs, tmp_path) == ([("not a url", "unsupported scheme in 'not a url'")], 2), name
-        # each distinct URL is classified once
-        assert sorted(calls) == ["http://chpao.org/b.xls", "http://x.go.th/a.pdf", "not a url"], name
-    tld = reports.tables(occs, REG)[0]["tld"]
+    with store_of(occs + [occ(d, "s9", "not a url") for d in (ID_B, ID_C, ID_D)]) as store:
+        for name, entry in ENTRIES.items():
+            calls.clear()
+            assert entry(store, tmp_path) == ([("not a url", "unsupported scheme in 'not a url'")], 2), name
+            # each distinct URL is classified once
+            assert sorted(calls) == ["http://chpao.org/b.xls", "http://x.go.th/a.pdf", "not a url"], name
+        tld = reports.tables(store, REG)[0]["tld"]
     assert [(r.key, r.unique_ids) for r in tld.rows] == [("go.th", 2), ("org", 1)]
 
 
 @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
-def test_report_that_fails_part_way_leaves_no_listing(tmp_path, fmt):
-    ((_, sha256, sources),) = occurrences_of([occ(ID_A, "s1", "http://a.go.th/1.pdf")])
+def test_report_that_fails_part_way_leaves_no_listing(tmp_path, monkeypatch, fmt):
+    read = ExposureRange.read
 
-    def store_read_fails_part_way():
-        # more rows than one write of the listing holds, then a store error
-        for i in range(5000):
-            yield f"11001{i:08d}", sha256, sources
-        raise sqlite3.OperationalError("disk I/O error")
+    @contextlib.contextmanager
+    def read_fails_part_way(self):
+        def rows(document):
+            # more rows than one write of the listing holds, then a store error
+            for i in range(5000):
+                yield f"11001{i:08d}", document
+            raise sqlite3.OperationalError("disk I/O error")
 
-    out = tmp_path / "fresh"
-    with pytest.raises(sqlite3.OperationalError):
-        reports.report([store_read_fails_part_way()], list(reports.TABLES), REG, out, fmt=fmt, salt=b"pepper")
-    assert sorted(out.iterdir()) == []
+        with read(self) as (documents, _):
+            yield documents, rows(next(iter(documents)))
 
-    # a listing from an earlier run is left as it was
-    out = tmp_path / "earlier"
-    out.mkdir()
-    earlier = out / f"exposures.{reports.FORMATS[fmt][0]}"
-    earlier.write_text("earlier listing\n", "utf-8")
-    occs = occurrences_of([occ(ID_B, "s2", "http://b.go.th/2.pdf"), occ(ID_A, "s1", "http://a.go.th/1.pdf")])
-    with pytest.raises(ValueError, match="not sorted"):
-        reports.report([occs[::-1]], ["exposures"], REG, out, fmt=fmt, salt=b"pepper")
+    monkeypatch.setattr(ExposureRange, "read", read_fails_part_way)
+    with store_of([occ(ID_A, "s1", "http://a.go.th/1.pdf")]) as store:
+        out = tmp_path / "fresh"
+        with pytest.raises(sqlite3.OperationalError):
+            reports.report(whole(store), list(reports.TABLES), REG, out, fmt=fmt, salt=b"pepper")
+        assert sorted(out.iterdir()) == []
+
+        # a listing from an earlier run is left as it was
+        out = tmp_path / "earlier"
+        out.mkdir()
+        earlier = out / f"exposures.{reports.FORMATS[fmt][0]}"
+        earlier.write_text("earlier listing\n", "utf-8")
+        with pytest.raises(sqlite3.OperationalError):
+            reports.report(whole(store), ["exposures"], REG, out, fmt=fmt, salt=b"pepper")
     assert sorted(out.iterdir()) == [earlier]
     assert earlier.read_text("utf-8") == "earlier listing\n"
 
 
 def test_report_refuses_bad_arguments_before_writing(tmp_path):
-    occs = occurrences_of([occ(ID_A, "s1", "http://a.go.th/1.pdf")])
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="colour"):
-        reports.report([occs], ["exposures", "colour"], REG, out, salt=b"pepper")
-    with pytest.raises(ValueError, match="alpha"):
-        reports.report([occs], ["exposures", "geo"], REG, out, geo_sort="alpha", salt=b"pepper")
+    with store_of([occ(ID_A, "s1", "http://a.go.th/1.pdf")]) as store:
+        with pytest.raises(ValueError, match="colour"):
+            reports.report(whole(store), ["exposures", "colour"], REG, out, salt=b"pepper")
+        with pytest.raises(ValueError, match="alpha"):
+            reports.report(whole(store), ["exposures", "geo"], REG, out, geo_sort="alpha", salt=b"pepper")
     assert not out.exists() or sorted(out.iterdir()) == []
 
 
@@ -567,8 +582,8 @@ def test_geographic_sort_orders():
     province_p, _ = geo_tables(*geo_occurrences(), sort="percent")
     # percent-less rows sink to the bottom
     assert [r.key for r in province_p.rows] == ["10", "20"]
-    with pytest.raises(ValueError):
-        reports.tables([], TINY_REGISTRY, geo_sort="alphabetical")
+    with store_of([]) as store, pytest.raises(ValueError):
+        reports.tables(store, TINY_REGISTRY, geo_sort="alphabetical")
 
 
 def test_geographic_unknown_area_has_no_name():
@@ -624,17 +639,17 @@ def test_render_markdown_repeat_golden():
         ),
         columns=reports.REPEAT_COLUMNS,
     )
-    assert reports.render_markdown(table) == (
+    assert rendered({"repeat": table}, "markdown") == {"repeat": (
         "| key | unique_ids | percent |\n"
         "| --- | --- | --- |\n"
         "| 3 | 1 | 50.0000 |\n"
         "| 1 | 1 | 50.0000 |\n"
-    )
+    )}
 
 
 def test_render_csv_parses_back():
     table = tables_of(occ(ID_A, "s1", "http://a.go.th/1.pdf"))["file_type"]
-    rows = list(csv.reader(io.StringIO(reports.render_csv(table))))
+    rows = list(csv.reader(io.StringIO(rendered({"filetype": table}, "csv")["filetype"])))
     assert rows[0] == list(reports.BASE_COLUMNS)
     assert rows[1][0] == "pdf"
 
@@ -658,8 +673,9 @@ def test_emit_report_deterministic(tmp_path):
 
 def listing_of(out, *occs, fmt="json", salt=b"pepper", unredacted=False):
     """The listing ``report`` writes of a store holding the rows, as text."""
-    occs = occurrences_of(occs)
-    (path,), _, _ = reports.report([occs], ["exposures"], REG, out, fmt=fmt, salt=salt, unredacted=unredacted)
+    with store_of(occs) as store:
+        (path,), _, _ = reports.report(whole(store), ["exposures"], REG, out, fmt=fmt, salt=salt,
+                                       unredacted=unredacted)
     return path.read_text("utf-8")
 
 

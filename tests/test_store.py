@@ -1,17 +1,19 @@
-"""Store reads: the occurrence stream against the SQL join it replaced, and its ID ranges."""
+"""Store reads: the reference stream against the SQL join it replaced, and its ID ranges against the stream."""
 
 import hashlib
 import pickle
 import random
 import sqlite3
 
+import pytest
+
 from idsweep import store as store_module
-from idsweep.store import ExposureRange, ResultStore
+from idsweep.store import ResultStore
 
 from conftest import expand
 
 # The join as one SQL statement: one row per distinct source of an exposure,
-# engines included, then the engine dropped.  The occurrence stream, expanded
+# engines included, then the engine dropped.  ``load_occurrences()``, expanded
 # across each row's sources, must be exactly its rows.
 REFERENCE_SQL = """
     SELECT digits, sha256, url, query, declared_type FROM (
@@ -142,6 +144,12 @@ def ranged_store(root, multiplicities):
     return store
 
 
+def rows_of(rng):
+    """What ``ExposureRange.read()`` gives, joined as ``load_occurrences()`` joins the whole store."""
+    with rng.read() as read:
+        return list(store_module._joined(*read))
+
+
 def test_id_ranges_split_the_stream_at_id_boundaries(tmp_path):
     multiplicities = [1, 3, 1, 1, 2, 5, 1, 1, 1, 2, 1, 4, 1, 1, 3, 1, 1, 1, 2, 1]
     with ranged_store(tmp_path / "store", multiplicities) as store:
@@ -149,7 +157,7 @@ def test_id_ranges_split_the_stream_at_id_boundaries(tmp_path):
         assert len(whole) == sum(multiplicities) == 34
         for n in range(1, 8):
             ranges = store.id_ranges(n, min_rows=1)
-            parts = [list(r) for r in ranges]
+            parts = [rows_of(r) for r in ranges]
             assert len(ranges) == n and all(parts), n
             assert [row for part in parts for row in part] == whole, n  # in order, each row once
             for r, part in zip(ranges, parts):
@@ -167,23 +175,49 @@ def test_id_ranges_split_the_stream_at_id_boundaries(tmp_path):
 def test_an_id_wider_than_a_share_starts_one_range(tmp_path):
     # the shares start at rows 0, 2, 4 and 6: the second ID starts three of them
     with ranged_store(tmp_path / "store", [1, 6, 1]) as store:
-        assert [len(list(r)) for r in store.id_ranges(4, min_rows=1)] == [1, 7]
+        assert [len(rows_of(r)) for r in store.id_ranges(4, min_rows=1)] == [1, 7]
     with ranged_store(tmp_path / "empty", []) as store:
-        assert [list(r) for r in store.id_ranges(4, min_rows=1)] == [[]]
+        assert [rows_of(r) for r in store.id_ranges(4, min_rows=1)] == [[]]
+
+
+def test_range_reads_match_the_reference_stream(tmp_path):
+    # documents numbered against digest order, some at two URLs, one never
+    # downloaded, and IDs in one to three documents each
+    digests = ["d3", "d1", "d4", "d0", "d2", "d5"]
+    rng = random.Random(16)
+    sources = [(sha256, f"http://{host}.go.th/{sha256}.pdf")
+               for j, sha256 in enumerate(digests[:-1]) for host in ("a", "b")[:1 + j % 2]]
+    with ResultStore(tmp_path / "store") as store:
+        for rank, (sha256, url) in enumerate(sources, 1):
+            hit_id = store.add_hit("q", "fixture", 1, rank, url, "t", False)
+            store.record_download(hit_id, "success", "t", sha256=sha256, declared_type="pdf")
+        store.add_exposures((f"1{i:012d}", sha256) for i in range(40)
+                            for sha256 in rng.sample(digests, rng.randint(1, 3)))
+        whole = store.load_occurrences()
+        assert {sha256 for _, sha256, _ in whole} == set(digests[:-1])  # d5 has no row
+        for n in range(1, 5):
+            ranges = store.id_ranges(n, min_rows=1)
+            parts = [rows_of(r) for r in ranges]
+            assert len(ranges) == n
+            for r, part in zip(ranges, parts):
+                assert part == [row for row in whole if (r.lo is None or r.lo <= row[0])
+                                and (r.hi is None or row[0] < r.hi)], (n, r)
+            assert [row for part in parts for row in part] == whole, n
 
 
 def test_exposure_range_pickles_and_reads_on_its_own(tmp_path, monkeypatch):
     with ranged_store(tmp_path / "store", [1, 2, 1, 3]) as store:
         ranges = store.id_ranges(2, min_rows=1)
-        expected = [list(r) for r in ranges]
+        expected = [rows_of(r) for r in ranges]
     connect, uris = sqlite3.connect, []
     monkeypatch.setattr(sqlite3, "connect", lambda db, **kw: uris.append(db) or connect(db, **kw))
     copies = pickle.loads(pickle.dumps(ranges))
-    assert copies == ranges and [list(r) for r in copies] == expected
+    assert copies == ranges and [rows_of(r) for r in copies] == expected
     assert uris == [(tmp_path / "store" / "store.db").as_uri() + "?mode=ro"] * 2  # read-only
-    rows = iter(copies[0])
-    next(rows)
-    rows.close()  # a range read part-way closes its connection
+    with copies[0].read() as (_, rows):
+        next(rows)
+    with pytest.raises(sqlite3.ProgrammingError):  # a range read part-way closes its connection
+        rows.connection.execute("SELECT 1")
 
 
 def test_a_store_holds_an_exposure_in_under_40_bytes(tmp_path):
