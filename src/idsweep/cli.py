@@ -295,9 +295,11 @@ def _id_ranges(store: ResultStore) -> list[ExposureRange]:
 def _in_processes(fn, ranges, *rest) -> list:
     """``map`` of each range in a forked process of its own; returns once every process has ended.
 
-    Forked, the workers start with the program already imported.  Forking is
-    safe here: the report's process runs no other thread when the pool
-    starts its processes, and holds no store connection open.
+    Forked, the workers start with the program already imported; each gets
+    ``fn`` pickled, with the documents the report resolved before the pool
+    started.  Forking is safe here: the report's process runs no other
+    thread when the pool starts its processes, and holds no store connection
+    open (the one that read the documents is closed by then).
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
@@ -341,7 +343,7 @@ def cmd_report(args) -> int:
     if not (store_dir / "store.db").exists():
         return _fail(f"no store at {store_dir}")
     try:
-        # the lock keeps every range reading the same committed store
+        # the lock keeps the documents the report resolves and every range on one committed store
         with _StoreLock(store_dir, shared=True):
             # migrates an older store; closed before any process is forked
             with ResultStore(store_dir) as store:

@@ -13,6 +13,7 @@ import codecs
 import csv
 import io
 import json
+import math
 import os
 import selectors
 import shlex
@@ -77,6 +78,24 @@ def default_extractors() -> list[ExtractorSpec]:
     ]
 
 
+def _spec_of(entry) -> ExtractorSpec:
+    """One config entry as a spec: an object with string name and kind, a list
+    of string types, and optionally a string command and a finite number timeout."""
+    if not isinstance(entry, dict):
+        raise ValueError("must be an object")
+    for key in ("name", "kind"):
+        if not isinstance(entry.get(key), str):
+            raise ValueError(f"{key!r} must be a string")
+    types, command, timeout = entry.get("types"), entry.get("command"), entry.get("timeout", 30.0)
+    if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+        raise ValueError("'types' must be a list of strings")
+    if command is not None and not isinstance(command, str):
+        raise ValueError("'command' must be a string")
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not math.isfinite(timeout):
+        raise ValueError("'timeout' must be a finite number")
+    return ExtractorSpec(entry["name"], entry["kind"], frozenset(types), command, float(timeout))
+
+
 def load_extractor_config(path: str | Path) -> list[ExtractorSpec]:
     """Extractor list from JSON: {"extractors": [{name, kind, types, command?, timeout?}]}."""
     try:
@@ -86,16 +105,11 @@ def load_extractor_config(path: str | Path) -> list[ExtractorSpec]:
     if not isinstance(data, dict) or not isinstance(data.get("extractors"), list):
         raise ValueError(f"extractor config {path} must be an object with an 'extractors' list")
     specs = []
-    for entry in data["extractors"]:
-        specs.append(
-            ExtractorSpec(
-                name=entry["name"],
-                kind=entry["kind"],
-                applicable_types=frozenset(entry["types"]),
-                command=entry.get("command"),
-                timeout=float(entry.get("timeout", 30.0)),
-            )
-        )
+    for position, entry in enumerate(data["extractors"]):
+        try:
+            specs.append(_spec_of(entry))
+        except ValueError as exc:
+            raise ValueError(f"extractor config {path}, entry {position}: {exc}") from None
     if not specs:
         raise ValueError(f"extractor config {path} lists no extractors")
     return specs

@@ -2,38 +2,34 @@
 
 Every table is a fold over exposure occurrences -- one per (id, document,
 source URL) co-occurrence -- so row counts stay consistent across
-dimensions.  There are two ways in, and both make the same one pass over a
-store's exposures in key order: ``report`` writes the named tables and the
-per-ID listing to files, and ``tables`` returns every dimension's table in
-memory.  The pass is one flat loop over the (ID, document number) rows of a
-store range's cursor (``ExposureRange.read()``).  When an ID's rows end, the
-loop puts an ID in several documents in digest order, so the listing and
-the order URLs are first met do not depend on how the store numbered them.
-It resolves a document's sources at its first use, each distinct source
-(document, URL, query, type) once: its domain, or why its
-URL is unusable (reported once per URL); its key in each source dimension;
-and its listing cells after the ID, written in the output format.  Then the
-same loop body counts the ID and writes its listing rows: its cell is fixed
-text around the ID or its token (one keyed HMAC), which no format escapes.
-An ID at one document and source only, as most are, costs a lookup of its
-document, a count on that source, a count and an index for its area, and
-one line.  Percent arithmetic is decimal with
-round-half-up at a fixed number of places, which keeps emission
-byte-deterministic.  ``TABLES`` maps each report table name to the
-dimension of each table it writes, and ``FORMATS`` maps each output format
-to how it writes a row.
+dimensions.  ``report`` writes the named tables and the per-ID listing to
+files, and ``tables`` returns every dimension's table in memory; both make
+the same one pass over a store's exposures in key order.
 
-``report`` takes the store as one or more ranges of IDs, in ID order, and
-makes that pass over each range on its own (``_range``), in as many
-processes as the caller maps it in; ``tables`` reads the whole store as one
-range, in process.  A range's fold is bounded by sources and keys, not IDs,
-so the folds merge cheaply: per-source and shared counts add, the keys of an
-ID dimension add their counts and join the sources they reach, sources are
-matched by (document, URL, query, type), and unusable URLs keep the order
-one pass would meet them in.  Each range writes its listing rows, with no
-header or trailer, to a part file of its own; the listing is then the
-header, the parts in range order and the trailer, in one file.  Memory is
-per process: a range's fold and its documents' sources, not its IDs.
+First a store's documents are resolved once (``_resolve``): each URL is
+classified once, an unusable one kept with why, and each distinct source
+(document, URL, query, type) at a usable URL gets a fixed number, its
+domain, its key in each source dimension and its listing cells after the
+ID in the output format.  Then one flat loop reads the (ID, document number)
+rows of a cursor (``_count``).  When an ID's rows end, it puts the ID's
+documents in digest order, so the listing and the order URLs are first met
+do not depend on how the store numbered them, counts the ID and writes its
+listing rows: fixed text around the ID or its token (one keyed HMAC), which
+no format escapes.  An ID at one source only, as most are, costs a lookup
+of its document, a count on that source, a count and an index for its area,
+and one line.  Percents are decimal, round-half-up at a fixed number of
+places, so emission is byte-deterministic.  ``TABLES`` maps each report
+table name to the dimension of each table it writes, and ``FORMATS`` maps
+each output format to how it writes a row.
+
+``report`` reads a store as ranges of IDs, in ID order, each through the
+loop on its own (``_range``), in as many processes as the caller maps it in,
+all against the one resolved table.  A range sends back counts only, by
+source number and key, so the folds merge by adding, and documents with
+unusable URLs keep the order one pass meets them in.  Each range writes its
+listing rows, with no header or trailer, to a part file of its own; the
+listing is the header, the parts in range order and the trailer, in one
+file.  Memory is per process: the resolved documents and a fold, not IDs.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import chain, compress
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list
 from .geo import GeoRegistry
@@ -68,7 +64,7 @@ REPEAT_COLUMNS = ("key", "unique_ids", "percent")
 class _Source:
     """A distinct (document, URL, query, type) and what a report needs of it, resolved once."""
 
-    index: int  # its place among the fold's sources
+    index: int  # its number, the same in every range
     sha256: str
     url: str
     query: str
@@ -76,13 +72,6 @@ class _Source:
     domain: DomainInfo
     keys: tuple[tuple[str, str], ...] = ()  # (source dimension, key) pairs
     tail: object = None  # what its listing row writes after the ID
-    alone: int = 0  # IDs of the fold found here only
-
-    def __reduce__(self):
-        # what a merge reads of a source sent from another process: its keys
-        # and tail serve only the pass that resolved it
-        return _Source, (self.index, self.sha256, self.url, self.query, self.file_type, self.domain, (), None,
-                         self.alone)
 
 
 # dimension -> the key of a source (document, URL, query, type, host)
@@ -158,41 +147,27 @@ def _row(key: str, sources: list[_Source], unique_ids: int) -> AggregateRow:
 class _Fold:
     """Distinct counts for every dimension, from IDs added one at a time in ID order.
 
-    Its state is bounded by sources and keys, not by IDs: per source, the
-    IDs found there only (given to its keys when rows are read); per key of
-    a source dimension, the IDs of wider runs that reach it; per key of an
-    ID dimension, its IDs and a flag per source they reach.  IDs in order
+    Its state is bounded by sources and keys, not by IDs, and sources are
+    counted by their number: per source, the IDs found there only; per key
+    of a source dimension, the IDs of wider runs that reach it; per key of
+    an ID dimension, its IDs and a flag per source they reach.  IDs in order
     come area (digits 1-5) by area: an area's IDs and the sources they reach
     are kept by URL count until the area ends.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, sources: int) -> None:
         self.ids = 0
-        self.sources: list[_Source] = []
+        self.alone = [0] * sources  # per source, the IDs found there only
+        self.met: dict[int, None] = {}  # the documents with unusable URLs, in the order first met
         self._shared: Counter[tuple[str, str]] = Counter()
         self._by_id_key: list[dict[str, list]] = [{} for _ in _ID_KEY_OF]
         self._area, self._pending = "", {}  # an area's [IDs, reach] by URL count
-
-    def resolve(self, sha256: str, sources: Iterable[tuple[str, str, str]],
-                domain_of: Callable[[str], Optional[DomainInfo]], tail: Callable) -> tuple[_Source, ...]:
-        """A digest's sources, each distinct one resolved once and kept if its URL is usable."""
-        interned: dict[tuple[str, str, str], Optional[_Source]] = {}
-        for entry in sources:
-            if entry not in interned:
-                domain = domain_of(entry[0])
-                source = interned[entry] = domain and _Source(len(self.sources), sha256, *entry, domain)
-                if source:
-                    source.keys = tuple((dim, key_of(source)) for dim, key_of in _SOURCE_KEY_OF.items())
-                    source.tail = tail((domain.tld_class, domain.registered_domain or "", source.url,
-                                        source.file_type, source.query))
-                    self.sources.append(source)
-        return tuple(interned[entry] for entry in sources if interned[entry])
 
     def add(self, run: tuple[_Source, ...]) -> None:
         """An ID of the current area with more sources than one: its run, a source per listing row."""
         reach = {s.index for s in run}
         if len(reach) == 1:  # one source, found under two engines
-            run[0].alone += 1
+            self.alone[run[0].index] += 1
             urls = 1
         else:
             self._shared.update(set().union(*[s.keys for s in run]))
@@ -208,56 +183,39 @@ class _Fold:
                 continue
             self.ids += ids
             for key_of, by_key in zip(_ID_KEY_OF.values(), self._by_id_key):
-                entry = by_key.setdefault(key_of(self._area, urls), [0, bytearray()])
+                key = key_of(self._area, urls)
+                entry = by_key.get(key) or by_key.setdefault(key, [0, bytearray(len(self.alone))])
                 entry[0] += ids
-                entry[1].extend(bytes(len(self.sources) - len(entry[1])))
                 for index in reach:
                     entry[1][index] = 1
         self._area, self._pending = area, {1: [0, set()]}
         return self._pending[1]
 
-    def merge(self, other: "_Fold") -> None:
-        """Add the IDs of a fold made over a later range of IDs.
-
-        A source is the same source in both if it has the same (document,
-        URL, query, type); the other fold's new sources join this one's in
-        their order, so merging ranges in ID order keeps the first-seen order
-        of one pass over them all.
-        """
-        self._flush()
-        other._flush()
-        mine = {(s.sha256, s.url, s.query, s.file_type): s for s in self.sources}
-        index = []  # the other fold's source index -> this fold's
-        for source in other.sources:
-            same = mine.get((source.sha256, source.url, source.query, source.file_type))
-            if same is None:
-                same, source.index = source, len(self.sources)
-                self.sources.append(source)
-            else:
-                same.alone += source.alone
-            index.append(same.index)
+    def merge(self, other: "_Fold") -> "_Fold":
+        """Add the counts of a fold made over a later range of IDs, with the same sources; returns this fold."""
+        self.ids += other.ids
+        self.met.update(other.met)
+        self.alone = [mine + theirs for mine, theirs in zip(self.alone, other.alone)]
         self._shared.update(other._shared)
         for by_key, theirs in zip(self._by_id_key, other._by_id_key):
             for key, (ids, reached) in theirs.items():
-                entry = by_key.setdefault(key, [0, bytearray()])
+                entry = by_key.setdefault(key, [0, bytearray(len(reached))])
                 entry[0] += ids
-                entry[1].extend(bytes(len(self.sources) - len(entry[1])))
-                for i in compress(range(len(reached)), reached):
-                    entry[1][index[i]] = 1
-        self.ids += other.ids
+                for index in compress(range(len(reached)), reached):
+                    entry[1][index] = 1
+        return self
 
-    def rows(self, dimension: str) -> list[AggregateRow]:
-        """One row of distinct counts per key of the dimension, unsorted."""
-        self._flush()
+    def rows(self, dimension: str, sources: list[_Source]) -> list[AggregateRow]:
+        """One row of distinct counts per key of the dimension, unsorted; ``sources`` by their number."""
         if dimension in _ID_KEY_OF:
-            by_key = {key: (ids, list(compress(self.sources, reached)))
+            by_key = {key: (ids, list(compress(sources, reached)))
                       for key, (ids, reached) in self._by_id_key[list(_ID_KEY_OF).index(dimension)].items()}
         else:
             by_key = {}
-            for source in self.sources:
+            for source, alone in zip(sources, self.alone):
                 key = _SOURCE_KEY_OF[dimension](source)
                 entry = by_key.setdefault(key, [self._shared[dimension, key], []])
-                entry[0] += source.alone
+                entry[0] += alone
                 entry[1].append(source)
         return [_row(key, sources, ids) for key, (ids, sources) in by_key.items()]
 
@@ -459,101 +417,115 @@ def _join_listing(path: Path, fmt: str, salt: Optional[bytes], unredacted: bool,
     return path
 
 
+class _Table(NamedTuple):
+    """Every document of a store, resolved once before any range is read."""
+
+    sources: list[_Source]  # every usable source, by its number
+    runs: dict[int, tuple[_Source, ...]]  # document number -> its usable sources, a source per listing row
+    digest: dict[int, str]  # document number -> its sha256
+    unusable: dict[int, tuple[tuple[str, str], ...]]  # document number -> each of its unusable URLs with why
+
+    def skipped(self, documents: Iterable[int]) -> list[tuple[str, str]]:
+        """The unusable URLs of the documents, each once with why, in the documents' order."""
+        return list(dict.fromkeys(chain.from_iterable(map(self.unusable.__getitem__, documents))))
+
+
+def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], fmt: Optional[str]) -> _Table:
+    """The table of a store's documents, from each number's (sha256, sources).
+
+    Each distinct source (document, URL, query, type) at a usable URL is
+    numbered in the order met, with its domain, its key in each source
+    dimension and, if ``fmt`` names a listing format, its cells after the ID.
+    """
+    psl, table = default_suffix_list(), _Table([], {}, {}, {})
+    # an ID or token is [0-9a-f], which no format escapes or quotes: its cell
+    # is what the format writes around it, and a source's tail starts with
+    # what follows it
+    after = fmt and FORMATS[fmt][1]("0").partition("0")[2]
+
+    @functools.cache  # each URL is classified once
+    def domain_of(url: str) -> tuple[Optional[DomainInfo], str]:
+        try:
+            return classify_url(url, psl=psl, owner_tags=owner_tags), ""
+        except ClassificationError as exc:
+            return None, str(exc)
+
+    @functools.cache  # each source is resolved once
+    def source_of(sha256: str, url: str, query: str, file_type: str) -> _Source:
+        domain = domain_of(url)[0]
+        tail = fmt and after + FORMATS[fmt][2]((domain.tld_class, domain.registered_domain or "", url, file_type, query))
+        source = _Source(len(table.sources), sha256, url, query, file_type, domain, tail=tail)
+        source.keys = tuple((dim, key_of(source)) for dim, key_of in _SOURCE_KEY_OF.items())
+        table.sources.append(source)
+        return source
+
+    for document, (sha256, found) in documents.items():
+        table.digest[document] = sha256
+        table.runs[document] = tuple(source_of(sha256, *entry) for entry in found if domain_of(entry[0])[0])
+        table.unusable[document] = tuple(dict.fromkeys((url, domain_of(url)[1]) for url, _, _ in found
+                                                       if not domain_of(url)[0]))
+    return table
+
+
 # a row after every ID's rows: it ends the last ID's run
 _END = (("~", None),)
 
 
-class _Runs(dict):
-    """document -> its usable sources, resolved by ``resolve`` at the document's first lookup."""
-
-    def __init__(self, resolve: Callable[[object], tuple[_Source, ...]]) -> None:
-        super().__init__()
-        self._resolve = resolve
-
-    def __missing__(self, document) -> tuple[_Source, ...]:
-        run = self[document] = self._resolve(document)
-        return run
-
-
-def _range(exposures: ExposureRange, part: Optional[Path], fmt: Optional[str],
-           owner_tags: Optional[dict[str, str]], salt: Optional[bytes] = None,
-           unredacted: bool = False) -> tuple[_Fold, list[tuple[str, str]]]:
-    """One range of IDs through a fold, and its listing rows into ``part`` if one is named.
-
-    One loop reads the range's rows.  When an ID's rows end, it puts the
-    ID's documents in digest order, resolves each document's sources at its
-    first use, adds the ID to the fold and writes its listing rows in
-    ``fmt``, with no header or trailer.  An ID found at one source only, as
-    most are, is counted in place.  Returns the fold and the unusable URLs
-    met, each once with why, in the order a pass over (digits, sha256) meets
-    them.
-    """
-    psl, skipped = default_suffix_list(), []
-
-    @functools.cache  # each URL is classified once
-    def domain_of(url: str) -> Optional[DomainInfo]:
-        try:
-            return classify_url(url, psl=psl, owner_tags=owner_tags)
-        except ClassificationError as exc:
-            skipped.append((url, str(exc)))
-            return None
-
-    listed, tail = part is not None, tuple  # with no listing, a source's cells stay a tuple
+def _count(table: _Table, rows: Iterable[tuple[str, int]], fh=None, fmt: Optional[str] = None,
+           salt: Optional[bytes] = None, unredacted: bool = False) -> _Fold:
+    """Sorted (digits, document) rows through a fold, and their listing rows in ``fmt`` to ``fh`` if one
+    is open, with no header or trailer.  An ID at one source only, as most are, is counted in place."""
+    listed = fh is not None
     if listed:
-        # an ID or token is [0-9a-f], which no format escapes or quotes: its
-        # cell is what the format writes around it, and a source's tail
-        # starts with what follows it
-        before, _, after = FORMATS[fmt][1]("0").partition("0")
+        before = FORMATS[fmt][1]("0").partition("0")[0]
         shown = str if unredacted else token_function(salt)  # the ID as the listing shows it
-        tail = lambda cells: after + FORMATS[fmt][2](cells)  # noqa: E731
-    fold = _Fold()
+        write = fh.write
+    runs, digest, unusable = table.runs, table.digest.__getitem__, table.unusable
+    fold = _Fold(len(table.sources))
+    alone, met = fold.alone, fold.met
     area, last, first, more = "", "", None, []  # the ID's first document, and any more
-    with (exposures.read() as (documents, rows),
-          part.open("w", encoding="utf-8") if listed else nullcontext() as fh):
-        runs = _Runs(lambda document: fold.resolve(*documents[document], domain_of, tail))
-        digest = lambda document: documents[document][0]  # noqa: E731
-        write = fh and fh.write
-        for digits, document in chain(rows, _END):
-            if digits != last:
-                if first is not None:  # the last ID's rows have ended
-                    if more:  # listed, and first met, in digest order
-                        more.append(first)
-                        run = tuple(chain.from_iterable(map(runs.__getitem__, sorted(more, key=digest))))
-                        more = []
+    for digits, document in chain(rows, _END):
+        if digits != last:
+            if first is not None:  # the last ID's rows have ended
+                if more:  # listed, and first met, in digest order
+                    more.append(first)
+                    more.sort(key=digest)
+                    met.update((d, None) for d in more if unusable[d])
+                    run = tuple(chain.from_iterable(map(runs.__getitem__, more)))
+                    more = []
+                else:
+                    if unusable[first]:
+                        met[first] = None
+                    run = runs[first]
+                if run:
+                    if last[:5] != area:
+                        area = last[:5]
+                        one = fold._flush(area)
+                    if len(run) == 1:  # what fold.add(run) does for one source
+                        source = run[0]
+                        alone[source.index] += 1
+                        one[0] += 1
+                        one[1].add(source.index)
+                        if listed:
+                            write(before + shown(last) + source.tail)
                     else:
-                        run = runs[first]
-                    if run:
-                        if last[:5] != area:
-                            area = last[:5]
-                            one = fold._flush(area)
-                        if len(run) == 1:  # what fold.add(run) does for one source
-                            source = run[0]
-                            source.alone += 1
-                            one[0] += 1
-                            one[1].add(source.index)
-                            if listed:
-                                write(before + shown(last) + source.tail)
-                        else:
-                            fold.add(run)
-                            if listed:
-                                head = before + shown(last)
-                                write("".join([head + s.tail for s in run]))
-                last, first = digits, document
-            else:
-                more.append(document)
+                        fold.add(run)
+                        if listed:
+                            head = before + shown(last)
+                            write("".join([head + s.tail for s in run]))
+            last, first = digits, document
+        else:
+            more.append(document)
     fold._flush()  # what is left of the last area
-    return fold, skipped
+    return fold
 
 
-def _merged(ranges: Iterable[tuple[_Fold, list[tuple[str, str]]]]) -> tuple[_Fold, list[tuple[str, str]]]:
-    """The first range's fold with the later ones merged in, and their unusable URLs, each once in the order first seen."""
-    ranges = iter(ranges)
-    fold, skipped = next(ranges)
-    skipped = dict.fromkeys(skipped)
-    for other, met in ranges:
-        fold.merge(other)
-        skipped.update(dict.fromkeys(met))
-    return fold, list(skipped)
+def _range(exposures: ExposureRange, part: Optional[Path], table: _Table, fmt: Optional[str] = None,
+           salt: Optional[bytes] = None, unredacted: bool = False) -> _Fold:
+    """One range of IDs through ``_count`` against the store's resolved table, reading only its own
+    cursor, with its listing rows into ``part`` if one is named.  Its fold holds no URL or digest."""
+    with exposures.read() as rows, part.open("w", encoding="utf-8") if part else nullcontext() as fh:
+        return _count(table, rows, fh, fmt, salt, unredacted)
 
 
 def report(
@@ -568,18 +540,19 @@ def report(
     owner_tags: Optional[dict[str, str]] = None,
     run: Callable = map,
 ) -> tuple[list[Path], list[tuple[str, str]], int]:
-    """Write the named report tables from one pass over one or more ranges of a store.
+    """Write the named report tables from one pass over the ranges of a store.
 
-    The ranges are ``ExposureRange``s in ID order, as
-    ``ResultStore.id_ranges()`` cuts them.  ``run`` maps the range function
-    over the ranges and their listing parts as ``map`` does: each range goes
-    through a fold of its own, which builds every table, and writes its part
-    of the listing as it goes.
-    ``run`` may map in other processes, when the ranges and the function's
-    arguments pickle; it must return once no range is still running.  The
-    folds are then merged, the tables written, and the parts joined into one
-    listing.  Returns the files written, each unusable URL once with why (in the order
-    first seen), and the number of IDs.
+    The ranges are ``ExposureRange``s that hold the store between them, in
+    ID order, as ``ResultStore.id_ranges()`` cuts them.  The store's documents
+    are resolved once, here, before any range is read.  ``run`` maps the
+    range function over the ranges and their listing parts as ``map`` does:
+    each range counts its IDs in a fold of its own, against that one table,
+    and writes its part of the listing as it goes.  ``run`` may map in other
+    processes, when the ranges and the function's arguments pickle; it must
+    return once no range is still running.  The folds are then added up, the
+    tables written, and the parts joined into one listing.  Returns the files
+    written, each unusable URL once with why (in the order first seen), and
+    the number of IDs.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
@@ -594,18 +567,19 @@ def report(
         listing.parent.mkdir(parents=True, exist_ok=True)
     written = []
     try:
-        fold, skipped = _merged(run(functools.partial(_range, fmt=fmt, owner_tags=owner_tags, salt=salt,
-                                                      unredacted=unredacted), ranges, parts))
+        table = _resolve(ranges[0].documents(), owner_tags, fmt if listed else None)
+        fold = functools.reduce(_Fold.merge, run(functools.partial(_range, table=table, fmt=fmt, salt=salt,
+                                                                   unredacted=unredacted), ranges, parts))
         if listed:
             written = [_join_listing(listing, fmt, salt, unredacted, parts)]
     finally:
         for part in filter(None, parts):
             part.unlink(missing_ok=True)
     by_stem = {
-        stem: _finish(dim, fold.rows(dim), registry, geo_sort)
+        stem: _finish(dim, fold.rows(dim, table.sources), registry, geo_sort)
         for name in names for stem, dim in TABLES[name].items()
     }
-    return emit_report(by_stem, out_dir, fmt) + written, skipped, fold.ids
+    return emit_report(by_stem, out_dir, fmt) + written, table.skipped(fold.met), fold.ids
 
 
 def tables(
@@ -616,7 +590,7 @@ def tables(
 ) -> tuple[dict[str, AggregateTable], list[tuple[str, str]], int]:
     """Every dimension's table from the same one pass as ``report``, in memory.
 
-    It reads the whole store as one range.  Province and district come
+    It reads the store's documents and rows in one read transaction.  Province and district come
     from the ID itself (digits 2-3 and 2-5), with percent
     = 100 x IDs / residents, half-up at 2 places, where the registry has a
     population; ``source_multiplicity`` counts IDs by how many distinct URLs
@@ -624,8 +598,9 @@ def tables(
     ``DIMENSIONS`` with its table, each unusable URL once with why, and the
     number of IDs.
     """
-    from .store import ExposureRange  # loaded with the store it reads
-
     check_arguments((), geo_sort)
-    fold, skipped = _range(ExposureRange(store.db_path), None, None, owner_tags)
-    return {dim: _finish(dim, fold.rows(dim), registry, geo_sort) for dim in DIMENSIONS}, skipped, fold.ids
+    with store.read() as (documents, rows):
+        table = _resolve(documents, owner_tags, None)
+        fold = _count(table, rows)
+    by_dim = {dim: _finish(dim, fold.rows(dim, table.sources), registry, geo_sort) for dim in DIMENSIONS}
+    return by_dim, table.skipped(fold.met), fold.ids

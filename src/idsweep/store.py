@@ -15,25 +15,26 @@ older versions wrote retires the columns they kept and nothing reads
 (``_RETIRED``), in one transaction, then ``VACUUM``s once if it copied
 ``exposures``.
 
-Reports read the store in one pass and add no index.  One read transaction
-holds each document number's digest and the successful sources of that
-digest (bounded by documents), and a cursor over ``exposures`` in its own
-key order, (digits, document) (a WITHOUT ROWID table is its primary-key
-B-tree).  A report's loop takes the two as they are (``ExposureRange.read()``)
-and puts an ID's documents in digest order itself.  ``id_ranges()`` cuts the
-rows into ranges of IDs for a report to read in several processes: as many
-as give each range ``MIN_ROWS_PER_RANGE`` rows, up to the number asked for.
-Its boundaries are the IDs at equal shares of the rows, each range starting
-at its ID's first row, so no ID is split; an ``ExposureRange`` reads its
-range through a read-only connection of its own, and pickles.
-``load_occurrences()`` joins the same two reads into one (digits, sha256,
-sources) row per exposure: a reference for tests, which no report reads.
+Reports read the store in one pass and add no index.  They read each
+document number's digest and the successful sources of that digest, sorted
+in SQL (bounded by documents), and a cursor over ``exposures`` in its own key
+order, (digits, document) (a WITHOUT ROWID table is its primary-key B-tree).
+``id_ranges()`` cuts the rows into ranges of IDs for a report to read in
+several processes: as many as give each range ``MIN_ROWS_PER_RANGE`` rows, up
+to the number asked for.  Its boundaries are the IDs at equal shares of the
+rows, each range starting at its ID's first row, so no ID is split.  An
+``ExposureRange`` pickles; it reads the documents map (``documents()``) or its
+own rows (``read()``) through a read-only connection of its own.
+``ResultStore.read()`` gives the map and every row in one read transaction,
+and ``load_occurrences()`` joins them into one (digits, sha256, sources) row
+per exposure: a reference for tests, which no report reads.
 
 Writes are serialized with a process-local lock so the bounded download pool
 can share one store.  Across processes, the CLI holds an ``flock`` on
 ``.lock``: exclusive for a scan, shared for a report, so reports may run
-together but never beside a scan, and every range of a report reads the
-same committed store.
+together but never beside a scan.  That lock is what keeps a report's
+documents map and the cursors of its ranges, each read on its own, reading
+the same committed store.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ import hashlib
 import os
 import sqlite3
 import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -131,40 +132,44 @@ def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
 # (digits, sha256, each (url, query, file_type) of the document), as load_occurrences() gives it
 Occurrence = tuple[str, str, tuple[tuple[str, str, str], ...]]
 
-# the fewest exposures a report reads in a process of its own: below about
-# this many, starting the process costs more than the rows it takes over
+# the fewest exposures a report reads in a process of its own: below about this many, starting
+# the process and sending it the resolved documents cost more than the rows it takes over
 MIN_ROWS_PER_RANGE = 50_000
 
 
 @contextmanager
-def _reading(conn: sqlite3.Connection, lo: Optional[str] = None,
-             hi: Optional[str] = None) -> Iterator[tuple[dict, sqlite3.Cursor]]:
-    """In one read transaction: each document number's (sha256, sources), its
-    sources as ``load_occurrences()`` gives them and () for a digest never
-    successfully downloaded, and a cursor over the sorted ``(digits, document)``
-    of the exposures with ``lo <= digits < hi``, a missing bound left open."""
+def _snapshot(conn: sqlite3.Connection) -> Iterator[sqlite3.Connection]:
+    """``conn`` in one read transaction, unless it is in one already."""
     own = not conn.in_transaction
     if own:
         conn.execute("BEGIN")
     try:
-        found: dict[str, set[tuple]] = {}
-        for sha256, *source in conn.execute(
-            "SELECT d.sha256, h.url, h.query, h.engine, d.declared_type"
-            " FROM downloads d JOIN hits h ON h.id = d.hit_id WHERE d.status = 'success'"
-        ):
-            found.setdefault(sha256, set()).add(tuple(source))
-        documents = {
-            number: (sha256, tuple((url, query, file_type) for url, query, _, file_type in sorted(
-                found.get(sha256, ()), key=lambda s: (*s[:3], s[3] is not None, s[3] or ""))))
-            for number, sha256 in conn.execute("SELECT id, sha256 FROM documents")
-        }
-        tests = [test for test, bound in (("digits >= :lo", lo), ("digits < :hi", hi)) if bound is not None]
-        where = f"WHERE {' AND '.join(tests)}" if tests else ""
-        yield documents, conn.execute(
-            f"SELECT digits, document FROM exposures {where} ORDER BY digits, document", {"lo": lo, "hi": hi})
+        yield conn
     finally:
         if own and conn.in_transaction:
             conn.execute("ROLLBACK")
+
+
+def _documents(conn: sqlite3.Connection) -> dict[int, tuple[str, tuple[tuple[str, str, str], ...]]]:
+    """Each document number's (sha256, sources), the sources as ``load_occurrences()``
+    gives them and () for a digest never successfully downloaded."""
+    rows = conn.execute(
+        "SELECT DISTINCT d.sha256, h.url, h.query, h.engine, d.declared_type"
+        " FROM downloads d JOIN hits h ON h.id = d.hit_id WHERE d.status = 'success'"
+        " ORDER BY d.sha256, h.url, h.query, h.engine, d.declared_type")
+    found = {sha256: tuple((url, query, file_type) for _, url, query, _, file_type in group)
+             for sha256, group in groupby(rows, itemgetter(0))}
+    return {number: (sha256, found.get(sha256, ()))
+            for number, sha256 in conn.execute("SELECT id, sha256 FROM documents")}
+
+
+def _exposures(conn: sqlite3.Connection, lo: Optional[str] = None, hi: Optional[str] = None) -> sqlite3.Cursor:
+    """A cursor over the sorted (digits, document) of the exposures with ``lo <= digits < hi``,
+    a missing bound left open."""
+    tests = [test for test, bound in (("digits >= :lo", lo), ("digits < :hi", hi)) if bound is not None]
+    where = f"WHERE {' AND '.join(tests)}" if tests else ""
+    return conn.execute(f"SELECT digits, document FROM exposures {where} ORDER BY digits, document",
+                        {"lo": lo, "hi": hi})
 
 
 def _joined(documents: dict, rows: Iterable[tuple[str, int]]) -> Iterator[Occurrence]:
@@ -186,24 +191,28 @@ def _joined(documents: dict, rows: Iterable[tuple[str, int]]) -> Iterator[Occurr
 class ExposureRange:
     """The exposures of the IDs in ``[lo, hi)`` of a store, a missing bound left open.
 
-    ``read()`` gives them as a report's loop takes them, through a read-only
-    connection of its own, closed when the read ends.  It is a path and two
-    IDs, so it pickles: another process can read its range.
+    It is a path and two IDs, so it pickles: another process can read its
+    range.  Each read goes through a read-only connection of its own, closed
+    when the read ends.
     """
 
     db_path: Path
     lo: Optional[str] = None
     hi: Optional[str] = None
 
+    def _connect(self) -> closing[sqlite3.Connection]:
+        return closing(sqlite3.connect(self.db_path.resolve().as_uri() + "?mode=ro", uri=True))
+
+    def documents(self) -> dict[int, tuple[str, tuple[tuple[str, str, str], ...]]]:
+        """Each document number of the range's store with its (sha256, sources), in one read."""
+        with self._connect() as conn, _snapshot(conn):
+            return _documents(conn)
+
     @contextmanager
-    def read(self) -> Iterator[tuple[dict, sqlite3.Cursor]]:
-        """The range as (each document number's (sha256, sources), a cursor over its sorted (digits, document) rows)."""
-        conn = sqlite3.connect(self.db_path.resolve().as_uri() + "?mode=ro", uri=True)
-        try:
-            with _reading(conn, self.lo, self.hi) as read:
-                yield read
-        finally:
-            conn.close()
+    def read(self) -> Iterator[sqlite3.Cursor]:
+        """A cursor over the range's sorted (digits, document) rows."""
+        with self._connect() as conn:
+            yield _exposures(conn, self.lo, self.hi)
 
 
 class ResultStore:
@@ -360,8 +369,15 @@ class ResultStore:
         exposure without its sources.  Reports read ``ExposureRange``s
         instead; this is the reference they are checked against.
         """
-        with _reading(self._conn) as read:
+        with self.read() as read:
             return list(_joined(*read))
+
+    @contextmanager
+    def read(self) -> Iterator[tuple[dict, sqlite3.Cursor]]:
+        """In one read transaction, ``ExposureRange.documents()`` and a cursor over
+        every row as ``ExposureRange.read()`` gives them."""
+        with _snapshot(self._conn) as conn:
+            yield _documents(conn), _exposures(conn)
 
     # --- diagnostics ---------------------------------------------------------------
 

@@ -161,6 +161,15 @@ def test_scan_with_unreadable_documents_is_exit_2(tmp_path, capsys):
     assert captured.err.count("warning: extraction_failed") == 6
 
 
+def test_malformed_extractor_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "extractors.json"
+    config.write_text(json.dumps({"extractors": [{"name": "x", "kind": "plain"}]}), "utf-8")
+    assert run_cli(*scan_args(tmp_path / "store", "--extractors", str(config))) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "entry 0: 'types' must be a list of strings" in err
+    assert "Traceback" not in err
+
+
 def assert_lock_free(store_dir):
     """The store's lock can be taken at once: the file may stay, no process holds it."""
     fd = os.open(store_dir / ".lock", os.O_RDWR)
@@ -485,8 +494,8 @@ def test_report_with_a_failing_range_leaves_nothing(demo_store, tmp_path, monkey
                 raise sqlite3.OperationalError("disk I/O error")
             yield from rows
 
-        with read(self) as (sources, rows):
-            yield sources, failing(rows)
+        with read(self) as rows:
+            yield failing(rows)
 
     monkeypatch.setattr(ExposureRange, "read", second_range_fails)
     children = child_pids()

@@ -259,3 +259,20 @@ def test_config_errors(tmp_path):
     path.write_text('{"extractors": []}', "utf-8")
     with pytest.raises(ValueError, match="no extractors"):
         extract.load_extractor_config(path)
+    plain = {"name": "plain", "kind": "plain", "types": ["txt"]}
+    for entry, why in [
+        ("plain", "must be an object"),
+        ({"name": "x", "kind": "plain"}, "'types' must be a list of strings"),
+        ({**plain, "types": "pdf"}, "'types' must be a list of strings"),  # not {'p', 'd', 'f'}
+        ({**plain, "types": ["txt", 3]}, "'types' must be a list of strings"),
+        ({**plain, "name": None}, "'name' must be a string"),
+        ({"name": "x", "types": ["txt"]}, "'kind' must be a string"),
+        ({**plain, "command": ["cat"]}, "'command' must be a string"),
+        ({**plain, "timeout": "5"}, "'timeout' must be a finite number"),
+        ({**plain, "timeout": True}, "'timeout' must be a finite number"),
+        ({**plain, "timeout": float("nan")}, "'timeout' must be a finite number"),
+        ({**plain, "kind": "pdfminer"}, "unknown extractor kind"),
+    ]:
+        path.write_text(json.dumps({"extractors": [plain, entry]}), "utf-8")
+        with pytest.raises(ValueError, match=f"entry 1: {why}"):
+            extract.load_extractor_config(path)

@@ -7,6 +7,7 @@ import hashlib
 import hmac
 import io
 import json
+import pickle
 import sqlite3
 import tempfile
 from collections import namedtuple
@@ -356,8 +357,9 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
     with store_of(rows) as store:
         recs = naive_records(expand(store.load_occurrences()), FOLD_OWNERS)
         got, skipped, ids = reports.tables(store, REG, geo_sort, FOLD_OWNERS)
-        # the fold's sources are the distinct (document, URL, query, type): no engine
-        fold, _ = reports._range(whole(store)[0], None, None, FOLD_OWNERS)
+        # the resolved table's sources are the distinct (document, URL, query, type): no engine
+        with store.read() as (documents, _):
+            sources = reports._resolve(documents, FOLD_OWNERS, None).sources
         files = {fmt: report_files(whole(store), fmt, geo_sort=geo_sort) for fmt in reports.FORMATS}
     expected = {dim: naive_aggregate(recs, dim) for dim in NAIVE_KEY_OF}
     expected["province"], expected["district"] = naive_geo_tables(recs, REG, geo_sort)
@@ -368,7 +370,9 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
     assert got.keys() == expected.keys() == set(reports.DIMENSIONS)
     for dim, table in expected.items():
         assert reports.table_to_json(got[dim]) == reports.table_to_json(table), dim
-    assert len(fold.sources) == len({(r.sha256, r.url, r.query, r.file_type) for r in recs})
+    assert sorted((s.sha256, s.url, s.query, s.file_type) for s in sources) == \
+        sorted({(r.sha256, r.url, r.query, r.file_type) for r in recs})
+    assert [s.index for s in sources] == list(range(len(sources)))
 
     # a whole report in every format from one pass over the store, against
     # the reference tables rendered and the reference listing read back
@@ -450,6 +454,43 @@ def test_ranges_name_an_unusable_url_once_in_first_seen_order():
             assert [url for url, _ in skipped] == ["not a url", "bad://"] and ids == 1
 
 
+def three_range_occurrences():
+    """One URL serving a document in each of three ranges, and one unusable URL in the first and last."""
+    first, second, third = sorted([ID_A, ID_B, ID_C])
+    sha = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(5)]
+    return [occ(first, sha[0], "http://x.go.th/a.pdf"), occ(first, sha[4], "not a url"),
+            occ(second, sha[1], "http://x.go.th/a.pdf"), occ(second, sha[3], "http://y.go.th/b.pdf"),
+            occ(third, sha[2], "http://x.go.th/a.pdf"), occ(third, sha[4], "not a url")]
+
+
+def test_each_url_is_classified_once_per_report(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(url, **kwargs):
+        calls.append(url)
+        return domains.classify_url(url, **kwargs)
+
+    monkeypatch.setattr(reports, "classify_url", counting)
+    with store_of(three_range_occurrences()) as store:
+        ranges = store.id_ranges(3, min_rows=1)
+        assert len(ranges) == 3
+        _, skipped, ids = reports.report(ranges, list(reports.TABLES), REG, tmp_path, salt=b"pepper", run=map)
+    assert (skipped, ids) == ([("not a url", "unsupported scheme in 'not a url'")], 3)
+    assert sorted(calls) == ["http://x.go.th/a.pdf", "http://y.go.th/b.pdf", "not a url"]
+
+
+def test_a_range_sends_back_counts_only(tmp_path):
+    occs = three_range_occurrences()
+    with store_of(occs) as store:
+        ranges = store.id_ranges(3, min_rows=1)
+        table = reports._resolve(ranges[0].documents(), None, "json")
+        sent = [pickle.dumps(reports._range(rng, tmp_path / f"part{i}", table, "json", b"pepper"))
+                for i, rng in enumerate(ranges)]
+    assert [(tmp_path / f"part{i}").stat().st_size > 0 for i in range(3)] == [True] * 3
+    for text in {text for digits, sha256, url, *_ in occs for text in (digits, sha256, url)}:
+        assert not any(text.encode() in blob for blob in sent), text
+
+
 def test_empty_ranges_report_no_ids():
     with store_of([]) as store:
         for fmt in reports.FORMATS:
@@ -488,6 +529,18 @@ def test_report_names_each_unusable_url_once(tmp_path, monkeypatch):
     assert [(r.key, r.unique_ids) for r in tld.rows] == [("go.th", 2), ("org", 1)]
 
 
+def test_unusable_urls_of_one_id_are_named_in_digest_order(tmp_path):
+    first, second = sorted(hashlib.sha256(str(i).encode()).hexdigest() for i in range(2))
+    # the later digest is written, and so numbered, first
+    occs = [occ(ID_A, second, "bad://1"), occ(ID_A, first, "not a url"), occ(ID_A, first, "http://a.go.th/1.pdf")]
+    with store_of(occs) as store:
+        met = [o.url for o in expand(store.load_occurrences()) if o.url != "http://a.go.th/1.pdf"]
+        assert met == ["not a url", "bad://1"]
+        for name, entry in ENTRIES.items():
+            skipped, ids = entry(store, tmp_path)
+            assert ([url for url, _ in skipped], ids) == (met, 1), name
+
+
 @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
 def test_report_that_fails_part_way_leaves_no_listing(tmp_path, monkeypatch, fmt):
     read = ExposureRange.read
@@ -500,8 +553,8 @@ def test_report_that_fails_part_way_leaves_no_listing(tmp_path, monkeypatch, fmt
                 yield f"11001{i:08d}", document
             raise sqlite3.OperationalError("disk I/O error")
 
-        with read(self) as (documents, _):
-            yield documents, rows(next(iter(documents)))
+        with read(self):
+            yield rows(next(iter(self.documents())))
 
     monkeypatch.setattr(ExposureRange, "read", read_fails_part_way)
     with store_of([occ(ID_A, "s1", "http://a.go.th/1.pdf")]) as store:

@@ -146,8 +146,9 @@ def ranged_store(root, multiplicities):
 
 def rows_of(rng):
     """What ``ExposureRange.read()`` gives, joined as ``load_occurrences()`` joins the whole store."""
-    with rng.read() as read:
-        return list(store_module._joined(*read))
+    documents = rng.documents()
+    with rng.read() as rows:
+        return list(store_module._joined(documents, rows))
 
 
 def test_id_ranges_split_the_stream_at_id_boundaries(tmp_path):
@@ -213,8 +214,9 @@ def test_exposure_range_pickles_and_reads_on_its_own(tmp_path, monkeypatch):
     monkeypatch.setattr(sqlite3, "connect", lambda db, **kw: uris.append(db) or connect(db, **kw))
     copies = pickle.loads(pickle.dumps(ranges))
     assert copies == ranges and [rows_of(r) for r in copies] == expected
-    assert uris == [(tmp_path / "store" / "store.db").as_uri() + "?mode=ro"] * 2  # read-only
-    with copies[0].read() as (_, rows):
+    # read-only, a connection for each range's documents map and one for its rows
+    assert uris == [(tmp_path / "store" / "store.db").as_uri() + "?mode=ro"] * 4
+    with copies[0].read() as rows:
         next(rows)
     with pytest.raises(sqlite3.ProgrammingError):  # a range read part-way closes its connection
         rows.connection.execute("SELECT 1")
