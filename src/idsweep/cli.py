@@ -164,7 +164,7 @@ def cmd_id_validate(args) -> int:
 
     try:
         registry = _load_registry(args.registry)
-    except (OSError, RegistryError) as exc:
+    except RegistryError as exc:
         return _fail(str(exc))
     digits = re.sub(r"[- ]", "", normalize_numerals(args.number))
     outcome = validate(digits, registry)
@@ -205,7 +205,7 @@ def cmd_plan_build(args) -> int:
             plan = build_plan_from_templates(load_templates(args.templates), bindings)
         else:
             return _fail("plan build needs --queries or --templates")
-    except (OSError, QueryError, ValueError) as exc:
+    except (QueryError, ValueError) as exc:
         return _fail(str(exc))
     text = plan_to_json(plan)
     if args.out:
@@ -257,7 +257,7 @@ def cmd_scan_run(args) -> int:
         )
         plan = load_plan_file(args.plan)
         provider = _make_provider(args, config)
-    except (OSError, RegistryError, QueryError, ValueError) as exc:
+    except (RegistryError, QueryError, ValueError) as exc:
         return _fail(str(exc))
     except ProviderDisabled as exc:
         return _fail(str(exc))
@@ -337,7 +337,7 @@ def cmd_report(args) -> int:
             from .domains import load_owner_tags
 
             owner_tags = load_owner_tags(args.owner_tags)
-    except (OSError, RegistryError, ValueError) as exc:
+    except (RegistryError, ValueError) as exc:
         return _fail(str(exc))
     store_dir = Path(args.store)
     if not (store_dir / "store.db").exists():
@@ -354,7 +354,7 @@ def cmd_report(args) -> int:
             )
     except sqlite3.Error as exc:
         return _fail(f"store {store_dir}: {exc}")
-    except (OSError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         return _fail(str(exc))
     for url, reason in skipped:
         print(f"warning: unclassifiable url skipped: {url}: {reason}", file=sys.stderr)
@@ -437,10 +437,14 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     """Run the command ``argv`` names.
 
     Each ``cmd_*`` imports the modules it runs at its top, so ``import
-    idsweep.cli`` loads none of them.
+    idsweep.cli`` loads none of them.  An I/O error any command meets exits
+    2 with one ``error:`` line.
     """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

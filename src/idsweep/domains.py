@@ -35,15 +35,14 @@ class DomainInfo:
 
 
 class PublicSuffixList:
-    """Longest-match effective suffixes, one per line, # comments allowed."""
+    """Longest-match effective suffixes, one a line; blank lines and # comments, indented or not, are skipped."""
 
     def __init__(self, suffixes: list[str]):
-        self.suffixes = {s.strip(".").lower() for s in suffixes if s.strip()}
+        self.suffixes = {s.strip(".").lower() for s in map(str.strip, suffixes) if s and not s.startswith("#")}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PublicSuffixList":
-        lines = Path(path).read_text("utf-8").splitlines()
-        return cls([ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")])
+        return cls(Path(path).read_text("utf-8").splitlines())
 
     def match(self, host: str) -> Optional[str]:
         labels = host.split(".")
@@ -67,7 +66,7 @@ class PublicSuffixList:
 
 def default_suffix_list() -> PublicSuffixList:
     text = resources.files("idsweep.data").joinpath("public_suffixes.txt").read_text("utf-8")
-    return PublicSuffixList([ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")])
+    return PublicSuffixList(text.splitlines())
 
 
 def load_owner_tags(path: str | Path) -> dict[str, str]:

@@ -190,8 +190,8 @@ def download(
     At most ``1 + download_max_retry`` attempts are made, each bounded by
     ``download_timeout``.  Bytes whose declared type is not accepted are
     discarded (status ``type_mismatch``); oversize payloads fail without
-    retry (``too_large``).  The download's row is left to the caller
-    (``download_all`` records it).
+    retry (``too_large``).  Accepted bytes go to ``objects/`` only; the
+    download's row is left to the caller (``download_all`` records it).
     """
     host = urlsplit(hit.url).hostname or ""
     attempts = 0
@@ -218,7 +218,7 @@ def download(
             outcome.update(status="type_mismatch", reason=declared or "no-extension",
                            declared_type=declared or None)
         else:
-            digest = store.put_object(result.data, _utcnow())
+            digest = store.put_object(result.data)
             outcome.update(status="success", sha256=digest, declared_type=declared)
         break
 

@@ -5,9 +5,9 @@ idempotent, so re-running a plan over the same store changes nothing and the
 summary comes out identical.
 
 ``download_workers`` bounds two pools in turn: the downloads, then the
-extraction of distinct documents.  Extraction results are persisted on the
-calling thread in hit order, so the store's rows do not depend on how many
-workers ran or which finished first.
+extraction of distinct documents.  Pool threads touch only ``objects/``;
+rows are written in hit order on the calling thread, which opened the store,
+so they do not depend on how many workers ran or which finished first.
 """
 
 from __future__ import annotations

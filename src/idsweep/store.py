@@ -2,18 +2,19 @@
 
 Layout under the store directory::
 
-    store.db           relational state (hits, downloads, objects, documents,
-                       exposures, diagnostics)
+    store.db           relational state (hits, downloads, documents, exposures,
+                       diagnostics)
     objects/<sha256>   raw document bytes, filename = digest
 
-An object's path is derived from its digest and is never stored.  An
+``objects/`` is the only record of the stored objects: an object's path is
+derived from its digest, and ``downloads`` holds its digest and size.  An
 exposure is only (digits, document): ``document`` is the number that
 ``documents`` gives the digest of a document with exposures, numbered as
 first met, and its URLs, queries, engines and types are the successful
 ``downloads`` of that digest joined to their ``hits``.  Opening a store that
-older versions wrote retires the columns they kept and nothing reads
-(``_RETIRED``), in one transaction, then ``VACUUM``s once if it copied
-``exposures``.
+older versions wrote retires the columns (``_RETIRED``) and the ``objects``
+table they kept and nothing reads, in one transaction, then ``VACUUM``s once
+if it copied ``exposures``.
 
 Reports read the store in one pass and add no index.  They read each
 document number's digest and the successful sources of that digest, sorted
@@ -29,12 +30,13 @@ own rows (``read()``) through a read-only connection of its own.
 and ``load_occurrences()`` joins them into one (digits, sha256, sources) row
 per exposure: a reference for tests, which no report reads.
 
-Writes are serialized with a process-local lock so the bounded download pool
-can share one store.  Across processes, the CLI holds an ``flock`` on
-``.lock``: exclusive for a scan, shared for a report, so reports may run
-together but never beside a scan.  That lock is what keeps a report's
-documents map and the cursors of its ranges, each read on its own, reading
-the same committed store.
+Only the thread that opened a ``ResultStore`` uses its connection (sqlite3
+refuses any other): the download and extraction pools write and read
+``objects/`` alone, and their results are recorded on that thread.  Across
+processes, the CLI holds an ``flock`` on ``.lock``: exclusive for a scan,
+shared for a report, so reports may run together but never beside a scan.
+That lock is what keeps a report's documents map and the cursors of its
+ranges, each read on its own, reading the same committed store.
 """
 
 from __future__ import annotations
@@ -72,11 +74,6 @@ CREATE TABLE IF NOT EXISTS downloads (
     size_bytes   INTEGER,
     completed_at TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS objects (
-    sha256      TEXT PRIMARY KEY,
-    size_bytes  INTEGER NOT NULL,
-    first_seen  TEXT NOT NULL
-);
 -- an explicit INTEGER PRIMARY KEY: VACUUM may renumber an implicit rowid
 CREATE TABLE IF NOT EXISTS documents (
     id     INTEGER PRIMARY KEY,
@@ -97,15 +94,14 @@ CREATE TABLE IF NOT EXISTS diagnostics (
 """
 
 
-# Columns that older stores hold and nothing reads.  One left behind can make
-# inserts fail: objects.stored_path is NOT NULL.
-_RETIRED = {"downloads": ("stored_path",), "objects": ("stored_path",),
+# Columns that older stores hold and nothing reads.
+_RETIRED = {"downloads": ("stored_path",),
             "exposures": ("sha256", "first_seen", "url", "query", "engine", "file_type")}
 
 
 def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
-    """``_SCHEMA`` as one transaction that also retires any ``_RETIRED`` column,
-    and whether it copies ``exposures``.
+    """``_SCHEMA`` as one transaction that also retires any ``_RETIRED`` column
+    and the ``objects`` table older stores kept, and whether it copies ``exposures``.
 
     Columns are dropped in place, so a table keeps those it does not declare
     (``DROP COLUMN``, SQLite >= 3.35).  SQLite cannot make a table WITHOUT
@@ -126,7 +122,7 @@ def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
                          " DROP TABLE retired_exposures;")
         else:
             before += [f"ALTER TABLE {table} DROP COLUMN {column};" for column in gone]
-    return "\n".join(["BEGIN;", *before, _SCHEMA, *after, "COMMIT;"]), bool(after)
+    return "\n".join(["BEGIN;", "DROP TABLE IF EXISTS objects;", *before, _SCHEMA, *after, "COMMIT;"]), bool(after)
 
 
 # (digits, sha256, each (url, query, file_type) of the document), as load_occurrences() gives it
@@ -222,11 +218,10 @@ class ResultStore:
         self.objects_dir = self.root / "objects"
         self.objects_dir.mkdir(exist_ok=True)
         self.db_path = self.root / "store.db"
-        self._conn = sqlite3.connect(self.db_path, check_same_thread=False)
+        self._conn = sqlite3.connect(self.db_path)
         self._conn.execute("PRAGMA foreign_keys = ON")
-        self._lock = threading.Lock()
         try:
-            with self._lock, self._conn:  # a migration that fails rolls back whole
+            with self._conn:  # a migration that fails rolls back whole
                 script, copied = _schema_script(self._conn)
                 self._conn.executescript(script)
             if copied:  # the older exposures' pages are free now: give them back to the disk
@@ -250,7 +245,7 @@ class ResultStore:
         self, query: str, engine: str, page: int, rank: int, url: str,
         retrieved_at: str, is_repeat: bool,
     ) -> int:
-        with self._lock, self._conn:
+        with self._conn:
             self._conn.execute(
                 "INSERT OR IGNORE INTO hits (query, engine, page, rank, url, retrieved_at, is_repeat)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?)",
@@ -267,26 +262,26 @@ class ResultStore:
 
     # --- objects --------------------------------------------------------------
 
-    def put_object(self, data: bytes, first_seen: str) -> str:
-        """Content-address the bytes under objects/<sha256>; returns the digest."""
+    def put_object(self, data: bytes) -> str:
+        """Content-address the bytes under objects/<sha256>, from any thread; returns the digest."""
         digest = hashlib.sha256(data).hexdigest()
         path = self.objects_dir / digest
         if not path.exists():
             tmp = path.with_name(f"{digest}.tmp{threading.get_ident()}")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)  # atomic; concurrent writers race benignly
-        with self._lock, self._conn:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO objects (sha256, size_bytes, first_seen) VALUES (?, ?, ?)",
-                (digest, len(data), first_seen),
-            )
+            try:
+                with tmp.open("wb") as fh:
+                    fh.write(data)
+                    os.fsync(fh.fileno())  # on disk before it is named: a crash leaves no partial blob
+                os.replace(tmp, path)  # atomic; concurrent writers race benignly
+            finally:
+                tmp.unlink(missing_ok=True)
         return digest
 
     def read_object(self, sha256: str) -> bytes:
         return (self.objects_dir / sha256).read_bytes()
 
     def object_count(self) -> int:
-        return int(self._conn.execute("SELECT COUNT(*) FROM objects").fetchone()[0])
+        return sum(1 for _ in self.objects_dir.iterdir())
 
     # --- downloads --------------------------------------------------------------
 
@@ -295,7 +290,7 @@ class ResultStore:
         reason: Optional[str] = None, sha256: Optional[str] = None,
         declared_type: Optional[str] = None, size_bytes: Optional[int] = None,
     ) -> None:
-        with self._lock, self._conn:
+        with self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO downloads"
                 " (hit_id, status, reason, sha256, declared_type, size_bytes, completed_at)"
@@ -326,7 +321,7 @@ class ResultStore:
         A digest not yet in ``documents`` is numbered there first.
         """
         rows = list(rows)
-        with self._lock, self._conn:
+        with self._conn:
             self._conn.executemany("INSERT OR IGNORE INTO documents (sha256) VALUES (?)",
                                    ((sha256,) for sha256 in dict.fromkeys(sha256 for _, sha256 in rows)))
             cur = self._conn.executemany(
@@ -382,7 +377,7 @@ class ResultStore:
     # --- diagnostics ---------------------------------------------------------------
 
     def add_diagnostic(self, kind: str, subject: str, detail: str, created_at: str) -> None:
-        with self._lock, self._conn:
+        with self._conn:
             self._conn.execute(
                 "INSERT INTO diagnostics (kind, subject, detail, created_at) VALUES (?, ?, ?, ?)",
                 (kind, subject, detail, created_at),

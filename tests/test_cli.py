@@ -8,6 +8,7 @@ import json
 import os
 import re
 import runpy
+import shutil
 import sqlite3
 import subprocess
 import sys
@@ -563,7 +564,7 @@ def mirror_store(store_dir):
     with ResultStore(store_dir) as store:
         digests = {}
         for rank, (name, (file_type, urls)) in enumerate(docs.items(), start=1):
-            digests[name] = store.put_object(name.encode(), "2026-01-01T00:00:00Z")
+            digests[name] = store.put_object(name.encode())
             for url, query, engine in urls:
                 hit = store.add_hit(query, engine, 1, rank, url, "2026-01-01T00:00:00Z", False)
                 store.record_download(hit, "success", "2026-01-01T00:00:00Z", sha256=digests[name],
@@ -597,7 +598,7 @@ def test_report_warns_once_per_unusable_url(tmp_path, capsys):
     stamp = "2026-01-01T00:00:00Z"
     with ResultStore(tmp_path / "store") as store:
         for rank, (url, holders) in enumerate((("not a url", ids[:3]), ("http://www.nfe.go.th/a.pdf", ids[3:])), 1):
-            digest = store.put_object(url.encode(), stamp)
+            digest = store.put_object(url.encode())
             hit = store.add_hit("q1", "google", 1, rank, url, stamp, False)
             store.record_download(hit, "success", stamp, sha256=digest, declared_type="pdf", size_bytes=1)
             store.add_exposures((digits, digest) for digits in holders)
@@ -698,7 +699,7 @@ def numbered_store(store_dir, descending):
     with ResultStore(store_dir) as store:
         digests = {}
         for j, url in enumerate(urls):
-            digests[j] = store.put_object(f"document {j}".encode(), stamp)
+            digests[j] = store.put_object(f"document {j}".encode())
             hit = store.add_hit("q", "google", 1, j + 1, url, stamp, False)
             store.record_download(hit, "success", stamp, sha256=digests[j], declared_type="pdf", size_bytes=10)
         for j in sorted(digests, key=digests.get, reverse=descending):
@@ -782,12 +783,10 @@ def test_older_store_is_migrated_on_open(demo_store, tmp_path):
     conn.close()
 
     assert run_cli(*scan_args(store_dir)) == 0
-    with ResultStore(store_dir) as store:
-        assert store.object_count() == len(list((store_dir / "objects").iterdir())) > 1
+    assert (store_dir / "objects" / digest).read_bytes() == old
     conn = sqlite3.connect(store_dir / "store.db")
-    for table in ("downloads", "objects"):
-        columns = {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
-        assert "stored_path" not in columns, table
+    assert "stored_path" not in {row[1] for row in conn.execute("PRAGMA table_info(downloads)")}
+    assert not conn.execute("SELECT 1 FROM sqlite_master WHERE name = 'objects'").fetchall()
     conn.close()
     assert _report_bytes(store_dir, tmp_path / "old") == _report_bytes(demo_store, tmp_path / "new")
 
@@ -825,8 +824,8 @@ def old_layout_copy(store_dir, old_dir, schema=OLD_SCHEMA):
         conn.execute("INSERT INTO hits SELECT * FROM new.hits")
         conn.execute("INSERT INTO downloads SELECT id, hit_id, status, reason, sha256, declared_type,"
                      " 'objects/' || sha256, size_bytes, completed_at FROM new.downloads")
-        conn.execute("INSERT INTO objects SELECT sha256, size_bytes, 'objects/' || sha256, first_seen"
-                     " FROM new.objects")
+        conn.execute("INSERT OR IGNORE INTO objects SELECT sha256, size_bytes, 'objects/' || sha256, completed_at"
+                     " FROM new.downloads WHERE status = 'success'")
         # out of key order
         conn.executemany(f"INSERT INTO exposures VALUES (?, ?, {unread}?)", exposures)
     conn.close()
@@ -935,12 +934,52 @@ def test_failed_migration_leaves_the_older_store(tmp_path, monkeypatch, capsys, 
 def test_open_keeps_columns_it_does_not_declare(tmp_path):
     ResultStore(tmp_path).close()
     conn = sqlite3.connect(tmp_path / "store.db")
-    conn.execute("ALTER TABLE objects ADD COLUMN added_later TEXT")
+    conn.execute("ALTER TABLE downloads ADD COLUMN added_later TEXT")
     conn.close()
     ResultStore(tmp_path).close()
     conn = sqlite3.connect(tmp_path / "store.db")
-    assert "added_later" in {row[1] for row in conn.execute("PRAGMA table_info(objects)")}
+    assert "added_later" in {row[1] for row in conn.execute("PRAGMA table_info(downloads)")}
     conn.close()
+
+
+# the table a store kept of its objects before objects/ became their only record
+OBJECTS_TABLE = """
+CREATE TABLE objects (
+    sha256 TEXT PRIMARY KEY, size_bytes INTEGER NOT NULL, first_seen TEXT NOT NULL
+);
+"""
+
+
+def test_store_with_an_objects_table_loses_it_on_first_open(tmp_path, monkeypatch):
+    new = mirror_store(tmp_path / "new")
+    old = tmp_path / "old"
+    shutil.copytree(new, old)
+    conn = sqlite3.connect(old / "store.db")
+    conn.executescript(OBJECTS_TABLE)
+    with conn:
+        conn.execute("INSERT OR IGNORE INTO objects SELECT sha256, size_bytes, completed_at FROM downloads"
+                     " WHERE status = 'success'")
+    assert conn.execute("SELECT COUNT(*) FROM objects").fetchone()[0] == 4
+    conn.close()
+    blobs = {p.name: p.read_bytes() for p in (old / "objects").iterdir()}
+    expected = {fmt: _report_bytes(new, tmp_path / f"new-{fmt}", "--format", fmt)
+                for fmt in ("markdown", "csv", "json")}
+
+    connect = sqlite3.connect
+
+    def read_only(db, **kw):  # file modes do not stop root writing; ranges open read-only already
+        return connect(db, **kw) if kw.get("uri") else connect(f"file:{db}?mode=ro", uri=True, **kw)
+
+    monkeypatch.setattr(sqlite3, "connect", read_only)
+    with pytest.raises(sqlite3.OperationalError, match="readonly"):  # dropping the table writes
+        ResultStore(old)
+    monkeypatch.undo()
+    ResultStore(old).close()
+    assert exposures_layout(old / "store.db")[2] == exposures_layout(new / "store.db")[2]
+    assert {p.name: p.read_bytes() for p in (old / "objects").iterdir()} == blobs
+    monkeypatch.setattr(sqlite3, "connect", read_only)  # migrated, it opens and reports read-only
+    for fmt in ("markdown", "csv", "json"):
+        assert _report_bytes(old, tmp_path / f"old-{fmt}", "--format", fmt) == expected[fmt], fmt
 
 
 def test_report_unreadable_store_is_exit_2(tmp_path, capsys):
@@ -958,6 +997,29 @@ def test_report_missing_store(tmp_path, capsys):
         "report", "--store", str(tmp_path / "void"), "--tables", "filetype",
         "--out", str(tmp_path / "r"), "--salt-file", str(SALT_FILE),
     ) == 2
+
+
+def failed_rename(src, dst):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("case", ["store under a file", "blob write fails", "missing salt file",
+                                  "plan out in a missing directory"])
+def test_io_error_is_exit_2_with_one_line(demo_store, tmp_path, monkeypatch, capsys, case):
+    (tmp_path / "file").write_text("not a directory", "utf-8")
+    argv = {
+        "store under a file": scan_args(tmp_path / "file" / "store"),
+        "blob write fails": scan_args(tmp_path / "store"),
+        "missing salt file": ("report", "--store", str(demo_store), "--out", str(tmp_path / "r"),
+                              "--salt-file", str(tmp_path / "no-salt")),
+        "plan out in a missing directory": ("plan", "build", "--queries", "q",
+                                            "--out", str(tmp_path / "void" / "plan.json")),
+    }[case]
+    if case == "blob write fails":
+        monkeypatch.setattr(os, "replace", failed_rename)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno "), err
 
 
 def test_committed_demo_matches_generator(tmp_path):

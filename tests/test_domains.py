@@ -93,6 +93,14 @@ def test_suffix_list_from_file(tmp_path):
     assert psl.match("nosuffix.example") is None
 
 
+def test_suffix_list_file_and_bundled_list_parse_alike(tmp_path, monkeypatch):
+    path = tmp_path / "public_suffixes.txt"
+    path.write_text("# comment\n  # indented note\nth\n  go.th  \n\n\tco.uk\n", encoding="utf-8")
+    monkeypatch.setattr(domains.resources, "files", lambda package: tmp_path)  # the bundled list, replaced
+    bundled = domains.default_suffix_list()
+    assert bundled.suffixes == domains.PublicSuffixList.from_file(path).suffixes == {"th", "go.th", "co.uk"}
+
+
 def test_custom_psl_overrides_default():
     psl = domains.PublicSuffixList(frozenset({"zz", "my.zz"}))
     info = domains.classify_url("http://site.my.zz/x", psl=psl)

@@ -4,6 +4,7 @@ Each command of the CLI loads only the modules it runs; the import tests run
 a fresh interpreter and list what it loaded.
 """
 
+import ast
 import json
 import os
 import re
@@ -85,6 +86,24 @@ def test_fixture_scan_loads_no_http_stack(tmp_path):
     ))
     assert "idsweep.pipeline" in loaded
     assert loaded & HTTP_STACK == set()
+
+
+def test_runtime_imports_only_the_standard_library():
+    imported = {}
+    for path in sorted((SRC / "idsweep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    assert {"multiprocessing", "http"} <= set(imported)  # imported inside functions only
+    outside = {top: where for top, where in imported.items()
+               if top not in sys.stdlib_module_names and top != "idsweep"}
+    assert outside == {}
 
 
 def test_every_public_name_resolves():

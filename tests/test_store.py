@@ -1,9 +1,13 @@
-"""Store reads: the reference stream against the SQL join it replaced, and its ID ranges against the stream."""
+"""Store reads: the reference stream against the SQL join it replaced, and its ID ranges against the stream.
+
+Store writes: the tables a fresh store holds, its object files, and the one thread that uses its database.
+"""
 
 import hashlib
 import pickle
 import random
 import sqlite3
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -236,3 +240,41 @@ def test_a_store_holds_an_exposure_in_under_40_bytes(tmp_path):
     assert written == 20_000
     # a row spelling out its digest, as exposures once did, takes over 100
     assert size / written < 40, size / written
+
+
+def test_a_fresh_store_holds_exactly_its_tables(tmp_path):
+    ResultStore(tmp_path).close()
+    conn = sqlite3.connect(tmp_path / "store.db")
+    tables = {name for (name,) in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
+    conn.close()
+    assert tables == {"hits", "downloads", "documents", "exposures", "diagnostics"}
+
+
+def test_a_failed_object_write_leaves_no_file(tmp_path, monkeypatch):
+    def failed_rename(src, dst):
+        raise OSError(28, "No space left on device")
+
+    with ResultStore(tmp_path) as store:
+        monkeypatch.setattr(store_module.os, "replace", failed_rename)
+        with pytest.raises(OSError, match="No space left"):
+            store.put_object(b"a document")
+        assert list(store.objects_dir.iterdir()) == []
+
+
+def test_an_object_is_synced_before_it_is_named(tmp_path, monkeypatch):
+    calls = []
+    fsync, replace = store_module.os.fsync, store_module.os.replace
+    monkeypatch.setattr(store_module.os, "fsync", lambda fd: calls.append("fsync") or fsync(fd))
+    monkeypatch.setattr(store_module.os, "replace", lambda src, dst: calls.append("replace") or replace(src, dst))
+    with ResultStore(tmp_path) as store:
+        digest = store.put_object(b"a document")
+        store.put_object(b"a document")  # already stored: nothing written
+        assert calls == ["fsync", "replace"]
+        assert [p.name for p in store.objects_dir.iterdir()] == [digest]
+
+
+def test_only_the_opening_thread_uses_the_database(tmp_path):
+    with ResultStore(tmp_path) as store, ThreadPoolExecutor(1) as pool:
+        assert pool.submit(store.put_object, b"a document").result() == hashlib.sha256(b"a document").hexdigest()
+        with pytest.raises(sqlite3.ProgrammingError, match="thread"):
+            pool.submit(store.hit_count).result()
