@@ -295,17 +295,71 @@ def _id_ranges(store: ResultStore) -> list[ExposureRange]:
 def _in_processes(fn, ranges, *rest) -> list:
     """``map`` of each range in a forked process of its own; returns once every process has ended.
 
-    Forked, the workers start with the program already imported; each gets
-    ``fn`` pickled, with the documents the report resolved before the pool
-    started.  Forking is safe here: the report's process runs no other
-    thread when the pool starts its processes, and holds no store connection
+    Each child starts at once with ``fn`` already in its memory, the
+    documents the report resolved included, so nothing is sent to it; only
+    its result, or the exception it raised, comes back, pickled, through a
+    pipe.  It then leaves with ``os._exit``: it flushes none of the buffers
+    it inherited and runs no exit handler.  The parent reads each pipe to
+    its end, re-raises a child's exception (a ``RuntimeError`` with its text
+    if it does not pickle), and reaps every child however it ends, killing
+    those whose results it will not read.  Forking is safe here: the
+    report's process runs no other thread, and holds no store connection
     open (the one that read the documents is closed by then).
     """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    import pickle
+    import signal
 
-    with ProcessPoolExecutor(len(ranges), mp_context=get_context("fork")) as pool:
-        return list(pool.map(fn, ranges, *rest))
+    def outcome(args) -> bytes:
+        """``fn(*args)``, or the exception it raised, pickled; an exception that does not
+        pickle, or not back, as a ``RuntimeError`` with its text."""
+        try:
+            return pickle.dumps((True, fn(*args)))
+        except BaseException as exc:
+            try:
+                sent = pickle.dumps((False, exc))
+                pickle.loads(sent)
+                return sent
+            except BaseException:
+                return pickle.dumps((False, RuntimeError(str(exc))))
+
+    children = {}  # pid -> the read end of its pipe, until the child is reaped
+    try:
+        for args in zip(ranges, *rest):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child: its outcome into the pipe, and out without unwinding the parent's stack
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(outcome(args))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        results = []
+        for pid, pipe in list(children.items()):
+            with pipe:
+                sent = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            try:
+                ok, result = pickle.loads(sent)
+            except Exception:
+                raise RuntimeError(f"a report range process terminated abruptly (exit code {code})") from None
+            if not ok:
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def cmd_report(args) -> int:
@@ -368,21 +422,15 @@ def cmd_report(args) -> int:
 
 # --- parser -----------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    from . import reports
-    from .harvest import CrawlConfig
-
-    parser = argparse.ArgumentParser(prog="idsweep", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_id = sub.add_parser("id", help="single-ID operations")
+def _id_arguments(p_id: argparse.ArgumentParser) -> None:
     id_sub = p_id.add_subparsers(dest="id_command", required=True)
     p_validate = id_sub.add_parser("validate", help="stage-by-stage validation of one number")
     p_validate.add_argument("number")
     p_validate.add_argument("--registry", default=None, help="area registry file (default: bundled)")
     p_validate.set_defaults(func=cmd_id_validate)
 
-    p_plan = sub.add_parser("plan", help="query-plan operations")
+
+def _plan_arguments(p_plan: argparse.ArgumentParser) -> None:
     plan_sub = p_plan.add_subparsers(dest="plan_command", required=True)
     p_build = plan_sub.add_parser("build", help="render a plan to JSON")
     p_build.add_argument("--queries", nargs="+", default=None, help="literal query strings")
@@ -391,7 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", default=None)
     p_build.set_defaults(func=cmd_plan_build)
 
-    p_scan = sub.add_parser("scan", help="run the pipeline")
+
+def _scan_arguments(p_scan: argparse.ArgumentParser) -> None:
+    from .harvest import CrawlConfig
+
     scan_sub = p_scan.add_subparsers(dest="scan_command", required=True)
     p_run = scan_sub.add_parser("run", help="execute a plan against a provider")
     p_run.add_argument("--plan", required=True)
@@ -413,7 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"default {shown}; also {env} or config key {key}")
     p_run.set_defaults(func=cmd_scan_run)
 
-    p_report = sub.add_parser("report", help="emit aggregate tables from a store")
+
+def _report_arguments(p_report: argparse.ArgumentParser) -> None:
+    from . import reports
+
     p_report.add_argument("--store", required=True)
     p_report.add_argument("--tables", default="filetype,tld,geo,repeat",
                           help=f"comma-separated from: {', '.join(reports.TABLES)}")
@@ -430,6 +484,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--i-accept-risk", action="store_true")
     p_report.set_defaults(func=cmd_report)
 
+
+# command -> (its help, what adds its arguments and subcommands)
+_COMMANDS = {
+    "id": ("single-ID operations", _id_arguments),
+    "plan": ("query-plan operations", _plan_arguments),
+    "scan": ("run the pipeline", _scan_arguments),
+    "report": ("emit aggregate tables from a store", _report_arguments),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of every command with the arguments of ``command`` alone.
+
+    Every command is listed either way, so help and errors read the same;
+    only a command's arguments import modules (the crawl knobs, the report's
+    tables and formats), and only the command that runs needs them.
+    """
+    parser = argparse.ArgumentParser(prog="idsweep", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p_command)
     return parser
 
 
@@ -437,10 +514,13 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     """Run the command ``argv`` names.
 
     Each ``cmd_*`` imports the modules it runs at its top, so ``import
-    idsweep.cli`` loads none of them.  An I/O error any command meets exits
-    2 with one ``error:`` line.
+    idsweep.cli`` loads none of them, and the parser holds the arguments of
+    that command alone.  An I/O error any command meets exits 2 with one
+    ``error:`` line.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command is the first word: the program itself takes no option but --help
+    args = build_parser(next((word for word in argv if not word.startswith("-")), None)).parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

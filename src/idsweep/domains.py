@@ -83,12 +83,9 @@ def load_owner_tags(path: str | Path) -> dict[str, str]:
     return tags
 
 
-def classify_url(
-    url: str,
-    psl: Optional[PublicSuffixList] = None,
-    owner_tags: Optional[Mapping[str, str]] = None,
-) -> DomainInfo:
-    """Bucket a source URL by host type; raises ClassificationError if unusable."""
+def url_host(url: str) -> str:
+    """The host a source URL is classified by, lower case with no trailing dot;
+    raises ClassificationError if the URL is unusable."""
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https", "ftp"):
         raise ClassificationError(f"unsupported scheme in {url!r}")
@@ -98,7 +95,19 @@ def classify_url(
     host = host.rstrip(".").lower()
     if not host:
         raise ClassificationError(f"empty host in {url!r}")
+    return host
 
+
+def classify_url(
+    url: str,
+    psl: Optional[PublicSuffixList] = None,
+    owner_tags: Optional[Mapping[str, str]] = None,
+) -> DomainInfo:
+    """Bucket a source URL by host type; raises ClassificationError if unusable.
+
+    Everything but the result's ``url`` depends on ``url_host(url)`` alone.
+    """
+    host = url_host(url)
     try:
         ipaddress.ip_address(host)
     except ValueError:

@@ -44,10 +44,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import chain, compress
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list
+from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list, url_host
 from .geo import GeoRegistry
 # pseudonymize is token_function one ID at a time; bench/tracing.py wraps it where it is bound here
 from .thai_id import pseudonymize, salt_id, token_function  # noqa: F401
@@ -70,7 +71,7 @@ class _Source:
     query: str
     file_type: str
     domain: DomainInfo
-    keys: tuple[tuple[str, str], ...] = ()  # (source dimension, key) pairs
+    keys: tuple[int, ...] = ()  # the number of its (source dimension, key) pair in each source dimension
     tail: object = None  # what its listing row writes after the ID
 
 
@@ -133,48 +134,44 @@ def percent_of(part: int, whole: int, places: int) -> Decimal:
         return value.quantize(Decimal(10) ** -places, rounding=ROUND_HALF_UP)
 
 
-def _row(key: str, sources: list[_Source], unique_ids: int) -> AggregateRow:
-    return AggregateRow(
-        key=key,
-        urls=len({s.url for s in sources}),
-        files=len({s.sha256 for s in sources}),
-        fqdns=len({s.domain.fqdn for s in sources}),
-        registered_domains=len({s.domain.registered_domain or s.domain.fqdn for s in sources}),
-        unique_ids=unique_ids,
-    )
+# what a row counts distinct of a key's sources: its URLs, files, FQDNs and registered domains
+_COUNTED = (attrgetter("url"), attrgetter("sha256"), attrgetter("domain.fqdn"), _SOURCE_KEY_OF["registered_domain"])
+_INDEX, _KEYS = attrgetter("index"), attrgetter("keys")
 
 
 class _Fold:
     """Distinct counts for every dimension, from IDs added one at a time in ID order.
 
-    Its state is bounded by sources and keys, not by IDs, and sources are
-    counted by their number: per source, the IDs found there only; per key
-    of a source dimension, the IDs of wider runs that reach it; per key of
-    an ID dimension, its IDs and a flag per source they reach.  IDs in order
-    come area (digits 1-5) by area: an area's IDs and the sources they reach
-    are kept by URL count until the area ends.
+    Its state is bounded by sources and keys, not by IDs, and both are
+    counted by their number: per source, the IDs found there only; per
+    (source dimension, key) pair, the IDs of wider runs that reach it; per
+    key of an ID dimension, its IDs and a flag per source they reach: an
+    integer whose byte n is 1 if they reach source n, so flags are added by
+    OR-ing integers.  IDs in order come area (digits 1-5) by area: an area's
+    IDs and the set of sources they reach are kept by URL count until the
+    area ends.
     """
 
     def __init__(self, sources: int) -> None:
         self.ids = 0
         self.alone = [0] * sources  # per source, the IDs found there only
         self.met: dict[int, None] = {}  # the documents with unusable URLs, in the order first met
-        self._shared: Counter[tuple[str, str]] = Counter()
+        self._shared: Counter[int] = Counter()  # per key number, the IDs of wider runs
         self._by_id_key: list[dict[str, list]] = [{} for _ in _ID_KEY_OF]
         self._area, self._pending = "", {}  # an area's [IDs, reach] by URL count
 
     def add(self, run: tuple[_Source, ...]) -> None:
         """An ID of the current area with more sources than one: its run, a source per listing row."""
-        reach = {s.index for s in run}
+        reach = set(map(_INDEX, run))
         if len(reach) == 1:  # one source, found under two engines
             self.alone[run[0].index] += 1
             urls = 1
         else:
-            self._shared.update(set().union(*[s.keys for s in run]))
+            self._shared.update(set().union(*map(_KEYS, run)))
             urls = len({s.url for s in run})
-        entry = self._pending.setdefault(urls, [0, set()])
+        entry = self._pending.get(urls) or self._pending.setdefault(urls, [0, set()])
         entry[0] += 1
-        entry[1].update(reach)
+        entry[1] |= reach
 
     def _flush(self, area: str = "") -> list:
         """Count the pending area's IDs and start ``area``; returns its [IDs, reach] of IDs at one URL."""
@@ -182,12 +179,15 @@ class _Fold:
             if not ids:  # no ID of the area at one URL
                 continue
             self.ids += ids
+            marks = bytearray(len(self.alone))
+            for index in reach:
+                marks[index] = 1
+            flags = int.from_bytes(marks, "little")
             for key_of, by_key in zip(_ID_KEY_OF.values(), self._by_id_key):
                 key = key_of(self._area, urls)
-                entry = by_key.get(key) or by_key.setdefault(key, [0, bytearray(len(self.alone))])
+                entry = by_key.get(key) or by_key.setdefault(key, [0, 0])
                 entry[0] += ids
-                for index in reach:
-                    entry[1][index] = 1
+                entry[1] |= flags
         self._area, self._pending = area, {1: [0, set()]}
         return self._pending[1]
 
@@ -199,25 +199,23 @@ class _Fold:
         self._shared.update(other._shared)
         for by_key, theirs in zip(self._by_id_key, other._by_id_key):
             for key, (ids, reached) in theirs.items():
-                entry = by_key.setdefault(key, [0, bytearray(len(reached))])
+                entry = by_key.setdefault(key, [0, 0])
                 entry[0] += ids
-                for index in compress(range(len(reached)), reached):
-                    entry[1][index] = 1
+                entry[1] |= reached
         return self
 
-    def rows(self, dimension: str, sources: list[_Source]) -> list[AggregateRow]:
-        """One row of distinct counts per key of the dimension, unsorted; ``sources`` by their number."""
+    def rows(self, dimension: str, table: _Table) -> list[AggregateRow]:
+        """One row of distinct counts per key of the dimension, unsorted, from the table the fold counted."""
+        columns, rows = table.columns, []
         if dimension in _ID_KEY_OF:
-            by_key = {key: (ids, list(compress(sources, reached)))
-                      for key, (ids, reached) in self._by_id_key[list(_ID_KEY_OF).index(dimension)].items()}
-        else:
-            by_key = {}
-            for source, alone in zip(sources, self.alone):
-                key = _SOURCE_KEY_OF[dimension](source)
-                entry = by_key.setdefault(key, [self._shared[dimension, key], []])
-                entry[0] += alone
-                entry[1].append(source)
-        return [_row(key, sources, ids) for key, (ids, sources) in by_key.items()]
+            for key, (ids, reached) in self._by_id_key[list(_ID_KEY_OF).index(dimension)].items():
+                marks = reached.to_bytes(len(self.alone), "little")
+                rows.append(AggregateRow(key, *(len(set(compress(column, marks))) for column in columns), ids))
+            return rows
+        alone = self.alone.__getitem__
+        return [AggregateRow(key, *(len(set(map(column.__getitem__, members))) for column in columns),
+                             self._shared[number] + sum(map(alone, members)))
+                for (dim, key), (number, members) in table.keys.items() if dim == dimension]
 
 
 def _finish(dimension: str, rows: list[AggregateRow], registry: GeoRegistry, geo_sort: str) -> AggregateTable:
@@ -295,26 +293,25 @@ def _csv_row(cells: Iterable[str]) -> str:
 
 _json_cell = json.JSONEncoder(ensure_ascii=False).encode
 
-# format -> (file extension, a row's first cell as written, the rest of the
-# row as written).  A row is the two joined, so a listing writes each
-# source's rest of row once.  Markdown writes \ as \\, | as \| and a line
-# break as a space, so no cell can split its row; csv.writer quotes each
-# cell on its own.  A JSON row (only the listing writes rows one by one)
-# starts with the comma before it, which the listing drops from its first.
-FORMATS: dict[str, tuple[str, Callable[[str], str], Callable[[Iterable[str]], str]]] = {
-    "markdown": ("md", lambda cell: "| " + _markdown_cell(cell),
-                 lambda cells: "".join(" | " + _markdown_cell(c) for c in cells) + " |\n"),
-    "csv": ("csv", lambda cell: _csv_row((cell, ""))[:-2],
-            lambda cells: _csv_row(("", *cells))),
-    "json": ("json", lambda cell: ",\n    [\n      " + _json_cell(cell),
-             lambda cells: "".join(",\n      " + _json_cell(c) for c in cells) + "\n    ]"),
+# format -> (file extension, a row's first cell as written, each later cell
+# as written, the end of a row).  A row is its cells as written, joined, and
+# its end, so a listing writes each source's rest of row once, and each
+# distinct cell once.  Markdown writes \ as \\, | as \| and a line break as
+# a space, so no cell can split its row; csv.writer quotes each cell on its
+# own.  A JSON row (only the listing writes rows one by one) starts with the
+# comma before it, which the listing drops from its first.
+FORMATS: dict[str, tuple[str, Callable[[str], str], Callable[[str], str], str]] = {
+    "markdown": ("md", lambda cell: "| " + _markdown_cell(cell), lambda cell: " | " + _markdown_cell(cell), " |\n"),
+    "csv": ("csv", lambda cell: _csv_row((cell, ""))[:-2], lambda cell: _csv_row(("", cell))[:-1], "\n"),
+    "json": ("json", lambda cell: ",\n    [\n      " + _json_cell(cell), lambda cell: ",\n      " + _json_cell(cell),
+             "\n    ]"),
 }
 
 
 def _lines(rows: Iterable[tuple[str, ...]], fmt: str) -> Iterator[str]:
     """Markdown or CSV rows of cells, as written."""
-    _, head, tail = FORMATS[fmt]
-    return (head(row[0]) + tail(row[1:]) for row in rows)
+    _, head, later, end = FORMATS[fmt]
+    return (head(row[0]) + "".join(map(later, row[1:])) + end for row in rows)
 
 
 def _header(columns: tuple[str, ...], fmt: str) -> tuple[tuple[str, ...], ...]:
@@ -424,6 +421,8 @@ class _Table(NamedTuple):
     runs: dict[int, tuple[_Source, ...]]  # document number -> its usable sources, a source per listing row
     digest: dict[int, str]  # document number -> its sha256
     unusable: dict[int, tuple[tuple[str, str], ...]]  # document number -> each of its unusable URLs with why
+    keys: dict[tuple[str, str], tuple[int, list[int]]]  # (source dimension, key) -> its number, its sources
+    columns: tuple[list[int], ...]  # per ``_COUNTED``, each source's value numbered, by source number
 
     def skipped(self, documents: Iterable[int]) -> list[tuple[str, str]]:
         """The unusable URLs of the documents, each once with why, in the documents' order."""
@@ -436,27 +435,41 @@ def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], fmt: Optiona
     Each distinct source (document, URL, query, type) at a usable URL is
     numbered in the order met, with its domain, its key in each source
     dimension and, if ``fmt`` names a listing format, its cells after the ID.
+    Each URL is split once and each host classified once, at the first URL
+    met there; each distinct (source dimension, key) pair is numbered too.
     """
-    psl, table = default_suffix_list(), _Table([], {}, {}, {})
-    # an ID or token is [0-9a-f], which no format escapes or quotes: its cell
-    # is what the format writes around it, and a source's tail starts with
-    # what follows it
-    after = fmt and FORMATS[fmt][1]("0").partition("0")[2]
+    psl, sources, keys = default_suffix_list(), [], {}
+    table = _Table(sources, {}, {}, {}, keys, ())
+    hosts: dict[str, tuple] = {}  # host -> its domain's fields after ``url``, from the first URL met there
+    if fmt:
+        # an ID or token is [0-9a-f], which no format escapes or quotes: its
+        # cell is what the format writes around it, and a source's tail
+        # starts with what follows it
+        _, first, cell, end = FORMATS[fmt]
+        after, cell = first("0").partition("0")[2], functools.cache(cell)  # each distinct cell written once
 
-    @functools.cache  # each URL is classified once
+    @functools.cache  # each URL is split once
     def domain_of(url: str) -> tuple[Optional[DomainInfo], str]:
         try:
-            return classify_url(url, psl=psl, owner_tags=owner_tags), ""
+            host = url_host(url)
         except ClassificationError as exc:
             return None, str(exc)
+        if host not in hosts:
+            domain = classify_url(url, psl=psl, owner_tags=owner_tags)
+            hosts[host] = domain.fqdn, domain.registered_domain, domain.tld_class, domain.owner_tag
+        return DomainInfo(url, *hosts[host]), ""
 
     @functools.cache  # each source is resolved once
     def source_of(sha256: str, url: str, query: str, file_type: str) -> _Source:
         domain = domain_of(url)[0]
-        tail = fmt and after + FORMATS[fmt][2]((domain.tld_class, domain.registered_domain or "", url, file_type, query))
-        source = _Source(len(table.sources), sha256, url, query, file_type, domain, tail=tail)
-        source.keys = tuple((dim, key_of(source)) for dim, key_of in _SOURCE_KEY_OF.items())
-        table.sources.append(source)
+        tail = fmt and after + "".join(map(cell, (domain.tld_class, domain.registered_domain or "", url, file_type,
+                                                  query))) + end
+        source = _Source(len(sources), sha256, url, query, file_type, domain, tail=tail)
+        pairs = [keys.setdefault((dim, key_of(source)), (len(keys), [])) for dim, key_of in _SOURCE_KEY_OF.items()]
+        source.keys = tuple(number for number, _ in pairs)
+        for _, members in pairs:
+            members.append(source.index)
+        sources.append(source)
         return source
 
     for document, (sha256, found) in documents.items():
@@ -464,7 +477,13 @@ def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], fmt: Optiona
         table.runs[document] = tuple(source_of(sha256, *entry) for entry in found if domain_of(entry[0])[0])
         table.unusable[document] = tuple(dict.fromkeys((url, domain_of(url)[1]) for url, _, _ in found
                                                        if not domain_of(url)[0]))
-    return table
+    return table._replace(columns=tuple(_numbered(map(value_of, sources)) for value_of in _COUNTED))
+
+
+def _numbered(values: Iterable[str]) -> list[int]:
+    """Each value as a number, equal values alike: the distinct values numbered in the order met."""
+    numbers: dict[str, int] = {}
+    return [numbers.setdefault(value, len(numbers)) for value in values]
 
 
 # a row after every ID's rows: it ends the last ID's run
@@ -547,10 +566,11 @@ def report(
     are resolved once, here, before any range is read.  ``run`` maps the
     range function over the ranges and their listing parts as ``map`` does:
     each range counts its IDs in a fold of its own, against that one table,
-    and writes its part of the listing as it goes.  ``run`` may map in other
-    processes, when the ranges and the function's arguments pickle; it must
-    return once no range is still running.  The folds are then added up, the
-    tables written, and the parts joined into one listing.  Returns the files
+    and writes its part of the listing as it goes.  ``run`` may map in
+    processes forked from this one, which hold the function and its table
+    already: only the folds it returns need to pickle.  It must return once
+    no range is still running.  The folds are then added up, the tables
+    written, and the parts joined into one listing.  Returns the files
     written, each unusable URL once with why (in the order first seen), and
     the number of IDs.
     """
@@ -576,7 +596,7 @@ def report(
         for part in filter(None, parts):
             part.unlink(missing_ok=True)
     by_stem = {
-        stem: _finish(dim, fold.rows(dim, table.sources), registry, geo_sort)
+        stem: _finish(dim, fold.rows(dim, table), registry, geo_sort)
         for name in names for stem, dim in TABLES[name].items()
     }
     return emit_report(by_stem, out_dir, fmt) + written, table.skipped(fold.met), fold.ids
@@ -602,5 +622,5 @@ def tables(
     with store.read() as (documents, rows):
         table = _resolve(documents, owner_tags, None)
         fold = _count(table, rows)
-    by_dim = {dim: _finish(dim, fold.rows(dim, table.sources), registry, geo_sort) for dim in DIMENSIONS}
+    by_dim = {dim: _finish(dim, fold.rows(dim, table), registry, geo_sort) for dim in DIMENSIONS}
     return by_dim, table.skipped(fold.met), fold.ids

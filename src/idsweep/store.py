@@ -24,8 +24,9 @@ order, (digits, document) (a WITHOUT ROWID table is its primary-key B-tree).
 several processes: as many as give each range ``MIN_ROWS_PER_RANGE`` rows, up
 to the number asked for.  Its boundaries are the IDs at equal shares of the
 rows, each range starting at its ID's first row, so no ID is split.  An
-``ExposureRange`` pickles; it reads the documents map (``documents()``) or its
-own rows (``read()``) through a read-only connection of its own.
+``ExposureRange`` reads the documents map (``documents()``) or its own rows
+(``read()``) through a read-only connection of its own, so a process forked
+with it reads its range alone.
 ``ResultStore.read()`` gives the map and every row in one read transaction,
 and ``load_occurrences()`` joins them into one (digits, sha256, sources) row
 per exposure: a reference for tests, which no report reads.
@@ -128,8 +129,8 @@ def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
 # (digits, sha256, each (url, query, file_type) of the document), as load_occurrences() gives it
 Occurrence = tuple[str, str, tuple[tuple[str, str, str], ...]]
 
-# the fewest exposures a report reads in a process of its own: below about this many, starting
-# the process and sending it the resolved documents cost more than the rows it takes over
+# the fewest exposures a report reads in a process of its own: below about this many, forking the
+# process, running it beside another and merging its fold cost more than the rows it takes over
 MIN_ROWS_PER_RANGE = 50_000
 
 
@@ -187,9 +188,9 @@ def _joined(documents: dict, rows: Iterable[tuple[str, int]]) -> Iterator[Occurr
 class ExposureRange:
     """The exposures of the IDs in ``[lo, hi)`` of a store, a missing bound left open.
 
-    It is a path and two IDs, so it pickles: another process can read its
-    range.  Each read goes through a read-only connection of its own, closed
-    when the read ends.
+    It is a path and two IDs, and holds no connection: each read goes
+    through a read-only connection of its own, closed when the read ends, so
+    any process may read its range.
     """
 
     db_path: Path

@@ -9,15 +9,19 @@ import os
 import re
 import runpy
 import shutil
+import signal
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from idsweep import cli, thai_id
+from idsweep import cli, domains, reports, thai_id
 from idsweep.geo import default_registry
 from idsweep.harvest import CrawlConfig
 from idsweep.pipeline import ScanSummary
@@ -480,7 +484,7 @@ def test_report_in_forced_ranges_matches_goldens(demo_store, tmp_path, monkeypat
     assert child_pids() == children
 
 
-@pytest.mark.parametrize("failure", ["store error", "worker killed"])
+@pytest.mark.parametrize("failure", ["store error", "worker killed", "killed by a signal"])
 def test_report_with_a_failing_range_leaves_nothing(demo_store, tmp_path, monkeypatch, capsys, failure):
     monkeypatch.setattr(cli, "_id_ranges", forced_ranges(2))
     read = ExposureRange.read
@@ -492,6 +496,8 @@ def test_report_with_a_failing_range_leaves_nothing(demo_store, tmp_path, monkey
             if self.lo is not None:
                 if failure == "worker killed":
                     os._exit(1)
+                if failure == "killed by a signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
                 raise sqlite3.OperationalError("disk I/O error")
             yield from rows
 
@@ -507,6 +513,74 @@ def test_report_with_a_failing_range_leaves_nothing(demo_store, tmp_path, monkey
     assert "Traceback" not in err
     assert sorted(out_dir.iterdir()) == []  # no listing, whole or part
     assert child_pids() == children
+
+
+class NotPickled(Exception):
+    """A range's failure that holds what pickle refuses."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class NotUnpickled(Exception):
+    """A range's failure that pickles, but whose class cannot be made again from its arguments."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+@pytest.mark.parametrize("failure", [NotPickled("range failed: lock held"),
+                                     NotUnpickled("range failed", "lock held")])
+def test_report_with_a_range_failure_that_does_not_pickle_exits_2(demo_store, tmp_path, monkeypatch, capsys,
+                                                                    failure):
+    monkeypatch.setattr(cli, "_id_ranges", forced_ranges(2))
+    read = ExposureRange.read
+
+    @contextlib.contextmanager
+    def second_range_fails(self):
+        if self.lo is not None:
+            raise failure
+        with read(self) as rows:
+            yield rows
+
+    monkeypatch.setattr(ExposureRange, "read", second_range_fails)
+    children = child_pids()
+    assert run_cli(*report_args(demo_store, tmp_path / "r")) == 2
+    err = capsys.readouterr().err
+    assert err == "error: range failed: lock held\n"
+    assert sorted((tmp_path / "r").iterdir()) == []
+    assert child_pids() == children
+
+
+def test_in_processes_maps_a_function_that_does_not_pickle():
+    lock = threading.Lock()
+
+    def under_lock(n, letter):
+        with lock:
+            return n * 10, letter, os.getpid()
+
+    children = child_pids()
+    results = cli._in_processes(under_lock, [1, 2, 3], "abc")
+    assert [result[:2] for result in results] == [(10, "a"), (20, "b"), (30, "c")]
+    assert len({pid for _, _, pid in results} - {os.getpid()}) == 3  # each in a process of its own
+    assert child_pids() == children
+
+
+def test_report_in_ranges_prints_each_path_once_to_a_pipe(demo_store, tmp_path):
+    # stdout to a pipe is block-buffered: a line printed before the ranges
+    # fork is still in the buffer each child inherits
+    code = "\n".join([
+        "import sys, idsweep.cli",
+        "idsweep.cli._id_ranges = lambda store: store.id_ranges(3, min_rows=1)",
+        "print('before the report')",
+        f"sys.exit(idsweep.cli.entry({list(report_args(demo_store, tmp_path / 'r'))!r}))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    written = sorted(str(path) for path in (tmp_path / "r").iterdir())
+    assert len(written) == 2
+    assert sorted(proc.stdout.splitlines()) == sorted(["before the report", *written])
 
 
 def test_report_forks_with_no_store_connection_open(demo_store, tmp_path, monkeypatch):
@@ -590,6 +664,64 @@ def test_report_mirror_store_matches_goldens(tmp_path, fmt):
         "repeat", "tld"))
     for name in produced:
         assert (out_dir / name).read_bytes() == (MIRROR_GOLDENS / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_report_mirror_store_in_forced_ranges_matches_goldens(tmp_path, monkeypatch, fmt, n):
+    monkeypatch.setattr(cli, "_id_ranges", forced_ranges(n))
+    children = child_pids()
+    test_report_mirror_store_matches_goldens(tmp_path, fmt)
+    assert child_pids() == children
+
+
+def resolved_as_classified(urls, owner_tags):
+    """Resolve one document per URL and check each source's domain, and each unusable URL's
+    warning, against ``classify_url`` on that URL alone; each host is classified once."""
+    documents = {n: (f"{n:064x}", ((url, "q", "pdf"),)) for n, url in enumerate(urls)}
+    expected, unusable = {}, {}
+    for url in urls:
+        try:
+            expected[url] = domains.classify_url(url, owner_tags=owner_tags)
+        except domains.ClassificationError as exc:
+            unusable.setdefault((url, str(exc)))
+    with mock.patch.object(reports, "classify_url", wraps=domains.classify_url) as classify:
+        table = reports._resolve(documents, owner_tags, "markdown")
+    assert {source.url: source.domain for source in table.sources} == expected
+    assert all(source.domain.url == source.url for source in table.sources)
+    assert table.skipped(documents) == list(unusable)
+    assert classify.call_count == len({domain.fqdn for domain in expected.values()})
+
+
+def test_mirror_store_urls_resolve_as_classified(tmp_path):
+    (tmp_path / "owners.csv").write_text(MIRROR_OWNERS, "utf-8")
+    with ResultStore(mirror_store(tmp_path / "store")) as store, store.read() as (documents, _):
+        urls = list(dict.fromkeys(url for _, found in documents.values() for url, _, _ in found))
+    assert len(urls) == 7
+    resolved_as_classified(urls, domains.load_owner_tags(tmp_path / "owners.csv"))
+
+
+LABELS = st.sampled_from(["www", "WWW", "nfe", "NFE", "go", "Go", "th", "TH", "ac", "co", "chpao", "org", "Com"])
+HOSTS = st.one_of(
+    st.tuples(st.lists(LABELS, min_size=1, max_size=4), st.sampled_from(["", "."]))
+    .map(lambda name: ".".join(name[0]) + name[1]),
+    st.ip_addresses(v=4).map(str),
+    st.ip_addresses(v=6).map(lambda address: f"[{address}]"),
+    st.sampled_from(["", "."]),
+)
+URLS = st.one_of(
+    st.builds("{}://{}{}{}{}".format,
+              st.sampled_from(["http", "HTTP", "Https", "ftp", "FTP", "file", "mailto"]),
+              st.sampled_from(["", "user@", "user:secret@"]), HOSTS, st.sampled_from(["", ":80", ":8443"]),
+              st.sampled_from(["", "/", "/a.pdf", "/x/b.xls?q=1#top"])),
+    st.sampled_from(["not a url", "bad://", "//nfe.go.th/a.pdf", "http:///a.pdf", "http://user@/a.pdf"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(URLS, max_size=25))
+def test_each_url_resolves_as_classify_url_classifies_it(urls):
+    resolved_as_classified(urls, {"nfe.go.th": "education", "chpao.org": "provincial office"})
 
 
 def test_report_warns_once_per_unusable_url(tmp_path, capsys):

@@ -73,9 +73,35 @@ def test_report_loads_neither_scan_nor_http(tmp_path):
         "report", "--store", str(tmp_path / "store"), "--out", str(tmp_path / "out"),
         "--salt-file", str(TESTS / "data" / "demo_salt.txt"),
     ))
-    scan = {f"idsweep.{m}" for m in ("pipeline", "extract", "providers", "queries")}
+    scan = {f"idsweep.{m}" for m in ("pipeline", "extract", "providers", "queries", "harvest")}
     assert "idsweep.reports" in loaded
     assert loaded & (scan | HTTP_STACK | {"email.message"}) == set()
+
+
+def test_report_in_ranges_loads_no_process_pool(tmp_path):
+    # a store of three IDs, made to split into three ranges whatever its size
+    with ResultStore(tmp_path / "store") as store:
+        for i in range(3):
+            sha256 = f"{i:064x}"
+            hit_id = store.add_hit("q", "fixture", 1, i + 1, f"http://a.go.th/{i}.pdf", "t", False)
+            store.record_download(hit_id, "success", "t", sha256=sha256, declared_type="pdf")
+            store.add_exposures([(generate_valid_id("11001", f"234567{i}", default_registry()), sha256)])
+    loaded = loaded_modules("\n".join([
+        "import os, idsweep.cli",
+        "forks, fork = [], os.fork",
+        "os.fork = lambda: forks.append(1) or fork()",
+        "idsweep.cli._id_ranges = lambda store: store.id_ranges(3, min_rows=1)",
+        cli_run("report", "--store", str(tmp_path / "store"), "--out", str(tmp_path / "out"),
+                "--salt-file", str(TESTS / "data" / "demo_salt.txt")),
+        "assert len(forks) == 3",
+    ]))
+    assert {m for m in loaded if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process"} == set()
+
+
+def test_id_validate_loads_neither_reports_nor_harvest():
+    loaded = loaded_modules(cli_run("id", "validate", generate_valid_id("11001", "2345678", default_registry())))
+    assert "idsweep.thai_id" in loaded
+    assert loaded & {"idsweep.reports", "idsweep.harvest", "idsweep.domains", "concurrent.futures"} == set()
 
 
 def test_fixture_scan_loads_no_http_stack(tmp_path):
@@ -100,7 +126,7 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 imported.setdefault(name.split(".")[0], path.name)
-    assert {"multiprocessing", "http"} <= set(imported)  # imported inside functions only
+    assert {"pickle", "http"} <= set(imported)  # imported inside functions only
     outside = {top: where for top, where in imported.items()
                if top not in sys.stdlib_module_names and top != "idsweep"}
     assert outside == {}

@@ -476,7 +476,8 @@ def test_each_url_is_classified_once_per_report(tmp_path, monkeypatch):
         assert len(ranges) == 3
         _, skipped, ids = reports.report(ranges, list(reports.TABLES), REG, tmp_path, salt=b"pepper", run=map)
     assert (skipped, ids) == ([("not a url", "unsupported scheme in 'not a url'")], 3)
-    assert sorted(calls) == ["http://x.go.th/a.pdf", "http://y.go.th/b.pdf", "not a url"]
+    # each host is classified once, and an unusable URL never is
+    assert sorted(calls) == ["http://x.go.th/a.pdf", "http://y.go.th/b.pdf"]
 
 
 def test_a_range_sends_back_counts_only(tmp_path):
@@ -523,8 +524,8 @@ def test_report_names_each_unusable_url_once(tmp_path, monkeypatch):
         for name, entry in ENTRIES.items():
             calls.clear()
             assert entry(store, tmp_path) == ([("not a url", "unsupported scheme in 'not a url'")], 2), name
-            # each distinct URL is classified once
-            assert sorted(calls) == ["http://chpao.org/b.xls", "http://x.go.th/a.pdf", "not a url"], name
+            # each host is classified once, and an unusable URL never is
+            assert sorted(calls) == ["http://chpao.org/b.xls", "http://x.go.th/a.pdf"], name
         tld = reports.tables(store, REG)[0]["tld"]
     assert [(r.key, r.unique_ids) for r in tld.rows] == [("go.th", 2), ("org", 1)]
 
