@@ -8,13 +8,19 @@ Layout under the store directory::
 
 ``objects/`` is the only record of the stored objects: an object's path is
 derived from its digest, and ``downloads`` holds its digest and size.  An
-exposure is only (digits, document): ``document`` is the number that
-``documents`` gives the digest of a document with exposures, numbered as
-first met, and its URLs, queries, engines and types are the successful
-``downloads`` of that digest joined to their ``hits``.  Opening a store that
-older versions wrote retires the columns (``_RETIRED``) and the ``objects``
-table they kept and nothing reads, in one transaction, then ``VACUUM``s once
-if it copied ``exposures``.
+exposure is only (digits, document).  ``digits`` is the ID as the integer it
+spells: 6 bytes of record where its text took 13, so a row takes about 14
+bytes where it took about 22.  ``add_exposures`` refuses an ID that would not
+read back as written, and every read gives each ID back as its 13-character
+text; for 13 digits with no leading zero, integer order is text order.
+``document`` is the number that ``documents`` gives the digest of a document
+with exposures, numbered as first met; its URLs, queries, engines and types
+are the successful ``downloads`` of that digest joined to their ``hits``.
+Opening a store that older versions wrote drops the ``objects`` table and
+``downloads.stored_path``, which nothing reads, and copies an ``exposures``
+with text IDs (keyed by document number, or in the oldest layouts by digest)
+into the integer layout, in one transaction, then ``VACUUM``s once if it
+copied ``exposures``.
 
 Reports read the store in one pass and add no index.  They read each
 document number's digest and the successful sources of that digest, sorted
@@ -81,7 +87,7 @@ CREATE TABLE IF NOT EXISTS documents (
     sha256 TEXT NOT NULL UNIQUE
 );
 CREATE TABLE IF NOT EXISTS exposures (
-    digits   TEXT NOT NULL,
+    digits   INTEGER NOT NULL,           -- the ID as the integer it spells
     document INTEGER NOT NULL,           -- documents.id
     PRIMARY KEY (digits, document)
 ) WITHOUT ROWID;
@@ -95,34 +101,54 @@ CREATE TABLE IF NOT EXISTS diagnostics (
 """
 
 
-# Columns that older stores hold and nothing reads.
-_RETIRED = {"downloads": ("stored_path",),
-            "exposures": ("sha256", "first_seen", "url", "query", "engine", "file_type")}
+# What an ID must be to be stored as an integer: 13 ASCII digits, the first not 0,
+# so that the integer spells it back.  _key checks it in Python, _ID_GLOB in SQL.
+_ID_GLOB = "[1-9]" + "[0-9]" * 12
+
+
+def _key(digits: str) -> int:
+    """The integer ``exposures`` stores for an ID; ValueError unless it reads back as written."""
+    if not (isinstance(digits, str) and len(digits) == 13 and digits.isascii() and digits.isdigit()
+            and digits[0] != "0"):
+        raise ValueError("an exposure's ID must be 13 ASCII digits, the first not 0")
+    return int(digits)
+
+
+def _declared(conn: sqlite3.Connection, table: str) -> dict[str, str]:
+    """Each column of ``table`` with its declared type; {} if there is no such table."""
+    return {name: kind for _, name, kind, *_ in conn.execute(f"PRAGMA table_info({table})")}
 
 
 def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
-    """``_SCHEMA`` as one transaction that also retires any ``_RETIRED`` column
-    and the ``objects`` table older stores kept, and whether it copies ``exposures``.
+    """``_SCHEMA`` as one transaction that also migrates what older stores
+    hold, and whether it copies ``exposures``.
 
-    Columns are dropped in place, so a table keeps those it does not declare
-    (``DROP COLUMN``, SQLite >= 3.35).  SQLite cannot make a table WITHOUT
-    ROWID in place, so an older ``exposures`` is renamed, its digests are
-    numbered in digest order, its rows are copied into the table ``_SCHEMA``
-    creates in key order, which fills its pages, and it is dropped.
+    It drops the ``objects`` table and ``downloads.stored_path`` that nothing
+    reads; a column is dropped in place, so a table keeps those it does not
+    declare (``DROP COLUMN``, SQLite >= 3.35).  SQLite cannot change a
+    column's type or make a table WITHOUT ROWID in place, so an ``exposures``
+    whose IDs are text, with or without the digest and source columns of the
+    oldest layouts, is renamed, its digests (if it has them) are numbered in
+    digest order, its rows are copied as integers into the table ``_SCHEMA``
+    creates in key order, which fills its pages, and it is dropped.  A row
+    whose digits would not read back as written (``_ID_GLOB``) copies as
+    NULL, which the new table refuses, so the whole migration rolls back.
     """
     before, after = [], []
-    for table, retired in _RETIRED.items():
-        have = {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
-        gone = [column for column in retired if column in have]
-        if gone and table == "exposures":
-            before.append("ALTER TABLE exposures RENAME TO retired_exposures;")
+    if "stored_path" in _declared(conn, "downloads"):
+        before.append("ALTER TABLE downloads DROP COLUMN stored_path;")
+    exposures = _declared(conn, "exposures")
+    if exposures.get("digits") == "TEXT":
+        before.append("ALTER TABLE exposures RENAME TO retired_exposures;")
+        rows, document = "retired_exposures e", "e.document"
+        if "sha256" in exposures:
             after.append("INSERT INTO documents (sha256) SELECT DISTINCT sha256 FROM retired_exposures"
-                         " ORDER BY sha256;"
-                         " INSERT INTO exposures SELECT e.digits, d.id FROM retired_exposures e"
-                         " JOIN documents d ON d.sha256 = e.sha256 ORDER BY e.digits, d.id;"
-                         " DROP TABLE retired_exposures;")
-        else:
-            before += [f"ALTER TABLE {table} DROP COLUMN {column};" for column in gone]
+                         " ORDER BY sha256;")
+            rows, document = "retired_exposures e JOIN documents d ON d.sha256 = e.sha256", "d.id"
+        after.append(f"INSERT INTO exposures SELECT CASE WHEN e.digits GLOB '{_ID_GLOB}'"
+                     f" THEN CAST(e.digits AS INTEGER) END, {document} FROM {rows}"
+                     f" ORDER BY e.digits, {document};"
+                     " DROP TABLE retired_exposures;")
     return "\n".join(["BEGIN;", "DROP TABLE IF EXISTS objects;", *before, _SCHEMA, *after, "COMMIT;"]), bool(after)
 
 
@@ -163,10 +189,11 @@ def _documents(conn: sqlite3.Connection) -> dict[int, tuple[str, tuple[tuple[str
 def _exposures(conn: sqlite3.Connection, lo: Optional[str] = None, hi: Optional[str] = None) -> sqlite3.Cursor:
     """A cursor over the sorted (digits, document) of the exposures with ``lo <= digits < hi``,
     a missing bound left open."""
-    tests = [test for test, bound in (("digits >= :lo", lo), ("digits < :hi", hi)) if bound is not None]
-    where = f"WHERE {' AND '.join(tests)}" if tests else ""
-    return conn.execute(f"SELECT digits, document FROM exposures {where} ORDER BY digits, document",
-                        {"lo": lo, "hi": hi})
+    bounds = {name: int(bound) for name, bound in (("lo", lo), ("hi", hi)) if bound is not None}
+    tests = {"lo": "digits >= :lo", "hi": "digits < :hi"}
+    where = f"WHERE {' AND '.join(tests[name] for name in bounds)}" if bounds else ""
+    return conn.execute(
+        f"SELECT CAST(digits AS TEXT), document FROM exposures {where} ORDER BY digits, document", bounds)
 
 
 def _joined(documents: dict, rows: Iterable[tuple[str, int]]) -> Iterator[Occurrence]:
@@ -319,9 +346,11 @@ class ResultStore:
     def add_exposures(self, rows: Iterable[tuple[str, str]]) -> int:
         """Record many (digits, sha256) pairs in one commit; returns how many were new.
 
-        A digest not yet in ``documents`` is numbered there first.
+        A digest not yet in ``documents`` is numbered there first.  Each ID is
+        stored as the integer it spells: ValueError, before any row is
+        written, for digits other than 13 ASCII digits with the first not 0.
         """
-        rows = list(rows)
+        rows = [(_key(digits), sha256) for digits, sha256 in rows]
         with self._conn:
             self._conn.executemany("INSERT OR IGNORE INTO documents (sha256) VALUES (?)",
                                    ((sha256,) for sha256 in dict.fromkeys(sha256 for _, sha256 in rows)))
@@ -348,8 +377,8 @@ class ResultStore:
         n = max(1, min(most, rows // min_rows))
         offsets = [rows * i // n for i in range(n)] if rows else []
         starts = dict.fromkeys(self._conn.execute(
-            "SELECT digits FROM exposures ORDER BY digits, document LIMIT 1 OFFSET ?", (offset,)).fetchone()[0]
-            for offset in offsets)
+            "SELECT CAST(digits AS TEXT) FROM exposures ORDER BY digits, document LIMIT 1 OFFSET ?",
+            (offset,)).fetchone()[0] for offset in offsets)
         edges = [None, *list(starts)[1:], None]  # the first range starts with the store
         return [ExposureRange(self.db_path, lo, hi) for lo, hi in zip(edges, edges[1:])]
 

@@ -931,12 +931,24 @@ CREATE TABLE exposures (
     PRIMARY KEY (digits, sha256)
 ) WITHOUT ROWID;
 """
+# exposures as idsweep kept them once documents were numbered, while each ID
+# was spelled out as text; the objects table and downloads.stored_path were gone
+TEXT_KEYED_EXPOSURES = """
+CREATE TABLE documents (id INTEGER PRIMARY KEY, sha256 TEXT NOT NULL UNIQUE);
+CREATE TABLE exposures (
+    digits TEXT NOT NULL, document INTEGER NOT NULL,
+    PRIMARY KEY (digits, document)
+) WITHOUT ROWID;
+"""
 # the older layouts a store is migrated from: exposures with the source
-# columns, and exposures keyed by digest
+# columns, exposures keyed by digest, and exposures keyed by document number
+# with text IDs
 OLD_LAYOUTS = {
     "source columns": OLD_SCHEMA,
     "digest keyed": OLD_SCHEMA[:OLD_SCHEMA.index("CREATE TABLE exposures")] + DIGEST_KEYED_EXPOSURES
     + OLD_SCHEMA[OLD_SCHEMA.index("CREATE TABLE diagnostics"):],
+    "text keyed": OLD_SCHEMA[:OLD_SCHEMA.index("CREATE TABLE objects")].replace("stored_path TEXT, ", "")
+    + TEXT_KEYED_EXPOSURES + OLD_SCHEMA[OLD_SCHEMA.index("CREATE TABLE diagnostics"):],
 }
 
 
@@ -948,18 +960,25 @@ def old_layout_copy(store_dir, old_dir, schema=OLD_SCHEMA):
     conn.executescript(schema)
     conn.execute("ATTACH ? AS new", (str(store_dir / "store.db"),))
     exposures = [(digits, sha256, f"2025-12-31T00:00:{i:02d}Z") for i, (digits, sha256) in enumerate(
-        conn.execute("SELECT e.digits, d.sha256 FROM new.exposures e JOIN new.documents d ON d.id = e.document"
-                     " ORDER BY e.digits DESC, d.sha256"))]
+        conn.execute("SELECT CAST(e.digits AS TEXT), d.sha256 FROM new.exposures e"
+                     " JOIN new.documents d ON d.id = e.document ORDER BY e.digits DESC, d.sha256"))]
+    columns = [row[1] for row in conn.execute("PRAGMA table_info(exposures)")]
     # the source columns, where the layout has them, hold what nothing reads
-    unread = "'-', " * (len(conn.execute("PRAGMA table_info(exposures)").fetchall()) - 3)
+    unread = "'-', " * (len(columns) - 3)
     with conn:
         conn.execute("INSERT INTO hits SELECT * FROM new.hits")
-        conn.execute("INSERT INTO downloads SELECT id, hit_id, status, reason, sha256, declared_type,"
-                     " 'objects/' || sha256, size_bytes, completed_at FROM new.downloads")
-        conn.execute("INSERT OR IGNORE INTO objects SELECT sha256, size_bytes, 'objects/' || sha256, completed_at"
-                     " FROM new.downloads WHERE status = 'success'")
-        # out of key order
-        conn.executemany(f"INSERT INTO exposures VALUES (?, ?, {unread}?)", exposures)
+        if "document" in columns:
+            conn.execute("INSERT INTO downloads SELECT * FROM new.downloads")
+            # numbered in digest order, as a migration from the older layouts numbers them
+            conn.execute("INSERT INTO documents (sha256) SELECT sha256 FROM new.documents ORDER BY sha256")
+            conn.executemany("INSERT INTO exposures SELECT ?, id FROM documents WHERE sha256 = ?",  # out of key order
+                             [exposure[:2] for exposure in exposures])
+        else:
+            conn.execute("INSERT INTO downloads SELECT id, hit_id, status, reason, sha256, declared_type,"
+                         " 'objects/' || sha256, size_bytes, completed_at FROM new.downloads")
+            conn.execute("INSERT OR IGNORE INTO objects SELECT sha256, size_bytes, 'objects/' || sha256,"
+                         " completed_at FROM new.downloads WHERE status = 'success'")
+            conn.executemany(f"INSERT INTO exposures VALUES (?, ?, {unread}?)", exposures)  # out of key order
     conn.close()
     return exposures
 
@@ -974,7 +993,7 @@ def exposures_layout(db):
     if "documents" in tables:
         digest_of = dict(conn.execute("SELECT id, sha256 FROM documents"))
         rows = [(digits, digest_of[document]) for digits, document in
-                conn.execute("SELECT digits, document FROM exposures")]
+                conn.execute("SELECT CAST(digits AS TEXT), document FROM exposures")]
     else:
         rows = conn.execute("SELECT digits, sha256 FROM exposures").fetchall()
     conn.close()
@@ -990,6 +1009,10 @@ def test_store_with_digest_keyed_exposures_is_migrated_on_open(tmp_path):
     migrated_on_open(tmp_path, "digest keyed", ["digits", "sha256", "first_seen"], 1)
 
 
+def test_store_with_text_ids_is_migrated_on_open(tmp_path):
+    migrated_on_open(tmp_path, "text keyed", ["digits", "document"], 1)
+
+
 def migrated_on_open(tmp_path, layout, columns, without_rowid):
     """A store in an older layout, whose exposures have ``columns``, opened:
     it is migrated whole and vacuumed, and reports what a fresh store does."""
@@ -1002,6 +1025,9 @@ def migrated_on_open(tmp_path, layout, columns, without_rowid):
     migrated = old.joinpath("store.db").read_bytes()
     conn = sqlite3.connect(old / "store.db")
     assert conn.execute("PRAGMA freelist_count").fetchone()[0] == 0  # the pages the copy freed are gone
+    # each ID is the integer it spells
+    assert [row[2] for row in conn.execute("PRAGMA table_info(exposures)")] == ["INTEGER", "INTEGER"]
+    assert conn.execute("SELECT DISTINCT typeof(digits) FROM exposures").fetchall() == [("integer",)]
     conn.close()
     columns, without_rowid, tables, rows = exposures_layout(old / "store.db")
     assert (columns, without_rowid) == (["digits", "document"], 1)
@@ -1039,7 +1065,7 @@ def test_failed_vacuum_leaves_the_migrated_store(tmp_path, monkeypatch, capsys):
     assert _report_bytes(old, tmp_path / "old-report") == _report_bytes(new, tmp_path / "new-report")
 
 
-@pytest.mark.parametrize("failure", ["read-only file", "row the new table refuses"])
+@pytest.mark.parametrize("failure", ["read-only file", "row the new table refuses", "ID that does not read back"])
 def test_failed_migration_leaves_the_older_store(tmp_path, monkeypatch, capsys, failure):
     new = mirror_store(tmp_path / "new")
     old = tmp_path / "old"
@@ -1047,20 +1073,27 @@ def test_failed_migration_leaves_the_older_store(tmp_path, monkeypatch, capsys, 
         old_layout_copy(new, old)
         connect = sqlite3.connect  # file modes do not stop root writing, so open it read-only
         monkeypatch.setattr(sqlite3, "connect", lambda db, **kw: connect(f"file:{db}?mode=ro", uri=True, **kw))
-    else:  # the copy into the new exposures fails after the other columns were dropped
+    elif failure == "row the new table refuses":
+        # the copy into the new exposures fails after the other columns were dropped
         old_layout_copy(new, old, OLD_SCHEMA.replace("digits TEXT NOT NULL, sha256", "digits TEXT, sha256"))
         conn = sqlite3.connect(old / "store.db")
         with conn:
             conn.execute("UPDATE exposures SET digits = NULL WHERE rowid = 9")
         conn.close()
+    else:  # one planted ID that no integer spells: its leading 0 would be lost
+        old_layout_copy(new, old, OLD_LAYOUTS["text keyed"])
+        conn = sqlite3.connect(old / "store.db")
+        with conn:
+            conn.execute("INSERT INTO exposures VALUES ('0110100000013', 1)")
+        conn.close()
     before = old.joinpath("store.db").read_bytes()
-    assert run_cli(
-        "report", "--store", str(old), "--tables", "filetype",
-        "--out", str(tmp_path / "r"), "--salt-file", str(SALT_FILE),
-    ) == 2
-    err = capsys.readouterr().err
-    assert f"store {old}: " in err and "Traceback" not in err
-    assert old.joinpath("store.db").read_bytes() == before
+    commands = [("report", "--store", str(old), "--tables", "filetype",
+                 "--out", str(tmp_path / "r"), "--salt-file", str(SALT_FILE)), scan_args(old)]
+    for command in commands:
+        assert run_cli(*command) == 2, command[0]
+        err = capsys.readouterr().err
+        assert f"store {old}: " in err and "Traceback" not in err, command[0]
+        assert old.joinpath("store.db").read_bytes() == before, command[0]
 
 
 def test_open_keeps_columns_it_does_not_declare(tmp_path):

@@ -185,7 +185,7 @@ def test_concurrent_extraction_matches_sequential(tmp_path, registry):
             diagnostics = store.diagnostics()
         conn = sqlite3.connect(store.db_path)
         exposures = conn.execute(  # read through documents: their numbers follow the order of writes
-            "SELECT e.digits, d.sha256 FROM exposures e JOIN documents d ON d.id = e.document"
+            "SELECT CAST(e.digits AS TEXT), d.sha256 FROM exposures e JOIN documents d ON d.id = e.document"
             " ORDER BY e.digits, d.sha256"
         ).fetchall()
         downloads = conn.execute(  # completed_at left out too, and rows in id order

@@ -17,11 +17,11 @@ from idsweep.store import ResultStore
 from conftest import expand
 
 # The join as one SQL statement: one row per distinct source of an exposure,
-# engines included, then the engine dropped.  ``load_occurrences()``, expanded
-# across each row's sources, must be exactly its rows.
+# engines included, then the engine dropped, each ID read as its text.
+# ``load_occurrences()``, expanded across each row's sources, must be exactly its rows.
 REFERENCE_SQL = """
     SELECT digits, sha256, url, query, declared_type FROM (
-        SELECT DISTINCT e.digits, doc.sha256, h.url, h.query, h.engine, d.declared_type
+        SELECT DISTINCT CAST(e.digits AS TEXT) AS digits, doc.sha256, h.url, h.query, h.engine, d.declared_type
         FROM exposures e
         JOIN documents doc ON doc.id = e.document
         JOIN downloads d ON d.sha256 = doc.sha256 AND d.status = 'success'
@@ -226,7 +226,7 @@ def test_exposure_range_pickles_and_reads_on_its_own(tmp_path, monkeypatch):
         rows.connection.execute("SELECT 1")
 
 
-def test_a_store_holds_an_exposure_in_under_40_bytes(tmp_path):
+def test_a_store_holds_an_exposure_in_under_20_bytes(tmp_path):
     # as a scan writes them: one call per document, its IDs in the order found,
     # some IDs in several documents
     rng = random.Random(14)
@@ -238,8 +238,29 @@ def test_a_store_holds_an_exposure_in_under_40_bytes(tmp_path):
     size = conn.execute("PRAGMA page_count").fetchone()[0] * conn.execute("PRAGMA page_size").fetchone()[0]
     conn.close()
     assert written == 20_000
-    # a row spelling out its digest, as exposures once did, takes over 100
-    assert size / written < 40, size / written
+    # a row spelling out its digest, as exposures once did, takes over 100,
+    # and one spelling out its ID as text about 26
+    assert size / written < 20, size / written
+
+
+@pytest.mark.parametrize("digits", [
+    "๑๑๐๐๑๐๐๐๐๐๐๑๓",  # Thai numerals, which int() reads
+    "1_100100000013",  # a separator int() skips
+    " 1100100000013", "1100100000013\n",  # space around the digits, which int() strips
+    "0110010000001",  # a leading 0 the integer loses
+    "110010000001", "11001000000135",  # too short, too long
+    "-110010000001", "+110010000001",  # a sign
+    1100100000013,  # not text
+])
+def test_an_id_that_would_not_read_back_is_refused_before_any_write(tmp_path, digits):
+    with ResultStore(tmp_path) as store:
+        store.add_exposures([("1100100000013", "d1")])
+        before = (tmp_path / "store.db").read_bytes()
+        with pytest.raises(ValueError, match="13 ASCII digits"):
+            store.add_exposures([("3100000000002", "d2"), (digits, "d3")])
+        assert (tmp_path / "store.db").read_bytes() == before
+        assert store.unique_id_count() == 1
+        assert store._conn.execute("SELECT sha256 FROM documents").fetchall() == [("d1",)]
 
 
 def test_a_fresh_store_holds_exactly_its_tables(tmp_path):
