@@ -23,7 +23,6 @@ import argparse
 import dataclasses
 import fcntl
 import functools
-import json
 import os
 import re
 import sys
@@ -70,6 +69,8 @@ def _knob_value(value, default):
     Text is parsed (a set knob takes comma-separated names); any other JSON
     value must already have the default's type.
     """
+    import json
+
     if isinstance(default, frozenset):
         if isinstance(value, str):
             return frozenset(t.strip() for t in value.split(",") if t.strip())
@@ -107,6 +108,8 @@ def _resolve_crawl_config(args, file_config: dict) -> CrawlConfig:
 
 
 def _load_file_config(path: Optional[str]) -> dict:
+    import json
+
     if not path:
         return {}
     try:
@@ -244,7 +247,7 @@ def cmd_scan_run(args) -> int:
     from .extract import default_extractors, load_extractor_config
     from .geo import RegistryError
     from .pipeline import run_scan
-    from .providers import ProviderDisabled
+    from .providers import ProviderDisabled, ProviderError
     from .queries import QueryError, load_plan_file
     from .store import ResultStore
 
@@ -257,9 +260,7 @@ def cmd_scan_run(args) -> int:
         )
         plan = load_plan_file(args.plan)
         provider = _make_provider(args, config)
-    except (RegistryError, QueryError, ValueError) as exc:
-        return _fail(str(exc))
-    except ProviderDisabled as exc:
+    except (RegistryError, QueryError, ValueError, ProviderDisabled, ProviderError) as exc:
         return _fail(str(exc))
 
     store_dir = Path(args.store)
@@ -274,7 +275,7 @@ def cmd_scan_run(args) -> int:
     except sqlite3.Error as exc:
         return _fail(f"store {store_dir}: {exc}")
     print(summary.line())
-    if summary.unreadable:
+    if summary.unreadable or summary.partly_read:
         return EXIT_USAGE  # a partial scan; the warnings above say which documents
     if summary.hits == 0:
         print("no results for any query", file=sys.stderr)

@@ -32,12 +32,17 @@ class UnsupportedTypeError(Exception):
     """No configured extractor applies to the document's declared type."""
 
 
+def describe_failures(failures: Sequence[tuple[str, str]]) -> str:
+    """(extractor, error) pairs as one line: ``name: error``, joined by ``; ``."""
+    return "; ".join(f"{name}: {err}" for name, err in failures)
+
+
 class ExtractionError(Exception):
     """Every applicable extractor failed."""
 
     def __init__(self, failures: list[tuple[str, str]]):
         self.failures = failures
-        super().__init__("; ".join(f"{name}: {err}" for name, err in failures))
+        super().__init__(describe_failures(failures))
 
 
 @dataclass(frozen=True)

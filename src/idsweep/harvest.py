@@ -119,10 +119,12 @@ def execute_plan(
     """Run every query page by page; returns hits in retrieval order.
 
     Pages 1..min(config.max_pages, provider pages) are fetched with a search_delay
-    gap between provider requests.  A provider error abandons the remaining
-    pages of that query only.  URLs already seen earlier in the plan are
-    recorded but flagged as repeats; an exact duplicate within one page is
-    recorded once.  Re-running the same plan over the same store adds no rows.
+    gap between provider requests, and a query that the cap stops short of
+    the provider's last page gets a ``page_cap`` diagnostic.  A provider
+    error abandons the remaining pages of that query only.  URLs already seen
+    earlier in the plan are recorded but flagged as repeats; an exact
+    duplicate within one page is recorded once.  Re-running the same plan
+    over the same store adds no hit rows.
     """
     clock = clock or Clock()
     pacer = _Pacer(config.search_delay, clock)
@@ -160,6 +162,9 @@ def execute_plan(
                 )
                 hits.append(hit)
             page += 1
+        if page > config.max_pages and total_pages > config.max_pages:
+            detail = f"stopped at page {config.max_pages} of {total_pages}"
+            store.add_diagnostic("page_cap", query, detail, _utcnow())
     return hits
 
 

@@ -21,6 +21,7 @@ from .extract import (
     ExtractorSpec,
     UnsupportedTypeError,
     default_extractors,
+    describe_failures,
     extract_text,
 )
 from .geo import GeoRegistry
@@ -42,6 +43,7 @@ class ScanSummary:
     unique_ids: int
     exposed_documents: int
     unreadable: int  # distinct documents no extractor could read
+    partly_read: int  # distinct documents read, but with an extractor's failure or warning
 
     def line(self) -> str:
         line = (
@@ -50,7 +52,8 @@ class ScanSummary:
             f"{self.unique_ids} distinct IDs across {self.exposed_documents} "
             f"of {self.documents} documents"
         )
-        return f"{line}; {self.unreadable} unreadable" if self.unreadable else line
+        line = f"{line}; {self.unreadable} unreadable" if self.unreadable else line
+        return f"{line}; {self.partly_read} partly read" if self.partly_read else line
 
 
 def scan_document(
@@ -58,15 +61,16 @@ def scan_document(
     declared_type: str,
     registry: GeoRegistry,
     extractors: Sequence[ExtractorSpec],
-) -> tuple[list[str], int]:
-    """Extract text and return (accepted ID digits in reading order, candidate count)."""
+) -> tuple[list[str], int, list[tuple[str, str]]]:
+    """Extract text and return (accepted ID digits in reading order, candidate count,
+    the (extractor, error) of each failure or warning of a read that still gave text)."""
     result = extract_text(data, declared_type, extractors)
     accepted: list[str] = []
     candidates = find_candidates(result.merged)
     for candidate in candidates:
         if validate(candidate.normalized, registry).accepted:
             accepted.append(candidate.normalized)
-    return accepted, len(candidates)
+    return accepted, len(candidates), result.failures
 
 
 def run_scan(
@@ -85,7 +89,8 @@ def run_scan(
     row is (digits, document number), the store numbering each digest, and
     every URL, query and type of the digest is recovered from the downloads
     and hits tables.
-    Documents that cannot be extracted land in diagnostics, never silently.
+    Documents that cannot be extracted land in diagnostics, never silently,
+    and so, once each, do documents only partly read.
     """
     clock = clock or Clock()
     extractors = list(extractors) if extractors is not None else default_extractors()
@@ -114,7 +119,7 @@ def run_scan(
 
     hit_by_id = {hit.hit_id: hit for hit in hits}
     candidates_total = 0
-    unreadable = 0
+    unreadable = partly_read = 0
     with ThreadPoolExecutor(max_workers=config.download_workers) as pool:
         for record, outcome in zip(documents.values(), pool.map(extract, documents.values())):
             hit = hit_by_id.get(record.hit_id)
@@ -126,8 +131,11 @@ def run_scan(
                 else:
                     store.add_diagnostic("extraction_failed", record.sha256, str(outcome), first_seen)
                 continue
-            ids, n_candidates = outcome
+            ids, n_candidates, failures = outcome
             candidates_total += n_candidates
+            if failures:
+                partly_read += 1
+                store.add_diagnostic("extraction_partial", record.sha256, describe_failures(failures), first_seen)
             if ids:
                 store.add_exposures((digits, record.sha256) for digits in ids)
 
@@ -142,4 +150,5 @@ def run_scan(
         unique_ids=store.unique_id_count(),
         exposed_documents=store.exposed_document_count(),
         unreadable=unreadable,
+        partly_read=partly_read,
     )

@@ -65,6 +65,8 @@ class FixtureProvider:
             raw = json.loads(Path(index_path).read_text("utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ProviderError(f"cannot load corpus index {index_path}: {exc}") from exc
+        if not (isinstance(raw, dict) and all(isinstance(raw.get(key, {}), dict) for key in ("queries", "objects"))):
+            raise ProviderError(f"corpus index {index_path} must be an object, its 'queries' and 'objects' too")
         self._queries: dict[str, list[dict]] = raw.get("queries", {})
         self._objects: dict[str, dict] = raw.get("objects", {})
 

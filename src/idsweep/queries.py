@@ -7,8 +7,11 @@ Adjacent terms are an implicit conjunction and render with a plain space;
 an explicit ``And`` renders the token.
 
 A plan (``QueryPlan``, JSON ``{"queries": [...]}``) is the rendered queries
-alone.  Which engine answers is the provider's business, and how many result
-pages are read is the crawl knob ``max_pages``.
+alone: written out, or one-line text templates whose ``{slot}`` placeholders
+are filled from binding maps, every template crossed with every map
+(``build_plan_from_templates``).  Which engine answers is the provider's
+business, and how many result pages are read is the crawl knob
+``max_pages``.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ALLOWED_FILETYPES = ("pdf", "xls", "xlsx", "doc", "docx")
 
-QueryExpr = Union[
-    "Phrase", "Exclude", "FileType", "Site", "Raw", "Placeholder", "And", "Or", "Group"
-]
+QueryExpr = Union["Phrase", "Exclude", "FileType", "Site", "And", "Or", "Group"]
 
 
 class QueryError(ValueError):
@@ -72,28 +73,6 @@ class Site:
             raise QueryError(f"bad site suffix {self.suffix!r}")
 
 
-@dataclass(frozen=True)
-class Raw:
-    """A pre-rendered fragment, inserted verbatim (bound placeholder values)."""
-
-    text: str
-
-    def __post_init__(self):
-        if not self.text:
-            raise QueryError("empty raw fragment")
-
-
-@dataclass(frozen=True)
-class Placeholder:
-    """A named slot filled at plan-build time."""
-
-    name: str
-
-    def __post_init__(self):
-        if not self.name.isidentifier():
-            raise QueryError(f"bad placeholder name {self.name!r}")
-
-
 def _tuple_children(children: Iterable[QueryExpr]) -> tuple[QueryExpr, ...]:
     out = tuple(children)
     if not out:
@@ -135,10 +114,6 @@ def render(expr: QueryExpr) -> str:
         return f"filetype:{expr.ext}"
     if isinstance(expr, Site):
         return f"site:{expr.suffix}"
-    if isinstance(expr, Raw):
-        return expr.text
-    if isinstance(expr, Placeholder):
-        raise QueryError(f"unbound placeholder {expr.name!r}")
     if isinstance(expr, And):
         joiner = " AND " if expr.explicit else " "
         return joiner.join(render(c) for c in expr.children)
@@ -147,34 +122,6 @@ def render(expr: QueryExpr) -> str:
     if isinstance(expr, Group):
         return f"({render(expr.child)})"
     raise QueryError(f"not a query expression: {expr!r}")
-
-
-def substitute(expr: QueryExpr, binding: Mapping[str, str]) -> QueryExpr:
-    """Replace placeholders with Raw fragments; unbound names are an error."""
-    if isinstance(expr, Placeholder):
-        if expr.name not in binding:
-            raise QueryError(f"unbound placeholder {expr.name!r}")
-        return Raw(binding[expr.name])
-    if isinstance(expr, And):
-        return And(tuple(substitute(c, binding) for c in expr.children), expr.explicit)
-    if isinstance(expr, Or):
-        return Or(tuple(substitute(c, binding) for c in expr.children))
-    if isinstance(expr, Group):
-        return Group(substitute(expr.child, binding))
-    return expr
-
-
-def placeholder_names(expr: QueryExpr) -> set[str]:
-    if isinstance(expr, Placeholder):
-        return {expr.name}
-    if isinstance(expr, (And, Or)):
-        out: set[str] = set()
-        for child in expr.children:
-            out |= placeholder_names(child)
-        return out
-    if isinstance(expr, Group):
-        return placeholder_names(expr.child)
-    return set()
 
 
 def prefix_dorks(registry: "GeoRegistry", categories: Iterable[int]) -> list[str]:
@@ -206,13 +153,6 @@ class QueryPlan:
         object.__setattr__(self, "queries", tuple(self.queries))
         if not self.queries or any(not q.strip() for q in self.queries):
             raise QueryError("plan needs at least one non-empty query")
-
-
-def build_plan(template: QueryExpr, bindings: Sequence[Mapping[str, str]]) -> QueryPlan:
-    """One rendered query per binding map, in binding order."""
-    if not bindings:
-        raise QueryError("no bindings given")
-    return QueryPlan(tuple(render(substitute(template, b)) for b in bindings))
 
 
 # --- text-file interfaces ----------------------------------------------------

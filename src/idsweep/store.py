@@ -35,7 +35,8 @@ rows, each range starting at its ID's first row, so no ID is split.  An
 with it reads its range alone.
 ``ResultStore.read()`` gives the map and every row in one read transaction,
 and ``load_occurrences()`` joins them into one (digits, sha256, sources) row
-per exposure: a reference for tests, which no report reads.
+per exposure: a reference for tests, which no report reads.  Every other
+reader here is one a command calls.
 
 Only the thread that opened a ``ResultStore`` uses its connection (sqlite3
 refuses any other): the download and extraction pools write and read
@@ -285,9 +286,6 @@ class ResultStore:
             ).fetchone()
         return int(row[0])
 
-    def hit_count(self) -> int:
-        return int(self._conn.execute("SELECT COUNT(*) FROM hits").fetchone()[0])
-
     # --- objects --------------------------------------------------------------
 
     def put_object(self, data: bytes) -> str:
@@ -308,9 +306,6 @@ class ResultStore:
     def read_object(self, sha256: str) -> bytes:
         return (self.objects_dir / sha256).read_bytes()
 
-    def object_count(self) -> int:
-        return sum(1 for _ in self.objects_dir.iterdir())
-
     # --- downloads --------------------------------------------------------------
 
     def record_download(
@@ -325,10 +320,6 @@ class ResultStore:
                 " VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (hit_id, status, reason, sha256, declared_type, size_bytes, completed_at),
             )
-
-    def download_counts(self) -> dict[str, int]:
-        rows = self._conn.execute("SELECT status, COUNT(*) FROM downloads GROUP BY status").fetchall()
-        return {status: int(n) for status, n in rows}
 
     # --- exposures ---------------------------------------------------------------
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 import tempfile
 from collections import namedtuple
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import Iterator
 
@@ -80,6 +81,25 @@ def store_of(rows) -> Iterator[ResultStore]:
             store.record_download(hit_id, "success", "t", sha256=sha256, declared_type=file_type)
         store.add_exposures((digits, sha256) for digits, sha256, *_ in rows)
         yield store
+
+
+def _rows(store: ResultStore, sql: str) -> list[tuple]:
+    """What ``sql`` reads from the store's committed rows, through a connection of its own."""
+    with closing(sqlite3.connect(store.db_path)) as conn:
+        return conn.execute(sql).fetchall()
+
+
+def hit_count(store: ResultStore) -> int:
+    return _rows(store, "SELECT COUNT(*) FROM hits")[0][0]
+
+
+def object_count(store: ResultStore) -> int:
+    return sum(1 for _ in store.objects_dir.iterdir())
+
+
+def download_counts(store: ResultStore) -> dict[str, int]:
+    """The number of downloads of each status."""
+    return dict(_rows(store, "SELECT status, COUNT(*) FROM downloads GROUP BY status"))
 
 
 Occurrence = namedtuple("Occurrence", "digits sha256 url query file_type")

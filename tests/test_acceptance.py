@@ -23,7 +23,7 @@ from idsweep.queries import QueryPlan, load_plan_file, render
 from idsweep.store import ResultStore
 from idsweep.synth import make_corpus
 
-from conftest import VirtualClock, store_of, write_doc, write_index
+from conftest import VirtualClock, object_count, store_of, write_doc, write_index
 from test_queries import golden_constructions
 from test_thai_id import oracle_checksum
 
@@ -251,7 +251,7 @@ def test_criterion_7_harvester_contract(tmp_path):
         h = SearchHit(query="d", engine="x", page=1, rank=i + 1, url=u, retrieved_at="t")
         h.hit_id = store.add_hit("d", "x", 1, i + 1, u, "t", False)
         shas.add(download(h, dup_provider, config, store).sha256)
-    dedupe_ok = len(shas) == 1 and store.object_count() == 1
+    dedupe_ok = len(shas) == 1 and object_count(store) == 1
 
     elapsed = time.perf_counter() - started
     verdict(

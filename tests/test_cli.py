@@ -306,6 +306,19 @@ def test_scan_plan_with_page_cap_is_usage_error(tmp_path, capsys):
     assert not (store_dir / "store.db").exists()
 
 
+@pytest.mark.parametrize("index", [None, "{", "[]", '{"queries": [], "objects": {}}'],
+                         ids=["missing", "not JSON", "a list", "queries a list"])
+def test_bad_fixture_index_is_usage_error(tmp_path, capsys, index):
+    if index is not None:
+        (tmp_path / "index.json").write_text(index, "utf-8")
+    store_dir = tmp_path / "store"
+    assert run_cli(*scan_args(store_dir), "--fixture", str(tmp_path / "index.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not store_dir.exists()
+
+
 def test_scan_plan_with_a_query_not_a_string_is_usage_error(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text('{"queries": [1]}', "utf-8")
@@ -404,7 +417,7 @@ def test_each_crawl_knob_by_flag_env_and_config(field, tmp_path, monkeypatch, ca
 
     def fake_run_scan(plan, provider, config, store, registry, extractors):
         seen.append(getattr(config, key))
-        return ScanSummary(1, 1, 1, 1, 0, 1, 0, 0, 0, 0)
+        return ScanSummary(1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0)
 
     monkeypatch.setattr("idsweep.pipeline.run_scan", fake_run_scan)
     (flag_text, _, by_flag), (env_text, _, by_env), (_, file_json, by_file) = _knob_settings(

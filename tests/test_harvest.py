@@ -25,7 +25,7 @@ from idsweep.providers import FetchResult, FixtureProvider, HttpProvider, Provid
 from idsweep.queries import QueryPlan, plan_to_json
 from idsweep.store import ResultStore
 
-from conftest import VirtualClock, write_doc, write_index
+from conftest import VirtualClock, download_counts, hit_count, object_count, write_doc, write_index
 
 
 def paged(urls: list[str], per_page: int = 10) -> list[dict]:
@@ -61,11 +61,13 @@ def test_pagination_fetches_all_pages(tmp_path, store, virtual_clock):
 
 def test_pagination_respects_cap(tmp_path, store, virtual_clock):
     urls = [f"https://a.go.th/f{i}.pdf" for i in range(200)]
-    index = write_index(tmp_path, {"q": paged(urls)}, {})
+    index = write_index(tmp_path, {"q": paged(urls), "three pages": paged(urls[:23])}, {})
     provider = FixtureProvider(index)
-    hits = execute_plan(QueryPlan(("q",)), provider, quick_config(), store, virtual_clock)
-    assert len(hits) == 100
+    hits = execute_plan(QueryPlan(("q", "three pages")), provider, quick_config(), store, virtual_clock)
+    assert len(hits) == 100 + 23
     assert max(h.page for h in hits) == 10
+    # the query the cap stopped short says so, once; the one it did not stop stays silent
+    assert store.diagnostics() == [("page_cap", "q", "stopped at page 10 of 20")]
 
 
 def test_plan_cap_and_config_cap_combine(tmp_path, store, virtual_clock):
@@ -80,7 +82,7 @@ def test_zero_results(tmp_path, store, virtual_clock):
     index = write_index(tmp_path, {"q": []}, {})
     provider = FixtureProvider(index)
     hits = execute_plan(QueryPlan(("q", "unknown")), provider, quick_config(), store, virtual_clock)
-    assert hits == [] and store.hit_count() == 0
+    assert hits == [] and hit_count(store) == 0
 
 
 # --- politeness -----------------------------------------------------------------
@@ -144,7 +146,7 @@ def test_repeat_urls_flagged_across_queries(tmp_path, store, virtual_clock):
     index = write_index(tmp_path, {"q1": [shared], "q2": [shared]}, {})
     hits = execute_plan(QueryPlan(("q1", "q2")), FixtureProvider(index), quick_config(), store, virtual_clock)
     assert [h.is_repeat for h in hits] == [False, True]
-    assert store.hit_count() == 2  # one row per (query, page, rank, url)
+    assert hit_count(store) == 2  # one row per (query, page, rank, url)
 
 
 def test_execute_plan_idempotent(tmp_path, store, virtual_clock):
@@ -153,9 +155,9 @@ def test_execute_plan_idempotent(tmp_path, store, virtual_clock):
     plan = QueryPlan(("q",))
     provider = FixtureProvider(index)
     execute_plan(plan, provider, quick_config(), store, virtual_clock)
-    first = store.hit_count()
+    first = hit_count(store)
     execute_plan(plan, provider, quick_config(), store, virtual_clock)
-    assert store.hit_count() == first == 7
+    assert hit_count(store) == first == 7
 
 
 # --- declared type --------------------------------------------------------------------
@@ -200,8 +202,8 @@ def test_same_bytes_two_urls_one_object(tmp_path, store):
     records = download_all([make_hit(store, u) for u in urls], provider, quick_config(), store)
     assert {r.status for r in records} == {"success"}
     assert records[0].sha256 == records[1].sha256
-    assert store.object_count() == 1
-    assert store.download_counts() == {"success": 2}
+    assert object_count(store) == 1
+    assert download_counts(store) == {"success": 2}
 
 
 def test_distinct_bytes_distinct_digests(tmp_path, store):
@@ -213,7 +215,7 @@ def test_distinct_bytes_distinct_digests(tmp_path, store):
     provider = FixtureProvider(index)
     r1 = download(make_hit(store, "https://a.go.th/a.txt"), provider, quick_config(), store)
     r2 = download(make_hit(store, "https://a.go.th/b.txt"), provider, quick_config(), store)
-    assert r1.sha256 != r2.sha256 and store.object_count() == 2
+    assert r1.sha256 != r2.sha256 and object_count(store) == 2
 
 
 class FlakyFetcher:
@@ -261,7 +263,7 @@ def test_type_mismatch_discards_bytes(tmp_path, store):
     index = write_index(tmp_path, {}, {url: {"path": rel}})
     record = download(make_hit(store, url), FixtureProvider(index), quick_config(), store)
     assert record.status == "type_mismatch" and record.sha256 is None
-    assert store.object_count() == 0  # bytes discarded, not stored
+    assert object_count(store) == 0  # bytes discarded, not stored
 
 
 def test_oversize_fails_without_retry(store):
@@ -419,7 +421,7 @@ def test_http_fetch_reads_at_most_one_byte_over_the_limit(origin, store):
     record = download(make_hit(store, f"{origin}/big.txt"), live(max_bytes=1000),
                       quick_config(max_object_bytes=1000), store)
     assert (record.status, record.reason, record.size_bytes) == ("failed", "too_large", 1001)
-    assert store.object_count() == 0
+    assert object_count(store) == 0
 
 
 DRIP_BYTES, DRIP_GAP = 100, 0.05  # a 5 s body, one byte at a time

@@ -1,15 +1,18 @@
 """Whole-pipeline runs over generated corpora: recall, idempotence, provenance."""
 
+import hashlib
 import json
 import sqlite3
 import sys
 
-from idsweep import reports, synth, thai_id
+import pytest
+
+from idsweep import cli, reports, synth, thai_id
 from idsweep.extract import ExtractorSpec, load_extractor_config
 from idsweep.harvest import CrawlConfig
 from idsweep.pipeline import run_scan, scan_document
 from idsweep.providers import FixtureProvider
-from idsweep.queries import QueryPlan, load_plan_file
+from idsweep.queries import QueryPlan, load_plan_file, plan_to_json
 from idsweep.store import ResultStore
 
 from conftest import VirtualClock, expand, write_doc, write_index
@@ -111,13 +114,45 @@ def test_unextractable_document_lands_in_diagnostics(tmp_path, registry):
     assert "unsupported_type" in kinds
 
 
+@pytest.mark.parametrize("script, detail", [
+    ("raise SystemExit(3)", "exit 3: "),  # fails beside a reader that succeeds
+    ("import sys; sys.stdout.buffer.write(open(sys.argv[1], 'rb').read() + bytes([255]))",
+     "invalid utf-8 replaced"),  # succeeds, but not wholly
+], ids=["one extractor failed", "invalid utf-8"])
+def test_partly_read_document_lands_in_diagnostics(tmp_path, capsys, script, detail):
+    doc = write_doc(tmp_path, "data.txt", "id 1100123456786\n")
+    index = write_index(
+        tmp_path,
+        {"q": [{"url": "http://a.go.th/data.txt", "page": 1, "rank": 1}]},
+        {"http://a.go.th/data.txt": {"path": doc}},
+    )
+    (tmp_path / "plan.json").write_text(plan_to_json(QueryPlan(("q",))), "utf-8")
+    (tmp_path / "extractors.json").write_text(json.dumps({"extractors": [
+        {"name": "plain", "kind": "plain", "types": ["txt"]},
+        {"name": "ext", "kind": "external", "types": ["txt"],
+         "command": f'"{sys.executable}" -c "{script}" {{input}}'},
+    ]}), "utf-8")
+    code = cli.entry(["scan", "run", "--plan", str(tmp_path / "plan.json"), "--fixture", str(index),
+                      "--extractors", str(tmp_path / "extractors.json"), "--store", str(tmp_path / "store"),
+                      "--search-delay", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.rstrip().endswith("1 distinct IDs across 1 of 1 documents; 1 partly read")
+    sha256 = hashlib.sha256((tmp_path / doc).read_bytes()).hexdigest()
+    with ResultStore(tmp_path / "store") as store:
+        assert store.diagnostics() == [("extraction_partial", sha256, f"ext: {detail}")]
+        assert store.unique_id_count() == 1
+    assert captured.err == f"warning: extraction_partial: {sha256}: ext: {detail}\n"
+
+
 def test_scan_document_unit(registry):
     text = "นายทดสอบ เลขบัตรประชาชน 1-1001-23456-78-6 และเลขผิด 1-1001-23456-78-7\n"
-    ids, candidates = scan_document(
+    ids, candidates, failures = scan_document(
         text.encode(), "txt", registry, [ExtractorSpec("plain", "plain", frozenset({"txt"}))]
     )
     assert ids == ["1100123456786"]
     assert candidates == 2
+    assert failures == []
 
 
 def test_corpus_manifest_matches_docs_on_disk(tmp_path, registry):

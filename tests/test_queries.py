@@ -24,7 +24,6 @@ def test_render_leaves():
     assert q.render(q.Exclude("pdf")) == "-pdf"
     assert q.render(q.FileType("pdf")) == "filetype:pdf"
     assert q.render(q.Site("ac.th")) == "site:ac.th"
-    assert q.render(q.Raw('"1-3501-"')) == '"1-3501-"'
 
 
 def test_render_connectives():
@@ -105,8 +104,9 @@ def test_construction_errors():
 
 
 def test_render_unbound_placeholder_is_error():
-    with pytest.raises(q.QueryError, match="prefix"):
-        q.render(q.And((q.FileType("pdf"), q.Placeholder("prefix"))))
+    # a text template is filled by expand_template; render takes expressions only
+    with pytest.raises(q.QueryError, match="not a query expression"):
+        q.render(q.And((q.FileType("pdf"), "{prefix}")))
 
 
 # reference tokenizer: quotes balanced, parens balanced, no blank tokens,
@@ -186,8 +186,8 @@ def test_prefix_dorks_size_law(categories):
 # --- plans ---------------------------------------------------------------------
 
 def test_build_plan_from_expr():
-    template = q.And((q.FileType("pdf"), q.Placeholder("prefix"), q.Phrase("number", True), q.Phrase("citizen", True)))
-    plan = q.build_plan(template, [{"prefix": '"1-3501-"'}, {"prefix": '"3-2007-"'}])
+    template = 'filetype:pdf {prefix} "number" "citizen"'
+    plan = q.build_plan_from_templates([template], [{"prefix": '"1-3501-"'}, {"prefix": '"3-2007-"'}])
     assert plan.queries == (
         'filetype:pdf "1-3501-" "number" "citizen"',
         'filetype:pdf "3-2007-" "number" "citizen"',
@@ -195,12 +195,12 @@ def test_build_plan_from_expr():
 
 
 def test_build_plan_no_bindings():
-    with pytest.raises(q.QueryError):
-        q.build_plan(q.Phrase("x"), [])
+    with pytest.raises(q.QueryError, match="no templates"):
+        q.build_plan_from_templates([], [{"prefix": "x"}])
 
 
 def test_build_plan_template_without_placeholders():
-    plan = q.build_plan(q.Phrase("fixed"), [{}])
+    plan = q.build_plan_from_templates(["fixed"])
     assert plan.queries == ("fixed",)
 
 

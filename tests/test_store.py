@@ -298,4 +298,4 @@ def test_only_the_opening_thread_uses_the_database(tmp_path):
     with ResultStore(tmp_path) as store, ThreadPoolExecutor(1) as pool:
         assert pool.submit(store.put_object, b"a document").result() == hashlib.sha256(b"a document").hexdigest()
         with pytest.raises(sqlite3.ProgrammingError, match="thread"):
-            pool.submit(store.hit_count).result()
+            pool.submit(store.diagnostics).result()
