@@ -162,13 +162,9 @@ class _StoreLock:
 # --- id validate -----------------------------------------------------------------
 
 def cmd_id_validate(args) -> int:
-    from .geo import RegistryError
     from .thai_id import decode, normalize_numerals, validate
 
-    try:
-        registry = _load_registry(args.registry)
-    except RegistryError as exc:
-        return _fail(str(exc))
+    registry = _load_registry(args.registry)
     digits = re.sub(r"[- ]", "", normalize_numerals(args.number))
     outcome = validate(digits, registry)
     reached_failure = False
@@ -192,7 +188,6 @@ def cmd_id_validate(args) -> int:
 
 def cmd_plan_build(args) -> int:
     from .queries import (
-        QueryError,
         QueryPlan,
         build_plan_from_templates,
         load_bindings,
@@ -200,16 +195,13 @@ def cmd_plan_build(args) -> int:
         plan_to_json,
     )
 
-    try:
-        if args.queries:
-            plan = QueryPlan(tuple(args.queries))
-        elif args.templates:
-            bindings = load_bindings(args.bindings) if args.bindings else None
-            plan = build_plan_from_templates(load_templates(args.templates), bindings)
-        else:
-            return _fail("plan build needs --queries or --templates")
-    except (QueryError, ValueError) as exc:
-        return _fail(str(exc))
+    if args.queries:
+        plan = QueryPlan(tuple(args.queries))
+    elif args.templates:
+        bindings = load_bindings(args.bindings) if args.bindings else None
+        plan = build_plan_from_templates(load_templates(args.templates), bindings)
+    else:
+        return _fail("plan build needs --queries or --templates")
     text = plan_to_json(plan)
     if args.out:
         Path(args.out).write_text(text + "\n", "utf-8")
@@ -230,50 +222,32 @@ def _make_provider(args, config: CrawlConfig):
         if index.is_dir():
             index = index / "index.json"
         return FixtureProvider(index)
-    if args.provider == "http":
-        key = args.http_key or os.environ.get(ENV_PREFIX + "HTTP_KEY")
-        return HttpProvider(
-            endpoint=args.http_endpoint or "",
-            api_key=key,
-            acknowledge_live_traffic=args.i_accept_risk,
-            max_bytes=config.max_object_bytes,
-        )
-    raise ValueError(f"unknown provider {args.provider!r}")
+    return HttpProvider(
+        endpoint=args.http_endpoint or "",
+        api_key=args.http_key or os.environ.get(ENV_PREFIX + "HTTP_KEY"),
+        acknowledge_live_traffic=args.i_accept_risk,
+        max_bytes=config.max_object_bytes,
+    )
 
 
 def cmd_scan_run(args) -> int:
-    import sqlite3
-
     from .extract import default_extractors, load_extractor_config
-    from .geo import RegistryError
     from .pipeline import run_scan
-    from .providers import ProviderDisabled, ProviderError
-    from .queries import QueryError, load_plan_file
+    from .queries import load_plan_file
     from .store import ResultStore
 
-    try:
-        file_config = _load_file_config(args.config)
-        config = _resolve_crawl_config(args, file_config)
-        registry = _load_registry(args.registry)
-        extractors = (
-            load_extractor_config(args.extractors) if args.extractors else default_extractors()
-        )
-        plan = load_plan_file(args.plan)
-        provider = _make_provider(args, config)
-    except (RegistryError, QueryError, ValueError, ProviderDisabled, ProviderError) as exc:
-        return _fail(str(exc))
+    config = _resolve_crawl_config(args, _load_file_config(args.config))
+    registry = _load_registry(args.registry)
+    extractors = load_extractor_config(args.extractors) if args.extractors else default_extractors()
+    plan = load_plan_file(args.plan)
+    provider = _make_provider(args, config)
 
     store_dir = Path(args.store)
-    try:
-        with _StoreLock(store_dir):
-            with ResultStore(store_dir) as store:
-                summary = run_scan(plan, provider, config, store, registry, extractors)
-                for kind, subject, detail in store.diagnostics():
-                    print(f"warning: {kind}: {subject}: {detail}", file=sys.stderr)
-    except RuntimeError as exc:
-        return _fail(str(exc))
-    except sqlite3.Error as exc:
-        return _fail(f"store {store_dir}: {exc}")
+    with _StoreLock(store_dir), ResultStore(store_dir) as store:
+        recorded = len(store.diagnostics())  # by earlier runs into this store
+        summary = run_scan(plan, provider, config, store, registry, extractors)
+        for kind, subject, detail in store.diagnostics()[recorded:]:
+            print(f"warning: {kind}: {subject}: {detail}", file=sys.stderr)
     print(summary.line())
     if summary.unreadable or summary.partly_read:
         return EXIT_USAGE  # a partial scan; the warnings above say which documents
@@ -364,17 +338,12 @@ def _in_processes(fn, ranges, *rest) -> list:
 
 
 def cmd_report(args) -> int:
-    import sqlite3
-
     from . import reports
-    from .geo import RegistryError
+    from .domains import load_owner_tags  # loaded by reports already
     from .store import ResultStore
 
     names = [n.strip() for n in args.tables.split(",") if n.strip()]
-    try:
-        reports.check_arguments(names, args.geo_sort)
-    except ValueError as exc:
-        return _fail(str(exc))
+    reports.check_arguments(names, args.geo_sort)
     if not names:
         return _fail("no tables requested")
     if args.unredacted and not args.i_accept_risk:
@@ -385,32 +354,20 @@ def cmd_report(args) -> int:
             "a pseudonymization salt is required (--salt-file or IDSWEEP_SALT);"
             " or pass --unredacted --i-accept-risk to emit raw IDs"
         )
-    try:
-        registry = _load_registry(args.registry)
-        owner_tags = None
-        if args.owner_tags:
-            from .domains import load_owner_tags
-
-            owner_tags = load_owner_tags(args.owner_tags)
-    except (RegistryError, ValueError) as exc:
-        return _fail(str(exc))
+    registry = _load_registry(args.registry)
+    owner_tags = load_owner_tags(args.owner_tags) if args.owner_tags else None
     store_dir = Path(args.store)
     if not (store_dir / "store.db").exists():
         return _fail(f"no store at {store_dir}")
-    try:
-        # the lock keeps the documents the report resolves and every range on one committed store
-        with _StoreLock(store_dir, shared=True):
-            # migrates an older store; closed before any process is forked
-            with ResultStore(store_dir) as store:
-                ranges = _id_ranges(store)
-            written, skipped, ids = reports.report(
-                ranges, names, registry, args.out, fmt=args.format, geo_sort=args.geo_sort, salt=salt,
-                unredacted=args.unredacted, owner_tags=owner_tags, run=_in_processes if len(ranges) > 1 else map,
-            )
-    except sqlite3.Error as exc:
-        return _fail(f"store {store_dir}: {exc}")
-    except (RuntimeError, ValueError) as exc:
-        return _fail(str(exc))
+    # the lock keeps the documents the report resolves and every range on one committed store
+    with _StoreLock(store_dir, shared=True):
+        # migrates an older store; closed before any process is forked
+        with ResultStore(store_dir) as store:
+            ranges = _id_ranges(store)
+        written, skipped, ids = reports.report(
+            ranges, names, registry, args.out, fmt=args.format, geo_sort=args.geo_sort, salt=salt,
+            unredacted=args.unredacted, owner_tags=owner_tags, run=_in_processes if len(ranges) > 1 else map,
+        )
     for url, reason in skipped:
         print(f"warning: unclassifiable url skipped: {url}: {reason}", file=sys.stderr)
     for path in written:
@@ -516,16 +473,22 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
 
     Each ``cmd_*`` imports the modules it runs at its top, so ``import
     idsweep.cli`` loads none of them, and the parser holds the arguments of
-    that command alone.  An I/O error any command meets exits 2 with one
-    ``error:`` line.
+    that command alone.  Here alone an ``OSError``, ``ValueError``, ``RuntimeError``
+    or ``sqlite3.Error`` (named with its store) becomes exit 2 and one ``error:`` line.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     # the command is the first word: the program itself takes no option but --help
     args = build_parser(next((word for word in argv if not word.startswith("-")), None)).parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         return _fail(str(exc))
+    except Exception as exc:
+        import sqlite3
+
+        if not isinstance(exc, sqlite3.Error):
+            raise
+        return _fail(f"store {Path(args.store)}: {exc}")
 
 
 if __name__ == "__main__":

@@ -122,12 +122,16 @@ def load_extractor_config(path: str | Path) -> list[ExtractorSpec]:
 
 # --- builtin readers -----------------------------------------------------------
 
-def _extract_plain(data: bytes) -> str:
-    return data.decode("utf-8", errors="replace")
+def decode_utf8(data: bytes, final: bool = True) -> tuple[str, Optional[str]]:
+    """(``data`` as UTF-8 text, None), or if it is not UTF-8, (the text with its bad bytes replaced,
+    ``"invalid utf-8 replaced"``); with ``final`` false, a character cut at the end is dropped."""
+    try:
+        return codecs.getincrementaldecoder("utf-8")().decode(data, final=final), None
+    except UnicodeDecodeError:
+        return data.decode("utf-8", errors="replace"), "invalid utf-8 replaced"
 
 
-def _extract_csv(data: bytes) -> str:
-    text = data.decode("utf-8", errors="replace")
+def _extract_csv(text: str) -> str:
     cells: list[str] = []
     for row in csv.reader(io.StringIO(text)):
         cells.extend(row)  # row-major: one output line per cell
@@ -166,15 +170,16 @@ class _TextCollector(HTMLParser):
             self.parts.append(data)
 
 
-def _extract_html(data: bytes) -> str:
+def _extract_html(text: str) -> str:
     parser = _TextCollector()
-    parser.feed(data.decode("utf-8", errors="replace"))
+    parser.feed(text)
     parser.close()
     lines = [ln.strip() for ln in "".join(parser.parts).splitlines()]
     return "\n".join(ln for ln in lines if ln)
 
 
-_BUILTINS = {"plain": _extract_plain, "csv": _extract_csv, "html": _extract_html}
+# each reads the text decode_utf8 gives; plain text is that text itself
+_BUILTINS = {"plain": str, "csv": _extract_csv, "html": _extract_html}
 
 
 # --- external protocol ------------------------------------------------------------
@@ -210,10 +215,9 @@ def run_external(spec: ExtractorSpec, data: bytes) -> tuple[str, Optional[str]]:
     """Run an external extractor; returns (text, soft_warning_or_None).
 
     Raises RuntimeError on spawn failure, nonzero exit, or timeout.  Invalid
-    UTF-8 on stdout is replaced and reported as a warning rather than a
-    failure, since partial text still carries findings.  So is output past
-    ``MAX_EXTERNAL_OUTPUT`` bytes: the command is stopped there and the text
-    before it kept.
+    UTF-8 on stdout is replaced and reported as a warning (``decode_utf8``)
+    rather than a failure.  So is output past ``MAX_EXTERNAL_OUTPUT`` bytes:
+    the command is stopped there and the text before it kept.
     """
     with tempfile.NamedTemporaryFile(prefix="idsweep-", delete=False) as staged:
         staged.write(data)
@@ -245,12 +249,9 @@ def run_external(spec: ExtractorSpec, data: bytes) -> tuple[str, Optional[str]]:
     elif proc.returncode != 0:
         message = stderr.decode("utf-8", errors="replace").strip()
         raise RuntimeError(f"exit {proc.returncode}: {message[:500]}")
-    try:
-        # a character the cap cut in two is dropped, not replaced
-        text = codecs.getincrementaldecoder("utf-8")().decode(stdout, final=not truncated)
-    except UnicodeDecodeError:
-        text = stdout.decode("utf-8", errors="replace")
-        warnings.append("invalid utf-8 replaced")
+    text, invalid = decode_utf8(stdout, final=not truncated)
+    if invalid:
+        warnings.append(invalid)
     return text, "; ".join(warnings) or None
 
 
@@ -279,8 +280,9 @@ def extract_text(
 ) -> ExtractedText:
     """Run every extractor applicable to the type; merge what succeeded.
 
-    Individual failures are recorded and do not stop the rest; if all
-    applicable extractors fail, ExtractionError carries the reasons.
+    Individual failures, and warnings such as invalid UTF-8, are recorded and
+    do not stop the rest; if all applicable extractors fail, ExtractionError
+    carries the reasons.
     """
     declared = declared_type.lower()
     applicable = [spec for spec in extractors if declared in spec.applicable_types]
@@ -291,13 +293,14 @@ def extract_text(
         try:
             if spec.kind == "external":
                 text, warning = run_external(spec, data)
-                if warning:
-                    result.failures.append((spec.name, warning))
             else:
-                text = _BUILTINS[spec.kind](data)
+                text, warning = decode_utf8(data)
+                text = _BUILTINS[spec.kind](text)
         except Exception as exc:
             result.failures.append((spec.name, str(exc)))
             continue
+        if warning:
+            result.failures.append((spec.name, warning))
         result.segments.append((spec.name, text))
     if not result.segments:
         raise ExtractionError(result.failures)

@@ -40,8 +40,8 @@ class ScanSummary:
     downloads_failed: int
     documents: int
     candidates: int
-    unique_ids: int
-    exposed_documents: int
+    unique_ids: int  # distinct IDs in this run's documents, whichever run stored them
+    exposed_documents: int  # this run's documents with an accepted ID
     unreadable: int  # distinct documents no extractor could read
     partly_read: int  # distinct documents read, but with an extractor's failure or warning
 
@@ -139,6 +139,7 @@ def run_scan(
             if ids:
                 store.add_exposures((digits, record.sha256) for digits in ids)
 
+    unique_ids, exposed_documents = store.exposure_counts(documents)
     return ScanSummary(
         queries=len(plan.queries),
         hits=len(hits),
@@ -147,8 +148,8 @@ def run_scan(
         downloads_failed=failed,
         documents=len(documents),
         candidates=candidates_total,
-        unique_ids=store.unique_id_count(),
-        exposed_documents=store.exposed_document_count(),
+        unique_ids=unique_ids,
+        exposed_documents=exposed_documents,
         unreadable=unreadable,
         partly_read=partly_read,
     )

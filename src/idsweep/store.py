@@ -353,8 +353,15 @@ class ResultStore:
     def unique_id_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(DISTINCT digits) FROM exposures").fetchone()[0])
 
-    def exposed_document_count(self) -> int:
-        return int(self._conn.execute("SELECT COUNT(DISTINCT document) FROM exposures").fetchone()[0])
+    def exposure_counts(self, digests: Iterable[str]) -> tuple[int, int]:
+        """(distinct IDs, documents with an exposure) among the documents of ``digests``."""
+        with self._conn:  # the digests go to a temporary table, so no ID is held in memory
+            self._conn.execute("CREATE TEMP TABLE IF NOT EXISTS counted (sha256 TEXT PRIMARY KEY)")
+            self._conn.execute("DELETE FROM counted")
+            self._conn.executemany("INSERT OR IGNORE INTO counted VALUES (?)", ((d,) for d in digests))
+            return self._conn.execute(
+                "SELECT COUNT(DISTINCT e.digits), COUNT(DISTINCT e.document) FROM counted c"
+                " JOIN documents d ON d.sha256 = c.sha256 JOIN exposures e ON e.document = d.id").fetchone()
 
     def id_ranges(self, most: int, min_rows: int = MIN_ROWS_PER_RANGE) -> list[ExposureRange]:
         """``exposures`` cut into at most ``most`` ranges of IDs, in ID order, none empty.

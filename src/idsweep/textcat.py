@@ -1,4 +1,4 @@
-"""UTF-8 cat, runnable as ``python3 -m idsweep.textcat FILE``.
+"""Byte-for-byte cat, runnable as ``python3 -m idsweep.textcat FILE``.
 
 Stands in for a real converter when benchmark corpora exercise the external
 extractor protocol with text-bodied files.
@@ -15,7 +15,7 @@ def main(argv: list[str] | None = None) -> int:
     if len(args) != 1:
         print("usage: python3 -m idsweep.textcat FILE", file=sys.stderr)
         return 2
-    sys.stdout.write(Path(args[0]).read_bytes().decode("utf-8", errors="replace"))
+    sys.stdout.buffer.write(Path(args[0]).read_bytes())
     return 0
 
 

@@ -158,12 +158,46 @@ def test_scan_with_unreadable_documents_is_exit_2(tmp_path, capsys):
             spec["command"] = f'"{sys.executable}" -c "raise SystemExit(3)" {{input}}'
     failing = tmp_path / "extractors.json"
     failing.write_text(json.dumps(config), "utf-8")
-    # the later --extractors flag overrides the demo config in scan_args
-    assert run_cli(*scan_args(tmp_path / "store", "--extractors", str(failing))) == 2
-    captured = capsys.readouterr()
+    runs = []
+    for _ in range(2):  # a second run into the same store prints only the warnings it recorded
+        # the later --extractors flag overrides the demo config in scan_args
+        assert run_cli(*scan_args(tmp_path / "store", "--extractors", str(failing))) == 2
+        runs.append(capsys.readouterr())
+    captured = runs[0]
     assert "distinct IDs across" in captured.out
     assert captured.out.rstrip().endswith("; 6 unreadable")
     assert captured.err.count("warning: extraction_failed") == 6
+    assert runs[1] == captured
+
+
+def test_summary_counts_the_documents_of_this_run(tmp_path, capsys):
+    query = plan_from_json((DEMO / "plan.json").read_text("utf-8")).queries[1]
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"queries": [query]}), "utf-8")
+    one_query = ("--plan", str(plan))  # the later --plan flag overrides the demo plan in scan_args
+    assert run_cli(*scan_args(tmp_path / "fresh", *one_query)) == 0
+    fresh = capsys.readouterr().out
+    assert run_cli(*scan_args(tmp_path / "store")) == 0
+    assert "40 distinct IDs across 12 of 12 documents" in capsys.readouterr().out
+    assert run_cli(*scan_args(tmp_path / "store", *one_query)) == 0
+    assert capsys.readouterr().out == fresh
+    assert "40 distinct IDs" not in fresh
+
+
+@pytest.mark.parametrize("command", ["id validate", "plan build", "scan run", "report"])
+def test_a_file_that_is_not_utf8_is_exit_2_with_one_line(demo_store, tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1001,\xff\xfe\n")
+    argv = {
+        "id validate": ("id", "validate", "1100123456786", "--registry", str(bad)),
+        "plan build": ("plan", "build", "--templates", str(bad)),
+        "scan run": scan_args(tmp_path / "store", "--registry", str(bad)),
+        "report": ("report", "--store", str(demo_store), "--out", str(tmp_path / "r"),
+                   "--salt-file", str(SALT_FILE), "--owner-tags", str(bad)),
+    }[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "utf-8" in err[0], err
 
 
 def test_malformed_extractor_config_exits_2(tmp_path, capsys):

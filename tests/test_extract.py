@@ -96,8 +96,8 @@ def test_scanner_over_extracted_cells_matches_reference(table):
         "<tr>" + "".join(f"<td>{html.escape(cell)}</td>" for cell in row) + "</tr>" for row in rows
     ) + "</table>"
     for extracted, lines in (
-        (extract._extract_csv(text.getvalue().encode()), cells),  # a line per cell
-        (extract._extract_html(page.encode()), [c.strip() for c in cells if c.strip()]),  # one per non-blank cell
+        (extract._extract_csv(text.getvalue()), cells),  # a line per cell
+        (extract._extract_html(page), [c.strip() for c in cells if c.strip()]),  # one per non-blank cell
     ):
         expected = "\n".join(lines)
         assert extracted == expected

@@ -114,23 +114,26 @@ def test_unextractable_document_lands_in_diagnostics(tmp_path, registry):
     assert "unsupported_type" in kinds
 
 
-@pytest.mark.parametrize("script, detail", [
-    ("raise SystemExit(3)", "exit 3: "),  # fails beside a reader that succeeds
-    ("import sys; sys.stdout.buffer.write(open(sys.argv[1], 'rb').read() + bytes([255]))",
-     "invalid utf-8 replaced"),  # succeeds, but not wholly
-], ids=["one extractor failed", "invalid utf-8"])
-def test_partly_read_document_lands_in_diagnostics(tmp_path, capsys, script, detail):
-    doc = write_doc(tmp_path, "data.txt", "id 1100123456786\n")
+@pytest.mark.parametrize("body, script, detail", [
+    (b"id 1100123456786\n", "raise SystemExit(3)", "ext: exit 3: "),  # fails beside a reader that succeeds
+    (b"id 1100123456786\n", "import sys; sys.stdout.buffer.write(open(sys.argv[1], 'rb').read() + bytes([255]))",
+     "ext: invalid utf-8 replaced"),  # succeeds, but not wholly
+    (b"id 1100123456786\n\xff\xfe bad bytes\n", None,
+     "plain: invalid utf-8 replaced"),  # so does a builtin reader of bytes that are not UTF-8
+], ids=["one extractor failed", "invalid utf-8", "invalid utf-8 builtin txt"])
+def test_partly_read_document_lands_in_diagnostics(tmp_path, capsys, body, script, detail):
+    doc = write_doc(tmp_path, "data.txt", "")
+    (tmp_path / doc).write_bytes(body)
     index = write_index(
         tmp_path,
         {"q": [{"url": "http://a.go.th/data.txt", "page": 1, "rank": 1}]},
         {"http://a.go.th/data.txt": {"path": doc}},
     )
     (tmp_path / "plan.json").write_text(plan_to_json(QueryPlan(("q",))), "utf-8")
+    external = [{"name": "ext", "kind": "external", "types": ["txt"],
+                 "command": f'"{sys.executable}" -c "{script}" {{input}}'}] if script else []
     (tmp_path / "extractors.json").write_text(json.dumps({"extractors": [
-        {"name": "plain", "kind": "plain", "types": ["txt"]},
-        {"name": "ext", "kind": "external", "types": ["txt"],
-         "command": f'"{sys.executable}" -c "{script}" {{input}}'},
+        {"name": "plain", "kind": "plain", "types": ["txt"]}, *external,
     ]}), "utf-8")
     code = cli.entry(["scan", "run", "--plan", str(tmp_path / "plan.json"), "--fixture", str(index),
                       "--extractors", str(tmp_path / "extractors.json"), "--store", str(tmp_path / "store"),
@@ -140,9 +143,9 @@ def test_partly_read_document_lands_in_diagnostics(tmp_path, capsys, script, det
     assert captured.out.rstrip().endswith("1 distinct IDs across 1 of 1 documents; 1 partly read")
     sha256 = hashlib.sha256((tmp_path / doc).read_bytes()).hexdigest()
     with ResultStore(tmp_path / "store") as store:
-        assert store.diagnostics() == [("extraction_partial", sha256, f"ext: {detail}")]
+        assert store.diagnostics() == [("extraction_partial", sha256, detail)]
         assert store.unique_id_count() == 1
-    assert captured.err == f"warning: extraction_partial: {sha256}: ext: {detail}\n"
+    assert captured.err == f"warning: extraction_partial: {sha256}: {detail}\n"
 
 
 def test_scan_document_unit(registry):
