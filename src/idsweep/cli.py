@@ -20,6 +20,7 @@ exits 2 naming the flag, variable or key.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import fcntl
 import functools
@@ -27,7 +28,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:
     from .geo import GeoRegistry
@@ -52,15 +53,19 @@ def crawl_knobs() -> tuple[tuple[str, str, str], ...]:
     )
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+def _load(flag: str, path, load: Callable):
+    """``load(path)`` of the operator file that ``flag`` named; an error it raises
+    is raised again as a ``ValueError`` whose text starts with the flag."""
+    try:
+        return load(path)
+    except (OSError, ValueError, RuntimeError) as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
 def _load_registry(path: Optional[str]) -> GeoRegistry:
     from .geo import default_registry, load_registry_file
 
-    return load_registry_file(path) if path else default_registry()
+    return _load("--registry", path, load_registry_file) if path else default_registry()
 
 
 def _knob_value(value, default):
@@ -107,30 +112,26 @@ def _resolve_crawl_config(args, file_config: dict) -> CrawlConfig:
     return dataclasses.replace(defaults, **chosen)
 
 
-def _load_file_config(path: Optional[str]) -> dict:
+def _load_file_config(path: str) -> dict:
     import json
 
-    if not path:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    data = json.loads(Path(path).read_text("utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"config {path} must be a JSON object")
     return data
 
 
 def _read_salt(args) -> Optional[bytes]:
-    if getattr(args, "salt_file", None):
-        return Path(args.salt_file).read_bytes().strip() or None
+    if args.salt_file:
+        return _load("--salt-file", Path(args.salt_file), Path.read_bytes).strip() or None
     env = os.environ.get(ENV_PREFIX + "SALT")
     if env:
         return env.encode("utf-8")
     return None
 
 
-class _StoreLock:
+@contextlib.contextmanager
+def _store_lock(store_dir: Path, shared: bool = False):
     """Ownership of a store directory for one CLI invocation: exclusive to
     write it (``scan run``), shared to read it (``report``).
 
@@ -139,24 +140,17 @@ class _StoreLock:
     a scan while anything holds it, a report while a scan does.  The file
     itself stays: it blocks nothing once no process holds the lock.
     """
-
-    def __init__(self, store_dir: Path, shared: bool = False):
-        self.path = store_dir / ".lock"
-        self.mode = fcntl.LOCK_SH if shared else fcntl.LOCK_EX
-
-    def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+    path = store_dir / ".lock"
+    store_dir.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path, os.O_CREAT | os.O_RDWR)
+    try:
         try:
-            fcntl.flock(fd, self.mode | fcntl.LOCK_NB)
+            fcntl.flock(fd, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
         except BlockingIOError:
-            os.close(fd)
-            raise RuntimeError(f"store is locked by another run ({self.path})") from None
-        self._fd = fd
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self._fd)
+            raise RuntimeError(f"store is locked by another run ({path})") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 # --- id validate -----------------------------------------------------------------
@@ -198,10 +192,10 @@ def cmd_plan_build(args) -> int:
     if args.queries:
         plan = QueryPlan(tuple(args.queries))
     elif args.templates:
-        bindings = load_bindings(args.bindings) if args.bindings else None
-        plan = build_plan_from_templates(load_templates(args.templates), bindings)
+        bindings = _load("--bindings", args.bindings, load_bindings) if args.bindings else None
+        plan = build_plan_from_templates(_load("--templates", args.templates, load_templates), bindings)
     else:
-        return _fail("plan build needs --queries or --templates")
+        raise ValueError("plan build needs --queries or --templates")
     text = plan_to_json(plan)
     if args.out:
         Path(args.out).write_text(text + "\n", "utf-8")
@@ -221,7 +215,7 @@ def _make_provider(args, config: CrawlConfig):
         index = Path(args.fixture)
         if index.is_dir():
             index = index / "index.json"
-        return FixtureProvider(index)
+        return _load("--fixture", index, FixtureProvider)
     return HttpProvider(
         endpoint=args.http_endpoint or "",
         api_key=args.http_key or os.environ.get(ENV_PREFIX + "HTTP_KEY"),
@@ -236,14 +230,15 @@ def cmd_scan_run(args) -> int:
     from .queries import load_plan_file
     from .store import ResultStore
 
-    config = _resolve_crawl_config(args, _load_file_config(args.config))
+    config = _resolve_crawl_config(args, _load("--config", args.config, _load_file_config) if args.config else {})
     registry = _load_registry(args.registry)
-    extractors = load_extractor_config(args.extractors) if args.extractors else default_extractors()
-    plan = load_plan_file(args.plan)
+    extractors = (_load("--extractors", args.extractors, load_extractor_config) if args.extractors
+                  else default_extractors())
+    plan = _load("--plan", args.plan, load_plan_file)
     provider = _make_provider(args, config)
 
     store_dir = Path(args.store)
-    with _StoreLock(store_dir), ResultStore(store_dir) as store:
+    with _store_lock(store_dir), ResultStore(store_dir) as store:
         recorded = len(store.diagnostics())  # by earlier runs into this store
         summary = run_scan(plan, provider, config, store, registry, extractors)
         for kind, subject, detail in store.diagnostics()[recorded:]:
@@ -345,22 +340,22 @@ def cmd_report(args) -> int:
     names = [n.strip() for n in args.tables.split(",") if n.strip()]
     reports.check_arguments(names, args.geo_sort)
     if not names:
-        return _fail("no tables requested")
+        raise ValueError("no tables requested")
     if args.unredacted and not args.i_accept_risk:
-        return _fail("--unredacted exposes raw IDs; add --i-accept-risk to confirm")
+        raise ValueError("--unredacted exposes raw IDs; add --i-accept-risk to confirm")
     salt = _read_salt(args)
     if salt is None and not (args.unredacted and args.i_accept_risk):
-        return _fail(
+        raise ValueError(
             "a pseudonymization salt is required (--salt-file or IDSWEEP_SALT);"
             " or pass --unredacted --i-accept-risk to emit raw IDs"
         )
     registry = _load_registry(args.registry)
-    owner_tags = load_owner_tags(args.owner_tags) if args.owner_tags else None
+    owner_tags = _load("--owner-tags", args.owner_tags, load_owner_tags) if args.owner_tags else None
     store_dir = Path(args.store)
     if not (store_dir / "store.db").exists():
-        return _fail(f"no store at {store_dir}")
+        raise ValueError(f"no store at {store_dir}")
     # the lock keeps the documents the report resolves and every range on one committed store
-    with _StoreLock(store_dir, shared=True):
+    with _store_lock(store_dir, shared=True):
         # migrates an older store; closed before any process is forked
         with ResultStore(store_dir) as store:
             ranges = _id_ranges(store)
@@ -473,8 +468,9 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
 
     Each ``cmd_*`` imports the modules it runs at its top, so ``import
     idsweep.cli`` loads none of them, and the parser holds the arguments of
-    that command alone.  Here alone an ``OSError``, ``ValueError``, ``RuntimeError``
-    or ``sqlite3.Error`` (named with its store) becomes exit 2 and one ``error:`` line.
+    that command alone.  A command raises its operator errors, an operator file's led by its flag (``_load``);
+    here alone an ``OSError``, ``ValueError``, ``RuntimeError`` or ``sqlite3.Error`` (named with its store) is
+    printed as the one ``error:`` line, and becomes exit 2.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     # the command is the first word: the program itself takes no option but --help
@@ -482,13 +478,15 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, RuntimeError) as exc:
-        return _fail(str(exc))
+        message = str(exc)
     except Exception as exc:
         import sqlite3
 
         if not isinstance(exc, sqlite3.Error):
             raise
-        return _fail(f"store {Path(args.store)}: {exc}")
+        message = f"store {Path(args.store)}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -86,7 +86,10 @@ def load_owner_tags(path: str | Path) -> dict[str, str]:
 def url_host(url: str) -> str:
     """The host a source URL is classified by, lower case with no trailing dot;
     raises ClassificationError if the URL is unusable."""
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:
+        raise ClassificationError(f"{exc} in {url!r}") from None
     if parts.scheme not in ("http", "https", "ftp"):
         raise ClassificationError(f"unsupported scheme in {url!r}")
     host = parts.hostname

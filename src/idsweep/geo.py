@@ -13,14 +13,10 @@ format so survey snapshots can be swapped without touching code:
 from __future__ import annotations
 
 import io
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
-
-_PROVINCE_CODE = re.compile(r"[0-9]{2}")
-_DISTRICT_CODE = re.compile(r"[0-9]{4}")
 
 DEFAULT_REGISTRY_RESOURCE = "registry_th.txt"
 
@@ -83,36 +79,29 @@ def load_registry(lines: Iterable[str], as_of: str = "") -> GeoRegistry:
     """Parse registry rows, enforcing unique codes and referential integrity."""
     provinces: dict[str, Province] = {}
     districts: dict[str, District] = {}
-    district_rows: dict[str, int] = {}
+    # row kind -> the area it names, its code's length, the areas so far, the area's type
+    areas = {"P": ("province", 2, provinces, Province), "D": ("district", 4, districts, District)}
+    area_rows: dict[str, int] = {}  # area code -> its line
     pop_rows: list[tuple[int, str, int]] = []
-    saw_any = False
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        saw_any = True
         parts = line.split(",")
         if len(parts) != 3:
             _fail(lineno, f"expected 3 comma-separated fields, got {len(parts)}")
         kind, code, value = (p.strip() for p in parts)
-        if kind == "P":
-            if not _PROVINCE_CODE.fullmatch(code):
-                _fail(lineno, f"bad province code {code!r}")
+        if kind in areas:
+            area, length, known, make = areas[kind]
+            if not (len(code) == length and code.isascii() and code.isdigit()):
+                _fail(lineno, f"bad {area} code {code!r}")
             if not value:
-                _fail(lineno, "empty province name")
-            if code in provinces:
-                _fail(lineno, f"duplicate province code {code}")
-            provinces[code] = Province(code, value)
-        elif kind == "D":
-            if not _DISTRICT_CODE.fullmatch(code):
-                _fail(lineno, f"bad district code {code!r}")
-            if not value:
-                _fail(lineno, "empty district name")
-            if code in districts:
-                _fail(lineno, f"duplicate district code {code}")
-            districts[code] = District(code, value)
-            district_rows[code] = lineno
+                _fail(lineno, f"empty {area} name")
+            if code in known:
+                _fail(lineno, f"duplicate {area} code {code}")
+            known[code] = make(code, value)
+            area_rows[code] = lineno
         elif kind == "POP":
             if not value.isascii() or not value.isdigit():
                 _fail(lineno, f"bad population count {value!r}")
@@ -120,12 +109,12 @@ def load_registry(lines: Iterable[str], as_of: str = "") -> GeoRegistry:
         else:
             _fail(lineno, f"unknown row kind {kind!r}")
 
-    if not saw_any or not provinces:
+    if not provinces:
         raise RegistryError("registry is empty (no province rows)")
 
-    for code, lineno in district_rows.items():
+    for code in districts:
         if code[:2] not in provinces:
-            _fail(lineno, f"district {code} has no province {code[:2]}")
+            _fail(area_rows[code], f"district {code} has no province {code[:2]}")
 
     population = PopulationTable(as_of=as_of)
     for lineno, code, count in pop_rows:

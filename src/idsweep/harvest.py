@@ -81,7 +81,7 @@ class DownloadRecord:
     url: str
     status: str                      # success | failed | type_mismatch
     attempts: int
-    reason: Optional[str] = None     # timeout|network|too_large, or the odd type
+    reason: Optional[str] = None     # timeout|network|too_large|bad url, or the odd type
     sha256: Optional[str] = None
     declared_type: Optional[str] = None
     size_bytes: Optional[int] = None
@@ -195,10 +195,14 @@ def download(
     At most ``1 + download_max_retry`` attempts are made, each bounded by
     ``download_timeout``.  Bytes whose declared type is not accepted are
     discarded (status ``type_mismatch``); oversize payloads fail without
-    retry (``too_large``).  Accepted bytes go to ``objects/`` only; the
+    retry (``too_large``); a URL that does not split fails unfetched
+    (``bad url``).  Accepted bytes go to ``objects/`` only; the
     download's row is left to the caller (``download_all`` records it).
     """
-    host = urlsplit(hit.url).hostname or ""
+    try:
+        host = urlsplit(hit.url).hostname or ""
+    except ValueError as exc:
+        return DownloadRecord(url=hit.url, status="failed", attempts=0, reason=f"bad url: {exc}", hit_id=hit.hit_id)
     attempts = 0
     outcome: dict = {"status": "failed", "reason": "network"}
 

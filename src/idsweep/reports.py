@@ -10,7 +10,8 @@ First a store's documents are resolved once (``_resolve``): each URL is
 classified once, an unusable one kept with why, and each distinct source
 (document, URL, query, type) at a usable URL gets a fixed number, its
 domain, its key in each source dimension and its listing cells after the
-ID in the output format.  Then one flat loop reads the (ID, document number)
+ID in the output format, with any ID in them that validation accepts as its
+token in a redacted report.  Then one flat loop reads the (ID, document number)
 rows of a cursor (``_count``).  When an ID's rows end, it puts the ID's
 documents in digest order, so the listing and the order URLs are first met
 do not depend on how the store numbered them, counts the ID and writes its
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Opti
 from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list, url_host
 from .geo import GeoRegistry
 # pseudonymize is token_function one ID at a time; bench/tracing.py wraps it where it is bound here
-from .thai_id import pseudonymize, salt_id, token_function  # noqa: F401
+from .thai_id import find_candidates, pseudonymize, salt_id, token_function, validate  # noqa: F401
 
 if TYPE_CHECKING:
     from .store import ExposureRange, ResultStore
@@ -429,14 +430,31 @@ class _Table(NamedTuple):
         return list(dict.fromkeys(chain.from_iterable(map(self.unusable.__getitem__, documents))))
 
 
-def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], fmt: Optional[str]) -> _Table:
+def _redacting(salt: bytes, registry: GeoRegistry) -> Callable[[str], str]:
+    """Text with each ID in it that validation accepts written as its token."""
+    token = token_function(salt)
+
+    def redact(text: str) -> str:
+        out, at = [], 0
+        for found in find_candidates(text):
+            if validate(found.normalized, registry).accepted:
+                out += text[at:found.start], token(found.normalized)
+                at = found.end
+        return "".join(out) + text[at:]
+
+    return redact
+
+
+def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], fmt: Optional[str],
+             redact: Callable[[str], str] = str) -> _Table:
     """The table of a store's documents, from each number's (sha256, sources).
 
     Each distinct source (document, URL, query, type) at a usable URL is
     numbered in the order met, with its domain, its key in each source
-    dimension and, if ``fmt`` names a listing format, its cells after the ID.
-    Each URL is split once and each host classified once, at the first URL
-    met there; each distinct (source dimension, key) pair is numbered too.
+    dimension and, if ``fmt`` names a listing format, its cells after the ID,
+    each as ``redact`` writes it.  Each URL is split once and each host
+    classified once, at the first URL met there; each distinct (source
+    dimension, key) pair is numbered too.
     """
     psl, sources, keys = default_suffix_list(), [], {}
     table = _Table(sources, {}, {}, {}, keys, ())
@@ -445,8 +463,9 @@ def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], fmt: Optiona
         # an ID or token is [0-9a-f], which no format escapes or quotes: its
         # cell is what the format writes around it, and a source's tail
         # starts with what follows it
-        _, first, cell, end = FORMATS[fmt]
-        after, cell = first("0").partition("0")[2], functools.cache(cell)  # each distinct cell written once
+        _, first, escape, end = FORMATS[fmt]
+        # each distinct cell redacted and written once
+        after, cell = first("0").partition("0")[2], functools.cache(lambda text: escape(redact(text)))
 
     @functools.cache  # each URL is split once
     def domain_of(url: str) -> tuple[Optional[DomainInfo], str]:
@@ -572,7 +591,8 @@ def report(
     no range is still running.  The folds are then added up, the tables
     written, and the parts joined into one listing.  Returns the files
     written, each unusable URL once with why (in the order first seen), and
-    the number of IDs.
+    the number of IDs.  Unless ``unredacted``, a salt also writes each ID
+    that validation accepts in a listing cell or an unusable URL as its token.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
@@ -585,9 +605,9 @@ def report(
     parts = [listing.with_name(f"{listing.name}.part{i}") if listed else None for i in range(len(ranges))]
     if listed:
         listing.parent.mkdir(parents=True, exist_ok=True)
-    written = []
+    written, redact = [], str if unredacted or not salt else _redacting(salt, registry)
     try:
-        table = _resolve(ranges[0].documents(), owner_tags, fmt if listed else None)
+        table = _resolve(ranges[0].documents(), owner_tags, fmt if listed else None, redact)
         fold = functools.reduce(_Fold.merge, run(functools.partial(_range, table=table, fmt=fmt, salt=salt,
                                                                    unredacted=unredacted), ranges, parts))
         if listed:
@@ -599,7 +619,8 @@ def report(
         stem: _finish(dim, fold.rows(dim, table), registry, geo_sort)
         for name in names for stem, dim in TABLES[name].items()
     }
-    return emit_report(by_stem, out_dir, fmt) + written, table.skipped(fold.met), fold.ids
+    skipped = [(redact(url), redact(why)) for url, why in table.skipped(fold.met)]
+    return emit_report(by_stem, out_dir, fmt) + written, skipped, fold.ids
 
 
 def tables(

@@ -29,6 +29,8 @@ from idsweep.queries import plan_from_json
 from idsweep.reports import TABLES
 from idsweep.store import ExposureRange, ResultStore
 
+from conftest import write_doc, write_index
+
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
 SALT_FILE = Path(__file__).resolve().parent / "data" / "demo_salt.txt"
@@ -200,6 +202,60 @@ def test_a_file_that_is_not_utf8_is_exit_2_with_one_line(demo_store, tmp_path, c
     assert len(err) == 1 and err[0].startswith("error: ") and "utf-8" in err[0], err
 
 
+# flag -> the command line that reads ``path`` as that flag's operator file, from a store, a
+# templates file and a salt file that are fine
+FILE_FLAGS = {
+    "--registry": lambda path, store, templates: ("id", "validate", "1100123456786", "--registry", path),
+    "--templates": lambda path, store, templates: ("plan", "build", "--templates", path),
+    "--bindings": lambda path, store, templates: ("plan", "build", "--templates", templates, "--bindings", path),
+    "--config": lambda path, store, templates: scan_args(store, "--config", path),
+    "--extractors": lambda path, store, templates: scan_args(store, "--extractors", path),
+    "--plan": lambda path, store, templates: scan_args(store, "--plan", path),
+    "--fixture": lambda path, store, templates: scan_args(store, "--fixture", path),
+    "--owner-tags": lambda path, store, templates: ("report", "--store", store, "--out", f"{store}-r",
+                                                    "--salt-file", str(SALT_FILE), "--owner-tags", path),
+    "--salt-file": lambda path, store, templates: ("report", "--store", store, "--out", f"{store}-r",
+                                                   "--salt-file", path),
+}
+
+
+@pytest.mark.parametrize("flag, fault", [(flag, fault) for flag in FILE_FLAGS for fault in ("missing", "not utf-8")
+                                         if (flag, fault) != ("--salt-file", "not utf-8")])  # a salt is bytes
+def test_a_bad_operator_file_is_named_by_its_flag(demo_store, tmp_path, capsys, flag, fault):
+    path = tmp_path / "file"
+    if fault == "not utf-8":
+        path.write_bytes(b"\xff\xfe")
+    templates = tmp_path / "templates.txt"
+    templates.write_text("q {prefix}\n", "utf-8")
+    store = str(demo_store if flag in ("--owner-tags", "--salt-file") else tmp_path / "store")
+    assert run_cli(*FILE_FLAGS[flag](str(path), store, str(templates))) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag}: "), err
+
+
+@pytest.mark.parametrize("case", ["no tables", "fixture provider without --fixture", "config a list",
+                                  "ragged bindings", "template with a conversion"])
+def test_operator_error_is_exit_2_with_its_line(demo_store, tmp_path, capsys, case):
+    data = tmp_path / "data"
+    data.write_text({"config a list": "[]", "ragged bindings": "prefix\na,b\n"}.get(case, "q {x!r}\n"), "utf-8")
+    argv, line = {
+        "no tables": (("report", "--store", str(demo_store), "--tables", "", "--out", str(tmp_path / "r"),
+                       "--salt-file", str(SALT_FILE)), "no tables requested"),
+        "fixture provider without --fixture": (
+            ("scan", "run", "--plan", str(DEMO / "plan.json"), "--store", str(tmp_path / "store")),
+            "fixture provider needs --fixture <corpus dir or index.json>"),
+        "config a list": (scan_args(tmp_path / "store", "--config", str(data)),
+                          f"--config: config {data} must be a JSON object"),
+        "ragged bindings": (("plan", "build", "--templates", str(DEMO / "plan.json"), "--bindings", str(data)),
+                            f"--bindings: ragged binding file {data}"),
+        "template with a conversion": (("plan", "build", "--templates", str(data)),
+                                       "bad placeholder in template: 'q {x!r}'"),
+    }[case]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "store").exists()
+
+
 def test_malformed_extractor_config_exits_2(tmp_path, capsys):
     config = tmp_path / "extractors.json"
     config.write_text(json.dumps({"extractors": [{"name": "x", "kind": "plain"}]}), "utf-8")
@@ -360,6 +416,35 @@ def test_scan_plan_with_a_query_not_a_string_is_usage_error(tmp_path, capsys):
     assert run_cli(*scan_args(store_dir), "--plan", str(plan)) == 2
     assert "'queries' must be a list of strings" in capsys.readouterr().err
     assert not (store_dir / "store.db").exists()
+
+
+@pytest.mark.parametrize("case", ["a url that does not split", "an object that cannot be read"])
+def test_scan_with_a_failed_download(tmp_path, capsys, case):
+    corpus, good = tmp_path / "corpus", "http://a.go.th/a.txt"
+    corpus.mkdir()
+    doc = write_doc(corpus, "a.txt", "id 1100123456786\n")
+    if case == "a url that does not split":  # the same document at both URLs
+        urls, objects = ["http://[::1/a.txt", good], {"http://[::1/a.txt": {"path": doc}, good: {"path": doc}}
+    else:
+        urls, objects = [good], {good: {"path": "docs/gone.txt"}}
+    index = write_index(corpus, {"q": [{"url": url, "page": 1, "rank": rank} for rank, url in enumerate(urls, 1)]},
+                        objects)
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"queries": ["q"]}', "utf-8")
+    store_dir = tmp_path / "store"
+    code = run_cli("scan", "run", "--plan", str(plan), "--fixture", str(index), "--store", str(store_dir),
+                   "--search-delay", "0", "--download-max-retry", "0")
+    captured = capsys.readouterr()
+    with ResultStore(store_dir) as store:
+        reasons = [reason for (reason,) in store._conn.execute("SELECT reason FROM downloads WHERE status = 'failed'")]
+    if case == "a url that does not split":
+        assert code == 0 and captured.err == ""
+        assert captured.out == ("1 queries yielded 2 result URLs; 1 fetched (1 failed);"
+                                " 1 distinct IDs across 1 of 1 documents\n")
+        assert reasons == ["bad url: Invalid IPv6 URL"]
+    else:
+        assert code == 1 and captured.err == "every download failed\n"
+        assert len(reasons) == 1 and reasons[0].startswith("network: cannot read fixture object "), reasons
 
 
 def test_scan_no_results_is_domain_negative(tmp_path, capsys):
@@ -850,6 +935,31 @@ def test_report_exposures_redacted_by_default(demo_store, tmp_path):
         assert digits not in text
 
 
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_report_tokenises_an_id_in_a_listing_cell(tmp_path, capsys, fmt):
+    listed, in_url, in_query, in_unusable = (thai_id.generate_valid_id("11001", f"70000{i:02d}", REG)
+                                             for i in range(4))
+    decoy = in_url[:12] + str((int(in_url[12]) + 1) % 10)  # fails the checksum, so it is no ID
+    url, query = f"http://a.go.th/view.txt?pid={in_url}&ref={decoy}", f'"{in_query}" filetype:txt'
+    stamp = "2026-01-01T00:00:00Z"
+    with ResultStore(tmp_path / "store") as store:
+        for rank, (at, found_by) in enumerate(((url, query), (f"not a url {in_unusable}", "q")), 1):
+            digest = store.put_object(at.encode())
+            hit = store.add_hit(found_by, "google", 1, rank, at, stamp, False)
+            store.record_download(hit, "success", stamp, sha256=digest, declared_type="txt", size_bytes=1)
+            store.add_exposures([(listed, digest)])
+    out_dir = tmp_path / "r"
+    assert run_cli("report", "--store", str(tmp_path / "store"), "--tables", "filetype,exposures",
+                   "--format", fmt, "--out", str(out_dir), "--salt-file", str(SALT_FILE)) == 0
+    err = capsys.readouterr().err
+    written = err + "".join(path.read_text("utf-8") for path in sorted(out_dir.iterdir()))
+    assert not {listed, in_url, in_query, in_unusable} & {c.normalized for c in thai_id.find_candidates(written)}
+    token = thai_id.token_function(SALT_FILE.read_bytes().strip())
+    assert f"http://a.go.th/view.txt?pid={token(in_url)}&ref={decoy}" in written
+    assert token(in_query) in written
+    assert f"warning: unclassifiable url skipped: not a url {token(in_unusable)}:" in err
+
+
 def test_report_exposures_unredacted_with_interlock(demo_store, tmp_path):
     out_dir = tmp_path / "r"
     assert run_cli(
@@ -1231,7 +1341,8 @@ def test_io_error_is_exit_2_with_one_line(demo_store, tmp_path, monkeypatch, cap
         monkeypatch.setattr(os, "replace", failed_rename)
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: [Errno "), err
+    flag = "--salt-file: " if case == "missing salt file" else ""  # an operator file's error is led by its flag
+    assert len(err) == 1 and err[0].startswith(f"error: {flag}[Errno "), err
 
 
 def test_committed_demo_matches_generator(tmp_path):

@@ -117,6 +117,7 @@ def test_custom_psl_overrides_default():
         "javascript:alert(1)",
         "http:///nopath",
         "//missing-scheme.th/x",
+        "http://[::1/a.txt",  # urlsplit itself refuses it
     ],
 )
 def test_unusable_urls_raise(url):

@@ -259,6 +259,9 @@ def test_config_errors(tmp_path):
     path.write_text('{"extractors": []}', "utf-8")
     with pytest.raises(ValueError, match="no extractors"):
         extract.load_extractor_config(path)
+    path.write_text("[]", "utf-8")
+    with pytest.raises(ValueError, match="must be an object with an 'extractors' list"):
+        extract.load_extractor_config(path)
     plain = {"name": "plain", "kind": "plain", "types": ["txt"]}
     for entry, why in [
         ("plain", "must be an object"),
@@ -271,6 +274,7 @@ def test_config_errors(tmp_path):
         ({**plain, "timeout": "5"}, "'timeout' must be a finite number"),
         ({**plain, "timeout": True}, "'timeout' must be a finite number"),
         ({**plain, "timeout": float("nan")}, "'timeout' must be a finite number"),
+        ({**plain, "timeout": 0}, "timeout must be positive"),
         ({**plain, "kind": "pdfminer"}, "unknown extractor kind"),
     ]:
         path.write_text(json.dumps({"extractors": [plain, entry]}), "utf-8")

@@ -64,6 +64,23 @@ def test_malformed_rows():
         load("P,10,Bangkok\nPOP,10,-4\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("P,1x,Bangkok\n", "registry line 1: bad province code '1x'"),
+    ("P,10, \n", "registry line 1: empty province name"),
+    ("P,10,Bangkok\nP,10,Again\n", "registry line 2: duplicate province code 10"),
+    ("P,10,Bangkok\nD,100,Short\n", "registry line 2: bad district code '100'"),
+    ("P,10,Bangkok\nD,1001,\n", "registry line 2: empty district name"),
+    ("P,10,Bangkok\nD,1001,A\nD,1001,B\n", "registry line 3: duplicate district code 1001"),
+    ("P,10,Bangkok\nD,1001,A\nD,8001,B\n", "registry line 3: district 8001 has no province 80"),
+    ("D,1001,A\n", "registry is empty (no province rows)"),
+], ids=["bad province code", "empty province name", "duplicate province", "bad district code",
+        "empty district name", "duplicate district", "orphan district", "districts alone"])
+def test_area_row_messages(text, message):
+    with pytest.raises(geo.RegistryError) as raised:
+        load(text)
+    assert str(raised.value) == message
+
+
 def test_population_for_unknown_code():
     with pytest.raises(geo.RegistryError, match="unknown code 99"):
         load("P,10,Bangkok\nPOP,99,123\n")

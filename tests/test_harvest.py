@@ -257,6 +257,21 @@ def test_timeout_reason(store):
     assert record.status == "failed" and record.reason == "timeout" and record.attempts == 1
 
 
+def test_a_url_that_does_not_split_fails_unfetched(store):
+    fetcher = FlakyFetcher(failures=0)
+    record = download(make_hit(store, "http://[::1/a.txt"), fetcher, quick_config(), store)
+    assert (record.status, record.attempts, record.reason) == ("failed", 0, "bad url: Invalid IPv6 URL")
+    assert fetcher.calls == 0
+
+
+def test_unreadable_fixture_object_fails_the_download(tmp_path, store):
+    url = "https://a.go.th/gone.txt"
+    provider = FixtureProvider(write_index(tmp_path, {}, {url: {"path": "docs/gone.txt"}}))
+    record = download(make_hit(store, url), provider, quick_config(), store)
+    assert record.status == "failed" and record.attempts == 1
+    assert record.reason.startswith("network: cannot read fixture object "), record.reason
+
+
 def test_type_mismatch_discards_bytes(tmp_path, store):
     rel = write_doc(tmp_path, "x.exe", "MZ fake binary")
     url = "https://a.go.th/x.exe"
