@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""Print the bytes each table and index of a result store takes on disk.
+
+Usage::
+
+    python scripts/store_bytes.py STORE
+
+STORE is a store directory or its ``store.db``.  The file is opened
+read-only, so an older layout is measured as it is, not migrated.  Sizes
+come from SQLite's ``dbstat`` table, pages included whole; where SQLite was
+built without it, each table's row count is printed instead.
+"""
+
+import argparse
+import sqlite3
+import sys
+from contextlib import closing
+from pathlib import Path
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("store", type=Path, help="store directory or its store.db")
+    db = parser.parse_args().store
+    db = db / "store.db" if db.is_dir() else db
+    if not db.is_file():
+        parser.error(f"no store database at {db}")
+    with closing(sqlite3.connect(db.resolve().as_uri() + "?mode=ro", uri=True)) as conn:
+        kinds = dict(conn.execute("SELECT name, type FROM sqlite_master"))
+        page_size = conn.execute("PRAGMA page_size").fetchone()[0]
+        total = conn.execute("PRAGMA page_count").fetchone()[0] * page_size
+        free = conn.execute("PRAGMA freelist_count").fetchone()[0] * page_size
+        try:
+            rows = conn.execute("SELECT name, COUNT(*), SUM(pgsize) FROM dbstat GROUP BY name"
+                                " ORDER BY SUM(pgsize) DESC, name").fetchall()
+        except sqlite3.OperationalError:  # no dbstat: count rows instead
+            print(f"{'table':<32} {'rows':>12}")
+            for (name,) in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"):
+                count = conn.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
+                print(f"{name:<32} {count:>12,}")
+            print(f"{'(file)':<32} {total:>12,} bytes")
+            return 0
+    print(f"{'name':<32} {'kind':<6} {'pages':>8} {'bytes':>12}")
+    for name, pages, size in rows:
+        print(f"{name:<32} {kinds.get(name, 'schema'):<6} {pages:>8,} {size:>12,}")
+    print(f"{'(free pages)':<32} {'':<6} {free // page_size:>8,} {free:>12,}")
+    print(f"{'(file)':<32} {'':<6} {total // page_size:>8,} {total:>12,}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -40,6 +40,8 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 ENV_PREFIX = "IDSWEEP_"
+# what a warning: or error: line writes for each ID that validation accepts: a scan has no salt to token it with
+ID_MASK = "<ID>"
 
 
 @functools.cache
@@ -66,6 +68,13 @@ def _load_registry(path: Optional[str]) -> GeoRegistry:
     from .geo import default_registry, load_registry_file
 
     return _load("--registry", path, load_registry_file) if path else default_registry()
+
+
+def _masking(registry: GeoRegistry) -> Callable[[str], str]:
+    """A line with each ID in it that ``registry`` accepts, in any written form, as ``ID_MASK``."""
+    from .thai_id import redacting
+
+    return redacting(registry, lambda digits: ID_MASK)
 
 
 def _knob_value(value, default):
@@ -238,11 +247,12 @@ def cmd_scan_run(args) -> int:
     provider = _make_provider(args, config)
 
     store_dir = Path(args.store)
+    mask = _masking(registry)  # the store keeps the raw text
     with _store_lock(store_dir), ResultStore(store_dir) as store:
         recorded = len(store.diagnostics())  # by earlier runs into this store
         summary = run_scan(plan, provider, config, store, registry, extractors)
         for kind, subject, detail in store.diagnostics()[recorded:]:
-            print(f"warning: {kind}: {subject}: {detail}", file=sys.stderr)
+            print(mask(f"warning: {kind}: {subject}: {detail}"), file=sys.stderr)
     print(summary.line())
     if summary.unreadable or summary.partly_read:
         return EXIT_USAGE  # a partial scan; the warnings above say which documents
@@ -363,8 +373,9 @@ def cmd_report(args) -> int:
             ranges, names, registry, args.out, fmt=args.format, geo_sort=args.geo_sort, salt=salt,
             unredacted=args.unredacted, owner_tags=owner_tags, run=_in_processes if len(ranges) > 1 else map,
         )
+    mask = _masking(registry)
     for url, reason in skipped:
-        print(f"warning: unclassifiable url skipped: {url}: {reason}", file=sys.stderr)
+        print(mask(f"warning: unclassifiable url skipped: {url}: {reason}"), file=sys.stderr)
     for path in written:
         print(path)
     if not ids:
@@ -470,7 +481,8 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     idsweep.cli`` loads none of them, and the parser holds the arguments of
     that command alone.  A command raises its operator errors, an operator file's led by its flag (``_load``);
     here alone an ``OSError``, ``ValueError``, ``RuntimeError`` or ``sqlite3.Error`` (named with its store) is
-    printed as the one ``error:`` line, and becomes exit 2.
+    printed as the one ``error:`` line, and becomes exit 2.  An ID the command's
+    registry (or, if that does not load, the bundled one) accepts is masked in it.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     # the command is the first word: the program itself takes no option but --help
@@ -485,7 +497,13 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
         if not isinstance(exc, sqlite3.Error):
             raise
         message = f"store {Path(args.store)}: {exc}"
-    print(f"error: {message}", file=sys.stderr)
+    try:
+        registry = _load_registry(getattr(args, "registry", None))
+    except ValueError:
+        from .geo import default_registry
+
+        registry = default_registry()
+    print(_masking(registry)(f"error: {message}"), file=sys.stderr)
     return EXIT_USAGE
 
 

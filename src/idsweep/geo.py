@@ -132,18 +132,6 @@ def load_registry_file(path: str | Path, as_of: str = "") -> GeoRegistry:
         return load_registry(handle, as_of=as_of)
 
 
-def dump_registry(registry: GeoRegistry) -> str:
-    """Serialize back to the line format; load(dump(r)) reproduces r."""
-    out: list[str] = []
-    for province in registry.iter_provinces():
-        out.append(f"P,{province.code},{province.name}")
-    for district in registry.iter_districts():
-        out.append(f"D,{district.code},{district.name}")
-    for code in sorted(registry.population.counts):
-        out.append(f"POP,{code},{registry.population.counts[code]}")
-    return "\n".join(out) + "\n"
-
-
 def default_registry() -> GeoRegistry:
     """Registry bundled with the package (December 2024 survey counts)."""
     text = resources.files("idsweep.data").joinpath(DEFAULT_REGISTRY_RESOURCE).read_text("utf-8")

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Opti
 from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list, url_host
 from .geo import GeoRegistry
 # pseudonymize is token_function one ID at a time; bench/tracing.py wraps it where it is bound here
-from .thai_id import find_candidates, pseudonymize, salt_id, token_function, validate  # noqa: F401
+from .thai_id import pseudonymize, redacting, salt_id, token_function  # noqa: F401
 
 if TYPE_CHECKING:
     from .store import ExposureRange, ResultStore
@@ -350,17 +350,6 @@ def table_to_json(table: AggregateTable) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2, default=str) + "\n"
 
 
-def table_from_json(text: str) -> AggregateTable:
-    data = json.loads(text)
-    rows = []
-    for r in data["rows"]:
-        row = {f.name: r[f.name] for f in fields(AggregateRow) if f.name in r}
-        if row.get("percent") is not None:
-            row["percent"] = Decimal(row["percent"])
-        rows.append(AggregateRow(**row))
-    return AggregateTable(dimension=data["dimension"], rows=tuple(rows), columns=tuple(data["columns"]))
-
-
 def emit_report(tables: dict[str, AggregateTable], out_dir: str | Path, fmt: str = "markdown") -> list[Path]:
     """Write one file per table; deterministic bytes, each file whole or not at all."""
     if fmt not in FORMATS:
@@ -428,21 +417,6 @@ class _Table(NamedTuple):
     def skipped(self, documents: Iterable[int]) -> list[tuple[str, str]]:
         """The unusable URLs of the documents, each once with why, in the documents' order."""
         return list(dict.fromkeys(chain.from_iterable(map(self.unusable.__getitem__, documents))))
-
-
-def _redacting(salt: bytes, registry: GeoRegistry) -> Callable[[str], str]:
-    """Text with each ID in it that validation accepts written as its token."""
-    token = token_function(salt)
-
-    def redact(text: str) -> str:
-        out, at = [], 0
-        for found in find_candidates(text):
-            if validate(found.normalized, registry).accepted:
-                out += text[at:found.start], token(found.normalized)
-                at = found.end
-        return "".join(out) + text[at:]
-
-    return redact
 
 
 def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], fmt: Optional[str],
@@ -605,7 +579,7 @@ def report(
     parts = [listing.with_name(f"{listing.name}.part{i}") if listed else None for i in range(len(ranges))]
     if listed:
         listing.parent.mkdir(parents=True, exist_ok=True)
-    written, redact = [], str if unredacted or not salt else _redacting(salt, registry)
+    written, redact = [], str if unredacted or not salt else redacting(registry, token_function(salt))
     try:
         table = _resolve(ranges[0].documents(), owner_tags, fmt if listed else None, redact)
         fold = functools.reduce(_Fold.merge, run(functools.partial(_range, table=table, fmt=fmt, salt=salt,

@@ -2,49 +2,38 @@
 
 Layout under the store directory::
 
-    store.db           relational state (hits, downloads, documents, exposures,
-                       diagnostics)
+    store.db           relational state (searches, hits, downloads, documents,
+                       exposures, diagnostics)
     objects/<sha256>   raw document bytes, filename = digest
 
-``objects/`` is the only record of the stored objects: an object's path is
-derived from its digest, and ``downloads`` holds its digest and size.  An
-exposure is only (digits, document).  ``digits`` is the ID as the integer it
-spells: 6 bytes of record where its text took 13, so a row takes about 14
-bytes where it took about 22.  ``add_exposures`` refuses an ID that would not
-read back as written, and every read gives each ID back as its 13-character
-text; for 13 digits with no leading zero, integer order is text order.
-``document`` is the number that ``documents`` gives the digest of a document
-with exposures, numbered as first met; its URLs, queries, engines and types
-are the successful ``downloads`` of that digest joined to their ``hits``.
-Opening a store that older versions wrote drops the ``objects`` table and
-``downloads.stored_path``, which nothing reads, and copies an ``exposures``
-with text IDs (keyed by document number, or in the oldest layouts by digest)
-into the integer layout, in one transaction, then ``VACUUM``s once if it
-copied ``exposures``.
+``objects/`` is the only record of the stored objects; ``downloads`` holds
+each one's digest and size.  Each fact is stored once and compactly: a hit
+names its (query, engine) by its ``searches`` number, a digest is its 32
+bytes (``_digest``), an exposure is only (digits, document), and ``digits``
+is the ID as the integer it spells (``_key``).  Writes refuse what would not
+read back as written; reads give IDs back as 13-character text and digests as
+lowercase hex, whose orders the stored values keep.  ``document`` is the
+number ``documents`` gives a digest with exposures, as first met; its
+sources are the successful ``downloads`` of that digest joined to their
+``hits`` and ``searches``.  Opening a store that older versions wrote
+migrates it in one transaction (``_schema_script``), then ``VACUUM``s once
+if it rebuilt a table.
 
-Reports read the store in one pass and add no index.  They read each
-document number's digest and the successful sources of that digest, sorted
-in SQL (bounded by documents), and a cursor over ``exposures`` in its own key
-order, (digits, document) (a WITHOUT ROWID table is its primary-key B-tree).
-``id_ranges()`` cuts the rows into ranges of IDs for a report to read in
-several processes: as many as give each range ``MIN_ROWS_PER_RANGE`` rows, up
-to the number asked for.  Its boundaries are the IDs at equal shares of the
-rows, each range starting at its ID's first row, so no ID is split.  An
-``ExposureRange`` reads the documents map (``documents()``) or its own rows
-(``read()``) through a read-only connection of its own, so a process forked
-with it reads its range alone.
-``ResultStore.read()`` gives the map and every row in one read transaction,
-and ``load_occurrences()`` joins them into one (digits, sha256, sources) row
-per exposure: a reference for tests, which no report reads.  Every other
-reader here is one a command calls.
+Reports read the store in one pass and add no index: each document number's
+digest and sources, sorted in SQL, and a cursor over ``exposures`` in its
+key order, (digits, document).  ``id_ranges()`` cuts the rows into ranges of
+IDs, as many as give each ``MIN_ROWS_PER_RANGE`` rows, up to the number
+asked for, each starting at its ID's first row, so no ID is split.  An
+``ExposureRange`` reads through a read-only connection of its own, so a
+process forked with it reads its range alone.  ``load_occurrences()`` joins
+the map and the rows of one read transaction: a reference for tests.
 
 Only the thread that opened a ``ResultStore`` uses its connection (sqlite3
 refuses any other): the download and extraction pools write and read
-``objects/`` alone, and their results are recorded on that thread.  Across
-processes, the CLI holds an ``flock`` on ``.lock``: exclusive for a scan,
-shared for a report, so reports may run together but never beside a scan.
-That lock is what keeps a report's documents map and the cursors of its
-ranges, each read on its own, reading the same committed store.
+``objects/`` alone.  Across processes, the CLI holds an ``flock`` on
+``.lock``: exclusive for a scan, shared for a report, so reports may run
+together but never beside a scan, and a report's reads all see one
+committed store.
 """
 
 from __future__ import annotations
@@ -61,23 +50,28 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 _SCHEMA = """
+CREATE TABLE IF NOT EXISTS searches (
+    id     INTEGER PRIMARY KEY,
+    query  TEXT NOT NULL,
+    engine TEXT NOT NULL,
+    UNIQUE (query, engine)
+);
 CREATE TABLE IF NOT EXISTS hits (
     id          INTEGER PRIMARY KEY,
-    query       TEXT NOT NULL,
-    engine      TEXT NOT NULL,
+    search      INTEGER NOT NULL REFERENCES searches(id),
     page        INTEGER NOT NULL,
     rank        INTEGER NOT NULL,
     url         TEXT NOT NULL,
     retrieved_at TEXT NOT NULL,
     is_repeat   INTEGER NOT NULL DEFAULT 0,
-    UNIQUE (query, engine, page, rank, url)
+    UNIQUE (search, page, rank, url)
 );
 CREATE TABLE IF NOT EXISTS downloads (
     id           INTEGER PRIMARY KEY,
     hit_id       INTEGER NOT NULL UNIQUE REFERENCES hits(id),
     status       TEXT NOT NULL,          -- success | failed | type_mismatch
     reason       TEXT,                   -- timeout | network | too_large | <ext>
-    sha256       TEXT,
+    sha256       BLOB,                   -- the digest's bytes
     declared_type TEXT,
     size_bytes   INTEGER,
     completed_at TEXT NOT NULL
@@ -85,7 +79,7 @@ CREATE TABLE IF NOT EXISTS downloads (
 -- an explicit INTEGER PRIMARY KEY: VACUUM may renumber an implicit rowid
 CREATE TABLE IF NOT EXISTS documents (
     id     INTEGER PRIMARY KEY,
-    sha256 TEXT NOT NULL UNIQUE
+    sha256 BLOB NOT NULL UNIQUE
 );
 CREATE TABLE IF NOT EXISTS exposures (
     digits   INTEGER NOT NULL,           -- the ID as the integer it spells
@@ -115,42 +109,69 @@ def _key(digits: str) -> int:
     return int(digits)
 
 
+def _digest(text: str) -> bytes:
+    """The bytes ``documents`` and ``downloads`` store for a digest; ValueError unless it is
+    lowercase hex of even length, which ``.hex()`` reads back and whose byte order is its text order."""
+    try:
+        data = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        data = None
+    if data is None or data.hex() != text:
+        raise ValueError(f"a digest must be lowercase hex of even length, not {text!r}")
+    return data
+
+
 def _declared(conn: sqlite3.Connection, table: str) -> dict[str, str]:
     """Each column of ``table`` with its declared type; {} if there is no such table."""
     return {name: kind for _, name, kind, *_ in conn.execute(f"PRAGMA table_info({table})")}
 
 
 def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
-    """``_SCHEMA`` as one transaction that also migrates what older stores
-    hold, and whether it copies ``exposures``.
+    """``_SCHEMA`` as one transaction, left open, that also migrates what older
+    stores hold, and whether it rebuilds a table.
 
-    It drops the ``objects`` table and ``downloads.stored_path`` that nothing
-    reads; a column is dropped in place, so a table keeps those it does not
-    declare (``DROP COLUMN``, SQLite >= 3.35).  SQLite cannot change a
-    column's type or make a table WITHOUT ROWID in place, so an ``exposures``
-    whose IDs are text, with or without the digest and source columns of the
-    oldest layouts, is renamed, its digests (if it has them) are numbered in
-    digest order, its rows are copied as integers into the table ``_SCHEMA``
-    creates in key order, which fills its pages, and it is dropped.  A row
-    whose digits would not read back as written (``_ID_GLOB``) copies as
-    NULL, which the new table refuses, so the whole migration rolls back.
+    It drops the ``objects`` table that nothing reads.  SQLite cannot change
+    a column's type or make a table WITHOUT ROWID in place, so each older
+    table is renamed ``retired_*``, its rows are copied, ids kept, into the
+    table ``_SCHEMA`` creates, and it is dropped: ``hits`` with its query and
+    engine (numbered in ``searches`` as first met) and ``downloads`` with a
+    text digest, together, as one refers to the other; ``documents`` with a
+    text digest; and ``exposures`` whose IDs are text, in key order, which
+    fills its pages.  The oldest ``exposures``, keyed by digest, number their
+    digests in ``documents`` in digest order.  Only the columns declared here
+    are kept, so ``downloads.stored_path`` goes.  ``digest_blob`` converts a
+    text digest (``_digest``); a row whose digits would not read back as
+    written (``_ID_GLOB``) copies as NULL, which the new table refuses.  Either
+    fails the statement, so the whole migration rolls back.
     """
     before, after = [], []
-    if "stored_path" in _declared(conn, "downloads"):
-        before.append("ALTER TABLE downloads DROP COLUMN stored_path;")
+    if "query" in _declared(conn, "hits"):
+        before.append("ALTER TABLE hits RENAME TO retired_hits; ALTER TABLE downloads RENAME TO retired_downloads;")
+        after.append(
+            "INSERT INTO searches (query, engine) SELECT query, engine FROM retired_hits"
+            " GROUP BY query, engine ORDER BY MIN(id);"
+            " INSERT INTO hits SELECT h.id, s.id, h.page, h.rank, h.url, h.retrieved_at, h.is_repeat"
+            " FROM retired_hits h JOIN searches s ON s.query = h.query AND s.engine = h.engine ORDER BY h.id;"
+            " INSERT INTO downloads SELECT id, hit_id, status, reason, digest_blob(sha256), declared_type,"
+            " size_bytes, completed_at FROM retired_downloads ORDER BY id;"
+            " DROP TABLE retired_downloads; DROP TABLE retired_hits;")
+    if _declared(conn, "documents").get("sha256") == "TEXT":
+        before.append("ALTER TABLE documents RENAME TO retired_documents;")
+        after.append("INSERT INTO documents SELECT id, digest_blob(sha256) FROM retired_documents ORDER BY id;"
+                     " DROP TABLE retired_documents;")
     exposures = _declared(conn, "exposures")
     if exposures.get("digits") == "TEXT":
         before.append("ALTER TABLE exposures RENAME TO retired_exposures;")
         rows, document = "retired_exposures e", "e.document"
         if "sha256" in exposures:
-            after.append("INSERT INTO documents (sha256) SELECT DISTINCT sha256 FROM retired_exposures"
-                         " ORDER BY sha256;")
-            rows, document = "retired_exposures e JOIN documents d ON d.sha256 = e.sha256", "d.id"
+            after.append("INSERT INTO documents (sha256) SELECT DISTINCT digest_blob(sha256) FROM retired_exposures"
+                         " ORDER BY 1;")
+            rows, document = "retired_exposures e JOIN documents d ON d.sha256 = digest_blob(e.sha256)", "d.id"
         after.append(f"INSERT INTO exposures SELECT CASE WHEN e.digits GLOB '{_ID_GLOB}'"
                      f" THEN CAST(e.digits AS INTEGER) END, {document} FROM {rows}"
                      f" ORDER BY e.digits, {document};"
                      " DROP TABLE retired_exposures;")
-    return "\n".join(["BEGIN;", "DROP TABLE IF EXISTS objects;", *before, _SCHEMA, *after, "COMMIT;"]), bool(after)
+    return "\n".join(["BEGIN;", "DROP TABLE IF EXISTS objects;", *before, _SCHEMA, *after]), bool(after)
 
 
 # (digits, sha256, each (url, query, file_type) of the document), as load_occurrences() gives it
@@ -178,12 +199,12 @@ def _documents(conn: sqlite3.Connection) -> dict[int, tuple[str, tuple[tuple[str
     """Each document number's (sha256, sources), the sources as ``load_occurrences()``
     gives them and () for a digest never successfully downloaded."""
     rows = conn.execute(
-        "SELECT DISTINCT d.sha256, h.url, h.query, h.engine, d.declared_type"
-        " FROM downloads d JOIN hits h ON h.id = d.hit_id WHERE d.status = 'success'"
-        " ORDER BY d.sha256, h.url, h.query, h.engine, d.declared_type")
+        "SELECT DISTINCT d.sha256, h.url, s.query, s.engine, d.declared_type"
+        " FROM downloads d JOIN hits h ON h.id = d.hit_id JOIN searches s ON s.id = h.search"
+        " WHERE d.status = 'success' ORDER BY d.sha256, h.url, s.query, s.engine, d.declared_type")
     found = {sha256: tuple((url, query, file_type) for _, url, query, _, file_type in group)
              for sha256, group in groupby(rows, itemgetter(0))}
-    return {number: (sha256, found.get(sha256, ()))
+    return {number: (sha256.hex(), found.get(sha256, ()))
             for number, sha256 in conn.execute("SELECT id, sha256 FROM documents")}
 
 
@@ -248,15 +269,32 @@ class ResultStore:
         self.objects_dir.mkdir(exist_ok=True)
         self.db_path = self.root / "store.db"
         self._conn = sqlite3.connect(self.db_path)
-        self._conn.execute("PRAGMA foreign_keys = ON")
+        self._searches: dict[tuple[str, str], int] = {}  # (query, engine) -> its searches.id
+        refused = []  # a stored digest the migration could not convert
+
+        def digest_blob(text: Optional[str]) -> Optional[bytes]:
+            try:
+                return None if text is None else _digest(text)
+            except ValueError:
+                refused.append(text)
+                raise
+
+        self._conn.create_function("digest_blob", 1, digest_blob, deterministic=True)
+        # a rebuild drops tables that others refer to; this pragma is ignored inside a transaction
+        self._conn.execute("PRAGMA foreign_keys = OFF")
         try:
             with self._conn:  # a migration that fails rolls back whole
-                script, copied = _schema_script(self._conn)
+                script, rebuilt = _schema_script(self._conn)
                 self._conn.executescript(script)
-            if copied:  # the older exposures' pages are free now: give them back to the disk
+                if rebuilt and self._conn.execute("PRAGMA foreign_key_check").fetchone():
+                    raise sqlite3.IntegrityError("a migrated row refers to a row that is not there")
+            if rebuilt:  # the older tables' pages are free now: give them back to the disk
                 self._conn.execute("VACUUM")
-        except sqlite3.Error:
+            self._conn.execute("PRAGMA foreign_keys = ON")
+        except sqlite3.Error as exc:
             self._conn.close()
+            if refused:
+                raise sqlite3.DataError(f"a stored digest is not lowercase hex of even length: {refused[0]!r}") from exc
             raise
 
     def close(self) -> None:
@@ -274,16 +312,22 @@ class ResultStore:
         self, query: str, engine: str, page: int, rank: int, url: str,
         retrieved_at: str, is_repeat: bool,
     ) -> int:
+        search = self._searches.get((query, engine))
         with self._conn:
+            if search is None:
+                self._conn.execute("INSERT OR IGNORE INTO searches (query, engine) VALUES (?, ?)", (query, engine))
+                search = self._conn.execute(
+                    "SELECT id FROM searches WHERE query=? AND engine=?", (query, engine)).fetchone()[0]
             self._conn.execute(
-                "INSERT OR IGNORE INTO hits (query, engine, page, rank, url, retrieved_at, is_repeat)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (query, engine, page, rank, url, retrieved_at, int(is_repeat)),
+                "INSERT OR IGNORE INTO hits (search, page, rank, url, retrieved_at, is_repeat)"
+                " VALUES (?, ?, ?, ?, ?, ?)",
+                (search, page, rank, url, retrieved_at, int(is_repeat)),
             )
             row = self._conn.execute(
-                "SELECT id FROM hits WHERE query=? AND engine=? AND page=? AND rank=? AND url=?",
-                (query, engine, page, rank, url),
+                "SELECT id FROM hits WHERE search=? AND page=? AND rank=? AND url=?",
+                (search, page, rank, url),
             ).fetchone()
+        self._searches[query, engine] = search  # once committed: a rolled-back number is not kept
         return int(row[0])
 
     # --- objects --------------------------------------------------------------
@@ -318,7 +362,8 @@ class ResultStore:
                 "INSERT OR REPLACE INTO downloads"
                 " (hit_id, status, reason, sha256, declared_type, size_bytes, completed_at)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (hit_id, status, reason, sha256, declared_type, size_bytes, completed_at),
+                (hit_id, status, reason, None if sha256 is None else _digest(sha256), declared_type, size_bytes,
+                 completed_at),
             )
 
     # --- exposures ---------------------------------------------------------------
@@ -338,16 +383,18 @@ class ResultStore:
         """Record many (digits, sha256) pairs in one commit; returns how many were new.
 
         A digest not yet in ``documents`` is numbered there first.  Each ID is
-        stored as the integer it spells: ValueError, before any row is
-        written, for digits other than 13 ASCII digits with the first not 0.
+        stored as the integer it spells and each digest as its bytes:
+        ValueError, before any row is written, for digits other than 13 ASCII
+        digits with the first not 0, or a digest that is not lowercase hex.
         """
         rows = [(_key(digits), sha256) for digits, sha256 in rows]
+        blobs = {sha256: _digest(sha256) for sha256 in dict.fromkeys(sha256 for _, sha256 in rows)}
         with self._conn:
             self._conn.executemany("INSERT OR IGNORE INTO documents (sha256) VALUES (?)",
-                                   ((sha256,) for sha256 in dict.fromkeys(sha256 for _, sha256 in rows)))
+                                   ((blob,) for blob in blobs.values()))
             cur = self._conn.executemany(
                 "INSERT OR IGNORE INTO exposures (digits, document) SELECT ?, id FROM documents WHERE sha256 = ?",
-                rows)
+                ((digits, blobs[sha256]) for digits, sha256 in rows))
         return cur.rowcount
 
     def unique_id_count(self) -> int:
@@ -356,9 +403,9 @@ class ResultStore:
     def exposure_counts(self, digests: Iterable[str]) -> tuple[int, int]:
         """(distinct IDs, documents with an exposure) among the documents of ``digests``."""
         with self._conn:  # the digests go to a temporary table, so no ID is held in memory
-            self._conn.execute("CREATE TEMP TABLE IF NOT EXISTS counted (sha256 TEXT PRIMARY KEY)")
+            self._conn.execute("CREATE TEMP TABLE IF NOT EXISTS counted (sha256 BLOB PRIMARY KEY)")
             self._conn.execute("DELETE FROM counted")
-            self._conn.executemany("INSERT OR IGNORE INTO counted VALUES (?)", ((d,) for d in digests))
+            self._conn.executemany("INSERT OR IGNORE INTO counted VALUES (?)", ((_digest(d),) for d in digests))
             return self._conn.execute(
                 "SELECT COUNT(DISTINCT e.digits), COUNT(DISTINCT e.document) FROM counted c"
                 " JOIN documents d ON d.sha256 = c.sha256 JOIN exposures e ON e.document = d.id").fetchone()

@@ -246,6 +246,20 @@ def token_function(salt: bytes) -> Callable[[str], str]:
     return token
 
 
+def redacting(registry: "GeoRegistry", replace: Callable[[str], str]) -> Callable[[str], str]:
+    """Text with each ID in it that validation accepts, in any written form, as ``replace`` of its digits."""
+
+    def redact(text: str) -> str:
+        out, at = [], 0
+        for found in find_candidates(text):
+            if validate(found.normalized, registry).accepted:
+                out += text[at:found.start], replace(found.normalized)
+                at = found.end
+        return "".join(out) + text[at:]
+
+    return redact
+
+
 def pseudonymize(digits: str, salt: bytes) -> PseudonymToken:
     """Deterministic keyed hash of an ID (HMAC-SHA-256); unlinkable across distinct salts."""
     return PseudonymToken(token=token_function(salt)(digits), salt_id=salt_id(salt))

@@ -7,13 +7,16 @@ import sqlite3
 import tempfile
 from collections import namedtuple
 from contextlib import closing, contextmanager
+from dataclasses import fields
+from decimal import Decimal
 from pathlib import Path
 from typing import Iterator
 
 import pytest
 
-from idsweep.geo import default_registry
+from idsweep.geo import GeoRegistry, default_registry
 from idsweep.harvest import Clock
+from idsweep.reports import AggregateRow, AggregateTable
 from idsweep.store import ResultStore
 
 
@@ -62,6 +65,17 @@ def write_doc(root: Path, name: str, text: str) -> str:
     return f"docs/{name}"
 
 
+def fake_digest(label: str) -> str:
+    """``label`` if the store takes it as a digest (lowercase hex of even length), else the
+    hex of its UTF-8 bytes, which keeps the order of such labels."""
+    try:
+        if bytes.fromhex(label).hex() == label:
+            return label
+    except ValueError:
+        pass
+    return label.encode().hex()
+
+
 @contextmanager
 def store_of(rows) -> Iterator[ResultStore]:
     """A fresh store holding the rows, for the block's length.
@@ -69,10 +83,11 @@ def store_of(rows) -> Iterator[ResultStore]:
     Each (digits, sha256, url, query, engine, file_type) row is an exposure
     of ``digits`` in document ``sha256``, successfully downloaded from
     ``url`` as found by ``query`` on ``engine``.  The store gives each
-    document every source any row names for it.  The throwaway store skips
+    document every source any row names for it.  A ``sha256`` label such as
+    ``"s1"`` is stored as ``fake_digest`` of it.  The throwaway store skips
     syncing its commits, which would otherwise take most of the time.
     """
-    rows = list(rows)
+    rows = [(digits, fake_digest(sha256), *source) for digits, sha256, *source in rows]
     with tempfile.TemporaryDirectory() as root, ResultStore(root) as store:
         store._conn.execute("PRAGMA synchronous = OFF")
         for rank, (sha256, *source) in enumerate(dict.fromkeys(row[1:] for row in rows), 1):
@@ -103,6 +118,30 @@ def download_counts(store: ResultStore) -> dict[str, int]:
 
 
 Occurrence = namedtuple("Occurrence", "digits sha256 url query file_type")
+
+
+def table_from_json(text: str) -> AggregateTable:
+    """A table read back from its JSON form, as ``reports.table_to_json`` writes it."""
+    data = json.loads(text)
+    rows = []
+    for r in data["rows"]:
+        row = {f.name: r[f.name] for f in fields(AggregateRow) if f.name in r}
+        if row.get("percent") is not None:
+            row["percent"] = Decimal(row["percent"])
+        rows.append(AggregateRow(**row))
+    return AggregateTable(dimension=data["dimension"], rows=tuple(rows), columns=tuple(data["columns"]))
+
+
+def dump_registry(registry: GeoRegistry) -> str:
+    """Serialize back to the line format; load(dump(r)) reproduces r."""
+    out: list[str] = []
+    for province in registry.iter_provinces():
+        out.append(f"P,{province.code},{province.name}")
+    for district in registry.iter_districts():
+        out.append(f"D,{district.code},{district.name}")
+    for code in sorted(registry.population.counts):
+        out.append(f"POP,{code},{registry.population.counts[code]}")
+    return "\n".join(out) + "\n"
 
 
 def expand(occurrences) -> list[Occurrence]:

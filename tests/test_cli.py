@@ -21,7 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idsweep import cli, domains, reports, thai_id
+from idsweep import cli, domains, reports, synth, thai_id
 from idsweep.geo import default_registry
 from idsweep.harvest import CrawlConfig
 from idsweep.pipeline import ScanSummary
@@ -29,7 +29,7 @@ from idsweep.queries import plan_from_json
 from idsweep.reports import TABLES
 from idsweep.store import ExposureRange, ResultStore
 
-from conftest import write_doc, write_index
+from conftest import table_from_json, write_doc, write_index
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
@@ -170,6 +170,54 @@ def test_scan_with_unreadable_documents_is_exit_2(tmp_path, capsys):
     assert captured.out.rstrip().endswith("; 6 unreadable")
     assert captured.err.count("warning: extraction_failed") == 6
     assert runs[1] == captured
+
+
+# an external extractor that fails, echoing the start of its input on stderr
+ECHO_AND_FAIL = """import sys
+sys.stderr.write(open(sys.argv[1], encoding="utf-8").read()[:200])
+sys.exit(1)
+"""
+
+
+def test_scan_warnings_mask_every_accepted_id(tmp_path, capsys):
+    ids = [thai_id.generate_valid_id("11001", f"50000{i:02d}", REG) for i in range(len(synth.FORMS) + 2)]
+    in_doc, in_query, in_url = ids[:-2], ids[-2], ids[-1]
+    doc = write_doc(tmp_path, "doc.pdf", "".join(f"row {synth.render_id(digits, form)}\n"
+                                                 for digits, form in zip(in_doc, synth.FORMS)))
+    query = f'"{synth.render_id(in_query, "hyphen")}"'
+    sheet = f"http://a.go.th/{in_url}.xls"  # a type no extractor reads
+    index = write_index(tmp_path, {query: [{"url": "http://a.go.th/doc.pdf", "page": 1, "rank": 1},
+                                           {"url": sheet, "page": 1, "rank": 2},
+                                           {"url": "http://a.go.th/later.pdf", "page": 2, "rank": 1}]},
+                        {"http://a.go.th/doc.pdf": {"path": doc}, sheet: {"path": write_doc(tmp_path, "sheet", "")},
+                         "http://a.go.th/later.pdf": {"path": doc}})
+    script = tmp_path / "echo_and_fail.py"
+    script.write_text(ECHO_AND_FAIL, "utf-8")
+    extractors = tmp_path / "extractors.json"
+    extractors.write_text(json.dumps({"extractors": [{"name": "echo", "kind": "external", "types": ["pdf"],
+                                                      "command": f'"{sys.executable}" "{script}" {{input}}'}]}))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"queries": [query]}, ensure_ascii=False), "utf-8")
+    store_dir = tmp_path / "store"
+    assert run_cli("scan", "run", "--plan", str(plan), "--fixture", str(index), "--store", str(store_dir),
+                   "--extractors", str(extractors), "--search-delay", "0", "--max-pages", "1") == 2
+    err = capsys.readouterr().err
+    assert re.findall(r"^warning: (\w+): ", err, re.M) == ["page_cap", "extraction_failed", "unsupported_type"]
+    assert err.count(cli.ID_MASK) == len(ids)
+    assert not [(digits, form) for digits in ids for form in synth.FORMS if synth.render_id(digits, form) in err]
+    with ResultStore(store_dir) as store:  # the store keeps the raw text
+        diagnostics = {kind: (subject, detail) for kind, subject, detail in store.diagnostics()}
+    assert diagnostics["page_cap"][0] == query and diagnostics["unsupported_type"][0] == sheet
+    assert all(synth.render_id(digits, form) in diagnostics["extraction_failed"][1]
+               for digits, form in zip(in_doc, synth.FORMS))
+
+
+def test_an_error_line_masks_an_accepted_id(tmp_path, capsys):
+    digits = thai_id.generate_valid_id("11001", "5000099", REG)
+    missing = tmp_path / f"registry-{digits}.txt"
+    assert run_cli("id", "validate", digits, "--registry", str(missing)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --registry: [Errno 2] No such file or directory: '{tmp_path}/registry-{cli.ID_MASK}.txt'\n"
 
 
 def test_summary_counts_the_documents_of_this_run(tmp_path, capsys):
@@ -878,8 +926,6 @@ def test_report_warns_once_per_unusable_url(tmp_path, capsys):
 
 
 def test_report_json_round_trips(demo_store, tmp_path):
-    from idsweep.reports import table_from_json
-
     out_dir = tmp_path / "report"
     assert run_cli(
         "report", "--store", str(demo_store), "--tables", "repeat",
@@ -995,7 +1041,7 @@ def numbered_store(store_dir, descending):
             store.add_exposures((ids[i], digests[j]) for i in holders[j])
         occurrences = [(digits, sha256) for digits, sha256, _ in store.load_occurrences()]
     conn = sqlite3.connect(store_dir / "store.db")
-    numbered = [sha256 for (sha256,) in conn.execute("SELECT sha256 FROM documents ORDER BY id")]
+    numbered = [sha256 for (sha256,) in conn.execute("SELECT lower(hex(sha256)) FROM documents ORDER BY id")]
     conn.close()
     assert numbered == sorted(digests.values(), reverse=descending)
     return occurrences
@@ -1098,8 +1144,9 @@ CREATE TABLE exposures (
 ) WITHOUT ROWID;
 """
 # the older layouts a store is migrated from: exposures with the source
-# columns, exposures keyed by digest, and exposures keyed by document number
-# with text IDs
+# columns, exposures keyed by digest, exposures keyed by document number
+# with text IDs, and exposures keyed by the integer of each ID while every
+# hit spelled out its query and engine and every digest was text
 OLD_LAYOUTS = {
     "source columns": OLD_SCHEMA,
     "digest keyed": OLD_SCHEMA[:OLD_SCHEMA.index("CREATE TABLE exposures")] + DIGEST_KEYED_EXPOSURES
@@ -1107,6 +1154,11 @@ OLD_LAYOUTS = {
     "text keyed": OLD_SCHEMA[:OLD_SCHEMA.index("CREATE TABLE objects")].replace("stored_path TEXT, ", "")
     + TEXT_KEYED_EXPOSURES + OLD_SCHEMA[OLD_SCHEMA.index("CREATE TABLE diagnostics"):],
 }
+OLD_LAYOUTS["text digests"] = OLD_LAYOUTS["text keyed"].replace("digits TEXT NOT NULL, document",
+                                                                "digits INTEGER NOT NULL, document")
+
+# a digest as text, as the older layouts kept it: lowercase hex, and NULL for none
+TEXT_DIGEST = "CASE WHEN typeof({0}) = 'blob' THEN lower(hex({0})) ELSE {0} END"
 
 
 def old_layout_copy(store_dir, old_dir, schema=OLD_SCHEMA):
@@ -1116,24 +1168,27 @@ def old_layout_copy(store_dir, old_dir, schema=OLD_SCHEMA):
     conn = sqlite3.connect(old_dir / "store.db")
     conn.executescript(schema)
     conn.execute("ATTACH ? AS new", (str(store_dir / "store.db"),))
+    text = TEXT_DIGEST.format("sha256")
     exposures = [(digits, sha256, f"2025-12-31T00:00:{i:02d}Z") for i, (digits, sha256) in enumerate(
-        conn.execute("SELECT CAST(e.digits AS TEXT), d.sha256 FROM new.exposures e"
+        conn.execute(f"SELECT CAST(e.digits AS TEXT), {TEXT_DIGEST.format('d.sha256')} FROM new.exposures e"
                      " JOIN new.documents d ON d.id = e.document ORDER BY e.digits DESC, d.sha256"))]
     columns = [row[1] for row in conn.execute("PRAGMA table_info(exposures)")]
     # the source columns, where the layout has them, hold what nothing reads
     unread = "'-', " * (len(columns) - 3)
     with conn:
-        conn.execute("INSERT INTO hits SELECT * FROM new.hits")
+        conn.execute("INSERT INTO hits SELECT h.id, s.query, s.engine, h.page, h.rank, h.url, h.retrieved_at,"
+                     " h.is_repeat FROM new.hits h JOIN new.searches s ON s.id = h.search")
         if "document" in columns:
-            conn.execute("INSERT INTO downloads SELECT * FROM new.downloads")
+            conn.execute(f"INSERT INTO downloads SELECT id, hit_id, status, reason, {text}, declared_type,"
+                         " size_bytes, completed_at FROM new.downloads")
             # numbered in digest order, as a migration from the older layouts numbers them
-            conn.execute("INSERT INTO documents (sha256) SELECT sha256 FROM new.documents ORDER BY sha256")
+            conn.execute(f"INSERT INTO documents (sha256) SELECT {text} FROM new.documents ORDER BY sha256")
             conn.executemany("INSERT INTO exposures SELECT ?, id FROM documents WHERE sha256 = ?",  # out of key order
                              [exposure[:2] for exposure in exposures])
         else:
-            conn.execute("INSERT INTO downloads SELECT id, hit_id, status, reason, sha256, declared_type,"
-                         " 'objects/' || sha256, size_bytes, completed_at FROM new.downloads")
-            conn.execute("INSERT OR IGNORE INTO objects SELECT sha256, size_bytes, 'objects/' || sha256,"
+            conn.execute(f"INSERT INTO downloads SELECT id, hit_id, status, reason, {text}, declared_type,"
+                         f" 'objects/' || {text}, size_bytes, completed_at FROM new.downloads")
+            conn.execute(f"INSERT OR IGNORE INTO objects SELECT {text}, size_bytes, 'objects/' || {text},"
                          " completed_at FROM new.downloads WHERE status = 'success'")
             conn.executemany(f"INSERT INTO exposures VALUES (?, ?, {unread}?)", exposures)  # out of key order
     conn.close()
@@ -1148,7 +1203,7 @@ def exposures_layout(db):
     without_rowid = conn.execute("SELECT wr FROM pragma_table_list WHERE name = 'exposures'").fetchone()[0]
     tables = sorted(row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'"))
     if "documents" in tables:
-        digest_of = dict(conn.execute("SELECT id, sha256 FROM documents"))
+        digest_of = dict(conn.execute(f"SELECT id, {TEXT_DIGEST.format('sha256')} FROM documents"))
         rows = [(digits, digest_of[document]) for digits, document in
                 conn.execute("SELECT CAST(digits AS TEXT), document FROM exposures")]
     else:
@@ -1170,21 +1225,34 @@ def test_store_with_text_ids_is_migrated_on_open(tmp_path):
     migrated_on_open(tmp_path, "text keyed", ["digits", "document"], 1)
 
 
+def test_store_with_text_digests_is_migrated_on_open(tmp_path):
+    migrated_on_open(tmp_path, "text digests", ["digits", "document"], 1)
+
+
 def migrated_on_open(tmp_path, layout, columns, without_rowid):
     """A store in an older layout, whose exposures have ``columns``, opened:
-    it is migrated whole and vacuumed, and reports what a fresh store does."""
+    it is migrated whole and vacuumed, and reads and reports what a fresh store does."""
     new = mirror_store(tmp_path / "new")
     old = tmp_path / "old"
     exposures = old_layout_copy(new, old, OLD_LAYOUTS[layout])
     assert exposures_layout(old / "store.db")[:2] == (columns, without_rowid)
 
-    ResultStore(old).close()
+    with ResultStore(old) as store:
+        occurrences = store.load_occurrences()
+    with ResultStore(new) as store:
+        assert occurrences == store.load_occurrences()
     migrated = old.joinpath("store.db").read_bytes()
     conn = sqlite3.connect(old / "store.db")
     assert conn.execute("PRAGMA freelist_count").fetchone()[0] == 0  # the pages the copy freed are gone
-    # each ID is the integer it spells
+    # each ID is the integer it spells, each digest its bytes, and each hit names its search by number
     assert [row[2] for row in conn.execute("PRAGMA table_info(exposures)")] == ["INTEGER", "INTEGER"]
     assert conn.execute("SELECT DISTINCT typeof(digits) FROM exposures").fetchall() == [("integer",)]
+    for table in ("documents", "downloads"):
+        assert conn.execute(f"SELECT DISTINCT typeof(sha256) FROM {table} WHERE sha256 IS NOT NULL"
+                            ).fetchall() == [("blob",)], table
+    assert [row[1] for row in conn.execute("PRAGMA table_info(hits)")][:2] == ["id", "search"]
+    assert conn.execute("SELECT COUNT(*) FROM searches").fetchone()[0] == 5
+    assert conn.execute("PRAGMA foreign_key_check").fetchall() == []
     conn.close()
     columns, without_rowid, tables, rows = exposures_layout(old / "store.db")
     assert (columns, without_rowid) == (["digits", "document"], 1)
@@ -1193,9 +1261,12 @@ def migrated_on_open(tmp_path, layout, columns, without_rowid):
     assert sorted(rows) == rows == [row[:2] for row in sorted(exposures)] and len(rows) == 9
     ResultStore(old).close()
     assert old.joinpath("store.db").read_bytes() == migrated  # a second open changes nothing
-    for fmt in ("markdown", "csv", "json"):
-        assert _report_bytes(old, tmp_path / f"old-{fmt}", "--format", fmt) == _report_bytes(
-            new, tmp_path / f"new-{fmt}", "--format", fmt), fmt
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for n in (1, 2, 3):
+            monkeypatch.setattr(cli, "_id_ranges", forced_ranges(n))
+            for fmt in ("markdown", "csv", "json"):
+                assert _report_bytes(old, tmp_path / f"old-{fmt}-{n}", "--format", fmt) == _report_bytes(
+                    new, tmp_path / f"new-{fmt}-{n}", "--format", fmt), (fmt, n)
 
 
 def test_failed_vacuum_leaves_the_migrated_store(tmp_path, monkeypatch, capsys):
@@ -1222,7 +1293,8 @@ def test_failed_vacuum_leaves_the_migrated_store(tmp_path, monkeypatch, capsys):
     assert _report_bytes(old, tmp_path / "old-report") == _report_bytes(new, tmp_path / "new-report")
 
 
-@pytest.mark.parametrize("failure", ["read-only file", "row the new table refuses", "ID that does not read back"])
+@pytest.mark.parametrize("failure", ["read-only file", "row the new table refuses", "ID that does not read back",
+                                     "digest that is not lowercase hex", "download of no hit"])
 def test_failed_migration_leaves_the_older_store(tmp_path, monkeypatch, capsys, failure):
     new = mirror_store(tmp_path / "new")
     old = tmp_path / "old"
@@ -1237,11 +1309,20 @@ def test_failed_migration_leaves_the_older_store(tmp_path, monkeypatch, capsys, 
         with conn:
             conn.execute("UPDATE exposures SET digits = NULL WHERE rowid = 9")
         conn.close()
-    else:  # one planted ID that no integer spells: its leading 0 would be lost
+    elif failure == "ID that does not read back":  # one planted ID that no integer spells: its leading 0 would be lost
         old_layout_copy(new, old, OLD_LAYOUTS["text keyed"])
         conn = sqlite3.connect(old / "store.db")
         with conn:
             conn.execute("INSERT INTO exposures VALUES ('0110100000013', 1)")
+        conn.close()
+    else:  # one download's digest in capitals, which would not read back as written, or of a hit not there
+        old_layout_copy(new, old, OLD_LAYOUTS["text digests"])
+        conn = sqlite3.connect(old / "store.db")
+        with conn:
+            if failure == "download of no hit":
+                conn.execute("UPDATE downloads SET hit_id = 999 WHERE id = 2")
+            else:
+                conn.execute("UPDATE downloads SET sha256 = upper(sha256) WHERE id = 2")
         conn.close()
     before = old.joinpath("store.db").read_bytes()
     commands = [("report", "--store", str(old), "--tables", "filetype",
@@ -1250,6 +1331,11 @@ def test_failed_migration_leaves_the_older_store(tmp_path, monkeypatch, capsys, 
         assert run_cli(*command) == 2, command[0]
         err = capsys.readouterr().err
         assert f"store {old}: " in err and "Traceback" not in err, command[0]
+        assert len(err.splitlines()) == 1, command[0]
+        if failure == "digest that is not lowercase hex":
+            assert "a stored digest is not lowercase hex of even length: '" in err, command[0]
+        elif failure == "download of no hit":
+            assert "a migrated row refers to a row that is not there" in err, command[0]
         assert old.joinpath("store.db").read_bytes() == before, command[0]
 
 
@@ -1366,3 +1452,18 @@ def test_run_demo_script_writes_every_report(tmp_path):
             "query", "repeat", "tld",
         )
     )
+
+
+def test_store_bytes_script_measures_every_table_without_migrating(demo_store, tmp_path):
+    old = tmp_path / "old"
+    old_layout_copy(demo_store, old, OLD_LAYOUTS["text digests"])
+    before = (old / "store.db").read_bytes()
+    tables = {"hits", "downloads", "documents", "exposures", "diagnostics"}
+    for store, expected in ((demo_store, tables | {"searches"}), (old, tables)):
+        proc = subprocess.run([sys.executable, str(REPO / "scripts" / "store_bytes.py"), str(store)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert {line.split()[0] for line in lines if line.split()[1] == "table"} == expected, proc.stdout
+        assert lines[-1].split()[-1] == f"{(store / 'store.db').stat().st_size:,}", proc.stdout
+    assert (old / "store.db").read_bytes() == before  # read-only: an older layout is measured as it is

@@ -8,6 +8,8 @@ import pytest
 
 from idsweep import geo
 
+from conftest import dump_registry
+
 GOOD = """
 # sample
 P,10,Bangkok
@@ -93,10 +95,10 @@ def test_duplicate_population_row():
 
 def test_round_trip():
     reg = load(GOOD)
-    dumped = geo.dump_registry(reg)
+    dumped = dump_registry(reg)
     again = geo.load_registry(dumped.splitlines())
     assert again == reg
-    assert geo.dump_registry(again) == dumped
+    assert dump_registry(again) == dumped
 
 
 def test_default_registry_contents():
@@ -144,4 +146,4 @@ def test_round_trip_property(provinces, data):
     for prov, tail in sorted(district_codes):
         lines.append(f"D,{prov}{tail},{data.draw(_name)}")
     reg = geo.load_registry(lines)
-    assert geo.load_registry(geo.dump_registry(reg).splitlines()) == reg
+    assert geo.load_registry(dump_registry(reg).splitlines()) == reg

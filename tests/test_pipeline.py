@@ -223,8 +223,8 @@ def test_concurrent_extraction_matches_sequential(tmp_path, registry):
             diagnostics = store.diagnostics()
         conn = sqlite3.connect(store.db_path)
         exposures = conn.execute(  # read through documents: their numbers follow the order of writes
-            "SELECT CAST(e.digits AS TEXT), d.sha256 FROM exposures e JOIN documents d ON d.id = e.document"
-            " ORDER BY e.digits, d.sha256"
+            "SELECT CAST(e.digits AS TEXT), lower(hex(d.sha256)) FROM exposures e"
+            " JOIN documents d ON d.id = e.document ORDER BY e.digits, d.sha256"
         ).fetchall()
         downloads = conn.execute(  # completed_at left out too, and rows in id order
             "SELECT id, hit_id, status, reason, sha256 FROM downloads ORDER BY id"

@@ -22,7 +22,7 @@ from idsweep.geo import default_registry, load_registry
 from idsweep.reports import AggregateRow, AggregateTable
 from idsweep.store import ExposureRange
 
-from conftest import expand, store_of
+from conftest import expand, store_of, table_from_json
 
 
 def occ(digits, sha, url, query="q1", engine="google", file_type="pdf"):
@@ -710,7 +710,7 @@ def test_render_csv_parses_back():
 
 def test_json_round_trip():
     for table in tables_of(*geo_occurrences(), registry=TINY_REGISTRY).values():
-        assert reports.table_from_json(reports.table_to_json(table)) == table
+        assert table_from_json(reports.table_to_json(table)) == table
 
 
 def test_emit_report_deterministic(tmp_path):

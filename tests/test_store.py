@@ -17,15 +17,17 @@ from idsweep.store import ResultStore
 from conftest import expand
 
 # The join as one SQL statement: one row per distinct source of an exposure,
-# engines included, then the engine dropped, each ID read as its text.
+# engines included, then the engine dropped, each ID and digest read as its text.
 # ``load_occurrences()``, expanded across each row's sources, must be exactly its rows.
 REFERENCE_SQL = """
     SELECT digits, sha256, url, query, declared_type FROM (
-        SELECT DISTINCT CAST(e.digits AS TEXT) AS digits, doc.sha256, h.url, h.query, h.engine, d.declared_type
+        SELECT DISTINCT CAST(e.digits AS TEXT) AS digits, lower(hex(doc.sha256)) AS sha256, h.url, s.query,
+            s.engine, d.declared_type
         FROM exposures e
         JOIN documents doc ON doc.id = e.document
         JOIN downloads d ON d.sha256 = doc.sha256 AND d.status = 'success'
         JOIN hits h ON h.id = d.hit_id
+        JOIN searches s ON s.id = h.search
     ) ORDER BY digits, sha256, url, query, engine, declared_type
 """
 
@@ -108,13 +110,14 @@ def test_occurrences_read_one_snapshot(tmp_path):
         try:
             with other:
                 hit_id = other.execute(
-                    "INSERT INTO hits (query, engine, page, rank, url, retrieved_at)"
-                    " VALUES ('q', 'fixture', 1, 2, 'http://b.go.th/mirror.pdf', 't')"
+                    "INSERT INTO hits (search, page, rank, url, retrieved_at)"
+                    " SELECT id, 1, 2, 'http://b.go.th/mirror.pdf', 't' FROM searches"
+                    " WHERE query = 'q' AND engine = 'fixture'"
                 ).lastrowid
                 other.execute("INSERT INTO downloads (hit_id, status, sha256, declared_type, completed_at)"
-                              " VALUES (?, 'success', 'd1', 'pdf', 't')", (hit_id,))
-                other.execute("INSERT OR IGNORE INTO documents (sha256) VALUES ('d1')")
-                other.execute("INSERT INTO exposures SELECT '1100000000001', id FROM documents WHERE sha256 = 'd1'")
+                              " VALUES (?, 'success', X'd1', 'pdf', 't')", (hit_id,))
+                other.execute("INSERT OR IGNORE INTO documents (sha256) VALUES (X'd1')")
+                other.execute("INSERT INTO exposures SELECT '1100000000001', id FROM documents WHERE sha256 = X'd1'")
         except sqlite3.OperationalError as exc:  # held off by the reader's transaction, and only so
             assert "locked" in str(exc), exc
         finally:
@@ -140,7 +143,7 @@ def test_occurrences_read_one_snapshot(tmp_path):
 def ranged_store(root, multiplicities):
     """A store whose i-th ID sits in ``multiplicities[i]`` of its documents, each at one URL."""
     store = ResultStore(root)
-    docs = [f"d{j}" for j in range(max(multiplicities, default=0))]
+    docs = [f"d{j:03d}" for j in range(max(multiplicities, default=0))]  # even-length hex
     for rank, sha256 in enumerate(docs, 1):
         hit_id = store.add_hit("q", "fixture", 1, rank, f"http://a.go.th/{sha256}.pdf", "t", False)
         store.record_download(hit_id, "success", "t", sha256=sha256, declared_type="pdf")
@@ -243,6 +246,75 @@ def test_a_store_holds_an_exposure_in_under_20_bytes(tmp_path):
     assert size / written < 20, size / written
 
 
+# queries as long as the paper's: Thai keywords, about 70 UTF-8 bytes each
+LONG_QUERIES = [
+    'site:go.th filetype:xlsx "เลขบัตรประชาชน"',
+    'filetype:pdf "หนังสือรับรอง" "เลขประจำตัวประชาชน"',
+    'site:ac.th (filetype:xls OR filetype:xlsx) "รายชื่อ"',
+    'site:ac.th "รายชื่อนักเรียน"',
+    '("เลขบัตรประชาชน" OR "เลขประจำตัวประชาชน") "ลำดับ"',
+]
+
+
+def fill_hits(store, n):
+    """``n`` hits over the long queries, each with a successful download of a document of its own."""
+    for i in range(n):
+        hit_id = store.add_hit(LONG_QUERIES[i % 5], "fixture", i // 50 + 1, i % 10 + 1,
+                               f"http://site{i % 97}.go.th/files/{i:05d}.pdf", "2026-01-01T00:00:00+00:00", False)
+        store.record_download(hit_id, "success", "2026-01-01T00:00:00+00:00",
+                              sha256=hashlib.sha256(str(i).encode()).hexdigest(), declared_type="pdf", size_bytes=4096)
+
+
+def test_a_store_holds_a_hit_and_its_download_in_under_300_bytes(tmp_path):
+    with ResultStore(tmp_path) as store:
+        store._conn.execute("PRAGMA synchronous = OFF")
+        fill_hits(store, 2_000)
+    with ResultStore(tmp_path) as store:  # the same hits again: a re-run of the plan adds no row
+        fill_hits(store, 2_000)
+    conn = sqlite3.connect(tmp_path / "store.db")
+    size = conn.execute("PRAGMA page_count").fetchone()[0] * conn.execute("PRAGMA page_size").fetchone()[0]
+    counts = [conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0] for table in ("searches", "hits", "downloads")]
+    kinds = {table: conn.execute(f"SELECT DISTINCT typeof(sha256) FROM {table}").fetchall()
+             for table in ("documents", "downloads")}
+    conn.close()
+    assert counts == [5, 2_000, 2_000]  # one search per (query, engine)
+    assert kinds == {"documents": [], "downloads": [("blob",)]}
+    # each hit spelling out its query and engine, in its row and its index, with
+    # a digest as 64 characters, took about 490
+    assert size / 2_000 < 300, size / 2_000
+
+
+def test_a_hit_that_is_not_written_keeps_no_search_number(tmp_path):
+    with ResultStore(tmp_path) as store:
+        with pytest.raises(sqlite3.ProgrammingError):  # a URL sqlite3 cannot bind: the whole write rolls back
+            store.add_hit("q", "fixture", 1, 1, ["http://a.go.th/1.pdf"], "t", False)
+        hit_id = store.add_hit("q", "fixture", 1, 1, "http://a.go.th/1.pdf", "t", False)
+        assert store.add_hit("q", "fixture", 1, 1, "http://a.go.th/1.pdf", "t", False) == hit_id
+        assert store._conn.execute("SELECT s.query, s.engine, h.url FROM hits h JOIN searches s ON s.id = h.search"
+                                   ).fetchall() == [("q", "fixture", "http://a.go.th/1.pdf")]
+
+
+@pytest.mark.parametrize("digest", [
+    "d10",  # odd length
+    "D1", "d1 ", " d1", "d1\n",  # capitals, or space that bytes.fromhex skips
+    "zz", "๑๑",  # not hex
+    b"\xd1",  # not text
+])
+def test_a_digest_that_would_not_read_back_is_refused_before_any_write(tmp_path, digest):
+    with ResultStore(tmp_path) as store:
+        store.add_exposures([("1100100000013", "d1")])
+        hit_id = store.add_hit("q", "fixture", 1, 1, "http://a.go.th/1.pdf", "t", False)
+        before = (tmp_path / "store.db").read_bytes()
+        with pytest.raises(ValueError, match="lowercase hex"):
+            store.add_exposures([("3100000000002", "d2"), ("3100000000002", digest)])
+        with pytest.raises(ValueError, match="lowercase hex"):
+            store.record_download(hit_id, "success", "t", sha256=digest)
+        with pytest.raises(ValueError, match="lowercase hex"):
+            store.exposure_counts(["d1", digest])
+        assert (tmp_path / "store.db").read_bytes() == before
+        assert store._conn.execute("SELECT sha256 FROM documents").fetchall() == [(b"\xd1",)]
+
+
 @pytest.mark.parametrize("digits", [
     "๑๑๐๐๑๐๐๐๐๐๐๑๓",  # Thai numerals, which int() reads
     "1_100100000013",  # a separator int() skips
@@ -260,15 +332,17 @@ def test_an_id_that_would_not_read_back_is_refused_before_any_write(tmp_path, di
             store.add_exposures([("3100000000002", "d2"), (digits, "d3")])
         assert (tmp_path / "store.db").read_bytes() == before
         assert store.unique_id_count() == 1
-        assert store._conn.execute("SELECT sha256 FROM documents").fetchall() == [("d1",)]
+        assert store._conn.execute("SELECT lower(hex(sha256)) FROM documents").fetchall() == [("d1",)]
 
 
 def test_a_fresh_store_holds_exactly_its_tables(tmp_path):
     ResultStore(tmp_path).close()
     conn = sqlite3.connect(tmp_path / "store.db")
     tables = {name for (name,) in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
+    hits = [row[1] for row in conn.execute("PRAGMA table_info(hits)")]
     conn.close()
-    assert tables == {"hits", "downloads", "documents", "exposures", "diagnostics"}
+    assert tables == {"searches", "hits", "downloads", "documents", "exposures", "diagnostics"}
+    assert hits == ["id", "search", "page", "rank", "url", "retrieved_at", "is_repeat"]  # no query or engine
 
 
 def test_a_failed_object_write_leaves_no_file(tmp_path, monkeypatch):
