@@ -89,8 +89,9 @@ def run_scan(
     row is (digits, document number), the store numbering each digest, and
     every URL, query and type of the digest is recovered from the downloads
     and hits tables.
-    Documents that cannot be extracted land in diagnostics, never silently,
-    and so, once each, do documents only partly read.
+    Documents that cannot be extracted, or whose stored object no longer
+    reads back, land in diagnostics, never silently, and so, once each, do
+    documents only partly read.
     """
     clock = clock or Clock()
     extractors = list(extractors) if extractors is not None else default_extractors()
@@ -111,9 +112,11 @@ def run_scan(
 
     def extract(record: DownloadRecord):
         try:
-            return scan_document(
-                store.read_object(record.sha256), record.declared_type, registry, extractors
-            )
+            data = store.read_object(record.sha256)
+        except (OSError, ValueError) as exc:  # gone or damaged since its download: it failed extraction
+            return exc
+        try:
+            return scan_document(data, record.declared_type, registry, extractors)
         except (UnsupportedTypeError, ExtractionError) as exc:
             return exc
 

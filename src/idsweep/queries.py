@@ -1,4 +1,4 @@
-"""Search-query construction: expression algebra, dorks, plans, templates.
+"""Search-query construction: expression algebra, plans, templates.
 
 Queries are built as small expression trees and rendered to the operator
 syntax the big engines share: ``site:``/``filetype:`` prefixes, quoted
@@ -20,10 +20,7 @@ import json
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .geo import GeoRegistry
+from typing import Iterable, Mapping, Sequence, Union
 
 ALLOWED_FILETYPES = ("pdf", "xls", "xlsx", "doc", "docx")
 
@@ -124,25 +121,6 @@ def render(expr: QueryExpr) -> str:
     raise QueryError(f"not a query expression: {expr!r}")
 
 
-def prefix_dorks(registry: "GeoRegistry", categories: Iterable[int]) -> list[str]:
-    """Quoted leading-fragment dorks, one per (category, district).
-
-    A written ID starts ``c-dddd-`` in the grouped layout, so the quoted
-    fragment is a high-precision probe for pages carrying IDs from one
-    district.  Output is sorted by category then district code and has
-    exactly |categories| x |districts| entries.
-    """
-    cats = sorted(set(categories))
-    for c in cats:
-        if c not in range(1, 9):
-            raise QueryError(f"category {c} is not issued (1-8)")
-    return [
-        f'"{c}-{district.code}-"'
-        for c in cats
-        for district in registry.iter_districts()
-    ]
-
-
 @dataclass(frozen=True)
 class QueryPlan:
     """The rendered queries to run, in order: the whole of a plan."""
@@ -241,23 +219,3 @@ def plan_from_json(text: str) -> QueryPlan:
 
 def load_plan_file(path: str | Path) -> QueryPlan:
     return plan_from_json(Path(path).read_text("utf-8"))
-
-
-# --- bundled Thai keyword list ------------------------------------------------
-
-def load_keywords(path: str | Path | None = None) -> list[tuple[str, str]]:
-    """(thai, english gloss) pairs from the bundled or a user keyword file."""
-    if path is None:
-        from importlib import resources
-
-        text = resources.files("idsweep.data").joinpath("keywords_th.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    pairs: list[tuple[str, str]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        thai, _, gloss = line.partition("#")
-        pairs.append((thai.strip(), gloss.strip()))
-    return pairs

@@ -426,11 +426,12 @@ def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], fmt: Optiona
     Each distinct source (document, URL, query, type) at a usable URL is
     numbered in the order met, with its domain, its key in each source
     dimension and, if ``fmt`` names a listing format, its cells after the ID,
-    each as ``redact`` writes it.  Each URL is split once and each host
-    classified once, at the first URL met there; each distinct (source
-    dimension, key) pair is numbered too.
+    each key and cell as ``redact`` writes it.  Each URL is split once and
+    each host classified once, at the first URL met there; each distinct
+    (source dimension, key) pair is numbered too, so keys that redact alike
+    are one key.
     """
-    psl, sources, keys = default_suffix_list(), [], {}
+    psl, sources, keys, key = default_suffix_list(), [], {}, functools.cache(redact)
     table = _Table(sources, {}, {}, {}, keys, ())
     hosts: dict[str, tuple] = {}  # host -> its domain's fields after ``url``, from the first URL met there
     if fmt:
@@ -458,7 +459,7 @@ def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], fmt: Optiona
         tail = fmt and after + "".join(map(cell, (domain.tld_class, domain.registered_domain or "", url, file_type,
                                                   query))) + end
         source = _Source(len(sources), sha256, url, query, file_type, domain, tail=tail)
-        pairs = [keys.setdefault((dim, key_of(source)), (len(keys), [])) for dim, key_of in _SOURCE_KEY_OF.items()]
+        pairs = [keys.setdefault((dim, key(key_of(source))), (len(keys), [])) for dim, key_of in _SOURCE_KEY_OF.items()]
         source.keys = tuple(number for number, _ in pairs)
         for _, members in pairs:
             members.append(source.index)
@@ -566,7 +567,8 @@ def report(
     written, and the parts joined into one listing.  Returns the files
     written, each unusable URL once with why (in the order first seen), and
     the number of IDs.  Unless ``unredacted``, a salt also writes each ID
-    that validation accepts in a listing cell or an unusable URL as its token.
+    that validation accepts in a listing cell, a table key or an unusable URL
+    as its token.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")

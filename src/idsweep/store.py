@@ -4,20 +4,21 @@ Layout under the store directory::
 
     store.db           relational state (searches, hits, downloads, documents,
                        exposures, diagnostics)
-    objects/<sha256>   raw document bytes, filename = digest
+    objects/<sha256>   zlib-compressed document bytes, named by their raw digest
 
-``objects/`` is the only record of the stored objects; ``downloads`` holds
-each one's digest and size.  Each fact is stored once and compactly: a hit
-names its (query, engine) by its ``searches`` number, a digest is its 32
-bytes (``_digest``), an exposure is only (digits, document), and ``digits``
-is the ID as the integer it spells (``_key``).  Writes refuse what would not
-read back as written; reads give IDs back as 13-character text and digests as
-lowercase hex, whose orders the stored values keep.  ``document`` is the
-number ``documents`` gives a digest with exposures, as first met; its
-sources are the successful ``downloads`` of that digest joined to their
-``hits`` and ``searches``.  Opening a store that older versions wrote
-migrates it in one transaction (``_schema_script``), then ``VACUUM``s once
-if it rebuilt a table.
+``objects/`` is the only record of the stored objects, each read back only if
+it decompresses to its digest; ``downloads`` holds each one's digest and raw
+size.  Each fact is stored once and compactly: a hit names its (query,
+engine) by its ``searches`` number, a digest is its 32 bytes (``_digest``),
+an exposure is only (digits, document), and ``digits`` is the ID as the
+integer it spells (``_key``).  Writes refuse what would not read back as
+written; reads give IDs back as 13-character text and digests as lowercase
+hex, whose orders the stored values keep.  ``document`` is the number
+``documents`` gives a digest with exposures, as first met; its sources are
+the successful ``downloads`` of that digest joined to their ``hits`` and
+``searches``.  Opening a store that older versions wrote migrates it in one
+transaction (``_schema_script``), then ``VACUUM``s once if it rebuilt a
+table.
 
 Reports read the store in one pass and add no index: each document number's
 digest and sources, sorted in SQL, and a cursor over ``exposures`` in its
@@ -42,6 +43,7 @@ import hashlib
 import os
 import sqlite3
 import threading
+import zlib
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain, groupby
@@ -261,6 +263,27 @@ class ExposureRange:
             yield _exposures(conn, self.lo, self.hi)
 
 
+_CHUNK = 1 << 20  # an object is compressed and decompressed this many bytes at a time
+
+
+def _inflated(path: Path, sha256: str) -> Iterator[bytes]:
+    """The bytes stored in an object file, a chunk at a time; after the last, ValueError unless the file
+    is one whole zlib stream of bytes of the digest."""
+    digest, inflate = hashlib.sha256(), zlib.decompressobj()
+    with path.open("rb") as fh:
+        try:
+            while chunk := fh.read(_CHUNK):
+                while chunk:  # at most a chunk out at a time, however well it compressed
+                    part = inflate.decompress(chunk, _CHUNK)
+                    digest.update(part)
+                    yield part
+                    chunk = inflate.unconsumed_tail
+        except zlib.error:
+            pass
+    if not inflate.eof or digest.hexdigest() != sha256:
+        raise ValueError(f"object {sha256} does not read back to its digest")
+
+
 class ResultStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -333,14 +356,21 @@ class ResultStore:
     # --- objects --------------------------------------------------------------
 
     def put_object(self, data: bytes) -> str:
-        """Content-address the bytes under objects/<sha256>, from any thread; returns the digest."""
+        """Store the bytes zlib-compressed under objects/<sha256 of the bytes>, from any thread; returns
+        the digest.  A file already there is kept only if it reads back to the bytes."""
         digest = hashlib.sha256(data).hexdigest()
         path = self.objects_dir / digest
-        if not path.exists():
+        try:
+            for _ in _inflated(path, digest):  # checked, never held whole
+                pass
+        except (OSError, ValueError):  # missing, or an older raw or a damaged object: write it
             tmp = path.with_name(f"{digest}.tmp{threading.get_ident()}")
             try:
                 with tmp.open("wb") as fh:
-                    fh.write(data)
+                    deflate, view = zlib.compressobj(), memoryview(data)
+                    for at in range(0, len(data), _CHUNK):  # no whole compressed copy beside the bytes
+                        fh.write(deflate.compress(view[at:at + _CHUNK]))
+                    fh.write(deflate.flush())
                     os.fsync(fh.fileno())  # on disk before it is named: a crash leaves no partial blob
                 os.replace(tmp, path)  # atomic; concurrent writers race benignly
             finally:
@@ -348,7 +378,8 @@ class ResultStore:
         return digest
 
     def read_object(self, sha256: str) -> bytes:
-        return (self.objects_dir / sha256).read_bytes()
+        """The bytes stored under the digest; ValueError unless the file decompresses to bytes of it."""
+        return b"".join(_inflated(self.objects_dir / sha256, sha256))
 
     # --- downloads --------------------------------------------------------------
 

@@ -21,9 +21,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idsweep import cli, domains, reports, synth, thai_id
+from idsweep import cli, domains, pipeline, reports, synth, thai_id
 from idsweep.geo import default_registry
-from idsweep.harvest import CrawlConfig
+from idsweep.harvest import CrawlConfig, download_all
 from idsweep.pipeline import ScanSummary
 from idsweep.queries import plan_from_json
 from idsweep.reports import TABLES
@@ -170,6 +170,47 @@ def test_scan_with_unreadable_documents_is_exit_2(tmp_path, capsys):
     assert captured.out.rstrip().endswith("; 6 unreadable")
     assert captured.err.count("warning: extraction_failed") == 6
     assert runs[1] == captured
+
+
+def test_an_object_damaged_before_extraction_is_one_unreadable_document(demo_store, tmp_path, capsys, monkeypatch):
+    damaged = []
+
+    def download_then_damage(hits, provider, config, store, **kwargs):
+        records = download_all(hits, provider, config, store, **kwargs)
+        damaged.append(next(r.sha256 for r in records if r.status == "success"))
+        path = store.objects_dir / damaged[0]
+        path.write_bytes(path.read_bytes()[:10])
+        return records
+
+    monkeypatch.setattr(pipeline, "download_all", download_then_damage)
+    assert run_cli(*scan_args(tmp_path / "store")) == 2
+    captured = capsys.readouterr()
+    [sha256] = damaged
+    assert captured.out.rstrip().endswith("of 12 documents; 1 unreadable")
+    assert captured.err == f"warning: extraction_failed: {sha256}: object {sha256} does not read back to its digest\n"
+    with ResultStore(demo_store) as clean, ResultStore(tmp_path / "store") as scanned:
+        expected = {(digits, digest) for digits, digest, _ in clean.load_occurrences()}
+        assert sha256 in {digest for _, digest in expected}  # the damaged document held IDs
+        # every other document was scanned
+        assert {(digits, digest) for digits, digest, _ in scanned.load_occurrences()} == {
+            (digits, digest) for digits, digest in expected if digest != sha256}
+        assert scanned.diagnostics() == [("extraction_failed", sha256,
+                                          f"object {sha256} does not read back to its digest")]
+
+
+def test_a_rerun_mends_an_object_overwritten_with_junk(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    fetched = {hashlib.sha256(doc.read_bytes()).hexdigest(): doc.read_bytes()
+               for doc in (DEMO / "docs").iterdir()}
+    assert run_cli(*scan_args(store_dir)) == 0
+    junked = min(fetched)
+    (store_dir / "objects" / junked).write_bytes(b"junk")
+    assert run_cli(*scan_args(store_dir)) == 0
+    runs = capsys.readouterr().out.splitlines()
+    assert runs[0] == runs[1]
+    with ResultStore(store_dir) as store:
+        assert sorted(p.name for p in store.objects_dir.iterdir()) == sorted(fetched)
+        assert all(store.read_object(digest) == data for digest, data in fetched.items())
 
 
 # an external extractor that fails, echoing the start of its input on stderr
@@ -1006,6 +1047,37 @@ def test_report_tokenises_an_id_in_a_listing_cell(tmp_path, capsys, fmt):
     assert f"warning: unclassifiable url skipped: not a url {token(in_unusable)}:" in err
 
 
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_report_tokenises_an_id_in_a_table_key(tmp_path, capsys, fmt):
+    # the same host ID and query ID, each written in two forms, at two documents:
+    # a key that redacts alike is one row, with the IDs of both
+    *listed, in_host, in_query = (thai_id.generate_valid_id("11001", f"80000{i:02d}", REG) for i in range(4))
+    stamp = "2026-01-01T00:00:00Z"
+    with ResultStore(tmp_path / "store") as store:
+        for rank, (form, digits) in enumerate(zip(("contiguous", "hyphen"), listed), 1):
+            url = f"http://{synth.render_id(in_host, form)}.go.th/{rank}.txt"
+            digest = store.put_object(url.encode())
+            hit = store.add_hit(f'"{synth.render_id(in_query, form)}"', "google", 1, rank, url, stamp, False)
+            store.record_download(hit, "success", stamp, sha256=digest, declared_type="txt", size_bytes=1)
+            store.add_exposures([(digits, digest)])
+    out_dir = tmp_path / "r"
+    assert run_cli("report", "--store", str(tmp_path / "store"), "--tables", ",".join(set(TABLES) - {"exposures"}),
+                   "--format", fmt, "--out", str(out_dir), "--salt-file", str(SALT_FILE)) == 0
+    assert capsys.readouterr().err == ""
+    written = {path.name: path.read_text("utf-8") for path in out_dir.iterdir()}
+    assert len(written) == 9
+    assert not [name for name, text in written.items()
+                if {*listed, in_host, in_query} & {c.normalized for c in thai_id.find_candidates(text)}]
+    token, ext = thai_id.token_function(SALT_FILE.read_bytes().strip()), reports.FORMATS[fmt][0]
+    assert written[f"domain.{ext}"].count(f"{token(in_host)}.go.th") == 1
+    assert written[f"query.{ext}"].count(token(in_query)) == 1
+    assert run_cli("report", "--store", str(tmp_path / "store"), "--tables", "domain,query", "--format", "json",
+                   "--out", str(tmp_path / "j"), "--salt-file", str(SALT_FILE)) == 0
+    rows = [row for stem in ("domain", "query")
+            for row in table_from_json((tmp_path / "j" / f"{stem}.json").read_text("utf-8")).rows]
+    assert [(row.key, row.unique_ids) for row in rows] == [(f"{token(in_host)}.go.th", 2), (f'"{token(in_query)}"', 2)]
+
+
 def test_report_exposures_unredacted_with_interlock(demo_store, tmp_path):
     out_dir = tmp_path / "r"
     assert run_cli(
@@ -1459,11 +1531,18 @@ def test_store_bytes_script_measures_every_table_without_migrating(demo_store, t
     old_layout_copy(demo_store, old, OLD_LAYOUTS["text digests"])
     before = (old / "store.db").read_bytes()
     tables = {"hits", "downloads", "documents", "exposures", "diagnostics"}
-    for store, expected in ((demo_store, tables | {"searches"}), (old, tables)):
+    docs = {hashlib.sha256(doc.read_bytes()).hexdigest(): doc.stat().st_size for doc in (DEMO / "docs").iterdir()}
+    objects = list((demo_store / "objects").iterdir())
+    on_disk = sum(path.stat().st_size for path in objects)
+    assert len(objects) == len(docs) and on_disk < sum(docs.values())
+    for store, expected, files, stored in ((demo_store, tables | {"searches"}, len(objects), on_disk),
+                                           (old, tables, 0, 0)):  # the copy holds no objects
         proc = subprocess.run([sys.executable, str(REPO / "scripts" / "store_bytes.py"), str(store)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert {line.split()[0] for line in lines if line.split()[1] == "table"} == expected, proc.stdout
-        assert lines[-1].split()[-1] == f"{(store / 'store.db').stat().st_size:,}", proc.stdout
+        assert lines[-2].split()[-1] == f"{(store / 'store.db').stat().st_size:,}", proc.stdout
+        assert lines[-1] == (f"{'objects/':<32} {files:,} files, {stored:,} bytes on disk,"
+                             f" {sum(docs.values()):,} raw bytes"), proc.stdout
     assert (old / "store.db").read_bytes() == before  # read-only: an older layout is measured as it is

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import http.server
 import json
 import sqlite3
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -192,6 +194,21 @@ def test_download_success_stores_by_digest(tmp_path, store):
     assert record.declared_type == "txt"
     assert store.read_object(record.sha256).decode() == "hello 1234567891011"
     assert (store.root / "objects" / record.sha256).is_file()
+
+
+def test_an_object_is_named_and_sized_by_its_raw_bytes(tmp_path, store):
+    rel = write_doc(tmp_path, "doc.txt", "ชื่อ นามสกุล เลขบัตร 1100123456786\n" * 50)
+    raw = (tmp_path / rel).read_bytes()
+    url = "https://a.go.th/doc.txt"
+    index = write_index(tmp_path, {}, {url: {"path": rel}})
+    [record] = download_all([make_hit(store, url)], FixtureProvider(index), quick_config(), store)
+    digest = hashlib.sha256(raw).hexdigest()
+    assert (record.sha256, record.size_bytes) == (digest, len(raw))
+    assert [p.name for p in store.objects_dir.iterdir()] == [digest]
+    assert (store.objects_dir / digest).stat().st_size < len(raw)  # stored compressed
+    with closing(sqlite3.connect(store.db_path)) as conn:
+        assert conn.execute("SELECT lower(hex(sha256)), size_bytes FROM downloads").fetchall() == [(digest, len(raw))]
+    assert store.read_object(digest) == raw
 
 
 def test_same_bytes_two_urls_one_object(tmp_path, store):

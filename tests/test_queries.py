@@ -1,4 +1,4 @@
-"""Query algebra rendering, dorks, plans, and the text-template interface."""
+"""Query algebra rendering, plans, and the text-template interface."""
 
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ import hypothesis.strategies as st
 import pytest
 
 from idsweep import queries as q
-from idsweep.geo import default_registry, load_registry
-
-REGISTRY = default_registry()
 
 
 # --- rendering ---------------------------------------------------------------
@@ -151,38 +148,6 @@ def test_rendering_tokenizes_cleanly(expr):
     reference_tokenize(q.render(expr))
 
 
-# --- prefix dorks --------------------------------------------------------------
-
-def test_prefix_dorks_single():
-    reg = load_registry(["P,10,Bangkok", "D,1001,Phra Nakhon"])
-    assert q.prefix_dorks(reg, [1]) == ['"1-1001-"']
-
-
-def test_prefix_dorks_sorted_and_sized():
-    reg = load_registry(["P,10,Bangkok", "P,20,Chonburi", "D,2007,Si Racha", "D,1001,Phra Nakhon"])
-    dorks = q.prefix_dorks(reg, [3, 1])
-    assert dorks == ['"1-1001-"', '"1-2007-"', '"3-1001-"', '"3-2007-"']
-
-
-def test_prefix_dorks_empty_categories():
-    assert q.prefix_dorks(REGISTRY, []) == []
-
-
-def test_prefix_dorks_bad_category():
-    with pytest.raises(q.QueryError):
-        q.prefix_dorks(REGISTRY, [0])
-    with pytest.raises(q.QueryError):
-        q.prefix_dorks(REGISTRY, [9])
-
-
-@hypothesis.given(st.sets(st.integers(min_value=1, max_value=8), max_size=8))
-def test_prefix_dorks_size_law(categories):
-    dorks = q.prefix_dorks(REGISTRY, categories)
-    assert len(dorks) == len(categories) * len(REGISTRY.districts)
-    assert dorks == sorted(dorks)
-    assert len(set(dorks)) == len(dorks)
-
-
 # --- plans ---------------------------------------------------------------------
 
 def test_build_plan_from_expr():
@@ -264,12 +229,3 @@ def test_template_and_binding_files(tmp_path):
     )
     # rendered plan queries are pairwise distinct for distinct inputs
     assert len(set(plan.queries)) == len(plan.queries)
-
-
-def test_keywords_bundled():
-    pairs = q.load_keywords()
-    thai = dict(pairs)
-    assert "เลขบัตรประชาชน" in thai
-    glosses = {g for _, g in pairs}
-    assert "ID card number" in glosses and "Mr." in glosses
-    assert all(t and not t.startswith("#") for t, _ in pairs)

@@ -7,6 +7,8 @@ import hashlib
 import pickle
 import random
 import sqlite3
+import tracemalloc
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -366,6 +368,74 @@ def test_an_object_is_synced_before_it_is_named(tmp_path, monkeypatch):
         store.put_object(b"a document")  # already stored: nothing written
         assert calls == ["fsync", "replace"]
         assert [p.name for p in store.objects_dir.iterdir()] == [digest]
+
+
+THAI_DOCUMENT = "รายชื่อผู้มีสิทธิ์ เลขประจำตัวประชาชน 1-1001-23456-78-6 นายทดสอบ ใจดี\n".encode() * 40
+
+
+@pytest.mark.parametrize("data", [b"", random.Random(1).randbytes(1 << 20), THAI_DOCUMENT, THAI_DOCUMENT * 500],
+                         ids=["empty", "1 MiB random", "thai text", "3 MiB of thai text"])
+def test_an_object_reads_back_as_put(tmp_path, data):
+    with ResultStore(tmp_path) as store:
+        digest = store.put_object(data)
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert [p.name for p in store.objects_dir.iterdir()] == [digest]
+        assert store.read_object(digest) == data
+        n = len(data)  # bytes that do not deflate grow by no more than zlib's compressBound allows
+        assert (store.objects_dir / digest).stat().st_size <= n + (n >> 12) + (n >> 14) + (n >> 25) + 13
+
+
+def test_a_put_holds_no_whole_copy_of_the_object(tmp_path):
+    data = random.Random(2).randbytes(16 << 20)  # does not deflate: its file is as big
+    with ResultStore(tmp_path) as store:
+        tracemalloc.start()
+        try:
+            for _ in range(2):  # written, then checked and kept
+                tracemalloc.reset_peak()
+                store.put_object(data)
+                assert tracemalloc.get_traced_memory()[1] < 6 << 20  # a few MiB chunks, whatever its size
+        finally:
+            tracemalloc.stop()
+
+
+def test_a_text_object_is_stored_compressed(tmp_path):
+    with ResultStore(tmp_path) as store:
+        digest = store.put_object(THAI_DOCUMENT)
+        assert (store.objects_dir / digest).stat().st_size < len(THAI_DOCUMENT)
+        assert THAI_DOCUMENT not in (store.objects_dir / digest).read_bytes()
+
+
+def test_a_raw_object_is_rewritten_only_when_its_bytes_are_put(tmp_path):
+    put, never_put = b"a document put again", b"a document never put"
+    with ResultStore(tmp_path) as store:
+        for data in (put, never_put):  # each as an older store wrote it: the raw bytes
+            (store.objects_dir / hashlib.sha256(data).hexdigest()).write_bytes(data)
+        digest = store.put_object(put)
+        assert store.read_object(digest) == put
+        assert (store.objects_dir / digest).read_bytes() != put
+        assert (store.objects_dir / hashlib.sha256(never_put).hexdigest()).read_bytes() == never_put
+
+
+@pytest.mark.parametrize("damage", [
+    lambda packed, raw: raw,  # an older store's raw object
+    lambda packed, raw: packed[:len(packed) // 2],  # truncated
+    lambda packed, raw: packed[:-4] + bytes(4),  # its check value zeroed
+    lambda packed, raw: zlib.compress(raw + b"!"),  # other bytes under the name
+], ids=["raw", "truncated", "corrupt", "other bytes"])
+def test_an_object_that_does_not_read_back_is_a_value_error(tmp_path, damage):
+    with ResultStore(tmp_path) as store:
+        digest = store.put_object(THAI_DOCUMENT)
+        path = store.objects_dir / digest
+        path.write_bytes(damage(path.read_bytes(), THAI_DOCUMENT))
+        with pytest.raises(ValueError, match=f"object {digest} "):
+            store.read_object(digest)
+        store.put_object(THAI_DOCUMENT)  # the next put of its bytes mends it
+        assert store.read_object(digest) == THAI_DOCUMENT
+
+
+def test_a_missing_object_is_an_os_error(tmp_path):
+    with ResultStore(tmp_path) as store, pytest.raises(FileNotFoundError):
+        store.read_object(hashlib.sha256(b"never put").hexdigest())
 
 
 def test_only_the_opening_thread_uses_the_database(tmp_path):
