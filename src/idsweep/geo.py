@@ -42,21 +42,11 @@ class District:
 
 
 @dataclass
-class PopulationTable:
-    """Resident counts keyed by province or district code."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-    as_of: str = ""
-
-    def get(self, code: str) -> Optional[int]:
-        return self.counts.get(code)
-
-
-@dataclass
 class GeoRegistry:
     provinces: dict[str, Province] = field(default_factory=dict)
     districts: dict[str, District] = field(default_factory=dict)
-    population: PopulationTable = field(default_factory=PopulationTable)
+    population: dict[str, int] = field(default_factory=dict)  # resident counts by province or district code
+    as_of: str = ""  # when the population was counted
 
     def lookup_province(self, code: str) -> Optional[Province]:
         return self.provinces.get(code)
@@ -116,15 +106,15 @@ def load_registry(lines: Iterable[str], as_of: str = "") -> GeoRegistry:
         if code[:2] not in provinces:
             _fail(area_rows[code], f"district {code} has no province {code[:2]}")
 
-    population = PopulationTable(as_of=as_of)
+    population: dict[str, int] = {}
     for lineno, code, count in pop_rows:
         if code not in provinces and code not in districts:
             _fail(lineno, f"population for unknown code {code}")
-        if code in population.counts:
+        if code in population:
             _fail(lineno, f"duplicate population row for {code}")
-        population.counts[code] = count
+        population[code] = count
 
-    return GeoRegistry(provinces=provinces, districts=districts, population=population)
+    return GeoRegistry(provinces=provinces, districts=districts, population=population, as_of=as_of)
 
 
 def load_registry_file(path: str | Path, as_of: str = "") -> GeoRegistry:

@@ -375,17 +375,16 @@ def _write_files(out_dir: str | Path, ext: str, texts: Iterable[tuple[str, Itera
     return paths
 
 
-def _join_listing(path: Path, fmt: str, salt: Optional[bytes], unredacted: bool, parts: list[Path]) -> Path:
+def _join_listing(path: Path, fmt: str, salt: Optional[bytes], parts: list[Path]) -> Path:
     """Write the listing at ``path`` from the rows of its ranges, in order, as one file.
 
     The header, each range's rows and the trailer go to a temporary name,
     renamed into place when it is whole.  The rows are copied file to file
     inside the kernel.  A JSON listing drops the comma before its first row,
-    and a redacted listing names its salt only if it has rows.
+    and a redacted listing (one with a ``salt``) names its salt only if it has rows.
     """
     filled = [part for part in parts if part.stat().st_size]
-    named = bool(filled) and not unredacted
-    header, trailer = _listing_frame(fmt, not unredacted, salt_id(salt) if named else None, bool(filled))
+    header, trailer = _listing_frame(fmt, bool(salt), salt_id(salt) if salt and filled else None, bool(filled))
     whole = path.with_name(path.name + ".part")
     try:
         with whole.open("wb") as out:
@@ -405,7 +404,7 @@ def _join_listing(path: Path, fmt: str, salt: Optional[bytes], unredacted: bool,
 
 
 class _Table(NamedTuple):
-    """Every document of a store, resolved once before any range is read."""
+    """Every document of a store, resolved once before any range is read, and how the report writes an ID."""
 
     sources: list[_Source]  # every usable source, by its number
     runs: dict[int, tuple[_Source, ...]]  # document number -> its usable sources, a source per listing row
@@ -413,34 +412,40 @@ class _Table(NamedTuple):
     unusable: dict[int, tuple[tuple[str, str], ...]]  # document number -> each of its unusable URLs with why
     keys: dict[tuple[str, str], tuple[int, list[int]]]  # (source dimension, key) -> its number, its sources
     columns: tuple[list[int], ...]  # per ``_COUNTED``, each source's value numbered, by source number
+    shown: Callable[[str], str]  # an ID as the report writes it: its token, or itself if unredacted
+    redact: Callable[[str], str]  # text with each ID in it that validation accepts as ``shown`` writes it
+    head: str  # what a listing row writes before the ID
 
     def skipped(self, documents: Iterable[int]) -> list[tuple[str, str]]:
-        """The unusable URLs of the documents, each once with why, in the documents' order."""
-        return list(dict.fromkeys(chain.from_iterable(map(self.unusable.__getitem__, documents))))
+        """The unusable URLs of the documents, each once with why, redacted, in the documents' order."""
+        found = dict.fromkeys(chain.from_iterable(map(self.unusable.__getitem__, documents)))
+        return [(self.redact(url), self.redact(why)) for url, why in found]
 
 
-def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], fmt: Optional[str],
-             redact: Callable[[str], str] = str) -> _Table:
-    """The table of a store's documents, from each number's (sha256, sources).
+def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], registry: GeoRegistry,
+             fmt: Optional[str] = None, shown: Callable[[str], str] = str) -> _Table:
+    """The table of a store's documents, from each number's (sha256, sources), for IDs written as ``shown``.
 
     Each distinct source (document, URL, query, type) at a usable URL is
     numbered in the order met, with its domain, its key in each source
     dimension and, if ``fmt`` names a listing format, its cells after the ID,
-    each key and cell as ``redact`` writes it.  Each URL is split once and
-    each host classified once, at the first URL met there; each distinct
-    (source dimension, key) pair is numbered too, so keys that redact alike
-    are one key.
+    each key and cell with any ID that validation accepts in it as ``shown``.
+    Each URL is split once and each host classified once, at the first URL
+    met there; each distinct (source dimension, key) pair is numbered too, so
+    keys that redact alike are one key.
     """
+    redact = str if shown is str else redacting(registry, shown)
     psl, sources, keys, key = default_suffix_list(), [], {}, functools.cache(redact)
-    table = _Table(sources, {}, {}, {}, keys, ())
-    hosts: dict[str, tuple] = {}  # host -> its domain's fields after ``url``, from the first URL met there
+    head = ""
     if fmt:
         # an ID or token is [0-9a-f], which no format escapes or quotes: its
         # cell is what the format writes around it, and a source's tail
         # starts with what follows it
         _, first, escape, end = FORMATS[fmt]
         # each distinct cell redacted and written once
-        after, cell = first("0").partition("0")[2], functools.cache(lambda text: escape(redact(text)))
+        (head, _, after), cell = first("0").partition("0"), functools.cache(lambda text: escape(redact(text)))
+    table = _Table(sources, {}, {}, {}, keys, (), shown, redact, head)
+    hosts: dict[str, tuple] = {}  # host -> its domain's fields after ``url``, from the first URL met there
 
     @functools.cache  # each URL is split once
     def domain_of(url: str) -> tuple[Optional[DomainInfo], str]:
@@ -484,15 +489,12 @@ def _numbered(values: Iterable[str]) -> list[int]:
 _END = (("~", None),)
 
 
-def _count(table: _Table, rows: Iterable[tuple[str, int]], fh=None, fmt: Optional[str] = None,
-           salt: Optional[bytes] = None, unredacted: bool = False) -> _Fold:
-    """Sorted (digits, document) rows through a fold, and their listing rows in ``fmt`` to ``fh`` if one
-    is open, with no header or trailer.  An ID at one source only, as most are, is counted in place."""
+def _count(table: _Table, rows: Iterable[tuple[str, int]], fh=None) -> _Fold:
+    """Sorted (digits, document) rows through a fold, and their listing rows as the table writes them to ``fh``
+    if one is open, with no header or trailer.  An ID at one source only, as most are, is counted in place."""
     listed = fh is not None
     if listed:
-        before = FORMATS[fmt][1]("0").partition("0")[0]
-        shown = str if unredacted else token_function(salt)  # the ID as the listing shows it
-        write = fh.write
+        before, shown, write = table.head, table.shown, fh.write
     runs, digest, unusable = table.runs, table.digest.__getitem__, table.unusable
     fold = _Fold(len(table.sources))
     alone, met = fold.alone, fold.met
@@ -533,12 +535,11 @@ def _count(table: _Table, rows: Iterable[tuple[str, int]], fh=None, fmt: Optiona
     return fold
 
 
-def _range(exposures: ExposureRange, part: Optional[Path], table: _Table, fmt: Optional[str] = None,
-           salt: Optional[bytes] = None, unredacted: bool = False) -> _Fold:
+def _range(exposures: ExposureRange, part: Optional[Path], table: _Table) -> _Fold:
     """One range of IDs through ``_count`` against the store's resolved table, reading only its own
     cursor, with its listing rows into ``part`` if one is named.  Its fold holds no URL or digest."""
     with exposures.read() as rows, part.open("w", encoding="utf-8") if part else nullcontext() as fh:
-        return _count(table, rows, fh, fmt, salt, unredacted)
+        return _count(table, rows, fh)
 
 
 def report(
@@ -566,28 +567,28 @@ def report(
     no range is still running.  The folds are then added up, the tables
     written, and the parts joined into one listing.  Returns the files
     written, each unusable URL once with why (in the order first seen), and
-    the number of IDs.  Unless ``unredacted``, a salt also writes each ID
-    that validation accepts in a listing cell, a table key or an unusable URL
-    as its token.
+    the number of IDs.  Unless ``unredacted``, it needs a salt (ValueError
+    before anything is read or written) and writes each listed ID, and each
+    ID that validation accepts in a cell, a key or an unusable URL, as its token.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
     names = list(names)
     check_arguments(names, geo_sort)
+    if not unredacted and not salt:
+        raise ValueError("a redacted report needs a salt")
+    shown = str if unredacted else token_function(salt)  # how every file and unusable URL writes an ID
     listed = "exposures" in names
-    if listed and not unredacted and not salt:
-        raise ValueError("redacted listing needs a salt")
     listing = Path(out_dir) / f"exposures.{FORMATS[fmt][0]}"
     parts = [listing.with_name(f"{listing.name}.part{i}") if listed else None for i in range(len(ranges))]
     if listed:
         listing.parent.mkdir(parents=True, exist_ok=True)
-    written, redact = [], str if unredacted or not salt else redacting(registry, token_function(salt))
+    written = []
     try:
-        table = _resolve(ranges[0].documents(), owner_tags, fmt if listed else None, redact)
-        fold = functools.reduce(_Fold.merge, run(functools.partial(_range, table=table, fmt=fmt, salt=salt,
-                                                                   unredacted=unredacted), ranges, parts))
+        table = _resolve(ranges[0].documents(), owner_tags, registry, fmt if listed else None, shown)
+        fold = functools.reduce(_Fold.merge, run(functools.partial(_range, table=table), ranges, parts))
         if listed:
-            written = [_join_listing(listing, fmt, salt, unredacted, parts)]
+            written = [_join_listing(listing, fmt, None if unredacted else salt, parts)]
     finally:
         for part in filter(None, parts):
             part.unlink(missing_ok=True)
@@ -595,8 +596,7 @@ def report(
         stem: _finish(dim, fold.rows(dim, table), registry, geo_sort)
         for name in names for stem, dim in TABLES[name].items()
     }
-    skipped = [(redact(url), redact(why)) for url, why in table.skipped(fold.met)]
-    return emit_report(by_stem, out_dir, fmt) + written, skipped, fold.ids
+    return emit_report(by_stem, out_dir, fmt) + written, table.skipped(fold.met), fold.ids
 
 
 def tables(
@@ -605,7 +605,7 @@ def tables(
     geo_sort: str = "count",
     owner_tags: Optional[dict[str, str]] = None,
 ) -> tuple[dict[str, AggregateTable], list[tuple[str, str]], int]:
-    """Every dimension's table from the same one pass as ``report``, in memory.
+    """Every dimension's table from the same one pass as ``report``, in memory, with any ID in a key or URL raw.
 
     It reads the store's documents and rows in one read transaction.  Province and district come
     from the ID itself (digits 2-3 and 2-5), with percent
@@ -617,7 +617,7 @@ def tables(
     """
     check_arguments((), geo_sort)
     with store.read() as (documents, rows):
-        table = _resolve(documents, owner_tags, None)
+        table = _resolve(documents, owner_tags, registry)
         fold = _count(table, rows)
     by_dim = {dim: _finish(dim, fold.rows(dim, table), registry, geo_sort) for dim in DIMENSIONS}
     return by_dim, table.skipped(fold.met), fold.ids

@@ -377,9 +377,12 @@ class ResultStore:
                 tmp.unlink(missing_ok=True)
         return digest
 
-    def read_object(self, sha256: str) -> bytes:
+    def read_object(self, sha256: str) -> bytearray:
         """The bytes stored under the digest; ValueError unless the file decompresses to bytes of it."""
-        return b"".join(_inflated(self.objects_dir / sha256, sha256))
+        data = bytearray()  # grown a chunk at a time, so the document is held once, not chunks and a join
+        for part in _inflated(self.objects_dir / sha256, sha256):
+            data += part
+        return data
 
     # --- downloads --------------------------------------------------------------
 

@@ -18,26 +18,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from .geo import GeoRegistry
 
-__all__ = [
-    "THAI_DIGITS",
-    "CHECKSUM_MULTIPLIERS",
-    "CATEGORY_DESCRIPTIONS",
-    "RawCandidate",
-    "NationalId",
-    "ValidationOutcome",
-    "PseudonymToken",
-    "normalize_numerals",
-    "find_candidates",
-    "compute_checksum",
-    "weighted_sum",
-    "validate",
-    "decode",
-    "generate_valid_id",
-    "pseudonymize",
-    "salt_id",
-    "token_function",
-]
-
 THAI_DIGITS = "๐๑๒๓๔๕๖๗๘๙"  # U+0E50..U+0E59
 _TH_TO_ASCII = str.maketrans(THAI_DIGITS, "0123456789")
 

@@ -139,8 +139,8 @@ def dump_registry(registry: GeoRegistry) -> str:
         out.append(f"P,{province.code},{province.name}")
     for district in registry.iter_districts():
         out.append(f"D,{district.code},{district.name}")
-    for code in sorted(registry.population.counts):
-        out.append(f"POP,{code},{registry.population.counts[code]}")
+    for code in sorted(registry.population):
+        out.append(f"POP,{code},{registry.population[code]}")
     return "\n".join(out) + "\n"
 
 

@@ -108,7 +108,7 @@ def test_default_registry_contents():
     assert reg.lookup_district("2007").name == "Si Racha"
     assert reg.population.get("91") == 324390
     assert reg.population.get("2481") == 4231
-    assert reg.population.as_of == "2024-12"
+    assert reg.as_of == "2024-12"
     # codes that must stay absent for the validation examples to mean anything
     assert reg.lookup_district("2345") is None
     assert reg.lookup_district("3095") is None
@@ -118,7 +118,7 @@ def test_default_registry_referential_integrity():
     reg = geo.default_registry()
     for district in reg.iter_districts():
         assert reg.lookup_province(district.province_code) is not None
-    for code in reg.population.counts:
+    for code in reg.population:
         assert code in reg.provinces or code in reg.districts
 
 

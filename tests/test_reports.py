@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idsweep import domains, reports, thai_id
+from idsweep import domains, reports, synth, thai_id
 from idsweep.geo import default_registry, load_registry
 from idsweep.reports import AggregateRow, AggregateTable
 from idsweep.store import ExposureRange
@@ -484,8 +484,8 @@ def test_a_range_sends_back_counts_only(tmp_path):
     occs = three_range_occurrences()
     with store_of(occs) as store:
         ranges = store.id_ranges(3, min_rows=1)
-        table = reports._resolve(ranges[0].documents(), None, "json")
-        sent = [pickle.dumps(reports._range(rng, tmp_path / f"part{i}", table, "json", b"pepper"))
+        table = reports._resolve(ranges[0].documents(), None, REG, "json", thai_id.token_function(b"pepper"))
+        sent = [pickle.dumps(reports._range(rng, tmp_path / f"part{i}", table))
                 for i, rng in enumerate(ranges)]
     assert [(tmp_path / f"part{i}").stat().st_size > 0 for i in range(3)] == [True] * 3
     for text in {text for digits, sha256, url, *_ in occs for text in (digits, sha256, url)}:
@@ -504,7 +504,7 @@ def test_empty_ranges_report_no_ids():
 
 # each way into the fold, as (unusable URLs, IDs) of a report of the filetype table
 ENTRIES = {
-    "report": lambda store, out: reports.report(whole(store), ["filetype"], REG, out)[1:],
+    "report": lambda store, out: reports.report(whole(store), ["filetype"], REG, out, salt=b"pepper")[1:],
     "tables": lambda store, out: reports.tables(store, REG)[1:],
 }
 
@@ -833,3 +833,66 @@ def test_markdown_escapes_pipes_and_line_breaks_in_cells(tmp_path):
     assert "| http://a.go.th/a\\|b.pdf | pdf | \"x\" \\| \"y\" |" in lines[2]
     assert lines[3].endswith("| one two three |")
     assert lines[4].endswith("| http://c.go.th/c\\\\\\|d.pdf | pdf | back\\\\ |")
+
+
+# every district of the registry under every issued category digit: the area of a generated ID
+AREAS = sorted(category + district for category in "12345678" for district in REG.districts)
+valid_ids = st.builds(lambda area, serial: thai_id.generate_valid_id(area, f"{serial:07d}", REG),
+                      st.sampled_from(AREAS), st.integers(0, 10**7 - 1))
+# an ID and a form documents write it in
+written_ids = st.tuples(valid_ids, st.sampled_from(synth.FORMS))
+# where an ID sits in a source URL: a host label, the final label, the path, or a URL that cannot be used
+URL_FORMS = ("http://x{}.go.th/a.pdf", "https://a.{}/a.pdf", "http://a.go.th/doc/{}.pdf", "bad://a.go.th/{}.pdf")
+# (ID in the document, document, URL form, and an ID written in the URL, the query and the declared type)
+planted_rows = st.lists(
+    st.tuples(valid_ids, st.sampled_from(["d1", "d2", "d3"]), st.sampled_from(URL_FORMS),
+              written_ids, written_ids, written_ids),
+    min_size=1, max_size=6,
+)
+
+
+def planted(raw):
+    """The planted rows for ``store_of``, and every ID they hold, in the documents or in their sources."""
+    rows, ids = [], set()
+    for digits, sha, url_form, *written in raw:
+        in_url, in_query, in_type = (synth.render_id(*pair) for pair in written)
+        rows.append(occ(digits, sha, url_form.format(in_url), query=f"q {in_query}", file_type=f"t {in_type}"))
+        ids.update([digits, *(planted_digits for planted_digits, _ in written)])
+    return rows, ids
+
+
+def accepted_ids(text):
+    return [found.normalized for found in thai_id.find_candidates(text)
+            if thai_id.validate(found.normalized, REG).accepted]
+
+
+@settings(max_examples=25, deadline=None)
+@given(planted_rows, st.sampled_from(["markdown", "csv", "json"]), st.sampled_from([1, 2]))
+def test_a_redacted_report_writes_no_id(raw, fmt, most):
+    rows, ids = planted(raw)
+    with store_of(rows) as store, tempfile.TemporaryDirectory() as out:
+        written, skipped, _ = reports.report(store.id_ranges(most, min_rows=1), list(reports.TABLES), REG, out,
+                                             fmt=fmt, salt=b"pepper")
+        texts = [path.read_text("utf-8") for path in written] + [text for pair in skipped for text in pair]
+    # a token is 64 hex digits, which by chance may spell an ID that validates: what the
+    # report writes once the tokens of the store's IDs are cut out must hold none
+    tokens = list(map(thai_id.token_function(b"pepper"), ids))
+    for text in texts:
+        for token in tokens:
+            text = text.replace(token, "#")
+        assert accepted_ids(text) == [], text
+
+
+def refuse_ranges(function, *args):
+    raise AssertionError("a range ran")
+
+
+@settings(max_examples=25, deadline=None)
+@given(planted_rows, st.lists(st.sampled_from(list(reports.TABLES)), unique=True),
+       st.sampled_from(["markdown", "csv", "json"]))
+def test_a_redacted_report_without_a_salt_reads_and_writes_nothing(raw, names, fmt):
+    with store_of(planted(raw)[0]) as store, tempfile.TemporaryDirectory() as root:
+        out = Path(root) / "out"
+        with pytest.raises(ValueError, match="a redacted report needs a salt"):
+            reports.report(store.id_ranges(2, min_rows=1), names, REG, out, fmt=fmt, run=refuse_ranges)
+        assert not out.exists()

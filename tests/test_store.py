@@ -398,6 +398,22 @@ def test_a_put_holds_no_whole_copy_of_the_object(tmp_path):
             tracemalloc.stop()
 
 
+@pytest.mark.parametrize("make", [random.Random(3).randbytes, lambda n: THAI_DOCUMENT * (n // len(THAI_DOCUMENT))],
+                         ids=["random", "thai text"])
+def test_a_read_holds_the_object_once(tmp_path, make):
+    data = make(16 << 20)
+    with ResultStore(tmp_path) as store:
+        digest = store.put_object(data)
+        tracemalloc.start()
+        try:
+            read = store.read_object(digest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert read == data
+    assert peak <= 1.4 * len(data)  # a join of its chunks would hold it twice
+
+
 def test_a_text_object_is_stored_compressed(tmp_path):
     with ResultStore(tmp_path) as store:
         digest = store.put_object(THAI_DOCUMENT)
