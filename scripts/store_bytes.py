@@ -11,7 +11,8 @@ come from SQLite's ``dbstat`` table, pages included whole; where SQLite was
 built without it, each table's row count is printed instead.  The last line
 counts the files in ``objects/`` and their bytes on disk, beside the raw
 bytes of the documents they hold: the ``size_bytes`` of each distinct
-successfully downloaded digest.
+successfully downloaded digest, read from ``hits``, or from ``downloads``
+where an older store still has that table.
 """
 
 import argparse
@@ -30,7 +31,10 @@ def main() -> int:
         parser.error(f"no store database at {db}")
     with closing(sqlite3.connect(db.resolve().as_uri() + "?mode=ro", uri=True)) as conn:
         tables(conn)
-        raw = conn.execute("SELECT SUM(size_bytes) FROM (SELECT MAX(size_bytes) AS size_bytes FROM downloads"
+        # each hit's download is in its row, or in a table of its own in a store not yet migrated
+        older = conn.execute("SELECT 1 FROM sqlite_master WHERE name = 'downloads'").fetchone()
+        raw = conn.execute("SELECT SUM(size_bytes) FROM (SELECT MAX(size_bytes) AS size_bytes"
+                           f" FROM {'downloads' if older else 'hits'}"
                            " WHERE status = 'success' GROUP BY sha256)").fetchone()[0] or 0
     files = [path for path in (db.parent / "objects").glob("*") if path.is_file()]
     on_disk = sum(path.stat().st_size for path in files)

@@ -87,8 +87,8 @@ def run_scan(
     Extraction runs once per distinct object digest no matter how many URLs
     delivered it, as the first delivering hit declared its type; an exposure
     row is (digits, document number), the store numbering each digest, and
-    every URL, query and type of the digest is recovered from the downloads
-    and hits tables.
+    every URL, query and type of the digest is recovered from the hits that
+    downloaded it.
     Documents that cannot be extracted, or whose stored object no longer
     reads back, land in diagnostics, never silently, and so, once each, do
     documents only partly read.

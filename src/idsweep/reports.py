@@ -350,11 +350,13 @@ def table_to_json(table: AggregateTable) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2, default=str) + "\n"
 
 
-def emit_report(tables: dict[str, AggregateTable], out_dir: str | Path, fmt: str = "markdown") -> list[Path]:
-    """Write one file per table; deterministic bytes, each file whole or not at all."""
+def emit_report(tables: dict[str, AggregateTable], out_dir: str | Path, fmt: str = "markdown",
+                redact: Callable[[str], str] = str) -> list[Path]:
+    """Write one file per table, each piece through ``redact``; deterministic bytes, each file whole or not at all."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {sorted(FORMATS)}")
-    return _write_files(out_dir, FORMATS[fmt][0], ((name, _text(tables[name], fmt)) for name in sorted(tables)))
+    texts = ((name, map(redact, _text(tables[name], fmt))) for name in sorted(tables))
+    return _write_files(out_dir, FORMATS[fmt][0], texts)
 
 
 def _write_files(out_dir: str | Path, ext: str, texts: Iterable[tuple[str, Iterable[str]]]) -> list[Path]:
@@ -442,8 +444,10 @@ def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], registry: Ge
         # cell is what the format writes around it, and a source's tail
         # starts with what follows it
         _, first, escape, end = FORMATS[fmt]
-        # each distinct cell redacted and written once
-        (head, _, after), cell = first("0").partition("0"), functools.cache(lambda text: escape(redact(text)))
+        # each distinct cell redacted and written once; markdown writes a line break as a space,
+        # which can spell an ID, so it redacts a cell, and ``report`` a table's row, as written
+        written = (lambda text: redact(escape(text))) if fmt == "markdown" else (lambda text: escape(redact(text)))
+        (head, _, after), cell = first("0").partition("0"), functools.cache(written)
     table = _Table(sources, {}, {}, {}, keys, (), shown, redact, head)
     hosts: dict[str, tuple] = {}  # host -> its domain's fields after ``url``, from the first URL met there
 
@@ -596,7 +600,8 @@ def report(
         stem: _finish(dim, fold.rows(dim, table), registry, geo_sort)
         for name in names for stem, dim in TABLES[name].items()
     }
-    return emit_report(by_stem, out_dir, fmt) + written, table.skipped(fold.met), fold.ids
+    written = emit_report(by_stem, out_dir, fmt, table.redact if fmt == "markdown" else str) + written  # see _resolve
+    return written, table.skipped(fold.met), fold.ids
 
 
 def tables(

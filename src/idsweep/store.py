@@ -2,23 +2,23 @@
 
 Layout under the store directory::
 
-    store.db           relational state (searches, hits, downloads, documents,
-                       exposures, diagnostics)
+    store.db           relational state (searches, hits, documents, exposures,
+                       diagnostics)
     objects/<sha256>   zlib-compressed document bytes, named by their raw digest
 
 ``objects/`` is the only record of the stored objects, each read back only if
-it decompresses to its digest; ``downloads`` holds each one's digest and raw
-size.  Each fact is stored once and compactly: a hit names its (query,
-engine) by its ``searches`` number, a digest is its 32 bytes (``_digest``),
-an exposure is only (digits, document), and ``digits`` is the ID as the
-integer it spells (``_key``).  Writes refuse what would not read back as
-written; reads give IDs back as 13-character text and digests as lowercase
-hex, whose orders the stored values keep.  ``document`` is the number
-``documents`` gives a digest with exposures, as first met; its sources are
-the successful ``downloads`` of that digest joined to their ``hits`` and
-``searches``.  Opening a store that older versions wrote migrates it in one
-transaction (``_schema_script``), then ``VACUUM``s once if it rebuilt a
-table.
+it decompresses to its digest.  Each fact is stored once and compactly: a hit
+names its (query, engine) by its ``searches`` number and carries its
+download's outcome, NULL until it is fetched, with the digest and raw size of
+what it fetched; a digest is its 32 bytes (``_digest``), an exposure is only
+(digits, document), and ``digits`` is the ID as the integer it spells
+(``_key``).  Writes refuse what would not read back as written; reads give
+IDs back as 13-character text and digests as lowercase hex, whose orders the
+stored values keep.  ``document`` is the number ``documents`` gives a digest
+with exposures, as first met; its sources are the hits that successfully
+downloaded that digest, joined to their ``searches``.  Opening a store that
+older versions wrote migrates it in one transaction (``_schema_script``),
+then ``VACUUM``s once if it rebuilt a table.
 
 Reports read the store in one pass and add no index: each document number's
 digest and sources, sorted in SQL, and a cursor over ``exposures`` in its
@@ -66,17 +66,14 @@ CREATE TABLE IF NOT EXISTS hits (
     url         TEXT NOT NULL,
     retrieved_at TEXT NOT NULL,
     is_repeat   INTEGER NOT NULL DEFAULT 0,
-    UNIQUE (search, page, rank, url)
-);
-CREATE TABLE IF NOT EXISTS downloads (
-    id           INTEGER PRIMARY KEY,
-    hit_id       INTEGER NOT NULL UNIQUE REFERENCES hits(id),
-    status       TEXT NOT NULL,          -- success | failed | type_mismatch
-    reason       TEXT,                   -- timeout | network | too_large | <ext>
-    sha256       BLOB,                   -- the digest's bytes
+    -- its download's outcome, all NULL until the hit is fetched
+    status      TEXT,                    -- success | failed | type_mismatch
+    reason      TEXT,                    -- timeout | network | too_large | <ext>
+    sha256      BLOB,                    -- the digest's bytes
     declared_type TEXT,
-    size_bytes   INTEGER,
-    completed_at TEXT NOT NULL
+    size_bytes  INTEGER,
+    completed_at TEXT CHECK ((completed_at IS NULL) = (status IS NULL)),
+    UNIQUE (search, page, rank, url)
 );
 -- an explicit INTEGER PRIMARY KEY: VACUUM may renumber an implicit rowid
 CREATE TABLE IF NOT EXISTS documents (
@@ -112,7 +109,7 @@ def _key(digits: str) -> int:
 
 
 def _digest(text: str) -> bytes:
-    """The bytes ``documents`` and ``downloads`` store for a digest; ValueError unless it is
+    """The bytes ``documents`` and ``hits`` store for a digest; ValueError unless it is
     lowercase hex of even length, which ``.hex()`` reads back and whose byte order is its text order."""
     try:
         data = bytes.fromhex(text)
@@ -132,31 +129,35 @@ def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
     """``_SCHEMA`` as one transaction, left open, that also migrates what older
     stores hold, and whether it rebuilds a table.
 
-    It drops the ``objects`` table that nothing reads.  SQLite cannot change
-    a column's type or make a table WITHOUT ROWID in place, so each older
-    table is renamed ``retired_*``, its rows are copied, ids kept, into the
-    table ``_SCHEMA`` creates, and it is dropped: ``hits`` with its query and
-    engine (numbered in ``searches`` as first met) and ``downloads`` with a
-    text digest, together, as one refers to the other; ``documents`` with a
-    text digest; and ``exposures`` whose IDs are text, in key order, which
-    fills its pages.  The oldest ``exposures``, keyed by digest, number their
-    digests in ``documents`` in digest order.  Only the columns declared here
-    are kept, so ``downloads.stored_path`` goes.  ``digest_blob`` converts a
-    text digest (``_digest``); a row whose digits would not read back as
-    written (``_ID_GLOB``) copies as NULL, which the new table refuses.  Either
-    fails the statement, so the whole migration rolls back.
+    It drops the ``objects`` table that nothing reads.  SQLite cannot change a
+    column's type or make a table WITHOUT ROWID in place, so each older table
+    is renamed ``retired_*``, its rows are copied, ids kept, into the table
+    ``_SCHEMA`` creates, and it is dropped: ``hits`` beside a ``downloads``
+    table, each with its download's row, if any (where a hit spells out its
+    query and engine, they are numbered in ``searches`` as first met);
+    ``documents`` with a text digest; and ``exposures`` whose IDs are text, in
+    key order, which fills its pages.  The oldest ``exposures``, keyed by
+    digest, number their digests in ``documents`` in digest order.  Only the
+    columns declared here are kept, so ``downloads.stored_path`` goes.
+    ``digest_blob`` converts a text digest (``_digest``); a row whose digits
+    would not read back as written (``_ID_GLOB``) copies as NULL, which the
+    new table refuses.  Either fails the statement, so the whole migration
+    rolls back.
     """
     before, after = [], []
-    if "query" in _declared(conn, "hits"):
+    downloads = _declared(conn, "downloads")
+    if downloads:
         before.append("ALTER TABLE hits RENAME TO retired_hits; ALTER TABLE downloads RENAME TO retired_downloads;")
-        after.append(
-            "INSERT INTO searches (query, engine) SELECT query, engine FROM retired_hits"
-            " GROUP BY query, engine ORDER BY MIN(id);"
-            " INSERT INTO hits SELECT h.id, s.id, h.page, h.rank, h.url, h.retrieved_at, h.is_repeat"
-            " FROM retired_hits h JOIN searches s ON s.query = h.query AND s.engine = h.engine ORDER BY h.id;"
-            " INSERT INTO downloads SELECT id, hit_id, status, reason, digest_blob(sha256), declared_type,"
-            " size_bytes, completed_at FROM retired_downloads ORDER BY id;"
-            " DROP TABLE retired_downloads; DROP TABLE retired_hits;")
+        search, hits = "h.search", "retired_hits h"
+        if "query" in _declared(conn, "hits"):
+            after.append("INSERT INTO searches (query, engine) SELECT query, engine FROM retired_hits"
+                         " GROUP BY query, engine ORDER BY MIN(id);")
+            search, hits = "s.id", "retired_hits h JOIN searches s ON s.query = h.query AND s.engine = h.engine"
+        digest = "digest_blob(d.sha256)" if downloads["sha256"] == "TEXT" else "d.sha256"
+        after.append(f"INSERT INTO hits SELECT h.id, {search}, h.page, h.rank, h.url, h.retrieved_at, h.is_repeat,"
+                     f" d.status, d.reason, {digest}, d.declared_type, d.size_bytes, d.completed_at"
+                     f" FROM {hits} LEFT JOIN retired_downloads d ON d.hit_id = h.id ORDER BY h.id;"
+                     " DROP TABLE retired_downloads; DROP TABLE retired_hits;")
     if _declared(conn, "documents").get("sha256") == "TEXT":
         before.append("ALTER TABLE documents RENAME TO retired_documents;")
         after.append("INSERT INTO documents SELECT id, digest_blob(sha256) FROM retired_documents ORDER BY id;"
@@ -201,9 +202,9 @@ def _documents(conn: sqlite3.Connection) -> dict[int, tuple[str, tuple[tuple[str
     """Each document number's (sha256, sources), the sources as ``load_occurrences()``
     gives them and () for a digest never successfully downloaded."""
     rows = conn.execute(
-        "SELECT DISTINCT d.sha256, h.url, s.query, s.engine, d.declared_type"
-        " FROM downloads d JOIN hits h ON h.id = d.hit_id JOIN searches s ON s.id = h.search"
-        " WHERE d.status = 'success' ORDER BY d.sha256, h.url, s.query, s.engine, d.declared_type")
+        "SELECT DISTINCT h.sha256, h.url, s.query, s.engine, h.declared_type FROM hits h"
+        " JOIN searches s ON s.id = h.search"
+        " WHERE h.status = 'success' ORDER BY h.sha256, h.url, s.query, s.engine, h.declared_type")
     found = {sha256: tuple((url, query, file_type) for _, url, query, _, file_type in group)
              for sha256, group in groupby(rows, itemgetter(0))}
     return {number: (sha256.hex(), found.get(sha256, ()))
@@ -308,9 +309,10 @@ class ResultStore:
         try:
             with self._conn:  # a migration that fails rolls back whole
                 script, rebuilt = _schema_script(self._conn)
-                self._conn.executescript(script)
+                # checked before: a copy keeps every reference, but would lose a download of no hit
                 if rebuilt and self._conn.execute("PRAGMA foreign_key_check").fetchone():
                     raise sqlite3.IntegrityError("a migrated row refers to a row that is not there")
+                self._conn.executescript(script)
             if rebuilt:  # the older tables' pages are free now: give them back to the disk
                 self._conn.execute("VACUUM")
             self._conn.execute("PRAGMA foreign_keys = ON")
@@ -391,14 +393,16 @@ class ResultStore:
         reason: Optional[str] = None, sha256: Optional[str] = None,
         declared_type: Optional[str] = None, size_bytes: Optional[int] = None,
     ) -> None:
+        """Record what fetching the hit gave in its row; IntegrityError, with nothing written, if there is
+        no such hit."""
         with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO downloads"
-                " (hit_id, status, reason, sha256, declared_type, size_bytes, completed_at)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (hit_id, status, reason, None if sha256 is None else _digest(sha256), declared_type, size_bytes,
-                 completed_at),
-            )
+            if not self._conn.execute(
+                "UPDATE hits SET status = ?, reason = ?, sha256 = ?, declared_type = ?, size_bytes = ?,"
+                " completed_at = ? WHERE id = ?",
+                (status, reason, None if sha256 is None else _digest(sha256), declared_type, size_bytes,
+                 completed_at, hit_id),
+            ).rowcount:
+                raise sqlite3.IntegrityError(f"no hit {hit_id} to record a download of")
 
     # --- exposures ---------------------------------------------------------------
 
@@ -409,7 +413,7 @@ class ResultStore:
         """Record an (id, document) pair; returns False if already present.
 
         Only ``digits`` and ``sha256`` are stored: an exposure's sources are
-        its digest's downloads and hits.
+        the hits that downloaded its digest.
         """
         return self.add_exposures([(digits, sha256)]) > 0
 

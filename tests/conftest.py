@@ -114,7 +114,7 @@ def object_count(store: ResultStore) -> int:
 
 def download_counts(store: ResultStore) -> dict[str, int]:
     """The number of downloads of each status."""
-    return dict(_rows(store, "SELECT status, COUNT(*) FROM downloads GROUP BY status"))
+    return dict(_rows(store, "SELECT status, COUNT(*) FROM hits WHERE status IS NOT NULL GROUP BY status"))
 
 
 Occurrence = namedtuple("Occurrence", "digits sha256 url query file_type")

@@ -525,7 +525,7 @@ def test_scan_with_a_failed_download(tmp_path, capsys, case):
                    "--search-delay", "0", "--download-max-retry", "0")
     captured = capsys.readouterr()
     with ResultStore(store_dir) as store:
-        reasons = [reason for (reason,) in store._conn.execute("SELECT reason FROM downloads WHERE status = 'failed'")]
+        reasons = [reason for (reason,) in store._conn.execute("SELECT reason FROM hits WHERE status = 'failed'")]
     if case == "a url that does not split":
         assert code == 0 and captured.err == ""
         assert captured.out == ("1 queries yielded 2 result URLs; 1 fetched (1 failed);"
@@ -1192,7 +1192,7 @@ def test_older_store_is_migrated_on_open(demo_store, tmp_path):
     assert run_cli(*scan_args(store_dir)) == 0
     assert (store_dir / "objects" / digest).read_bytes() == old
     conn = sqlite3.connect(store_dir / "store.db")
-    assert "stored_path" not in {row[1] for row in conn.execute("PRAGMA table_info(downloads)")}
+    assert "stored_path" not in {row[1] for row in conn.execute("PRAGMA table_info(hits)")}
     assert not conn.execute("SELECT 1 FROM sqlite_master WHERE name = 'objects'").fetchall()
     conn.close()
     assert _report_bytes(store_dir, tmp_path / "old") == _report_bytes(demo_store, tmp_path / "new")
@@ -1228,6 +1228,29 @@ OLD_LAYOUTS = {
 }
 OLD_LAYOUTS["text digests"] = OLD_LAYOUTS["text keyed"].replace("digits TEXT NOT NULL, document",
                                                                 "digits INTEGER NOT NULL, document")
+# the tables as idsweep created them once each search and digest was stored once,
+# while each download was a row of its own that named its hit
+OLD_LAYOUTS["downloads table"] = """
+CREATE TABLE searches (
+    id INTEGER PRIMARY KEY, query TEXT NOT NULL, engine TEXT NOT NULL, UNIQUE (query, engine)
+);
+CREATE TABLE hits (
+    id INTEGER PRIMARY KEY, search INTEGER NOT NULL REFERENCES searches(id),
+    page INTEGER NOT NULL, rank INTEGER NOT NULL, url TEXT NOT NULL,
+    retrieved_at TEXT NOT NULL, is_repeat INTEGER NOT NULL DEFAULT 0,
+    UNIQUE (search, page, rank, url)
+);
+CREATE TABLE downloads (
+    id INTEGER PRIMARY KEY, hit_id INTEGER NOT NULL UNIQUE REFERENCES hits(id),
+    status TEXT NOT NULL, reason TEXT, sha256 BLOB, declared_type TEXT,
+    size_bytes INTEGER, completed_at TEXT NOT NULL
+);
+CREATE TABLE documents (id INTEGER PRIMARY KEY, sha256 BLOB NOT NULL UNIQUE);
+CREATE TABLE exposures (
+    digits INTEGER NOT NULL, document INTEGER NOT NULL,
+    PRIMARY KEY (digits, document)
+) WITHOUT ROWID;
+""" + OLD_SCHEMA[OLD_SCHEMA.index("CREATE TABLE diagnostics"):]
 
 # a digest as text, as the older layouts kept it: lowercase hex, and NULL for none
 TEXT_DIGEST = "CASE WHEN typeof({0}) = 'blob' THEN lower(hex({0})) ELSE {0} END"
@@ -1240,28 +1263,38 @@ def old_layout_copy(store_dir, old_dir, schema=OLD_SCHEMA):
     conn = sqlite3.connect(old_dir / "store.db")
     conn.executescript(schema)
     conn.execute("ATTACH ? AS new", (str(store_dir / "store.db"),))
-    text = TEXT_DIGEST.format("sha256")
+    # a digest as the layout keeps it: text, or its bytes
+    text = "sha256" if ("sha256", "BLOB") in conn.execute("SELECT name, type FROM pragma_table_info('downloads')"
+                                                          ).fetchall() else TEXT_DIGEST.format("sha256")
     exposures = [(digits, sha256, f"2025-12-31T00:00:{i:02d}Z") for i, (digits, sha256) in enumerate(
         conn.execute(f"SELECT CAST(e.digits AS TEXT), {TEXT_DIGEST.format('d.sha256')} FROM new.exposures e"
                      " JOIN new.documents d ON d.id = e.document ORDER BY e.digits DESC, d.sha256"))]
     columns = [row[1] for row in conn.execute("PRAGMA table_info(exposures)")]
     # the source columns, where the layout has them, hold what nothing reads
     unread = "'-', " * (len(columns) - 3)
+    # each fetched hit's download, numbered in hit order, as a row of its own
+    downloads = "FROM new.hits WHERE status IS NOT NULL ORDER BY id"
     with conn:
-        conn.execute("INSERT INTO hits SELECT h.id, s.query, s.engine, h.page, h.rank, h.url, h.retrieved_at,"
-                     " h.is_repeat FROM new.hits h JOIN new.searches s ON s.id = h.search")
+        if "search" in {row[1] for row in conn.execute("PRAGMA table_info(hits)")}:  # hits name their search
+            conn.execute("INSERT INTO searches SELECT * FROM new.searches")
+            conn.execute("INSERT INTO hits SELECT id, search, page, rank, url, retrieved_at, is_repeat FROM new.hits")
+        else:
+            conn.execute("INSERT INTO hits SELECT h.id, s.query, s.engine, h.page, h.rank, h.url, h.retrieved_at,"
+                         " h.is_repeat FROM new.hits h JOIN new.searches s ON s.id = h.search")
         if "document" in columns:
-            conn.execute(f"INSERT INTO downloads SELECT id, hit_id, status, reason, {text}, declared_type,"
-                         " size_bytes, completed_at FROM new.downloads")
+            conn.execute(f"INSERT INTO downloads (hit_id, status, reason, sha256, declared_type, size_bytes,"
+                         f" completed_at) SELECT id, status, reason, {text}, declared_type, size_bytes, completed_at"
+                         f" {downloads}")
             # numbered in digest order, as a migration from the older layouts numbers them
             conn.execute(f"INSERT INTO documents (sha256) SELECT {text} FROM new.documents ORDER BY sha256")
-            conn.executemany("INSERT INTO exposures SELECT ?, id FROM documents WHERE sha256 = ?",  # out of key order
-                             [exposure[:2] for exposure in exposures])
+            conn.executemany(f"INSERT INTO exposures SELECT ?, id FROM documents WHERE {TEXT_DIGEST.format('sha256')}"
+                             " = ?", [exposure[:2] for exposure in exposures])  # out of key order
         else:
-            conn.execute(f"INSERT INTO downloads SELECT id, hit_id, status, reason, {text}, declared_type,"
-                         f" 'objects/' || {text}, size_bytes, completed_at FROM new.downloads")
+            conn.execute(f"INSERT INTO downloads (hit_id, status, reason, sha256, declared_type, stored_path,"
+                         f" size_bytes, completed_at) SELECT id, status, reason, {text}, declared_type,"
+                         f" 'objects/' || {text}, size_bytes, completed_at {downloads}")
             conn.execute(f"INSERT OR IGNORE INTO objects SELECT {text}, size_bytes, 'objects/' || {text},"
-                         " completed_at FROM new.downloads WHERE status = 'success'")
+                         " completed_at FROM new.hits WHERE status = 'success'")
             conn.executemany(f"INSERT INTO exposures VALUES (?, ?, {unread}?)", exposures)  # out of key order
     conn.close()
     return exposures
@@ -1301,10 +1334,19 @@ def test_store_with_text_digests_is_migrated_on_open(tmp_path):
     migrated_on_open(tmp_path, "text digests", ["digits", "document"], 1)
 
 
+def test_store_with_a_downloads_table_is_migrated_on_open(tmp_path):
+    migrated_on_open(tmp_path, "downloads table", ["digits", "document"], 1)
+
+
 def migrated_on_open(tmp_path, layout, columns, without_rowid):
     """A store in an older layout, whose exposures have ``columns``, opened:
     it is migrated whole and vacuumed, and reads and reports what a fresh store does."""
     new = mirror_store(tmp_path / "new")
+    with ResultStore(new) as store:  # a failed download and a hit never fetched, which no report reads
+        store.record_download(store.add_hit("q2", "google", 2, 1, "http://x.go.th/late.pdf", "t1", True),
+                              "failed", "t2", reason="timeout")
+        store.add_hit("q3", "bing", 2, 2, "http://x.go.th/never.pdf", "t3", False)
+        hits = store._conn.execute("SELECT * FROM hits ORDER BY id").fetchall()
     old = tmp_path / "old"
     exposures = old_layout_copy(new, old, OLD_LAYOUTS[layout])
     assert exposures_layout(old / "store.db")[:2] == (columns, without_rowid)
@@ -1319,12 +1361,14 @@ def migrated_on_open(tmp_path, layout, columns, without_rowid):
     # each ID is the integer it spells, each digest its bytes, and each hit names its search by number
     assert [row[2] for row in conn.execute("PRAGMA table_info(exposures)")] == ["INTEGER", "INTEGER"]
     assert conn.execute("SELECT DISTINCT typeof(digits) FROM exposures").fetchall() == [("integer",)]
-    for table in ("documents", "downloads"):
+    for table in ("documents", "hits"):
         assert conn.execute(f"SELECT DISTINCT typeof(sha256) FROM {table} WHERE sha256 IS NOT NULL"
                             ).fetchall() == [("blob",)], table
     assert [row[1] for row in conn.execute("PRAGMA table_info(hits)")][:2] == ["id", "search"]
     assert conn.execute("SELECT COUNT(*) FROM searches").fetchone()[0] == 5
     assert conn.execute("PRAGMA foreign_key_check").fetchall() == []
+    # every hit, its id and every field of its download kept
+    assert conn.execute("SELECT * FROM hits ORDER BY id").fetchall() == hits and len(hits) == 10
     conn.close()
     columns, without_rowid, tables, rows = exposures_layout(old / "store.db")
     assert (columns, without_rowid) == (["digits", "document"], 1)
@@ -1414,11 +1458,11 @@ def test_failed_migration_leaves_the_older_store(tmp_path, monkeypatch, capsys, 
 def test_open_keeps_columns_it_does_not_declare(tmp_path):
     ResultStore(tmp_path).close()
     conn = sqlite3.connect(tmp_path / "store.db")
-    conn.execute("ALTER TABLE downloads ADD COLUMN added_later TEXT")
+    conn.execute("ALTER TABLE hits ADD COLUMN added_later TEXT")
     conn.close()
     ResultStore(tmp_path).close()
     conn = sqlite3.connect(tmp_path / "store.db")
-    assert "added_later" in {row[1] for row in conn.execute("PRAGMA table_info(downloads)")}
+    assert "added_later" in {row[1] for row in conn.execute("PRAGMA table_info(hits)")}
     conn.close()
 
 
@@ -1437,7 +1481,7 @@ def test_store_with_an_objects_table_loses_it_on_first_open(tmp_path, monkeypatc
     conn = sqlite3.connect(old / "store.db")
     conn.executescript(OBJECTS_TABLE)
     with conn:
-        conn.execute("INSERT OR IGNORE INTO objects SELECT sha256, size_bytes, completed_at FROM downloads"
+        conn.execute("INSERT OR IGNORE INTO objects SELECT sha256, size_bytes, completed_at FROM hits"
                      " WHERE status = 'success'")
     assert conn.execute("SELECT COUNT(*) FROM objects").fetchone()[0] == 4
     conn.close()
@@ -1530,13 +1574,13 @@ def test_store_bytes_script_measures_every_table_without_migrating(demo_store, t
     old = tmp_path / "old"
     old_layout_copy(demo_store, old, OLD_LAYOUTS["text digests"])
     before = (old / "store.db").read_bytes()
-    tables = {"hits", "downloads", "documents", "exposures", "diagnostics"}
+    tables = {"hits", "documents", "exposures", "diagnostics"}
     docs = {hashlib.sha256(doc.read_bytes()).hexdigest(): doc.stat().st_size for doc in (DEMO / "docs").iterdir()}
     objects = list((demo_store / "objects").iterdir())
     on_disk = sum(path.stat().st_size for path in objects)
     assert len(objects) == len(docs) and on_disk < sum(docs.values())
     for store, expected, files, stored in ((demo_store, tables | {"searches"}, len(objects), on_disk),
-                                           (old, tables, 0, 0)):  # the copy holds no objects
+                                           (old, tables | {"downloads"}, 0, 0)):  # the copy holds no objects
         proc = subprocess.run([sys.executable, str(REPO / "scripts" / "store_bytes.py"), str(store)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -207,7 +207,7 @@ def test_an_object_is_named_and_sized_by_its_raw_bytes(tmp_path, store):
     assert [p.name for p in store.objects_dir.iterdir()] == [digest]
     assert (store.objects_dir / digest).stat().st_size < len(raw)  # stored compressed
     with closing(sqlite3.connect(store.db_path)) as conn:
-        assert conn.execute("SELECT lower(hex(sha256)), size_bytes FROM downloads").fetchall() == [(digest, len(raw))]
+        assert conn.execute("SELECT lower(hex(sha256)), size_bytes FROM hits").fetchall() == [(digest, len(raw))]
     assert store.read_object(digest) == raw
 
 
@@ -323,8 +323,8 @@ def test_download_rows_follow_hit_order_not_completion_order(store):
     hits = [make_hit(store, f"https://h{i}.go.th/{i}.txt") for i in range(4)]
     records = download_all(hits, SlowFirstFetcher(), quick_config(download_workers=4), store)
     assert [r.hit_id for r in records] == [h.hit_id for h in hits]
-    rows = store._conn.execute("SELECT id, hit_id FROM downloads ORDER BY id").fetchall()
-    assert rows == [(i, hit.hit_id) for i, hit in enumerate(hits, 1)]
+    rows = store._conn.execute("SELECT id FROM hits WHERE status IS NOT NULL ORDER BY id").fetchall()
+    assert rows == [(hit.hit_id,) for hit in hits]  # each outcome in its hit's row
 
 
 def test_download_all_paces_per_host(tmp_path, store, virtual_clock):
@@ -513,8 +513,8 @@ def test_scan_passes_max_object_bytes_to_http_provider(origin, tmp_path, capsys)
     assert code == 0
     conn = sqlite3.connect(store_dir / "store.db")
     rows = conn.execute(
-        "SELECT h.url, d.status, d.reason, d.size_bytes FROM downloads d"
-        " JOIN hits h ON h.id = d.hit_id ORDER BY h.rank"
+        "SELECT url, status, reason, size_bytes FROM hits"
+        " WHERE status IS NOT NULL ORDER BY rank"
     ).fetchall()
     conn.close()
     assert rows == [(f"{origin}/ok.txt", "success", None, 14),

@@ -227,7 +227,7 @@ def test_concurrent_extraction_matches_sequential(tmp_path, registry):
             " JOIN documents d ON d.id = e.document ORDER BY e.digits, d.sha256"
         ).fetchall()
         downloads = conn.execute(  # completed_at left out too, and rows in id order
-            "SELECT id, hit_id, status, reason, sha256 FROM downloads ORDER BY id"
+            "SELECT id, id AS hit_id, status, reason, sha256 FROM hits WHERE status IS NOT NULL ORDER BY id"
         ).fetchall()
         conn.close()
         return summary, occurrences, exposures, diagnostics, downloads

@@ -24,11 +24,10 @@ from conftest import expand
 REFERENCE_SQL = """
     SELECT digits, sha256, url, query, declared_type FROM (
         SELECT DISTINCT CAST(e.digits AS TEXT) AS digits, lower(hex(doc.sha256)) AS sha256, h.url, s.query,
-            s.engine, d.declared_type
+            s.engine, h.declared_type
         FROM exposures e
         JOIN documents doc ON doc.id = e.document
-        JOIN downloads d ON d.sha256 = doc.sha256 AND d.status = 'success'
-        JOIN hits h ON h.id = d.hit_id
+        JOIN hits h ON h.sha256 = doc.sha256 AND h.status = 'success'
         JOIN searches s ON s.id = h.search
     ) ORDER BY digits, sha256, url, query, engine, declared_type
 """
@@ -111,13 +110,11 @@ def test_occurrences_read_one_snapshot(tmp_path):
         other = sqlite3.connect(db, timeout=0)
         try:
             with other:
-                hit_id = other.execute(
-                    "INSERT INTO hits (search, page, rank, url, retrieved_at)"
-                    " SELECT id, 1, 2, 'http://b.go.th/mirror.pdf', 't' FROM searches"
-                    " WHERE query = 'q' AND engine = 'fixture'"
-                ).lastrowid
-                other.execute("INSERT INTO downloads (hit_id, status, sha256, declared_type, completed_at)"
-                              " VALUES (?, 'success', X'd1', 'pdf', 't')", (hit_id,))
+                other.execute(
+                    "INSERT INTO hits (search, page, rank, url, retrieved_at, status, sha256, declared_type,"
+                    " completed_at) SELECT id, 1, 2, 'http://b.go.th/mirror.pdf', 't', 'success', X'd1', 'pdf', 't'"
+                    " FROM searches WHERE query = 'q' AND engine = 'fixture'"
+                )
                 other.execute("INSERT OR IGNORE INTO documents (sha256) VALUES (X'd1')")
                 other.execute("INSERT INTO exposures SELECT '1100000000001', id FROM documents WHERE sha256 = X'd1'")
         except sqlite3.OperationalError as exc:  # held off by the reader's transaction, and only so
@@ -275,15 +272,31 @@ def test_a_store_holds_a_hit_and_its_download_in_under_300_bytes(tmp_path):
         fill_hits(store, 2_000)
     conn = sqlite3.connect(tmp_path / "store.db")
     size = conn.execute("PRAGMA page_count").fetchone()[0] * conn.execute("PRAGMA page_size").fetchone()[0]
-    counts = [conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0] for table in ("searches", "hits", "downloads")]
+    counts = [conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+              for table in ("searches", "hits", "hits WHERE status = 'success'")]
     kinds = {table: conn.execute(f"SELECT DISTINCT typeof(sha256) FROM {table}").fetchall()
-             for table in ("documents", "downloads")}
+             for table in ("documents", "hits")}
     conn.close()
     assert counts == [5, 2_000, 2_000]  # one search per (query, engine)
-    assert kinds == {"documents": [], "downloads": [("blob",)]}
+    assert kinds == {"documents": [], "hits": [("blob",)]}
     # each hit spelling out its query and engine, in its row and its index, with
-    # a digest as 64 characters, took about 490
-    assert size / 2_000 < 300, size / 2_000
+    # a digest as 64 characters, took about 490; with its download in a table
+    # of its own, joined by the hit's id, about 254
+    assert size / 2_000 < 250, size / 2_000
+
+
+def test_a_download_of_no_hit_is_refused(tmp_path):
+    with ResultStore(tmp_path) as store:
+        hit_id = store.add_hit("q", "fixture", 1, 1, "http://a.go.th/1.pdf", "t", False)
+        store.record_download(hit_id, "success", "t", sha256="d1", declared_type="pdf", size_bytes=3)
+        before = (tmp_path / "store.db").read_bytes()
+        with pytest.raises(sqlite3.IntegrityError, match=f"no hit {hit_id + 1} "):
+            store.record_download(hit_id + 1, "failed", "t", reason="timeout")
+        with pytest.raises(sqlite3.IntegrityError):  # an outcome has a status and a time, or neither
+            store.record_download(hit_id, "failed", None, reason="timeout")
+        assert (tmp_path / "store.db").read_bytes() == before
+        assert store._conn.execute("SELECT id, status, reason, sha256, declared_type, size_bytes, completed_at"
+                                   " FROM hits").fetchall() == [(hit_id, "success", None, b"\xd1", "pdf", 3, "t")]
 
 
 def test_a_hit_that_is_not_written_keeps_no_search_number(tmp_path):
@@ -343,8 +356,10 @@ def test_a_fresh_store_holds_exactly_its_tables(tmp_path):
     tables = {name for (name,) in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
     hits = [row[1] for row in conn.execute("PRAGMA table_info(hits)")]
     conn.close()
-    assert tables == {"searches", "hits", "downloads", "documents", "exposures", "diagnostics"}
-    assert hits == ["id", "search", "page", "rank", "url", "retrieved_at", "is_repeat"]  # no query or engine
+    assert tables == {"searches", "hits", "documents", "exposures", "diagnostics"}
+    # no query or engine, and the download's outcome in the hit's row
+    assert hits == ["id", "search", "page", "rank", "url", "retrieved_at", "is_repeat",
+                    "status", "reason", "sha256", "declared_type", "size_bytes", "completed_at"]
 
 
 def test_a_failed_object_write_leaves_no_file(tmp_path, monkeypatch):
