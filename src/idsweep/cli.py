@@ -449,6 +449,16 @@ def _report_arguments(p_report: argparse.ArgumentParser) -> None:
     p_report.set_defaults(func=cmd_report)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage error masks an ID it echoes (a bad choice, command
+    or argument) as ``entry`` masks an ``error:`` line; every subcommand's parser is one too."""
+
+    def error(self, message: str):
+        from .geo import default_registry
+
+        super().error(_masking(default_registry())(message))
+
+
 # command -> (its help, what adds its arguments and subcommands)
 _COMMANDS = {
     "id": ("single-ID operations", _id_arguments),
@@ -465,7 +475,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     only a command's arguments import modules (the crawl knobs, the report's
     tables and formats), and only the command that runs needs them.
     """
-    parser = argparse.ArgumentParser(prog="idsweep", description=__doc__)
+    parser = _Parser(prog="idsweep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in _COMMANDS.items():
         p_command = sub.add_parser(name, help=help_text)

@@ -46,6 +46,13 @@ _CANDIDATE_RE = re.compile(
     rf"(?<![0-9])(?:{_CONTIGUOUS}(?![0-9])|{_GROUPED}(?![0-9]))"
 )
 
+# A grouped ID written at a place in the raw text, with no digit right before or
+# after it; Thai and ASCII digits alike.
+_DIGIT = f"[0-9{THAI_DIGITS}]"
+_GROUPED_AT_RE = re.compile(
+    rf"(?<!{_DIGIT}){_DIGIT}[- ]{_DIGIT}{{4}}[- ]{_DIGIT}{{5}}[- ]{_DIGIT}{{2}}[- ]{_DIGIT}(?!{_DIGIT})"
+)
+
 _FORMAT_RE = re.compile(r"[0-9]{13}")
 _PREFIX12_RE = re.compile(r"[0-9]{12}")
 _SEPARATORS_RE = re.compile(r"[- ]")
@@ -145,6 +152,26 @@ def find_candidates(text: str) -> list[RawCandidate]:
     return found
 
 
+def find_ids(text: str, registry: "GeoRegistry") -> list[RawCandidate]:
+    """Each ID in text that validation accepts, with its span, in source order.
+
+    These are the accepted candidates of ``find_candidates``, and each
+    accepted grouped ID that starts on the last digit of a grouped candidate:
+    candidates are taken non-overlapping, and that is the one overlap their
+    layouts allow.  Such an ID starts before any later candidate does.
+    """
+    found: list[RawCandidate] = []
+    for candidate in find_candidates(text):
+        if validate(candidate.normalized, registry).accepted:
+            found.append(candidate)
+        tail = _GROUPED_AT_RE.match(text, candidate.end - 1)
+        if tail:
+            digits = _SEPARATORS_RE.sub("", normalize_numerals(tail.group()))
+            if validate(digits, registry).accepted:
+                found.append(RawCandidate(tail.start(), tail.end(), tail.group(), digits))
+    return found
+
+
 def weighted_sum(prefix12: str) -> int:
     """Sum of digit x multiplier over the first twelve digits."""
     if not _PREFIX12_RE.fullmatch(prefix12):
@@ -231,10 +258,11 @@ def redacting(registry: "GeoRegistry", replace: Callable[[str], str]) -> Callabl
 
     def redact(text: str) -> str:
         out, at = [], 0
-        for found in find_candidates(text):
-            if validate(found.normalized, registry).accepted:
-                out += text[at:found.start], replace(found.normalized)
-                at = found.end
+        for found in find_ids(text, registry):
+            # an ID that starts inside the one before it adds no text between the two:
+            # both replacements stand for the union of their spans
+            out += text[at:found.start], replace(found.normalized)
+            at = found.end
         return "".join(out) + text[at:]
 
     return redact

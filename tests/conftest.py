@@ -18,6 +18,7 @@ from idsweep.geo import GeoRegistry, default_registry
 from idsweep.harvest import Clock
 from idsweep.reports import AggregateRow, AggregateTable
 from idsweep.store import ResultStore
+from idsweep.thai_id import THAI_DIGITS, validate
 
 
 class VirtualClock(Clock):
@@ -147,3 +148,35 @@ def dump_registry(registry: GeoRegistry) -> str:
 def expand(occurrences) -> list[Occurrence]:
     """Each occurrence of ``load_occurrences()``, one per source of each row, in its order."""
     return [Occurrence(digits, sha256, *source) for digits, sha256, sources in occurrences for source in sources]
+
+
+# a grouped candidate that fails the checksum, then the accepted ID 1100100000026 that starts on
+# its last digit: a scan that takes candidates one after another never sees that ID
+OVERLAPPED = "9 8765 43210 98 1 1001 00000 02 6"
+
+# every digit the scan reads, with its value
+_DIGIT_VALUE = {d: str(i % 10) for i, d in enumerate("0123456789" + THAI_DIGITS)}
+# a written ID: 13 digits in a row, or grouped 1-4-5-2-1 with a - or space between groups
+_LAYOUTS = ("#" * 13, "#-####-#####-##-#")
+
+
+def _written_at(text, i, layout):
+    """Whether ``layout`` is written at ``i`` of ``text`` with no digit right after it."""
+    end = i + len(layout)
+    window = text[i:end]
+    return (len(window) == len(layout) and text[end:end + 1] not in _DIGIT_VALUE
+            and all(ch in _DIGIT_VALUE if slot == "#" else ch in "- " for ch, slot in zip(window, layout)))
+
+
+def written_ids(text: str) -> list[tuple[int, int, str]]:
+    """Every place an ID is written, overlapping or not, as (start, end, its 13 digits), by a
+    slow scan independent of the library's: each start with no digit right before it, in
+    either layout, as ``bench/run.py``'s ``count_leaks`` tries every window."""
+    return [(i, i + len(layout), "".join(_DIGIT_VALUE[ch] for ch in text[i:i + len(layout)] if ch in _DIGIT_VALUE))
+            for i in range(len(text)) if i == 0 or text[i - 1] not in _DIGIT_VALUE
+            for layout in _LAYOUTS if _written_at(text, i, layout)]
+
+
+def reference_ids(text: str, registry: GeoRegistry) -> list[tuple[int, int, str]]:
+    """The places of ``written_ids`` whose digits validation accepts."""
+    return [found for found in written_ids(text) if validate(found[2], registry).accepted]

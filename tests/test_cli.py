@@ -1,5 +1,6 @@
 """Command surface: exit codes, flag/env/config precedence, goldens, redaction."""
 
+import argparse
 import contextlib
 import dataclasses
 import fcntl
@@ -29,7 +30,7 @@ from idsweep.queries import plan_from_json
 from idsweep.reports import TABLES
 from idsweep.store import ExposureRange, ResultStore
 
-from conftest import table_from_json, write_doc, write_index
+from conftest import OVERLAPPED, reference_ids, table_from_json, write_doc, write_index, written_ids
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
@@ -220,13 +221,10 @@ sys.exit(1)
 """
 
 
-def test_scan_warnings_mask_every_accepted_id(tmp_path, capsys):
-    ids = [thai_id.generate_valid_id("11001", f"50000{i:02d}", REG) for i in range(len(synth.FORMS) + 2)]
-    in_doc, in_query, in_url = ids[:-2], ids[-2], ids[-1]
-    doc = write_doc(tmp_path, "doc.pdf", "".join(f"row {synth.render_id(digits, form)}\n"
-                                                 for digits, form in zip(in_doc, synth.FORMS)))
-    query = f'"{synth.render_id(in_query, "hyphen")}"'
-    sheet = f"http://a.go.th/{in_url}.xls"  # a type no extractor reads
+def scan_with_three_warnings(tmp_path, doc_text: str, query: str, sheet: str) -> None:
+    """A scan into ``tmp_path/store`` that warns, in order, that ``query`` has a page past the cap, that
+    a PDF's extractor failed echoing ``doc_text``, and that no extractor reads the ``sheet`` URL; exit 2."""
+    doc = write_doc(tmp_path, "doc.pdf", doc_text)
     index = write_index(tmp_path, {query: [{"url": "http://a.go.th/doc.pdf", "page": 1, "rank": 1},
                                            {"url": sheet, "page": 1, "rank": 2},
                                            {"url": "http://a.go.th/later.pdf", "page": 2, "rank": 1}]},
@@ -239,9 +237,18 @@ def test_scan_warnings_mask_every_accepted_id(tmp_path, capsys):
                                                       "command": f'"{sys.executable}" "{script}" {{input}}'}]}))
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"queries": [query]}, ensure_ascii=False), "utf-8")
-    store_dir = tmp_path / "store"
-    assert run_cli("scan", "run", "--plan", str(plan), "--fixture", str(index), "--store", str(store_dir),
+    assert run_cli("scan", "run", "--plan", str(plan), "--fixture", str(index), "--store", str(tmp_path / "store"),
                    "--extractors", str(extractors), "--search-delay", "0", "--max-pages", "1") == 2
+
+
+def test_scan_warnings_mask_every_accepted_id(tmp_path, capsys):
+    ids = [thai_id.generate_valid_id("11001", f"50000{i:02d}", REG) for i in range(len(synth.FORMS) + 2)]
+    in_doc, in_query, in_url = ids[:-2], ids[-2], ids[-1]
+    query = f'"{synth.render_id(in_query, "hyphen")}"'
+    sheet = f"http://a.go.th/{in_url}.xls"  # a type no extractor reads
+    scan_with_three_warnings(tmp_path, "".join(f"row {synth.render_id(digits, form)}\n"
+                                               for digits, form in zip(in_doc, synth.FORMS)), query, sheet)
+    store_dir = tmp_path / "store"
     err = capsys.readouterr().err
     assert re.findall(r"^warning: (\w+): ", err, re.M) == ["page_cap", "extraction_failed", "unsupported_type"]
     assert err.count(cli.ID_MASK) == len(ids)
@@ -259,6 +266,44 @@ def test_an_error_line_masks_an_accepted_id(tmp_path, capsys):
     assert run_cli("id", "validate", digits, "--registry", str(missing)) == 2
     err = capsys.readouterr().err
     assert err == f"error: --registry: [Errno 2] No such file or directory: '{tmp_path}/registry-{cli.ID_MASK}.txt'\n"
+
+
+def test_scan_warnings_mask_an_id_that_starts_on_a_candidates_last_digit(tmp_path, capsys):
+    scan_with_three_warnings(tmp_path, f"row {OVERLAPPED}\n", f'"{OVERLAPPED}"',
+                             f"http://a.go.th/{OVERLAPPED.replace(' ', '-')}.xls")
+    err = capsys.readouterr().err
+    assert re.findall(r"^warning: (\w+): ", err, re.M) == ["page_cap", "extraction_failed", "unsupported_type"]
+    assert err.count(cli.ID_MASK) == 3
+    assert reference_ids(err, REG) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--store", "s", "--out", "o", "--format", "{}"),
+    ("scan", "run", "--plan", "p", "--store", "s", "--provider", "{}"),
+    ("{}",),
+    ("id", "validate", "1", "{}"),
+], ids=["choice", "subcommand choice", "command", "extra argument"])
+def test_a_usage_error_masks_an_accepted_id(argv, capsys):
+    digits = thai_id.generate_valid_id("11001", "2345678", REG)
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*(word.format(digits) for word in argv))
+    err = capsys.readouterr().err
+    assert exited.value.code == 2
+    assert cli.ID_MASK in err and digits not in err and reference_ids(err, REG) == []
+
+
+@pytest.mark.parametrize("argv", [(), ("id",), ("id", "validate"), ("plan",), ("plan", "build"), ("scan",),
+                                  ("scan", "run"), ("report",)], ids=lambda argv: " ".join(argv) or "idsweep")
+def test_help_is_what_argparse_writes(argv, capsys, monkeypatch):
+    def helped():
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*argv, "--help")
+        assert exited.value.code == 0
+        return capsys.readouterr()
+
+    ours = helped()
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    assert helped() == ours and ours.out.startswith("usage: idsweep") and ours.err == ""
 
 
 def test_summary_counts_the_documents_of_this_run(tmp_path, capsys):
@@ -625,7 +670,7 @@ def test_each_crawl_knob_by_flag_env_and_config(field, tmp_path, monkeypatch, ca
 
     def fake_run_scan(plan, provider, config, store, registry, extractors):
         seen.append(getattr(config, key))
-        return ScanSummary(1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0)
+        return ScanSummary(1, 1, 1, 1, 0, 1, 0, 0, 0, 0)
 
     monkeypatch.setattr("idsweep.pipeline.run_scan", fake_run_scan)
     (flag_text, _, by_flag), (env_text, _, by_env), (_, file_json, by_file) = _knob_settings(
@@ -1040,7 +1085,7 @@ def test_report_tokenises_an_id_in_a_listing_cell(tmp_path, capsys, fmt):
                    "--format", fmt, "--out", str(out_dir), "--salt-file", str(SALT_FILE)) == 0
     err = capsys.readouterr().err
     written = err + "".join(path.read_text("utf-8") for path in sorted(out_dir.iterdir()))
-    assert not {listed, in_url, in_query, in_unusable} & {c.normalized for c in thai_id.find_candidates(written)}
+    assert not {listed, in_url, in_query, in_unusable} & {digits for _, _, digits in written_ids(written)}
     token = thai_id.token_function(SALT_FILE.read_bytes().strip())
     assert f"http://a.go.th/view.txt?pid={token(in_url)}&ref={decoy}" in written
     assert token(in_query) in written
@@ -1067,7 +1112,7 @@ def test_report_tokenises_an_id_in_a_table_key(tmp_path, capsys, fmt):
     written = {path.name: path.read_text("utf-8") for path in out_dir.iterdir()}
     assert len(written) == 9
     assert not [name for name, text in written.items()
-                if {*listed, in_host, in_query} & {c.normalized for c in thai_id.find_candidates(text)}]
+                if {*listed, in_host, in_query} & {digits for _, _, digits in written_ids(text)}]
     token, ext = thai_id.token_function(SALT_FILE.read_bytes().strip()), reports.FORMATS[fmt][0]
     assert written[f"domain.{ext}"].count(f"{token(in_host)}.go.th") == 1
     assert written[f"query.{ext}"].count(token(in_query)) == 1

@@ -133,6 +133,41 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == {}
 
 
+# (module, name) imported but never read, each kept because bench/tests/test_bench.py checks that the
+# bench's tracer wraps it where it is bound, by the line given
+BENCH_PINNED_IMPORTS = {
+    ("reports", "pseudonymize"): '(idsweep.reports, "pseudonymize")',
+    ("pipeline", "find_candidates"): '(idsweep.pipeline, "find_candidates")',
+    ("pipeline", "validate"): '(idsweep.pipeline, "validate")',
+}
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name the module reads, an annotation's included, quoted or not."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= _names_read(ast.parse(node.value, mode="eval"))
+    return read
+
+
+def test_every_import_is_read():
+    unread = set()
+    for path in sorted((SRC / "idsweep").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                unread |= {(path.stem, name) for name in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names) if name not in read}
+    assert unread == set(BENCH_PINNED_IMPORTS)
+    bench_test = (TESTS.parent / "bench" / "tests" / "test_bench.py").read_text("utf-8")
+    assert all(pin in bench_test for pin in BENCH_PINNED_IMPORTS.values())
+
+
 def test_every_public_name_resolves():
     for name in idsweep.__all__:
         assert getattr(idsweep, name) is not None, name

@@ -15,7 +15,7 @@ from idsweep.providers import FixtureProvider
 from idsweep.queries import QueryPlan, load_plan_file, plan_to_json
 from idsweep.store import ResultStore
 
-from conftest import VirtualClock, expand, write_doc, write_index
+from conftest import OVERLAPPED, VirtualClock, expand, write_doc, write_index
 
 
 def build_corpus(tmp_path, registry, **kwargs):
@@ -150,12 +150,16 @@ def test_partly_read_document_lands_in_diagnostics(tmp_path, capsys, body, scrip
 
 def test_scan_document_unit(registry):
     text = "นายทดสอบ เลขบัตรประชาชน 1-1001-23456-78-6 และเลขผิด 1-1001-23456-78-7\n"
-    ids, candidates, failures = scan_document(
+    ids, failures = scan_document(
         text.encode(), "txt", registry, [ExtractorSpec("plain", "plain", frozenset({"txt"}))]
     )
     assert ids == ["1100123456786"]
-    assert candidates == 2
     assert failures == []
+
+
+def test_scan_document_finds_an_id_that_starts_on_a_candidates_last_digit(registry):
+    ids, _ = scan_document(OVERLAPPED.encode(), "txt", registry, [ExtractorSpec("plain", "plain", frozenset({"txt"}))])
+    assert ids == ["1100100000026"]
 
 
 def test_corpus_manifest_matches_docs_on_disk(tmp_path, registry):

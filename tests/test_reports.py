@@ -22,7 +22,7 @@ from idsweep.geo import default_registry, load_registry
 from idsweep.reports import AggregateRow, AggregateTable
 from idsweep.store import ExposureRange
 
-from conftest import expand, store_of, table_from_json
+from conftest import OVERLAPPED, expand, reference_ids, store_of, table_from_json
 
 
 def occ(digits, sha, url, query="q1", engine="google", file_type="pdf"):
@@ -862,8 +862,7 @@ def planted(raw):
 
 
 def accepted_ids(text):
-    return [found.normalized for found in thai_id.find_candidates(text)
-            if thai_id.validate(found.normalized, REG).accepted]
+    return [digits for _, _, digits in reference_ids(text, REG)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -901,6 +900,26 @@ def test_a_markdown_report_redacts_an_id_that_its_line_breaks_would_spell(tmp_pa
             text = text.replace(token, "#")
         assert accepted_ids(text) == [], path.name
     assert tokens[2] in (tmp_path / "query.md").read_text("utf-8")
+
+
+@pytest.mark.parametrize("most", [1, 2])
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_a_redacted_report_redacts_an_id_that_starts_on_a_candidates_last_digit(tmp_path, fmt, most):
+    assert accepted_ids(OVERLAPPED) == ["1100100000026"]
+    url = f"http://a.go.th/view.txt?pid={OVERLAPPED.replace(' ', '-')}"
+    rows = [occ(ID_A, "s1", url, query=OVERLAPPED), occ(ID_B, "s2", "http://b.go.th/2.pdf", query=f'"{OVERLAPPED}"')]
+    with store_of(rows) as store:
+        ranges = store.id_ranges(most, min_rows=1)
+        written, skipped, _ = reports.report(ranges, list(reports.TABLES), REG, tmp_path, fmt=fmt, salt=b"pepper")
+    assert len(ranges) == most and skipped == []
+    tokens = list(map(thai_id.token_function(b"pepper"), [ID_A, ID_B, "1100100000026"]))
+    texts = {path.name: path.read_text("utf-8") for path in written}
+    for name, text in texts.items():
+        for token in tokens:
+            text = text.replace(token, "#")
+        assert accepted_ids(text) == [], name
+    ext = reports.FORMATS[fmt][0]
+    assert texts[f"query.{ext}"].count(tokens[2]) == 2 and texts[f"exposures.{ext}"].count(tokens[2]) >= 3
 
 
 def refuse_ranges(function, *args):

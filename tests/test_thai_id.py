@@ -13,6 +13,8 @@ import pytest
 from idsweep import thai_id
 from idsweep.geo import default_registry
 
+from conftest import _DIGIT_VALUE, _LAYOUTS, OVERLAPPED, _written_at, reference_ids
+
 
 # --- independent checksum oracle -------------------------------------------
 #
@@ -245,20 +247,6 @@ def test_candidate_soundness(text):
         assert len(cand.normalized) == 13
 
 
-# every digit the scan reads, with its value
-_DIGIT_VALUE = {d: str(i % 10) for i, d in enumerate("0123456789" + thai_id.THAI_DIGITS)}
-# a written ID: 13 digits in a row, or grouped 1-4-5-2-1 with a - or space between groups
-_LAYOUTS = ("#" * 13, "#-####-#####-##-#")
-
-
-def _written_at(text, i, layout):
-    """Whether ``layout`` is written at ``i`` of ``text`` with no digit right after it."""
-    end = i + len(layout)
-    window = text[i:end]
-    return (len(window) == len(layout) and text[end:end + 1] not in _DIGIT_VALUE
-            and all(ch in _DIGIT_VALUE if slot == "#" else ch in "- " for ch, slot in zip(window, layout)))
-
-
 def reference_candidates(text):
     """Candidates by a slow left-to-right scan, as (start, end, normalized).
 
@@ -387,6 +375,54 @@ def test_generate_decode_round_trip(category, district, sequence):
     assert decoded.district_code == district
     assert decoded.sequence == sequence
     assert decoded.digits == digits
+
+
+# --- accepted IDs in text ----------------------------------------------------
+
+@st.composite
+def accepted_grouped_id(draw, category=None):
+    """An ID that validation accepts, of ``category`` if given, grouped 1-4-5-2-1 in ASCII or Thai digits."""
+    prefix = (category or draw(st.sampled_from("12345678"))) + draw(st.sampled_from(_districts))
+    digits = thai_id.generate_valid_id(prefix, draw(st.text(alphabet="0123456789", min_size=7, max_size=7)), REGISTRY)
+    if draw(st.booleans()):
+        digits = digits.translate(str.maketrans("0123456789", thai_id.THAI_DIGITS))
+    groups = [digits[0:1], digits[1:5], digits[5:10], digits[10:12], digits[12:13]]
+    return groups[0] + "".join(draw(_sep) + group for group in groups[1:])
+
+
+@st.composite
+def overlapping_ids(draw):
+    """A grouped near-ID or accepted ID, then one separator and an accepted grouped ID that
+    starts on its last digit: the near-ID's last digit is the ID's first.  A contiguous
+    head, which leaves the ID a digit right before it, is no overlap."""
+    head = draw(st.one_of(near_id(), accepted_grouped_id(), rendered_id().map(lambda r: r[1])))
+    last = thai_id.normalize_numerals(head[-1])
+    return head[:-1] + draw(accepted_grouped_id(last if last in "12345678" else None))
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(st.lists(st.one_of(overlapping_ids(), accepted_grouped_id(), near_id(),
+                                     rendered_id().map(lambda r: r[1]), _noise), max_size=6))
+@hypothesis.example([OVERLAPPED])
+# the same digits with the first candidate contiguous: a digit right before 1 1001 00000 02 6 makes it no ID
+@hypothesis.example([OVERLAPPED.replace(" ", "", 4)])
+def test_find_ids_matches_reference_scanner(pieces):
+    text = "".join(pieces)
+    found = thai_id.find_ids(text, REGISTRY)
+    assert [(c.start, c.end, c.normalized) for c in found] == reference_ids(text, REGISTRY)
+    assert all(text[c.start:c.end] == c.raw_text for c in found)
+    assert reference_ids(thai_id.redacting(REGISTRY, lambda digits: "<ID>")(text), REGISTRY) == []
+
+
+def test_redacting_writes_overlapping_ids_one_after_the_other():
+    redact = thai_id.redacting(REGISTRY, lambda digits: f"<{digits}>")
+    assert redact(OVERLAPPED) == "9 8765 43210 98 <1100100000026>"
+    first = thai_id.generate_valid_id("11001", "0000001", REGISTRY)
+    second = thai_id.generate_valid_id(first[12] + "1001", "0000002", REGISTRY)
+    grouped = (f"{first[0]}-{first[1:5]}-{first[5:10]}-{first[10:12]}-"
+               f"{second[0]} {second[1:5]} {second[5:10]} {second[10:12]} {second[12]}")
+    assert [c.normalized for c in thai_id.find_ids(grouped, REGISTRY)] == [first, second]
+    assert redact(f"a {grouped} b") == f"a <{first}><{second}> b"
 
 
 # --- pseudonymization --------------------------------------------------------
