@@ -6,6 +6,12 @@ or.th non-profit, in.th individual, net.th network).  Hosts are bucketed by
 those, by bare com/org/net, by their final label otherwise, or as
 ``ip_address`` for literals.  The registered domain (one label beneath the
 effective suffix) comes from a configurable public-suffix list.
+
+``url_host`` is the one rule for what a result URL must be to count as a
+source: http or https, with a host.  The harvester asks it before it fetches
+(and paces downloads by the host it returns), the live provider before it
+opens a URL, and the report before it counts one, so a URL the report would
+skip is never fetched, stored or counted by a scan.
 """
 
 from __future__ import annotations
@@ -85,12 +91,13 @@ def load_owner_tags(path: str | Path) -> dict[str, str]:
 
 def url_host(url: str) -> str:
     """The host a source URL is classified by, lower case with no trailing dot;
-    raises ClassificationError if the URL is unusable."""
+    raises ClassificationError if the URL is not http or https, has no host,
+    or does not split (with ``urlsplit``'s own message)."""
     try:
         parts = urlsplit(url)
     except ValueError as exc:
-        raise ClassificationError(f"{exc} in {url!r}") from None
-    if parts.scheme not in ("http", "https", "ftp"):
+        raise ClassificationError(str(exc)) from None
+    if parts.scheme not in ("http", "https"):
         raise ClassificationError(f"unsupported scheme in {url!r}")
     host = parts.hostname
     if not host:

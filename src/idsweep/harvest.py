@@ -17,6 +17,8 @@ from pathlib import PurePosixPath
 from typing import TYPE_CHECKING, Optional
 from urllib.parse import urlsplit
 
+from .domains import ClassificationError, url_host
+
 if TYPE_CHECKING:
     from .queries import QueryPlan
     from .store import ResultStore
@@ -195,13 +197,15 @@ def download(
     At most ``1 + download_max_retry`` attempts are made, each bounded by
     ``download_timeout``.  Bytes whose declared type is not accepted are
     discarded (status ``type_mismatch``); oversize payloads fail without
-    retry (``too_large``); a URL that does not split fails unfetched
-    (``bad url``).  Accepted bytes go to ``objects/`` only; the
-    download's row is left to the caller (``download_all`` records it).
+    retry (``too_large``).  A URL that ``domains.url_host`` refuses, one the
+    report could not count, fails unfetched with 0 attempts (``bad url: …``);
+    the pacer waits on the host it returns.  Accepted bytes go to
+    ``objects/`` only; the download's row is left to the caller
+    (``download_all`` records it).
     """
     try:
-        host = urlsplit(hit.url).hostname or ""
-    except ValueError as exc:
+        host = url_host(hit.url)
+    except ClassificationError as exc:
         return DownloadRecord(url=hit.url, status="failed", attempts=0, reason=f"bad url: {exc}", hit_id=hit.hit_id)
     attempts = 0
     outcome: dict = {"status": "failed", "reason": "network"}

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .domains import ClassificationError, url_host
+
+SEARCH_TIMEOUT_S = 30.0  # bounds a live search: connecting, each read, and the whole response
+
 
 class ProviderError(RuntimeError):
     """Search or fetch failed at the provider level."""
@@ -101,13 +105,14 @@ class HttpProvider:
     answer ``GET <endpoint>?q=...&page=N`` with
     ``{"hits": [{"url","page","rank"}...], "total_pages": N}``.
 
-    ``fetch`` reads at most ``max_bytes + 1`` bytes of a body, so a document
-    over the limit is known to be too large without reading all of it.  It
-    reads the body as it comes, and raises ``TimeoutError`` at the first read
-    that ends ``timeout`` seconds or more after the request began, so a body
-    that trickles in cannot outlast the timeout by more than one read; a
-    read that gets nothing is bounded by ``timeout`` on its own, and so is
-    connecting, which also raises ``TimeoutError`` when it runs out.
+    Both methods read a body under the same bounds: at most ``max_bytes + 1``
+    bytes, so a body over the limit is known to be too large without reading
+    all of it, and as it comes, with a ``TimeoutError`` at the first read that
+    ends at or after a deadline set when the request began, so a body that
+    trickles in cannot outlast it by more than one read.  A read that gets
+    nothing is bounded by the same number of seconds on its own, and so is
+    connecting.  ``search``'s deadline is ``SEARCH_TIMEOUT_S``; ``fetch``'s
+    is its ``timeout``.
     """
 
     name = "http"
@@ -129,39 +134,62 @@ class HttpProvider:
         self._max_bytes = max_bytes
 
     def search(self, query: str, page: int) -> tuple[list[ProviderHit], int]:
+        """One page of results; raises ``ProviderError`` if the request fails, the
+        response is not JSON, runs over ``max_bytes`` or outlasts ``SEARCH_TIMEOUT_S``."""
         import urllib.error
         import urllib.parse
         import urllib.request
 
         params = urllib.parse.urlencode({"q": query, "page": page, "key": self._api_key})
+        deadline = time.monotonic() + SEARCH_TIMEOUT_S
         try:
-            with urllib.request.urlopen(f"{self._endpoint}?{params}", timeout=30) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
+            with urllib.request.urlopen(f"{self._endpoint}?{params}", timeout=SEARCH_TIMEOUT_S) as resp:
+                body = _read_body(resp, self._max_bytes, deadline, "search")
+            if len(body) > self._max_bytes:
+                raise ProviderError(f"search failed: response over {self._max_bytes} bytes")
+            payload = json.loads(body.decode("utf-8"))
         except (urllib.error.URLError, json.JSONDecodeError, TimeoutError) as exc:
             raise ProviderError(f"search failed: {exc}") from exc
         hits = [ProviderHit(h["url"], int(h["page"]), int(h["rank"])) for h in payload.get("hits", [])]
         return hits, int(payload.get("total_pages", 0))
 
     def fetch(self, url: str, timeout: float) -> FetchResult:
-        import http.client
+        """The body at ``url``, read within ``timeout`` seconds; at most ``max_bytes + 1``
+        bytes of it.  A URL that ``domains.url_host`` refuses (not http or https,
+        no host) raises ``ProviderError`` and is never opened; running out of
+        time raises ``TimeoutError``."""
         import urllib.error
         import urllib.request
 
+        try:
+            url_host(url)
+        except ClassificationError as exc:
+            raise ProviderError(f"refused to fetch {url}: {exc}") from None
         deadline = time.monotonic() + timeout
         try:
             with urllib.request.urlopen(url, timeout=timeout) as resp:
-                limit, data = self._max_bytes + 1, bytearray()
-                while len(data) < limit and (chunk := resp.read1(min(limit - len(data), 1 << 16))):
-                    data += chunk
-                    if time.monotonic() >= deadline:
-                        raise TimeoutError(f"fetch of {url} took over {timeout} s")
-                if len(data) < limit and resp.length:
-                    # the body ended short of its Content-Length, which an
-                    # unbounded read() also reports this way
-                    raise http.client.IncompleteRead(bytes(data), resp.length)
+                data = _read_body(resp, self._max_bytes, deadline, f"fetch of {url}")
                 disposition = resp.headers.get("Content-Disposition")
         except urllib.error.URLError as exc:
             if isinstance(exc.reason, TimeoutError):  # what urllib makes of a connect that timed out
                 raise TimeoutError(f"fetch of {url} timed out connecting: {exc.reason}") from exc
             raise ProviderError(f"fetch failed for {url}: {exc}") from exc
-        return FetchResult(data=bytes(data), content_disposition=disposition)
+        return FetchResult(data=data, content_disposition=disposition)
+
+
+def _read_body(resp, max_bytes: int, deadline: float, what: str) -> bytes:
+    """At most ``max_bytes + 1`` bytes of ``resp``'s body, read as they come; raises
+    ``TimeoutError`` at the first read that ends at or after ``deadline``
+    (``time.monotonic()``)."""
+    import http.client
+
+    limit, data = max_bytes + 1, bytearray()
+    while len(data) < limit and (chunk := resp.read1(min(limit - len(data), 1 << 16))):
+        data += chunk
+        if time.monotonic() >= deadline:
+            raise TimeoutError(f"{what} ran past its deadline")
+    if len(data) < limit and resp.length:
+        # the body ended short of its Content-Length, which an
+        # unbounded read() also reports this way
+        raise http.client.IncompleteRead(bytes(data), resp.length)
+    return bytes(data)

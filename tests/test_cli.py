@@ -581,6 +581,30 @@ def test_scan_with_a_failed_download(tmp_path, capsys, case):
         assert len(reasons) == 1 and reasons[0].startswith("network: cannot read fixture object "), reasons
 
 
+def test_a_url_the_report_cannot_classify_is_neither_fetched_nor_counted(tmp_path, capsys):
+    corpus, good, refused = tmp_path / "corpus", "http://a.go.th/a.txt", "file:///srv/b.txt"
+    corpus.mkdir()
+    objects = {url: {"path": write_doc(corpus, name, f"id {digits}\n")}
+               for url, name, digits in ((good, "a.txt", "1100123456786"), (refused, "b.txt", "1100100000026"))}
+    index = write_index(corpus, {"q": [{"url": url, "page": 1, "rank": rank} for rank, url in enumerate(objects, 1)]},
+                        objects)
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"queries": ["q"]}', "utf-8")
+    store_dir = tmp_path / "store"
+    assert run_cli("scan", "run", "--plan", str(plan), "--fixture", str(index), "--store", str(store_dir),
+                   "--search-delay", "0") == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("1 queries yielded 2 result URLs; 1 fetched (1 failed);"
+                            " 1 distinct IDs across 1 of 1 documents\n")
+    with ResultStore(store_dir) as store:
+        rows = store._conn.execute("SELECT url, status, reason FROM hits ORDER BY rank").fetchall()
+    assert rows == [(good, "success", None), (refused, "failed", f"bad url: unsupported scheme in {refused!r}")]
+    assert len(list((store_dir / "objects").iterdir())) == 1
+    assert run_cli("report", "--store", str(store_dir), "--out", str(tmp_path / "r"),
+                   "--salt-file", str(SALT_FILE)) == 0
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_scan_no_results_is_domain_negative(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text('{"queries": ["no such query"]}', "utf-8")

@@ -6,14 +6,16 @@ import hashlib
 import http.client
 import http.server
 import json
+import socket
 import sqlite3
 import threading
 import time
+import urllib.request
 from contextlib import closing
 
 import pytest
 
-from idsweep import cli
+from idsweep import cli, providers
 from idsweep.harvest import (
     CrawlConfig,
     DownloadRecord,
@@ -281,12 +283,48 @@ def test_a_url_that_does_not_split_fails_unfetched(store):
     assert fetcher.calls == 0
 
 
+# URLs that domains.url_host refuses: the report could not count what they hold
+REFUSED_URLS = {
+    "file:///srv/b.txt": "unsupported scheme",
+    "data:text/plain,1100100000026": "unsupported scheme",
+    "mailto:someone@a.go.th": "unsupported scheme",
+    "ftp://a.go.th/b.txt": "unsupported scheme",
+    "http:///b.txt": "no host",
+    "http://./b.txt": "empty host",
+}
+
+
+@pytest.mark.parametrize("url", REFUSED_URLS)
+def test_a_url_the_report_cannot_classify_fails_unfetched(store, url):
+    fetcher = FlakyFetcher(failures=0)
+    record = download(make_hit(store, url), fetcher, quick_config(), store)
+    assert (record.status, record.attempts) == ("failed", 0)
+    assert record.reason == f"bad url: {REFUSED_URLS[url]} in {url!r}"
+    assert fetcher.calls == 0 and object_count(store) == 0
+
+
+def test_one_host_however_it_is_written_is_paced_as_one(store, virtual_clock):
+    times = []
+
+    class Spy(FlakyFetcher):
+        def fetch(self, url, timeout):
+            times.append(virtual_clock.now())
+            return super().fetch(url, timeout)
+
+    hits = [make_hit(store, url, query=url) for url in ("http://A.go.th./x.txt", "http://a.go.th/y.txt")]
+    records = download_all(hits, Spy(failures=0), quick_config(search_delay=2.0), store, virtual_clock)
+    assert [r.status for r in records] == ["success", "success"]
+    assert times == [0.0, 2.0]  # one slot: the second waits a full gap
+
+
 def test_unreadable_fixture_object_fails_the_download(tmp_path, store):
     url = "https://a.go.th/gone.txt"
-    provider = FixtureProvider(write_index(tmp_path, {}, {url: {"path": "docs/gone.txt"}}))
-    record = download(make_hit(store, url), provider, quick_config(), store)
-    assert record.status == "failed" and record.attempts == 1
-    assert record.reason.startswith("network: cannot read fixture object "), record.reason
+    for objects, expected in (({url: {"path": "docs/gone.txt"}}, "cannot read fixture object "),
+                              ({}, f"no object recorded for {url}")):
+        provider = FixtureProvider(write_index(tmp_path, {}, objects))
+        record = download(make_hit(store, url), provider, quick_config(), store)
+        assert record.status == "failed" and record.attempts == 1
+        assert record.reason.startswith(f"network: {expected}"), record.reason
 
 
 def test_type_mismatch_discards_bytes(tmp_path, store):
@@ -362,6 +400,8 @@ def test_crawl_config_validation():
         CrawlConfig(download_max_retry=-1)
     with pytest.raises(ValueError):
         CrawlConfig(max_pages=0)
+    with pytest.raises(ValueError):
+        CrawlConfig(max_object_bytes=0)
     assert "pdf" in CrawlConfig(accepted_types={"PDF"}).accepted_types
 
 
@@ -371,7 +411,10 @@ BIG = 8 * 1024 * 1024  # body size the oversized document claims and sends
 
 
 class _Origin(http.server.BaseHTTPRequestHandler):
-    """Serves a search page and five documents: small, oversized, truncated, dripping, stalled."""
+    """Serves a search page and five documents: small, oversized, truncated, dripping, stalled.
+
+    The oversized and the dripping document also serve as search endpoints that never end in time.
+    """
 
     def do_GET(self):
         path = self.path.split("?")[0]
@@ -490,6 +533,39 @@ def test_http_connect_timeout_is_a_timeout(store, monkeypatch):
         live(max_bytes=1000).fetch(url, timeout=0.5)
     record = download(make_hit(store, url), live(1000), quick_config(download_timeout=0.5), store)
     assert (record.status, record.reason, record.attempts) == ("failed", "timeout", 1)
+
+
+def test_http_connect_refused_is_a_network_failure(store):
+    with socket.socket() as sock:  # a local port that nothing listens on once it is closed
+        sock.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{sock.getsockname()[1]}/never.pdf"
+    with pytest.raises(ProviderError, match="fetch failed for"):
+        live(max_bytes=1000).fetch(url, timeout=0.5)
+    record = download(make_hit(store, url), live(1000), quick_config(download_timeout=0.5), store)
+    assert (record.status, record.attempts) == ("failed", 1)
+    assert record.reason.startswith(f"network: fetch failed for {url}: "), record.reason
+
+
+@pytest.mark.parametrize("url", REFUSED_URLS)
+def test_http_fetch_never_opens_a_refused_url(monkeypatch, url):
+    opened = []
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: opened.append(args))
+    with pytest.raises(ProviderError, match=REFUSED_URLS[url]):
+        live(max_bytes=1000).fetch(url, timeout=0.5)
+    assert opened == []
+
+
+@pytest.mark.parametrize("endpoint", ["drip.txt", "big.txt"])
+def test_a_live_search_is_read_under_the_fetch_bounds(origin, store, virtual_clock, monkeypatch, endpoint):
+    monkeypatch.setattr(providers, "SEARCH_TIMEOUT_S", 0.5)
+    provider = HttpProvider(endpoint=f"{origin}/{endpoint}", api_key="k", acknowledge_live_traffic=True,
+                            max_bytes=1000)
+    started = time.monotonic()
+    hits = execute_plan(QueryPlan(("q",)), provider, quick_config(max_pages=3), store, virtual_clock)
+    assert hits == [] and time.monotonic() - started < DRIP_BYTES * DRIP_GAP / 2
+    (diagnostic,) = store.diagnostics()  # page 1 failed, and the query's later pages were skipped
+    why = "search ran past its deadline" if endpoint == "drip.txt" else "response over 1000 bytes"
+    assert diagnostic == ("provider_error", "q", f"page 1: search failed: {why}")
 
 
 def test_http_fetch_truncated_body_fails(origin, store):

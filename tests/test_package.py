@@ -133,6 +133,20 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == {}
 
 
+def test_one_rule_decides_which_urls_are_sources():
+    # only domains reads a URL's host, as url_host, and only providers opens one, after asking it
+    hosts, opens = set(), set()
+    for path in sorted((SRC / "idsweep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "hostname":
+                hosts.add(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and "urlopen" in (getattr(node.func, "attr", None),
+                                                               getattr(node.func, "id", None)):
+                opens.add(f"{path.name}:{node.lineno}")
+    assert {where.split(":")[0] for where in hosts} == {"domains.py"}, hosts
+    assert {where.split(":")[0] for where in opens} == {"providers.py"}, opens
+
+
 # (module, name) imported but never read, each kept because bench/tests/test_bench.py checks that the
 # bench's tracer wraps it where it is bound, by the line given
 BENCH_PINNED_IMPORTS = {

@@ -85,6 +85,27 @@ def test_mirrored_document_yields_multi_url_occurrences(tmp_path, registry):
     assert int(table.rows[0].key) >= 2
 
 
+# result URLs the report cannot classify, each served by the fixture: a scan must not count what they hold
+REFUSED_URLS = ("file:///srv/extra.txt", "ftp://a.go.th/extra.txt", "http:///extra.txt", "mailto:x@a.go.th")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_scan_counts_what_the_report_counts(tmp_path, registry, seed):
+    manifest = build_corpus(tmp_path, registry, seed=seed)
+    extra = [thai_id.generate_valid_id("11001", f"{9000000 + i:07d}", registry) for i in range(len(REFUSED_URLS))]
+    index = json.loads(manifest.index_path.read_text("utf-8"))
+    hits = index["queries"][manifest.queries[0]]
+    for url, digits in zip(REFUSED_URLS, extra):
+        index["objects"][url] = {"path": write_doc(manifest.root, f"{digits}.txt", f"id {digits}\n")}
+        hits.append({"url": url, "page": len(hits) // 10 + 1, "rank": len(hits) % 10 + 1})
+    manifest.index_path.write_text(json.dumps(index), "utf-8")
+    store, summary = scan_corpus(tmp_path, registry, manifest)
+    _, skipped, ids = reports.tables(store, registry)
+    assert (summary.unique_ids, skipped) == (ids, [])
+    assert summary.downloads_failed == len(REFUSED_URLS)
+    assert ids == len(manifest.planted)
+
+
 def test_summary_line_shape(tmp_path, registry):
     manifest = build_corpus(tmp_path, registry)
     _, summary = scan_corpus(tmp_path, registry, manifest)

@@ -582,6 +582,8 @@ def test_report_refuses_bad_arguments_before_writing(tmp_path):
             reports.report(whole(store), ["exposures", "colour"], REG, out, salt=b"pepper")
         with pytest.raises(ValueError, match="alpha"):
             reports.report(whole(store), ["exposures", "geo"], REG, out, geo_sort="alpha", salt=b"pepper")
+        with pytest.raises(ValueError, match="format must be one of"):
+            reports.report(whole(store), ["exposures", "geo"], REG, out, fmt="xml", salt=b"pepper")
     assert not out.exists() or sorted(out.iterdir()) == []
 
 
