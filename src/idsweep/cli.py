@@ -25,7 +25,6 @@ import dataclasses
 import fcntl
 import functools
 import os
-import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -165,10 +164,13 @@ def _store_lock(store_dir: Path, shared: bool = False):
 # --- id validate -----------------------------------------------------------------
 
 def cmd_id_validate(args) -> int:
-    from .thai_id import decode, normalize_numerals, validate
+    from .thai_id import decode, find_candidates, normalize_numerals, validate
 
     registry = _load_registry(args.registry)
-    digits = re.sub(r"[- ]", "", normalize_numerals(args.number))
+    # an ID as the scan reads one; any other text fails the format stage
+    number = args.number.strip()
+    digits = next((found.normalized for found in find_candidates(number) if found.raw_text == number),
+                  normalize_numerals(number))
     outcome = validate(digits, registry)
     reached_failure = False
     for name, ok in outcome.stages():
@@ -216,6 +218,7 @@ def cmd_plan_build(args) -> int:
 # --- scan run -------------------------------------------------------------------------
 
 def _make_provider(args, config: CrawlConfig):
+    from .domains import ClassificationError, url_host
     from .providers import FixtureProvider, HttpProvider
 
     if args.provider == "fixture":
@@ -225,8 +228,14 @@ def _make_provider(args, config: CrawlConfig):
         if index.is_dir():
             index = index / "index.json"
         return _load("--fixture", index, FixtureProvider)
+    if not args.http_endpoint:
+        raise ValueError("http provider needs --http-endpoint <http or https URL>")
+    try:
+        url_host(args.http_endpoint)  # refused here, not once per query in a URL that carries the key
+    except ClassificationError as exc:
+        raise ValueError(f"--http-endpoint: {exc}") from None
     return HttpProvider(
-        endpoint=args.http_endpoint or "",
+        endpoint=args.http_endpoint,
         api_key=args.http_key or os.environ.get(ENV_PREFIX + "HTTP_KEY"),
         acknowledge_live_traffic=args.i_accept_risk,
         max_bytes=config.max_object_bytes,

@@ -26,7 +26,7 @@ from .extract import (
     extract_text,
 )
 from .geo import GeoRegistry
-from .harvest import Clock, CrawlConfig, DownloadRecord, download_all, execute_plan
+from .harvest import Clock, CrawlConfig, DownloadRecord, _utcnow, download_all, execute_plan
 from .queries import QueryPlan
 from .store import ResultStore
 from .thai_id import find_ids
@@ -117,23 +117,20 @@ def run_scan(
         except (UnsupportedTypeError, ExtractionError) as exc:
             return exc
 
-    hit_by_id = {hit.hit_id: hit for hit in hits}
     unreadable = partly_read = 0
     with ThreadPoolExecutor(max_workers=config.download_workers) as pool:
         for record, outcome in zip(documents.values(), pool.map(extract, documents.values())):
-            hit = hit_by_id.get(record.hit_id)
-            first_seen = hit.retrieved_at if hit else ""
             if isinstance(outcome, Exception):
                 unreadable += 1
                 if isinstance(outcome, UnsupportedTypeError):
-                    store.add_diagnostic("unsupported_type", record.url, str(outcome), first_seen)
+                    store.add_diagnostic("unsupported_type", record.url, str(outcome), _utcnow())
                 else:
-                    store.add_diagnostic("extraction_failed", record.sha256, str(outcome), first_seen)
+                    store.add_diagnostic("extraction_failed", record.sha256, str(outcome), _utcnow())
                 continue
             ids, failures = outcome
             if failures:
                 partly_read += 1
-                store.add_diagnostic("extraction_partial", record.sha256, describe_failures(failures), first_seen)
+                store.add_diagnostic("extraction_partial", record.sha256, describe_failures(failures), _utcnow())
             if ids:
                 store.add_exposures((digits, record.sha256) for digits in ids)
 

@@ -36,26 +36,23 @@ CATEGORY_DESCRIPTIONS: dict[int, str] = {
     8: "foreign national granted permanent residence or Thai citizenship after 1984",
 }
 
-# A candidate is either 13 contiguous digits or the grouped 1-4-5-2-1 layout
-# with single hyphen/space separators (mixed separators occur in the wild).
-# Digit runs longer than 13 are excluded by the boundary lookarounds; ASCII
-# classes are deliberate -- \d would also match non-Thai Unicode digits.
-_CONTIGUOUS = r"[0-9]{13}"
-_GROUPED = r"[0-9][- ][0-9]{4}[- ][0-9]{5}[- ][0-9]{2}[- ][0-9]"
-_CANDIDATE_RE = re.compile(
-    rf"(?<![0-9])(?:{_CONTIGUOUS}(?![0-9])|{_GROUPED}(?![0-9]))"
-)
-
-# A grouped ID written at a place in the raw text, with no digit right before or
-# after it; Thai and ASCII digits alike.
-_DIGIT = f"[0-9{THAI_DIGITS}]"
-_GROUPED_AT_RE = re.compile(
-    rf"(?<!{_DIGIT}){_DIGIT}[- ]{_DIGIT}{{4}}[- ]{_DIGIT}{{5}}[- ]{_DIGIT}{{2}}[- ]{_DIGIT}(?!{_DIGIT})"
-)
+# A written ID is 13 digits in a row, or grouped 1-4-5-2-1 with one hyphen or
+# space between groups (mixed separators occur in the wild), in ASCII or Thai
+# digits alike; a digit right before or after it makes it none, so a window
+# of a longer run never is.  The class is spelled out: \d would also match
+# other scripts' digits.
+_DIGIT = "[0-9๐-๙]"
+_SEPARATORS = "- "
+_SEPARATOR = f"[{_SEPARATORS}]"
+_CONTIGUOUS = f"{_DIGIT}{{13}}"
+_GROUPED = _SEPARATOR.join(f"{_DIGIT}{{{size}}}" for size in (1, 4, 5, 2, 1))
+_CANDIDATE_RE, _GROUPED_AT_RE = (re.compile(f"(?<!{_DIGIT})(?:{layouts})(?!{_DIGIT})")
+                                 for layouts in (f"{_CONTIGUOUS}|{_GROUPED}", _GROUPED))
+# a written ID's 13 ASCII digits: one character for one character, separators dropped
+_TO_DIGITS = str.maketrans(THAI_DIGITS, "0123456789", _SEPARATORS)
 
 _FORMAT_RE = re.compile(r"[0-9]{13}")
 _PREFIX12_RE = re.compile(r"[0-9]{12}")
-_SEPARATORS_RE = re.compile(r"[- ]")
 
 
 @dataclass(frozen=True)
@@ -130,26 +127,18 @@ def normalize_numerals(text: str) -> str:
     return text.translate(_TH_TO_ASCII)
 
 
+def _candidate(written: re.Match) -> RawCandidate:
+    return RawCandidate(written.start(), written.end(), written.group(), written.group().translate(_TO_DIGITS))
+
+
 def find_candidates(text: str) -> list[RawCandidate]:
     """Scan text for ID-shaped digit runs, in source order, non-overlapping.
 
-    Matching happens on the numeral-normalized view of the text, so Thai and
-    ASCII digits are interchangeable.  A run of more or fewer than 13 digits
-    is never a candidate, nor is a 13-digit window inside a longer run.
+    Thai and ASCII digits are interchangeable, in one run too.  A run of
+    more or fewer than 13 digits is never a candidate, nor is a 13-digit
+    window inside a longer run.
     """
-    normalized_text = normalize_numerals(text)
-    found: list[RawCandidate] = []
-    for match in _CANDIDATE_RE.finditer(normalized_text):
-        start, end = match.start(), match.end()
-        found.append(
-            RawCandidate(
-                start=start,
-                end=end,
-                raw_text=text[start:end],
-                normalized=_SEPARATORS_RE.sub("", match.group()),
-            )
-        )
-    return found
+    return [_candidate(written) for written in _CANDIDATE_RE.finditer(text)]
 
 
 def find_ids(text: str, registry: "GeoRegistry") -> list[RawCandidate]:
@@ -162,13 +151,9 @@ def find_ids(text: str, registry: "GeoRegistry") -> list[RawCandidate]:
     """
     found: list[RawCandidate] = []
     for candidate in find_candidates(text):
-        if validate(candidate.normalized, registry).accepted:
-            found.append(candidate)
-        tail = _GROUPED_AT_RE.match(text, candidate.end - 1)
-        if tail:
-            digits = _SEPARATORS_RE.sub("", normalize_numerals(tail.group()))
-            if validate(digits, registry).accepted:
-                found.append(RawCandidate(tail.start(), tail.end(), tail.group(), digits))
+        tail = _GROUPED_AT_RE.match(text, candidate.end - 1)  # none after a contiguous one: a digit is before it
+        written = [candidate, _candidate(tail)] if tail else [candidate]
+        found += [each for each in written if validate(each.normalized, registry).accepted]
     return found
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 import tempfile
 from collections import namedtuple
@@ -19,6 +20,11 @@ from idsweep.harvest import Clock
 from idsweep.reports import AggregateRow, AggregateTable
 from idsweep.store import ResultStore
 from idsweep.thai_id import THAI_DIGITS, validate
+
+# what the tests start -- a script, an external extractor's ``python -m idsweep.textcat``,
+# a fresh interpreter -- imports this checkout's package, as the tests themselves do
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 
 class VirtualClock(Clock):

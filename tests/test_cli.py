@@ -7,6 +7,7 @@ import fcntl
 import hashlib
 import json
 import os
+import random
 import re
 import runpy
 import shutil
@@ -82,10 +83,9 @@ def test_validate_accepted_prints_area(capsys):
 
 def test_validate_accepts_grouped_and_thai_forms(capsys):
     digits = thai_id.generate_valid_id("11001", "2345678", REG)
-    grouped = f"{digits[0]}-{digits[1:5]}-{digits[5:10]}-{digits[10:12]}-{digits[12]}"
-    assert run_cli("id", "validate", grouped) == 0
-    assert run_cli("id", "validate", digits.translate(
-        str.maketrans("0123456789", thai_id.THAI_DIGITS))) == 0
+    for form in synth.FORMS:
+        assert run_cli("id", "validate", f" {synth.render_id(digits, form)}\n") == 0, form
+        assert "prefix   pass" in capsys.readouterr().out
 
 
 def test_validate_checksum_pass_prefix_fail(capsys):
@@ -95,9 +95,12 @@ def test_validate_checksum_pass_prefix_fail(capsys):
 
 
 def test_validate_format_fail_skips_later_stages(capsys):
-    assert run_cli("id", "validate", "12345") == 1
-    out = capsys.readouterr().out
-    assert "format   fail" in out and "checksum skipped" in out
+    # all but the first would pass every stage with their separators dropped, but the scan reads none as an ID
+    for number in ("12345", "1100-1000-00026", "11001 00000026", "1--1001--00000--02--6",
+                   synth._decoy_text("wrong_grouping", REG, random.Random(0))):
+        assert run_cli("id", "validate", number) == 1, number
+        out = capsys.readouterr().out
+        assert "format   fail" in out and "checksum skipped" in out, number
 
 
 def test_validate_registry_error_is_exit_2(tmp_path, capsys):
@@ -368,16 +371,21 @@ def test_a_bad_operator_file_is_named_by_its_flag(demo_store, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("case", ["no tables", "fixture provider without --fixture", "config a list",
-                                  "ragged bindings", "template with a conversion"])
+                                  "ragged bindings", "template with a conversion",
+                                  "http provider without --http-endpoint", "http endpoint with no scheme"])
 def test_operator_error_is_exit_2_with_its_line(demo_store, tmp_path, capsys, case):
     data = tmp_path / "data"
     data.write_text({"config a list": "[]", "ragged bindings": "prefix\na,b\n"}.get(case, "q {x!r}\n"), "utf-8")
+    scan = ("scan", "run", "--plan", str(DEMO / "plan.json"), "--store", str(tmp_path / "store"))
+    # an armed live provider is refused before it sends any query, with its key, to a URL it cannot open
+    http = (*scan, "--provider", "http", "--http-key", "k", "--i-accept-risk")
     argv, line = {
         "no tables": (("report", "--store", str(demo_store), "--tables", "", "--out", str(tmp_path / "r"),
                        "--salt-file", str(SALT_FILE)), "no tables requested"),
-        "fixture provider without --fixture": (
-            ("scan", "run", "--plan", str(DEMO / "plan.json"), "--store", str(tmp_path / "store")),
-            "fixture provider needs --fixture <corpus dir or index.json>"),
+        "fixture provider without --fixture": (scan, "fixture provider needs --fixture <corpus dir or index.json>"),
+        "http provider without --http-endpoint": (http, "http provider needs --http-endpoint <http or https URL>"),
+        "http endpoint with no scheme": ((*http, "--http-endpoint", "localhost:1"),
+                                         "--http-endpoint: unsupported scheme in 'localhost:1'"),
         "config a list": (scan_args(tmp_path / "store", "--config", str(data)),
                           f"--config: config {data} must be a JSON object"),
         "ragged bindings": (("plan", "build", "--templates", str(DEMO / "plan.json"), "--bindings", str(data)),
@@ -866,8 +874,7 @@ def test_report_in_ranges_prints_each_path_once_to_a_pipe(demo_store, tmp_path):
         "print('before the report')",
         f"sys.exit(idsweep.cli.entry({list(report_args(demo_store, tmp_path / 'r'))!r}))",
     ])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     written = sorted(str(path) for path in (tmp_path / "r").iterdir())
     assert len(written) == 2
     assert sorted(proc.stdout.splitlines()) == sorted(["before the report", *written])
@@ -1626,8 +1633,7 @@ def test_committed_demo_matches_generator(tmp_path):
 
 def test_run_demo_script_writes_every_report(tmp_path):
     proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "run_demo.py"), "--out", str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, capture_output=True, text=True,
+        [sys.executable, str(REPO / "scripts" / "run_demo.py"), "--out", str(tmp_path)], capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert "40 distinct IDs" in proc.stdout

@@ -6,7 +6,6 @@ a fresh interpreter and list what it loaded.
 
 import ast
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -30,9 +29,7 @@ HTTP_STACK = {"http.client", "ssl", "urllib.request"}
 
 def run_python(code: str, cwd: Path | None = None) -> str:
     """What a fresh interpreter that imports this checkout's ``idsweep`` prints running ``code``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd,
-                          check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd, check=True)
     return proc.stdout
 
 

@@ -1,13 +1,15 @@
 """Whole-pipeline runs over generated corpora: recall, idempotence, provenance."""
 
 import hashlib
+import itertools
 import json
 import sqlite3
 import sys
+from datetime import datetime, timedelta
 
 import pytest
 
-from idsweep import cli, reports, synth, thai_id
+from idsweep import cli, harvest, reports, synth, thai_id
 from idsweep.extract import ExtractorSpec, load_extractor_config
 from idsweep.harvest import CrawlConfig
 from idsweep.pipeline import run_scan, scan_document
@@ -167,6 +169,32 @@ def test_partly_read_document_lands_in_diagnostics(tmp_path, capsys, body, scrip
         assert store.diagnostics() == [("extraction_partial", sha256, detail)]
         assert store.unique_id_count() == 1
     assert captured.err == f"warning: extraction_partial: {sha256}: {detail}\n"
+
+
+def test_no_diagnostic_is_stamped_before_the_download_it_names(tmp_path, registry, monkeypatch):
+    ticks = itertools.count()
+
+    class Ticking(datetime):  # each reading of the clock a second after the one before
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2026, 1, 1, tzinfo=tz) + timedelta(seconds=next(ticks))
+
+    monkeypatch.setattr(harvest, "datetime", Ticking)
+    urls = [f"http://a.go.th/{name}" for name in ("sheet.csv", "read.txt", "unread.pdf")]
+    index = write_index(tmp_path, {"q": [{"url": url, "page": 1, "rank": rank} for rank, url in enumerate(urls, 1)]},
+                        {url: {"path": write_doc(tmp_path, url.rsplit("/", 1)[1], f"id 1100123456786 {url}\n")}
+                         for url in urls})
+    store = ResultStore(tmp_path / "store")
+    run_scan(QueryPlan(("q",)), FixtureProvider(index), CrawlConfig(search_delay=0.0, download_workers=1), store,
+             registry, [ExtractorSpec("plain", "plain", frozenset({"txt"})),
+                        ExtractorSpec("failing", "external", frozenset({"txt", "pdf"}),
+                                      f'"{sys.executable}" -c "raise SystemExit(3)" {{input}}')],
+             clock=VirtualClock())
+    stamps = store._conn.execute(
+        "SELECT d.kind, d.created_at, h.completed_at FROM diagnostics d"
+        " JOIN hits h ON d.subject IN (h.url, lower(hex(h.sha256))) ORDER BY d.id").fetchall()
+    assert [kind for kind, _, _ in stamps] == ["unsupported_type", "extraction_partial", "extraction_failed"]
+    assert all(created > completed for _, created, completed in stamps), stamps
 
 
 def test_scan_document_unit(registry):

@@ -184,8 +184,11 @@ def test_thai_numeral_candidate():
 
 
 def test_thai_digit_extends_run():
-    # A Thai digit glued to an ASCII run makes it 14 long -- no candidate.
-    assert thai_id.find_candidates("๑1234567891011") == []
+    # A Thai digit glued to an ASCII run, before or after it, makes it 14 long -- no
+    # candidate; so does an ASCII digit glued to a Thai run, in either layout.
+    for text in ("๑1234567891011", "1234567891011๑", "1๑๒๓๔๕๖๗๘๙๑๐๑๑", "๑๒๓๔๕๖๗๘๙๑๐๑๑1",
+                 "๑1-1001-23456-78-9", "1-1001-23456-78-9๑", "1๑-๑๐๐๑-๒๓๔๕๖-๗๘-๙", "๑-๑๐๐๑-๒๓๔๕๖-๗๘-๙1"):
+        assert thai_id.find_candidates(text) == [], text
 
 
 def test_candidates_in_source_order_nonoverlapping():
