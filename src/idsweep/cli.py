@@ -108,15 +108,15 @@ def _resolve_crawl_config(args, file_config: dict) -> CrawlConfig:
     defaults = CrawlConfig()
     chosen = {}
     for key, flag, env in crawl_knobs():
-        for source, value in ((flag, getattr(args, key)), (env, os.environ.get(env)),
-                              (f"config key {key}", file_config.get(key))):
-            if value is None:
-                continue
+        given = [(source, value) for source, value in ((flag, getattr(args, key)), (env, os.environ.get(env)))
+                 if value is not None]  # a flag or variable not set is None
+        if key in file_config:  # set, and so checked, even to null
+            given.append((f"config key {key}", file_config[key]))
+        for source, value in given[:1]:
             try:
                 chosen[key] = _knob_value(value, getattr(defaults, key))
             except ValueError as exc:
                 raise ValueError(f"{source}: {exc}") from None
-            break
     return dataclasses.replace(defaults, **chosen)
 
 

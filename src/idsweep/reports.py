@@ -6,28 +6,27 @@ dimensions.  ``report`` writes the named tables and the per-ID listing to
 files, and ``tables`` returns every dimension's table in memory; both make
 the same one pass over a store's exposures in key order.
 
-First a store's documents are resolved once (``_resolve``): each URL is
-classified once, an unusable one kept with why, and each distinct source
-(document, URL, query, type) at a usable URL gets a fixed number, its
-domain, its key in each source dimension and its listing cells after the
-ID in the output format, with any ID in them that validation accepts as its
-token in a redacted report.  Then one flat loop reads the (ID, document number)
-rows of a cursor (``_count``).  When an ID's rows end, it puts the ID's
-documents in digest order, so the listing and the order URLs are first met
-do not depend on how the store numbered them, counts the ID and writes its
-listing rows: fixed text around the ID or its token (one keyed HMAC), which
-no format escapes.  An ID at one source only, as most are, costs a lookup
-of its document, a count on that source, a count and an index for its area,
-and one line.  Percents are decimal, round-half-up at a fixed number of
-places, so emission is byte-deterministic.  ``TABLES`` maps each report
-table name to the dimension of each table it writes, and ``FORMATS`` maps
-each output format to how it writes a row.
+First a store's documents are resolved once (``_resolve``), in digest
+order: each URL is classified once, each unusable one named once with why,
+and each distinct source (document, URL, query, type) at a usable URL gets
+a fixed number, its domain, its key in each source dimension and its
+listing cells after the ID in the output format, with any ID in them that
+validation accepts as its token in a redacted report.  Then one flat loop
+reads the (ID, document number) rows of a cursor (``_count``).  When an
+ID's rows end, it puts the ID's documents in digest order, so the listing
+does not depend on how the store numbered them, counts the ID and writes
+its listing rows: fixed text around the ID or its token (one keyed HMAC),
+which no format escapes.  An ID at one source only, as most are, costs a
+lookup of its document, a count on that source, a count and an index for
+its area, and one line.  Percents are decimal, round-half-up at a fixed
+number of places, so emission is byte-deterministic.  ``TABLES`` maps each
+report table name to the dimension of each table it writes, and
+``FORMATS`` maps each output format to how it writes a row.
 
 ``report`` reads a store as ranges of IDs, in ID order, each through the
 loop on its own (``_range``), in as many processes as the caller maps it in,
 all against the one resolved table.  A range sends back counts only, by
-source number and key, so the folds merge by adding, and documents with
-unusable URLs keep the order one pass meets them in.  Each range writes its
+source number and key, so the folds merge by adding.  Each range writes its
 listing rows, with no header or trailer, to a part file of its own; the
 listing is the header, the parts in range order and the trailer, in one
 file.  Memory is per process: the resolved documents and a fold, not IDs.
@@ -41,13 +40,13 @@ import io
 import json
 import os
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import chain, compress
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .domains import ClassificationError, DomainInfo, classify_url, default_suffix_list, url_host
 from .geo import GeoRegistry
@@ -156,7 +155,6 @@ class _Fold:
     def __init__(self, sources: int) -> None:
         self.ids = 0
         self.alone = [0] * sources  # per source, the IDs found there only
-        self.met: dict[int, None] = {}  # the documents with unusable URLs, in the order first met
         self._shared: Counter[int] = Counter()  # per key number, the IDs of wider runs
         self._by_id_key: list[dict[str, list]] = [{} for _ in _ID_KEY_OF]
         self._area, self._pending = "", {}  # an area's [IDs, reach] by URL count
@@ -195,7 +193,6 @@ class _Fold:
     def merge(self, other: "_Fold") -> "_Fold":
         """Add the counts of a fold made over a later range of IDs, with the same sources; returns this fold."""
         self.ids += other.ids
-        self.met.update(other.met)
         self.alone = [mine + theirs for mine, theirs in zip(self.alone, other.alone)]
         self._shared.update(other._shared)
         for by_key, theirs in zip(self._by_id_key, other._by_id_key):
@@ -359,20 +356,28 @@ def emit_report(tables: dict[str, AggregateTable], out_dir: str | Path, fmt: str
     return _write_files(out_dir, FORMATS[fmt][0], texts)
 
 
+@contextmanager
+def _whole(path: Path) -> Iterator[BinaryIO]:
+    """A file to write ``path`` through: a temporary name, renamed into place when the block ends and
+    removed if it fails, so ``path`` is whole or untouched."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("wb") as fh:
+            yield fh
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
 def _write_files(out_dir: str | Path, ext: str, texts: Iterable[tuple[str, Iterable[str]]]) -> list[Path]:
-    """Write each (file stem, text in pieces) under a temporary name, renamed into place when it is whole."""
+    """Write each (file stem, text in pieces) whole, or not at all."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for stem, text in texts:
         path = out / f"{stem}.{ext}"
-        part = path.with_name(path.name + ".part")
-        try:
-            with part.open("w", encoding="utf-8") as fh:
-                fh.writelines(text)
-            os.replace(part, path)
-        finally:
-            part.unlink(missing_ok=True)
+        with _whole(path) as fh:
+            fh.writelines(piece.encode("utf-8") for piece in text)
         paths.append(path)
     return paths
 
@@ -380,28 +385,23 @@ def _write_files(out_dir: str | Path, ext: str, texts: Iterable[tuple[str, Itera
 def _join_listing(path: Path, fmt: str, salt: Optional[bytes], parts: list[Path]) -> Path:
     """Write the listing at ``path`` from the rows of its ranges, in order, as one file.
 
-    The header, each range's rows and the trailer go to a temporary name,
-    renamed into place when it is whole.  The rows are copied file to file
-    inside the kernel.  A JSON listing drops the comma before its first row,
-    and a redacted listing (one with a ``salt``) names its salt only if it has rows.
+    The header, each range's rows and the trailer are written whole, or not
+    at all.  The rows are copied file to file inside the kernel.  A JSON
+    listing drops the comma before its first row, and a redacted listing
+    (one with a ``salt``) names its salt only if it has rows.
     """
     filled = [part for part in parts if part.stat().st_size]
     header, trailer = _listing_frame(fmt, bool(salt), salt_id(salt) if salt and filled else None, bool(filled))
-    whole = path.with_name(path.name + ".part")
-    try:
-        with whole.open("wb") as out:
-            out.write(header.encode("utf-8"))
-            out.flush()
-            skip = int(fmt == "json")  # the comma before the first row
-            for part in filled:
-                with part.open("rb") as rows:
-                    offset, size, skip = skip, os.fstat(rows.fileno()).st_size, 0
-                    while offset < size:
-                        offset += os.sendfile(out.fileno(), rows.fileno(), offset, size - offset)
-            out.write(trailer.encode("utf-8"))
-        os.replace(whole, path)
-    finally:
-        whole.unlink(missing_ok=True)
+    with _whole(path) as out:
+        out.write(header.encode("utf-8"))
+        out.flush()
+        skip = int(fmt == "json")  # the comma before the first row
+        for part in filled:
+            with part.open("rb") as rows:
+                offset, size, skip = skip, os.fstat(rows.fileno()).st_size, 0
+                while offset < size:
+                    offset += os.sendfile(out.fileno(), rows.fileno(), offset, size - offset)
+        out.write(trailer.encode("utf-8"))
     return path
 
 
@@ -411,22 +411,18 @@ class _Table(NamedTuple):
     sources: list[_Source]  # every usable source, by its number
     runs: dict[int, tuple[_Source, ...]]  # document number -> its usable sources, a source per listing row
     digest: dict[int, str]  # document number -> its sha256
-    unusable: dict[int, tuple[tuple[str, str], ...]]  # document number -> each of its unusable URLs with why
+    skipped: list[tuple[str, str]]  # each unusable URL once with why, redacted, in the documents' order
     keys: dict[tuple[str, str], tuple[int, list[int]]]  # (source dimension, key) -> its number, its sources
     columns: tuple[list[int], ...]  # per ``_COUNTED``, each source's value numbered, by source number
     shown: Callable[[str], str]  # an ID as the report writes it: its token, or itself if unredacted
     redact: Callable[[str], str]  # text with each ID in it that validation accepts as ``shown`` writes it
     head: str  # what a listing row writes before the ID
 
-    def skipped(self, documents: Iterable[int]) -> list[tuple[str, str]]:
-        """The unusable URLs of the documents, each once with why, redacted, in the documents' order."""
-        found = dict.fromkeys(chain.from_iterable(map(self.unusable.__getitem__, documents)))
-        return [(self.redact(url), self.redact(why)) for url, why in found]
-
 
 def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], registry: GeoRegistry,
              fmt: Optional[str] = None, shown: Callable[[str], str] = str) -> _Table:
-    """The table of a store's documents, from each number's (sha256, sources), for IDs written as ``shown``.
+    """The table of a store's documents, from each number's (sha256, sources) in digest order, for IDs
+    written as ``shown``.
 
     Each distinct source (document, URL, query, type) at a usable URL is
     numbered in the order met, with its domain, its key in each source
@@ -434,7 +430,8 @@ def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], registry: Ge
     each key and cell with any ID that validation accepts in it as ``shown``.
     Each URL is split once and each host classified once, at the first URL
     met there; each distinct (source dimension, key) pair is numbered too, so
-    keys that redact alike are one key.
+    keys that redact alike are one key.  Each unusable URL is named once, in
+    the order met, with why, both redacted.
     """
     redact = str if shown is str else redacting(registry, shown)
     psl, sources, keys, key = default_suffix_list(), [], {}, functools.cache(redact)
@@ -448,7 +445,8 @@ def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], registry: Ge
         # which can spell an ID, so it redacts a cell, and ``report`` a table's row, as written
         written = (lambda text: redact(escape(text))) if fmt == "markdown" else (lambda text: escape(redact(text)))
         (head, _, after), cell = first("0").partition("0"), functools.cache(written)
-    table = _Table(sources, {}, {}, {}, keys, (), shown, redact, head)
+    table = _Table(sources, {}, {}, [], keys, (), shown, redact, head)
+    unusable: dict[tuple[str, str], None] = {}  # each unusable URL with why, in the order met
     hosts: dict[str, tuple] = {}  # host -> its domain's fields after ``url``, from the first URL met there
 
     @functools.cache  # each URL is split once
@@ -478,9 +476,9 @@ def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], registry: Ge
     for document, (sha256, found) in documents.items():
         table.digest[document] = sha256
         table.runs[document] = tuple(source_of(sha256, *entry) for entry in found if domain_of(entry[0])[0])
-        table.unusable[document] = tuple(dict.fromkeys((url, domain_of(url)[1]) for url, _, _ in found
-                                                       if not domain_of(url)[0]))
-    return table._replace(columns=tuple(_numbered(map(value_of, sources)) for value_of in _COUNTED))
+        unusable.update(dict.fromkeys((url, domain_of(url)[1]) for url, _, _ in found if not domain_of(url)[0]))
+    return table._replace(skipped=[(redact(url), redact(why)) for url, why in unusable],
+                          columns=tuple(_numbered(map(value_of, sources)) for value_of in _COUNTED))
 
 
 def _numbered(values: Iterable[str]) -> list[int]:
@@ -499,22 +497,19 @@ def _count(table: _Table, rows: Iterable[tuple[str, int]], fh=None) -> _Fold:
     listed = fh is not None
     if listed:
         before, shown, write = table.head, table.shown, fh.write
-    runs, digest, unusable = table.runs, table.digest.__getitem__, table.unusable
+    runs, digest = table.runs, table.digest.__getitem__
     fold = _Fold(len(table.sources))
-    alone, met = fold.alone, fold.met
+    alone = fold.alone
     area, last, first, more = "", "", None, []  # the ID's first document, and any more
     for digits, document in chain(rows, _END):
         if digits != last:
             if first is not None:  # the last ID's rows have ended
-                if more:  # listed, and first met, in digest order
+                if more:  # listed in digest order
                     more.append(first)
                     more.sort(key=digest)
-                    met.update((d, None) for d in more if unusable[d])
                     run = tuple(chain.from_iterable(map(runs.__getitem__, more)))
                     more = []
                 else:
-                    if unusable[first]:
-                        met[first] = None
                     run = runs[first]
                 if run:
                     if last[:5] != area:
@@ -570,7 +565,7 @@ def report(
     already: only the folds it returns need to pickle.  It must return once
     no range is still running.  The folds are then added up, the tables
     written, and the parts joined into one listing.  Returns the files
-    written, each unusable URL once with why (in the order first seen), and
+    written, each unusable URL once with why (in document digest order), and
     the number of IDs.  Unless ``unredacted``, it needs a salt (ValueError
     before anything is read or written) and writes each listed ID, and each
     ID that validation accepts in a cell, a key or an unusable URL, as its token.
@@ -601,7 +596,7 @@ def report(
         for name in names for stem, dim in TABLES[name].items()
     }
     written = emit_report(by_stem, out_dir, fmt, table.redact if fmt == "markdown" else str) + written  # see _resolve
-    return written, table.skipped(fold.met), fold.ids
+    return written, table.skipped, fold.ids
 
 
 def tables(
@@ -617,12 +612,12 @@ def tables(
     = 100 x IDs / residents, half-up at 2 places, where the registry has a
     population; ``source_multiplicity`` counts IDs by how many distinct URLs
     carry them, percent of all IDs at 4 places.  Returns each dimension of
-    ``DIMENSIONS`` with its table, each unusable URL once with why, and the
-    number of IDs.
+    ``DIMENSIONS`` with its table, each unusable URL once with why (in
+    document digest order), and the number of IDs.
     """
     check_arguments((), geo_sort)
     with store.read() as (documents, rows):
         table = _resolve(documents, owner_tags, registry)
         fold = _count(table, rows)
     by_dim = {dim: _finish(dim, fold.rows(dim, table), registry, geo_sort) for dim in DIMENSIONS}
-    return by_dim, table.skipped(fold.met), fold.ids
+    return by_dim, table.skipped, fold.ids

@@ -18,16 +18,18 @@ stored values keep.  ``document`` is the number ``documents`` gives a digest
 with exposures, as first met; its sources are the hits that successfully
 downloaded that digest, joined to their ``searches``.  Opening a store that
 older versions wrote migrates it in one transaction (``_schema_script``),
-then ``VACUUM``s once if it rebuilt a table.
+whose layout is read again under the write lock, so a store two processes
+open together is migrated once, then ``VACUUM``s once if it rebuilt a table.
 
 Reports read the store in one pass and add no index: each document number's
-digest and sources, sorted in SQL, and a cursor over ``exposures`` in its
-key order, (digits, document).  ``id_ranges()`` cuts the rows into ranges of
-IDs, as many as give each ``MIN_ROWS_PER_RANGE`` rows, up to the number
-asked for, each starting at its ID's first row, so no ID is split.  An
-``ExposureRange`` reads through a read-only connection of its own, so a
-process forked with it reads its range alone.  ``load_occurrences()`` joins
-the map and the rows of one read transaction: a reference for tests.
+digest and sources, sorted in SQL and the documents in digest order, and a
+cursor over ``exposures`` in its key order, (digits, document).
+``id_ranges()`` cuts the rows into ranges of IDs, as many as give each
+``MIN_ROWS_PER_RANGE`` rows, up to the number asked for, each starting at
+its ID's first row, so no ID is split.  An ``ExposureRange`` reads through
+a read-only connection of its own, so a process forked with it reads its
+range alone.  ``load_occurrences()`` joins the map and the rows of one read
+transaction: a reference for tests.
 
 Only the thread that opened a ``ResultStore`` uses its connection (sqlite3
 refuses any other): the download and extraction pools write and read
@@ -125,9 +127,9 @@ def _declared(conn: sqlite3.Connection, table: str) -> dict[str, str]:
     return {name: kind for _, name, kind, *_ in conn.execute(f"PRAGMA table_info({table})")}
 
 
-def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
-    """``_SCHEMA`` as one transaction, left open, that also migrates what older
-    stores hold, and whether it rebuilds a table.
+def _schema_script(conn: sqlite3.Connection) -> tuple[list[str], bool]:
+    """The statements of ``_SCHEMA``, with those that migrate what older stores
+    hold, for one transaction, and whether they rebuild a table.
 
     It drops the ``objects`` table that nothing reads.  SQLite cannot change a
     column's type or make a table WITHOUT ROWID in place, so each older table
@@ -147,34 +149,34 @@ def _schema_script(conn: sqlite3.Connection) -> tuple[str, bool]:
     before, after = [], []
     downloads = _declared(conn, "downloads")
     if downloads:
-        before.append("ALTER TABLE hits RENAME TO retired_hits; ALTER TABLE downloads RENAME TO retired_downloads;")
+        before += ["ALTER TABLE hits RENAME TO retired_hits", "ALTER TABLE downloads RENAME TO retired_downloads"]
         search, hits = "h.search", "retired_hits h"
         if "query" in _declared(conn, "hits"):
             after.append("INSERT INTO searches (query, engine) SELECT query, engine FROM retired_hits"
-                         " GROUP BY query, engine ORDER BY MIN(id);")
+                         " GROUP BY query, engine ORDER BY MIN(id)")
             search, hits = "s.id", "retired_hits h JOIN searches s ON s.query = h.query AND s.engine = h.engine"
         digest = "digest_blob(d.sha256)" if downloads["sha256"] == "TEXT" else "d.sha256"
-        after.append(f"INSERT INTO hits SELECT h.id, {search}, h.page, h.rank, h.url, h.retrieved_at, h.is_repeat,"
-                     f" d.status, d.reason, {digest}, d.declared_type, d.size_bytes, d.completed_at"
-                     f" FROM {hits} LEFT JOIN retired_downloads d ON d.hit_id = h.id ORDER BY h.id;"
-                     " DROP TABLE retired_downloads; DROP TABLE retired_hits;")
+        after += [f"INSERT INTO hits SELECT h.id, {search}, h.page, h.rank, h.url, h.retrieved_at, h.is_repeat,"
+                  f" d.status, d.reason, {digest}, d.declared_type, d.size_bytes, d.completed_at"
+                  f" FROM {hits} LEFT JOIN retired_downloads d ON d.hit_id = h.id ORDER BY h.id",
+                  "DROP TABLE retired_downloads", "DROP TABLE retired_hits"]
     if _declared(conn, "documents").get("sha256") == "TEXT":
-        before.append("ALTER TABLE documents RENAME TO retired_documents;")
-        after.append("INSERT INTO documents SELECT id, digest_blob(sha256) FROM retired_documents ORDER BY id;"
-                     " DROP TABLE retired_documents;")
+        before.append("ALTER TABLE documents RENAME TO retired_documents")
+        after += ["INSERT INTO documents SELECT id, digest_blob(sha256) FROM retired_documents ORDER BY id",
+                  "DROP TABLE retired_documents"]
     exposures = _declared(conn, "exposures")
     if exposures.get("digits") == "TEXT":
-        before.append("ALTER TABLE exposures RENAME TO retired_exposures;")
+        before.append("ALTER TABLE exposures RENAME TO retired_exposures")
         rows, document = "retired_exposures e", "e.document"
         if "sha256" in exposures:
             after.append("INSERT INTO documents (sha256) SELECT DISTINCT digest_blob(sha256) FROM retired_exposures"
-                         " ORDER BY 1;")
+                         " ORDER BY 1")
             rows, document = "retired_exposures e JOIN documents d ON d.sha256 = digest_blob(e.sha256)", "d.id"
-        after.append(f"INSERT INTO exposures SELECT CASE WHEN e.digits GLOB '{_ID_GLOB}'"
-                     f" THEN CAST(e.digits AS INTEGER) END, {document} FROM {rows}"
-                     f" ORDER BY e.digits, {document};"
-                     " DROP TABLE retired_exposures;")
-    return "\n".join(["BEGIN;", "DROP TABLE IF EXISTS objects;", *before, _SCHEMA, *after]), bool(after)
+        after += [f"INSERT INTO exposures SELECT CASE WHEN e.digits GLOB '{_ID_GLOB}'"
+                  f" THEN CAST(e.digits AS INTEGER) END, {document} FROM {rows} ORDER BY e.digits, {document}",
+                  "DROP TABLE retired_exposures"]
+    # no statement of _SCHEMA holds a ";" but the one that ends it
+    return ["DROP TABLE IF EXISTS objects", *before, *_SCHEMA.split(";")[:-1], *after], bool(after)
 
 
 # (digits, sha256, each (url, query, file_type) of the document), as load_occurrences() gives it
@@ -199,8 +201,8 @@ def _snapshot(conn: sqlite3.Connection) -> Iterator[sqlite3.Connection]:
 
 
 def _documents(conn: sqlite3.Connection) -> dict[int, tuple[str, tuple[tuple[str, str, str], ...]]]:
-    """Each document number's (sha256, sources), the sources as ``load_occurrences()``
-    gives them and () for a digest never successfully downloaded."""
+    """Each document number's (sha256, sources), in digest order, the sources as
+    ``load_occurrences()`` gives them and () for a digest never successfully downloaded."""
     rows = conn.execute(
         "SELECT DISTINCT h.sha256, h.url, s.query, s.engine, h.declared_type FROM hits h"
         " JOIN searches s ON s.id = h.search"
@@ -208,7 +210,7 @@ def _documents(conn: sqlite3.Connection) -> dict[int, tuple[str, tuple[tuple[str
     found = {sha256: tuple((url, query, file_type) for _, url, query, _, file_type in group)
              for sha256, group in groupby(rows, itemgetter(0))}
     return {number: (sha256.hex(), found.get(sha256, ()))
-            for number, sha256 in conn.execute("SELECT id, sha256 FROM documents")}
+            for number, sha256 in conn.execute("SELECT id, sha256 FROM documents ORDER BY sha256")}
 
 
 def _exposures(conn: sqlite3.Connection, lo: Optional[str] = None, hi: Optional[str] = None) -> sqlite3.Cursor:
@@ -308,11 +310,14 @@ class ResultStore:
         self._conn.execute("PRAGMA foreign_keys = OFF")
         try:
             with self._conn:  # a migration that fails rolls back whole
-                script, rebuilt = _schema_script(self._conn)
+                # a rebuild reads the layout again under the write lock: another store may have migrated it since
+                self._conn.execute("BEGIN IMMEDIATE" if _schema_script(self._conn)[1] else "BEGIN")
+                statements, rebuilt = _schema_script(self._conn)
                 # checked before: a copy keeps every reference, but would lose a download of no hit
                 if rebuilt and self._conn.execute("PRAGMA foreign_key_check").fetchone():
                     raise sqlite3.IntegrityError("a migrated row refers to a row that is not there")
-                self._conn.executescript(script)
+                for statement in statements:
+                    self._conn.execute(statement)
             if rebuilt:  # the older tables' pages are free now: give them back to the disk
                 self._conn.execute("VACUUM")
             self._conn.execute("PRAGMA foreign_keys = ON")

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idsweep import cli, domains, pipeline, reports, synth, thai_id
+from idsweep import store as store_module
 from idsweep.geo import default_registry
 from idsweep.harvest import CrawlConfig, download_all
 from idsweep.pipeline import ScanSummary
@@ -663,6 +664,7 @@ def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys):
         ({"accepted_types": [1]}, "accepted_types"),
         ({"max_object_bytes": True}, "max_object_bytes"),
         ({"max_pages": "many"}, "max_pages"),
+        ({"max_pages": None}, "max_pages"),
     ):
         config.write_text(json.dumps(bad), "utf-8")
         assert run_cli(*scan_args(tmp_path / "s", "--config", str(config))) == 2, bad
@@ -983,10 +985,10 @@ def resolved_as_classified(urls, owner_tags):
         except domains.ClassificationError as exc:
             unusable.setdefault((url, str(exc)))
     with mock.patch.object(reports, "classify_url", wraps=domains.classify_url) as classify:
-        table = reports._resolve(documents, owner_tags, "markdown")
+        table = reports._resolve(documents, owner_tags, REG, fmt="markdown")
     assert {source.url: source.domain for source in table.sources} == expected
     assert all(source.domain.url == source.url for source in table.sources)
-    assert table.skipped(documents) == list(unusable)
+    assert table.skipped == list(unusable)
     assert classify.call_count == len({domain.fqdn for domain in expected.values()})
 
 
@@ -1040,6 +1042,32 @@ def test_report_warns_once_per_unusable_url(tmp_path, capsys):
         "warning: unclassifiable url skipped: not a url: unsupported scheme in 'not a url'"
     ]
     assert (tmp_path / "r" / "exposures.md").read_text("utf-8").count("\n") == 3  # header, rule, one row
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_report_warns_of_unusable_urls_in_digest_order(tmp_path, monkeypatch, capsys, n):
+    # the first ID is at "bad://" and the last at "not a url", whose document's digest sorts first;
+    # each ID is in two documents, so the ranges cut evenly
+    ids = sorted(thai_id.generate_valid_id(prefix, "9000001", REG) for prefix in ("11001", "32481", "39395"))
+    stamp = "2026-01-01T00:00:00Z"
+    with ResultStore(tmp_path / "store") as store:
+        digests = {}
+        for rank, url in enumerate(("not a url", "http://www.nfe.go.th/a.pdf", "http://school.ac.th/b.xls",
+                                    "bad://"), 1):
+            digests[url] = store.put_object(f"document {rank}".encode())
+            hit = store.add_hit("q1", "google", 1, rank, url, stamp, False)
+            store.record_download(hit, "success", stamp, sha256=digests[url], declared_type="pdf", size_bytes=1)
+        store.add_exposures((digits, digests["http://www.nfe.go.th/a.pdf"]) for digits in ids)
+        store.add_exposures([(ids[0], digests["bad://"]), (ids[1], digests["http://school.ac.th/b.xls"]),
+                             (ids[2], digests["not a url"])])
+    assert digests["not a url"] < digests["bad://"]
+    monkeypatch.setattr(cli, "_id_ranges", forced_ranges(n))
+    capsys.readouterr()
+    _report_bytes(tmp_path / "store", tmp_path / "r")
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")] == [
+        "warning: unclassifiable url skipped: not a url: unsupported scheme in 'not a url'",
+        "warning: unclassifiable url skipped: bad://: unsupported scheme in 'bad://'",
+    ]
 
 
 def test_report_json_round_trips(demo_store, tmp_path):
@@ -1210,7 +1238,7 @@ def test_listing_order_within_an_id_follows_the_digest(tmp_path, monkeypatch, ca
             warnings[descending] = [line for line in capsys.readouterr().err.splitlines()
                                     if line.startswith("warning:")]
         assert reports[True] == reports[False], fmt
-        # each unusable URL once, in the order a pass over (digits, sha256) meets it
+        # each unusable URL once, in document digest order
         assert warnings[True] == warnings[False] and len(warnings[True]) == 2, fmt
 
 
@@ -1483,6 +1511,38 @@ def test_failed_vacuum_leaves_the_migrated_store(tmp_path, monkeypatch, capsys):
     monkeypatch.undo()
     assert exposures_layout(old / "store.db")[:3] == exposures_layout(new / "store.db")[:3]
     assert _report_bytes(old, tmp_path / "old-report") == _report_bytes(new, tmp_path / "new-report")
+
+
+def test_a_store_opened_twice_at_once_is_migrated_once(tmp_path, monkeypatch):
+    new = mirror_store(tmp_path / "new")
+    old = tmp_path / "old"
+    old_layout_copy(new, old, OLD_LAYOUTS["downloads table"])
+    executed = []
+
+    class Recording(sqlite3.Connection):
+        def execute(self, sql, *args):
+            executed.append(sql)
+            return super().execute(sql, *args)
+
+    connect, layout = sqlite3.connect, store_module._schema_script
+    reads = []
+
+    def second_open_after_first_read(conn):
+        reads.append(layout(conn))
+        if len(reads) == 1:  # the first store has read the older layout: a second store opens meanwhile
+            ResultStore(old).close()
+        return reads[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", lambda db, **kw: connect(db, factory=Recording, **kw))
+    monkeypatch.setattr(store_module, "_schema_script", second_open_after_first_read)
+    with ResultStore(old) as store:
+        occurrences = store.load_occurrences()
+    monkeypatch.undo()
+    assert reads[0][1] and not reads[-1][1]  # the first store read the older layout, then the migrated one
+    assert executed.count("VACUUM") == 1
+    assert exposures_layout(old / "store.db")[:3] == exposures_layout(new / "store.db")[:3]
+    with ResultStore(new) as store:
+        assert occurrences == store.load_occurrences()
 
 
 @pytest.mark.parametrize("failure", ["read-only file", "row the new table refuses", "ID that does not read back",

@@ -440,8 +440,8 @@ def test_ranges_report_what_one_pass_reports(raw, picks, fmt, unredacted):
         assert report_files(ranges, fmt, unredacted) == report_files(whole(store), fmt, unredacted)
 
 
-def test_ranges_name_an_unusable_url_once_in_first_seen_order():
-    # "not a url" is met in both ranges, "bad://" only in the second, before it
+def test_ranges_name_an_unusable_url_once_in_digest_order():
+    # "not a url" (at s1) is in both ranges, "bad://" (at s3) only in the second, where it is met first
     with store_of([occ(ID_A, "s1", "not a url"), occ(ID_A, "s2", "http://a.go.th/1.pdf"),
                    occ(ID_B, "s3", "bad://"), occ(ID_C, "s1", "not a url")]) as store:
         assert [row[0] for row in store.load_occurrences()] == [ID_A, ID_A, ID_B, ID_C]
@@ -540,6 +540,22 @@ def test_unusable_urls_of_one_id_are_named_in_digest_order(tmp_path):
         for name, entry in ENTRIES.items():
             skipped, ids = entry(store, tmp_path)
             assert ([url for url, _ in skipped], ids) == (met, 1), name
+
+
+def test_unusable_urls_are_named_in_digest_order_not_the_order_met():
+    first, second, third = sorted([ID_A, ID_B, ID_C])
+    # the first ID meets "bad://" (at s9) and the last "not a url" (at s1); two rows an ID, so three ranges cut evenly
+    occs = [occ(first, "s9", "bad://"), occ(first, "s5", "http://a.go.th/1.pdf"),
+            occ(second, "s5", "http://a.go.th/1.pdf"), occ(second, "s6", "http://b.go.th/2.pdf"),
+            occ(third, "s1", "not a url"), occ(third, "s5", "http://a.go.th/1.pdf")]
+    named = [("not a url", "unsupported scheme in 'not a url'"), ("bad://", "unsupported scheme in 'bad://'")]
+    with store_of(occs) as store:
+        assert reports.tables(store, REG)[1:] == (named, 3)
+        for most in (1, 2, 3):
+            ranges = store.id_ranges(most, min_rows=1)
+            assert len(ranges) == most
+            for fmt in reports.FORMATS:
+                assert report_files(ranges, fmt)[1:] == (named, 3), (most, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
