@@ -54,12 +54,6 @@ class GeoRegistry:
     def lookup_district(self, code: str) -> Optional[District]:
         return self.districts.get(code)
 
-    def iter_districts(self) -> list[District]:
-        return [self.districts[c] for c in sorted(self.districts)]
-
-    def iter_provinces(self) -> list[Province]:
-        return [self.provinces[c] for c in sorted(self.provinces)]
-
 
 def _fail(lineno: int, message: str) -> None:
     raise RegistryError(f"registry line {lineno}: {message}")

@@ -25,11 +25,12 @@ report table name to the dimension of each table it writes, and
 
 ``report`` reads a store as ranges of IDs, in ID order, each through the
 loop on its own (``_range``), in as many processes as the caller maps it in,
-all against the one resolved table.  A range sends back counts only, by
-source number and key, so the folds merge by adding.  Each range writes its
-listing rows, with no header or trailer, to a part file of its own; the
-listing is the header, the parts in range order and the trailer, in one
-file.  Memory is per process: the resolved documents and a fold, not IDs.
+all against the one resolved table, and each reading only the documents it
+holds.  A range sends back counts only, by source number and key, so the
+folds merge by adding.  Each range writes its listing rows, with no header
+or trailer, to a part file of its own; the listing is the header, the parts
+in range order and the trailer, in one file.  Memory is per process: the
+resolved documents and a fold, not IDs.
 """
 
 from __future__ import annotations
@@ -411,6 +412,7 @@ class _Table(NamedTuple):
     sources: list[_Source]  # every usable source, by its number
     runs: dict[int, tuple[_Source, ...]]  # document number -> its usable sources, a source per listing row
     digest: dict[int, str]  # document number -> its sha256
+    last: int  # the largest document number resolved, 0 if none: a range reads no later document
     skipped: list[tuple[str, str]]  # each unusable URL once with why, redacted, in the documents' order
     keys: dict[tuple[str, str], tuple[int, list[int]]]  # (source dimension, key) -> its number, its sources
     columns: tuple[list[int], ...]  # per ``_COUNTED``, each source's value numbered, by source number
@@ -445,7 +447,7 @@ def _resolve(documents: dict, owner_tags: Optional[dict[str, str]], registry: Ge
         # which can spell an ID, so it redacts a cell, and ``report`` a table's row, as written
         written = (lambda text: redact(escape(text))) if fmt == "markdown" else (lambda text: escape(redact(text)))
         (head, _, after), cell = first("0").partition("0"), functools.cache(written)
-    table = _Table(sources, {}, {}, [], keys, (), shown, redact, head)
+    table = _Table(sources, {}, {}, max(documents, default=0), [], keys, (), shown, redact, head)
     unusable: dict[tuple[str, str], None] = {}  # each unusable URL with why, in the order met
     hosts: dict[str, tuple] = {}  # host -> its domain's fields after ``url``, from the first URL met there
 
@@ -536,8 +538,10 @@ def _count(table: _Table, rows: Iterable[tuple[str, int]], fh=None) -> _Fold:
 
 def _range(exposures: ExposureRange, part: Optional[Path], table: _Table) -> _Fold:
     """One range of IDs through ``_count`` against the store's resolved table, reading only its own
-    cursor, with its listing rows into ``part`` if one is named.  Its fold holds no URL or digest."""
-    with exposures.read() as rows, part.open("w", encoding="utf-8") if part else nullcontext() as fh:
+    cursor and only the documents the table resolved, with its listing rows into ``part`` if one is
+    named.  Its fold holds no URL or digest."""
+    bounded = replace(exposures, last=table.last)
+    with bounded.read() as rows, part.open("w", encoding="utf-8") if part else nullcontext() as fh:
         return _count(table, rows, fh)
 
 
@@ -557,10 +561,14 @@ def report(
 
     The ranges are ``ExposureRange``s that hold the store between them, in
     ID order, as ``ResultStore.id_ranges()`` cuts them.  The store's documents
-    are resolved once, here, before any range is read.  ``run`` maps the
-    range function over the ranges and their listing parts as ``map`` does:
-    each range counts its IDs in a fold of its own, against that one table,
-    and writes its part of the listing as it goes.  ``run`` may map in
+    are resolved once, here, before any range is read, and each range reads
+    the exposures of those documents only.  So a library caller that writes
+    the store during a report (the CLI's shared ``flock`` rules it out) gets
+    no document added after the resolve, but an exposure added meanwhile to a
+    document already resolved may be counted.  ``run`` maps the range
+    function over the ranges and their listing parts as ``map`` does: each
+    range counts its IDs in a fold of its own, against that one table, and
+    writes its part of the listing as it goes.  ``run`` may map in
     processes forked from this one, which hold the function and its table
     already: only the folds it returns need to pickle.  It must return once
     no range is still running.  The folds are then added up, the tables

@@ -28,8 +28,10 @@ cursor over ``exposures`` in its key order, (digits, document).
 ``MIN_ROWS_PER_RANGE`` rows, up to the number asked for, each starting at
 its ID's first row, so no ID is split.  An ``ExposureRange`` reads through
 a read-only connection of its own, so a process forked with it reads its
-range alone.  ``load_occurrences()`` joins the map and the rows of one read
-transaction: a reference for tests.
+range alone, and may read only the documents numbered up to a given one: a
+document's number is never less than an earlier one's, as no ``documents``
+row is deleted and its ``INTEGER PRIMARY KEY`` takes the largest plus one.
+``load_occurrences()`` joins the map and the rows of one read transaction.
 
 Only the thread that opened a ``ResultStore`` uses its connection (sqlite3
 refuses any other): the download and extraction pools write and read
@@ -213,11 +215,12 @@ def _documents(conn: sqlite3.Connection) -> dict[int, tuple[str, tuple[tuple[str
             for number, sha256 in conn.execute("SELECT id, sha256 FROM documents ORDER BY sha256")}
 
 
-def _exposures(conn: sqlite3.Connection, lo: Optional[str] = None, hi: Optional[str] = None) -> sqlite3.Cursor:
-    """A cursor over the sorted (digits, document) of the exposures with ``lo <= digits < hi``,
-    a missing bound left open."""
-    bounds = {name: int(bound) for name, bound in (("lo", lo), ("hi", hi)) if bound is not None}
-    tests = {"lo": "digits >= :lo", "hi": "digits < :hi"}
+def _exposures(conn: sqlite3.Connection, lo: Optional[str] = None, hi: Optional[str] = None,
+               last: Optional[int] = None) -> sqlite3.Cursor:
+    """A cursor over the sorted (digits, document) of the exposures with ``lo <= digits < hi``
+    and ``document <= last``, a missing bound left open."""
+    bounds = {name: int(bound) for name, bound in (("lo", lo), ("hi", hi), ("last", last)) if bound is not None}
+    tests = {"lo": "digits >= :lo", "hi": "digits < :hi", "last": "document <= :last"}
     where = f"WHERE {' AND '.join(tests[name] for name in bounds)}" if bounds else ""
     return conn.execute(
         f"SELECT CAST(digits AS TEXT), document FROM exposures {where} ORDER BY digits, document", bounds)
@@ -240,16 +243,18 @@ def _joined(documents: dict, rows: Iterable[tuple[str, int]]) -> Iterator[Occurr
 
 @dataclass(frozen=True)
 class ExposureRange:
-    """The exposures of the IDs in ``[lo, hi)`` of a store, a missing bound left open.
+    """The exposures of the IDs in ``[lo, hi)`` of a store, in the documents numbered ``last`` or
+    lower, a missing bound left open.
 
-    It is a path and two IDs, and holds no connection: each read goes
-    through a read-only connection of its own, closed when the read ends, so
-    any process may read its range.
+    It is a path, two IDs and a document number, and holds no connection:
+    each read goes through a read-only connection of its own, closed when
+    the read ends, so any process may read its range.
     """
 
     db_path: Path
     lo: Optional[str] = None
     hi: Optional[str] = None
+    last: Optional[int] = None
 
     def _connect(self) -> closing[sqlite3.Connection]:
         return closing(sqlite3.connect(self.db_path.resolve().as_uri() + "?mode=ro", uri=True))
@@ -263,7 +268,7 @@ class ExposureRange:
     def read(self) -> Iterator[sqlite3.Cursor]:
         """A cursor over the range's sorted (digits, document) rows."""
         with self._connect() as conn:
-            yield _exposures(conn, self.lo, self.hi)
+            yield _exposures(conn, self.lo, self.hi, self.last)
 
 
 _CHUNK = 1 << 20  # an object is compressed and decompressed this many bytes at a time
@@ -480,7 +485,7 @@ class ResultStore:
         every row of a digest carries the same tuple.  Both reads run in one
         read transaction, so a scan that commits meanwhile cannot leave an
         exposure without its sources.  Reports read ``ExposureRange``s
-        instead; this is the reference they are checked against.
+        instead, through the same two reads.
         """
         with self.read() as read:
             return list(_joined(*read))

@@ -126,6 +126,27 @@ def download_counts(store: ResultStore) -> dict[str, int]:
 
 Occurrence = namedtuple("Occurrence", "digits sha256 url query file_type")
 
+# one row per distinct source of an exposure, engines included, then the engine dropped,
+# each ID and digest read as its text
+_OCCURRENCES = """
+    SELECT digits, sha256, url, query, declared_type FROM (
+        SELECT DISTINCT CAST(e.digits AS TEXT) AS digits, lower(hex(doc.sha256)) AS sha256, h.url, s.query,
+            s.engine, h.declared_type
+        FROM exposures e
+        JOIN documents doc ON doc.id = e.document
+        JOIN hits h ON h.sha256 = doc.sha256 AND h.status = 'success'
+        JOIN searches s ON s.id = h.search
+    ) ORDER BY digits, sha256, url, query, engine, declared_type
+"""
+
+
+def occurrences(store: ResultStore) -> list[Occurrence]:
+    """Each occurrence of the store's committed rows: an exposure at one source of its document,
+    one for each distinct (URL, query, engine, declared type) that successfully downloaded it, in
+    that order after (digits, sha256).  One SQL join, read through a connection of its own, and
+    none of the store's readers: the tests' reference for what a report must count."""
+    return [Occurrence(*row) for row in _rows(store, _OCCURRENCES)]
+
 
 def table_from_json(text: str) -> AggregateTable:
     """A table read back from its JSON form, as ``reports.table_to_json`` writes it."""
@@ -142,18 +163,13 @@ def table_from_json(text: str) -> AggregateTable:
 def dump_registry(registry: GeoRegistry) -> str:
     """Serialize back to the line format; load(dump(r)) reproduces r."""
     out: list[str] = []
-    for province in registry.iter_provinces():
-        out.append(f"P,{province.code},{province.name}")
-    for district in registry.iter_districts():
-        out.append(f"D,{district.code},{district.name}")
+    for code in sorted(registry.provinces):
+        out.append(f"P,{code},{registry.provinces[code].name}")
+    for code in sorted(registry.districts):
+        out.append(f"D,{code},{registry.districts[code].name}")
     for code in sorted(registry.population):
         out.append(f"POP,{code},{registry.population[code]}")
     return "\n".join(out) + "\n"
-
-
-def expand(occurrences) -> list[Occurrence]:
-    """Each occurrence of ``load_occurrences()``, one per source of each row, in its order."""
-    return [Occurrence(digits, sha256, *source) for digits, sha256, sources in occurrences for source in sources]
 
 
 # a grouped candidate that fails the checksum, then the accepted ID 1100100000026 that starts on

@@ -23,7 +23,7 @@ from idsweep.queries import QueryPlan, load_plan_file, render
 from idsweep.store import ResultStore
 from idsweep.synth import make_corpus
 
-from conftest import VirtualClock, object_count, reference_ids, store_of, write_doc, write_index
+from conftest import VirtualClock, object_count, occurrences, reference_ids, store_of, write_doc, write_index
 from test_queries import golden_constructions
 from test_thai_id import oracle_checksum
 
@@ -79,7 +79,7 @@ def test_criterion_3_end_to_end_recall(tmp_path):
         load_extractor_config(manifest.extractor_config_path),
         clock=VirtualClock(),
     )
-    found = {digits for digits, _, _ in store.load_occurrences()}
+    found = {o.digits for o in occurrences(store)}
     planted = set(manifest.planted)
     elapsed = time.perf_counter() - started
     precision = len(found & planted) / len(found) if found else 0.0

@@ -32,7 +32,8 @@ from idsweep.queries import plan_from_json
 from idsweep.reports import TABLES
 from idsweep.store import ExposureRange, ResultStore
 
-from conftest import OVERLAPPED, reference_ids, table_from_json, write_doc, write_index, written_ids
+from conftest import (OVERLAPPED, occurrences, reference_ids, table_from_json, write_doc, write_index,
+                      written_ids)
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
@@ -194,10 +195,10 @@ def test_an_object_damaged_before_extraction_is_one_unreadable_document(demo_sto
     assert captured.out.rstrip().endswith("of 12 documents; 1 unreadable")
     assert captured.err == f"warning: extraction_failed: {sha256}: object {sha256} does not read back to its digest\n"
     with ResultStore(demo_store) as clean, ResultStore(tmp_path / "store") as scanned:
-        expected = {(digits, digest) for digits, digest, _ in clean.load_occurrences()}
+        expected = {(o.digits, o.sha256) for o in occurrences(clean)}
         assert sha256 in {digest for _, digest in expected}  # the damaged document held IDs
         # every other document was scanned
-        assert {(digits, digest) for digits, digest, _ in scanned.load_occurrences()} == {
+        assert {(o.digits, o.sha256) for o in occurrences(scanned)} == {
             (digits, digest) for digits, digest in expected if digest != sha256}
         assert scanned.diagnostics() == [("extraction_failed", sha256,
                                           f"object {sha256} does not read back to its digest")]
@@ -1215,20 +1216,19 @@ def numbered_store(store_dir, descending):
             store.record_download(hit, "success", stamp, sha256=digests[j], declared_type="pdf", size_bytes=10)
         for j in sorted(digests, key=digests.get, reverse=descending):
             store.add_exposures((ids[i], digests[j]) for i in holders[j])
-        occurrences = [(digits, sha256) for digits, sha256, _ in store.load_occurrences()]
+        pairs = [(o.digits, o.sha256) for o in occurrences(store)]
     conn = sqlite3.connect(store_dir / "store.db")
     numbered = [sha256 for (sha256,) in conn.execute("SELECT lower(hex(sha256)) FROM documents ORDER BY id")]
     conn.close()
     assert numbered == sorted(digests.values(), reverse=descending)
-    return occurrences
+    return pairs
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_listing_order_within_an_id_follows_the_digest(tmp_path, monkeypatch, capsys, n):
     monkeypatch.setattr(cli, "_id_ranges", forced_ranges(n))
-    occurrences = {descending: numbered_store(tmp_path / f"store-{descending}", descending)
-                   for descending in (False, True)}
-    assert occurrences[True] == occurrences[False] == sorted(occurrences[False]) and len(occurrences[True]) == 14
+    pairs = {descending: numbered_store(tmp_path / f"store-{descending}", descending) for descending in (False, True)}
+    assert pairs[True] == pairs[False] == sorted(pairs[False]) and len(pairs[True]) == 14
     capsys.readouterr()
     for fmt in ("markdown", "csv", "json"):
         reports, warnings = {}, {}
@@ -1456,9 +1456,9 @@ def migrated_on_open(tmp_path, layout, columns, without_rowid):
     assert exposures_layout(old / "store.db")[:2] == (columns, without_rowid)
 
     with ResultStore(old) as store:
-        occurrences = store.load_occurrences()
+        migrated_rows = occurrences(store)
     with ResultStore(new) as store:
-        assert occurrences == store.load_occurrences()
+        assert migrated_rows == occurrences(store)
     migrated = old.joinpath("store.db").read_bytes()
     conn = sqlite3.connect(old / "store.db")
     assert conn.execute("PRAGMA freelist_count").fetchone()[0] == 0  # the pages the copy freed are gone
@@ -1536,13 +1536,13 @@ def test_a_store_opened_twice_at_once_is_migrated_once(tmp_path, monkeypatch):
     monkeypatch.setattr(sqlite3, "connect", lambda db, **kw: connect(db, factory=Recording, **kw))
     monkeypatch.setattr(store_module, "_schema_script", second_open_after_first_read)
     with ResultStore(old) as store:
-        occurrences = store.load_occurrences()
+        migrated_rows = occurrences(store)
     monkeypatch.undo()
     assert reads[0][1] and not reads[-1][1]  # the first store read the older layout, then the migrated one
     assert executed.count("VACUUM") == 1
     assert exposures_layout(old / "store.db")[:3] == exposures_layout(new / "store.db")[:3]
     with ResultStore(new) as store:
-        assert occurrences == store.load_occurrences()
+        assert migrated_rows == occurrences(store)
 
 
 @pytest.mark.parametrize("failure", ["read-only file", "row the new table refuses", "ID that does not read back",

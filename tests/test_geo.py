@@ -116,7 +116,7 @@ def test_default_registry_contents():
 
 def test_default_registry_referential_integrity():
     reg = geo.default_registry()
-    for district in reg.iter_districts():
+    for district in reg.districts.values():
         assert reg.lookup_province(district.province_code) is not None
     for code in reg.population:
         assert code in reg.provinces or code in reg.districts

@@ -5,6 +5,7 @@ a fresh interpreter and list what it loaded.
 """
 
 import ast
+import importlib
 import json
 import re
 import shutil
@@ -177,6 +178,39 @@ def test_every_import_is_read():
     assert unread == set(BENCH_PINNED_IMPORTS)
     bench_test = (TESTS.parent / "bench" / "tests" / "test_bench.py").read_text("utf-8")
     assert all(pin in bench_test for pin in BENCH_PINNED_IMPORTS.values())
+
+
+# public names that no code in the package reads and its root does not export, each kept while the
+# file given here still names it
+UNREAD_PUBLIC_NAMES = {
+    "ResultStore.add_exposure": "bench/workloads.py",
+    "ResultStore.unique_id_count": "bench/tests/test_bench.py",
+    "ResultStore.load_occurrences": "bench/tests/test_bench.py",
+    "synth.make_corpus": "bench/workloads.py",
+    "PublicSuffixList.from_file": "README.md",
+}
+
+
+def test_every_public_name_is_read():
+    # a public function or class as module.name, unless the package root exports it from there, and a
+    # public method as Class.name, unless it overrides one of a base class's (an HTMLParser callback)
+    read, defined = set(), {}
+    for path in sorted((SRC / "idsweep").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        read |= _names_read(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        module = importlib.import_module(f"idsweep.{path.stem}") if path.stem != "__init__" else idsweep
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") \
+                    and idsweep._EXPORTS.get(node.name) != path.stem:
+                defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                inherited = {name for base in getattr(module, node.name).__mro__[1:] for name in vars(base)}
+                defined |= {f"{node.name}.{item.name}": item.name for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                            and item.name not in inherited}
+    assert {qualified for qualified, name in defined.items() if name not in read} == set(UNREAD_PUBLIC_NAMES)
+    for qualified, where in UNREAD_PUBLIC_NAMES.items():
+        assert qualified.rsplit(".", 1)[1] in (TESTS.parent / where).read_text("utf-8"), qualified
 
 
 def test_every_public_name_resolves():

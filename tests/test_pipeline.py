@@ -17,7 +17,7 @@ from idsweep.providers import FixtureProvider
 from idsweep.queries import QueryPlan, load_plan_file, plan_to_json
 from idsweep.store import ResultStore
 
-from conftest import OVERLAPPED, VirtualClock, expand, write_doc, write_index
+from conftest import OVERLAPPED, VirtualClock, occurrences, write_doc, write_index
 
 
 def build_corpus(tmp_path, registry, **kwargs):
@@ -51,7 +51,7 @@ def test_corpus_generation_is_deterministic(tmp_path, registry):
 def test_scan_recovers_exactly_the_planted_ids(tmp_path, registry):
     manifest = build_corpus(tmp_path, registry)
     store, summary = scan_corpus(tmp_path, registry, manifest)
-    found = {digits for digits, _, _ in store.load_occurrences()}
+    found = {o.digits for o in occurrences(store)}
     assert found == set(manifest.planted)  # no decoy accepted, none missed
     assert summary.unique_ids == len(manifest.planted) == 40
     assert summary.queries == 3
@@ -75,10 +75,9 @@ def test_rerun_is_idempotent(tmp_path, registry):
 def test_mirrored_document_yields_multi_url_occurrences(tmp_path, registry):
     manifest = build_corpus(tmp_path, registry)
     store, _ = scan_corpus(tmp_path, registry, manifest)
-    occurrences = store.load_occurrences()
     urls_by_id = {}
-    for digits, _, sources in occurrences:
-        urls_by_id.setdefault(digits, set()).update(url for url, _, _ in sources)
+    for o in occurrences(store):
+        urls_by_id.setdefault(o.digits, set()).add(o.url)
     multiplicities = {len(urls) for urls in urls_by_id.values()}
     assert max(multiplicities) >= 2  # the mirrored doc and the repeated ID
     by_dim, skipped, _ = reports.tables(store, registry)
@@ -272,7 +271,7 @@ def test_concurrent_extraction_matches_sequential(tmp_path, registry):
                 CrawlConfig(search_delay=0.0, download_workers=workers),
                 store, registry, extractors, clock=VirtualClock(),
             )
-            occurrences = expand(store.load_occurrences())
+            found = occurrences(store)
             diagnostics = store.diagnostics()
         conn = sqlite3.connect(store.db_path)
         exposures = conn.execute(  # read through documents: their numbers follow the order of writes
@@ -283,18 +282,18 @@ def test_concurrent_extraction_matches_sequential(tmp_path, registry):
             "SELECT id, id AS hit_id, status, reason, sha256 FROM hits WHERE status IS NOT NULL ORDER BY id"
         ).fetchall()
         conn.close()
-        return summary, occurrences, exposures, diagnostics, downloads
+        return summary, found, exposures, diagnostics, downloads
 
     sequential, concurrent = scan(1), scan(4)
     assert concurrent == sequential
-    summary, occurrences, exposures, diagnostics, downloads = sequential
+    summary, found, exposures, diagnostics, downloads = sequential
     assert [hit_id for _, hit_id, *_ in downloads] == sorted(hit_id for _, hit_id, *_ in downloads)
     assert (summary.documents, summary.unreadable, summary.unique_ids) == (8, 2, 7)
     # extracted once, as its first hit declared it, and found at both URLs
-    assert [(o.url, o.query, o.file_type) for o in occurrences if o.digits == mirror] == [
+    assert [(o.url, o.query, o.file_type) for o in found if o.digits == mirror] == [
         ("http://a.go.th/mirror.pdf", "q1", "pdf"), ("http://b.ac.th/mirror.xls", "q2", "xls")]
-    assert [o.query for o in occurrences if o.url == q1[0]] == ["q1", "q2"] * 2  # its own ID and shared
-    assert exposures == sorted({(o.digits, o.sha256) for o in occurrences})
+    assert [o.query for o in found if o.url == q1[0]] == ["q1", "q2"] * 2  # its own ID and shared
+    assert exposures == sorted({(o.digits, o.sha256) for o in found})
     assert len(exposures) == 11  # own IDs of five read documents, shared in each, the mirror's
     assert [kind for kind, _, _ in diagnostics] == ["extraction_failed", "unsupported_type"]
     assert diagnostics[1][1] == "http://c.go.th/table.xls"  # none for the mirror's later URL

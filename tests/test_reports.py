@@ -22,7 +22,7 @@ from idsweep.geo import default_registry, load_registry
 from idsweep.reports import AggregateRow, AggregateTable
 from idsweep.store import ExposureRange
 
-from conftest import OVERLAPPED, expand, reference_ids, store_of, table_from_json
+from conftest import OVERLAPPED, occurrences, reference_ids, store_of, table_from_json
 
 
 def occ(digits, sha, url, query="q1", engine="google", file_type="pdf"):
@@ -207,7 +207,7 @@ ID_POOL = tuple(thai_id.generate_valid_id("11001", f"100000{i}", REG) for i in r
 def test_partition_law(raw):
     with store_of(occ(d, sha, url, file_type=ft) for d, sha, url, ft in raw) as store:
         by_dim, _, ids = reports.tables(store, REG)
-        occs = expand(store.load_occurrences())  # each document at every URL any row gave it
+        occs = occurrences(store)  # each document at every URL any row gave it
     total_ids = len({o.digits for o in occs})
     assert ids == total_ids
     for dimension, key_of in (
@@ -229,9 +229,9 @@ def test_partition_law(raw):
 Record = namedtuple("Record", "digits sha256 url query file_type domain")
 
 
-def naive_records(occurrences, owner_tags):
+def naive_records(occs, owner_tags):
     records = []
-    for o in occurrences:
+    for o in occs:
         try:
             domain = domains.classify_url(o.url, owner_tags=owner_tags)
         except domains.ClassificationError:
@@ -355,7 +355,7 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
     rows += [occ(FOLD_IDS[0], "d1", FOLD_URLS[0], engine=e) for e in ("google", "bing")]
     rows += [occ(FOLD_UNUSABLE_ID, "d9", "not a url", engine=e) for e in ("google", "bing")]
     with store_of(rows) as store:
-        recs = naive_records(expand(store.load_occurrences()), FOLD_OWNERS)
+        recs = naive_records(occurrences(store), FOLD_OWNERS)
         got, skipped, ids = reports.tables(store, REG, geo_sort, FOLD_OWNERS)
         # the resolved table's sources are the distinct (document, URL, query, type): no engine
         with store.read() as (documents, _):
@@ -397,11 +397,12 @@ def test_one_fold_matches_per_table_definitions(raw, geo_sort):
 
 # --- ranges of IDs ----------------------------------------------------------------
 
-def report_files(ranges, fmt, unredacted=False, geo_sort="count"):
+def report_files(ranges, fmt, unredacted=False, geo_sort="count", run=map):
     """Every file a full report of the ranges writes, by name, with its unusable URLs and IDs."""
     with tempfile.TemporaryDirectory() as out:
         written, skipped, ids = reports.report(ranges, list(reports.TABLES), REG, out, fmt=fmt, geo_sort=geo_sort,
-                                               salt=b"pepper", unredacted=unredacted, owner_tags=FOLD_OWNERS)
+                                               salt=b"pepper", unredacted=unredacted, owner_tags=FOLD_OWNERS,
+                                               run=run)
         assert sorted(p.name for p in Path(out).iterdir()) == sorted(p.name for p in written)  # no part left
         return {p.name: p.read_bytes() for p in written}, skipped, ids
 
@@ -411,7 +412,7 @@ def cut_at_ids(store, picks):
 
     A repeated cut, or one at the first ID, makes an empty range.
     """
-    ids = sorted({digits for digits, _, _ in store.load_occurrences()})
+    ids = sorted({o.digits for o in occurrences(store)})
     edges = [None, *sorted(ids[pick % len(ids)] for pick in picks if ids), None]
     return [ExposureRange(store.db_path, lo, hi) for lo, hi in zip(edges, edges[1:])]
 
@@ -444,7 +445,7 @@ def test_ranges_name_an_unusable_url_once_in_digest_order():
     # "not a url" (at s1) is in both ranges, "bad://" (at s3) only in the second, where it is met first
     with store_of([occ(ID_A, "s1", "not a url"), occ(ID_A, "s2", "http://a.go.th/1.pdf"),
                    occ(ID_B, "s3", "bad://"), occ(ID_C, "s1", "not a url")]) as store:
-        assert [row[0] for row in store.load_occurrences()] == [ID_A, ID_A, ID_B, ID_C]
+        assert [o.digits for o in occurrences(store)] == [ID_A, ID_A, ID_B, ID_C]
         db = store.db_path
         # an empty range between them
         ranges = [ExposureRange(db, None, ID_B), ExposureRange(db, ID_B, ID_B), ExposureRange(db, ID_B)]
@@ -461,6 +462,29 @@ def three_range_occurrences():
     return [occ(first, sha[0], "http://x.go.th/a.pdf"), occ(first, sha[4], "not a url"),
             occ(second, sha[1], "http://x.go.th/a.pdf"), occ(second, sha[3], "http://y.go.th/b.pdf"),
             occ(third, sha[2], "http://x.go.th/a.pdf"), occ(third, sha[4], "not a url")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_report_reads_only_the_documents_it_resolved(n):
+    # a scan commits one more document after the report has resolved the store's: it holds an ID
+    # the store holds, and IDs before, between and after the store's
+    late = hashlib.sha256(b"late").hexdigest()
+    ids = [thai_id.generate_valid_id("11001", "0000000", REG), ID_D, ID_B, FOLD_IDS[-1]]
+    for fmt in reports.FORMATS:
+        with store_of(three_range_occurrences()) as store:
+            ranges = store.id_ranges(n, min_rows=1)
+            assert len(ranges) == n
+            resolved = report_files(ranges, fmt)
+
+            def run_after_a_scan(function, *iterables):
+                hit_id = store.add_hit("q1", "google", 1, 9, "http://z.go.th/late.pdf", "t", False)
+                store.record_download(hit_id, "success", "t", sha256=late, declared_type="pdf")
+                store.add_exposures((digits, late) for digits in ids)
+                return map(function, *iterables)
+
+            assert report_files(ranges, fmt, run=run_after_a_scan) == resolved, fmt
+            assert {o.digits for o in occurrences(store) if o.sha256 == late} == set(ids)
+            assert report_files(ranges, fmt)[2] == resolved[2] + 3  # read once resolved
 
 
 def test_each_url_is_classified_once_per_report(tmp_path, monkeypatch):
@@ -535,7 +559,7 @@ def test_unusable_urls_of_one_id_are_named_in_digest_order(tmp_path):
     # the later digest is written, and so numbered, first
     occs = [occ(ID_A, second, "bad://1"), occ(ID_A, first, "not a url"), occ(ID_A, first, "http://a.go.th/1.pdf")]
     with store_of(occs) as store:
-        met = [o.url for o in expand(store.load_occurrences()) if o.url != "http://a.go.th/1.pdf"]
+        met = [o.url for o in occurrences(store) if o.url != "http://a.go.th/1.pdf"]
         assert met == ["not a url", "bad://1"]
         for name, entry in ENTRIES.items():
             skipped, ids = entry(store, tmp_path)

@@ -1,4 +1,5 @@
-"""Store reads: the reference stream against the SQL join it replaced, and its ID ranges against the stream.
+"""Store reads: the tests' reference reader against rows written out by hand, the store's stream against
+that reader, and its ID ranges against the stream.
 
 Store writes: the tables a fresh store holds, its object files, and the one thread that uses its database.
 """
@@ -13,61 +14,72 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from idsweep import store as store_module
+from idsweep import reports, store as store_module
 from idsweep.store import ResultStore
 
-from conftest import expand
+from conftest import Occurrence, occurrences
 
-# The join as one SQL statement: one row per distinct source of an exposure,
-# engines included, then the engine dropped, each ID and digest read as its text.
-# ``load_occurrences()``, expanded across each row's sources, must be exactly its rows.
-REFERENCE_SQL = """
-    SELECT digits, sha256, url, query, declared_type FROM (
-        SELECT DISTINCT CAST(e.digits AS TEXT) AS digits, lower(hex(doc.sha256)) AS sha256, h.url, s.query,
-            s.engine, h.declared_type
-        FROM exposures e
-        JOIN documents doc ON doc.id = e.document
-        JOIN hits h ON h.sha256 = doc.sha256 AND h.status = 'success'
-        JOIN searches s ON s.id = h.search
-    ) ORDER BY digits, sha256, url, query, engine, declared_type
-"""
+
+def expanded(store):
+    """``load_occurrences()`` as ``occurrences`` reads the store: a row per source of each row, in its order."""
+    return [Occurrence(digits, sha256, *source) for digits, sha256, sources in store.load_occurrences()
+            for source in sources]
+
+
+def hand_written_store(root):
+    """A store with one digest at two URLs and one URL under two queries, a source two engines
+    found, one with no declared type, a failed download and a digest never downloaded."""
+    store = ResultStore(root)
+
+    def fetched(query, page, rank, url, sha256, status="success", file_type="pdf", engine="fixture"):
+        hit_id = store.add_hit(query, engine, page, rank, url, "t", False)
+        store.record_download(hit_id, status, "t", sha256=sha256, declared_type=file_type)
+
+    fetched("q1", 1, 1, "http://b.go.th/mirror.pdf", "d1")
+    fetched("q1", 1, 2, "http://a.go.th/doc.pdf", "d1")  # one digest, two URLs
+    fetched("q2", 1, 1, "http://a.go.th/doc.pdf", "d1")  # same URL, another query
+    fetched("q2", 2, 1, "http://a.go.th/doc.pdf", "d1")  # same URL and query again: one row
+    fetched("q1", 1, 1, "http://b.go.th/mirror.pdf", "d1", engine="other")  # another engine: a row
+    fetched("q1", 1, 6, "http://a.go.th/doc.pdf", "d1", file_type=None)  # no declared type: a row
+    fetched("q1", 1, 3, "http://c.ac.th/sheet.xls", "d2", file_type="xls")
+    fetched("q1", 1, 4, "http://d.ac.th/failed.pdf", "d2", status="failed")  # no row
+    fetched("q1", 1, 5, "http://e.ac.th/other.pdf", "d3", status="failed")  # d3 never succeeded
+    store.add_exposures([
+        ("3100000000002", "d2"),
+        ("1100000000001", "d1"),
+        ("3100000000002", "d1"),
+        ("2100000000003", "d3"),  # no successful download: no row
+    ])
+    return store
+
+
+# the rows of the hand-written store, one per source of each exposure, in (digits, sha256, url, query,
+# engine, declared type) order: a missing type sorts first, and the mirror two engines found is two rows
+HAND_WRITTEN_ROWS = [
+    ("1100000000001", "d1", "http://a.go.th/doc.pdf", "q1", None),
+    ("1100000000001", "d1", "http://a.go.th/doc.pdf", "q1", "pdf"),
+    ("1100000000001", "d1", "http://a.go.th/doc.pdf", "q2", "pdf"),
+    ("1100000000001", "d1", "http://b.go.th/mirror.pdf", "q1", "pdf"),  # engine "fixture"
+    ("1100000000001", "d1", "http://b.go.th/mirror.pdf", "q1", "pdf"),  # engine "other"
+    ("3100000000002", "d1", "http://a.go.th/doc.pdf", "q1", None),
+    ("3100000000002", "d1", "http://a.go.th/doc.pdf", "q1", "pdf"),
+    ("3100000000002", "d1", "http://a.go.th/doc.pdf", "q2", "pdf"),
+    ("3100000000002", "d1", "http://b.go.th/mirror.pdf", "q1", "pdf"),
+    ("3100000000002", "d1", "http://b.go.th/mirror.pdf", "q1", "pdf"),
+    ("3100000000002", "d2", "http://c.ac.th/sheet.xls", "q1", "xls"),
+]
+
+
+def test_reference_reader_gives_the_hand_written_rows(tmp_path):
+    with hand_written_store(tmp_path / "store") as store:
+        got = occurrences(store)
+    assert got == HAND_WRITTEN_ROWS
+    assert all(type(row) is Occurrence for row in got)
 
 
 def test_load_occurrences_matches_reference_join(tmp_path):
-    with ResultStore(tmp_path / "store") as store:
-        def fetched(query, page, rank, url, sha256, status="success", file_type="pdf", engine="fixture"):
-            hit_id = store.add_hit(query, engine, page, rank, url, "t", False)
-            store.record_download(hit_id, status, "t", sha256=sha256, declared_type=file_type)
-
-        fetched("q1", 1, 1, "http://b.go.th/mirror.pdf", "d1")
-        fetched("q1", 1, 2, "http://a.go.th/doc.pdf", "d1")  # one digest, two URLs
-        fetched("q2", 1, 1, "http://a.go.th/doc.pdf", "d1")  # same URL, another query
-        fetched("q2", 2, 1, "http://a.go.th/doc.pdf", "d1")  # same URL and query again: one row
-        fetched("q1", 1, 1, "http://b.go.th/mirror.pdf", "d1", engine="other")  # another engine: a row
-        fetched("q1", 1, 6, "http://a.go.th/doc.pdf", "d1", file_type=None)  # no declared type: a row
-        fetched("q1", 1, 3, "http://c.ac.th/sheet.xls", "d2", file_type="xls")
-        fetched("q1", 1, 4, "http://d.ac.th/failed.pdf", "d2", status="failed")  # no row
-        fetched("q1", 1, 5, "http://e.ac.th/other.pdf", "d3", status="failed")  # d3 never succeeded
-        store.add_exposures([
-            ("3100000000002", "d2"),
-            ("1100000000001", "d1"),
-            ("3100000000002", "d1"),
-            ("2100000000003", "d3"),  # no successful download: no row
-        ])
-
-        got = expand(store.load_occurrences())
-    conn = sqlite3.connect(tmp_path / "store" / "store.db")
-    expected = conn.execute(REFERENCE_SQL).fetchall()
-    conn.close()
-
-    assert got == expected
-    assert len(got) == 11  # 5 sources of d1 for each of two IDs, 1 of d2
-    # a missing type sorts first, and the mirror reached by two engines is two rows
-    assert [o[2:] for o in got[:5]] == [
-        ("http://a.go.th/doc.pdf", "q1", None), ("http://a.go.th/doc.pdf", "q1", "pdf"),
-        ("http://a.go.th/doc.pdf", "q2", "pdf"), ("http://b.go.th/mirror.pdf", "q1", "pdf"),
-        ("http://b.go.th/mirror.pdf", "q1", "pdf")]
-    assert not any(row[0] == "2100000000003" or "failed" in row[2] for row in got)
+    with hand_written_store(tmp_path / "store") as store:
+        assert expanded(store) == occurrences(store) == HAND_WRITTEN_ROWS
 
 
 def test_rows_of_a_digest_share_its_sources(tmp_path):
@@ -102,9 +114,11 @@ class _WriteBeforeExposures:
         return self._conn.execute(sql, *args)
 
 
-def test_occurrences_read_one_snapshot(tmp_path):
-    db = tmp_path / "store" / "store.db"
-    rows = lambda store: [o[:3] for o in expand(store.load_occurrences())]  # noqa: E731
+def read_beside_a_write(root, read):
+    """What ``read`` gives of a store three times: before a scan tries to commit a mirror and its
+    exposure, while the scan tries to commit them between the store's read of its sources and its
+    read of ``exposures``, and after, in the store opened again."""
+    db = root / "store.db"
 
     def scan_commits_a_mirror_and_its_exposure():
         other = sqlite3.connect(db, timeout=0)
@@ -122,20 +136,32 @@ def test_occurrences_read_one_snapshot(tmp_path):
         finally:
             other.close()
 
-    with ResultStore(tmp_path / "store") as store:
+    with ResultStore(root) as store:
         hit_id = store.add_hit("q", "fixture", 1, 1, "http://a.go.th/doc.pdf", "t", False)
         store.record_download(hit_id, "success", "t", sha256="d1", declared_type="pdf")
-        before = rows(store)
+        before = read(store)
         real = store._conn
         store._conn = _WriteBeforeExposures(real, scan_commits_a_mirror_and_its_exposure)
-        got = rows(store)
+        got = read(store)
         store._conn = real
         assert not real.in_transaction
-    with ResultStore(tmp_path / "store") as store:
-        after = rows(store)
+    with ResultStore(root) as store:
+        after = read(store)
+    return before, got, after
+
+
+def test_occurrences_read_one_snapshot(tmp_path):
+    before, got, after = read_beside_a_write(tmp_path / "store", lambda store: [o[:3] for o in expanded(store)])
     # the rows of the store before the write or after it, never a mix: the
-    # exposure with only the source that was there before the write
+    # exposure the write added, without the document it numbered
     assert before == []
+    assert got in (before, after)
+
+
+def test_tables_read_one_snapshot(tmp_path, registry):
+    before, got, after = read_beside_a_write(tmp_path / "store", lambda store: reports.tables(store, registry))
+    # the tables of the store before the write or after it, never a mix
+    assert before[2] == 0
     assert got in (before, after)
 
 
